@@ -21,7 +21,8 @@
 //!    baseline (committed as `BENCH_batch.json`).
 //! 6. **Multi-session throughput** — N sandboxed sessions driving
 //!    open/read/close + batched-stat workloads over one shared kernel
-//!    (`SharedKernel` + `run_sessions` worker threads) vs the same total
+//!    (a one-shard `KernelShards` + `run_sessions` worker threads — group
+//!    8's workload at one shard) vs the same total
 //!    work driven by a single thread. With one global kernel lock the
 //!    threads mostly serialize — this group records the contention
 //!    baseline the ROADMAP's sharding item must beat. Set
@@ -543,54 +544,69 @@ struct ConcurrencyRun {
     ops: u64,
 }
 
-/// Build the shared-kernel fixture for `sessions` confined subtrees and
-/// return per-session work as `SessionTask`s.
-fn concurrency_workload(sessions: usize, rounds: usize, threaded: bool) -> ConcurrencyRun {
-    use shill_sandbox::{run_sessions, SessionBody, SessionTask, SharedKernel};
+/// The multi-session workload groups 6 and 8 share: `sessions` confined
+/// subtrees of 8 files on each of `nshards` kernel shards, session `i`
+/// pinned to shard `i % nshards`, each session running `rounds` of 8
+/// open/read/close triples plus one 8-entry stat batch. `threaded` runs
+/// every session on its own worker thread; otherwise the sessions run one
+/// after another on this thread (group 6's single-thread baseline).
+fn session_workload(
+    sessions: usize,
+    rounds: usize,
+    nshards: usize,
+    threaded: bool,
+) -> ConcurrencyRun {
+    use shill::kernel::KernelShards;
+    use shill_sandbox::{run_sessions, SessionBody, SessionTask};
 
-    let mut k = Kernel::new();
     let policy = ShillPolicy::new();
-    k.register_policy(policy.clone());
-    for i in 0..sessions {
-        for j in 0..8 {
-            k.fs.put_file(
-                &format!("/work/s{i}/inner/f{j}"),
-                &vec![b'd'; 512],
-                Mode(0o644),
-                Uid::ROOT,
-                Gid::WHEEL,
-            )
-            .unwrap();
+    let shards = KernelShards::new_with(nshards, |k, _| {
+        for i in 0..sessions {
+            for j in 0..8 {
+                k.fs.put_file(
+                    &format!("/work/s{i}/inner/f{j}"),
+                    &vec![b'd'; 512],
+                    Mode(0o644),
+                    Uid::ROOT,
+                    Gid::WHEEL,
+                )
+                .unwrap();
+            }
         }
-    }
-    let root = k.fs.root();
-    let work = k.fs.resolve_abs("/work").unwrap();
-    let dirs: Vec<_> = (0..sessions)
-        .map(|i| k.fs.resolve_abs(&format!("/work/s{i}")).unwrap())
-        .collect();
-    let shared = SharedKernel::new(k);
+    });
+    shards.register_policy(policy.clone());
 
     let leaf = CapPrivs::of(PrivSet::of(&[Priv::Read, Priv::Stat, Priv::Path]));
     let inner = CapPrivs::of(PrivSet::of(&[Priv::Lookup, Priv::Contents, Priv::Stat]))
         .with_modifier(Priv::Lookup, leaf.clone());
     let tasks: Vec<SessionTask> = (0..sessions)
         .map(|i| {
+            let shard = i % nshards;
+            // Grants resolve against the pinned shard's namespace (node
+            // ids are shard-disjoint).
+            let (root, work, dir) = shards.with_shard(shard, |k| {
+                (
+                    k.fs.root(),
+                    k.fs.resolve_abs("/work").unwrap(),
+                    k.fs.resolve_abs(&format!("/work/s{i}")).unwrap(),
+                )
+            });
             let spec = SandboxSpec {
                 grants: vec![
                     Grant::vnode(root, CapPrivs::of(PrivSet::of(&[Priv::Lookup]))),
                     Grant::vnode(work, CapPrivs::of(PrivSet::of(&[Priv::Lookup]))),
                     Grant::vnode(
-                        dirs[i],
+                        dir,
                         CapPrivs::of(PrivSet::of(&[Priv::Lookup, Priv::Contents, Priv::Stat]))
                             .with_modifier(Priv::Lookup, inner.clone()),
                     ),
                 ],
                 ..Default::default()
             };
-            let body: SessionBody = Arc::new(move |sk, pid, _sid| {
+            let body: SessionBody = Arc::new(move |shards, pid, _sid| {
                 for _ in 0..rounds {
                     for j in 0..8 {
-                        let ok = sk.with(|k| {
+                        let ok = shards.with_pid(pid, |k| {
                             let fd = k.open(
                                 pid,
                                 &format!("/work/s{i}/inner/f{j}"),
@@ -613,7 +629,7 @@ fn concurrency_workload(sessions: usize, rounds: usize, threaded: bool) -> Concu
                             })
                             .collect(),
                     );
-                    let out = sk.with(|k| k.submit_batch(pid, &batch));
+                    let out = shards.with_pid(pid, |k| k.submit_batch(pid, &batch));
                     match out {
                         Ok(rs) if rs.iter().all(|r| r.is_ok()) => {}
                         _ => return 1,
@@ -621,7 +637,7 @@ fn concurrency_workload(sessions: usize, rounds: usize, threaded: bool) -> Concu
                 }
                 0
             });
-            SessionTask { spec, body }
+            SessionTask { shard, spec, body }
         })
         .collect();
 
@@ -630,18 +646,21 @@ fn concurrency_workload(sessions: usize, rounds: usize, threaded: bool) -> Concu
     let t0 = Instant::now();
     if threaded {
         let outcomes =
-            run_sessions(&shared, &policy, shill_vfs::Cred::user(100), tasks).expect("sessions");
+            run_sessions(&shards, &policy, shill_vfs::Cred::user(100), tasks).expect("sessions");
         assert!(outcomes.iter().all(|o| o.status == 0));
     } else {
-        // Single-threaded baseline: identical total work, sessions driven
-        // one after another on this thread.
         for task in tasks {
-            let outcomes = run_sessions(&shared, &policy, shill_vfs::Cred::user(100), vec![task])
+            let outcomes = run_sessions(&shards, &policy, shill_vfs::Cred::user(100), vec![task])
                 .expect("session");
             assert!(outcomes.iter().all(|o| o.status == 0));
         }
     }
     let elapsed = t0.elapsed();
+    assert_eq!(
+        shards.rendezvous_count(),
+        if nshards > 1 { 1 } else { 0 },
+        "only the policy attach may rendezvous — session traffic is shard-local"
+    );
     ConcurrencyRun {
         ns_per_op: elapsed.as_nanos() as f64 / ops as f64,
         ops,
@@ -654,8 +673,9 @@ fn bench_concurrency() {
     println!(
         "\n6. multi-session throughput ({sessions} sessions x {rounds} rounds, shared kernel):"
     );
-    let threaded = concurrency_workload(sessions, rounds, true);
-    let single = concurrency_workload(sessions, rounds, false);
+    // Group 8 at one shard, against the same work driven by one thread.
+    let threaded = session_workload(sessions, rounds, 1, true);
+    let single = session_workload(sessions, rounds, 1, false);
     let report = |label: &str, r: &ConcurrencyRun| {
         println!(
             "   {label:<28} {:>8.0}ns/op  ({} ops, {:.2}M ops/s)",
@@ -815,8 +835,8 @@ enum PoolMode {
 /// one logical syscall (8×3 + 8 per session-round), so ns/op is directly
 /// comparable with `BENCH_concurrency.json`.
 fn sched_pool_run(sessions: usize, rounds: usize, mode: PoolMode) -> ConcurrencyRun {
-    use shill::kernel::{completions_to_slots, BatchFd, SyscallBatch};
-    use shill_sandbox::{BatchJob, BatchPool, SharedKernel};
+    use shill::kernel::{completions_to_slots, BatchFd, KernelShards, SyscallBatch};
+    use shill_sandbox::{BatchJob, BatchPool};
 
     let mut k = Kernel::new();
     let policy = ShillPolicy::new();
@@ -845,7 +865,7 @@ fn sched_pool_run(sessions: usize, rounds: usize, mode: PoolMode) -> Concurrency
         let sb = setup_sandbox(&mut k, &policy, user, &spec).expect("sandbox");
         children.push(sb.child);
     }
-    let shared = SharedKernel::new(k);
+    let shared = KernelShards::from_kernel(k);
 
     // `fold` rounds of the 8-file stat sweep in one submission.
     let sweep = |i: usize, fold: usize| -> SyscallBatch {
@@ -895,7 +915,7 @@ fn sched_pool_run(sessions: usize, rounds: usize, mode: PoolMode) -> Concurrency
                 for (i, &pid) in children.iter().enumerate() {
                     for j in 0..8 {
                         shared
-                            .with(|k| {
+                            .with_pid(pid, |k| {
                                 let fd = k.open(
                                     pid,
                                     &format!("{}/f{j}", inner(i)),
@@ -908,7 +928,7 @@ fn sched_pool_run(sessions: usize, rounds: usize, mode: PoolMode) -> Concurrency
                             .expect("triple");
                     }
                     let out = shared
-                        .with(|k| k.submit_batch(pid, &sweep(i, 1)))
+                        .with_pid(pid, |k| k.submit_batch(pid, &sweep(i, 1)))
                         .expect("sweep");
                     assert!(out.iter().all(|r| r.is_ok()));
                 }
@@ -919,7 +939,7 @@ fn sched_pool_run(sessions: usize, rounds: usize, mode: PoolMode) -> Concurrency
                 for (i, &pid) in children.iter().enumerate() {
                     for batch in [pipelines(i, FOLD), sweep(i, FOLD)] {
                         let out = shared
-                            .with(|k| k.submit_scheduled(pid, &batch))
+                            .with_pid(pid, |k| k.submit_scheduled(pid, &batch))
                             .expect("scheduled");
                         assert!(out.iter().all(|c| c.out.is_ok()));
                     }
@@ -938,10 +958,12 @@ fn sched_pool_run(sessions: usize, rounds: usize, mode: PoolMode) -> Concurrency
                             BatchJob {
                                 pid: children[i],
                                 batch: pipelines(i, FOLD),
+                                fence: Vec::new(),
                             },
                             BatchJob {
                                 pid: children[i],
                                 batch: sweep(i, FOLD),
+                                fence: Vec::new(),
                             },
                         ]
                     })
@@ -1082,121 +1104,13 @@ fn bench_sched() {
 }
 
 /// Group 8 — kernel-shard ablation: the group-6 multi-session workload
-/// (8 open/read/close triples + one 8-entry stat batch per session-round)
-/// with sessions **pinned across N kernel shards** via
-/// `run_sessions_sharded`. At 1 shard this is exactly the group-6
-/// threaded shape (every wave serializes on one lock — the
-/// `BENCH_concurrency.json` ≈1.0× baseline); at N shards, sessions on
+/// with sessions **pinned across N kernel shards**. At 1 shard this is
+/// exactly the group-6 threaded run (every wave serializes on one lock —
+/// the `BENCH_concurrency.json` ≈1.0× baseline); at N shards, sessions on
 /// different shards contend on no kernel lock at all, so throughput
 /// scales with cores. On a single-core box the ratio stays ≈1.0× by
 /// construction (the threads time-slice); the JSON records the core
 /// count so the baseline is interpretable.
-fn shard_workload(sessions: usize, rounds: usize, nshards: usize) -> ConcurrencyRun {
-    use shill::kernel::KernelShards;
-    use shill_sandbox::{run_sessions_sharded, SessionBody, SessionTask, ShardedSessionTask};
-
-    let policy = ShillPolicy::new();
-    let shards = KernelShards::new_with(nshards, |k, _| {
-        for i in 0..sessions {
-            for j in 0..8 {
-                k.fs.put_file(
-                    &format!("/work/s{i}/inner/f{j}"),
-                    &vec![b'd'; 512],
-                    Mode(0o644),
-                    Uid::ROOT,
-                    Gid::WHEEL,
-                )
-                .unwrap();
-            }
-        }
-    });
-    shards.register_policy(policy.clone());
-
-    let leaf = CapPrivs::of(PrivSet::of(&[Priv::Read, Priv::Stat, Priv::Path]));
-    let inner = CapPrivs::of(PrivSet::of(&[Priv::Lookup, Priv::Contents, Priv::Stat]))
-        .with_modifier(Priv::Lookup, leaf.clone());
-    let tasks: Vec<ShardedSessionTask> = (0..sessions)
-        .map(|i| {
-            let shard = i % nshards;
-            // Grants resolve against the pinned shard's namespace (node
-            // ids are shard-disjoint).
-            let (root, work, dir) = shards.with_shard(shard, |k| {
-                (
-                    k.fs.root(),
-                    k.fs.resolve_abs("/work").unwrap(),
-                    k.fs.resolve_abs(&format!("/work/s{i}")).unwrap(),
-                )
-            });
-            let spec = SandboxSpec {
-                grants: vec![
-                    Grant::vnode(root, CapPrivs::of(PrivSet::of(&[Priv::Lookup]))),
-                    Grant::vnode(work, CapPrivs::of(PrivSet::of(&[Priv::Lookup]))),
-                    Grant::vnode(
-                        dir,
-                        CapPrivs::of(PrivSet::of(&[Priv::Lookup, Priv::Contents, Priv::Stat]))
-                            .with_modifier(Priv::Lookup, inner.clone()),
-                    ),
-                ],
-                ..Default::default()
-            };
-            let body: SessionBody = Arc::new(move |sk, pid, _sid| {
-                for _ in 0..rounds {
-                    for j in 0..8 {
-                        let ok = sk.with(|k| {
-                            let fd = k.open(
-                                pid,
-                                &format!("/work/s{i}/inner/f{j}"),
-                                OpenFlags::RDONLY,
-                                Mode(0),
-                            )?;
-                            let _ = k.read(pid, fd, 512)?;
-                            k.close(pid, fd)
-                        });
-                        if ok.is_err() {
-                            return 1;
-                        }
-                    }
-                    let batch = SyscallBatch::new(
-                        (0..8)
-                            .map(|j| BatchEntry::Stat {
-                                dirfd: None,
-                                path: format!("/work/s{i}/inner/f{j}"),
-                                follow: true,
-                            })
-                            .collect(),
-                    );
-                    let out = sk.with(|k| k.submit_batch(pid, &batch));
-                    match out {
-                        Ok(rs) if rs.iter().all(|r| r.is_ok()) => {}
-                        _ => return 1,
-                    }
-                }
-                0
-            });
-            ShardedSessionTask {
-                shard,
-                task: SessionTask { spec, body },
-            }
-        })
-        .collect();
-
-    let ops = (sessions * rounds * (8 * 3 + 8)) as u64;
-    let t0 = Instant::now();
-    let outcomes =
-        run_sessions_sharded(&shards, &policy, shill_vfs::Cred::user(100), tasks).expect("shards");
-    let elapsed = t0.elapsed();
-    assert!(outcomes.iter().all(|o| o.status == 0));
-    assert_eq!(
-        shards.rendezvous_count(),
-        if nshards > 1 { 1 } else { 0 },
-        "only the policy attach may rendezvous — session traffic is shard-local"
-    );
-    ConcurrencyRun {
-        ns_per_op: elapsed.as_nanos() as f64 / ops as f64,
-        ops,
-    }
-}
-
 fn bench_shard() {
     let sessions = 4;
     let rounds = 400;
@@ -1210,7 +1124,7 @@ fn bench_shard() {
     // Best-of-5 per shard count (same estimator as groups 6/7).
     let best = |nshards: usize| -> ConcurrencyRun {
         (0..5)
-            .map(|_| shard_workload(sessions, rounds, nshards))
+            .map(|_| session_workload(sessions, rounds, nshards, true))
             .min_by(|a, b| a.ns_per_op.total_cmp(&b.ns_per_op))
             .unwrap()
     };
@@ -1363,7 +1277,7 @@ fn policy_churn_workload(nshards: usize, per_shard: usize, files: usize) -> Chur
 /// only lag the pool's.
 fn policy_steal_phase(nshards: usize, rounds: usize) -> (u64, u64) {
     use shill::kernel::KernelShards;
-    use shill_sandbox::{BatchJob, BatchPool, ShardedBatchJob};
+    use shill_sandbox::{BatchJob, BatchPool};
 
     let policy = ShillPolicy::new();
     let shards = KernelShards::new_with(nshards, |k, _| {
@@ -1393,21 +1307,20 @@ fn policy_steal_phase(nshards: usize, rounds: usize) -> (u64, u64) {
         })
         .collect();
     let pool = BatchPool::new(nshards * 2);
-    let jobs: Vec<ShardedBatchJob> = (0..rounds)
+    let jobs: Vec<BatchJob> = (0..rounds)
         .flat_map(|_| {
-            children.iter().map(|&child| {
-                ShardedBatchJob::local(BatchJob {
-                    pid: child,
-                    batch: SyscallBatch::single(BatchEntry::Stat {
-                        dirfd: None,
-                        path: "/churn/f0".into(),
-                        follow: true,
-                    }),
-                })
+            children.iter().map(|&child| BatchJob {
+                pid: child,
+                batch: SyscallBatch::single(BatchEntry::Stat {
+                    dirfd: None,
+                    path: "/churn/f0".into(),
+                    follow: true,
+                }),
+                fence: Vec::new(),
             })
         })
         .collect();
-    let outs = pool.run_sharded(&shards, jobs);
+    let outs = pool.run(&shards, jobs);
     assert!(outs.iter().all(|o| o.is_ok()));
     (pool.steals(), shards.stats().pool_steals)
 }

@@ -153,9 +153,9 @@ impl ShillRuntime {
 
     /// Dismantle the runtime, releasing the kernel and the policy module —
     /// the entry point for the concurrent phase of a workload: scripts that
-    /// prepared state single-threaded hand the kernel to
-    /// `shill_sandbox::SharedKernel` and a fleet of session worker threads
-    /// (`shill_sandbox::run_sessions`) from here.
+    /// prepared state single-threaded wrap the kernel as a one-shard
+    /// `shill_kernel::KernelShards::from_kernel` and hand it to a fleet of
+    /// session worker threads (`shill_sandbox::run_sessions`) from here.
     pub fn into_parts(self) -> (Kernel, Option<Arc<ShillPolicy>>) {
         (self.interp.kernel, self.policy)
     }

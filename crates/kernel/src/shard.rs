@@ -4,7 +4,7 @@
 //!
 //! PR 3 made the kernel's hot state thread-safe and PR 4 let a worker pool
 //! acquire the kernel **per dependency wave** — but every wave of every
-//! session still serialized on the ONE `SharedKernel` lock, and
+//! session still serialized on the ONE kernel lock, and
 //! `BENCH_concurrency.json` recorded the consequence: threaded/single
 //! ≈ 1.0×. This module is the sharding step the ROADMAP called for:
 //!
@@ -65,13 +65,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, MutexGuard};
 
 use shill_vfs::sync::Mutex;
-use shill_vfs::SysResult;
 
-use crate::batch::SyscallBatch;
 use crate::hist::SiteHistsSnapshot;
 use crate::kernel::Kernel;
 use crate::mac::MacPolicy;
-use crate::sched::Completion;
 use crate::stats::StatsSnapshot;
 use crate::trace::{Telemetry, TracePlane};
 use crate::types::Pid;
@@ -126,7 +123,7 @@ struct Inner {
 
 /// `N` kernels behind per-shard locks. Cheaply cloneable (`Arc` inside);
 /// clones address the same shards. The single-shard form is exactly the
-/// PR 3 `SharedKernel` and behaves identically.
+/// PR 3 single-lock kernel and behaves identically.
 ///
 /// # Examples
 ///
@@ -156,13 +153,7 @@ const _: () = {
 impl KernelShards {
     /// Create `n` shards (at least one), each a fresh [`Kernel::new_shard`].
     pub fn new(n: usize) -> KernelShards {
-        let n = n.clamp(1, MAX_SHARDS);
-        KernelShards {
-            inner: Arc::new(Inner {
-                shards: (0..n).map(|i| Mutex::new(Kernel::new_shard(i))).collect(),
-                rendezvous: AtomicU64::new(0),
-            }),
-        }
+        KernelShards::new_with(n, |_, _| {})
     }
 
     /// Create `n` shards and run `init` on each before any lock is shared
@@ -183,8 +174,8 @@ impl KernelShards {
         }
     }
 
-    /// Wrap an existing kernel as a single shard (the PR 3 `SharedKernel`
-    /// construction; the kernel keeps whatever state it already has).
+    /// Wrap an existing kernel as a single shard (the single-lock kernel;
+    /// the kernel keeps whatever state it already has).
     pub fn from_kernel(kernel: Kernel) -> KernelShards {
         KernelShards {
             inner: Arc::new(Inner {
@@ -391,16 +382,6 @@ impl KernelShards {
         });
     }
 
-    /// Toggle the resolution caches on every shard under one rendezvous
-    /// (the sharded form of [`Kernel::set_cache_enabled`]).
-    pub fn set_cache_enabled(&self, dcache: bool, avc: bool) {
-        self.rendezvous(|shards| {
-            for k in shards {
-                k.set_cache_enabled(dcache, avc);
-            }
-        });
-    }
-
     /// Aggregate stats snapshot across all shards, under a rendezvous so
     /// no wave is mid-flight while counters are read. Uses the draining
     /// form ([`Kernel::stats_snapshot`]) so policy-side contention counters
@@ -440,13 +421,6 @@ impl KernelShards {
         })
     }
 
-    /// Submit a scheduled batch for `pid` on its pinned shard (the
-    /// shard-local one-shot path; worker pools use the steppable per-wave
-    /// form instead — see `shill-sandbox`'s `BatchPool`).
-    pub fn submit_scheduled(&self, pid: Pid, batch: &SyscallBatch) -> SysResult<Vec<Completion>> {
-        self.with_pid(pid, |k| k.submit_scheduled(pid, batch))
-    }
-
     /// Recover the kernels once every clone is gone (`None` while other
     /// handles are alive). Shard order is preserved.
     pub fn try_into_kernels(self) -> Option<Vec<Kernel>> {
@@ -459,7 +433,7 @@ impl KernelShards {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::BatchEntry;
+    use crate::batch::{BatchEntry, SyscallBatch};
     use crate::types::ObjId;
     use shill_vfs::{Cred, Gid, Mode, Uid};
 
@@ -547,7 +521,10 @@ mod tests {
         for i in 0..2 {
             assert!(shards.with_shard(i, |k| k.has_policy("null")));
         }
-        shards.set_cache_enabled(false, false);
+        shards.rendezvous(|ks| {
+            ks.iter_mut()
+                .for_each(|k| k.set_cache_enabled(false, false))
+        });
         for i in 0..2 {
             assert_eq!(shards.with_shard(i, |k| k.cache_enabled()), (false, false));
         }
@@ -566,27 +543,20 @@ mod tests {
             .unwrap();
         });
         let pid1 = shards.with_shard(1, |k| k.spawn_user(Cred::ROOT));
-        let out = shards
-            .submit_scheduled(
-                pid1,
-                &SyscallBatch::single(BatchEntry::ReadFile {
-                    dirfd: None,
-                    path: "/s1.txt".into(),
-                }),
-            )
-            .unwrap();
+        let read = |path: &str| {
+            let batch = SyscallBatch::single(BatchEntry::ReadFile {
+                dirfd: None,
+                path: path.into(),
+            });
+            shards.with_pid(pid1, |k| k.submit_scheduled(pid1, &batch))
+        };
+        let out = read("/s1.txt").unwrap();
         assert_eq!(
             out[0].out,
             Ok(crate::batch::BatchOut::Data(b"shard-1".to_vec()))
         );
         // The other shard's namespace is genuinely elsewhere.
-        let miss = shards.submit_scheduled(
-            pid1,
-            &SyscallBatch::single(BatchEntry::ReadFile {
-                dirfd: None,
-                path: "/s0.txt".into(),
-            }),
-        );
+        let miss = read("/s0.txt");
         assert_eq!(
             crate::sched::completions_to_slots(1, &miss.unwrap())[0],
             Err(shill_vfs::Errno::ENOENT)

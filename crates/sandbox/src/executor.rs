@@ -1,13 +1,13 @@
 //! Concurrent session execution: N worker threads, each driving one
-//! sandboxed session against a **sharded** kernel.
+//! sandboxed session against a [`KernelShards`] set.
 //!
 //! The kernel's interior-mutable hot state (stats counters, the AVC, the
 //! dcache, in-flight batch state) is thread-safe (atomics + lock-guarded
 //! maps), so whole [`Kernel`]s sit behind per-shard locks
-//! ([`shill_kernel::KernelShards`]) and sessions pinned to different shards
-//! genuinely overlap. [`SharedKernel`] is a cheap handle pinned to one
-//! shard — the single-shard construction ([`SharedKernel::new`]) is the
-//! PR 3 shape and behaves identically.
+//! ([`KernelShards`]) and sessions pinned to different shards genuinely
+//! overlap. The shard set is the only kernel handle the executor takes: one
+//! kernel behind one lock is simply the one-shard set
+//! ([`KernelShards::from_kernel`]).
 //!
 //! Execution model: each [`SessionTask`] is the analogue of one `exec`-style
 //! sandbox launch. A worker thread sets the sandbox up under its shard's
@@ -16,9 +16,10 @@
 //! shard's process table, so every later crossing routes to that shard),
 //! waits on a barrier so every session is entered before any body runs
 //! (maximizing interleaving), then drives its body — which takes the shard
-//! lock per kernel crossing, exactly as independent processes contend for a
-//! real kernel — and finally tears the session down (exit, reap, label
-//! scrub + epoch bump).
+//! lock per kernel crossing ([`KernelShards::with_pid`]), exactly as
+//! independent processes contend for a real kernel — and finally tears the
+//! session down (exit, reap, label scrub + epoch bump), even when the body
+//! panics.
 //!
 //! Consistency under interleaving is inherited from the PR 1/2 invalidation
 //! machinery, not re-derived here: every namespace mutation bumps dcache
@@ -32,87 +33,31 @@
 //! ever held across a shard-lock acquisition. See `docs/concurrency.md`
 //! for the full specification.
 
-use std::sync::{mpsc, Arc, Barrier, MutexGuard};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Arc, Barrier};
 use std::thread;
 
 use shill_kernel::{Completion, Kernel, KernelShards, Pid, ScheduledRun, SyscallBatch};
 use shill_vfs::sync::Mutex;
 use shill_vfs::{Cred, Errno, SysResult};
 
-use crate::harness::{setup_sandbox, SandboxSpec};
+use crate::harness::{setup_sandbox, Sandbox, SandboxSpec};
 use crate::policy::ShillPolicy;
 use crate::session::SessionId;
 
-/// A kernel handle pinned to one shard of a [`KernelShards`]: what a
-/// session body holds. The single-shard form ([`SharedKernel::new`]) wraps
-/// one kernel behind one lock — the PR 3 `SharedKernel`, unchanged in
-/// behaviour.
-#[derive(Clone)]
-pub struct SharedKernel {
-    shards: KernelShards,
-    shard: usize,
-}
-
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<SharedKernel>();
-};
-
-impl SharedKernel {
-    /// Wrap one kernel as a single shard (the PR 3 construction).
-    pub fn new(kernel: Kernel) -> SharedKernel {
-        SharedKernel {
-            shards: KernelShards::from_kernel(kernel),
-            shard: 0,
-        }
-    }
-
-    /// A handle pinned to `shard` of an existing shard set.
-    pub fn pinned(shards: KernelShards, shard: usize) -> SharedKernel {
-        let shard = shard % shards.count();
-        SharedKernel { shards, shard }
-    }
-
-    /// The underlying shard set.
-    pub fn shards(&self) -> &KernelShards {
-        &self.shards
-    }
-
-    /// Which shard this handle is pinned to.
-    pub fn shard_index(&self) -> usize {
-        self.shard
-    }
-
-    /// Run one kernel crossing (or a small compound operation) under the
-    /// pinned shard's lock. Bodies should keep critical sections to single
-    /// operations so sessions genuinely interleave.
-    pub fn with<R>(&self, f: impl FnOnce(&mut Kernel) -> R) -> R {
-        self.shards.with_shard(self.shard, f)
-    }
-
-    /// Take the pinned shard's lock directly (multi-step setup/teardown
-    /// choreography).
-    pub fn lock(&self) -> MutexGuard<'_, Kernel> {
-        self.shards.lock_shard(self.shard)
-    }
-
-    /// Recover the kernel once every handle is gone. `None` while other
-    /// clones are alive or the handle spans more than one shard (recover a
-    /// multi-shard set via [`KernelShards::try_into_kernels`] instead).
-    pub fn try_into_inner(self) -> Option<Kernel> {
-        if self.shards.count() != 1 {
-            return None;
-        }
-        self.shards.try_into_kernels().and_then(|mut v| v.pop())
-    }
-}
-
-/// The work a session performs once entered: repeated kernel crossings via
-/// [`SharedKernel::with`], returning an exit status.
-pub type SessionBody = Arc<dyn Fn(&SharedKernel, Pid, SessionId) -> i32 + Send + Sync>;
+/// The work a session performs once entered: kernel crossings on its own
+/// pid via [`KernelShards::with_pid`] (which routes to the pinned shard),
+/// returning an exit status. Bodies should keep critical sections to single
+/// operations so sessions genuinely interleave.
+pub type SessionBody = Arc<dyn Fn(&KernelShards, Pid, SessionId) -> i32 + Send + Sync>;
 
 /// One sandboxed session to run on a worker thread.
 pub struct SessionTask {
+    /// The shard this session lives on (taken modulo the shard count).
+    /// Pinning happens at launch: the task's parent process, sandbox
+    /// choreography, and every body crossing run against this shard's
+    /// kernel.
+    pub shard: usize,
     /// Grants, stdio wiring, ulimits — as for [`setup_sandbox`].
     pub spec: SandboxSpec,
     /// The sandboxed "program".
@@ -128,57 +73,19 @@ pub struct SessionOutcome {
     pub status: i32,
 }
 
-/// A session task pinned to a kernel shard for
-/// [`run_sessions_sharded`]. Pinning happens at launch: the task's parent
-/// process, sandbox choreography, and every body crossing run against
-/// `shard`'s kernel.
-pub struct ShardedSessionTask {
-    /// The shard this session lives on (taken modulo the shard count).
-    pub shard: usize,
-    /// The session to run there.
-    pub task: SessionTask,
-}
-
 /// Run every task as its own sandboxed session on its own worker thread,
-/// against one shared kernel and one policy module. Each task gets a fresh
-/// (unsandboxed) parent process with `parent_cred`; the returned outcomes
-/// are in task order. The submission-level `Err` is reserved for setup
-/// failures (a body that fails is just a nonzero status).
+/// against one shard set and one policy module. Each task's whole lifecycle
+/// (parent spawn, sandbox setup, body, teardown) runs against its pinned
+/// shard, so tasks on different shards contend on **no** kernel lock. Each
+/// task gets a fresh (unsandboxed) parent process with `parent_cred`; the
+/// returned outcomes are in task order. The submission-level `Err` is
+/// reserved for setup failures and panicking bodies (a body that fails is
+/// just a nonzero status).
 pub fn run_sessions(
-    shared: &SharedKernel,
+    shards: &KernelShards,
     policy: &Arc<ShillPolicy>,
     parent_cred: Cred,
     tasks: Vec<SessionTask>,
-) -> SysResult<Vec<SessionOutcome>> {
-    let pinned = tasks
-        .into_iter()
-        .map(|task| (shared.shard_index(), task))
-        .collect();
-    run_pinned(shared.shards(), policy, parent_cred, pinned)
-}
-
-/// [`run_sessions`] across kernel shards: each task's whole lifecycle
-/// (parent spawn, sandbox setup, body, teardown) runs against its pinned
-/// shard, so tasks on different shards contend on **no** kernel lock.
-/// Bodies receive a [`SharedKernel`] pinned to their shard.
-pub fn run_sessions_sharded(
-    shards: &KernelShards,
-    policy: &Arc<ShillPolicy>,
-    parent_cred: Cred,
-    tasks: Vec<ShardedSessionTask>,
-) -> SysResult<Vec<SessionOutcome>> {
-    let pinned = tasks
-        .into_iter()
-        .map(|t| (t.shard % shards.count(), t.task))
-        .collect();
-    run_pinned(shards, policy, parent_cred, pinned)
-}
-
-fn run_pinned(
-    shards: &KernelShards,
-    policy: &Arc<ShillPolicy>,
-    parent_cred: Cred,
-    tasks: Vec<(usize, SessionTask)>,
 ) -> SysResult<Vec<SessionOutcome>> {
     let n = tasks.len();
     if n == 0 {
@@ -188,8 +95,8 @@ fn run_pinned(
     let results: Vec<SysResult<SessionOutcome>> = thread::scope(|scope| {
         let handles: Vec<_> = tasks
             .into_iter()
-            .map(|(shard, task)| {
-                let shared = SharedKernel::pinned(shards.clone(), shard);
+            .map(|task| {
+                let shard = task.shard % shards.count();
                 let policy = Arc::clone(policy);
                 let entered = Arc::clone(&entered);
                 scope.spawn(move || -> SysResult<SessionOutcome> {
@@ -198,47 +105,53 @@ fn run_pinned(
                     // are captured rather than propagated before the
                     // barrier: every sibling waits on it, so a worker that
                     // bailed early would wedge the other n-1 forever.
-                    let setup = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                        || -> SysResult<(Pid, crate::harness::Sandbox)> {
-                            let mut k = shared.lock();
-                            let parent = k.spawn_user(parent_cred);
-                            match setup_sandbox(&mut k, &policy, parent, &task.spec) {
-                                Ok(sb) => Ok((parent, sb)),
-                                Err(e) => {
-                                    // Retire the parent we just spawned so a
-                                    // failed launch leaves no process-table
-                                    // residue.
-                                    k.exit(parent, 0);
-                                    let _ = k.waitpid(Pid(1), parent);
-                                    Err(e)
-                                }
+                    let setup = catch_unwind(AssertUnwindSafe(|| -> SysResult<(Pid, Sandbox)> {
+                        let mut k = shards.lock_shard(shard);
+                        let parent = k.spawn_user(parent_cred);
+                        match setup_sandbox(&mut k, &policy, parent, &task.spec) {
+                            Ok(sb) => Ok((parent, sb)),
+                            Err(e) => {
+                                // Retire the parent we just spawned so a
+                                // failed launch leaves no process-table
+                                // residue.
+                                k.exit(parent, 0);
+                                let _ = k.waitpid(Pid(1), parent);
+                                Err(e)
                             }
-                        },
-                    ));
+                        }
+                    }));
                     // Every session entered before any body runs.
                     entered.wait();
                     let (parent, sb) = match setup {
                         Ok(Ok(v)) => v,
                         Ok(Err(e)) => return Err(e),
-                        Err(panic) => std::panic::resume_unwind(panic),
+                        Err(panic) => resume_unwind(panic),
                     };
-                    let status = (task.body)(&shared, sb.child, sb.session);
+                    // A panicking body (a failed assertion, an injected
+                    // `mac_panic` fault) must not skip the teardown: catch
+                    // it, reclaim the session, then re-raise.
+                    let body = catch_unwind(AssertUnwindSafe(|| {
+                        (task.body)(shards, sb.child, sb.session)
+                    }));
                     // Teardown under one lock hold: exit + reap the child
                     // (reclaiming the session: label scrub, epoch bump),
                     // then retire the throwaway parent so repeated
                     // run_sessions calls don't grow the process table.
                     let reaped = {
-                        let mut k = shared.lock();
-                        k.exit(sb.child, status);
+                        let mut k = shards.lock_shard(shard);
+                        k.exit(sb.child, body.as_ref().map_or(1, |&status| status));
                         let reaped = k.waitpid(parent, sb.child);
                         k.exit(parent, 0);
                         let _ = k.waitpid(Pid(1), parent);
-                        reaped?
+                        reaped
                     };
+                    if let Err(panic) = body {
+                        resume_unwind(panic);
+                    }
                     Ok(SessionOutcome {
                         session: sb.session,
                         child: sb.child,
-                        status: reaped,
+                        status: reaped?,
                     })
                 })
             })
@@ -252,44 +165,22 @@ fn run_pinned(
 }
 
 /// One scheduled submission for the batch worker pool: which process
-/// submits, and what.
+/// submits, what, and which other shards its waves must be ordered against.
 pub struct BatchJob {
     /// The submitting process; its pid pins the job to a shard.
     pub pid: Pid,
     /// The dependency-aware batch to execute.
     pub batch: SyscallBatch,
-}
-
-/// A [`BatchJob`] classified for the sharded pool: shard-local (the
-/// overwhelming case — every wave takes only the pinned shard's lock) or
-/// cross-shard (every wave pays a rendezvous that fences the listed
-/// shards, totally ordering it against their waves).
-pub struct ShardedBatchJob {
-    /// The submission.
-    pub job: BatchJob,
-    /// Extra shards each wave must fence (empty = shard-local). Use for
-    /// jobs whose effects must be ordered against other shards' waves —
-    /// e.g. a namespace mutation feeding a shared-policy revocation that
-    /// sessions on other shards must not outrun. Every entry must be a
-    /// valid shard index: an out-of-range entry panics the job's worker
-    /// slot rather than silently running the job unfenced.
+    /// Extra shards each wave must fence. Empty means shard-local: the
+    /// overwhelming case, where every wave takes only the pinned shard's
+    /// lock. A non-empty fence makes every wave pay a rendezvous that
+    /// holds these shards' locks (plus the pid's own) in ascending order,
+    /// totally ordering it against their waves — e.g. a namespace mutation
+    /// feeding a shared-policy revocation that sessions on other shards
+    /// must not outrun. Every entry must be a valid shard index: an
+    /// out-of-range entry panics the job's worker slot rather than
+    /// silently running the job unfenced.
     pub fence: Vec<usize>,
-}
-
-impl ShardedBatchJob {
-    /// A shard-local job (no fence — the fast path).
-    pub fn local(job: BatchJob) -> ShardedBatchJob {
-        ShardedBatchJob {
-            job,
-            fence: Vec::new(),
-        }
-    }
-
-    /// A cross-shard job: every wave runs with `fence`'s shard locks (plus
-    /// the pid's own shard) held in ascending order.
-    pub fn fenced(job: BatchJob, fence: Vec<usize>) -> ShardedBatchJob {
-        ShardedBatchJob { job, fence }
-    }
 }
 
 /// One unit of work fed to a pool worker: the job, the shard set to run it
@@ -297,15 +188,15 @@ impl ShardedBatchJob {
 struct PoolTask {
     shards: KernelShards,
     idx: usize,
-    job: ShardedBatchJob,
+    job: BatchJob,
     done: mpsc::Sender<(usize, SysResult<Vec<Completion>>)>,
 }
 
-/// Pool bookkeeping shared by producers ([`BatchPool::run_sharded`]) and
-/// workers. The single job channel of the earlier pool is replaced by one
-/// deque **per worker** plus work stealing, so shard-affine jobs land on
-/// the worker that last executed that shard's traffic (warm shard lock,
-/// warm caches) and only overflow migrates.
+/// Pool bookkeeping shared by producers ([`BatchPool::run`]) and workers.
+/// The single job channel of the earlier pool is replaced by one deque
+/// **per worker** plus work stealing, so shard-affine jobs land on the
+/// worker that last executed that shard's traffic (warm shard lock, warm
+/// caches) and only overflow migrates.
 struct PoolShared {
     /// Per-worker job deques. The owner pops its own **front**; a starving
     /// worker steals from a victim's **back** — the end furthest from what
@@ -367,10 +258,10 @@ pub struct BatchPool {
 impl BatchPool {
     /// Spawn a pool of `workers` persistent threads (at least one). Each
     /// worker owns a deque; threads idle on the pool condvar until
-    /// [`BatchPool::run`] / [`BatchPool::run_sharded`] feed them, and exit
-    /// when the pool drops. A worker drains its **own** deque first and
-    /// steals from siblings only when it runs dry, so shard affinity holds
-    /// exactly as long as the affine worker keeps up.
+    /// [`BatchPool::run`] feeds them, and exit when the pool drops. A
+    /// worker drains its **own** deque first and steals from siblings only
+    /// when it runs dry, so shard affinity holds exactly as long as the
+    /// affine worker keeps up.
     pub fn new(workers: usize) -> BatchPool {
         let n = workers.max(1);
         let shared = Arc::new(PoolShared {
@@ -445,8 +336,8 @@ impl BatchPool {
             // A panicking policy module must cost one job (its slot
             // reports EINVAL, as the scoped pool's join did), not a pool
             // worker for the process lifetime.
-            let job_pid = job.job.pid;
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let job_pid = job.pid;
+            let r = catch_unwind(AssertUnwindSafe(|| {
                 Self::run_one(&shards, job, stolen, &mut arena)
             }))
             .unwrap_or_else(|_| {
@@ -491,27 +382,15 @@ impl BatchPool {
             .load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Execute every job as shard-local work routed by pid, returning
-    /// completion queues in job order. A job's `Err` is its
-    /// submission-level failure (malformed DAG, dead process); per-entry
-    /// failures live in its completions.
-    pub fn run(
-        &self,
-        shared: &SharedKernel,
-        jobs: Vec<BatchJob>,
-    ) -> Vec<SysResult<Vec<Completion>>> {
-        self.run_sharded(
-            shared.shards(),
-            jobs.into_iter().map(ShardedBatchJob::local).collect(),
-        )
-    }
-
-    /// Execute classified jobs against a shard set. Shard-local jobs of
-    /// different shards overlap wave-for-wave; cross-shard jobs rendezvous.
-    /// Results come back in job order. The pool may be reused across calls
-    /// and across different shard sets — workers hold a shard-set handle
-    /// only while executing a job of it (the reuse regression test pins
-    /// this down: a drained pool holds no kernel, session, or batch state).
+    /// Execute jobs against a shard set, returning completion queues in
+    /// job order. A job's `Err` is its submission-level failure (malformed
+    /// DAG, dead process, a contained panic); per-entry failures live in
+    /// its completions. Shard-local jobs of different shards overlap
+    /// wave-for-wave; fenced jobs rendezvous. The pool may be reused across
+    /// calls and across different shard sets — workers hold a shard-set
+    /// handle only while executing a job of it (the reuse regression test
+    /// pins this down: a drained pool holds no kernel, session, or batch
+    /// state).
     ///
     /// Routing: on a multi-shard set, a job goes to the deque of worker
     /// `shard_of(pid) % workers` — jobs of one shard queue behind each
@@ -519,10 +398,10 @@ impl BatchPool {
     /// and contend for its shard lock from one thread instead of several.
     /// On a single-shard set there is no affinity to exploit, so jobs
     /// round-robin. Either way, idle workers steal the overflow.
-    pub fn run_sharded(
+    pub fn run(
         &self,
         shards: &KernelShards,
-        jobs: Vec<ShardedBatchJob>,
+        jobs: Vec<BatchJob>,
     ) -> Vec<SysResult<Vec<Completion>>> {
         let n = jobs.len();
         if n == 0 {
@@ -534,7 +413,7 @@ impl BatchPool {
         let mut out: Vec<SysResult<Vec<Completion>>> = (0..n).map(|_| Err(Errno::EINVAL)).collect();
         for (idx, job) in jobs.into_iter().enumerate() {
             let target = if affine {
-                shards.shard_of(job.job.pid) % workers
+                shards.shard_of(job.pid) % workers
             } else {
                 idx % workers
             };
@@ -565,20 +444,20 @@ impl BatchPool {
     /// the per-shard stat split shows whose traffic overflowed.
     fn run_one(
         shards: &KernelShards,
-        job: ShardedBatchJob,
+        job: BatchJob,
         stolen: bool,
         arena: &mut WorkerArena,
     ) -> SysResult<Vec<Completion>> {
-        let pid = job.job.pid;
+        let BatchJob { pid, batch, fence } = job;
         let home = shards.shard_of(pid);
-        let fenced = !job.fence.is_empty();
+        let fenced = !fence.is_empty();
         if fenced {
             // Normalize the fence once per job; every wave then acquires
             // the pre-ordered set without sorting or allocating.
-            shards.fence_set(home, &job.fence, &mut arena.fence);
+            shards.fence_set(home, &fence, &mut arena.fence);
         }
-        let entries = job.job.batch.entries.len() as u64;
-        let mut run = ScheduledRun::prepare(pid, job.job.batch)?;
+        let entries = batch.entries.len() as u64;
+        let mut run = ScheduledRun::prepare(pid, batch)?;
         let mut credit_steal = stolen;
         // The pool steps waves directly and never passes through
         // `submit_batch`/`submit_scheduled`, so open the batch-site span
@@ -630,8 +509,8 @@ impl BatchPool {
 
 impl Drop for BatchPool {
     /// Drain on drop: close the pool (workers finish every task already
-    /// deposited — results of an in-flight `run_sharded` on another thread
-    /// still arrive), wake all sleepers, and join every worker.
+    /// deposited — results of an in-flight `run` on another thread still
+    /// arrive), wake all sleepers, and join every worker.
     fn drop(&mut self) {
         self.shared.state.lock().closed = true;
         self.shared.cv.notify_all();
@@ -656,46 +535,68 @@ mod tests {
 
     #[test]
     fn four_sessions_run_concurrently_and_stay_confined() {
-        let mut kernel = Kernel::new();
+        // All four sessions on one shard: the single-lock kernel.
+        four_confined_sessions_across(1);
+    }
+
+    #[test]
+    fn sharded_sessions_run_pinned_and_confined() {
+        // The same four sessions pinned two per shard across two shards.
+        four_confined_sessions_across(2);
+    }
+
+    /// Run four sandboxed sessions spread evenly over `nshards` shards, each
+    /// reading its own file and denied its same-shard sibling's, and check
+    /// every session passes, stays on its pinned shard without a
+    /// rendezvous, and leaves no label residue.
+    fn four_confined_sessions_across(nshards: usize) {
+        let per_shard = 4 / nshards;
         let policy = ShillPolicy::new();
-        kernel.register_policy(policy.clone());
-        for i in 0..4 {
-            kernel
-                .fs
-                .put_file(
+        let shards = KernelShards::new_with(nshards, |k, s| {
+            for i in 0..per_shard {
+                k.fs.put_file(
                     &format!("/work/s{i}/data.txt"),
-                    format!("payload-{i}").as_bytes(),
+                    format!("shard-{s}-sess-{i}").as_bytes(),
                     Mode(0o666),
                     Uid::ROOT,
                     Gid::WHEEL,
                 )
                 .unwrap();
-        }
-        let root = kernel.fs.root();
-        let work = kernel.fs.resolve_abs("/work").unwrap();
-        let dirs: Vec<_> = (0..4)
-            .map(|i| kernel.fs.resolve_abs(&format!("/work/s{i}")).unwrap())
-            .collect();
-        let shared = SharedKernel::new(kernel);
+            }
+        });
+        shards.register_policy(policy.clone());
+        let before = shards.rendezvous_count();
 
         let leaf = caps(&[Priv::Read, Priv::Stat, Priv::Path]);
         let tasks: Vec<SessionTask> = (0..4usize)
-            .map(|i| {
+            .map(|t| {
+                let (shard, i) = (t % nshards, t / nshards);
+                // Grants are resolved against the pinned shard's
+                // namespace.
+                let (root, work, dir) = shards.with_shard(shard, |k| {
+                    (
+                        k.fs.root(),
+                        k.fs.resolve_abs("/work").unwrap(),
+                        k.fs.resolve_abs(&format!("/work/s{i}")).unwrap(),
+                    )
+                });
                 let spec = SandboxSpec {
                     grants: vec![
                         Grant::vnode(root, caps(&[Priv::Lookup])),
                         Grant::vnode(work, caps(&[Priv::Lookup])),
                         Grant::vnode(
-                            dirs[i],
+                            dir,
                             caps(&[Priv::Lookup]).with_modifier(Priv::Lookup, leaf.clone()),
                         ),
                     ],
                     ..Default::default()
                 };
-                let body: SessionBody = Arc::new(move |sk: &SharedKernel, pid, _sid| {
+                let body: SessionBody = Arc::new(move |sk: &KernelShards, pid, _sid| {
+                    assert_eq!(sk.shard_of(pid), shard, "body runs on its pinned shard");
                     for _ in 0..50 {
                         // Own file: readable.
-                        let ok = sk.with(|k| {
+                        let ok = sk.with_pid(pid, |k| {
+                            assert_eq!(k.shard_index(), shard);
                             let fd = k.open(
                                 pid,
                                 &format!("/work/s{i}/data.txt"),
@@ -706,16 +607,14 @@ mod tests {
                             k.close(pid, fd)?;
                             Ok::<_, Errno>(data)
                         });
-                        match ok {
-                            Ok(d) if d == format!("payload-{i}").into_bytes() => {}
-                            other => {
-                                eprintln!("session {i}: bad read {other:?}");
-                                return 1;
-                            }
+                        if ok != Ok(format!("shard-{shard}-sess-{i}").into_bytes()) {
+                            eprintln!("session {t}: bad read {ok:?}");
+                            return 1;
                         }
-                        // Neighbour's file: must stay denied.
-                        let peer = (i + 1) % 4;
-                        let denied = sk.with(|k| {
+                        // A sibling session's file on the same shard
+                        // must stay denied, whatever runs elsewhere.
+                        let peer = (i + 1) % per_shard;
+                        let denied = sk.with_pid(pid, |k| {
                             k.open(
                                 pid,
                                 &format!("/work/s{peer}/data.txt"),
@@ -724,21 +623,30 @@ mod tests {
                             )
                         });
                         if denied != Err(Errno::EACCES) {
-                            eprintln!("session {i}: isolation breach {denied:?}");
+                            eprintln!("session {t}: isolation breach {denied:?}");
                             return 2;
                         }
                     }
                     0
                 });
-                SessionTask { spec, body }
+                SessionTask { shard, spec, body }
             })
             .collect();
 
-        let outcomes = run_sessions(&shared, &policy, Cred::user(100), tasks).unwrap();
+        let outcomes = run_sessions(&shards, &policy, Cred::user(100), tasks).unwrap();
         assert_eq!(outcomes.len(), 4);
         for o in &outcomes {
-            assert_eq!(o.status, 0, "session {:?} failed", o.session);
+            assert_eq!(
+                o.status, 0,
+                "session {:?} failed ({nshards} shards)",
+                o.session
+            );
         }
+        assert_eq!(
+            shards.rendezvous_count(),
+            before,
+            "pinned sessions are shard-local end to end"
+        );
         // All sessions reclaimed: no label residue.
         assert_eq!(policy.label_entries(), 0);
     }
@@ -748,16 +656,18 @@ mod tests {
         let mut kernel = Kernel::new();
         let policy = ShillPolicy::new();
         kernel.register_policy(policy.clone());
-        let shared = SharedKernel::new(kernel);
-        let before = shared.with(|k| k.process_count());
+        let shards = KernelShards::from_kernel(kernel);
+        let before = shards.with_shard(0, |k| k.process_count());
 
-        let ok_body: SessionBody = Arc::new(|_sk: &SharedKernel, _pid, _sid| 0);
+        let ok_body: SessionBody = Arc::new(|_sk: &KernelShards, _pid, _sid| 0);
         let tasks = vec![
             SessionTask {
+                shard: 0,
                 spec: SandboxSpec::default(),
                 body: Arc::clone(&ok_body),
             },
             SessionTask {
+                shard: 0,
                 // stdin names a descriptor the parent does not hold: the
                 // stdio transfer inside setup_sandbox fails after the fork.
                 spec: SandboxSpec {
@@ -769,12 +679,57 @@ mod tests {
         ];
         // The failure must surface as an error — a worker bailing before
         // the start barrier used to wedge its siblings forever.
-        let r = run_sessions(&shared, &policy, Cred::user(100), tasks);
+        let r = run_sessions(&shards, &policy, Cred::user(100), tasks);
         assert_eq!(r.unwrap_err(), Errno::EBADF);
         // Both the failed launch and the successful session retired every
         // process they created (parents included), and the half-built
         // session's labels were reclaimed.
-        assert_eq!(shared.with(|k| k.process_count()), before);
+        assert_eq!(shards.with_shard(0, |k| k.process_count()), before);
+        assert_eq!(policy.label_entries(), 0);
+    }
+
+    #[test]
+    fn panicking_body_neither_leaks_processes_nor_labels() {
+        let mut kernel = Kernel::new();
+        let policy = ShillPolicy::new();
+        kernel.register_policy(policy.clone());
+        kernel
+            .fs
+            .put_file("/work/data.txt", b"x", Mode(0o666), Uid::ROOT, Gid::WHEEL)
+            .unwrap();
+        let root = kernel.fs.root();
+        let file = kernel.fs.resolve_abs("/work/data.txt").unwrap();
+        let shards = KernelShards::from_kernel(kernel);
+        let before = shards.with_shard(0, |k| k.process_count());
+
+        // Granted sessions hold labels while live, so a skipped reclaim
+        // shows up as label residue as well as process-table residue.
+        let spec = || SandboxSpec {
+            grants: vec![
+                Grant::vnode(root, caps(&[Priv::Lookup])),
+                Grant::vnode(file, caps(&[Priv::Read, Priv::Stat])),
+            ],
+            ..Default::default()
+        };
+        let tasks = vec![
+            SessionTask {
+                shard: 0,
+                spec: spec(),
+                body: Arc::new(|_sk: &KernelShards, _pid, _sid| 0),
+            },
+            SessionTask {
+                shard: 0,
+                spec: spec(),
+                // What a failed `assert!` in a body, or an injected
+                // `mac_panic` fault on one of its crossings, amounts to.
+                body: Arc::new(|_sk: &KernelShards, _pid, _sid| panic!("body gave up")),
+            },
+        ];
+        let r = run_sessions(&shards, &policy, Cred::user(100), tasks);
+        assert_eq!(r.unwrap_err(), Errno::EINVAL, "the panic surfaces");
+        // Both sessions were torn down: child exited and reaped, parent
+        // retired, labels scrubbed.
+        assert_eq!(shards.with_shard(0, |k| k.process_count()), before);
         assert_eq!(policy.label_entries(), 0);
     }
 
@@ -836,7 +791,7 @@ mod tests {
             let sb = setup_sandbox(&mut kernel, &policy, user, &spec).unwrap();
             children.push(sb.child);
         }
-        let shared = SharedKernel::new(kernel);
+        let shards = KernelShards::from_kernel(kernel);
 
         let job = |i: usize, pid: Pid| BatchJob {
             pid,
@@ -865,6 +820,7 @@ mod tests {
             .after(3, 1),
             // A job probing a NEIGHBOUR's subtree must stay denied even
             // when its waves interleave with the owner's under the pool.
+            fence: Vec::new(),
         };
         let mut jobs: Vec<BatchJob> = (0..4).map(|i| job(i, children[i])).collect();
         for (i, &child) in children.iter().enumerate() {
@@ -874,10 +830,11 @@ mod tests {
                     dirfd: None,
                     path: format!("/work/s{}/data.txt", (i + 1) % 4),
                 }),
+                fence: Vec::new(),
             });
         }
 
-        let results = BatchPool::new(4).run(&shared, jobs);
+        let results = BatchPool::new(4).run(&shards, jobs);
         assert_eq!(results.len(), 8);
         for (i, r) in results[..4].iter().enumerate() {
             let slots = completions_to_slots(4, r.as_ref().unwrap());
@@ -889,7 +846,7 @@ mod tests {
         }
         // The fused copies landed.
         for (i, &child) in children.iter().enumerate() {
-            let data = shared.with(|k| {
+            let data = shards.with_pid(child, |k| {
                 k.submit_single(
                     child,
                     BatchEntry::ReadFile {
@@ -904,7 +861,7 @@ mod tests {
             );
         }
         // No batch state may leak past the pool run.
-        assert!(!shared.with(|k| k.batch_in_flight()));
+        assert!(!shards.with_shard(0, |k| k.batch_in_flight()));
     }
 
     /// One confined sandbox per shard, reading its shard-local file.
@@ -941,6 +898,18 @@ mod tests {
         .unwrap();
     }
 
+    /// A shard-local job reading the fixture file.
+    fn read_job(pid: Pid) -> BatchJob {
+        BatchJob {
+            pid,
+            batch: SyscallBatch::single(shill_kernel::BatchEntry::ReadFile {
+                dirfd: None,
+                path: "/work/data.txt".into(),
+            }),
+            fence: Vec::new(),
+        }
+    }
+
     #[test]
     fn persistent_pool_is_reusable_and_leaks_nothing_across_runs() {
         use shill_kernel::completions_to_slots;
@@ -956,19 +925,11 @@ mod tests {
             let sandboxes = sharded_fixture(&shards, &policy);
 
             for round in 0..3 {
-                let jobs: Vec<ShardedBatchJob> = sandboxes
+                let jobs = sandboxes
                     .iter()
-                    .map(|&(_, child)| {
-                        ShardedBatchJob::local(BatchJob {
-                            pid: child,
-                            batch: SyscallBatch::single(shill_kernel::BatchEntry::ReadFile {
-                                dirfd: None,
-                                path: "/work/data.txt".into(),
-                            }),
-                        })
-                    })
+                    .map(|&(_, child)| read_job(child))
                     .collect();
-                let outs = pool.run_sharded(&shards, jobs);
+                let outs = pool.run(&shards, jobs);
                 for (s, out) in outs.iter().enumerate() {
                     let slots = completions_to_slots(1, out.as_ref().unwrap());
                     assert_eq!(
@@ -1067,16 +1028,7 @@ mod tests {
         }));
 
         let pool = BatchPool::new(2);
-        let read = |pid: Pid| {
-            ShardedBatchJob::local(BatchJob {
-                pid,
-                batch: SyscallBatch::single(shill_kernel::BatchEntry::ReadFile {
-                    dirfd: None,
-                    path: "/work/data.txt".into(),
-                }),
-            })
-        };
-        let outs = pool.run_sharded(&shards, vec![read(wedged), read(runner)]);
+        let outs = pool.run(&shards, vec![read_job(wedged), read_job(runner)]);
         for (i, (out, shard)) in outs.iter().zip([0usize, 2]).enumerate() {
             let slots = completions_to_slots(1, out.as_ref().unwrap());
             assert_eq!(
@@ -1149,16 +1101,8 @@ mod tests {
         }));
 
         let pool = BatchPool::new(2);
-        let read = |pid: Pid| {
-            ShardedBatchJob::local(BatchJob {
-                pid,
-                batch: SyscallBatch::single(shill_kernel::BatchEntry::ReadFile {
-                    dirfd: None,
-                    path: "/work/data.txt".into(),
-                }),
-            })
-        };
-        let outs = pool.run_sharded(&shards, vec![read(wedged), read(bystander), read(victim)]);
+        let round = || vec![read_job(wedged), read_job(bystander), read_job(victim)];
+        let outs = pool.run(&shards, round());
         match &outs[2] {
             Err(e) => assert_eq!(*e, Errno::EINVAL, "panicked job reports EINVAL"),
             Ok(_) => panic!("the panicked job must not report success"),
@@ -1187,7 +1131,7 @@ mod tests {
         // The worker that contained the panic is still alive and the
         // victim's shard still serves: a full healthy round on the same
         // pool (the panic policy is disarmed after its one shot).
-        let outs = pool.run_sharded(&shards, vec![read(wedged), read(bystander), read(victim)]);
+        let outs = pool.run(&shards, round());
         for (out, shard) in outs.iter().zip([0usize, 1, 2]) {
             let slots = completions_to_slots(1, out.as_ref().unwrap());
             assert_eq!(
@@ -1215,8 +1159,9 @@ mod tests {
         shards.register_policy(policy.clone());
         let sandboxes = sharded_fixture(&shards, &policy);
         let pool = BatchPool::new(2);
-        let batch = || {
-            SyscallBatch::aborting(vec![
+        let job = |fence: Vec<usize>| BatchJob {
+            pid: sandboxes[0].1,
+            batch: SyscallBatch::aborting(vec![
                 shill_kernel::BatchEntry::Stat {
                     dirfd: None,
                     path: "/work/data.txt".into(),
@@ -1226,17 +1171,13 @@ mod tests {
                     dirfd: None,
                     path: "/work/data.txt".into(),
                 },
-            ])
+            ]),
+            fence,
         };
+        let slots = |r: &SysResult<Vec<Completion>>| completions_to_slots(2, r.as_ref().unwrap());
 
         let before = shards.rendezvous_count();
-        let local = pool.run_sharded(
-            &shards,
-            vec![ShardedBatchJob::local(BatchJob {
-                pid: sandboxes[0].1,
-                batch: batch(),
-            })],
-        );
+        let local = pool.run(&shards, vec![job(Vec::new())]);
         assert!(local[0].is_ok());
         assert_eq!(
             shards.rendezvous_count(),
@@ -1244,16 +1185,7 @@ mod tests {
             "a shard-local job must never fence"
         );
 
-        let fenced = pool.run_sharded(
-            &shards,
-            vec![ShardedBatchJob::fenced(
-                BatchJob {
-                    pid: sandboxes[0].1,
-                    batch: batch(),
-                },
-                vec![1],
-            )],
-        );
+        let fenced = pool.run(&shards, vec![job(vec![1])]);
         assert!(fenced[0].is_ok());
         // Two waves (abort chain) + the audit delivery, all fenced.
         assert_eq!(
@@ -1262,10 +1194,19 @@ mod tests {
             "every wave of a cross-shard job pays the rendezvous"
         );
         // Fencing changes ordering guarantees, never results.
+        assert_eq!(slots(&local[0]), slots(&fenced[0]));
+
+        // One run carrying both kinds: only the fenced job pays — its two
+        // waves plus the audit — and every slot matches the separate runs.
+        let before = shards.rendezvous_count();
+        let mixed = pool.run(&shards, vec![job(Vec::new()), job(vec![1])]);
         assert_eq!(
-            completions_to_slots(2, local[0].as_ref().unwrap()),
-            completions_to_slots(2, fenced[0].as_ref().unwrap()),
+            shards.rendezvous_count(),
+            before + 3,
+            "a mixed run pays exactly the fenced job's rendezvous"
         );
+        assert_eq!(slots(&mixed[0]), slots(&local[0]));
+        assert_eq!(slots(&mixed[1]), slots(&fenced[0]));
     }
 
     #[test]
@@ -1282,28 +1223,19 @@ mod tests {
         let pool = BatchPool::new(2);
         shards.set_fault_plane(Some("fence@1=panic"));
 
-        let job = |pid| BatchJob {
-            pid,
-            batch: SyscallBatch::single(shill_kernel::BatchEntry::ReadFile {
-                dirfd: None,
-                path: "/work/data.txt".into(),
-            }),
+        let fenced = || BatchJob {
+            fence: vec![1],
+            ..read_job(sandboxes[0].1)
         };
-        let out = pool.run_sharded(
-            &shards,
-            vec![ShardedBatchJob::fenced(job(sandboxes[0].1), vec![1])],
-        );
+        let out = pool.run(&shards, vec![fenced()]);
         assert_eq!(out[0], Err(Errno::EINVAL), "the killed job costs its slot");
 
         // No lock escaped the unwind: shard-local traffic, a full
         // rendezvous, and a fresh fenced job (the explicit entry fired on
         // hit 1; hit 2 passes) all complete.
-        let local = pool.run_sharded(&shards, vec![ShardedBatchJob::local(job(sandboxes[0].1))]);
+        let local = pool.run(&shards, vec![read_job(sandboxes[0].1)]);
         assert!(local[0].is_ok());
-        let fenced_again = pool.run_sharded(
-            &shards,
-            vec![ShardedBatchJob::fenced(job(sandboxes[0].1), vec![1])],
-        );
+        let fenced_again = pool.run(&shards, vec![fenced()]);
         assert!(
             fenced_again[0].is_ok(),
             "the fence site fires once, not forever"
@@ -1320,118 +1252,23 @@ mod tests {
     }
 
     #[test]
-    fn sharded_sessions_run_pinned_and_confined() {
-        let policy = ShillPolicy::new();
-        let shards = KernelShards::new_with(2, |k, s| {
-            for i in 0..2 {
-                k.fs.put_file(
-                    &format!("/work/s{i}/data.txt"),
-                    format!("shard-{s}-sess-{i}").as_bytes(),
-                    Mode(0o666),
-                    Uid::ROOT,
-                    Gid::WHEEL,
-                )
-                .unwrap();
-            }
-        });
-        shards.register_policy(policy.clone());
-        let before = shards.rendezvous_count();
-
-        let leaf = caps(&[Priv::Read, Priv::Stat, Priv::Path]);
-        let tasks: Vec<ShardedSessionTask> = (0..4usize)
-            .map(|t| {
-                let (shard, i) = (t % 2, t / 2);
-                // Grants are resolved against the pinned shard's namespace.
-                let (root, work, dir) = shards.with_shard(shard, |k| {
-                    (
-                        k.fs.root(),
-                        k.fs.resolve_abs("/work").unwrap(),
-                        k.fs.resolve_abs(&format!("/work/s{i}")).unwrap(),
-                    )
-                });
-                let spec = SandboxSpec {
-                    grants: vec![
-                        Grant::vnode(root, caps(&[Priv::Lookup])),
-                        Grant::vnode(work, caps(&[Priv::Lookup])),
-                        Grant::vnode(
-                            dir,
-                            caps(&[Priv::Lookup]).with_modifier(Priv::Lookup, leaf.clone()),
-                        ),
-                    ],
-                    ..Default::default()
-                };
-                let body: SessionBody = Arc::new(move |sk: &SharedKernel, pid, _sid| {
-                    assert_eq!(sk.shard_index(), shard, "body runs on its pinned shard");
-                    for _ in 0..40 {
-                        let ok = sk.with(|k| {
-                            assert_eq!(k.shard_index(), shard);
-                            let fd = k.open(
-                                pid,
-                                &format!("/work/s{i}/data.txt"),
-                                OpenFlags::RDONLY,
-                                Mode(0),
-                            )?;
-                            let data = k.read(pid, fd, 64)?;
-                            k.close(pid, fd)?;
-                            Ok::<_, Errno>(data)
-                        });
-                        if ok != Ok(format!("shard-{shard}-sess-{i}").into_bytes()) {
-                            return 1;
-                        }
-                        // The sibling session's subtree (same shard) stays
-                        // denied even with both shards' sessions running.
-                        let peer = (i + 1) % 2;
-                        let denied = sk.with(|k| {
-                            k.open(
-                                pid,
-                                &format!("/work/s{peer}/data.txt"),
-                                OpenFlags::RDONLY,
-                                Mode(0),
-                            )
-                        });
-                        if denied != Err(Errno::EACCES) {
-                            return 2;
-                        }
-                    }
-                    0
-                });
-                ShardedSessionTask {
-                    shard,
-                    task: SessionTask { spec, body },
-                }
-            })
-            .collect();
-
-        let outcomes = run_sessions_sharded(&shards, &policy, Cred::user(100), tasks).unwrap();
-        assert_eq!(outcomes.len(), 4);
-        for o in &outcomes {
-            assert_eq!(o.status, 0, "session {:?} failed", o.session);
-        }
-        assert_eq!(
-            shards.rendezvous_count(),
-            before,
-            "pinned sessions are shard-local end to end"
-        );
-        assert_eq!(policy.label_entries(), 0);
-    }
-
-    #[test]
     fn repeated_run_sessions_keep_the_process_table_flat() {
         let mut kernel = Kernel::new();
         let policy = ShillPolicy::new();
         kernel.register_policy(policy.clone());
-        let shared = SharedKernel::new(kernel);
-        let before = shared.with(|k| k.process_count());
+        let shards = KernelShards::from_kernel(kernel);
+        let before = shards.with_shard(0, |k| k.process_count());
         for _ in 0..5 {
             let tasks = (0..3)
                 .map(|_| SessionTask {
+                    shard: 0,
                     spec: SandboxSpec::default(),
-                    body: Arc::new(|_sk: &SharedKernel, _pid, _sid| 0) as SessionBody,
+                    body: Arc::new(|_sk: &KernelShards, _pid, _sid| 0) as SessionBody,
                 })
                 .collect();
-            run_sessions(&shared, &policy, Cred::user(100), tasks).unwrap();
+            run_sessions(&shards, &policy, Cred::user(100), tasks).unwrap();
             assert_eq!(
-                shared.with(|k| k.process_count()),
+                shards.with_shard(0, |k| k.process_count()),
                 before,
                 "run_sessions must retire parents and children alike"
             );

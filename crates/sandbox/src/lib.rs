@@ -10,7 +10,10 @@
 //! * [`harness`] — the fork / `shill_init` / grant / `shill_enter` / exec
 //!   choreography the SHILL runtime performs;
 //! * [`policyfile`] — the policy-file format of the command-line debugging
-//!   tool.
+//!   tool;
+//! * [`executor`] — concurrent execution against a [`KernelShards`] set:
+//!   [`run_sessions`] drives sandboxed sessions on worker threads, and
+//!   [`BatchPool`] runs scheduled batch jobs wave by wave.
 
 pub mod executor;
 pub mod harness;
@@ -20,10 +23,7 @@ pub mod policyfile;
 pub mod session;
 pub mod sync;
 
-pub use executor::{
-    run_sessions, run_sessions_sharded, BatchJob, BatchPool, SessionBody, SessionOutcome,
-    SessionTask, ShardedBatchJob, ShardedSessionTask, SharedKernel,
-};
+pub use executor::{run_sessions, BatchJob, BatchPool, SessionBody, SessionOutcome, SessionTask};
 pub use harness::{run_sandboxed, setup_sandbox, Grant, Sandbox, SandboxSpec};
 pub use log::{BatchWaveAudit, LogEvent, SandboxLog, DEFAULT_LOG_CAP, SHILL_LOG_CAP_ENV};
 pub use policy::{

@@ -18,8 +18,7 @@ use shill_kernel::{
     shard_count_from_env, BatchEntry, Kernel, KernelShards, OpenFlags, Pid, SyscallBatch,
 };
 use shill_sandbox::{
-    run_sessions, setup_sandbox, Grant, SandboxSpec, SessionBody, SessionTask, SharedKernel,
-    ShillPolicy,
+    run_sessions, setup_sandbox, Grant, SandboxSpec, SessionBody, SessionTask, ShillPolicy,
 };
 use shill_vfs::{Cred, Errno, Gid, Mode, Uid};
 
@@ -60,7 +59,7 @@ fn revocation_is_never_outrun_by_cached_verdicts() {
     let secret = kernel.fs.resolve_abs("/pool/secret").unwrap();
     let alpha = kernel.fs.resolve_abs("/pool/alpha").unwrap();
     let mutator_pid = kernel.spawn_user(Cred::ROOT);
-    let shared = SharedKernel::new(kernel);
+    let shared = KernelShards::from_kernel(kernel);
 
     // Reader grants: traversal on the directories (no propagation
     // modifiers) and data privileges pinned to the *current* secret/alpha
@@ -85,13 +84,13 @@ fn revocation_is_never_outrun_by_cached_verdicts() {
             let revoked = Arc::clone(&revoked);
             let progress = Arc::clone(&progress);
             let failures = Arc::clone(&failures);
-            let body: SessionBody = Arc::new(move |sk: &SharedKernel, pid, _sid| {
+            let body: SessionBody = Arc::new(move |sk: &KernelShards, pid, _sid| {
                 let mut status = 0;
                 for i in 0..ITERS {
                     // One lock hold covers reading the revocation flag and
                     // the checks, so the flag's value is the ground truth
                     // for what the verdict must be.
-                    sk.with(|k| {
+                    sk.with_pid(pid, |k| {
                         let was_revoked = revoked.load(Ordering::SeqCst);
                         let open = k.open(pid, "/pool/secret", OpenFlags::RDONLY, Mode(0));
                         match open {
@@ -159,6 +158,7 @@ fn revocation_is_never_outrun_by_cached_verdicts() {
                 status
             });
             SessionTask {
+                shard: 0,
                 spec: reader_spec(),
                 body,
             }
@@ -175,7 +175,7 @@ fn revocation_is_never_outrun_by_cached_verdicts() {
             while progress.load(Ordering::SeqCst) < REVOKE_AT {
                 thread::yield_now();
             }
-            shared.with(|k| {
+            shared.with_shard(0, |k| {
                 // Replace the file: unlink destroys the labeled vnode
                 // (labels die with it, AVC entries for the object drop),
                 // and the re-created name resolves to an unlabeled vnode.
@@ -199,7 +199,7 @@ fn revocation_is_never_outrun_by_cached_verdicts() {
             // churn bumps the policy epoch (enter + reclaim), stressing the
             // AVC's combined-epoch validation from another thread.
             for _ in 0..20 {
-                shared.with(|k| {
+                shared.with_shard(0, |k| {
                     let parent = k.spawn_user(Cred::user(7));
                     let spec = SandboxSpec {
                         grants: vec![Grant::vnode(root, caps(&[Priv::Lookup]))],
@@ -272,7 +272,7 @@ fn session_churn_does_not_disturb_unrelated_sessions() {
         .collect();
     let churn_file = kernel.fs.resolve_abs("/data/churn.txt").unwrap();
     let churn_parent = kernel.spawn_user(Cred::user(200));
-    let shared = SharedKernel::new(kernel);
+    let shared = KernelShards::from_kernel(kernel);
 
     let stop = Arc::new(AtomicBool::new(false));
     let churner = {
@@ -282,7 +282,7 @@ fn session_churn_does_not_disturb_unrelated_sessions() {
         thread::spawn(move || {
             let mut churned = 0u64;
             while !stop.load(Ordering::SeqCst) {
-                shared.with(|k| {
+                shared.with_shard(0, |k| {
                     let spec = SandboxSpec {
                         grants: vec![
                             Grant::vnode(root, caps(&[Priv::Lookup])),
@@ -312,9 +312,9 @@ fn session_churn_does_not_disturb_unrelated_sessions() {
     let tasks: Vec<SessionTask> = (0..READERS)
         .map(|i| {
             let node = files[i];
-            let body: SessionBody = Arc::new(move |sk: &SharedKernel, pid, _sid| {
+            let body: SessionBody = Arc::new(move |sk: &KernelShards, pid, _sid| {
                 for _ in 0..ITERS {
-                    let r = sk.with(|k| {
+                    let r = sk.with_pid(pid, |k| {
                         let fd =
                             k.open(pid, &format!("/data/r{i}.txt"), OpenFlags::RDONLY, Mode(0))?;
                         let d = k.read(pid, fd, 32)?;
@@ -329,6 +329,7 @@ fn session_churn_does_not_disturb_unrelated_sessions() {
                 0
             });
             SessionTask {
+                shard: 0,
                 spec: SandboxSpec {
                     grants: vec![
                         Grant::vnode(root, caps(&[Priv::Lookup])),

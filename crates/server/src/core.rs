@@ -35,7 +35,7 @@ use shill_kernel::{
     SyscallBatch, TracePlane, TraceSite, Ulimits,
 };
 use shill_sandbox::{
-    setup_sandbox, BatchJob, BatchPool, Grant, SandboxSpec, SessionId, ShardedBatchJob, ShillPolicy,
+    setup_sandbox, BatchJob, BatchPool, Grant, SandboxSpec, SessionId, ShillPolicy,
 };
 use shill_vfs::{Cred, Errno, Gid, Mode, SysResult, Uid};
 
@@ -720,14 +720,12 @@ impl ServerCore {
         fence: Vec<usize>,
     ) -> Result<Vec<SysResult<BatchOut>>, ServerError> {
         let n = batch.entries.len();
-        let job = ShardedBatchJob {
-            job: BatchJob {
-                pid: h.child,
-                batch,
-            },
+        let job = BatchJob {
+            pid: h.child,
+            batch,
             fence,
         };
-        let mut out = self.pool.run_sharded(&self.shards, vec![job]);
+        let mut out = self.pool.run(&self.shards, vec![job]);
         let completions = out.pop().unwrap_or(Err(Errno::EINVAL));
         match completions {
             Ok(c) => Ok(completions_to_slots(n, &c)),

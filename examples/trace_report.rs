@@ -19,9 +19,7 @@ use shill::kernel::{
     BatchArg, BatchEntry, BatchFd, FailMode, Fd, Kernel, KernelShards, SyscallBatch, Telemetry,
 };
 use shill::prelude::*;
-use shill::sandbox::{
-    setup_sandbox, BatchJob, BatchPool, Grant, SandboxSpec, ShardedBatchJob, ShillPolicy,
-};
+use shill::sandbox::{setup_sandbox, BatchJob, BatchPool, Grant, SandboxSpec, ShillPolicy};
 
 fn caps(privs: &[Priv]) -> CapPrivs {
     CapPrivs::of(PrivSet::of(privs))
@@ -136,16 +134,15 @@ fn main() {
 
     let pool = BatchPool::new(3);
     for round in 0..64 {
-        let jobs: Vec<ShardedBatchJob> = sessions
+        let jobs: Vec<BatchJob> = sessions
             .iter()
-            .map(|(pid, fds)| {
-                ShardedBatchJob::local(BatchJob {
-                    pid: *pid,
-                    batch: workload(fds, round),
-                })
+            .map(|(pid, fds)| BatchJob {
+                pid: *pid,
+                batch: workload(fds, round),
+                fence: Vec::new(),
             })
             .collect();
-        for out in pool.run_sharded(&shards, jobs) {
+        for out in pool.run(&shards, jobs) {
             out.expect("batch job");
         }
     }

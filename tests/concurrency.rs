@@ -4,8 +4,8 @@
 //!
 //! Construction: two identically-built kernels host four sandboxed
 //! sessions, each confined to its own subtree. On the first kernel the
-//! sessions run **concurrently** (worker threads, kernel behind the
-//! `SharedKernel` lock) submitting batches; on the second, the same batches
+//! sessions run **concurrently** (worker threads, kernel behind a one-shard
+//! `KernelShards` lock) submitting batches; on the second, the same batches
 //! replay **sequentially** on the main thread through `run_sequential`.
 //! Because sessions are confined to disjoint subtrees, per-session results
 //! and per-session audit denials must be identical — any cross-session
@@ -19,7 +19,7 @@ use shill::cap::{CapPrivs, Priv, PrivSet};
 use shill::kernel::{BatchEntry, BatchOut, Fd, Kernel, OpenFlags, Pid, SyscallBatch};
 use shill::prelude::*;
 use shill::sandbox::{
-    setup_sandbox, Grant, LogEvent, SandboxSpec, SessionId, SharedKernel, ShillPolicy,
+    setup_sandbox, Grant, KernelShards, LogEvent, SandboxSpec, SessionId, ShillPolicy,
 };
 use shill::vfs::sync::Mutex;
 
@@ -293,7 +293,7 @@ fn run_threaded_vs_sequential(cached: bool) {
         assert_eq!(a.session, b.session);
     }
 
-    let shared = SharedKernel::new(kernel_a);
+    let shared = KernelShards::from_kernel(kernel_a);
     let results: Arc<Mutex<Vec<Vec<String>>>> = Arc::new(Mutex::new(vec![Vec::new(); SESSIONS]));
 
     // Drive the pre-built sandboxes directly on worker threads (the
@@ -309,7 +309,9 @@ fn run_threaded_vs_sequential(cached: bool) {
             scope.spawn(move || {
                 let mut fps = Vec::new();
                 for batch in &batches {
-                    let out = shared.with(|k| k.submit_batch(pid, batch)).expect("submit");
+                    let out = shared
+                        .with_pid(pid, |k| k.submit_batch(pid, batch))
+                        .expect("submit");
                     fps.extend(out.iter().map(fingerprint));
                 }
                 results.lock()[i] = fps;
@@ -369,7 +371,7 @@ fn threaded_batched_sessions_match_sequential_replay_caches_off() {
 fn threaded_outcomes_identical_across_cache_modes() {
     let run = |cached: bool| -> (Vec<Vec<String>>, Vec<Vec<String>>) {
         let (kernel, policy, fixtures) = build_kernel(cached);
-        let shared = SharedKernel::new(kernel);
+        let shared = KernelShards::from_kernel(kernel);
         let results: Arc<Mutex<Vec<Vec<String>>>> =
             Arc::new(Mutex::new(vec![Vec::new(); SESSIONS]));
         std::thread::scope(|scope| {
@@ -381,7 +383,9 @@ fn threaded_outcomes_identical_across_cache_modes() {
                 scope.spawn(move || {
                     let mut fps = Vec::new();
                     for batch in &batches {
-                        let out = shared.with(|k| k.submit_batch(pid, batch)).expect("submit");
+                        let out = shared
+                            .with_pid(pid, |k| k.submit_batch(pid, batch))
+                            .expect("submit");
                         fps.extend(out.iter().map(fingerprint));
                     }
                     results.lock()[i] = fps;
@@ -461,7 +465,7 @@ fn batch_pool_matches_sequential_replay() {
         for (a, b) in fixtures_a.iter().zip(&fixtures_b) {
             assert_eq!(a.session, b.session);
         }
-        let shared = SharedKernel::new(kernel_a);
+        let shared = KernelShards::from_kernel(kernel_a);
         let pool = BatchPool::new(4);
         let mut pool_results: Vec<Vec<String>> = vec![Vec::new(); SESSIONS];
 
@@ -478,10 +482,12 @@ fn batch_pool_matches_sequential_replay() {
                         BatchJob {
                             pid: fx.child,
                             batch: session_pipeline(i, round),
+                            fence: Vec::new(),
                         },
                         BatchJob {
                             pid: fx.child,
                             batch: neighbour_probe(i),
+                            fence: Vec::new(),
                         },
                     ]
                 })
@@ -495,7 +501,7 @@ fn batch_pool_matches_sequential_replay() {
             }
         }
         assert!(
-            !shared.with(|k| k.batch_in_flight()),
+            !shared.with_shard(0, |k| k.batch_in_flight()),
             "no batch state may leak past the pool"
         );
 
@@ -532,7 +538,7 @@ fn batch_pool_matches_sequential_replay() {
 fn batch_pool_random_flat_batches_match_sequential_replay() {
     let (kernel_a, policy_a, fixtures_a) = build_kernel(true);
     let (mut kernel_b, policy_b, fixtures_b) = build_kernel(true);
-    let shared = SharedKernel::new(kernel_a);
+    let shared = KernelShards::from_kernel(kernel_a);
     let pool = BatchPool::new(4);
     let all_batches: Vec<Vec<SyscallBatch>> = fixtures_a
         .iter()
@@ -548,6 +554,7 @@ fn batch_pool_random_flat_batches_match_sequential_replay() {
             .map(|(fx, batches)| BatchJob {
                 pid: fx.child,
                 batch: batches[round].clone(),
+                fence: Vec::new(),
             })
             .collect();
         let outs = pool.run(&shared, jobs);
@@ -589,8 +596,7 @@ fn batch_pool_random_flat_batches_match_sequential_replay() {
 // Honors SHILL_SHARDS (CI runs 1, 2, and 4).
 // ===================================================================
 
-use shill::kernel::{shard_count_from_env, KernelShards};
-use shill::sandbox::ShardedBatchJob;
+use shill::kernel::shard_count_from_env;
 
 #[test]
 fn sharded_pool_matches_per_shard_sequential_replay() {
@@ -639,23 +645,25 @@ fn sharded_pool_matches_per_shard_sequential_replay() {
         let rendezvous_before = shards.rendezvous_count();
         let mut pool_results: Vec<Vec<Vec<String>>> = vec![vec![Vec::new(); SESSIONS]; nshards];
         for round in 0..ROUNDS {
-            let jobs: Vec<ShardedBatchJob> = (0..nshards)
+            let jobs: Vec<BatchJob> = (0..nshards)
                 .flat_map(|s| {
                     fixtures_a[s].iter().enumerate().flat_map(move |(i, fx)| {
                         [
-                            ShardedBatchJob::local(BatchJob {
+                            BatchJob {
                                 pid: fx.child,
                                 batch: session_pipeline(i, round),
-                            }),
-                            ShardedBatchJob::local(BatchJob {
+                                fence: Vec::new(),
+                            },
+                            BatchJob {
                                 pid: fx.child,
                                 batch: neighbour_probe(i),
-                            }),
+                                fence: Vec::new(),
+                            },
                         ]
                     })
                 })
                 .collect();
-            let outs = pool.run_sharded(&shards, jobs);
+            let outs = pool.run(&shards, jobs);
             for (j, out) in outs.into_iter().enumerate() {
                 let (s, rest) = (j / (SESSIONS * 2), j % (SESSIONS * 2));
                 let (i, n) = (rest / 2, if rest % 2 == 0 { 4 } else { 1 });

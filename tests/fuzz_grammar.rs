@@ -34,7 +34,7 @@ use shill::kernel::{
 };
 use shill::prelude::*;
 use shill::sandbox::{
-    setup_sandbox, BatchJob, BatchPool, Grant, LogEvent, SandboxSpec, ShardedBatchJob, ShillPolicy,
+    setup_sandbox, BatchJob, BatchPool, Grant, LogEvent, SandboxSpec, ShillPolicy,
 };
 
 fn iters() -> usize {
@@ -942,12 +942,13 @@ fn run_pool_mode(cached: bool, schedule: Option<&str>, batches: &[SyscallBatch])
     let pool = BatchPool::new(2);
     let mut results = Vec::with_capacity(batches.len());
     for b in batches {
-        let outs = pool.run_sharded(
+        let outs = pool.run(
             &shards,
-            vec![ShardedBatchJob::local(BatchJob {
+            vec![BatchJob {
                 pid: child,
                 batch: b.clone(),
-            })],
+                fence: Vec::new(),
+            }],
         );
         let completions = outs.into_iter().next().unwrap().expect("pool job");
         let slots = completions_to_slots(b.entries.len(), &completions);

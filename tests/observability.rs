@@ -18,9 +18,7 @@ use shill::kernel::{
     SyscallBatch, TraceEvent, TraceKind, TracePlane, TraceSite,
 };
 use shill::prelude::*;
-use shill::sandbox::{
-    setup_sandbox, BatchJob, BatchPool, Grant, SandboxSpec, ShardedBatchJob, ShillPolicy,
-};
+use shill::sandbox::{setup_sandbox, BatchJob, BatchPool, Grant, SandboxSpec, ShillPolicy};
 
 fn caps(privs: &[Priv]) -> CapPrivs {
     CapPrivs::of(PrivSet::of(privs))
@@ -287,16 +285,15 @@ fn spans_balance_through_the_sharded_pool() {
     shards.set_trace_plane(Some("sites=all;cap=65536"));
     let pool = BatchPool::new(2);
     for round in 0..8 {
-        let jobs: Vec<ShardedBatchJob> = pids
+        let jobs: Vec<BatchJob> = pids
             .iter()
-            .map(|(child, fds)| {
-                ShardedBatchJob::local(BatchJob {
-                    pid: *child,
-                    batch: workload(fds, round),
-                })
+            .map(|(child, fds)| BatchJob {
+                pid: *child,
+                batch: workload(fds, round),
+                fence: Vec::new(),
             })
             .collect();
-        for out in pool.run_sharded(&shards, jobs) {
+        for out in pool.run(&shards, jobs) {
             let completions = out.expect("pool job");
             // Sanity: the workload really ran.
             assert!(!completions.is_empty());
