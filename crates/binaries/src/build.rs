@@ -226,7 +226,13 @@ pub fn gmake(k: &mut Kernel, pid: Pid, argv: &[String]) -> i32 {
         };
         let status = k.exec_at(child, None, &prog, &parts).unwrap_or(127);
         k.exit(child, status);
-        let _ = k.waitpid(pid, child);
+        let status = match k.waitpid(pid, child) {
+            Ok(s) => s,
+            Err(e) => {
+                stderr(k, pid, &format!("gmake: wait: {e}\n"));
+                return 2;
+            }
+        };
         if status != 0 {
             stderr(k, pid, &format!("gmake: *** [{cmd}] error {status}\n"));
             return status;

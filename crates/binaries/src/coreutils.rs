@@ -204,8 +204,7 @@ pub fn find(k: &mut Kernel, pid: Pid, argv: &[String]) -> i32 {
                                 .exec_at(child, None, &child_argv[0], &child_argv)
                                 .unwrap_or(127);
                             k.exit(child, st);
-                            let _ = k.waitpid(pid, child);
-                            if st != 0 && st != 1 {
+                            if !matches!(k.waitpid(pid, child), Ok(0 | 1)) {
                                 status = 1;
                             }
                         }

@@ -237,7 +237,9 @@ pub fn grade_sh(k: &mut Kernel, pid: Pid, argv: &[String]) -> i32 {
             )
             .unwrap_or(127);
         k.exit(child, st);
-        let _ = k.waitpid(pid, child);
+        let Ok(st) = k.waitpid(pid, child) else {
+            return 1;
+        };
         let gradefile = join(outdir, &format!("{student}.grade"));
         if st != 0 {
             let _ = spit(
@@ -286,7 +288,9 @@ pub fn grade_sh(k: &mut Kernel, pid: Pid, argv: &[String]) -> i32 {
                 126
             };
             k.exit(child, st);
-            let _ = k.waitpid(pid, child);
+            let Ok(st) = k.waitpid(pid, child) else {
+                return 1;
+            };
             if st != 0 {
                 continue;
             }
@@ -304,7 +308,9 @@ pub fn grade_sh(k: &mut Kernel, pid: Pid, argv: &[String]) -> i32 {
                 )
                 .unwrap_or(2);
             k.exit(child, st);
-            let _ = k.waitpid(pid, child);
+            let Ok(st) = k.waitpid(pid, child) else {
+                return 1;
+            };
             if st == 0 {
                 passed += 1;
             }

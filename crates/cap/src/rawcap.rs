@@ -5,7 +5,9 @@
 //! functions such as `append` and `lookup` are wrappers for the
 //! corresponding system calls" (§2.1). A [`RawCap`] carries the descriptor
 //! (held by the SHILL runtime's process) plus enough metadata to answer
-//! kind queries without a syscall.
+//! kind queries without a syscall. The descriptor lives exactly as long as
+//! the capability: every clone shares one [`CapFd`], and the last clone to
+//! drop hands the descriptor back for closing.
 //!
 //! Contract enforcement does **not** live here: `shill-contracts` wraps raw
 //! capabilities in guards. This layer is what the ambient language creates
@@ -19,7 +21,9 @@
 //! * Capabilities cannot be constructed from paths (only the ambient
 //!   runtime does that, and only via [`RawCap::open_path`] which it alone calls).
 
-use shill_kernel::{Fd, Kernel, OpenFlags, Pid, SockAddr, SockDomain};
+use std::sync::Arc;
+
+use shill_kernel::{CloseQueue, Fd, Kernel, OpenFlags, Pid, SockAddr, SockDomain};
 use shill_vfs::{Errno, FileType, Mode, NodeId, Stat, SysResult};
 
 /// What kind of resource a capability designates.
@@ -47,12 +51,44 @@ impl CapKind {
     }
 }
 
+/// The runtime's descriptor behind a capability, shared by every clone of
+/// it (a contract application clones the [`RawCap`] under a new guard).
+/// Dropping the last clone queues the close on the kernel's
+/// [`CloseQueue`]; the runtime drains it at its next kernel crossing
+/// ([`Kernel::drain_closes`]).
+#[derive(Debug)]
+pub struct CapFd {
+    fd: Fd,
+    pid: Pid,
+    closes: CloseQueue,
+}
+
+impl CapFd {
+    fn new(k: &Kernel, pid: Pid, fd: Fd) -> Arc<CapFd> {
+        Arc::new(CapFd {
+            fd,
+            pid,
+            closes: k.close_queue(),
+        })
+    }
+
+    pub fn fd(&self) -> Fd {
+        self.fd
+    }
+}
+
+impl Drop for CapFd {
+    fn drop(&mut self) {
+        self.closes.push(self.pid, self.fd);
+    }
+}
+
 /// A raw capability.
 #[derive(Debug, Clone)]
 pub struct RawCap {
     pub kind: CapKind,
     /// Descriptor in the runtime process. Factories have no descriptor.
-    pub fd: Option<Fd>,
+    fd: Option<Arc<CapFd>>,
     /// Underlying vnode for filesystem-backed capabilities; this is what
     /// gets granted (with privileges) to sandbox sessions.
     pub node: Option<NodeId>,
@@ -90,8 +126,20 @@ impl RawCap {
         }
     }
 
-    fn fd(&self) -> SysResult<Fd> {
-        self.fd.ok_or(Errno::EBADF)
+    /// The descriptor in the runtime process, if the capability has one.
+    pub fn fd(&self) -> Option<Fd> {
+        self.fd.as_ref().map(|h| h.fd)
+    }
+
+    /// The shared descriptor handle: holding it keeps the descriptor open
+    /// after the capability itself is gone (deferred I/O that resolves
+    /// later).
+    pub fn fd_handle(&self) -> Option<&Arc<CapFd>> {
+        self.fd.as_ref()
+    }
+
+    fn live_fd(&self) -> SysResult<Fd> {
+        self.fd().ok_or(Errno::EBADF)
     }
 
     pub fn is_dir(&self) -> bool {
@@ -139,7 +187,7 @@ impl RawCap {
             let fd = k.open(pid, &path, OpenFlags::dir(), Mode(0))?;
             return Ok(RawCap {
                 kind,
-                fd: Some(fd),
+                fd: Some(CapFd::new(k, pid, fd)),
                 node: Some(node),
                 name,
                 readable: true,
@@ -158,7 +206,7 @@ impl RawCap {
                 Ok(fd) => {
                     return Ok(RawCap {
                         kind,
-                        fd: Some(fd),
+                        fd: Some(CapFd::new(k, pid, fd)),
                         node: Some(node),
                         name,
                         readable: r,
@@ -176,7 +224,7 @@ impl RawCap {
     /// `path` builtin: the paper's `path` syscall with last-known-path
     /// fallback (§3.1.3).
     pub fn path(&self, k: &mut Kernel, pid: Pid) -> SysResult<String> {
-        let fd = self.fd()?;
+        let fd = self.live_fd()?;
         match k.path_syscall(pid, fd) {
             Ok(p) => Ok(p),
             Err(Errno::ENOENT) => k.fd_last_path(pid, fd)?.ok_or(Errno::ENOENT),
@@ -186,14 +234,14 @@ impl RawCap {
 
     /// `stat` builtin.
     pub fn stat(&self, k: &mut Kernel, pid: Pid) -> SysResult<Stat> {
-        k.fstat(pid, self.fd()?)
+        k.fstat(pid, self.live_fd()?)
     }
 
     // --- file operations ---------------------------------------------------
 
     /// Read the entire contents.
     pub fn read_all(&self, k: &mut Kernel, pid: Pid) -> SysResult<Vec<u8>> {
-        let fd = self.fd()?;
+        let fd = self.live_fd()?;
         if self.kind == CapKind::PipeEnd || self.kind == CapKind::Socket {
             // Drain until EOF/EAGAIN.
             let mut out = Vec::new();
@@ -222,12 +270,12 @@ impl RawCap {
 
     /// Positional read.
     pub fn read_at(&self, k: &mut Kernel, pid: Pid, off: u64, len: usize) -> SysResult<Vec<u8>> {
-        k.pread(pid, self.fd()?, off, len)
+        k.pread(pid, self.live_fd()?, off, len)
     }
 
     /// Overwrite contents (truncate + write).
     pub fn write_all(&self, k: &mut Kernel, pid: Pid, data: &[u8]) -> SysResult<()> {
-        let fd = self.fd()?;
+        let fd = self.live_fd()?;
         match self.kind {
             CapKind::File => {
                 k.ftruncate(pid, fd, 0)?;
@@ -244,25 +292,25 @@ impl RawCap {
 
     /// Append.
     pub fn append(&self, k: &mut Kernel, pid: Pid, data: &[u8]) -> SysResult<()> {
-        k.append_fd(pid, self.fd()?, data)?;
+        k.append_fd(pid, self.live_fd()?, data)?;
         Ok(())
     }
 
     /// Truncate.
     pub fn truncate(&self, k: &mut Kernel, pid: Pid, len: u64) -> SysResult<()> {
-        k.ftruncate(pid, self.fd()?, len)
+        k.ftruncate(pid, self.live_fd()?, len)
     }
 
     /// Change mode bits.
     pub fn chmod(&self, k: &mut Kernel, pid: Pid, mode: Mode) -> SysResult<()> {
-        k.fchmod(pid, self.fd()?, mode)
+        k.fchmod(pid, self.live_fd()?, mode)
     }
 
     // --- directory operations -----------------------------------------------
 
     /// `contents` builtin: list entry names.
     pub fn contents(&self, k: &mut Kernel, pid: Pid) -> SysResult<Vec<String>> {
-        k.readdirfd(pid, self.fd()?)
+        k.readdirfd(pid, self.live_fd()?)
     }
 
     /// `lookup` builtin: derive a capability for a direct child. Single
@@ -271,7 +319,7 @@ impl RawCap {
         if !shill_vfs::node::valid_component(name) || name == "." || name == ".." {
             return Err(Errno::EINVAL);
         }
-        let dirfd = self.fd()?;
+        let dirfd = self.live_fd()?;
         let st = k.fstatat(pid, Some(dirfd), name, false)?;
         Self::open_node(k, pid, st.node, st.ftype, name.to_string())
     }
@@ -287,7 +335,7 @@ impl RawCap {
         if !shill_vfs::node::valid_component(name) || name == "." || name == ".." {
             return Err(Errno::EINVAL);
         }
-        let dirfd = self.fd()?;
+        let dirfd = self.live_fd()?;
         let mut flags = OpenFlags::rdwr();
         flags.create = true;
         flags.exclusive = true;
@@ -295,7 +343,7 @@ impl RawCap {
         let node = k.process(pid)?.fd_node(fd)?;
         Ok(RawCap {
             kind: CapKind::File,
-            fd: Some(fd),
+            fd: Some(CapFd::new(k, pid, fd)),
             node: Some(node),
             name: name.to_string(),
             readable: true,
@@ -315,12 +363,12 @@ impl RawCap {
         if !shill_vfs::node::valid_component(name) || name == "." || name == ".." {
             return Err(Errno::EINVAL);
         }
-        let dirfd = self.fd()?;
+        let dirfd = self.live_fd()?;
         let fd = k.mkdirat(pid, Some(dirfd), name, mode)?;
         let node = k.process(pid)?.fd_node(fd)?;
         Ok(RawCap {
             kind: CapKind::Dir,
-            fd: Some(fd),
+            fd: Some(CapFd::new(k, pid, fd)),
             node: Some(node),
             name: name.to_string(),
             readable: true,
@@ -334,7 +382,7 @@ impl RawCap {
         if !shill_vfs::node::valid_component(name) || name == "." || name == ".." {
             return Err(Errno::EINVAL);
         }
-        k.unlinkat(pid, Some(self.fd()?), name, false)
+        k.unlinkat(pid, Some(self.live_fd()?), name, false)
     }
 
     /// TOCTTOU-safe unlink: remove `name` only if it still refers to `file`.
@@ -345,7 +393,7 @@ impl RawCap {
         file: &RawCap,
         name: &str,
     ) -> SysResult<()> {
-        k.funlinkat(pid, self.fd()?, file.fd()?, name)
+        k.funlinkat(pid, self.live_fd()?, file.live_fd()?, name)
     }
 
     /// Remove an empty subdirectory.
@@ -353,7 +401,7 @@ impl RawCap {
         if !shill_vfs::node::valid_component(name) || name == "." || name == ".." {
             return Err(Errno::EINVAL);
         }
-        k.unlinkat(pid, Some(self.fd()?), name, true)
+        k.unlinkat(pid, Some(self.live_fd()?), name, true)
     }
 
     /// Remove a symlink.
@@ -366,12 +414,12 @@ impl RawCap {
         if !shill_vfs::node::valid_component(name) || name == "." || name == ".." {
             return Err(Errno::EINVAL);
         }
-        k.readlinkat(pid, Some(self.fd()?), name)
+        k.readlinkat(pid, Some(self.live_fd()?), name)
     }
 
     /// Install a hard link to `file` under `name` (the paper's `flinkat`).
     pub fn link(&self, k: &mut Kernel, pid: Pid, file: &RawCap, name: &str) -> SysResult<()> {
-        k.flinkat(pid, file.fd()?, self.fd()?, name)
+        k.flinkat(pid, file.live_fd()?, self.live_fd()?, name)
     }
 
     /// Move `file` (verified linked at `oldname` here) into `dst/newname`
@@ -385,7 +433,14 @@ impl RawCap {
         dst: &RawCap,
         newname: &str,
     ) -> SysResult<()> {
-        k.frenameat(pid, file.fd()?, self.fd()?, oldname, dst.fd()?, newname)
+        k.frenameat(
+            pid,
+            file.live_fd()?,
+            self.live_fd()?,
+            oldname,
+            dst.live_fd()?,
+            newname,
+        )
     }
 
     // --- factories -----------------------------------------------------------
@@ -399,7 +454,7 @@ impl RawCap {
         Ok((
             RawCap {
                 kind: CapKind::PipeEnd,
-                fd: Some(r),
+                fd: Some(CapFd::new(k, pid, r)),
                 node: None,
                 name: "<pipe-r>".into(),
                 readable: true,
@@ -407,7 +462,7 @@ impl RawCap {
             },
             RawCap {
                 kind: CapKind::PipeEnd,
-                fd: Some(w),
+                fd: Some(CapFd::new(k, pid, w)),
                 node: None,
                 name: "<pipe-w>".into(),
                 readable: false,
@@ -424,7 +479,7 @@ impl RawCap {
         let fd = k.socket(pid, domain)?;
         Ok(RawCap {
             kind: CapKind::Socket,
-            fd: Some(fd),
+            fd: Some(CapFd::new(k, pid, fd)),
             node: None,
             name: "<socket>".into(),
             readable: true,
@@ -434,7 +489,7 @@ impl RawCap {
 
     /// Connect a socket capability.
     pub fn sock_connect(&self, k: &mut Kernel, pid: Pid, addr: SockAddr) -> SysResult<()> {
-        k.connect(pid, self.fd()?, addr)
+        k.connect(pid, self.live_fd()?, addr)
     }
 }
 

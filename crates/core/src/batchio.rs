@@ -16,8 +16,9 @@
 //! the kernel still runs every DAC/MAC check per underlying operation.
 
 use std::rc::Rc;
+use std::sync::Arc;
 
-use shill_cap::{CapKind, Priv};
+use shill_cap::{CapFd, CapKind, Priv};
 use shill_contracts::{CapError, CapResult, GuardedCap};
 use shill_kernel::{BatchArg, BatchEntry, BatchOut, FailMode, Fd, Kernel, Pid, SyscallBatch};
 use shill_vfs::{Errno, Stat, SysResult};
@@ -138,9 +139,9 @@ pub fn stat_names(
 /// Whether a capability's reads/writes can take the batched fast path: a
 /// regular file with a live descriptor. Pipes, sockets, and devices keep
 /// the sequential wrappers (their drain/EAGAIN semantics differ).
-fn batchable_file(cap: &GuardedCap) -> Option<Fd> {
+fn batchable_file(cap: &GuardedCap) -> Option<&Arc<CapFd>> {
     if cap.kind() == CapKind::File {
-        cap.raw.fd
+        cap.raw.fd_handle()
     } else {
         None
     }
@@ -151,7 +152,7 @@ fn batchable_file(cap: &GuardedCap) -> Option<Fd> {
 pub fn cap_read_all(k: &mut Kernel, pid: Pid, cap: &GuardedCap) -> CapResult<Vec<u8>> {
     cap.check(Priv::Read)?;
     match batchable_file(cap) {
-        Some(fd) => Ok(read_all_fd(k, pid, fd)?),
+        Some(fd) => Ok(read_all_fd(k, pid, fd.fd())?),
         None => Ok(cap.raw.read_all(k, pid)?),
     }
 }
@@ -161,7 +162,7 @@ pub fn cap_read_all(k: &mut Kernel, pid: Pid, cap: &GuardedCap) -> CapResult<Vec
 pub fn cap_write_all(k: &mut Kernel, pid: Pid, cap: &GuardedCap, data: Vec<u8>) -> CapResult<()> {
     cap.check(Priv::Write)?;
     match batchable_file(cap) {
-        Some(fd) => Ok(write_all_fd(k, pid, fd, data)?),
+        Some(fd) => Ok(write_all_fd(k, pid, fd.fd(), data)?),
         None => Ok(cap.raw.write_all(k, pid, &data)?),
     }
 }
@@ -195,7 +196,7 @@ pub fn cap_copy(k: &mut Kernel, pid: Pid, src: &GuardedCap, dst: &GuardedCap) ->
         cap_write_all(k, pid, dst, data)?;
         return Ok(n);
     }
-    Ok(copy_windows(k, pid, sfd, dfd, 0).map_err(CapError::Sys)? as usize)
+    Ok(copy_windows(k, pid, sfd.fd(), dfd.fd(), 0).map_err(CapError::Sys)? as usize)
 }
 
 /// The windowed copy pipeline from `start` to EOF: one scheduled
@@ -327,10 +328,11 @@ impl DeferredAcc {
             return Ok(None);
         };
         let slot = self.batch.push(BatchEntry::Preadv {
-            fd: fd.into(),
+            fd: fd.fd().into(),
             offset: 0,
             lens: vec![CHUNK; WINDOW],
         });
+        let fd = Arc::clone(fd);
         Ok(Some(self.push_future(FragKind::Read { slot, fd })))
     }
 
@@ -346,16 +348,20 @@ impl DeferredAcc {
             return Ok(None);
         };
         let tr = self.batch.push(BatchEntry::Ftruncate {
-            fd: fd.into(),
+            fd: fd.fd().into(),
             len: 0,
         });
         let wr = self.batch.push(BatchEntry::Pwrite {
-            fd: fd.into(),
+            fd: fd.fd().into(),
             offset: 0,
             data: data.into(),
         });
         self.batch.deps.push((wr, tr));
-        Ok(Some(self.push_future(FragKind::Write { slots: [tr, wr] })))
+        let fd = Arc::clone(fd);
+        Ok(Some(self.push_future(FragKind::Write {
+            slots: [tr, wr],
+            fd,
+        })))
     }
 
     /// Defer a copy: the first `copy_windows` window as a fragment —
@@ -378,25 +384,25 @@ impl DeferredAcc {
             return Ok(None);
         }
         let rd = self.batch.push(BatchEntry::Preadv {
-            fd: sfd.into(),
+            fd: sfd.fd().into(),
             offset: 0,
             lens: vec![CHUNK; WINDOW],
         });
         let tr = self.batch.push(BatchEntry::Ftruncate {
-            fd: dfd.into(),
+            fd: dfd.fd().into(),
             len: 0,
         });
         self.batch.deps.push((tr, rd));
         let wr = self.batch.push(BatchEntry::Pwrite {
-            fd: dfd.into(),
+            fd: dfd.fd().into(),
             offset: 0,
             data: BatchArg::OutputOf(rd),
         });
         self.batch.deps.push((wr, tr));
         Ok(Some(self.push_future(FragKind::Copy {
             first_slot: rd,
-            sfd,
-            dfd,
+            sfd: Arc::clone(sfd),
+            dfd: Arc::clone(dfd),
         })))
     }
 
@@ -412,17 +418,21 @@ impl DeferredAcc {
         dir.check(Priv::Contents)?;
         dir.check(Priv::Lookup)?;
         dir.check(Priv::Stat)?;
-        let dirfd = dir.raw.fd.ok_or(CapError::Sys(Errno::EBADF))?;
-        let names = k.readdirfd(pid, dirfd)?;
+        let dir = dir.raw.fd_handle().ok_or(CapError::Sys(Errno::EBADF))?;
+        let names = k.readdirfd(pid, dir.fd())?;
         let first_slot = self.batch.entries.len();
         for n in &names {
             self.batch.push(BatchEntry::Stat {
-                dirfd: Some(dirfd.into()),
+                dirfd: Some(dir.fd().into()),
                 path: n.clone(),
                 follow: false,
             });
         }
-        Ok(self.push_future(FragKind::DirStats { names, first_slot }))
+        Ok(self.push_future(FragKind::DirStats {
+            names,
+            first_slot,
+            dir: Arc::clone(dir),
+        }))
     }
 
     /// Defer `slurp_many`: one `Preadv` window per file, resolving to a
@@ -436,7 +446,7 @@ impl DeferredAcc {
         let mut fds = Vec::with_capacity(caps.len());
         for c in caps {
             match batchable_file(c) {
-                Some(fd) => fds.push(fd),
+                Some(fd) => fds.push(Arc::clone(fd)),
                 None => return Ok(None),
             }
         }
@@ -444,7 +454,7 @@ impl DeferredAcc {
             .into_iter()
             .map(|fd| {
                 let slot = self.batch.push(BatchEntry::Preadv {
-                    fd: fd.into(),
+                    fd: fd.fd().into(),
                     offset: 0,
                     lens: vec![CHUNK; WINDOW],
                 });
@@ -557,11 +567,11 @@ fn resolve_frag(
     kind: FragKind,
 ) -> Value {
     match kind {
-        FragKind::Read { slot, fd } => match resolve_read(k, pid, slots, slot, fd) {
+        FragKind::Read { slot, fd } => match resolve_read(k, pid, slots, slot, fd.fd()) {
             Ok(d) => lossy(d),
             Err(e) => Value::SysErr(e),
         },
-        FragKind::Write { slots: ws } => {
+        FragKind::Write { slots: ws, .. } => {
             let errs = ws
                 .into_iter()
                 .filter_map(|s| take_slot(slots, s).err().map(|e| (s, e)));
@@ -596,12 +606,14 @@ fn resolve_frag(
             if n < CHUNK * WINDOW {
                 return Value::Num(n as i64);
             }
-            match copy_windows(k, pid, sfd, dfd, n as u64) {
+            match copy_windows(k, pid, sfd.fd(), dfd.fd(), n as u64) {
                 Ok(total) => Value::Num(total as i64),
                 Err(e) => Value::SysErr(e),
             }
         }
-        FragKind::DirStats { names, first_slot } => {
+        FragKind::DirStats {
+            names, first_slot, ..
+        } => {
             // Same shape as the eager `dir_stats`: `[name, size]` pairs in
             // directory order, names whose stat failed skipped.
             let items = names
@@ -619,10 +631,12 @@ fn resolve_frag(
         FragKind::Slurp { reads } => Value::list(
             reads
                 .into_iter()
-                .map(|(slot, fd)| match resolve_read(k, pid, slots, slot, fd) {
-                    Ok(d) => lossy(d),
-                    Err(e) => Value::SysErr(e),
-                })
+                .map(
+                    |(slot, fd)| match resolve_read(k, pid, slots, slot, fd.fd()) {
+                        Ok(d) => lossy(d),
+                        Err(e) => Value::SysErr(e),
+                    },
+                )
                 .collect(),
         ),
     }
@@ -639,7 +653,7 @@ pub fn cap_dir_stats(
     dir.check(Priv::Contents)?;
     dir.check(Priv::Lookup)?;
     dir.check(Priv::Stat)?;
-    let dirfd = dir.raw.fd.ok_or(CapError::Sys(Errno::EBADF))?;
+    let dirfd = dir.raw.fd().ok_or(CapError::Sys(Errno::EBADF))?;
     let names = k.readdirfd(pid, dirfd)?;
     let stats = stat_names(k, pid, dirfd, &names)?;
     Ok(names.into_iter().zip(stats).collect())

@@ -737,11 +737,9 @@ fn grant_privs(interp: &Interp, v: &Value) -> Option<(ObjId, Arc<CapPrivs>)> {
         cur = inner;
     }
     let Value::Cap(cap) = cur else { return None };
-    let obj = match (&cap.raw.node, &cap.raw.fd) {
-        (Some(n), _) => ObjId::Vnode(*n),
-        (None, Some(_fd)) => return None, // handled by caller with fd_object
-        _ => return None,
-    };
+    // No vnode (pipes/sockets): the caller resolves the object with
+    // `fd_object`.
+    let obj = ObjId::Vnode(cap.raw.node?);
     let mut privs = cap.effective_privs();
     if let Some(b) = bound {
         let mut cp = (*privs).clone();
@@ -756,7 +754,7 @@ fn obj_of(interp: &Interp, cap: &GuardedCap) -> Option<ObjId> {
     if let Some(n) = cap.raw.node {
         return Some(ObjId::Vnode(n));
     }
-    let fd = cap.raw.fd?;
+    let fd = cap.raw.fd()?;
     match interp.kernel.fd_object(interp.pid, fd).ok()? {
         FdObject::Vnode(n) => Some(ObjId::Vnode(n)),
         FdObject::Pipe(id, _) => Some(ObjId::Pipe(id)),
@@ -862,10 +860,7 @@ fn builtin_stream_read(interp: &mut Interp, args: Vec<Value>) -> EvalResult {
     let pid = interp.pid;
     const CHUNK: usize = 65536;
     const ROUND: usize = 8;
-    let fd = match (cap.kind() == CapKind::File)
-        .then_some(cap.raw.fd)
-        .flatten()
-    {
+    let fd = match cap.raw.fd().filter(|_| cap.kind() == CapKind::File) {
         Some(fd) => fd,
         None => {
             // Pipes/sockets: no pread offsets — fall back to one eager read.
@@ -1042,7 +1037,7 @@ fn builtin_exec(interp: &mut Interp, args: Vec<Value>, kwargs: Vec<(String, Valu
                     Priv::Append
                 };
                 let (cap, _b) = interp.unseal_for(v, needed)?;
-                let fd = cap.raw.fd.ok_or_else(|| {
+                let fd = cap.raw.fd().ok_or_else(|| {
                     ShillError::Runtime(format!("{key} capability has no descriptor"))
                 })?;
                 match key.as_str() {

@@ -115,8 +115,14 @@ impl Interp {
     pub fn run_script(&mut self, name: &str, source: &str) -> EvalResult {
         let script = parse_script(source)?;
         let env = self.base_env(script.dialect);
-        let (_, last) = self.eval_script_in(&script, name, &env)?;
-        Ok(last)
+        let last = self
+            .eval_script_in(&script, name, &env)
+            .map(|(_, last)| last);
+        // The script's bindings are gone: close the descriptors only they
+        // held.
+        drop(env);
+        self.kernel.drain_closes();
+        last
     }
 
     /// Evaluate a script and collect its provided (contract-wrapped)
@@ -478,7 +484,11 @@ impl Interp {
                 self.eval_block(&scope, &c.body)
             }
             Value::Contracted(cf) => self.apply_contracted(&cf, args, kwargs),
+            // Builtins and native functions are the interpreter's kernel
+            // crossings: each first closes the descriptors of capabilities
+            // dropped since the last one (see `shill_cap::CapFd`).
             Value::Native(nf) => {
+                self.kernel.drain_closes();
                 let f = &nf.f;
                 // Native functions are Rust closures that may re-enter the
                 // interpreter; clone the Rc to end the borrow.
@@ -486,7 +496,10 @@ impl Interp {
                 let _ = f;
                 (nf2.f)(self, args, kwargs)
             }
-            Value::Builtin(name) => builtins::call_builtin(self, name, args, kwargs),
+            Value::Builtin(name) => {
+                self.kernel.drain_closes();
+                builtins::call_builtin(self, name, args, kwargs)
+            }
             other => Err(ShillError::Runtime(format!(
                 "cannot call a {}",
                 other.type_name()

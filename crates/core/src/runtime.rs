@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use shill_kernel::{Kernel, Pid, Ulimits};
+use shill_kernel::{Kernel, Pid};
 use shill_sandbox::ShillPolicy;
 use shill_vfs::Cred;
 
@@ -94,16 +94,9 @@ impl ShillRuntime {
             }
             RuntimeConfig::NoPolicy => None,
         };
+        // The runtime holds one descriptor per live capability, closed when
+        // the capability is dropped, so the default table size suffices.
         let pid = kernel.spawn_user(cred);
-        // The runtime holds one descriptor per live capability; give it a
-        // roomy table (Find visits ~58k files).
-        let _ = kernel.set_ulimits(
-            pid,
-            Ulimits {
-                max_open_files: u32::MAX,
-                ..Default::default()
-            },
-        );
         let mut interp = Interp::new(kernel, policy.clone(), pid);
         // Evaluate the prelude (the "Racket startup" analogue).
         interp.add_script("shill/prelude", PRELUDE);

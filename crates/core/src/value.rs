@@ -12,8 +12,8 @@ use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use shill_cap::CapFd;
 use shill_contracts::{Blame, GuardedCap, SealBrand, Violation};
-use shill_kernel::Fd;
 use shill_vfs::Errno;
 
 use crate::ast::{FuncContract, Stmt};
@@ -22,32 +22,40 @@ use crate::env::Env;
 /// What a pending future's slots in the accumulated batch resolve into.
 /// Slot indices refer to the interpreter's single pending
 /// [`crate::batchio::DeferredAcc`]; the descriptors let resolution continue
-/// an operation whose first 1 MiB window came back full. Guard checks
-/// already happened at enqueue time — resolution only maps completions to
-/// values, so errnos surface as catchable [`Value::SysErr`]s, never
-/// violations.
+/// an operation whose first 1 MiB window came back full. Each fragment
+/// holds the [`CapFd`] handles its batch entries name, so a capability
+/// passed as a temporary (`async read(open_file(..))`) keeps its
+/// descriptor open until the fragment resolves. Guard checks already
+/// happened at enqueue time — resolution only maps completions to values,
+/// so errnos surface as catchable [`Value::SysErr`]s, never violations.
 #[derive(Debug, Clone)]
 pub enum FragKind {
     /// One `Preadv` window at `slot`; resolves to the file's contents as a
     /// string (continuing past a full window via `fd`).
-    Read { slot: usize, fd: Fd },
-    /// `Ftruncate` + `Pwrite` at `slots`; resolves to void, like the
-    /// sequential `write` builtin.
-    Write { slots: [usize; 2] },
+    Read { slot: usize, fd: Arc<CapFd> },
+    /// `Ftruncate` + `Pwrite` at `slots` on `fd`; resolves to void, like
+    /// the sequential `write` builtin.
+    Write { slots: [usize; 2], fd: Arc<CapFd> },
     /// A fused copy window at `first_slot..first_slot + 3`
     /// (read → truncate → write, data flowing by slot reference); resolves
     /// to the total bytes copied (continuing past a full window).
-    Copy { first_slot: usize, sfd: Fd, dfd: Fd },
-    /// A `Stat` sweep at `first_slot..first_slot + names.len()`; resolves
-    /// to `[[name, size], …]` over the entries whose stat succeeded, in
+    Copy {
+        first_slot: usize,
+        sfd: Arc<CapFd>,
+        dfd: Arc<CapFd>,
+    },
+    /// A `Stat` sweep relative to `dir` at
+    /// `first_slot..first_slot + names.len()`; resolves to
+    /// `[[name, size], …]` over the entries whose stat succeeded, in
     /// directory order — the `dir_stats` shape.
     DirStats {
         names: Vec<String>,
         first_slot: usize,
+        dir: Arc<CapFd>,
     },
     /// One `Preadv` window per file; resolves to a list of contents
     /// strings, each element independently a string or a syserror.
-    Slurp { reads: Vec<(usize, Fd)> },
+    Slurp { reads: Vec<(usize, Arc<CapFd>)> },
 }
 
 impl FragKind {
@@ -56,11 +64,11 @@ impl FragKind {
     pub fn slots(&self) -> Vec<usize> {
         match self {
             FragKind::Read { slot, .. } => vec![*slot],
-            FragKind::Write { slots } => slots.to_vec(),
+            FragKind::Write { slots, .. } => slots.to_vec(),
             FragKind::Copy { first_slot, .. } => (*first_slot..first_slot + 3).collect(),
-            FragKind::DirStats { names, first_slot } => {
-                (*first_slot..first_slot + names.len()).collect()
-            }
+            FragKind::DirStats {
+                names, first_slot, ..
+            } => (*first_slot..first_slot + names.len()).collect(),
             FragKind::Slurp { reads } => reads.iter().map(|(s, _)| *s).collect(),
         }
     }

@@ -443,3 +443,49 @@ rs = await_all([fa, fb]);
     assert!(matches!(items[0], Value::Bool(true)), "{:?}", items[0]);
     assert_eq!(items[1].display(), "bravo-bravo");
 }
+
+// --- capabilities passed as temporaries ---------------------------------------
+
+/// Run an ambient script (with `shill/filesys`) in a fresh runtime: its
+/// value's rendering and both output files' contents.
+fn outcome(body: &str) -> (String, Vec<u8>, Vec<u8>) {
+    let mut rt = runtime();
+    let v = rt.run_ok(&format!(
+        "#lang shill/ambient\nrequire shill/filesys;\n{body}"
+    ));
+    (
+        v.display(),
+        out_content(&mut rt, "/home/u/out.txt"),
+        out_content(&mut rt, "/home/u/out2.txt"),
+    )
+}
+
+#[test]
+fn async_ops_on_temporary_caps_match_their_eager_twins() {
+    // Each deferred form drops its capability as soon as the fragment is
+    // enqueued, and a builtin call — a kernel crossing, which closes the
+    // descriptors of dropped capabilities — runs before the await. The
+    // fragment must keep the descriptor open until it resolves.
+    let ops = [
+        r#"read(open_file("/home/u/a.txt"))"#,
+        r#"write(open_file("/home/u/out.txt"), "fresh")"#,
+        r#"copy_file(open_file("/home/u/big.bin"), open_file("/home/u/out2.txt"))"#,
+        r#"dir_stats(open_dir("/home/u"))"#,
+        r#"slurp_many([open_file("/home/u/a.txt"), open_file("/home/u/c.txt")])"#,
+    ];
+    for op in ops {
+        let deferred = outcome(&format!(
+            "f = async {op};\npad = length(\"crossing\");\nawait f"
+        ));
+        assert_eq!(deferred, outcome(op), "{op}");
+        assert!(!deferred.0.contains("syserror"), "{op}: {}", deferred.0);
+    }
+    let selected = outcome(
+        r#"fa = async read(open_file("/home/u/a.txt"));
+fb = async read(open_file("/home/u/b.txt"));
+[select([fa, fb]), await fa, await fb]"#,
+    );
+    let eager =
+        outcome(r#"[0, read(open_file("/home/u/a.txt")), read(open_file("/home/u/b.txt"))]"#);
+    assert_eq!(selected, eager);
+}

@@ -4,8 +4,10 @@
 //! verdicts from the policy stack so the hot path (`namei`'s per-component
 //! `Lookup` checks, per-`read` interposition, pipe/socket data-path checks)
 //! stops paying a virtual call into every registered policy for decisions
-//! that cannot have changed. Entries are keyed by [`ObjId`], so vnode,
-//! pipe, and socket vectors all share one cache and one epoch discipline.
+//! that cannot have changed. Entries are keyed by subject, then by
+//! ([`ObjId`], class), so vnode, pipe, and socket vectors all share one
+//! cache and one epoch discipline, and a process exit drops its verdicts
+//! in O(its own entries).
 //!
 //! Safety rules, in order of importance:
 //!
@@ -98,16 +100,26 @@ pub fn avc_socket_class(op: &SocketOp) -> Option<AvcClass> {
 /// session threads at once.
 #[derive(Debug, Default)]
 pub struct Avc {
-    /// (subject, object, class) → combined epoch at which the allow was
-    /// recorded. Presence at the current epoch means "allowed".
-    entries: Mutex<HashMap<(Pid, ObjId, AvcClass), u64>>,
+    entries: Mutex<Entries>,
     enabled: AtomicBool,
+}
+
+/// The cached verdicts, keyed subject first: a process exit removes one
+/// inner map instead of scanning every subject's verdicts.
+#[derive(Debug, Default)]
+struct Entries {
+    /// subject → (object, class) → combined epoch at which the allow was
+    /// recorded. Presence at the current epoch means "allowed".
+    by_pid: HashMap<Pid, HashMap<(ObjId, AvcClass), u64>>,
+    /// Verdicts across all subjects, kept exact so neither the capacity
+    /// check nor `entry_count` walks the map.
+    len: usize,
 }
 
 impl Avc {
     pub fn new() -> Avc {
         Avc {
-            entries: Mutex::new(HashMap::new()),
+            entries: Mutex::new(Entries::default()),
             enabled: AtomicBool::new(true),
         }
     }
@@ -135,11 +147,16 @@ impl Avc {
         if !self.enabled() {
             return false;
         }
-        let mut entries = self.entries.lock();
-        match entries.get(&(pid, obj, class)) {
+        let mut guard = self.entries.lock();
+        let Entries { by_pid, len } = &mut *guard;
+        let Some(own) = by_pid.get_mut(&pid) else {
+            return false;
+        };
+        match own.get(&(obj, class)) {
             Some(e) if *e == epoch => true,
             Some(_) => {
-                entries.remove(&(pid, obj, class));
+                own.remove(&(obj, class));
+                *len -= 1;
                 false
             }
             None => false,
@@ -151,38 +168,62 @@ impl Avc {
         if !self.enabled() {
             return;
         }
-        let mut entries = self.entries.lock();
-        if entries.len() >= DEFAULT_CAPACITY {
+        let mut guard = self.entries.lock();
+        let e = &mut *guard;
+        if e.len >= DEFAULT_CAPACITY {
             // Evict stale epochs first; purge wholesale as a last resort.
-            entries.retain(|_, e| *e == epoch);
-            if entries.len() >= DEFAULT_CAPACITY {
-                entries.clear();
+            let mut live = 0;
+            e.by_pid.retain(|_, own| {
+                own.retain(|_, at| *at == epoch);
+                live += own.len();
+                !own.is_empty()
+            });
+            e.len = live;
+            if e.len >= DEFAULT_CAPACITY {
+                e.by_pid.clear();
+                e.len = 0;
             }
         }
-        entries.insert((pid, obj, class), epoch);
+        if e.by_pid
+            .entry(pid)
+            .or_default()
+            .insert((obj, class), epoch)
+            .is_none()
+        {
+            e.len += 1;
+        }
     }
 
     /// Drop every cached verdict; returns how many were live.
     pub fn flush(&self) -> usize {
-        let mut entries = self.entries.lock();
-        let dropped = entries.len();
-        entries.clear();
-        dropped
+        let mut e = self.entries.lock();
+        e.by_pid.clear();
+        std::mem::take(&mut e.len)
     }
 
-    /// Drop verdicts for one subject (process exit).
+    /// Drop verdicts for one subject (process exit): O(its own verdicts).
     pub fn drop_pid(&self, pid: Pid) {
-        self.entries.lock().retain(|(p, _, _), _| *p != pid);
+        let mut e = self.entries.lock();
+        if let Some(own) = e.by_pid.remove(&pid) {
+            e.len -= own.len();
+        }
     }
 
-    /// Drop verdicts for one object (vnode reclaimed, pipe/socket closed).
+    /// Drop verdicts for one object (vnode reclaimed, pipe/socket closed),
+    /// for every subject.
     pub fn drop_obj(&self, obj: ObjId) {
-        self.entries.lock().retain(|(_, o, _), _| *o != obj);
+        let mut guard = self.entries.lock();
+        let Entries { by_pid, len } = &mut *guard;
+        for own in by_pid.values_mut() {
+            let before = own.len();
+            own.retain(|(o, _), _| *o != obj);
+            *len -= before - own.len();
+        }
     }
 
     /// Live cached verdicts (tests/diagnostics).
     pub fn entry_count(&self) -> usize {
-        self.entries.lock().len()
+        self.entries.lock().len
     }
 }
 
@@ -240,6 +281,87 @@ mod tests {
         avc.drop_pid(Pid(1));
         assert_eq!(avc.entry_count(), 1);
         avc.drop_obj(vn(5));
+        assert_eq!(avc.entry_count(), 0);
+    }
+
+    #[test]
+    fn drop_pid_leaves_other_subjects_verdicts() {
+        let avc = Avc::new();
+        avc.record(Pid(1), vn(5), AvcClass::Read, 0);
+        avc.record(Pid(1), vn(6), AvcClass::Stat, 0);
+        avc.record(Pid(2), vn(5), AvcClass::Read, 0);
+        avc.record(Pid(3), vn(7), AvcClass::Lookup, 0);
+        avc.drop_pid(Pid(1));
+        assert_eq!(avc.entry_count(), 2);
+        assert!(!avc.probe(Pid(1), vn(5), AvcClass::Read, 0));
+        assert!(avc.probe(Pid(2), vn(5), AvcClass::Read, 0));
+        assert!(avc.probe(Pid(3), vn(7), AvcClass::Lookup, 0));
+        // Dropping a subject with no verdicts is a no-op.
+        avc.drop_pid(Pid(9));
+        assert_eq!(avc.entry_count(), 2);
+    }
+
+    #[test]
+    fn drop_obj_removes_the_object_for_every_subject() {
+        let avc = Avc::new();
+        for pid in 1..=3 {
+            avc.record(Pid(pid), vn(5), AvcClass::Read, 0);
+            avc.record(Pid(pid), vn(5), AvcClass::Stat, 0);
+            avc.record(Pid(pid), vn(6), AvcClass::Read, 0);
+        }
+        avc.drop_obj(vn(5));
+        assert_eq!(avc.entry_count(), 3);
+        for pid in 1..=3 {
+            assert!(!avc.probe(Pid(pid), vn(5), AvcClass::Read, 0));
+            assert!(!avc.probe(Pid(pid), vn(5), AvcClass::Stat, 0));
+            assert!(avc.probe(Pid(pid), vn(6), AvcClass::Read, 0));
+        }
+    }
+
+    #[test]
+    fn capacity_purge_evicts_stale_epochs_before_clearing() {
+        let avc = Avc::new();
+        // Fill to capacity across many subjects: one verdict at the current
+        // epoch, the rest stale.
+        avc.record(Pid(1), vn(0), AvcClass::Read, 2);
+        for i in 1..DEFAULT_CAPACITY as u64 {
+            avc.record(Pid(2 + (i % 64) as u32), vn(i), AvcClass::Read, 1);
+        }
+        assert_eq!(avc.entry_count(), DEFAULT_CAPACITY);
+        // The next record at epoch 2 evicts only the stale verdicts.
+        avc.record(Pid(1), vn(1), AvcClass::Stat, 2);
+        assert_eq!(avc.entry_count(), 2);
+        assert!(avc.probe(Pid(1), vn(0), AvcClass::Read, 2));
+        assert!(avc.probe(Pid(1), vn(1), AvcClass::Stat, 2));
+
+        // All live at the current epoch: nothing stale to evict, so the
+        // purge clears wholesale and keeps only the new verdict.
+        let avc = Avc::new();
+        for i in 0..DEFAULT_CAPACITY as u64 {
+            avc.record(Pid(1 + (i % 64) as u32), vn(i), AvcClass::Read, 0);
+        }
+        avc.record(Pid(99), vn(1), AvcClass::Stat, 0);
+        assert_eq!(avc.entry_count(), 1);
+        assert!(avc.probe(Pid(99), vn(1), AvcClass::Stat, 0));
+    }
+
+    #[test]
+    fn entry_count_stays_exact_after_probe_evicts_stale_entries() {
+        let avc = Avc::new();
+        avc.record(Pid(1), vn(5), AvcClass::Read, 0);
+        avc.record(Pid(1), vn(6), AvcClass::Read, 0);
+        avc.record(Pid(2), vn(5), AvcClass::Read, 0);
+        // Re-recording an existing vector does not grow the count.
+        avc.record(Pid(2), vn(5), AvcClass::Read, 0);
+        assert_eq!(avc.entry_count(), 3);
+        assert!(!avc.probe(Pid(1), vn(5), AvcClass::Read, 1));
+        assert_eq!(avc.entry_count(), 2);
+        // A miss on an absent vector evicts nothing.
+        assert!(!avc.probe(Pid(1), vn(7), AvcClass::Read, 1));
+        assert_eq!(avc.entry_count(), 2);
+        avc.drop_pid(Pid(1));
+        assert_eq!(avc.entry_count(), 1);
+        assert_eq!(avc.flush(), 1);
         assert_eq!(avc.entry_count(), 0);
     }
 

@@ -3,7 +3,7 @@
 //! live in [`crate::syscalls`] as further `impl Kernel` blocks.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use shill_vfs::{
     dac, Access, Cred, DcacheProbe, DeviceKind, Errno, Filesystem, Mode, NodeId, SysResult,
@@ -15,7 +15,7 @@ use crate::fault::{path_key, FaultPlane, FaultSite};
 use crate::mac::{MacCtx, MacPolicy, PipeOp, ProcOp, SocketOp, SystemOp, VnodeOp};
 use crate::net::NetStack;
 use crate::pipe::PipeTable;
-use crate::process::{FdObject, OpenFile, ProcState, Process};
+use crate::process::{CloseQueue, FdObject, OpenFile, ProcState, Process};
 use crate::registry::PolicyRegistry;
 use crate::stats::KernelStats;
 use crate::trace::{Telemetry, TracePlane, TraceScope, TraceSite};
@@ -79,6 +79,10 @@ pub struct Kernel {
     /// default) costs one branch per instrumented site; armed but with a
     /// site masked off costs one relaxed load.
     trace: Option<Arc<TracePlane>>,
+    /// Descriptors released between crossings (see [`CloseQueue`]).
+    /// Created on first use, so a kernel nobody defers closes on pays
+    /// nothing for it.
+    closes: OnceLock<CloseQueue>,
 }
 
 impl Default for Kernel {
@@ -174,6 +178,7 @@ impl Kernel {
             rng: 0x9E3779B97F4A7C15,
             faults: None,
             trace: None,
+            closes: OnceLock::new(),
         };
         // `SHILL_FAULTS` arms every kernel in the process with the same
         // schedule — shard-relative keying makes the planes agree on which
@@ -551,6 +556,23 @@ impl Kernel {
     /// membership is inherited (paper §3.2.1: "Processes spawned by a
     /// process in a session are by default placed in the same session").
     pub fn fork(&mut self, parent: Pid) -> SysResult<Pid> {
+        self.new_child(parent, None)
+    }
+
+    /// Spawn, posix_spawn-style: like [`Kernel::fork`], but the child's
+    /// descriptor table holds only `fds`, each `(parent_fd, child_fd)`
+    /// pair installed at the fixed child number like a `dup2` file action.
+    /// The cost is O(`fds`) instead of O(the parent's table). A bad parent
+    /// descriptor fails with `EBADF` before any pid is allocated.
+    pub fn spawn(&mut self, parent: Pid, fds: &[(Fd, Fd)]) -> SysResult<Pid> {
+        self.new_child(parent, Some(fds))
+    }
+
+    /// The body [`Kernel::fork`] and [`Kernel::spawn`] share: the charge,
+    /// the `max_processes` check, pid allocation, the `forks` counter and
+    /// the `proc_fork` hooks. `actions` picks the descriptor table: the
+    /// parent's whole table (`None`) or just the listed descriptors.
+    fn new_child(&mut self, parent: Pid, actions: Option<&[(Fd, Fd)]>) -> SysResult<Pid> {
         self.charge(parent)?;
         KernelStats::bump(&self.stats.forks);
         let (cred, cwd, ulimits, fds) = {
@@ -559,7 +581,14 @@ impl Kernel {
             if live >= p.ulimits.max_processes {
                 return Err(Errno::EAGAIN);
             }
-            (p.cred, p.cwd, p.ulimits, p.fds.clone())
+            let fds: Vec<(Fd, OpenFile)> = match actions {
+                None => p.fds.iter().map(|(fd, of)| (*fd, of.clone())).collect(),
+                Some(actions) => actions
+                    .iter()
+                    .map(|&(src, dst)| Ok((dst, p.file(src)?.clone())))
+                    .collect::<SysResult<_>>()?,
+            };
+            (p.cred, p.cwd, p.ulimits, fds)
         };
         let pid = self.alloc_pid()?;
         let mut child = Process::new(pid, parent, cred, cwd);
@@ -583,17 +612,25 @@ impl Kernel {
     }
 
     /// Terminate a process: close descriptors, notify policies, zombify.
+    /// Nobody can wait for the process's zombie children any more, and an
+    /// orphan (its parent already exited) has nobody to wait for it, so
+    /// both are reaped here: the process table and the policies' per-pid
+    /// state stay bounded by the live processes.
     pub fn exit(&mut self, pid: Pid, status: i32) {
-        let fds: Vec<Fd> = match self.procs.get(&pid) {
-            Some(p) if p.alive() => p.fds.keys().copied().collect(),
+        let (fds, ppid) = match self.procs.get(&pid) {
+            Some(p) if p.alive() => (p.fds.keys().copied().collect::<Vec<Fd>>(), p.ppid),
             _ => return,
         };
         for fd in fds {
             let _ = self.close(pid, fd);
         }
-        if let Some(p) = self.procs.get_mut(&pid) {
-            p.state = ProcState::Zombie(status);
-        }
+        let zombies: Vec<Pid> = match self.procs.get_mut(&pid) {
+            Some(p) => {
+                p.state = ProcState::Zombie(status);
+                p.children.clone()
+            }
+            None => Vec::new(),
+        };
         for p in self.registry.iter() {
             p.proc_exit(pid);
         }
@@ -601,6 +638,14 @@ impl Kernel {
         // policy may also have scrubbed session labels, which its epoch
         // bump invalidates for the session's *other* processes).
         self.avc.drop_pid(pid);
+        for child in zombies {
+            if matches!(self.procs.get(&child), Some(c) if !c.alive()) {
+                self.reap(pid, child);
+            }
+        }
+        if !matches!(self.procs.get(&ppid), Some(p) if p.alive()) {
+            self.reap(ppid, pid);
+        }
     }
 
     /// Wait for a zombie child and reap it. `EAGAIN` while still running
@@ -619,9 +664,20 @@ impl Kernel {
             ProcState::Running => return Err(Errno::EAGAIN),
             ProcState::Reaped => return Err(Errno::ECHILD),
         };
-        self.procs.remove(&child);
-        self.process_mut(parent)?.children.retain(|c| *c != child);
+        self.reap(parent, child);
         Ok(status)
+    }
+
+    /// Remove an exited `child` from the process table and from `parent`'s
+    /// children, then tell the policies it is gone for good.
+    fn reap(&mut self, parent: Pid, child: Pid) {
+        self.procs.remove(&child);
+        if let Some(p) = self.procs.get_mut(&parent) {
+            p.children.retain(|c| *c != child);
+        }
+        for p in self.registry.iter() {
+            p.proc_reap(child);
+        }
     }
 
     /// Send a (fatal) signal. The only delivery the simulator models is
@@ -1313,6 +1369,22 @@ impl Kernel {
         }
         self.process_mut(dst)?.install_fd(dst_fd, of);
         Ok(())
+    }
+
+    /// The queue on which descriptor owners outside the kernel (capability
+    /// handles) defer their closes; see [`CloseQueue`].
+    pub fn close_queue(&self) -> CloseQueue {
+        self.closes.get_or_init(CloseQueue::default).clone()
+    }
+
+    /// Close every descriptor queued on [`Kernel::close_queue`] since the
+    /// last drain. A descriptor whose process already exited (its table
+    /// closed wholesale) is skipped.
+    pub fn drain_closes(&mut self) {
+        let Some(q) = self.closes.get() else { return };
+        for (pid, fd) in q.take() {
+            let _ = self.close(pid, fd);
+        }
     }
 
     /// Close a descriptor, releasing the underlying object reference.

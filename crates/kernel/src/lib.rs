@@ -40,7 +40,7 @@ pub use hist::{HistSnapshot, LatencyHist, SiteHists, SiteHistsSnapshot, HIST_BUC
 pub use kernel::{ExecHandler, Kernel, Lookup, SYSCTL_AVC, SYSCTL_DCACHE};
 pub use mac::{MacCtx, MacPolicy, NullPolicy, PipeOp, ProcOp, SocketOp, SystemOp, VnodeOp};
 pub use net::{InjConnId, RemoteHandler};
-pub use process::{FdObject, OpenFile, ProcState, Process};
+pub use process::{CloseQueue, FdObject, OpenFile, ProcState, Process};
 pub use registry::PolicyRegistry;
 pub use sched::{completions_to_slots, BatchDag, Completion, ScheduledRun};
 pub use shard::{

@@ -257,7 +257,14 @@ pub trait MacPolicy: Send + Sync {
     fn proc_fork(&self, _parent: Pid, _child: Pid) {}
 
     /// `pid` exited; release per-process state (session membership etc.).
+    /// The kernel calls it once per process. The zombie stays until
+    /// [`MacPolicy::proc_reap`], so state its parent's `waitpid` check
+    /// consults must outlive this hook.
     fn proc_exit(&self, _pid: Pid) {}
+
+    /// `pid`'s zombie was reaped and left the process table; release what
+    /// `proc_exit` kept for the parent's `waitpid`.
+    fn proc_reap(&self, _pid: Pid) {}
 }
 
 /// A do-nothing policy used by tests to verify hook plumbing and by the

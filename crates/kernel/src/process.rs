@@ -1,7 +1,9 @@
 //! Processes and file descriptors.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
+use shill_vfs::sync::Mutex;
 use shill_vfs::{Cred, Errno, NodeId, SysResult};
 
 use crate::types::{Fd, Pid, PipeEnd, PipeId, SockId, Ulimits};
@@ -110,6 +112,28 @@ impl Process {
             FdObject::Vnode(n) => Ok(n),
             _ => Err(Errno::EBADF),
         }
+    }
+}
+
+/// Descriptors whose last holder let go of them outside a kernel
+/// crossing: a capability dropped mid-evaluation has no `&mut Kernel` to
+/// close through, so it queues `(pid, fd)` here and
+/// [`crate::Kernel::drain_closes`] closes it at the owner's next crossing
+/// (the analogue of Linux deferring the final `fput` to the return to user
+/// space). Descriptor numbers are never reused ([`Process::alloc_fd`] only
+/// counts up), so a late close cannot hit another file.
+#[derive(Debug, Clone, Default)]
+pub struct CloseQueue(Arc<Mutex<Vec<(Pid, Fd)>>>);
+
+impl CloseQueue {
+    /// Queue `fd` of `pid` for closing at the next drain.
+    pub fn push(&self, pid: Pid, fd: Fd) {
+        self.0.lock().push((pid, fd));
+    }
+
+    /// Everything queued since the last take.
+    pub(crate) fn take(&self) -> Vec<(Pid, Fd)> {
+        std::mem::take(&mut *self.0.lock())
     }
 }
 

@@ -669,7 +669,7 @@ mod tests {
             SessionTask {
                 shard: 0,
                 // stdin names a descriptor the parent does not hold: the
-                // stdio transfer inside setup_sandbox fails after the fork.
+                // spawn inside setup_sandbox fails before any child exists.
                 spec: SandboxSpec {
                     stdin: Some(shill_kernel::Fd(999)),
                     ..Default::default()

@@ -3,10 +3,16 @@
 //! forking a new process, creating a new session, and granting the session
 //! the capabilities passed to exec. It then calls `shill_enter` before
 //! transferring control to the executable."
+//!
+//! The fork here is a spawn with stdio only ([`Kernel::spawn`]): the
+//! child's descriptor table holds exactly the stdin/stdout/stderr it was
+//! wired with, never the runtime's capability descriptors. Grants are
+//! policy labels on kernel objects, not descriptors, so a launch costs
+//! O(its grants) however much the runtime has opened before it.
 
 use std::sync::Arc;
 
-use shill_cap::{CapPrivs, PrivSet};
+use shill_cap::{CapPrivs, Priv, PrivSet};
 use shill_kernel::{Fd, Kernel, ObjId, Pid, Ulimits};
 use shill_vfs::{NodeId, SysResult};
 
@@ -69,18 +75,22 @@ pub struct Sandbox {
     pub session: SessionId,
 }
 
-/// Fork a child of `parent`, create and populate its session, wire stdio,
-/// and enter. After this the child is confined. A failure after the fork
-/// (bad stdio descriptor, refused grant) reaps the half-built child and
-/// reclaims its session, so a failed launch leaves no process-table or
-/// label residue.
+/// Spawn a child of `parent` with only its stdio wired, create and
+/// populate its session, and enter. After this the child is confined. A
+/// bad stdio descriptor fails the spawn before any child exists; a failure
+/// after it (a refused grant) reaps the half-built child and reclaims its
+/// session, so a failed launch leaves no process-table or label residue.
 pub fn setup_sandbox(
     k: &mut Kernel,
     policy: &Arc<ShillPolicy>,
     parent: Pid,
     spec: &SandboxSpec,
 ) -> SysResult<Sandbox> {
-    let child = k.fork(parent)?;
+    let stdio: Vec<(Fd, Fd)> = spec
+        .stdio()
+        .filter_map(|(src, dst, _)| Some((src?, dst)))
+        .collect();
+    let child = k.spawn(parent, &stdio)?;
     match setup_sandbox_child(k, policy, parent, child, spec) {
         Ok(session) => Ok(Sandbox { child, session }),
         Err(e) => {
@@ -91,7 +101,22 @@ pub fn setup_sandbox(
     }
 }
 
-/// The post-fork half of the launch choreography.
+impl SandboxSpec {
+    /// Each stdio slot: the parent descriptor wired into it (if any), the
+    /// child descriptor number, and the privileges the wiring grants.
+    fn stdio(&self) -> impl Iterator<Item = (Option<Fd>, Fd, PrivSet)> {
+        let read = PrivSet::of(&[Priv::Read, Priv::Stat]);
+        let write = PrivSet::of(&[Priv::Write, Priv::Append, Priv::Stat]);
+        [
+            (self.stdin, Fd::STDIN, read),
+            (self.stdout, Fd::STDOUT, write),
+            (self.stderr, Fd::STDERR, write),
+        ]
+        .into_iter()
+    }
+}
+
+/// The post-spawn half of the launch choreography.
 fn setup_sandbox_child(
     k: &mut Kernel,
     policy: &Arc<ShillPolicy>,
@@ -113,36 +138,10 @@ fn setup_sandbox_child(
         policy.shill_grant_pipe_factory(parent, session)?;
     }
     // stdio descriptors are capabilities passed to the sandbox (`exec(...,
-    // stdout = out)` in the paper): wire them into fds 0-2 *and* grant the
-    // backing kernel object to the session with the matching privileges.
-    let stdio = [
-        (
-            spec.stdin,
-            Fd::STDIN,
-            PrivSet::of(&[shill_cap::Priv::Read, shill_cap::Priv::Stat]),
-        ),
-        (
-            spec.stdout,
-            Fd::STDOUT,
-            PrivSet::of(&[
-                shill_cap::Priv::Write,
-                shill_cap::Priv::Append,
-                shill_cap::Priv::Stat,
-            ]),
-        ),
-        (
-            spec.stderr,
-            Fd::STDERR,
-            PrivSet::of(&[
-                shill_cap::Priv::Write,
-                shill_cap::Priv::Append,
-                shill_cap::Priv::Stat,
-            ]),
-        ),
-    ];
-    for (src, dst, privs) in stdio {
+    // stdout = out)` in the paper): the spawn wired them into fds 0-2; grant
+    // the backing kernel object to the session with the matching privileges.
+    for (src, _, privs) in spec.stdio() {
         let Some(fd) = src else { continue };
-        k.transfer_fd(parent, fd, child, dst)?;
         let obj = match k.fd_object(parent, fd)? {
             shill_kernel::FdObject::Vnode(n) => ObjId::Vnode(n),
             shill_kernel::FdObject::Pipe(id, _) => ObjId::Pipe(id),
@@ -185,7 +184,6 @@ pub fn run_sandboxed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shill_cap::Priv;
     use shill_kernel::OpenFlags;
     use shill_vfs::{Cred, Errno, Gid, Mode, Uid};
 
@@ -441,5 +439,74 @@ mod tests {
             run_sandboxed(&mut k, &policy, user, bin, &["unloader".into()], &spec).unwrap();
         assert_eq!(status, 13);
         assert!(k.has_policy("shill"), "policy must survive the attempt");
+    }
+
+    #[test]
+    fn sandboxed_process_reaps_its_exited_child() {
+        // §3.2.2: a sandboxed process may wait for processes of its own
+        // session, so the exited child's session route must outlive the
+        // exit until the reap.
+        let mut k = Kernel::new();
+        let policy = ShillPolicy::new();
+        k.register_policy(policy.clone());
+        let user = k.spawn_user(Cred::user(100));
+        let sb = setup_sandbox(&mut k, &policy, user, &SandboxSpec::default()).unwrap();
+        let child = k.fork(sb.child).unwrap();
+        k.exit(child, 7);
+        assert_eq!(k.waitpid(sb.child, child), Ok(7));
+        assert!(k.process(child).is_err(), "the zombie left the table");
+        assert_eq!(policy.session_of(child), None, "the route went with it");
+        assert_eq!(k.waitpid(sb.child, child), Err(Errno::ECHILD));
+    }
+
+    #[test]
+    fn exit_reaps_zombie_children_nobody_can_wait_for() {
+        let mut k = Kernel::new();
+        let policy = ShillPolicy::new();
+        k.register_policy(policy.clone());
+        let user = k.spawn_user(Cred::user(100));
+        let procs = k.process_count();
+        let sb = setup_sandbox(&mut k, &policy, user, &SandboxSpec::default()).unwrap();
+        let child = k.fork(sb.child).unwrap();
+        k.exit(child, 0);
+        // The sandboxed parent exits without waiting: its zombie child is
+        // reaped with it, and the parent's own zombie waits for `user`.
+        k.exit(sb.child, 3);
+        assert!(k.process(child).is_err());
+        assert_eq!(policy.session_of(child), None);
+        assert_eq!(k.waitpid(user, sb.child), Ok(3));
+        assert_eq!(k.process_count(), procs);
+        assert_eq!(policy.session_of(sb.child), None);
+    }
+
+    #[test]
+    fn spawned_child_holds_only_its_stdio() {
+        let mut k = Kernel::new();
+        let policy = ShillPolicy::new();
+        k.register_policy(policy.clone());
+        let user = k.spawn_user(Cred::user(100));
+        for _ in 0..100 {
+            k.open(user, "/dev/null", OpenFlags::RDONLY, Mode(0))
+                .unwrap();
+        }
+        let (_, pw) = k.pipe(user).unwrap();
+        let spec = SandboxSpec {
+            stdout: Some(pw),
+            ..Default::default()
+        };
+        let sb = setup_sandbox(&mut k, &policy, user, &spec).unwrap();
+        let fds: Vec<Fd> = k.process(sb.child).unwrap().fds.keys().copied().collect();
+        assert_eq!(fds, vec![Fd::STDOUT]);
+        // A bad stdio descriptor fails the launch before any child exists.
+        let procs = k.process_count();
+        let bad = SandboxSpec {
+            stdin: Some(Fd(9999)),
+            ..Default::default()
+        };
+        assert!(matches!(
+            setup_sandbox(&mut k, &policy, user, &bad),
+            Err(Errno::EBADF)
+        ));
+        assert_eq!(k.process_count(), procs);
     }
 }

@@ -1023,9 +1023,12 @@ impl MacPolicy for ShillPolicy {
         self.proc_write(child).insert(child, sid);
     }
 
+    /// The exit drops the session's live count (reclaiming it at zero) but
+    /// keeps the pid→session route: the parent's `waitpid` still needs
+    /// `proc_check` to find the zombie's session (§3.2.2). The route goes
+    /// in [`MacPolicy::proc_reap`].
     fn proc_exit(&self, pid: Pid) {
-        let sid = { self.proc_write(pid).remove(&pid) };
-        let Some(sid) = sid else {
+        let Some(sid) = self.session_of(pid) else {
             return;
         };
         let reclaimed = {
@@ -1071,6 +1074,10 @@ impl MacPolicy for ShillPolicy {
                 epoch,
             });
         }
+    }
+
+    fn proc_reap(&self, pid: Pid) {
+        self.proc_write(pid).remove(&pid);
     }
 }
 #[cfg(test)]

@@ -171,6 +171,9 @@ pub fn build_spec(k: &mut Kernel, pid: Pid, rules: &[Rule]) -> SysResult<Sandbox
             Rule::PipeFactory => spec.pipe_factory = true,
         }
     }
+    // The grants name vnodes, not descriptors: close the ones opened to
+    // resolve the paths.
+    k.drain_closes();
     Ok(spec)
 }
 
