@@ -774,8 +774,8 @@ fn sched_copy_run(fused: bool, rounds: usize, files: usize, size: usize) -> Sche
                         append: false,
                     },
                 ]);
-                let out = k.submit_scheduled(pid, &batch).unwrap();
-                debug_assert!(out.iter().all(|c| c.out.is_ok()));
+                let out = k.submit_batch(pid, &batch).unwrap();
+                debug_assert!(out.iter().all(|r| r.is_ok()));
             } else {
                 let data = k
                     .submit_single(
@@ -835,7 +835,7 @@ enum PoolMode {
 /// one logical syscall (8×3 + 8 per session-round), so ns/op is directly
 /// comparable with `BENCH_concurrency.json`.
 fn sched_pool_run(sessions: usize, rounds: usize, mode: PoolMode) -> ConcurrencyRun {
-    use shill::kernel::{completions_to_slots, BatchFd, KernelShards, SyscallBatch};
+    use shill::kernel::{BatchFd, KernelShards, SyscallBatch};
     use shill_sandbox::{BatchJob, BatchPool};
 
     let mut k = Kernel::new();
@@ -939,9 +939,9 @@ fn sched_pool_run(sessions: usize, rounds: usize, mode: PoolMode) -> Concurrency
                 for (i, &pid) in children.iter().enumerate() {
                     for batch in [pipelines(i, FOLD), sweep(i, FOLD)] {
                         let out = shared
-                            .with_pid(pid, |k| k.submit_scheduled(pid, &batch))
+                            .with_pid(pid, |k| k.submit_batch(pid, &batch))
                             .expect("scheduled");
-                        assert!(out.iter().all(|c| c.out.is_ok()));
+                        assert!(out.iter().all(|r| r.is_ok()));
                     }
                 }
             }
@@ -970,8 +970,7 @@ fn sched_pool_run(sessions: usize, rounds: usize, mode: PoolMode) -> Concurrency
                 })
                 .collect();
             for out in pool.run(&shared, jobs) {
-                let out = out.expect("pool job");
-                let slots = completions_to_slots(out.len(), &out);
+                let slots = out.expect("pool job");
                 assert!(slots.iter().all(|r| r.is_ok()));
             }
         }
@@ -1501,7 +1500,8 @@ require "pipeline.cap";
 
 /// Group 10 — language-surface fusion: the async script vs its
 /// sequential twin. The submission count is the structural win (ONE
-/// `submit_scheduled` per round vs one private batch per operation);
+/// accumulated `submit_batch` per round vs one private batch per
+/// operation);
 /// wall time mostly tracks the amortizations that buys.
 fn bench_lang() {
     let rounds = 300;
@@ -1536,7 +1536,7 @@ fn bench_lang() {
                 "  \"sequential\": {{\"ns_per_round\": {:.1}, \"submissions_per_round\": {:.2}}},\n",
                 "  \"submission_ratio_sequential_over_fused\": {:.3},\n",
                 "  \"time_ratio_sequential_over_fused\": {:.3},\n",
-                "  \"note\": \"submissions/round is the structural claim (one submit_scheduled vs one private batch per op); ns/round varies with the box\"\n",
+                "  \"note\": \"submissions/round is the structural claim (one accumulated submit_batch vs one private batch per op); ns/round varies with the box\"\n",
                 "}}\n"
             ),
             fused_ns,

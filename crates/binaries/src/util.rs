@@ -90,19 +90,19 @@ pub fn copy_path(
             append: false,
         },
     ]);
-    // Consume the completions by value: the read payload stays in the
-    // kernel-to-write slot link and is never cloned out here.
-    let completions = k.submit_scheduled(pid, &batch).map_err(CopyErr::Src)?;
-    let mut written = Err(CopyErr::Dst(Errno::EINVAL));
-    for c in completions {
-        match (c.slot, c.out) {
-            (0, Err(e)) => return Err(CopyErr::Src(e)),
-            (1, Err(e)) => return Err(CopyErr::Dst(e)),
-            (1, Ok(out)) => written = out.into_written().map_err(CopyErr::Dst),
-            _ => {}
-        }
+    // The read payload stays in the kernel-to-write slot link and never
+    // surfaces here.
+    let mut out = k
+        .submit_batch(pid, &batch)
+        .map_err(CopyErr::Src)?
+        .into_iter();
+    match (out.next(), out.next()) {
+        (Some(Err(e)), _) => Err(CopyErr::Src(e)),
+        (_, Some(written)) => written
+            .and_then(BatchOut::into_written)
+            .map_err(CopyErr::Dst),
+        _ => Err(CopyErr::Dst(Errno::EINVAL)),
     }
-    written
 }
 
 /// Append a line to a file by path (creating it if missing).

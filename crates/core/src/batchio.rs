@@ -3,17 +3,29 @@
 //! The language builtins are "wrappers for the corresponding system calls"
 //! (§2.1); the naive wrappers issue one kernel call per operation, so a
 //! `read` of a large file or a `contents`+`stat` sweep pays the per-call
-//! charging and MAC-context cost once per chunk or per name. These helpers
-//! route the same operations through [`shill_kernel::Kernel::submit_batch`]
-//! and, for pipelines with data dependencies, through the batch scheduler
-//! ([`shill_kernel::Kernel::submit_scheduled`]) — observably equivalent
-//! (same per-chunk MAC interposition, same errnos) but with one kernel
-//! crossing per window, and with copies fused into single submissions via
-//! slot references (`BatchArg::OutputOf`).
+//! charging and MAC-context cost once per chunk or per name. Each
+//! batchable builtin — `read`, `write`, `copy_file`, `dir_stats`,
+//! `slurp_many` — instead has ONE implementation: a dependency-DAG
+//! fragment added to a [`DeferredAcc`]. Inside `async` the fragment joins
+//! the interpreter's accumulated batch and the builtin returns a future;
+//! otherwise a private accumulator is flushed at once ([`run_now`]). Both
+//! forms submit the same entries, slots, edges and fail mode through
+//! [`shill_kernel::Kernel::submit_batch`], so fault keys and counters
+//! match. Either way the operation is observably equivalent to the
+//! sequential wrappers (same per-chunk MAC interposition, same errnos)
+//! with one kernel crossing per window, and copies fuse into single
+//! submissions via slot references (`BatchArg::OutputOf`).
 //!
-//! Capability discipline is unchanged: callers perform the contract-guard
-//! checks ([`GuardedCap::check`]) before reaching for the descriptor, and
-//! the kernel still runs every DAC/MAC check per underlying operation.
+//! Byte-level paths remain only for what a fragment cannot express:
+//! pipes, sockets and devices ([`cap_read_all`] and the checked raw
+//! paths on [`GuardedCap`]), self-copies ([`cap_copy`]), and continuations
+//! past a fragment's first 1 MiB window ([`read_from_fd`] and the
+//! windowed copy).
+//!
+//! Capability discipline is unchanged: fragments perform the
+//! contract-guard checks ([`GuardedCap::check`]) before touching a
+//! descriptor, and the kernel still runs every DAC/MAC check per
+//! underlying operation.
 
 use std::rc::Rc;
 use std::sync::Arc;
@@ -21,7 +33,7 @@ use std::sync::Arc;
 use shill_cap::{CapFd, CapKind, Priv};
 use shill_contracts::{CapError, CapResult, GuardedCap};
 use shill_kernel::{BatchArg, BatchEntry, BatchOut, FailMode, Fd, Kernel, Pid, SyscallBatch};
-use shill_vfs::{Errno, Stat, SysResult};
+use shill_vfs::{Errno, SysResult};
 
 use crate::value::{FragKind, FutureCell, Value};
 
@@ -37,10 +49,10 @@ const WINDOW: usize = 16;
 /// Within one scheduled batch a failed entry cancels its dependency cone:
 /// the cone's slots complete with `ECANCELED`, an artifact of scheduling,
 /// not a fault a sequential script could ever see. Resolving a fragment by
-/// scanning its slots (or its completions in an arbitrary order) must
-/// therefore prefer the lowest-slot *non*-`ECANCELED` errno — the root
-/// cause — and fall back to `ECANCELED` only when every failed slot is a
-/// cone artifact (the cause lies outside the fragment).
+/// scanning its slots must therefore prefer the lowest-slot
+/// *non*-`ECANCELED` errno — the root cause — and fall back to
+/// `ECANCELED` only when every failed slot is a cone artifact (the cause
+/// lies outside the fragment).
 pub fn first_cause(errs: impl IntoIterator<Item = (usize, Errno)>) -> Option<Errno> {
     let mut cause: Option<(usize, Errno)> = None;
     let mut cone: Option<(usize, Errno)> = None;
@@ -82,60 +94,6 @@ pub fn read_from_fd(k: &mut Kernel, pid: Pid, fd: Fd, mut off: u64) -> SysResult
     }
 }
 
-/// Read a regular file to EOF from offset 0.
-pub fn read_all_fd(k: &mut Kernel, pid: Pid, fd: Fd) -> SysResult<Vec<u8>> {
-    read_from_fd(k, pid, fd, 0)
-}
-
-/// Overwrite a regular file (truncate + positional write) in one batch.
-/// Takes the buffer by value so it moves into the entry without a copy.
-/// `Abort` mode mirrors the sequential wrapper: a denied truncate stops the
-/// write from running.
-pub fn write_all_fd(k: &mut Kernel, pid: Pid, fd: Fd, data: Vec<u8>) -> SysResult<()> {
-    let out = k.submit_batch(
-        pid,
-        &SyscallBatch::aborting(vec![
-            BatchEntry::Ftruncate {
-                fd: fd.into(),
-                len: 0,
-            },
-            BatchEntry::Pwrite {
-                fd: fd.into(),
-                offset: 0,
-                data: data.into(),
-            },
-        ]),
-    )?;
-    for r in out {
-        r?;
-    }
-    Ok(())
-}
-
-/// `stat` every name in a directory with one kernel crossing — the batched
-/// form of the `contents` + per-name `stat` loop. Per-name outcomes are
-/// preserved (a denied or vanished entry yields its errno in that slot).
-pub fn stat_names(
-    k: &mut Kernel,
-    pid: Pid,
-    dirfd: Fd,
-    names: &[String],
-) -> SysResult<Vec<SysResult<Stat>>> {
-    let entries: Vec<BatchEntry> = names
-        .iter()
-        .map(|n| BatchEntry::Stat {
-            dirfd: Some(dirfd.into()),
-            path: n.clone(),
-            follow: false,
-        })
-        .collect();
-    let out = k.submit_batch(pid, &SyscallBatch::new(entries))?;
-    Ok(out
-        .into_iter()
-        .map(|r| r.and_then(BatchOut::into_stat))
-        .collect())
-}
-
 /// Whether a capability's reads/writes can take the batched fast path: a
 /// regular file with a live descriptor. Pipes, sockets, and devices keep
 /// the sequential wrappers (their drain/EAGAIN semantics differ).
@@ -147,117 +105,68 @@ fn batchable_file(cap: &GuardedCap) -> Option<&Arc<CapFd>> {
     }
 }
 
-/// `read` builtin fast path: guard-checked, then batched for regular files,
-/// falling back to the sequential wrapper otherwise.
+/// The byte-level read the fallbacks need: guard-checked, then batched by
+/// window for regular files, through the sequential wrapper otherwise.
 pub fn cap_read_all(k: &mut Kernel, pid: Pid, cap: &GuardedCap) -> CapResult<Vec<u8>> {
     cap.check(Priv::Read)?;
     match batchable_file(cap) {
-        Some(fd) => Ok(read_all_fd(k, pid, fd.fd())?),
+        Some(fd) => Ok(read_from_fd(k, pid, fd.fd(), 0)?),
         None => Ok(cap.raw.read_all(k, pid)?),
     }
 }
 
-/// `write` builtin fast path. Takes the buffer by value (the batched path
-/// moves it into the entry; the fallback borrows it).
-pub fn cap_write_all(k: &mut Kernel, pid: Pid, cap: &GuardedCap, data: Vec<u8>) -> CapResult<()> {
-    cap.check(Priv::Write)?;
-    match batchable_file(cap) {
-        Some(fd) => Ok(write_all_fd(k, pid, fd.fd(), data)?),
-        None => Ok(cap.raw.write_all(k, pid, &data)?),
-    }
-}
-
-/// cp-style copy between two file capabilities, fused onto the scheduler's
-/// pipeline path: each window is ONE submission —
-/// `Preadv(src) → [Ftruncate(dst) →] Pwrite(dst, data: OutputOf(read))` —
-/// with the read's bytes flowing to the write through a slot reference
-/// instead of surfacing to the runtime between two submissions. The chain
-/// runs in `Abort` mode with the truncate ordered after the first read, so
-/// a denied read leaves the destination untouched and a denied truncate
-/// cancels the write, exactly like the two-submission form.
+/// The byte-level copy for endpoints the fused pipeline declines
+/// ([`DeferredAcc::defer_copy`] returns `None`, after running both guard
+/// checks): a self-copy (same vnode, via any alias or hard link), whose
+/// first-window truncate would cut off source bytes beyond the window
+/// before they were read, and a copy between a file and a pipe, socket or
+/// device. Reads the whole source, then writes it — through the write
+/// fragment when the destination is a regular file, through the checked
+/// raw path otherwise. Returns the bytes copied.
 pub fn cap_copy(k: &mut Kernel, pid: Pid, src: &GuardedCap, dst: &GuardedCap) -> CapResult<usize> {
     src.check(Priv::Read)?;
     dst.check(Priv::Write)?;
-    // Self-copy (same vnode, via any alias or hard link) must not take the
-    // windowed pipeline: its first-window truncate would cut off source
-    // bytes beyond the window before they were read. Read-all-then-write
-    // preserves the pre-pipeline lossless behaviour.
-    let same_node = src.raw.node.is_some() && src.raw.node == dst.raw.node;
-    let (Some(sfd), Some(dfd)) = (batchable_file(src), batchable_file(dst)) else {
-        // Pipes/sockets/devices: sequential wrappers, as before.
-        let data = cap_read_all(k, pid, src)?;
-        let n = data.len();
-        cap_write_all(k, pid, dst, data)?;
-        return Ok(n);
-    };
-    if same_node {
-        let data = cap_read_all(k, pid, src)?;
-        let n = data.len();
-        cap_write_all(k, pid, dst, data)?;
-        return Ok(n);
+    let mut data = cap_read_all(k, pid, src)?;
+    let n = data.len();
+    match run_now(k, pid, |acc, _, _| acc.defer_write(dst, &mut data))? {
+        Some(Value::SysErr(e)) => Err(CapError::Sys(e)),
+        Some(_) => Ok(n),
+        None => dst.write_all(k, pid, &data).map(|()| n),
     }
-    Ok(copy_windows(k, pid, sfd.fd(), dfd.fd(), 0).map_err(CapError::Sys)? as usize)
 }
 
-/// The windowed copy pipeline from `start` to EOF: one scheduled
-/// submission per 1 MiB window, read data flowing to the write through a
-/// slot reference. The first window (`start == 0`) truncates the
-/// destination — after the read, so a failed read cancels it. Returns the
-/// total bytes copied *including* `start` (i.e. the destination length).
-/// Shared by [`cap_copy`] and the deferred-copy continuation, which picks
-/// up at window two after the accumulated batch carried window one.
-pub(crate) fn copy_windows(
-    k: &mut Kernel,
-    pid: Pid,
-    sfd: Fd,
-    dfd: Fd,
-    start: u64,
-) -> SysResult<u64> {
+/// The windowed copy pipeline from `start` to EOF: one submission per
+/// 1 MiB window, the read's bytes flowing to the write through a slot
+/// reference. Returns the total bytes copied *including* `start` (i.e.
+/// the destination length). The copy fragment carries window one (and
+/// the destination's truncate); its resolution continues here from window
+/// two.
+fn copy_windows(k: &mut Kernel, pid: Pid, sfd: Fd, dfd: Fd, start: u64) -> SysResult<u64> {
     let mut off = start;
     loop {
-        let mut batch = SyscallBatch::aborting(vec![BatchEntry::Preadv {
-            fd: sfd.into(),
-            offset: off,
-            lens: vec![CHUNK; WINDOW],
-        }]);
-        let mut prev = 0;
-        if off == 0 {
-            // First window truncates the destination — after the read, so
-            // a failed read cancels it (dependency cone, not "every later
-            // entry").
-            prev = batch.push(BatchEntry::Ftruncate {
+        let batch = SyscallBatch::aborting(vec![
+            BatchEntry::Preadv {
+                fd: sfd.into(),
+                offset: off,
+                lens: vec![CHUNK; WINDOW],
+            },
+            BatchEntry::Pwrite {
                 fd: dfd.into(),
-                len: 0,
-            });
-            batch.deps.push((prev, 0));
-        }
-        let wr = batch.push(BatchEntry::Pwrite {
-            fd: dfd.into(),
-            offset: off,
-            data: BatchArg::OutputOf(0),
-        });
-        if prev != 0 {
-            batch.deps.push((wr, prev));
-        }
-        // Consume the completions by value: the window's payload moves
-        // out of the read slot exactly once, no clones. Failures resolve
-        // through `first_cause`, so a cancellation cone (`ECANCELED`)
-        // never masks the root-cause errno no matter what order the
-        // completion queue delivered them in.
-        let completions = k.submit_scheduled(pid, &batch)?;
-        let mut read: Option<Vec<u8>> = None;
-        let mut errs: Vec<(usize, Errno)> = Vec::new();
-        for c in completions {
-            match c.out {
-                Ok(out) if c.slot == 0 => read = Some(out.into_data()?),
-                Ok(_) => {}
-                Err(e) => errs.push((c.slot, e)),
-            }
-        }
+                offset: off,
+                data: BatchArg::OutputOf(0),
+            },
+        ]);
+        // Failures resolve through `first_cause`, so a cancellation cone
+        // (`ECANCELED`) never masks the root-cause errno.
+        let mut out = k.submit_batch(pid, &batch)?;
+        let errs = out
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, r)| r.as_ref().err().map(|e| (slot, *e)));
         if let Some(e) = first_cause(errs) {
             return Err(e);
         }
-        let n = read.map(|d| d.len()).ok_or(Errno::EINVAL)?;
+        let n = take_slot(&mut out, 0)?.into_data()?.len();
         off += n as u64;
         if n < CHUNK * WINDOW {
             return Ok(off);
@@ -265,18 +174,38 @@ pub(crate) fn copy_windows(
     }
 }
 
-/// The interpreter's accumulated batch: inside `async`, the I/O builtins
-/// enqueue DAG fragments here instead of submitting private batches, and
-/// the first `await` flushes the whole accumulation through ONE
-/// [`Kernel::submit_scheduled`] submission, resolving every future from
-/// the completions.
+/// Run one batchable operation eagerly: `enqueue` adds its fragment to a
+/// private accumulator, which is flushed at once, so the eager call
+/// submits exactly the entries, slots, edges and fail mode its `async`
+/// twin submits. Returns the fragment's value; `Ok(None)` when the
+/// fragment declined (a capability that is not a regular file, or a
+/// self-copy) and the caller runs its byte-level fallback.
+pub fn run_now(
+    k: &mut Kernel,
+    pid: Pid,
+    enqueue: impl FnOnce(&mut DeferredAcc, &mut Kernel, Pid) -> CapResult<Option<Rc<FutureCell>>>,
+) -> CapResult<Option<Value>> {
+    let mut acc = DeferredAcc::new();
+    let Some(fut) = enqueue(&mut acc, k, pid)? else {
+        return Ok(None);
+    };
+    flush_deferred(k, pid, acc);
+    Ok(Some(fut.ready_value().unwrap_or(Value::Void)))
+}
+
+/// An accumulated batch of DAG fragments, one per batchable operation.
+/// Inside `async` the interpreter's accumulator collects every fragment
+/// and the first `await` flushes the whole accumulation through ONE
+/// [`Kernel::submit_batch`] submission; an eager call flushes a private
+/// accumulator at once ([`run_now`]). Flushing resolves every future from
+/// the slot-ordered results.
 ///
 /// Guard checks run at *enqueue* time (a violation aborts before anything
 /// joins the batch); errnos surface at *resolution* time as the same
 /// catchable syserrors the sequential wrappers produce. Fragments from
 /// distinct `async` expressions share no edges, so one fragment's failure
-/// never cancels a sibling — within a fragment, the same declared/data
-/// edges as the eager paths make a failure cancel exactly its own cone.
+/// never cancels a sibling — within a fragment, declared/data edges make a
+/// failure cancel exactly its own cone.
 pub struct DeferredAcc {
     batch: SyscallBatch,
     futures: Vec<Rc<FutureCell>>,
@@ -317,11 +246,11 @@ impl DeferredAcc {
         fut
     }
 
-    /// Defer a `read`: the same first `Preadv` window the eager path
-    /// submits (so per-chunk fault keys match); resolution continues past
-    /// a full window eagerly. `None` means the capability is not
-    /// batchable (pipe/socket/device) — the caller runs the sequential
-    /// wrapper instead.
+    /// Defer a `read`: one `Preadv` window from offset 0; resolution
+    /// continues past a full window with the identical windows
+    /// [`read_from_fd`] submits (so per-chunk fault keys match). `None`
+    /// means the capability is not batchable (pipe/socket/device) — the
+    /// caller runs the sequential wrapper instead.
     pub fn defer_read(&mut self, cap: &GuardedCap) -> CapResult<Option<Rc<FutureCell>>> {
         cap.check(Priv::Read)?;
         let Some(fd) = batchable_file(cap) else {
@@ -337,11 +266,14 @@ impl DeferredAcc {
     }
 
     /// Defer a `write`: truncate + positional write, the write ordered
-    /// after the truncate exactly like [`write_all_fd`]'s aborting pair.
+    /// after the truncate, so a denied truncate cancels it. The bytes are
+    /// taken out of `data` only when the fragment is accepted: a
+    /// non-batchable capability (`None`) leaves them for the caller's
+    /// sequential wrapper.
     pub fn defer_write(
         &mut self,
         cap: &GuardedCap,
-        data: Vec<u8>,
+        data: &mut Vec<u8>,
     ) -> CapResult<Option<Rc<FutureCell>>> {
         cap.check(Priv::Write)?;
         let Some(fd) = batchable_file(cap) else {
@@ -354,7 +286,7 @@ impl DeferredAcc {
         let wr = self.batch.push(BatchEntry::Pwrite {
             fd: fd.fd().into(),
             offset: 0,
-            data: data.into(),
+            data: std::mem::take(data).into(),
         });
         self.batch.deps.push((wr, tr));
         let fd = Arc::clone(fd);
@@ -364,12 +296,14 @@ impl DeferredAcc {
         })))
     }
 
-    /// Defer a copy: the first `copy_windows` window as a fragment —
+    /// Defer a copy: its first 1 MiB window as a fragment —
     /// `Preadv(src) → Ftruncate(dst) → Pwrite(dst, OutputOf(read))`, the
-    /// read's bytes flowing to the write through the slot reference —
-    /// with resolution continuing from window two eagerly. `None` for
-    /// non-batchable endpoints or a self-copy (same vnode), which must
-    /// not take the windowed pipeline (see [`cap_copy`]).
+    /// read's bytes flowing to the write through the slot reference, and
+    /// the truncate ordered after the read so a denied read leaves the
+    /// destination untouched — with resolution continuing from window two
+    /// eagerly. `None` for non-batchable endpoints or a self-copy (same
+    /// vnode), which must not take the windowed pipeline (see
+    /// [`cap_copy`]).
     pub fn defer_copy(
         &mut self,
         src: &GuardedCap,
@@ -484,33 +418,25 @@ fn demote_structureless(batch: &mut SyscallBatch) {
     }
 }
 
-/// Flush the accumulated batch: ONE scheduled submission, then resolve
-/// every pending future from the completions. A submission-level refusal
-/// (e.g. an injected charge fault — pid-keyed, so the sequential twin's
-/// per-call submissions refuse identically) resolves every future to that
-/// errno.
+/// Flush the accumulated batch: ONE submission, then resolve every
+/// pending future from the slot-ordered results (each fragment moves its
+/// payloads out exactly once — no clones of window data). A
+/// submission-level refusal (e.g. an injected charge fault) resolves
+/// every future to that errno.
 pub fn flush_deferred(k: &mut Kernel, pid: Pid, acc: DeferredAcc) {
     let DeferredAcc { mut batch, futures } = acc;
     if futures.is_empty() {
         return;
     }
     demote_structureless(&mut batch);
-    let completions = match k.submit_scheduled(pid, &batch) {
-        Ok(c) => c,
+    match k.submit_batch(pid, &batch) {
+        Ok(mut slots) => resolve_futures(k, pid, &mut slots, &futures),
         Err(e) => {
             for f in futures {
                 f.set_ready(Value::SysErr(e));
             }
-            return;
         }
-    };
-    // Move the completions into a slot-indexed table; each fragment then
-    // moves its payloads out exactly once — no clones of window data.
-    let mut slots: Vec<SysResult<BatchOut>> = vec![Err(Errno::EINVAL); batch.entries.len()];
-    for c in completions {
-        slots[c.slot] = c.out;
     }
-    resolve_futures(k, pid, &mut slots, &futures);
 }
 
 /// Resolve every still-pending future in `futures` against a filled slot
@@ -534,10 +460,9 @@ fn take_slot(slots: &mut [SysResult<BatchOut>], i: usize) -> SysResult<BatchOut>
     std::mem::replace(&mut slots[i], Err(Errno::EINVAL))
 }
 
-/// A deferred read's resolution: the accumulated window's bytes, continued
-/// eagerly from the window boundary when the window came back full — the
-/// continuation issues the identical `Preadv` windows the eager
-/// [`read_from_fd`] loop would, so per-chunk fault keys line up.
+/// A read fragment's resolution: the first window's bytes, continued
+/// eagerly from the window boundary with [`read_from_fd`] when the window
+/// came back full.
 fn resolve_read(
     k: &mut Kernel,
     pid: Pid,
@@ -614,8 +539,8 @@ fn resolve_frag(
         FragKind::DirStats {
             names, first_slot, ..
         } => {
-            // Same shape as the eager `dir_stats`: `[name, size]` pairs in
-            // directory order, names whose stat failed skipped.
+            // `[name, size]` pairs in directory order, names whose stat
+            // failed (vanished, denied) skipped.
             let items = names
                 .into_iter()
                 .enumerate()
@@ -640,23 +565,6 @@ fn resolve_frag(
                 .collect(),
         ),
     }
-}
-
-/// The `contents`+`stat` sweep over a directory capability: one `readdir`,
-/// then one batch of `fstatat`s relative to the directory descriptor.
-/// Returns `(name, stat-result)` pairs in directory order.
-pub fn cap_dir_stats(
-    k: &mut Kernel,
-    pid: Pid,
-    dir: &GuardedCap,
-) -> CapResult<Vec<(String, SysResult<Stat>)>> {
-    dir.check(Priv::Contents)?;
-    dir.check(Priv::Lookup)?;
-    dir.check(Priv::Stat)?;
-    let dirfd = dir.raw.fd().ok_or(CapError::Sys(Errno::EBADF))?;
-    let names = k.readdirfd(pid, dirfd)?;
-    let stats = stat_names(k, pid, dirfd, &names)?;
-    Ok(names.into_iter().zip(stats).collect())
 }
 
 #[cfg(test)]
@@ -699,10 +607,12 @@ mod tests {
         let (mut k, pid) = setup();
         let a = GuardedCap::unguarded(RawCap::open_path(&mut k, pid, "/home/u/a.txt").unwrap());
         let b = GuardedCap::unguarded(RawCap::open_path(&mut k, pid, "/home/u/b.txt").unwrap());
-        cap_write_all(&mut k, pid, &a, b"rewritten".to_vec()).unwrap();
+        let mut data = b"rewritten".to_vec();
+        let v = run_now(&mut k, pid, |acc, _, _| acc.defer_write(&a, &mut data)).unwrap();
+        assert!(matches!(v, Some(Value::Void)), "{v:?}");
         assert_eq!(cap_read_all(&mut k, pid, &a).unwrap(), b"rewritten");
-        let n = cap_copy(&mut k, pid, &a, &b).unwrap();
-        assert_eq!(n, 9);
+        let n = run_now(&mut k, pid, |acc, _, _| acc.defer_copy(&a, &b)).unwrap();
+        assert!(matches!(n, Some(Value::Num(9))), "{n:?}");
         assert_eq!(cap_read_all(&mut k, pid, &b).unwrap(), b"rewritten");
     }
 
@@ -714,8 +624,8 @@ mod tests {
             .unwrap();
         let dst = GuardedCap::unguarded(RawCap::open_path(&mut k, pid, "/home/u/dst.bin").unwrap());
         k.stats.reset();
-        let n = cap_copy(&mut k, pid, &src, &dst).unwrap();
-        assert_eq!(n, 200_000);
+        let n = run_now(&mut k, pid, |acc, _, _| acc.defer_copy(&src, &dst)).unwrap();
+        assert!(matches!(n, Some(Value::Num(200_000))), "{n:?}");
         let st = k.stats.snapshot();
         // 200,000 bytes fit in one 1 MiB window: read + truncate + write
         // fused into a single submission, data flowing via a slot link.
@@ -754,11 +664,23 @@ mod tests {
         let (mut k, pid) = setup();
         let dir = GuardedCap::unguarded(RawCap::open_path(&mut k, pid, "/home/u").unwrap());
         k.stats.reset();
-        let pairs = cap_dir_stats(&mut k, pid, &dir).unwrap();
+        let v = run_now(&mut k, pid, |acc, k, pid| {
+            acc.defer_dir_stats(k, pid, &dir).map(Some)
+        })
+        .unwrap();
+        let Some(Value::List(pairs)) = v else {
+            panic!("{v:?}")
+        };
         assert_eq!(pairs.len(), 3);
         let sizes: Vec<u64> = pairs
             .iter()
-            .map(|(_, st)| st.as_ref().map(|s| s.size).unwrap_or(0))
+            .map(|pair| match pair {
+                Value::List(kv) => match kv[1] {
+                    Value::Num(n) => n as u64,
+                    _ => 0,
+                },
+                _ => 0,
+            })
             .collect();
         assert!(sizes.contains(&5) && sizes.contains(&2) && sizes.contains(&200_000));
         let st = k.stats.snapshot();
@@ -771,8 +693,8 @@ mod tests {
     fn first_cause_prefers_real_errnos_over_the_cancellation_cone() {
         // Regression (ISSUE 8 satellite): resolving a fragment must not
         // report the cone artifact even when it is encountered first —
-        // whether because the cone slot is numerically lower or because a
-        // completion queue delivered it earlier.
+        // whether because the cone slot is numerically lower or because it
+        // executed earlier.
         assert_eq!(
             first_cause([(2, Errno::ECANCELED), (5, Errno::EIO)]),
             Some(Errno::EIO)
@@ -806,8 +728,8 @@ mod tests {
             2,
             Errno::EIO,
         )));
-        match cap_copy(&mut k, pid, &src, &dst) {
-            Err(CapError::Sys(e)) => assert_eq!(e, Errno::EIO, "cause errno, not ECANCELED"),
+        match run_now(&mut k, pid, |acc, _, _| acc.defer_copy(&src, &dst)) {
+            Ok(Some(Value::SysErr(e))) => assert_eq!(e, Errno::EIO, "cause errno, not ECANCELED"),
             other => panic!("expected the injected EIO, got {other:?}"),
         }
         let st = k.stats_snapshot();
@@ -833,5 +755,14 @@ mod tests {
             cap_copy(&mut k, pid, &sealed, &sealed),
             Err(CapError::Violation(_))
         ));
+        // A readable source must not be drained when the destination
+        // forbids the write.
+        let src = GuardedCap::unguarded(RawCap::open_path(&mut k, pid, "/home/u/b.txt").unwrap());
+        k.stats.reset();
+        assert!(matches!(
+            cap_copy(&mut k, pid, &src, &sealed),
+            Err(CapError::Violation(_))
+        ));
+        assert_eq!(k.stats.snapshot().syscalls, 0);
     }
 }

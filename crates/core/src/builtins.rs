@@ -10,7 +10,7 @@ use shill_cap::{CapKind, CapPrivs, Priv, PrivSet, RawCap};
 use shill_contracts::{CapError, GuardedCap};
 use shill_kernel::{BatchEntry, BatchOut, FdObject, ObjId, ScheduledRun, SyscallBatch, Ulimits};
 use shill_sandbox::{Grant, SandboxSpec};
-use shill_vfs::{Errno, Mode, SysResult};
+use shill_vfs::{Errno, Mode};
 
 use crate::ast::ContractExpr;
 use crate::env::Env;
@@ -140,7 +140,7 @@ fn want_str(v: &Value, what: &str) -> Result<String, ShillError> {
 
 /// Convert a capability-op result: system errors become `SysErr` *values*
 /// (observable via `is_syserror`), contract violations abort.
-fn cap_result(r: Result<Value, CapError>) -> EvalResult {
+pub(crate) fn cap_result(r: Result<Value, CapError>) -> EvalResult {
     match r {
         Ok(v) => Ok(v),
         Err(CapError::Sys(e)) => Ok(Value::SysErr(e)),
@@ -243,49 +243,34 @@ pub fn call_builtin(
         }
 
         // --- file operations ------------------------------------------------
-        // `read`/`write` route through the batch-aware I/O layer
-        // (`crate::batchio`): same guard checks and per-chunk MAC
-        // interposition, one kernel crossing per window instead of one per
-        // chunk.
+        // `read`/`write` run their batch fragment (`crate::batchio`): same
+        // guard checks and per-chunk MAC interposition, one kernel crossing
+        // per window instead of one per chunk, deferred inside `async`.
+        // Pipes, sockets and devices decline the fragment and go through
+        // the checked raw path.
         "read" => {
             arity(&args, 1, name)?;
             let (cap, _brands) = interp.unseal_for(&args[0], Priv::Read)?;
-            let pid = interp.pid;
-            // Inside `async`, a batchable read joins the accumulated batch
-            // and hands back a future; non-batchable capabilities
-            // (pipes/sockets) keep the eager path — the `Async` wrapper
-            // turns their result into a ready future.
-            if interp.async_depth > 0 {
-                if let Some(acc) = interp.deferred.as_mut() {
-                    match acc.defer_read(&cap) {
-                        Ok(Some(fut)) => return Ok(Value::Future(fut)),
-                        Ok(None) => {}
-                        Err(e) => return cap_result(Err(e)),
-                    }
-                }
-            }
-            cap_result(
-                crate::batchio::cap_read_all(&mut interp.kernel, pid, &cap)
+            cap_result(match interp.batchable(|acc, _, _| acc.defer_read(&cap)) {
+                Ok(Some(v)) => Ok(v),
+                Ok(None) => cap
+                    .read_all(&mut interp.kernel, interp.pid)
                     .map(|d| Value::str(String::from_utf8_lossy(&d).into_owned())),
-            )
+                Err(e) => Err(e),
+            })
         }
         "write" => {
             arity(&args, 2, name)?;
-            let data = want_str(&args[1], "data")?;
+            let mut data = want_str(&args[1], "data")?.into_bytes();
             let (cap, _brands) = interp.unseal_for(&args[0], Priv::Write)?;
-            let pid = interp.pid;
-            if interp.async_depth > 0 {
-                if let Some(acc) = interp.deferred.as_mut() {
-                    match acc.defer_write(&cap, data.clone().into_bytes()) {
-                        Ok(Some(fut)) => return Ok(Value::Future(fut)),
-                        Ok(None) => {}
-                        Err(e) => return cap_result(Err(e)),
-                    }
-                }
-            }
             cap_result(
-                crate::batchio::cap_write_all(&mut interp.kernel, pid, &cap, data.into_bytes())
-                    .map(|_| Value::Void),
+                match interp.batchable(|acc, _, _| acc.defer_write(&cap, &mut data)) {
+                    Ok(Some(v)) => Ok(v),
+                    Ok(None) => cap
+                        .write_all(&mut interp.kernel, interp.pid, &data)
+                        .map(|()| Value::Void),
+                    Err(e) => Err(e),
+                },
             )
         }
         // --- completion-model surface (deferred execution) -------------------
@@ -798,7 +783,6 @@ fn builtin_select(interp: &mut Interp, args: Vec<Value>) -> EvalResult {
         })
         .collect();
     let (batch, futures) = acc.into_parts();
-    let n_entries = batch.entries.len();
     let pid = interp.pid;
     let mut run = match ScheduledRun::prepare(pid, batch) {
         Ok(r) => r,
@@ -838,10 +822,7 @@ fn builtin_select(interp: &mut Interp, args: Vec<Value>) -> EvalResult {
         }
         return Ok(Value::SysErr(e));
     }
-    let mut slots: Vec<SysResult<BatchOut>> = vec![Err(Errno::EINVAL); n_entries];
-    for c in run.into_completions() {
-        slots[c.slot] = c.out;
-    }
+    let mut slots = run.into_results();
     crate::batchio::resolve_futures(&mut interp.kernel, pid, &mut slots, &futures);
     Ok(Value::Num(winner.unwrap_or(0) as i64))
 }

@@ -6,7 +6,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use shill_cap::PrivSet;
-use shill_contracts::{Blame, GuardedCap, SealBrand, Violation};
+use shill_contracts::{Blame, CapResult, GuardedCap, SealBrand, Violation};
 use shill_kernel::{Kernel, Pid};
 use shill_sandbox::ShillPolicy;
 
@@ -55,10 +55,10 @@ pub struct Interp {
     /// submission. At most one accumulator exists at a time, so any
     /// pending future always belongs to it.
     pub deferred: Option<DeferredAcc>,
-    /// Non-zero while evaluating inside an `async` operand — the I/O
-    /// builtins consult this to defer instead of submitting eagerly. A
-    /// plain counter (not a flag): `async` forms nest, including through
-    /// closure calls made inside the operand.
+    /// Non-zero while evaluating inside an `async` operand —
+    /// [`Interp::batchable`] consults this to defer instead of flushing
+    /// at once. A plain counter (not a flag): `async` forms nest,
+    /// including through closure calls made inside the operand.
     pub async_depth: usize,
 }
 
@@ -82,12 +82,31 @@ impl Interp {
         }
     }
 
-    /// Force the accumulated batch: one scheduled submission resolving
-    /// every pending future. No-op when nothing is deferred.
+    /// Force the accumulated batch: one submission resolving every
+    /// pending future. No-op when nothing is deferred.
     pub fn flush_deferred(&mut self) {
         if let Some(acc) = self.deferred.take() {
             crate::batchio::flush_deferred(&mut self.kernel, self.pid, acc);
         }
+    }
+
+    /// Run one batchable operation through its fragment (`enqueue`, one
+    /// of the [`DeferredAcc`] `defer_*` methods). Inside `async` the
+    /// fragment joins the accumulated batch and the result is its pending
+    /// future; otherwise it is flushed at once
+    /// ([`crate::batchio::run_now`]) and the result is its value.
+    /// `Ok(None)` when the fragment declined: the caller runs its
+    /// byte-level fallback eagerly.
+    pub fn batchable(
+        &mut self,
+        enqueue: impl FnOnce(&mut DeferredAcc, &mut Kernel, Pid) -> CapResult<Option<Rc<FutureCell>>>,
+    ) -> CapResult<Option<Value>> {
+        if self.async_depth > 0 {
+            if let Some(acc) = self.deferred.as_mut() {
+                return Ok(enqueue(acc, &mut self.kernel, self.pid)?.map(Value::Future));
+            }
+        }
+        crate::batchio::run_now(&mut self.kernel, self.pid, enqueue)
     }
 
     /// Register a script under a module name for `require`.

@@ -20,6 +20,7 @@ use shill_cap::{CapPrivs, Priv, PrivSet};
 use shill_contracts::{Blame, CapError, GuardedCap};
 
 use crate::ast::{ContractExpr, FuncContract};
+use crate::builtins::cap_result;
 use crate::eval::Interp;
 use crate::value::{ContractedFn, EvalResult, NativeFn, ShillError, Value};
 
@@ -117,9 +118,11 @@ fn filesys_module() -> HashMap<String, Value> {
     // copy_file(src, dst) -> bytes copied (or syserror). cp in one
     // expression, fused onto the scheduler's pipeline path: each window is
     // ONE submission (read → truncate → write) with the bytes flowing to
-    // the write through a slot reference instead of surfacing here.
-    // Requires +read on src and +write (with +truncate/+append per the
-    // sandbox's write conservatism) on dst.
+    // the write through a slot reference instead of surfacing here; under
+    // `async` the first window joins the accumulated batch. Self-copies
+    // and copies involving a pipe, socket or device decline the pipeline
+    // and copy byte-wise. Requires +read on src and +write (with
+    // +truncate/+append per the sandbox's write conservatism) on dst.
     m.insert(
         "copy_file".into(),
         native_fn("copy_file", |interp, args, _kw| {
@@ -128,31 +131,23 @@ fn filesys_module() -> HashMap<String, Value> {
             }
             let (src, _b1) = interp.unseal_for(&args[0], Priv::Read)?;
             let (dst, _b2) = interp.unseal_for(&args[1], Priv::Write)?;
-            let pid = interp.pid;
-            // Under `async`, the first window joins the accumulated batch as
-            // a read → truncate → write DAG fragment; the future resolves to
-            // the byte count (continuing eagerly past the first window for
-            // large files).
-            if interp.async_depth > 0 {
-                if let Some(acc) = interp.deferred.as_mut() {
-                    match acc.defer_copy(&src, &dst) {
-                        Ok(Some(fut)) => return Ok(Value::Future(fut)),
-                        Ok(None) => {}
-                        Err(CapError::Sys(e)) => return Ok(Value::SysErr(e)),
-                        Err(CapError::Violation(v)) => return Err(ShillError::Violation(v)),
+            cap_result(
+                match interp.batchable(|acc, _, _| acc.defer_copy(&src, &dst)) {
+                    Ok(Some(v)) => Ok(v),
+                    Ok(None) => {
+                        crate::batchio::cap_copy(&mut interp.kernel, interp.pid, &src, &dst)
+                            .map(|n| Value::Num(n as i64))
                     }
-                }
-            }
-            match crate::batchio::cap_copy(&mut interp.kernel, pid, &src, &dst) {
-                Ok(n) => Ok(Value::Num(n as i64)),
-                Err(CapError::Sys(e)) => Ok(Value::SysErr(e)),
-                Err(CapError::Violation(v)) => Err(ShillError::Violation(v)),
-            }
+                    Err(e) => Err(e),
+                },
+            )
         }),
     );
     // dir_stats(dir) -> list of [name, size] pairs. The `contents` +
     // per-name `stat` loop as one readdir plus one batched fstatat sweep;
     // names whose stat fails (vanished, denied) are skipped, like `find`.
+    // Under `async` the readdir still runs at once (the sweep needs the
+    // names) and the fstatat fan joins the accumulated batch.
     m.insert(
         "dir_stats".into(),
         native_fn("dir_stats", |interp, args, _kw| {
@@ -160,40 +155,17 @@ fn filesys_module() -> HashMap<String, Value> {
                 return Err(ShillError::Runtime("dir_stats expects (dir)".into()));
             }
             let (dir, _b) = interp.unseal_for(&args[0], Priv::Contents)?;
-            let pid = interp.pid;
-            // Under `async`, the readdir still runs eagerly (the stat sweep
-            // needs the names) but the per-name fstatat fan joins the
-            // accumulated batch; the future resolves to the same
-            // [[name, size], …] shape.
-            if interp.async_depth > 0 {
-                let kernel = &mut interp.kernel;
-                if let Some(acc) = interp.deferred.as_mut() {
-                    return match acc.defer_dir_stats(kernel, pid, &dir) {
-                        Ok(fut) => Ok(Value::Future(fut)),
-                        Err(CapError::Sys(e)) => Ok(Value::SysErr(e)),
-                        Err(CapError::Violation(v)) => Err(ShillError::Violation(v)),
-                    };
-                }
-            }
-            match crate::batchio::cap_dir_stats(&mut interp.kernel, pid, &dir) {
-                Ok(pairs) => Ok(Value::list(
-                    pairs
-                        .into_iter()
-                        .filter_map(|(name, st)| st.ok().map(|st| (name, st)))
-                        .map(|(name, st)| {
-                            Value::list(vec![Value::str(name), Value::Num(st.size as i64)])
-                        })
-                        .collect(),
-                )),
-                Err(CapError::Sys(e)) => Ok(Value::SysErr(e)),
-                Err(CapError::Violation(v)) => Err(ShillError::Violation(v)),
-            }
+            cap_result(
+                interp
+                    .batchable(|acc, k, pid| acc.defer_dir_stats(k, pid, &dir).map(Some))
+                    .map(|v| v.unwrap_or(Value::Void)),
+            )
         }),
     );
     // slurp_many(caps) -> list of file contents (per-element syserrors for
-    // the files that fail). The whole sweep is ONE scheduled submission —
-    // a Preadv window per file — instead of a read syscall per element.
-    // Under `async` it joins the accumulated batch and returns a future.
+    // the files that fail). The whole sweep is ONE submission — a Preadv
+    // window per file — instead of a read syscall per element. Under
+    // `async` it joins the accumulated batch and returns a future.
     m.insert(
         "slurp_many".into(),
         native_fn("slurp_many", |interp, args, _kw| {
@@ -209,30 +181,14 @@ fn filesys_module() -> HashMap<String, Value> {
                 let (cap, _b) = interp.unseal_for(v, Priv::Read)?;
                 caps.push(cap);
             }
-            let pid = interp.pid;
-            let deferred = interp.async_depth > 0 && interp.deferred.is_some();
-            let mut own = crate::batchio::DeferredAcc::new();
-            let acc = if deferred {
-                interp.deferred.as_mut().unwrap()
-            } else {
-                &mut own
-            };
-            match acc.defer_slurp(&caps) {
-                Ok(Some(fut)) => {
-                    if deferred {
-                        return Ok(Value::Future(fut));
-                    }
-                    // Eager call: force the private accumulator right away —
-                    // still one submission for the whole sweep.
-                    crate::batchio::flush_deferred(&mut interp.kernel, pid, own);
-                    return Ok(fut.ready_value().unwrap_or(Value::Void));
-                }
+            match interp.batchable(|acc, _, _| acc.defer_slurp(&caps)) {
+                Ok(Some(v)) => return Ok(v),
                 Ok(None) => {}
-                Err(CapError::Sys(e)) => return Ok(Value::SysErr(e)),
-                Err(CapError::Violation(v)) => return Err(ShillError::Violation(v)),
+                Err(e) => return cap_result(Err(e)),
             }
             // Some capability was not batchable (pipe/socket): read each
             // eagerly, keeping the per-element string/syserror shape.
+            let pid = interp.pid;
             let mut out = Vec::with_capacity(caps.len());
             for cap in &caps {
                 match crate::batchio::cap_read_all(&mut interp.kernel, pid, cap) {

@@ -26,7 +26,7 @@ use crate::env::Env;
 /// holds the [`CapFd`] handles its batch entries name, so a capability
 /// passed as a temporary (`async read(open_file(..))`) keeps its
 /// descriptor open until the fragment resolves. Guard checks already
-/// happened at enqueue time — resolution only maps completions to values,
+/// happened at enqueue time — resolution only maps slot results to values,
 /// so errnos surface as catchable [`Value::SysErr`]s, never violations.
 #[derive(Debug, Clone)]
 pub enum FragKind {

@@ -81,7 +81,7 @@ fn async_pipeline_is_one_scheduled_submission() {
     let v = rt.run_ok(DRIVE_FUSED);
     let after = rt.kernel().stats_snapshot();
 
-    // One `submit_scheduled` carried the copy DAG and both reads.
+    // One `submit_batch` carried the copy DAG and both reads.
     assert_eq!(after.batches - before.batches, 1, "expected ONE submission");
     // The copy's write consumed the read's buffer through a slot reference.
     assert!(after.slot_links - before.slot_links >= 1, "no slot link");
@@ -460,6 +460,23 @@ fn outcome(body: &str) -> (String, Vec<u8>, Vec<u8>) {
     )
 }
 
+/// The kernel counters one ambient script (with `shill/filesys`) moves in
+/// a fresh runtime, field by field.
+fn stats_delta(body: &str) -> Vec<(&'static str, u64)> {
+    let mut rt = runtime();
+    let before = rt.kernel().stats_snapshot();
+    rt.run_ok(&format!(
+        "#lang shill/ambient\nrequire shill/filesys;\n{body}"
+    ));
+    let after = rt.kernel().stats_snapshot();
+    before
+        .fields()
+        .into_iter()
+        .zip(after.fields())
+        .map(|((name, b), (_, a))| (name, a - b))
+        .collect()
+}
+
 #[test]
 fn async_ops_on_temporary_caps_match_their_eager_twins() {
     // Each deferred form drops its capability as soon as the fragment is
@@ -479,6 +496,14 @@ fn async_ops_on_temporary_caps_match_their_eager_twins() {
         ));
         assert_eq!(deferred, outcome(op), "{op}");
         assert!(!deferred.0.contains("syserror"), "{op}: {}", deferred.0);
+        // The eager call flushes the same fragment its `async` twin
+        // accumulates: identical entries, slots, edges and fail mode, so
+        // identical kernel counters.
+        assert_eq!(
+            stats_delta(op),
+            stats_delta(&format!("await (async {op})")),
+            "{op}"
+        );
     }
     let selected = outcome(
         r#"fa = async read(open_file("/home/u/a.txt"));

@@ -5,9 +5,10 @@
 //! pay a full kernel round-trip: a ulimit charge, a MAC subject-context
 //! construction, and a `namei` path walk. PR 1's caches cut the
 //! per-*component* cost; this module cuts the per-*call* cost. A
-//! [`SyscallBatch`] carries a sequence of [`BatchEntry`] operations that
-//! [`crate::Kernel::submit_batch`] executes **in submission order** with
-//! three amortizations:
+//! [`SyscallBatch`] carries a sequence of [`BatchEntry`] operations, and
+//! [`crate::Kernel::submit_batch`] — the one way a batch executes —
+//! runs them in dependency waves ([`crate::sched`]) with three
+//! amortizations:
 //!
 //! * **One ulimit charge per batch.** The cpu-tick budget is read once at
 //!   submit time; entries consume ticks from the pre-read budget (same
@@ -60,11 +61,12 @@
 //! kernel cannot see (say, two writes that must land in order).
 //!
 //! Slot references and declared edges together form the batch's dependency
-//! DAG ([`crate::sched::BatchDag`]). `submit_batch` and `run_sequential`
-//! execute the DAG in submission order (always a valid topological order,
-//! since edges point backward); [`crate::Kernel::submit_scheduled`]
-//! executes it **out of order** in dependency waves — see [`crate::sched`]
-//! for the completion model. All three are observationally equivalent on
+//! DAG ([`crate::sched::BatchDag`]). [`crate::Kernel::submit_batch`]
+//! executes it in dependency waves, possibly **out of** submission order
+//! (see [`crate::sched`]); [`crate::Kernel::run_sequential`], the
+//! equivalence oracle, executes it in submission order (always a valid
+//! topological order, since edges point backward). Both return one result
+//! per entry in slot order, and they are observationally equivalent on
 //! batches whose conflicting entries are ordered by the DAG.
 //!
 //! Failure semantics are selected per batch by [`FailMode`]. A failed (or
@@ -86,7 +88,7 @@ use shill_vfs::{Errno, Mode, NodeId, Stat, SysResult};
 
 use crate::kernel::Kernel;
 use crate::mac::MacCtx;
-use crate::sched::BatchDag;
+use crate::sched::{into_slots, BatchDag, WaveTable};
 use crate::stats::KernelStats;
 use crate::types::{Fd, OpenFlags, Pid};
 
@@ -536,7 +538,7 @@ pub struct PrefixTrace {
 }
 
 /// Live state of a batched submission, installed on the kernel for the
-/// duration of `submit_batch` (or of one scheduler wave). `charge`, `ctx`,
+/// duration of `submit_batch` (or of one stepped wave). `charge`, `ctx`,
 /// and `namei` consult it.
 pub struct BatchState {
     /// The MAC subject context, built once.
@@ -648,43 +650,36 @@ impl Drop for BatchGuard<'_> {
 }
 
 impl Kernel {
-    /// Submit a batch for `pid`. Entries execute in submission order (slot
-    /// references and declared dependencies are honoured trivially — edges
-    /// point backward); the returned vector has one slot per entry. The
-    /// outer `Err` is reserved for submission-level failures (no such
-    /// process, nested submission, malformed slot references).
+    /// Submit a batch for `pid` and execute it in dependency waves under
+    /// one amortized installation: one ulimit charge, one MAC context, one
+    /// prefix cache (see the module docs for the amortization and
+    /// equivalence contract, and [`crate::sched`] for the wave model).
+    /// Returns one result per entry, in slot order, moved out of the run
+    /// with no copy. The outer `Err` is reserved for submission-level
+    /// failures (no such process, nested submission, malformed slot
+    /// references).
     ///
-    /// See the module docs for the amortization and equivalence contract;
-    /// see [`crate::Kernel::submit_scheduled`] for the out-of-order
-    /// completion model over the same batches.
+    /// Callers that must release the kernel between waves step the same
+    /// batch with [`crate::sched::ScheduledRun`] instead.
     pub fn submit_batch(
         &mut self,
         pid: Pid,
         batch: &SyscallBatch,
     ) -> SysResult<Vec<SysResult<BatchOut>>> {
-        let dag = BatchDag::build(batch)?;
-        let batch_span = self.trace_span(
-            crate::trace::TraceSite::Batch,
-            pid.0 as u64,
-            batch.entries.len() as u64,
-        );
-        let (out, ctx) = {
+        let mut table = WaveTable::new(batch)?;
+        let n = batch.entries.len() as u64;
+        let batch_span = self.trace_span(crate::trace::TraceSite::Batch, pid.0 as u64, n);
+        let ctx = {
             let guard = BatchGuard::install(self, pid)?;
             KernelStats::bump(&guard.k.stats.batches);
-            let ctx = guard.ctx();
-            let out = guard.k.run_entries_in_order(pid, batch, &dag, true);
-            (out, ctx)
+            while !table.finished() {
+                guard.k.exec_next_wave(pid, batch, &mut table);
+            }
+            guard.ctx()
         };
         drop(batch_span);
-        // One audit span per batch with per-entry outcomes and the wave
-        // structure the dependency DAG implies. The in-order path has no
-        // per-wave timing (waves are a layering of a sequential run):
-        // `wave_ns` is empty, which policies render as zeros.
-        let outcomes: Vec<Option<Errno>> = out.iter().map(|r| r.as_ref().err().copied()).collect();
-        for p in self.policies() {
-            p.batch_complete(ctx, &outcomes, dag.waves(), &[]);
-        }
-        Ok(out)
+        self.audit_batch(ctx, &table);
+        Ok(table.into_results())
     }
 
     /// Submit a single (typically fused) entry: one kernel crossing, one
@@ -696,12 +691,15 @@ impl Kernel {
             .unwrap_or(Err(Errno::EINVAL))
     }
 
-    /// Execute the same entries through the plain sequential path: one
-    /// charge and one MAC context per inner syscall, no prefix reuse, no
-    /// batch audit span. Slot references and dependency poisoning are
-    /// honoured identically (this is the equivalence oracle — the property
-    /// suites and the ablation bench compare both `submit_batch` and
-    /// `submit_scheduled` against it).
+    /// Execute the same entries through the plain sequential path, in
+    /// submission order: one charge and one MAC context per inner syscall,
+    /// no prefix reuse, no batch audit span. Slot references and
+    /// dependency poisoning are honoured identically — submission order is
+    /// always a valid topological order because every edge points
+    /// backward, so "execute in order, cancelling poisoned slots" realizes
+    /// exactly the semantics the wave scheduler realizes out of order.
+    /// This is the equivalence oracle: the property suites and the
+    /// ablation bench compare [`Kernel::submit_batch`] against it.
     pub fn run_sequential(
         &mut self,
         pid: Pid,
@@ -714,51 +712,25 @@ impl Kernel {
             return Err(Errno::ESRCH);
         }
         let dag = BatchDag::build(batch)?;
-        Ok(self.run_entries_in_order(pid, batch, &dag, false))
-    }
-
-    /// Index-order DAG execution shared by `submit_batch` (with batch state
-    /// installed; `as_batch`) and `run_sequential` (without). Submission
-    /// order is always a valid topological order because every edge points
-    /// backward, so "execute in order, cancelling poisoned slots" realizes
-    /// exactly the semantics the wave scheduler realizes out of order.
-    pub(crate) fn run_entries_in_order(
-        &mut self,
-        pid: Pid,
-        batch: &SyscallBatch,
-        dag: &BatchDag,
-        as_batch: bool,
-    ) -> Vec<SysResult<BatchOut>> {
         let mut results: Vec<Option<SysResult<BatchOut>>> = Vec::new();
         results.resize_with(batch.entries.len(), || None);
         for (i, entry) in batch.entries.iter().enumerate() {
             let r = if dag.should_cancel(i, batch.fail_mode, &results) {
-                // Cancelled entries never execute: they are not counted in
-                // `batch_entries` and their `ECANCELED` slot is an audit
-                // cancellation, not a denial.
+                // Cancelled entries never execute.
                 Err(Errno::ECANCELED)
             } else if let Err(e) = self.fault_batch_entry(pid, i) {
                 // An injected entry fault fails the slot before it runs;
                 // dependents are cancelled by the normal poisoning rules —
-                // a deterministic mid-batch cancellation.
+                // the same slot-keyed schedule the wave scheduler sees.
                 Err(e)
             } else {
-                if as_batch {
-                    KernelStats::bump(&self.stats.batch_entries);
-                }
-                // Per-entry dispatch span: this loop serves both the
-                // sequential oracle and `submit_batch`, so the syscall
-                // site covers every in-order execution mode.
                 let _syscall_span =
                     self.trace_span(crate::trace::TraceSite::Syscall, pid.0 as u64, i as u64);
                 self.exec_entry(pid, entry, &results)
             };
             results[i] = Some(r);
         }
-        results
-            .into_iter()
-            .map(|r| r.expect("every slot filled"))
-            .collect()
+        Ok(into_slots(results))
     }
 
     /// Resolve a descriptor position against earlier slot results.

@@ -6,8 +6,8 @@
 //! execution, and the MAC vnode hook (as an injected policy panic). The
 //! point is to prove the degradation story: under any schedule the kernel
 //! returns clean errnos, the batch machinery cancels dependents instead of
-//! wedging, and the four execution modes (sequential, batched, scheduled,
-//! sharded pool) stay observationally identical.
+//! wedging, and the three execution modes (the sequential oracle,
+//! `submit_batch`, the sharded pool) stay observationally identical.
 //!
 //! ## Determinism model
 //!
@@ -86,7 +86,7 @@ pub enum FaultSite {
     FsWrite = 4,
     /// Batch-entry execution, keyed by (shard-relative pid, slot index) —
     /// slot identity, not execution order, so the same entry fails under
-    /// in-order, out-of-order, and pooled execution.
+    /// sequential, wave-scheduled, and pooled execution.
     Batch = 5,
     /// Injected panic in the MAC vnode hook, modeling a buggy policy
     /// module. Keyed by shard-relative pid.

@@ -320,7 +320,7 @@ impl Kernel {
     }
 
     /// Consult the fault plane for a batch entry, keyed by slot identity
-    /// (never execution order) so in-order, out-of-order, and pooled
+    /// (never execution order) so sequential, wave-scheduled, and pooled
     /// execution fail the same entries.
     pub(crate) fn fault_batch_entry(&self, pid: Pid, slot: usize) -> SysResult<()> {
         self.fault_check(

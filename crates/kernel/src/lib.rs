@@ -42,7 +42,7 @@ pub use mac::{MacCtx, MacPolicy, NullPolicy, PipeOp, ProcOp, SocketOp, SystemOp,
 pub use net::{InjConnId, RemoteHandler};
 pub use process::{CloseQueue, FdObject, OpenFile, ProcState, Process};
 pub use registry::PolicyRegistry;
-pub use sched::{completions_to_slots, BatchDag, Completion, ScheduledRun};
+pub use sched::{BatchDag, ScheduledRun};
 pub use shard::{
     shard_count_from_env, KernelShards, MAX_SHARDS, SHARD_OBJ_STRIDE, SHARD_PID_STRIDE,
     SHILL_SHARDS_ENV,

@@ -231,9 +231,9 @@ pub trait MacPolicy: Send + Sync {
     /// executed in (slot indices per wave — a single wave for a flat
     /// batch, one wave per link for an `&&` chain). Policies with an audit
     /// log record one span per batch instead of one event per call, split
-    /// per wave. `wave_ns` carries per-wave execution durations in
-    /// nanoseconds when the tracing plane measured them (empty or zeroed
-    /// otherwise — timing is observability, never policy input).
+    /// per wave. `wave_ns` carries one execution duration per wave in
+    /// nanoseconds when the tracing plane measured them (zeros otherwise —
+    /// timing is observability, never policy input).
     fn batch_complete(
         &self,
         _ctx: MacCtx,

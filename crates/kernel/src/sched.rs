@@ -1,19 +1,19 @@
-//! io_uring-style completion scheduler for batched submissions: the batch
-//! subsystem's out-of-order execution engine.
+//! The dependency-wave scheduler: the one executor behind every batched
+//! submission.
 //!
 //! [`crate::batch`] gave the runtime→kernel boundary a submission queue;
-//! this module gives it a **completion model**. A [`SyscallBatch`] whose
-//! entries declare their dependencies (explicit [`SyscallBatch::deps`]
-//! edges plus the data edges implied by [`crate::batch::BatchFd::FromEntry`]
-//! / [`crate::batch::BatchArg::OutputOf`] slot references) is validated
+//! this module executes it. A [`SyscallBatch`] whose entries declare
+//! their dependencies (explicit [`SyscallBatch::deps`] edges plus the data
+//! edges implied by [`crate::batch::BatchFd::FromEntry`] /
+//! [`crate::batch::BatchArg::OutputOf`] slot references) is validated
 //! into a [`BatchDag`], topologically layered into **ready waves**, and
-//! executed wave by wave: every entry in a wave has all of its dependencies
-//! satisfied, so the scheduler is free to run waves' entries in any order
-//! relative to the submission order — an entry whose dependencies resolve
-//! early overtakes earlier-submitted entries that are still waiting on
-//! theirs. Results are delivered through a completion queue of
-//! [`Completion`] records in *execution* order; slot order is recoverable
-//! via [`Completion::slot`].
+//! executed wave by wave: every entry in a wave has all of its
+//! dependencies satisfied, so an entry whose dependencies resolve early
+//! overtakes earlier-submitted entries that are still waiting on theirs.
+//! Results come back in slot order, moved out of the run's result table
+//! ([`crate::Kernel::submit_batch`], [`ScheduledRun::into_results`]).
+//! Execution order stays visible where something reads it:
+//! [`ScheduledRun::completed_slots`] and the `sched_reorders` counter.
 //!
 //! ## Equivalence contract
 //!
@@ -23,16 +23,15 @@
 //! *conflicting* entries are ordered by the DAG (the io_uring contract:
 //! operations racing on shared state without a declared edge have
 //! unspecified relative order). Within a wave, entries execute in ascending
-//! slot order, so a batch with **no** edges degenerates to exactly the
-//! in-order path; `FailMode::Abort` batches with no edges are treated as
-//! one linear chain (see [`crate::batch::FailMode`]), preserving the
-//! legacy `&&`-chain semantics under the scheduler too. One caveat:
-//! descriptor *numbers* returned by `Open` entries are covered only up to
-//! renaming — the fd allocator is a monotonic counter, so a reordered
-//! (or transiently fused) open shifts later numbers; in-batch consumers
-//! use slot references precisely so nothing else depends on the number.
-//! The DAG property suite in `tests/batch_equivalence.rs` is the
-//! enforcement.
+//! slot order, so a batch with **no** edges executes in exactly index
+//! order; `FailMode::Abort` batches with no edges are treated as one
+//! linear chain (see [`crate::batch::FailMode`]), preserving the legacy
+//! `&&`-chain semantics. One caveat: descriptor *numbers* returned by
+//! `Open` entries are covered only up to renaming — the fd allocator is a
+//! monotonic counter, so a reordered (or transiently fused) open shifts
+//! later numbers; in-batch consumers use slot references precisely so
+//! nothing else depends on the number. The DAG property suite in
+//! `tests/batch_equivalence.rs` is the enforcement.
 //!
 //! ## Cancellation cones
 //!
@@ -43,26 +42,28 @@
 //! while independent entries keep executing. Cancelled slots report
 //! `ECANCELED` without executing: they are not counted in `batch_entries`,
 //! produce no audit denials, and are booked as cancellations (not
-//! failures) in the batch's audit span — identical accounting to the
-//! in-order abort path.
+//! failures) in the batch's audit span.
 //!
-//! ## Locking and the worker pool
+//! ## One-shot and stepped forms
 //!
-//! [`crate::Kernel::submit_scheduled`] runs all waves under one amortized
-//! [`crate::batch::BatchState`] installation (one ulimit charge, one MAC
-//! context, one prefix cache). The steppable form —
-//! [`ScheduledRun::prepare`] (pure validation, no kernel access, callable
-//! outside any lock) + [`crate::Kernel::sched_run_wave`] +
-//! [`crate::Kernel::sched_finish`] — installs batch state **per wave**, so
-//! a worker pool (`shill-sandbox`'s `BatchPool`) can acquire the shared
-//! kernel per-wave instead of per-batch and interleave waves of different
-//! sessions' submissions. Per-wave installation re-reads the tick budget
-//! each wave (write-back keeps the cumulative count, so `EAGAIN` trip
-//! points are unchanged) and starts a fresh prefix cache (correctness is
-//! unaffected — prefix hits are generation/epoch-fenced at probe time).
-//! Lock order is inherited from the executor: the kernel lock is acquired
-//! first and no interior cache/policy lock is ever held across a wave
-//! boundary.
+//! Both forms share the wave executor and the slot-ordered result type;
+//! they differ only in locking. [`crate::Kernel::submit_batch`] runs all
+//! waves under one amortized [`crate::batch::BatchState`] installation
+//! (one ulimit charge, one MAC context, one prefix cache), for callers
+//! that hold `&mut Kernel`. The stepped form — [`ScheduledRun::prepare`]
+//! (pure validation, no kernel access, callable outside any lock) +
+//! [`crate::Kernel::sched_run_wave`] + [`crate::Kernel::sched_audit`] +
+//! [`ScheduledRun::into_results`] — installs batch state **per wave**, so
+//! a worker pool (`shill-sandbox`'s `BatchPool`) can drop the shard lock
+//! between waves and interleave waves of different sessions'
+//! submissions, and `select`/`stream_read` can look at each wave's
+//! completions before the next one runs. Per-wave installation re-reads
+//! the tick budget each wave (write-back keeps the cumulative count, so
+//! `EAGAIN` trip points are unchanged) and starts a fresh prefix cache
+//! (correctness is unaffected — prefix hits are generation/epoch-fenced
+//! at probe time). Lock order is inherited from the executor: the kernel
+//! lock is acquired first and no interior cache/policy lock is ever held
+//! across a wave boundary.
 
 use shill_vfs::{Errno, SysResult};
 
@@ -70,30 +71,6 @@ use crate::batch::{BatchGuard, BatchOut, FailMode, SyscallBatch};
 use crate::kernel::Kernel;
 use crate::stats::KernelStats;
 use crate::types::Pid;
-
-/// One delivered result: which submission slot completed, and its outcome.
-/// `ECANCELED` outcomes mark slots cancelled by dependency poisoning (the
-/// entry never executed).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Completion {
-    /// The submission slot (index into [`SyscallBatch::entries`]).
-    pub slot: usize,
-    /// The slot's outcome (or `ECANCELED` for a poisoned slot).
-    pub out: SysResult<BatchOut>,
-}
-
-/// Reassemble completions into slot-ordered results (the `submit_batch`
-/// shape), for callers that want positional access. `EINVAL` fills any
-/// slot that never completed (impossible for a finished run; defensive).
-pub fn completions_to_slots(n: usize, completions: &[Completion]) -> Vec<SysResult<BatchOut>> {
-    let mut out: Vec<SysResult<BatchOut>> = vec![Err(Errno::EINVAL); n];
-    for c in completions {
-        if let Some(slot) = out.get_mut(c.slot) {
-            *slot = c.out.clone();
-        }
-    }
-    out
-}
 
 /// A batch's validated dependency DAG: per-entry data and ordering edges,
 /// layered into ready waves.
@@ -196,7 +173,7 @@ impl BatchDag {
     /// poisons it; under Abort, any failed-or-cancelled declared
     /// dependency does too. All of `slot`'s dependencies completed in
     /// every valid execution order before `slot` is considered, so this is
-    /// order-independent — the wave scheduler and the in-order paths
+    /// order-independent — the wave scheduler and the sequential oracle
     /// compute identical cancellation sets.
     pub(crate) fn should_cancel(
         &self,
@@ -210,48 +187,74 @@ impl BatchDag {
     }
 }
 
-/// An in-flight scheduled submission: the validated DAG plus per-slot
-/// results and the completion queue. Built outside any kernel lock by
-/// [`ScheduledRun::prepare`]; advanced one wave at a time by
-/// [`Kernel::sched_run_wave`] (or drained in one go by
-/// [`Kernel::submit_scheduled`]).
+/// The execution state both scheduled forms share: the validated DAG, the
+/// per-slot result table, the execution order and per-wave timing. Waves
+/// run in index order, so the next wave is the count of waves timed.
+pub(crate) struct WaveTable {
+    dag: BatchDag,
+    results: Vec<Option<SysResult<BatchOut>>>,
+    /// Slots in execution order: a cheap index recorded while the kernel
+    /// (lock) is held, read by [`ScheduledRun::completed_slots`] and the
+    /// `sched_reorders` accounting.
+    order: Vec<usize>,
+    /// Per-wave execution durations in nanoseconds, one slot per executed
+    /// wave. Measured only while the tracing plane's wave site is armed
+    /// (zeros otherwise) and handed to the audit span.
+    wave_ns: Vec<u64>,
+}
+
+impl WaveTable {
+    /// Validate `batch` into an empty table. Pure computation.
+    pub(crate) fn new(batch: &SyscallBatch) -> SysResult<WaveTable> {
+        let dag = BatchDag::build(batch)?;
+        let n = batch.entries.len();
+        let mut results = Vec::new();
+        results.resize_with(n, || None);
+        let wave_ns = Vec::with_capacity(dag.waves.len());
+        Ok(WaveTable {
+            dag,
+            results,
+            order: Vec::with_capacity(n),
+            wave_ns,
+        })
+    }
+
+    /// Whether every wave has executed.
+    pub(crate) fn finished(&self) -> bool {
+        self.wave_ns.len() >= self.dag.waves.len()
+    }
+
+    /// Move the result table into slot order ([`into_slots`]).
+    pub(crate) fn into_results(self) -> Vec<SysResult<BatchOut>> {
+        into_slots(self.results)
+    }
+}
+
+/// An in-flight stepped submission: the batch and its wave table.
+/// Built outside any kernel lock by [`ScheduledRun::prepare`]; advanced
+/// one wave at a time by [`Kernel::sched_run_wave`]; audited by
+/// [`Kernel::sched_audit`]; and consumed into slot-ordered results by
+/// [`ScheduledRun::into_results`].
 pub struct ScheduledRun {
     pid: Pid,
     batch: SyscallBatch,
-    dag: BatchDag,
-    results: Vec<Option<SysResult<BatchOut>>>,
-    /// Slots in execution order. Results are *not* cloned into a
-    /// completion list while the kernel (lock) is held — only this cheap
-    /// index is recorded; [`ScheduledRun::into_completions`] materializes
-    /// the queue afterwards, by move.
-    order: Vec<usize>,
+    table: WaveTable,
     /// The MAC context captured at the first wave's installation — the
     /// context the entries actually ran under. The audit span uses it
-    /// even if the submitting process is gone by finish time.
+    /// even if the submitting process is gone by audit time.
     ctx: Option<crate::mac::MacCtx>,
-    next_wave: usize,
-    /// Per-wave execution durations in nanoseconds, one slot per executed
-    /// wave. Measured only while the tracing plane's wave site is armed
-    /// (zeros otherwise) and handed to the audit span at finish.
-    wave_ns: Vec<u64>,
 }
 
 impl ScheduledRun {
     /// Validate `batch` into an executable run. Pure computation — no
     /// kernel access, so a worker pool calls this outside the kernel lock.
     pub fn prepare(pid: Pid, batch: SyscallBatch) -> SysResult<ScheduledRun> {
-        let dag = BatchDag::build(&batch)?;
-        let mut results = Vec::new();
-        results.resize_with(batch.entries.len(), || None);
+        let table = WaveTable::new(&batch)?;
         Ok(ScheduledRun {
             pid,
             batch,
-            dag,
-            results,
-            order: Vec::new(),
+            table,
             ctx: None,
-            next_wave: 0,
-            wave_ns: Vec::new(),
         })
     }
 
@@ -262,7 +265,7 @@ impl ScheduledRun {
 
     /// Whether every wave has executed.
     pub fn finished(&self) -> bool {
-        self.next_wave >= self.dag.waves.len()
+        self.table.finished()
     }
 
     /// Slots completed so far, in execution order — the steppable
@@ -270,109 +273,36 @@ impl ScheduledRun {
     /// caller (streaming reads, `select`) can see which slots have
     /// delivered while later waves are still pending.
     pub fn completed_slots(&self) -> &[usize] {
-        &self.order
+        &self.table.order
     }
 
     /// Borrow a completed slot's result (`None` until it executes or is
     /// cancelled). Payloads stay in place — the streaming consumer clones
     /// the wave it is about to hand out and leaves the rest unmoved for
-    /// [`ScheduledRun::into_completions`].
+    /// [`ScheduledRun::into_results`].
     pub fn result_of(&self, slot: usize) -> Option<&SysResult<BatchOut>> {
-        self.results.get(slot)?.as_ref()
+        self.table.results.get(slot)?.as_ref()
     }
 
-    /// Slot-ordered results (the `submit_batch` shape).
-    pub fn slot_results(&self) -> Vec<SysResult<BatchOut>> {
-        self.results
-            .iter()
-            .map(|r| r.clone().unwrap_or(Err(Errno::EINVAL)))
-            .collect()
-    }
-
-    /// Consume the run into its completion queue (execution order), moving
-    /// each result — no payload copies, and callable outside any kernel
-    /// lock (this is where the pool does its per-job assembly work).
-    pub fn into_completions(mut self) -> Vec<Completion> {
-        let order = std::mem::take(&mut self.order);
-        drain_completions(order, &mut self.results)
-    }
-
-    /// Per-slot outcomes in slot order (`None` = success), for audit.
-    fn outcomes(&self) -> Vec<Option<Errno>> {
-        outcomes_of(&self.results)
+    /// Consume the run into its slot-ordered results (the
+    /// [`Kernel::submit_batch`] shape), moving each result — no payload
+    /// copies, and callable outside any kernel lock (the pool hands each
+    /// job's payloads back here).
+    pub fn into_results(self) -> Vec<SysResult<BatchOut>> {
+        self.table.into_results()
     }
 }
 
-/// Per-slot outcomes in slot order (`None` = success) from a result table.
-fn outcomes_of(results: &[Option<SysResult<BatchOut>>]) -> Vec<Option<Errno>> {
+/// Move a result table into slot order. `EINVAL` fills any slot that never
+/// completed (only an unfinished run has one; defensive).
+pub(crate) fn into_slots(results: Vec<Option<SysResult<BatchOut>>>) -> Vec<SysResult<BatchOut>> {
     results
-        .iter()
-        .map(|r| match r {
-            Some(Err(e)) => Some(*e),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Materialize a completion queue from an execution order and a result
-/// table, by move.
-fn drain_completions(
-    order: Vec<usize>,
-    results: &mut [Option<SysResult<BatchOut>>],
-) -> Vec<Completion> {
-    order
         .into_iter()
-        .map(|slot| Completion {
-            slot,
-            out: results[slot].take().unwrap_or(Err(Errno::EINVAL)),
-        })
+        .map(|r| r.unwrap_or(Err(Errno::EINVAL)))
         .collect()
 }
 
 impl Kernel {
-    /// Submit a dependency-aware batch and execute it out of order in
-    /// ready waves, under one amortized charge/context/prefix
-    /// installation. The batch is borrowed — nothing is cloned. Returns
-    /// the completion queue in execution order ([`completions_to_slots`]
-    /// recovers positional results). The outer `Err` is reserved for
-    /// submission-level failures: malformed references (`EINVAL`), nested
-    /// submission (`EINVAL`), dead process (`ESRCH`).
-    pub fn submit_scheduled(
-        &mut self,
-        pid: Pid,
-        batch: &SyscallBatch,
-    ) -> SysResult<Vec<Completion>> {
-        let dag = BatchDag::build(batch)?;
-        let n = batch.entries.len();
-        let mut results: Vec<Option<SysResult<BatchOut>>> = Vec::new();
-        results.resize_with(n, || None);
-        let mut order: Vec<usize> = Vec::with_capacity(n);
-        let mut wave_ns: Vec<u64> = Vec::with_capacity(dag.waves.len());
-        let batch_span = self.trace_span(
-            crate::trace::TraceSite::Batch,
-            pid.0 as u64,
-            batch.entries.len() as u64,
-        );
-        let ctx = {
-            let guard = BatchGuard::install(self, pid)?;
-            KernelStats::bump(&guard.k.stats.batches);
-            let ctx = guard.ctx();
-            for wave in 0..dag.waves.len() {
-                let ns = guard
-                    .k
-                    .exec_wave_core(pid, batch, &dag, wave, &mut results, &mut order);
-                wave_ns.push(ns);
-            }
-            ctx
-        };
-        drop(batch_span);
-        let outcomes = outcomes_of(&results);
-        for p in self.policies() {
-            p.batch_complete(ctx, &outcomes, dag.waves(), &wave_ns);
-        }
-        Ok(drain_completions(order, &mut results))
-    }
-
     /// Execute the next ready wave of `run` under a per-wave batch-state
     /// installation, releasing the amortized state before returning (so a
     /// shared-kernel worker can drop the kernel lock between waves).
@@ -382,14 +312,14 @@ impl Kernel {
         if run.ctx.is_none() {
             // First call: install even when the batch has zero waves, so
             // the liveness check (`ESRCH`), the `batches` stat, and the
-            // audit context match `submit_scheduled` of the same batch.
+            // audit context match `submit_batch` of the same batch.
             let guard = BatchGuard::install(self, run.pid)?;
             KernelStats::bump(&guard.k.stats.batches);
             // The audit span reports the context the entries ran under,
             // even if the process is reclaimed before the run finishes.
             run.ctx = Some(guard.ctx());
             if !run.finished() {
-                guard.k.exec_wave(run);
+                guard.k.exec_next_wave(run.pid, &run.batch, &mut run.table);
             }
             return Ok(!run.finished());
         }
@@ -397,72 +327,61 @@ impl Kernel {
             return Ok(false);
         }
         let guard = BatchGuard::install(self, run.pid)?;
-        guard.k.exec_wave(run);
+        guard.k.exec_next_wave(run.pid, &run.batch, &mut run.table);
         drop(guard);
         Ok(!run.finished())
     }
 
     /// Deliver a finished run's audit span (the only step that needs the
     /// kernel). `EINVAL` if waves remain. Worker pools call this under the
-    /// kernel lock and then assemble the completion queue outside it with
-    /// [`ScheduledRun::into_completions`]. The span carries the context
-    /// captured when the run's first wave installed — not a re-read — so
-    /// a process reclaimed between last wave and finish still gets its
-    /// span, attributed to the credentials the entries were checked under.
+    /// kernel lock and then move the results out with
+    /// [`ScheduledRun::into_results`] outside it. The span carries the
+    /// context captured when the run's first wave installed — not a
+    /// re-read — so a process reclaimed between last wave and audit still
+    /// gets its span, attributed to the credentials the entries were
+    /// checked under.
     pub fn sched_audit(&mut self, run: &ScheduledRun) -> SysResult<()> {
         if !run.finished() {
             return Err(Errno::EINVAL);
         }
         if let Some(ctx) = run.ctx {
-            let outcomes = run.outcomes();
-            for p in self.policies() {
-                p.batch_complete(ctx, &outcomes, run.dag.waves(), &run.wave_ns);
-            }
+            self.audit_batch(ctx, &run.table);
         }
         Ok(())
     }
 
-    /// Deliver a finished run's audit span and hand back its completion
-    /// queue. `EINVAL` if waves remain.
-    pub fn sched_finish(&mut self, run: ScheduledRun) -> SysResult<Vec<Completion>> {
-        self.sched_audit(&run)?;
-        Ok(run.into_completions())
+    /// One audit span per batch, for both scheduled forms: per-entry
+    /// outcomes in slot order (`None` = success) and per-wave timing
+    /// (zeros unless the wave trace site is armed).
+    pub(crate) fn audit_batch(&self, ctx: crate::mac::MacCtx, table: &WaveTable) {
+        let outcomes: Vec<Option<Errno>> = table
+            .results
+            .iter()
+            .map(|r| match r {
+                Some(Err(e)) => Some(*e),
+                _ => None,
+            })
+            .collect();
+        for p in self.policies() {
+            p.batch_complete(ctx, &outcomes, table.dag.waves(), &table.wave_ns);
+        }
     }
 
-    /// Execute one wave: cancelled slots complete immediately with
-    /// `ECANCELED`; live slots execute in ascending slot order within the
-    /// wave. Requires installed batch state.
-    fn exec_wave(&mut self, run: &mut ScheduledRun) {
-        // Split the borrows: the batch/dag are read-only while results and
-        // order are written.
-        let ScheduledRun {
-            pid,
-            batch,
+    /// The wave executor shared by [`Kernel::submit_batch`] and the
+    /// stepped path: execute `table`'s next wave. Cancelled slots complete
+    /// immediately with `ECANCELED`; live slots execute in ascending slot
+    /// order within the wave. Requires installed batch state. Records the
+    /// wave's execution duration in nanoseconds when the tracing plane's
+    /// wave site is armed, 0 otherwise — the off path never reads the
+    /// clock.
+    pub(crate) fn exec_next_wave(&mut self, pid: Pid, batch: &SyscallBatch, table: &mut WaveTable) {
+        let WaveTable {
             dag,
             results,
             order,
-            next_wave,
             wave_ns,
-            ..
-        } = run;
-        let ns = self.exec_wave_core(*pid, batch, dag, *next_wave, results, order);
-        wave_ns.push(ns);
-        *next_wave += 1;
-    }
-
-    /// The wave executor shared by the one-shot and steppable paths.
-    /// Returns the wave's execution duration in nanoseconds when the
-    /// tracing plane's wave site is armed, 0 otherwise — the off path
-    /// never reads the clock.
-    fn exec_wave_core(
-        &mut self,
-        pid: Pid,
-        batch: &SyscallBatch,
-        dag: &BatchDag,
-        wave: usize,
-        results: &mut [Option<SysResult<BatchOut>>],
-        order: &mut Vec<usize>,
-    ) -> u64 {
+        } = table;
+        let wave = wave_ns.len();
         KernelStats::bump(&self.stats.sched_waves);
         let _wave_span = self.trace_span(crate::trace::TraceSite::Wave, pid.0 as u64, wave as u64);
         let wave_t0 = self
@@ -481,15 +400,16 @@ impl Kernel {
                 KernelStats::bump(&self.stats.sched_cancelled_cone);
                 Err(Errno::ECANCELED)
             } else if let Err(e) = self.fault_batch_entry(pid, slot) {
-                // Slot-keyed injection: the same entry fails here as on
-                // the in-order path, no matter which wave or worker runs
-                // it — execution order never changes the fault schedule.
+                // Slot-keyed injection: the same entry fails here as in
+                // the sequential oracle, no matter which wave or worker
+                // runs it — execution order never changes the fault
+                // schedule.
                 Err(e)
             } else {
                 KernelStats::bump(&self.stats.batch_entries);
-                // Per-entry dispatch span: with the in-order loop in
-                // `crate::batch`, this covers syscall dispatch in all
-                // four execution modes.
+                // Per-entry dispatch span: with the sequential oracle's
+                // loop in `crate::batch`, this covers syscall dispatch in
+                // every execution mode.
                 let _syscall_span =
                     self.trace_span(crate::trace::TraceSite::Syscall, pid.0 as u64, slot as u64);
                 self.exec_entry(pid, &batch.entries[slot], results)
@@ -499,7 +419,7 @@ impl Kernel {
             results[slot] = Some(r);
             order.push(slot);
         }
-        wave_t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0)
+        wave_ns.push(wave_t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0));
     }
 }
 
@@ -597,10 +517,7 @@ mod tests {
             stat_entry("/w/sub/f2"),
         ])
         .after(2, 1);
-        let completions = k.submit_scheduled(pid, &batch).unwrap();
-        // Execution order: wave 0 = [0, 3, 4], wave 1 = [1], wave 2 = [2].
-        let order: Vec<usize> = completions.iter().map(|c| c.slot).collect();
-        assert_eq!(order, vec![0, 3, 4, 1, 2]);
+        let scheduled = k.submit_batch(pid, &batch).unwrap();
         let st = k.stats.snapshot();
         assert_eq!(st.sched_waves, 3);
         assert_eq!(
@@ -610,11 +527,16 @@ mod tests {
         assert_eq!(st.slot_links, 2);
         assert_eq!(st.charge_calls, 1, "one amortized installation");
 
-        let scheduled = completions_to_slots(5, &completions);
         assert_eq!(scheduled[1], Ok(BatchOut::Data(b"data-0".to_vec())));
         let (mut k2, pid2) = setup();
         let sequential = k2.run_sequential(pid2, &batch).unwrap();
         assert_eq!(scheduled, sequential);
+
+        // Execution order: wave 0 = [0, 3, 4], wave 1 = [1], wave 2 = [2].
+        let (mut k3, pid3) = setup();
+        let mut run = ScheduledRun::prepare(pid3, batch).unwrap();
+        while k3.sched_run_wave(&mut run).unwrap() {}
+        assert_eq!(run.completed_slots(), &[0, 3, 4, 1, 2]);
     }
 
     #[test]
@@ -639,7 +561,7 @@ mod tests {
         ])
         .after(2, 1);
         k.stats.reset();
-        let out = completions_to_slots(4, &k.submit_scheduled(pid, &batch).unwrap());
+        let out = k.submit_batch(pid, &batch).unwrap();
         assert_eq!(out[0], Err(Errno::ENOENT));
         assert_eq!(out[1], Err(Errno::ECANCELED));
         assert_eq!(out[2], Err(Errno::ECANCELED), "cone is transitive");
@@ -664,7 +586,7 @@ mod tests {
                 fail_mode,
                 deps: vec![(1, 0)],
             };
-            let out = completions_to_slots(2, &k.submit_scheduled(pid, &batch).unwrap());
+            let out = k.submit_batch(pid, &batch).unwrap();
             assert_eq!(out[0], Err(Errno::ENOENT));
             if expect_cancel {
                 assert_eq!(out[1], Err(Errno::ECANCELED), "Abort follows order edges");
@@ -698,7 +620,7 @@ mod tests {
             .after(3, 1)
         };
         let (mut k, pid) = setup();
-        let one_shot = k.submit_scheduled(pid, &build()).unwrap();
+        let one_shot = k.submit_batch(pid, &build()).unwrap();
 
         let (mut k2, pid2) = setup();
         let mut run = ScheduledRun::prepare(pid2, build()).unwrap();
@@ -708,7 +630,8 @@ mod tests {
         }
         assert_eq!(steps + 1, 3, "three waves stepped");
         assert!(k2.batch.is_none(), "per-wave state released between waves");
-        let stepped = k2.sched_finish(run).unwrap();
+        k2.sched_audit(&run).unwrap();
+        let stepped = run.into_results();
         assert_eq!(one_shot, stepped);
         assert_eq!(
             k.process(pid).unwrap().cpu_ticks,
@@ -723,13 +646,13 @@ mod tests {
         let batch = SyscallBatch::aborting(vec![stat_entry("/w/sub/f0"), stat_entry("/w/sub/f1")]);
         let mut run = ScheduledRun::prepare(pid, batch).unwrap();
         assert!(k.sched_run_wave(&mut run).unwrap(), "one wave remains");
-        assert!(matches!(k.sched_finish(run), Err(Errno::EINVAL)));
+        assert!(matches!(k.sched_audit(&run), Err(Errno::EINVAL)));
     }
 
     #[test]
     fn empty_batch_completes_with_no_waves() {
         let (mut k, pid) = setup();
-        let out = k.submit_scheduled(pid, &SyscallBatch::default()).unwrap();
+        let out = k.submit_batch(pid, &SyscallBatch::default()).unwrap();
         assert!(out.is_empty());
         assert_eq!(k.stats.snapshot().sched_waves, 0);
     }
@@ -743,16 +666,16 @@ mod tests {
         let mut run = ScheduledRun::prepare(pid, SyscallBatch::default()).unwrap();
         assert!(!k.sched_run_wave(&mut run).unwrap());
         assert_eq!(k.stats.snapshot().batches, 1);
-        assert!(k.sched_finish(run).unwrap().is_empty());
+        k.sched_audit(&run).unwrap();
+        assert!(run.into_results().is_empty());
 
-        // A dead process is refused, exactly as submit_scheduled refuses.
+        // A dead process is refused, exactly as submit_batch refuses.
         let ghost = k.spawn_user(Cred::ROOT);
         k.exit(ghost, 0);
         let mut run = ScheduledRun::prepare(ghost, SyscallBatch::default()).unwrap();
         assert_eq!(k.sched_run_wave(&mut run).unwrap_err(), Errno::ESRCH);
         assert_eq!(
-            k.submit_scheduled(ghost, &SyscallBatch::default())
-                .unwrap_err(),
+            k.submit_batch(ghost, &SyscallBatch::default()).unwrap_err(),
             Errno::ESRCH
         );
     }

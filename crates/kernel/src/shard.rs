@@ -548,19 +548,16 @@ mod tests {
                 dirfd: None,
                 path: path.into(),
             });
-            shards.with_pid(pid1, |k| k.submit_scheduled(pid1, &batch))
+            shards.with_pid(pid1, |k| k.submit_batch(pid1, &batch))
         };
         let out = read("/s1.txt").unwrap();
         assert_eq!(
-            out[0].out,
+            out[0],
             Ok(crate::batch::BatchOut::Data(b"shard-1".to_vec()))
         );
         // The other shard's namespace is genuinely elsewhere.
         let miss = read("/s0.txt");
-        assert_eq!(
-            crate::sched::completions_to_slots(1, &miss.unwrap())[0],
-            Err(shill_vfs::Errno::ENOENT)
-        );
+        assert_eq!(miss.unwrap()[0], Err(shill_vfs::Errno::ENOENT));
         assert_eq!(shards.stats().batches, 2);
     }
 

@@ -104,7 +104,8 @@ kernel_stats! {
     /// MAC subject contexts constructed (credential snapshots). Batched
     /// submission builds one per batch and reuses it for every check.
     mac_ctx_setups,
-    /// Batches submitted via [`crate::kernel::Kernel::submit_batch`].
+    /// Batches submitted via [`crate::kernel::Kernel::submit_batch`] or
+    /// stepped via [`crate::sched::ScheduledRun`].
     batches,
     /// Entries *executed* across all submitted batches. Entries cancelled
     /// by [`crate::batch::FailMode::Abort`] short-circuiting never run and
@@ -116,8 +117,8 @@ kernel_stats! {
     /// a mid-batch dcache/AVC epoch invalidation).
     batch_prefix_misses,
     /// Dependency waves executed by the batch scheduler
-    /// ([`crate::kernel::Kernel::submit_scheduled`] and the steppable
-    /// per-wave path).
+    /// ([`crate::kernel::Kernel::submit_batch`] and the stepped per-wave
+    /// path, [`crate::sched::ScheduledRun`]).
     sched_waves,
     /// Submission-order inversions performed by the scheduler: pairs where
     /// an entry completed before an earlier-submitted entry (the measure

@@ -42,11 +42,12 @@ pub fn trace_now_ns() -> u64 {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u32)]
 pub enum TraceSite {
-    /// Per-entry syscall dispatch (all four execution modes).
+    /// Per-entry syscall dispatch (all three execution modes).
     Syscall = 0,
-    /// Whole-batch submission (`submit_batch` / `submit_scheduled`).
+    /// Whole-batch submission (`submit_batch`, or one pool job across its
+    /// stepped waves).
     Batch = 1,
-    /// One scheduler wave (`exec_wave_core`).
+    /// One scheduler wave (`exec_next_wave`).
     Wave = 2,
     /// A MAC check that missed the AVC and reached the policy registry.
     Mac = 3,

@@ -37,11 +37,11 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Barrier};
 use std::thread;
 
-use shill_kernel::{Completion, Kernel, KernelShards, Pid, ScheduledRun, SyscallBatch};
+use shill_kernel::{BatchOut, Kernel, KernelShards, Pid, ScheduledRun, SyscallBatch};
 use shill_vfs::sync::Mutex;
 use shill_vfs::{Cred, Errno, SysResult};
 
-use crate::harness::{setup_sandbox, Sandbox, SandboxSpec};
+use crate::harness::{setup_sandbox, SandboxSpec};
 use crate::policy::ShillPolicy;
 use crate::session::SessionId;
 
@@ -105,21 +105,26 @@ pub fn run_sessions(
                     // are captured rather than propagated before the
                     // barrier: every sibling waits on it, so a worker that
                     // bailed early would wedge the other n-1 forever.
-                    let setup = catch_unwind(AssertUnwindSafe(|| -> SysResult<(Pid, Sandbox)> {
+                    let setup = {
                         let mut k = shards.lock_shard(shard);
-                        let parent = k.spawn_user(parent_cred);
-                        match setup_sandbox(&mut k, &policy, parent, &task.spec) {
-                            Ok(sb) => Ok((parent, sb)),
-                            Err(e) => {
-                                // Retire the parent we just spawned so a
-                                // failed launch leaves no process-table
-                                // residue.
-                                k.exit(parent, 0);
-                                let _ = k.waitpid(Pid(1), parent);
-                                Err(e)
+                        let mut parent = None;
+                        let launched = catch_unwind(AssertUnwindSafe(|| {
+                            let p = *parent.insert(k.spawn_user(parent_cred));
+                            setup_sandbox(&mut k, &policy, p, &task.spec).map(|sb| (p, sb))
+                        }));
+                        if !matches!(launched, Ok(Ok(_))) {
+                            // A failed or panicked launch retires what it
+                            // created, in the same hold, so it leaves no
+                            // process-table residue.
+                            if let Some(p) = parent {
+                                retire_launch(&mut k, p);
+                            }
+                            if launched.is_err() {
+                                book_survived(&k);
                             }
                         }
-                    }));
+                        launched
+                    };
                     // Every session entered before any body runs.
                     entered.wait();
                     let (parent, sb) = match setup {
@@ -139,6 +144,9 @@ pub fn run_sessions(
                     // run_sessions calls don't grow the process table.
                     let reaped = {
                         let mut k = shards.lock_shard(shard);
+                        if body.is_err() {
+                            book_survived(&k);
+                        }
                         k.exit(sb.child, body.as_ref().map_or(1, |&status| status));
                         let reaped = k.waitpid(parent, sb.child);
                         k.exit(parent, 0);
@@ -162,6 +170,30 @@ pub fn run_sessions(
             .collect()
     });
     results.into_iter().collect()
+}
+
+/// Retire a launch's throwaway `parent` together with any child a failed
+/// or panicked setup left behind (the child's exit also reclaims its
+/// session's labels; the parent's exit reaps the child's zombie).
+fn retire_launch(k: &mut Kernel, parent: Pid) {
+    let children = k
+        .process(parent)
+        .map(|p| p.children.clone())
+        .unwrap_or_default();
+    for child in children {
+        k.exit(child, 127);
+    }
+    k.exit(parent, 0);
+    let _ = k.waitpid(Pid(1), parent);
+}
+
+/// Book a panic caught at a containment boundary as survived on `k`'s
+/// fault plane, if one is armed — keeping `faults_injected ==
+/// faults_survived` the no-escape invariant.
+fn book_survived(k: &Kernel) {
+    if let Some(plane) = k.fault_plane() {
+        plane.book_survived();
+    }
 }
 
 /// One scheduled submission for the batch worker pool: which process
@@ -189,7 +221,7 @@ struct PoolTask {
     shards: KernelShards,
     idx: usize,
     job: BatchJob,
-    done: mpsc::Sender<(usize, SysResult<Vec<Completion>>)>,
+    done: mpsc::Sender<(usize, SysResult<Vec<SysResult<BatchOut>>>)>,
 }
 
 /// Pool bookkeeping shared by producers ([`BatchPool::run`]) and workers.
@@ -237,8 +269,8 @@ struct WorkerArena {
 ///
 /// Where `run_sessions` bodies hold their shard's lock for every crossing
 /// of one session, the pool's workers acquire locks **per dependency
-/// wave**: DAG validation ([`ScheduledRun::prepare`]), completion-queue
-/// assembly, and payload handling all happen outside any kernel lock.
+/// wave**: DAG validation ([`ScheduledRun::prepare`]), moving the results
+/// out, and payload handling all happen outside any kernel lock.
 /// Wave classification is the sharding dispatch layer:
 ///
 /// * a **shard-local** job's waves route straight to the pinned shard's
@@ -352,9 +384,7 @@ impl BatchPool {
                 shards.with_shard(home, |k| {
                     k.abort_stale_batch();
                     shill_kernel::KernelStats::bump(&k.stats.sched_cancelled_cone);
-                    if let Some(plane) = k.fault_plane() {
-                        plane.book_survived();
-                    }
+                    book_survived(k);
                 });
                 Err(Errno::EINVAL)
             });
@@ -382,11 +412,12 @@ impl BatchPool {
             .load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Execute jobs against a shard set, returning completion queues in
-    /// job order. A job's `Err` is its submission-level failure (malformed
-    /// DAG, dead process, a contained panic); per-entry failures live in
-    /// its completions. Shard-local jobs of different shards overlap
-    /// wave-for-wave; fenced jobs rendezvous. The pool may be reused across
+    /// Execute jobs against a shard set, returning each job's slot-ordered
+    /// results (the [`Kernel::submit_batch`] shape) in job order. A job's
+    /// `Err` is its submission-level failure (malformed DAG, dead process,
+    /// a contained panic); per-entry failures live in its slots.
+    /// Shard-local jobs of different shards overlap wave-for-wave; fenced
+    /// jobs rendezvous. The pool may be reused across
     /// calls and across different shard sets — workers hold a shard-set
     /// handle only while executing a job of it (the reuse regression test
     /// pins this down: a drained pool holds no kernel, session, or batch
@@ -402,7 +433,7 @@ impl BatchPool {
         &self,
         shards: &KernelShards,
         jobs: Vec<BatchJob>,
-    ) -> Vec<SysResult<Vec<Completion>>> {
+    ) -> Vec<SysResult<Vec<SysResult<BatchOut>>>> {
         let n = jobs.len();
         if n == 0 {
             return Vec::new();
@@ -410,7 +441,8 @@ impl BatchPool {
         let workers = self.workers.len();
         let affine = shards.count() > 1;
         let (done_tx, done_rx) = mpsc::channel();
-        let mut out: Vec<SysResult<Vec<Completion>>> = (0..n).map(|_| Err(Errno::EINVAL)).collect();
+        let mut out: Vec<SysResult<Vec<SysResult<BatchOut>>>> =
+            (0..n).map(|_| Err(Errno::EINVAL)).collect();
         for (idx, job) in jobs.into_iter().enumerate() {
             let target = if affine {
                 shards.shard_of(job.pid) % workers
@@ -438,16 +470,16 @@ impl BatchPool {
 
     /// Drive one job: validate outside any lock, execute wave by wave
     /// acquiring the pinned shard's lock (or the fence's rendezvous) once
-    /// per wave, audit under the same discipline, and assemble the
-    /// completion queue (the payload moves) outside it. A stolen job books
-    /// one `pool_steals` on its home shard inside its first wave hold, so
-    /// the per-shard stat split shows whose traffic overflowed.
+    /// per wave, audit under the same discipline, and move the slot-ordered
+    /// results out (the payloads move, never copy) outside it. A stolen job
+    /// books one `pool_steals` on its home shard inside its first wave
+    /// hold, so the per-shard stat split shows whose traffic overflowed.
     fn run_one(
         shards: &KernelShards,
         job: BatchJob,
         stolen: bool,
         arena: &mut WorkerArena,
-    ) -> SysResult<Vec<Completion>> {
+    ) -> SysResult<Vec<SysResult<BatchOut>>> {
         let BatchJob { pid, batch, fence } = job;
         let home = shards.shard_of(pid);
         let fenced = !fence.is_empty();
@@ -460,9 +492,8 @@ impl BatchPool {
         let mut run = ScheduledRun::prepare(pid, batch)?;
         let mut credit_steal = stolen;
         // The pool steps waves directly and never passes through
-        // `submit_batch`/`submit_scheduled`, so open the batch-site span
-        // here: it covers the whole job, across every wave and any lock
-        // release between them.
+        // `submit_batch`, so open the batch-site span here: it covers the
+        // whole job, across every wave and any lock release between them.
         let mut batch_span: Option<shill_kernel::TraceScope> = None;
         {
             let mut wave = |k: &mut Kernel, run: &mut ScheduledRun| {
@@ -503,7 +534,7 @@ impl BatchPool {
         } else {
             shards.with_shard(home, |k| k.sched_audit(&run))?;
         }
-        Ok(run.into_completions())
+        Ok(run.into_results())
     }
 }
 
@@ -734,8 +765,83 @@ mod tests {
     }
 
     #[test]
+    fn injected_setup_and_body_panics_are_retired_and_booked_survived() {
+        let mut kernel = Kernel::new();
+        let policy = ShillPolicy::new();
+        kernel.register_policy(policy.clone());
+        kernel
+            .fs
+            .put_file("/work/data.txt", b"x", Mode(0o666), Uid::ROOT, Gid::WHEEL)
+            .unwrap();
+        let root = kernel.fs.root();
+        let file = kernel.fs.resolve_abs("/work/data.txt").unwrap();
+        let shards = KernelShards::from_kernel(kernel);
+        let before = shards.with_shard(0, |k| k.process_count());
+        let task = |body: SessionBody| SessionTask {
+            shard: 0,
+            spec: SandboxSpec {
+                grants: vec![
+                    Grant::vnode(root, caps(&[Priv::Lookup])),
+                    Grant::vnode(file, caps(&[Priv::Read, Priv::Stat])),
+                ],
+                ..Default::default()
+            },
+            body,
+        };
+
+        // Setup panic: pid allocation 1 is the throwaway parent, 2 the
+        // sandbox child.
+        shards.set_fault_plane(Some("alloc_pid@2=panic"));
+        let r = run_sessions(
+            &shards,
+            &policy,
+            Cred::user(100),
+            vec![task(Arc::new(|_sk: &KernelShards, _pid, _sid| 0))],
+        );
+        assert_eq!(r.unwrap_err(), Errno::EINVAL, "the setup panic surfaces");
+        assert_eq!(
+            shards.with_shard(0, |k| k.process_count()),
+            before,
+            "the panicked launch leaked its parent"
+        );
+        let setup = shards.stats();
+        assert_eq!(setup.faults_injected, 1);
+        assert_eq!(
+            setup.faults_survived, setup.faults_injected,
+            "setup panic not booked"
+        );
+
+        // Body panic: an injected policy panic on the body's first vnode
+        // check.
+        shards.set_fault_plane(None);
+        let r = run_sessions(
+            &shards,
+            &policy,
+            Cred::user(100),
+            vec![task(Arc::new(|sk: &KernelShards, pid, _sid| {
+                sk.with_pid(pid, |k| {
+                    let plane = shill_kernel::FaultPlane::parse("mac_panic@1=panic").unwrap();
+                    k.set_fault_plane(Some(plane));
+                    let _ = k.open(pid, "/work/data.txt", OpenFlags::RDONLY, Mode(0));
+                });
+                0
+            }))],
+        );
+        assert_eq!(r.unwrap_err(), Errno::EINVAL, "the body panic surfaces");
+        // The counters are cumulative over the shard's lifetime.
+        let body = shards.stats();
+        assert_eq!(body.faults_injected, 2);
+        assert_eq!(
+            body.faults_survived, body.faults_injected,
+            "body panic not booked"
+        );
+        assert_eq!(shards.with_shard(0, |k| k.process_count()), before);
+        assert_eq!(policy.label_entries(), 0);
+    }
+
+    #[test]
     fn batch_pool_executes_scheduled_jobs_per_wave_and_stays_confined() {
-        use shill_kernel::{completions_to_slots, BatchArg, BatchEntry, BatchFd, SyscallBatch};
+        use shill_kernel::{BatchArg, BatchEntry, BatchFd, SyscallBatch};
 
         let mut kernel = Kernel::new();
         let policy = ShillPolicy::new();
@@ -837,11 +943,11 @@ mod tests {
         let results = BatchPool::new(4).run(&shards, jobs);
         assert_eq!(results.len(), 8);
         for (i, r) in results[..4].iter().enumerate() {
-            let slots = completions_to_slots(4, r.as_ref().unwrap());
+            let slots = r.as_ref().unwrap();
             assert!(slots.iter().all(|s| s.is_ok()), "job {i}: {slots:?}");
         }
         for (i, r) in results[4..].iter().enumerate() {
-            let slots = completions_to_slots(1, r.as_ref().unwrap());
+            let slots = r.as_ref().unwrap();
             assert_eq!(slots[0], Err(Errno::EACCES), "job {i} isolation breach");
         }
         // The fused copies landed.
@@ -912,8 +1018,6 @@ mod tests {
 
     #[test]
     fn persistent_pool_is_reusable_and_leaks_nothing_across_runs() {
-        use shill_kernel::completions_to_slots;
-
         let pool = BatchPool::new(2);
         assert_eq!(pool.workers(), 2);
         // Two generations against two *different* shard sets: a worker may
@@ -931,7 +1035,7 @@ mod tests {
                     .collect();
                 let outs = pool.run(&shards, jobs);
                 for (s, out) in outs.iter().enumerate() {
-                    let slots = completions_to_slots(1, out.as_ref().unwrap());
+                    let slots = out.as_ref().unwrap();
                     assert_eq!(
                         slots[0],
                         Ok(shill_kernel::BatchOut::Data(
@@ -1008,8 +1112,6 @@ mod tests {
 
     #[test]
     fn starving_worker_steals_from_a_wedged_siblings_deque() {
-        use shill_kernel::completions_to_slots;
-
         // Three shards, two workers: shards 0 and 2 both route to worker 0
         // (`shard % workers`), shard 1 to worker 1. The shard-0 job wedges
         // inside its first wave (holding only shard 0's lock), so the
@@ -1030,7 +1132,7 @@ mod tests {
         let pool = BatchPool::new(2);
         let outs = pool.run(&shards, vec![read_job(wedged), read_job(runner)]);
         for (i, (out, shard)) in outs.iter().zip([0usize, 2]).enumerate() {
-            let slots = completions_to_slots(1, out.as_ref().unwrap());
+            let slots = out.as_ref().unwrap();
             assert_eq!(
                 slots[0],
                 Ok(shill_kernel::BatchOut::Data(
@@ -1075,8 +1177,6 @@ mod tests {
 
     #[test]
     fn pool_survives_a_policy_panicking_mid_wave_on_a_stolen_job() {
-        use shill_kernel::completions_to_slots;
-
         // Same steal topology as above: shards 0 and 2 route to worker 0
         // and the shard-0 job wedges mid-wave, so worker 1 must steal the
         // shard-2 job — whose policy hook then panics. The gate is keyed
@@ -1108,7 +1208,7 @@ mod tests {
             Ok(_) => panic!("the panicked job must not report success"),
         }
         for (i, shard) in [(0usize, 0usize), (1, 1)] {
-            let slots = completions_to_slots(1, outs[i].as_ref().unwrap());
+            let slots = outs[i].as_ref().unwrap();
             assert_eq!(
                 slots[0],
                 Ok(shill_kernel::BatchOut::Data(
@@ -1133,7 +1233,7 @@ mod tests {
         // pool (the panic policy is disarmed after its one shot).
         let outs = pool.run(&shards, round());
         for (out, shard) in outs.iter().zip([0usize, 1, 2]) {
-            let slots = completions_to_slots(1, out.as_ref().unwrap());
+            let slots = out.as_ref().unwrap();
             assert_eq!(
                 slots[0],
                 Ok(shill_kernel::BatchOut::Data(
@@ -1152,8 +1252,6 @@ mod tests {
 
     #[test]
     fn fenced_jobs_pay_a_rendezvous_per_wave_and_stay_equivalent() {
-        use shill_kernel::completions_to_slots;
-
         let policy = ShillPolicy::new();
         let shards = KernelShards::new_with(2, populate_shard);
         shards.register_policy(policy.clone());
@@ -1174,7 +1272,9 @@ mod tests {
             ]),
             fence,
         };
-        let slots = |r: &SysResult<Vec<Completion>>| completions_to_slots(2, r.as_ref().unwrap());
+        fn slots(r: &SysResult<Vec<SysResult<BatchOut>>>) -> &[SysResult<BatchOut>] {
+            r.as_ref().unwrap()
+        }
 
         let before = shards.rendezvous_count();
         let local = pool.run(&shards, vec![job(Vec::new())]);

@@ -109,8 +109,8 @@ pub struct BatchWaveAudit {
     pub failed: usize,
     pub cancelled: usize,
     /// Wall-clock duration of the wave in nanoseconds, recorded only when
-    /// the kernel's tracing plane has the `wave` site armed (0 otherwise,
-    /// and always 0 on the in-order execution path). Timing is
+    /// the kernel's tracing plane has the `wave` site armed (0
+    /// otherwise). Timing is
     /// observability metadata: the differential oracle compares the
     /// executed/failed/cancelled split, never `wave_ns`.
     pub wave_ns: u64,

@@ -817,8 +817,8 @@ impl MacPolicy for ShillPolicy {
         // never executed, so the span books them separately from real
         // failures (nothing else in the kernel produces that errno). The
         // per-wave split applies the same accounting to each dependency
-        // wave, and is identical between in-order and scheduled execution
-        // of the same batch.
+        // wave, and is identical between the one-shot and the stepped
+        // execution of the same batch.
         let split = |slots: &[usize]| {
             let mut wave = crate::log::BatchWaveAudit::default();
             for &slot in slots {
@@ -838,9 +838,9 @@ impl MacPolicy for ShillPolicy {
             .enumerate()
             .map(|(i, w)| {
                 let mut audit = split(w);
-                // Timing arrives only from the scheduled path with the
-                // trace plane's wave site armed; 0 everywhere else. The
-                // differential oracle never compares it.
+                // Timing is measured only with the trace plane's wave site
+                // armed; 0 otherwise. The differential oracle never
+                // compares it.
                 audit.wave_ns = wave_ns.get(i).copied().unwrap_or(0);
                 audit
             })

@@ -31,8 +31,8 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use shill_cap::{CapPrivs, Priv, PrivSet};
 use shill_kernel::{
-    completions_to_slots, BatchArg, BatchEntry, BatchOut, KernelShards, Pid, StatsSnapshot,
-    SyscallBatch, TracePlane, TraceSite, Ulimits,
+    BatchArg, BatchEntry, BatchOut, KernelShards, Pid, StatsSnapshot, SyscallBatch, TracePlane,
+    TraceSite, Ulimits,
 };
 use shill_sandbox::{
     setup_sandbox, BatchJob, BatchPool, Grant, SandboxSpec, SessionId, ShillPolicy,
@@ -719,18 +719,15 @@ impl ServerCore {
         batch: SyscallBatch,
         fence: Vec<usize>,
     ) -> Result<Vec<SysResult<BatchOut>>, ServerError> {
-        let n = batch.entries.len();
         let job = BatchJob {
             pid: h.child,
             batch,
             fence,
         };
         let mut out = self.pool.run(&self.shards, vec![job]);
-        let completions = out.pop().unwrap_or(Err(Errno::EINVAL));
-        match completions {
-            Ok(c) => Ok(completions_to_slots(n, &c)),
-            Err(e) => Err(ServerError::Sys(e)),
-        }
+        out.pop()
+            .unwrap_or(Err(Errno::EINVAL))
+            .map_err(ServerError::Sys)
     }
 
     /// Begin draining without waiting: new sessions and frames are

@@ -15,8 +15,7 @@ use std::sync::Arc;
 
 use shill::cap::{CapPrivs, Priv, PrivSet};
 use shill::kernel::{
-    completions_to_slots, BatchArg, BatchEntry, BatchFd, BatchOut, Fd, Kernel, OpenFlags, Pid,
-    SyscallBatch,
+    BatchArg, BatchEntry, BatchFd, BatchOut, Fd, Kernel, OpenFlags, Pid, ScheduledRun, SyscallBatch,
 };
 use shill::prelude::*;
 use shill::sandbox::{setup_sandbox, Grant, LogEvent, SandboxSpec, ShillPolicy};
@@ -247,6 +246,20 @@ fn arb_batch(rng: &mut Rng, fds: &[Fd]) -> SyscallBatch {
     } else {
         SyscallBatch::aborting(entries)
     }
+}
+
+/// Execute `batch` through the stepped form — one batch-state installation
+/// per wave, as `BatchPool` drives it — then audit it and move its
+/// slot-ordered results out.
+fn run_stepped(
+    k: &mut Kernel,
+    pid: Pid,
+    batch: SyscallBatch,
+) -> Vec<Result<BatchOut, shill::vfs::Errno>> {
+    let mut run = ScheduledRun::prepare(pid, batch).expect("prepare");
+    while k.sched_run_wave(&mut run).expect("wave") {}
+    k.sched_audit(&run).expect("audit");
+    run.into_results()
 }
 
 /// The audit fingerprint compared across modes: every denial, in order.
@@ -564,9 +577,10 @@ fn batch_audit_span_records_per_entry_outcomes() {
 // dependency DAGs, in both cache modes.
 // ===================================================================
 
-/// Flat batches (the PR 2/3 generator): no declared edges, so the
-/// scheduler degenerates to index order — equivalence must be *exact*,
-/// including denial order and the full stats-parity counter list.
+/// Flat batches (the PR 2/3 generator) through the stepped per-wave form:
+/// no declared edges, so the scheduler runs them in index order —
+/// equivalence must be *exact*, including denial order and the full
+/// stats-parity counter list.
 #[test]
 fn scheduled_flat_batches_equivalent_to_sequential() {
     for cached in [true, false] {
@@ -579,11 +593,7 @@ fn scheduled_flat_batches_equivalent_to_sequential() {
             sequential.k.stats.reset();
             for round in 0..3 {
                 let batch = arb_batch(&mut rng, &scheduled.fds);
-                let completions = scheduled
-                    .k
-                    .submit_scheduled(scheduled.child, &batch)
-                    .expect("scheduled");
-                let sch = completions_to_slots(batch.entries.len(), &completions);
+                let sch = run_stepped(&mut scheduled.k, scheduled.child, batch.clone());
                 let seq = sequential
                     .k
                     .run_sequential(sequential.child, &batch)
@@ -833,11 +843,10 @@ fn random_dags_scheduled_equivalent_to_sequential() {
             let (mut expected_executed, mut expected_cancelled) = (0u64, 0u64);
             for round in 0..3 {
                 let batch = arb_dag_batch(&mut rng, &scheduled.fds);
-                let completions = scheduled
+                let sch = scheduled
                     .k
-                    .submit_scheduled(scheduled.child, &batch)
+                    .submit_batch(scheduled.child, &batch)
                     .expect("scheduled");
-                let sch = completions_to_slots(batch.entries.len(), &completions);
                 let seq = sequential
                     .k
                     .run_sequential(sequential.child, &batch)
@@ -936,7 +945,7 @@ fn copy_pipeline_completes_in_one_submission() {
         },
     ])
     .after(3, 1);
-    let out = completions_to_slots(4, &f.k.submit_scheduled(f.child, &batch).unwrap());
+    let out = f.k.submit_batch(f.child, &batch).unwrap();
     assert!(out.iter().all(|r| r.is_ok()), "{out:?}");
     let st = f.k.stats.snapshot();
     assert_eq!(st.batches, 1, "one kernel submission for the whole copy");
@@ -954,10 +963,10 @@ fn copy_pipeline_completes_in_one_submission() {
     assert_eq!(copied, BatchOut::Data(b"note".to_vec()));
 }
 
-/// ISSUE 4 satellite: scheduled-mode `ECANCELED` slots carry identical
-/// `BatchSpan` accounting (executed/failed/cancelled, per-entry outcomes,
-/// per-wave split) and `batch_entries` semantics as the in-order abort
-/// path — span parity between `submit_batch` and `submit_scheduled` twins.
+/// ISSUE 4 satellite: `ECANCELED` slots carry identical `BatchSpan`
+/// accounting (executed/failed/cancelled, per-entry outcomes, per-wave
+/// split) and `batch_entries` semantics in both scheduled forms — span
+/// parity between a one-shot `submit_batch` and its stepped per-wave twin.
 #[test]
 fn scheduled_and_in_order_spans_are_in_parity() {
     let make_batch = || {
@@ -997,31 +1006,25 @@ fn scheduled_and_in_order_spans_are_in_parity() {
             .clone()
     };
 
-    let mut in_order = build_fixture(true);
-    in_order.policy.enable_logging(true);
-    in_order.k.stats.reset();
-    let a = in_order
+    let mut one_shot = build_fixture(true);
+    one_shot.policy.enable_logging(true);
+    one_shot.k.stats.reset();
+    let a = one_shot
         .k
-        .submit_batch(in_order.child, &make_batch())
+        .submit_batch(one_shot.child, &make_batch())
         .unwrap();
 
-    let mut scheduled = build_fixture(true);
-    scheduled.policy.enable_logging(true);
-    scheduled.k.stats.reset();
-    let b = completions_to_slots(
-        4,
-        &scheduled
-            .k
-            .submit_scheduled(scheduled.child, &make_batch())
-            .unwrap(),
-    );
+    let mut stepped = build_fixture(true);
+    stepped.policy.enable_logging(true);
+    stepped.k.stats.reset();
+    let b = run_stepped(&mut stepped.k, stepped.child, make_batch());
     assert_eq!(a, b, "results identical across execution strategies");
     assert_eq!(a[1], Err(shill::vfs::Errno::ECANCELED));
     assert_eq!(a[2], Err(shill::vfs::Errno::ECANCELED), "transitive cone");
     assert!(a[3].is_ok(), "independent entry survives");
 
-    let span_a = span_of(&in_order.policy);
-    let span_b = span_of(&scheduled.policy);
+    let span_a = span_of(&one_shot.policy);
+    let span_b = span_of(&stepped.policy);
     let (LogEvent::BatchSpan { session: sa, .. }, LogEvent::BatchSpan { session: sb, .. }) =
         (&span_a, &span_b)
     else {
@@ -1044,8 +1047,8 @@ fn scheduled_and_in_order_spans_are_in_parity() {
     assert_eq!(cancelled, 2, "the cone, not every later entry");
     assert_eq!(waves.len(), 3, "read+stat wave, write wave, stat wave");
     assert_eq!(
-        in_order.k.stats.snapshot().batch_entries,
-        scheduled.k.stats.snapshot().batch_entries,
+        one_shot.k.stats.snapshot().batch_entries,
+        stepped.k.stats.snapshot().batch_entries,
         "cancelled entries never count as executed in either strategy"
     );
 }

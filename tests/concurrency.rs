@@ -415,7 +415,7 @@ fn threaded_outcomes_identical_across_cache_modes() {
 // executor, with waves of different submissions interleaving freely.
 // ===================================================================
 
-use shill::kernel::{completions_to_slots, BatchArg, BatchFd};
+use shill::kernel::{BatchArg, BatchFd};
 use shill::sandbox::{BatchJob, BatchPool};
 
 /// The deterministic fused-pipeline job each session submits per round:
@@ -495,8 +495,7 @@ fn batch_pool_matches_sequential_replay() {
             let outs = pool.run(&shared, jobs);
             for (j, out) in outs.into_iter().enumerate() {
                 let session = j / 2;
-                let n = if j % 2 == 0 { 4 } else { 1 };
-                let slots = completions_to_slots(n, &out.expect("pool job"));
+                let slots = out.expect("pool job");
                 pool_results[session].extend(slots.iter().map(fingerprint));
             }
         }
@@ -559,8 +558,7 @@ fn batch_pool_random_flat_batches_match_sequential_replay() {
             .collect();
         let outs = pool.run(&shared, jobs);
         for (i, out) in outs.into_iter().enumerate() {
-            let n = all_batches[i][round].entries.len();
-            let slots = completions_to_slots(n, &out.expect("pool job"));
+            let slots = out.expect("pool job");
             pool_results[i].extend(slots.iter().map(fingerprint));
         }
     }
@@ -666,8 +664,8 @@ fn sharded_pool_matches_per_shard_sequential_replay() {
             let outs = pool.run(&shards, jobs);
             for (j, out) in outs.into_iter().enumerate() {
                 let (s, rest) = (j / (SESSIONS * 2), j % (SESSIONS * 2));
-                let (i, n) = (rest / 2, if rest % 2 == 0 { 4 } else { 1 });
-                let slots = completions_to_slots(n, &out.expect("pool job"));
+                let i = rest / 2;
+                let slots = out.expect("pool job");
                 pool_results[s][i].extend(slots.iter().map(fingerprint));
             }
         }

@@ -13,8 +13,8 @@
 //!    under standing mode-invariant fault schedules, caches on and off.
 //! 3. **The standing differential twin** — grammar-generated syscall
 //!    workloads (dependency DAGs over a partially-granted sandbox) run
-//!    through all four execution modes — `run_sequential`, `submit_batch`,
-//!    `submit_scheduled`, and the sharded `BatchPool` — under the same
+//!    through all three execution modes — `run_sequential` (the oracle),
+//!    `submit_batch`, and the sharded `BatchPool` — under the same
 //!    seeded fault schedule, caches on and off. Results, errnos, denial
 //!    sets, audit-span accounting, and fault bookkeeping must be
 //!    identical; `faults_injected == faults_survived` proves no injected
@@ -29,8 +29,8 @@ use std::sync::Arc;
 
 use shill::cap::{CapPrivs, Priv, PrivSet};
 use shill::kernel::{
-    completions_to_slots, BatchArg, BatchEntry, BatchFd, BatchOut, FailMode, FaultPlane, Fd,
-    Kernel, KernelShards, OpenFlags, Pid, SyscallBatch,
+    BatchArg, BatchEntry, BatchFd, BatchOut, FailMode, FaultPlane, Fd, Kernel, KernelShards,
+    OpenFlags, Pid, SyscallBatch,
 };
 use shill::prelude::*;
 use shill::sandbox::{
@@ -493,13 +493,13 @@ fn async_scripts_match_their_sequential_twins() {
 }
 
 // =======================================================================
-// Layer 3: the four-mode differential oracle under fault schedules.
+// Layer 3: the three-mode differential oracle under fault schedules.
 // =======================================================================
 
 /// Seeded fault schedules (the `SHILL_FAULTS` syntax). Hash-rate sites
 /// only: their keys (path hash, shard-relative node/pid, slot index) are
 /// identical across execution modes, so one schedule fires identically in
-/// all four — the replayable-bit-for-bit contract.
+/// all three — the replayable-bit-for-bit contract.
 const SCHEDULES: &[Option<&str>] = &[
     None,
     Some("seed=11;rate=6;sites=namei"),
@@ -609,7 +609,7 @@ fn arb_workload_path(rng: &mut Rng) -> String {
 }
 
 /// Grammar over syscall workloads: a dependency DAG with barrier ordering
-/// for mutations and per-descriptor chains, so all four execution modes
+/// for mutations and per-descriptor chains, so all three execution modes
 /// observe the same offsets and namespace states. This is the lowered form
 /// of the scripts layer-2 runs — `exec` batches its sandbox I/O exactly
 /// like this.
@@ -890,10 +890,6 @@ fn run_mode(
         let out = match name {
             "sequential" => k.run_sequential(child, b).expect("sequential"),
             "batched" => k.submit_batch(child, b).expect("batched"),
-            "scheduled" => completions_to_slots(
-                b.entries.len(),
-                &k.submit_scheduled(child, b).expect("scheduled"),
-            ),
             other => unreachable!("unknown mode {other}"),
         };
         results.push(out.iter().map(fingerprint).collect());
@@ -922,7 +918,7 @@ fn run_mode(
     }
 }
 
-/// The fourth mode: the persistent sharded worker pool. One shard with two
+/// The third mode: the persistent sharded worker pool. One shard with two
 /// workers, so the steppable per-wave path (and work stealing) executes
 /// every batch; construction order matches the standalone twins, so session
 /// ids, pids, and descriptors line up exactly.
@@ -950,8 +946,7 @@ fn run_pool_mode(cached: bool, schedule: Option<&str>, batches: &[SyscallBatch])
                 fence: Vec::new(),
             }],
         );
-        let completions = outs.into_iter().next().unwrap().expect("pool job");
-        let slots = completions_to_slots(b.entries.len(), &completions);
+        let slots = outs.into_iter().next().unwrap().expect("pool job");
         results.push(slots.iter().map(fingerprint).collect());
     }
     let snap = shards.stats();
@@ -982,9 +977,8 @@ fn four_modes_agree_under_every_fault_schedule_and_cache_mode() {
 
             let seq = run_mode("sequential", cached, *schedule, &batches);
             let bat = run_mode("batched", cached, *schedule, &batches);
-            let sch = run_mode("scheduled", cached, *schedule, &batches);
             let pool = run_pool_mode(cached, *schedule, &batches);
-            let modes = [&seq, &bat, &sch, &pool];
+            let modes = [&seq, &bat, &pool];
 
             let ctxt =
                 |m: &ModeRun| format!("schedule {:?}, cached={cached}, mode {}", schedule, m.name);
@@ -1001,12 +995,8 @@ fn four_modes_agree_under_every_fault_schedule_and_cache_mode() {
                 }
                 assert_eq!(seq.denials, m.denials, "denial sets diverged ({})", ctxt(m));
             }
-            // Audit-span accounting agrees across the three span-producing
+            // Audit-span accounting agrees across the two span-producing
             // modes (sequential execution books no batch spans).
-            assert_eq!(
-                bat.spans, sch.spans,
-                "span accounting: batched vs scheduled"
-            );
             assert_eq!(bat.spans, pool.spans, "span accounting: batched vs pool");
 
             // Fault bookkeeping: every mode injected the same faults, and
@@ -1190,7 +1180,7 @@ fn fuzzed_workloads_keep_spans_balanced_with_tracing_on() {
             }
         }
 
-        // Traced scheduled twin.
+        // Traced batched twin.
         let (mut k, _policy, child, _fds) = standalone_fixture(true, *schedule);
         k.set_trace_plane(Some(std::sync::Arc::new(TracePlane::new(
             TraceSite::ALL_MASK,
@@ -1198,16 +1188,12 @@ fn fuzzed_workloads_keep_spans_balanced_with_tracing_on() {
         ))));
         for (i, b) in batches.iter().enumerate() {
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                k.submit_scheduled(child, b).map(|c| {
-                    completions_to_slots(b.entries.len(), &c)
-                        .iter()
-                        .map(fingerprint)
-                        .collect::<Vec<_>>()
-                })
+                k.submit_batch(child, b)
+                    .map(|out| out.iter().map(fingerprint).collect::<Vec<_>>())
             }));
             match r {
                 Ok(out) => {
-                    let got = out.expect("scheduled");
+                    let got = out.expect("batched");
                     // A batch the sequential twin completed without a
                     // panic must agree with the traced run. Nth-hit panic
                     // schedules are NOT mode-invariant (see fault.rs), so

@@ -1,11 +1,10 @@
 //! Span discipline for the tracing plane (ISSUE 9).
 //!
 //! Property: **every `Begin` has a matching `End`**, per site, in every
-//! execution mode — `run_sequential`, `submit_batch`, `submit_scheduled`,
-//! and the sharded `BatchPool` — and the property survives standing fault
-//! schedules, including injected policy panics (the RAII scope closes
-//! during unwind, so containment at the wave boundary never leaks an open
-//! span). Alongside the balance property, the tests pin the exported
+//! execution mode — `run_sequential`, `submit_batch`, and the sharded
+//! `BatchPool` — and the property survives standing fault schedules,
+//! including injected policy panics (the RAII scope closes during unwind,
+//! so containment at the wave boundary never leaks an open span). Alongside the balance property, the tests pin the exported
 //! artifacts: Prometheus text exposition with per-site quantiles, and a
 //! structurally valid chrome://tracing JSON document.
 
@@ -141,7 +140,7 @@ fn assert_balanced(events: &[TraceEvent], ctx: &str) {
     }
 }
 
-const MODES: &[&str] = &["sequential", "batched", "scheduled"];
+const MODES: &[&str] = &["sequential", "batched"];
 
 /// Fault schedules the balance property must survive: none, errno
 /// injection on the data path, and injected policy panics (`mac_panic`)
@@ -163,30 +162,25 @@ fn run_standalone(mode: &str, schedule: Option<&str>) -> (Vec<TraceEvent>, u64, 
     k.set_fault_plane(schedule.map(|s| FaultPlane::parse(s).expect("schedule")));
     for round in 0..12 {
         let b = workload(&fds, round);
-        match mode {
+        // Injected mac panics unwind out of the submission; the batch
+        // drop-guard contains the damage and the trace scopes must close
+        // on the way out. With no fault plane armed nothing may panic, so
+        // such a panic fails the test instead of being contained.
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match mode {
             "sequential" => {
                 let _ = k.run_sequential(child, &b);
             }
             "batched" => {
                 let _ = k.submit_batch(child, &b);
             }
-            "scheduled" => {
-                // Injected mac panics unwind out of the submission; the
-                // batch drop-guard contains the damage and the trace
-                // scopes must close on the way out.
-                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let _ = k.submit_scheduled(child, &b);
-                }));
-                if r.is_err() {
-                    if let Some(p) = k.fault_plane() {
-                        p.book_survived();
-                    }
-                }
-            }
             other => unreachable!("mode {other}"),
+        }));
+        if let Err(panic) = r {
+            match k.fault_plane() {
+                Some(p) => p.book_survived(),
+                None => std::panic::resume_unwind(panic),
+            }
         }
-        // submit_batch/run_sequential also unwind on mac_panic; contain
-        // identically for the non-scheduled modes above.
     }
     let tele = k.telemetry();
     (
@@ -201,16 +195,7 @@ fn run_standalone(mode: &str, schedule: Option<&str>) -> (Vec<TraceEvent>, u64, 
 fn spans_balance_in_every_mode_under_every_schedule() {
     for mode in MODES {
         for schedule in SCHEDULES {
-            // mac_panic unwinds out of run_sequential/submit_batch too —
-            // wrap every round so all modes survive all schedules.
-            let (events, dropped, injected, survived) =
-                if schedule.map(|s| s.contains("mac_panic")).unwrap_or(false)
-                    && *mode != "scheduled"
-                {
-                    run_standalone_contained(mode, *schedule)
-                } else {
-                    run_standalone(mode, *schedule)
-                };
+            let (events, dropped, injected, survived) = run_standalone(mode, *schedule);
             let ctx = format!("mode={mode}, schedule={schedule:?}");
             assert_eq!(dropped, 0, "ring overflow would void the property ({ctx})");
             assert!(!events.is_empty(), "tracing produced no events ({ctx})");
@@ -226,47 +211,7 @@ fn spans_balance_in_every_mode_under_every_schedule() {
     }
 }
 
-/// Like [`run_standalone`] but with per-round panic containment for the
-/// in-order modes (the scheduled arm already contains).
-fn run_standalone_contained(
-    mode: &str,
-    schedule: Option<&str>,
-) -> (Vec<TraceEvent>, u64, u64, u64) {
-    let mut k = Kernel::new_shard(0);
-    let policy = ShillPolicy::new();
-    k.register_policy(policy.clone());
-    policy.enable_logging(true);
-    populate_fs(&mut k);
-    let (child, fds) = build_sandbox(&mut k, &policy);
-    k.set_trace_plane(Some(trace_plane()));
-    k.set_fault_plane(schedule.map(|s| FaultPlane::parse(s).expect("schedule")));
-    for round in 0..12 {
-        let b = workload(&fds, round);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match mode {
-            "sequential" => {
-                let _ = k.run_sequential(child, &b);
-            }
-            "batched" => {
-                let _ = k.submit_batch(child, &b);
-            }
-            other => unreachable!("mode {other}"),
-        }));
-        if r.is_err() {
-            if let Some(p) = k.fault_plane() {
-                p.book_survived();
-            }
-        }
-    }
-    let tele = k.telemetry();
-    (
-        tele.events,
-        tele.stats.trace_dropped,
-        tele.stats.faults_injected,
-        tele.stats.faults_survived,
-    )
-}
-
-/// The fourth mode: spans stay balanced through the sharded worker pool,
+/// The third mode: spans stay balanced through the sharded worker pool,
 /// and per-shard rings merge into one attributable stream.
 #[test]
 fn spans_balance_through_the_sharded_pool() {
@@ -294,9 +239,9 @@ fn spans_balance_through_the_sharded_pool() {
             })
             .collect();
         for out in pool.run(&shards, jobs) {
-            let completions = out.expect("pool job");
+            let slots = out.expect("pool job");
             // Sanity: the workload really ran.
-            assert!(!completions.is_empty());
+            assert!(!slots.is_empty());
         }
     }
     drop(pool);
@@ -325,7 +270,7 @@ fn spans_balance_through_the_sharded_pool() {
 /// structurally valid JSON document with one complete event per span.
 #[test]
 fn telemetry_renders_quantiles_and_chrome_trace() {
-    let (_events, ..) = run_standalone("scheduled", None); // warm the epoch
+    let (_events, ..) = run_standalone("batched", None); // warm the epoch
     let mut k = Kernel::new_shard(0);
     let policy = ShillPolicy::new();
     k.register_policy(policy.clone());
@@ -333,7 +278,7 @@ fn telemetry_renders_quantiles_and_chrome_trace() {
     let (child, fds) = build_sandbox(&mut k, &policy);
     k.set_trace_plane(Some(trace_plane()));
     for round in 0..16 {
-        let _ = k.submit_scheduled(child, &workload(&fds, round));
+        let _ = k.submit_batch(child, &workload(&fds, round));
     }
     let tele = k.telemetry();
     let text = tele.render_text();
