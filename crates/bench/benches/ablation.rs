@@ -1,332 +1,113 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches: what each design choice of the SHILL stack costs or
+//! saves, one group per choice. Every group runs its arms in interleaved
+//! rounds and reports through `shill_bench::Group` (see the crate docs);
+//! `SHILL_BENCH_ONLY=<group>[,<group>…]` runs a subset.
 //!
-//! 1. **Contract checking cost** — Figure 3's `find_jpg` traversal with the
-//!    precise contract vs an `any`-typed contract (no capability guards):
-//!    isolates the language-level proxy cost.
-//! 2. **Session scrub cost** — per-file sandbox churn (the Find pattern):
-//!    how much of sandbox teardown is privilege-map scrubbing.
-//! 3. **Privilege propagation cost** — deep path resolution inside a
-//!    sandbox with and without propagation (granting the leaf directly vs
-//!    deriving privileges along the chain).
-//! 4. **Resolution-cache ablation** — the deep-directory repeated-stat
-//!    workload with the dcache + AVC on vs off (the `security.cache.*`
-//!    sysctls), reporting time per op, policy-reaching MAC checks, and
-//!    directory scans. Set `SHILL_BENCH_CACHE_JSON=<path>` to record a
-//!    machine-readable baseline (committed as `BENCH_cache.json`).
-//! 5. **Batched-submission ablation** — the same entries submitted through
-//!    `Kernel::submit_batch` vs replayed sequentially
-//!    (`Kernel::run_sequential`) on the deep-path stat and streaming-copy
-//!    workloads, reporting ns/op, ulimit charge operations, and MAC
-//!    context setups. Set `SHILL_BENCH_BATCH_JSON=<path>` to record the
-//!    baseline (committed as `BENCH_batch.json`).
-//! 6. **Multi-session throughput** — N sandboxed sessions driving
-//!    open/read/close + batched-stat workloads over one shared kernel
-//!    (a one-shard `KernelShards` + `run_sessions` worker threads — group
-//!    8's workload at one shard) vs the same total
-//!    work driven by a single thread. With one global kernel lock the
-//!    threads mostly serialize — this group records the contention
-//!    baseline the ROADMAP's sharding item must beat. Set
-//!    `SHILL_BENCH_CONCURRENCY_JSON=<path>` to record it (committed as
-//!    `BENCH_concurrency.json`).
-//! 7. **Batch-scheduler ablation** — (a) copies as fused pipelines
-//!    (`ReadFile → WriteFile{data: OutputOf}` in ONE scheduled submission)
-//!    vs the two-submission form where the data surfaces to the runtime in
-//!    between; (b) `BatchPool` multi-session scheduled submissions at
-//!    1/2/4 workers (kernel lock acquired per dependency wave; DAG
-//!    validation and completion assembly outside the lock) vs the same
-//!    jobs driven by a single thread. Set `SHILL_BENCH_SCHED_JSON=<path>`
-//!    to record the baseline (committed as `BENCH_sched.json`).
-//! 10. **Language-surface fusion** — a SHILL script's async pipeline
-//!     (deferred copy + reads + stat sweep forced by one `await_all`) vs
-//!     its sequential twin, comparing wall time and batch submissions per
-//!     round. Set `SHILL_BENCH_LANG_JSON=<path>` to record the baseline
-//!     (committed as `BENCH_lang.json`).
-//! 11. **Observability ablation** — the group-5 deep-stat batched workload
-//!     with the trace plane absent vs armed on every site, isolating the
-//!     tracing tax: off-path is one relaxed load per instrumented site,
-//!     on-path pays two clock reads plus a ring push per span. Set
-//!     `SHILL_BENCH_OBS_JSON=<path>` to record the baseline (committed as
-//!     `BENCH_obs.json`); CI gates the on/off ratio at 1.10×.
-//! 12. **Server front-end load generation** — ≥1000 concurrent
-//!     authenticated TCP sessions against the multi-tenant server,
-//!     per-request latency sampled end-to-end through the framed
-//!     protocol (exact-sorted p50/p99). Knobs:
-//!     `SHILL_BENCH_SERVER_SESSIONS`, `SHILL_BENCH_SERVER_ROUNDS`,
-//!     `SHILL_BENCH_SERVER_DRIVERS`. Set `SHILL_BENCH_SERVER_JSON=<path>`
-//!     to record the baseline (committed as `BENCH_server.json`).
+//! * **cache** — deep-path repeated `fstatat` (depth 9) with the dcache +
+//!   AVC on vs off (the `security.cache.*` sysctls): time per op,
+//!   policy-reaching MAC checks, cache hits and directory scans.
+//! * **batch** — the same entries through `Kernel::submit_batch` vs
+//!   replayed sequentially (`Kernel::run_sequential`) on the deep-path stat
+//!   and streaming-copy workloads: time per op, ulimit charges, MAC context
+//!   setups. Deep-stat has a third arm, batched with the trace plane armed
+//!   on every site; its ratio to the batched arm is the tracing tax CI
+//!   gates at 1.10×.
+//! * **sched** — (a) copies as fused pipelines (`ReadFile → WriteFile{data:
+//!   OutputOf}` in one submission) vs two submissions; (b) the
+//!   multi-session workload as fused chains through `BatchPool` at 1/2/4
+//!   workers vs one thread, per call or scheduled.
+//! * **shard** — sandboxed sessions of open/read/close + stat batches on
+//!   worker threads, pinned across 1, 2 and 4 kernel shards, vs the same
+//!   sessions run one after another on one thread.
+//! * **policy** — concurrent session churn against the striped policy
+//!   plane at 1, 2 and 4 shards, plus `BatchPool` steal counts.
+//! * **lang** — a SHILL script's async pipeline (one `await_all`) vs its
+//!   sequential twin: time and batch submissions per round.
+//! * **server** — concurrent authenticated TCP sessions against the
+//!   multi-tenant server (`SHILL_BENCH_SERVER_SESSIONS`, default 1000),
+//!   per-request latency end to end through the framed protocol.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use shill::kernel::{BatchEntry, SyscallBatch, TracePlane, TraceSite};
 use shill::prelude::*;
-use shill_bench::{sample, Stats};
+use shill_bench::{interleave, runs, Group, Metric, Stats};
 use shill_cap::{CapPrivs, Priv, PrivSet};
-use shill_sandbox::{setup_sandbox, Grant, SandboxSpec, ShillPolicy};
+use shill_sandbox::{setup_sandbox, Grant, SandboxSpec};
 
-const FIND_JPG_PRECISE: &str = r#"#lang shill/cap
-provide find_jpg :
-  {cur : dir(+contents, +lookup, +path) \/ file(+path),
-   out : file(+append)} -> void;
-find_jpg = fun(cur, out) {
-  if is_file(cur) && has_ext(cur, "jpg") then
-    append(out, path(cur) ++ "\n");
-  if is_dir(cur) then
-    for name in contents(cur) {
-      child = lookup(cur, name);
-      if !is_syserror(child) then
-        find_jpg(child, out);
-    }
-}
-"#;
-
-const FIND_JPG_ANY: &str = r#"#lang shill/cap
-provide find_jpg : {cur : any, out : any} -> void;
-find_jpg = fun(cur, out) {
-  if is_file(cur) && has_ext(cur, "jpg") then
-    append(out, path(cur) ++ "\n");
-  if is_dir(cur) then
-    for name in contents(cur) {
-      child = lookup(cur, name);
-      if !is_syserror(child) then
-        find_jpg(child, out);
-    }
-}
-"#;
-
-fn traversal(script: &str) -> std::time::Duration {
-    let mut rt = shill::setup::standard_runtime();
-    shill::binaries::photo_workload(rt.kernel(), 300);
-    rt.kernel()
-        .fs
-        .put_file("/home/user/out.txt", b"", Mode(0o644), Uid(100), Gid(100))
-        .unwrap();
-    rt.add_script("find_jpg.cap", script);
-    let t0 = Instant::now();
-    rt.run(
-        "main",
-        r#"#lang shill/ambient
-require "find_jpg.cap";
-find_jpg(open_dir("/home/user"), open_file("/home/user/out.txt"));
-"#,
-    )
-    .expect("traversal");
-    t0.elapsed()
+/// `/deep/d0/…/d8/leaf.bin`: the depth-9 file the cache and batch groups
+/// stat.
+fn deep_file() -> String {
+    let dirs: String = (0..9).map(|i| format!("/d{i}")).collect();
+    format!("/deep{dirs}/leaf.bin")
 }
 
-fn bench_contract_cost() {
-    let n = shill_bench::runs();
-    let precise = Stats::of(&sample(n, || traversal(FIND_JPG_PRECISE)));
-    let any = Stats::of(&sample(n, || traversal(FIND_JPG_ANY)));
-    println!("1. capability-contract guard cost (find_jpg over 300 files):");
-    println!("   precise contract: {}", precise.fmt_ms());
-    println!("   `any` contract:   {}", any.fmt_ms());
-    println!(
-        "   guard overhead:   {}",
-        shill_bench::ratio(&precise, &any)
-    );
-}
-
-fn bench_session_churn() {
-    // One sandbox per item, like Find: measure setup+teardown per session
-    // and how much the label scrub contributes.
-    let sessions = 2_000usize;
-    let mut k = Kernel::new();
-    for i in 0..50 {
-        k.fs.put_file(
-            &format!("/data/f{i}"),
-            b"x",
-            Mode(0o644),
-            Uid::ROOT,
-            Gid::WHEEL,
-        )
-        .unwrap();
-    }
-    let policy = ShillPolicy::new();
-    k.register_policy(policy.clone());
-    let user = k.spawn_user(Cred::ROOT);
-    let data = k.fs.resolve_abs("/data").unwrap();
-    let grants = vec![Grant::vnode(
-        data,
-        CapPrivs::of(PrivSet::of(&[
-            Priv::Lookup,
-            Priv::Contents,
-            Priv::Read,
-            Priv::Stat,
-        ])),
-    )];
-    let t0 = Instant::now();
-    for _ in 0..sessions {
-        let spec = SandboxSpec {
-            grants: grants.clone(),
-            ..Default::default()
-        };
-        let sb = setup_sandbox(&mut k, &policy, user, &spec).expect("sandbox");
-        // Touch a few files so privilege propagation populates labels.
-        for i in 0..5 {
-            let fd = k.open(sb.child, &format!("/data/f{i}"), OpenFlags::RDONLY, Mode(0));
-            if let Ok(fd) = fd {
-                let _ = k.close(sb.child, fd);
-            }
-        }
-        k.exit(sb.child, 0);
-        let _ = k.waitpid(user, sb.child);
-    }
-    let elapsed = t0.elapsed();
-    let st = policy.stats();
-    println!("\n2. session churn ({sessions} sandboxes, 5 opens each):");
-    println!(
-        "   {:?} total, {:.1}µs/sandbox; label entries scrubbed: {} ({} per session)",
-        elapsed,
-        elapsed.as_secs_f64() * 1e6 / sessions as f64,
-        st.scrubbed,
-        st.scrubbed / sessions as u64
-    );
-    println!(
-        "   (all sessions reclaimed: {} live label entries remain)",
-        policy.label_entries()
-    );
-}
-
-fn bench_propagation_depth() {
-    println!("\n3. privilege propagation along deep paths (open at depth d, ns/op):");
-    for depth in [1usize, 3, 6, 9] {
-        let mut k = Kernel::new();
-        let mut p = String::from("/deep");
-        for i in 0..depth {
-            p.push_str(&format!("/d{i}"));
-        }
-        let file = format!("{p}/leaf.bin");
-        k.fs.put_file(&file, b"z", Mode(0o644), Uid::ROOT, Gid::WHEEL)
-            .unwrap();
-        let policy = ShillPolicy::new();
-        k.register_policy(policy.clone());
-        let user = k.spawn_user(Cred::ROOT);
-        let root = k.fs.root();
-        let spec = SandboxSpec {
-            grants: vec![Grant::vnode(root, CapPrivs::full())],
-            ..Default::default()
-        };
-        let sb = setup_sandbox(&mut k, &policy, user, &spec).unwrap();
-        let n = 20_000;
-        let t0 = Instant::now();
-        for _ in 0..n {
-            let fd = k
-                .open(sb.child, &file, OpenFlags::RDONLY, Mode(0))
-                .expect("open");
-            k.close(sb.child, fd).unwrap();
-        }
-        let per = t0.elapsed().as_nanos() as f64 / n as f64;
-        println!("   depth {depth:>2}: {per:>8.0}ns/op");
-    }
-    println!("   (expect linear growth — one lookup check + propagation per component)");
-}
-
-/// One cache-ablation measurement: deep-path repeated stats in a sandbox.
+/// One cache-group round: `ops` deep-path stats in a sandbox, with
+/// per-op counters.
 struct CacheRun {
     ns_per_op: f64,
-    mac_vnode_checks: u64,
-    avc_hits: u64,
-    dcache_hits: u64,
-    dir_scans: u64,
+    mac_vnode_checks: f64,
+    avc_hits: f64,
+    dcache_hits: f64,
+    dir_scans: f64,
 }
 
-fn cache_run(cached: bool, depth: usize, rounds: usize) -> CacheRun {
-    let mut k = Kernel::new();
-    let mut p = String::from("/deep");
-    for i in 0..depth {
-        p.push_str(&format!("/d{i}"));
-    }
-    let file = format!("{p}/leaf.bin");
-    k.fs.put_file(&file, b"z", Mode(0o644), Uid::ROOT, Gid::WHEEL)
-        .unwrap();
-    let policy = ShillPolicy::new();
-    k.register_policy(policy.clone());
-    let user = k.spawn_user(Cred::ROOT);
-    let root = k.fs.root();
-    let spec = SandboxSpec {
-        grants: vec![Grant::vnode(root, CapPrivs::full())],
-        ..Default::default()
-    };
-    let sb = setup_sandbox(&mut k, &policy, user, &spec).unwrap();
+fn cache_run(cached: bool, ops: usize) -> CacheRun {
+    let file = deep_file();
+    let (mut k, pid) = batch_fixture(|k| {
+        k.fs.put_file(&file, b"z", Mode(0o644), Uid::ROOT, Gid::WHEEL)
+            .unwrap();
+    });
     k.set_cache_enabled(cached, cached);
-    k.fstatat(sb.child, None, &file, true).unwrap(); // warmup + propagation
+    k.fstatat(pid, None, &file, true).unwrap(); // warmup + propagation
     k.stats.reset();
     let t0 = Instant::now();
-    for _ in 0..rounds {
-        k.fstatat(sb.child, None, &file, true).unwrap();
+    for _ in 0..ops {
+        k.fstatat(pid, None, &file, true).unwrap();
     }
     let elapsed = t0.elapsed();
     let st = k.stats.snapshot();
+    let per = |c: u64| c as f64 / ops as f64;
     CacheRun {
-        ns_per_op: elapsed.as_nanos() as f64 / rounds as f64,
-        mac_vnode_checks: st.mac_vnode_checks,
-        avc_hits: st.avc_hits,
-        dcache_hits: st.dcache_hits,
-        dir_scans: st.dir_scans,
+        ns_per_op: elapsed.as_nanos() as f64 / ops as f64,
+        mac_vnode_checks: per(st.mac_vnode_checks),
+        avc_hits: per(st.avc_hits),
+        dcache_hits: per(st.dcache_hits),
+        dir_scans: per(st.dir_scans),
     }
 }
 
-fn bench_cache_ablation() {
-    println!("\n4. resolution-cache ablation (stat at depth 9, 50,000 repeats):");
-    let rounds = 50_000;
-    let on = cache_run(true, 9, rounds);
-    let off = cache_run(false, 9, rounds);
-    let report = |label: &str, r: &CacheRun| {
-        println!(
-            "   {label:<10} {:>8.0}ns/op  policy checks {:>8}  avc hits {:>8}  dcache hits {:>8}  dir scans {:>8}",
-            r.ns_per_op, r.mac_vnode_checks, r.avc_hits, r.dcache_hits, r.dir_scans
-        );
-    };
-    report("cached:", &on);
-    report("uncached:", &off);
-    println!(
-        "   policy-reaching MAC checks cut {:.1}×; directory scans cut {:.1}×; {:.2}× faster",
-        off.mac_vnode_checks as f64 / on.mac_vnode_checks.max(1) as f64,
-        off.dir_scans as f64 / on.dir_scans.max(1) as f64,
-        off.ns_per_op / on.ns_per_op
-    );
-    if let Ok(path) = std::env::var("SHILL_BENCH_CACHE_JSON") {
-        let json = format!(
-            concat!(
-                "{{\n",
-                "  \"workload\": \"deep-path repeated fstatat, depth 9, {rounds} rounds\",\n",
-                "  \"cached\": {{\"ns_per_op\": {:.1}, \"mac_vnode_checks\": {}, \"avc_hits\": {}, \"dcache_hits\": {}, \"dir_scans\": {}}},\n",
-                "  \"uncached\": {{\"ns_per_op\": {:.1}, \"mac_vnode_checks\": {}, \"avc_hits\": {}, \"dcache_hits\": {}, \"dir_scans\": {}}},\n",
-                "  \"policy_check_reduction\": {:.2},\n",
-                "  \"dir_scan_reduction\": {:.2},\n",
-                "  \"speedup\": {:.3}\n",
-                "}}\n"
-            ),
-            on.ns_per_op,
-            on.mac_vnode_checks,
-            on.avc_hits,
-            on.dcache_hits,
-            on.dir_scans,
-            off.ns_per_op,
-            off.mac_vnode_checks,
-            off.avc_hits,
-            off.dcache_hits,
-            off.dir_scans,
-            off.mac_vnode_checks as f64 / on.mac_vnode_checks.max(1) as f64,
-            off.dir_scans as f64 / on.dir_scans.max(1) as f64,
-            off.ns_per_op / on.ns_per_op,
-            rounds = rounds,
-        );
-        std::fs::write(&path, json).expect("write cache baseline");
-        println!("   baseline written to {path}");
+const CACHE_METRICS: [Metric<CacheRun>; 5] = [
+    ("time", "ns/op", |c| c.ns_per_op),
+    ("mac_vnode_checks", "count/op", |c| c.mac_vnode_checks),
+    ("avc_hits", "count/op", |c| c.avc_hits),
+    ("dcache_hits", "count/op", |c| c.dcache_hits),
+    ("dir_scans", "count/op", |c| c.dir_scans),
+];
+
+fn bench_cache() {
+    const ARMS: [&str; 2] = ["cached", "uncached"];
+    let r = interleave(runs(), 2, |arm| cache_run(arm == 0, 3_334));
+    let mut g = Group::new("cache");
+    for (metric, unit, f) in CACHE_METRICS {
+        g.per_arm(metric, unit, &ARMS, &r, f);
     }
+    g.ratio("time_ratio", &ARMS, &r, 1, 0, |c| c.ns_per_op);
+    g.write();
 }
 
-/// One batch-ablation measurement.
+/// One batch-group round, counters per op.
 struct BatchRun {
     ns_per_op: f64,
-    charge_calls: u64,
-    mac_ctx_setups: u64,
-    prefix_hits: u64,
+    charge_calls: f64,
+    mac_ctx_setups: f64,
+    prefix_hits: f64,
+    trace_events: f64,
+    trace_dropped: f64,
 }
 
-/// A sandboxed kernel (full root grant, caches on) for the batch ablation.
+/// A sandboxed kernel (full root grant, caches on).
 fn batch_fixture(build: impl FnOnce(&mut Kernel)) -> (Kernel, Pid) {
     let mut k = Kernel::new();
     build(&mut k);
@@ -342,53 +123,72 @@ fn batch_fixture(build: impl FnOnce(&mut Kernel)) -> (Kernel, Pid) {
     (k, sb.child)
 }
 
-/// Deep-path stat workload: batches of `width` repeated stats of a file at
-/// directory depth 9, the PR 1 cache workload now driven through the batch
-/// path. One "op" is one stat entry.
-fn batch_stat_run(batched: bool, rounds: usize, width: usize) -> BatchRun {
-    let depth = 9;
-    let mut p = String::from("/deep");
-    for i in 0..depth {
-        p.push_str(&format!("/d{i}"));
+/// Submit `batch` through the scheduler, or replay it sequentially.
+fn submit(
+    k: &mut Kernel,
+    pid: Pid,
+    batch: &SyscallBatch,
+    batched: bool,
+) -> Vec<shill_vfs::SysResult<shill::kernel::BatchOut>> {
+    if batched {
+        k.submit_batch(pid, batch).unwrap()
+    } else {
+        k.run_sequential(pid, batch).unwrap()
     }
-    let file = format!("{p}/leaf.bin");
+}
+
+/// Deep-path stat workload: `submissions` batches of `width` repeated
+/// stats of the depth-9 file. One "op" is one stat entry. With `traced`
+/// the trace plane is armed on every site and its ring drained after each
+/// submission, outside the timing, so the traced arm pays the steady-state
+/// push cost, never the ring-full fast path.
+fn batch_stat_run(batched: bool, traced: bool, submissions: usize, width: usize) -> BatchRun {
+    let file = deep_file();
     let (mut k, pid) = batch_fixture(|k| {
         k.fs.put_file(&file, b"z", Mode(0o644), Uid::ROOT, Gid::WHEEL)
             .unwrap();
     });
-    let entries: Vec<BatchEntry> = (0..width)
-        .map(|_| BatchEntry::Stat {
-            dirfd: None,
-            path: file.clone(),
-            follow: true,
-        })
-        .collect();
-    let batch = SyscallBatch::new(entries);
+    let plane = traced.then(|| Arc::new(TracePlane::new(TraceSite::ALL_MASK, 1 << 16)));
+    k.set_trace_plane(plane.clone());
+    let batch = SyscallBatch::new(
+        (0..width)
+            .map(|_| BatchEntry::Stat {
+                dirfd: None,
+                path: file.clone(),
+                follow: true,
+            })
+            .collect(),
+    );
     // Warmup (propagation + caches), then measure.
     k.fstatat(pid, None, &file, true).unwrap();
     k.stats.reset();
-    let t0 = Instant::now();
-    for _ in 0..rounds {
-        let out = if batched {
-            k.submit_batch(pid, &batch).unwrap()
-        } else {
-            k.run_sequential(pid, &batch).unwrap()
-        };
+    let mut busy = Duration::ZERO;
+    let mut trace_events = 0u64;
+    for _ in 0..submissions {
+        let t0 = Instant::now();
+        let out = submit(&mut k, pid, &batch, batched);
+        busy += t0.elapsed();
         debug_assert!(out.iter().all(|r| r.is_ok()));
+        if let Some(plane) = &plane {
+            trace_events += plane.drain().len() as u64;
+        }
     }
-    let elapsed = t0.elapsed();
-    let st = k.stats.snapshot();
+    let st = k.stats_snapshot();
+    let ops = (submissions * width) as f64;
     BatchRun {
-        ns_per_op: elapsed.as_nanos() as f64 / (rounds * width) as f64,
-        charge_calls: st.charge_calls,
-        mac_ctx_setups: st.mac_ctx_setups,
-        prefix_hits: st.batch_prefix_hits,
+        ns_per_op: busy.as_nanos() as f64 / ops,
+        charge_calls: st.charge_calls as f64 / ops,
+        mac_ctx_setups: st.mac_ctx_setups as f64 / ops,
+        prefix_hits: st.batch_prefix_hits as f64 / ops,
+        trace_events: trace_events as f64 / ops,
+        trace_dropped: st.trace_dropped as f64,
     }
 }
 
 /// Streaming-copy workload: a source-tree sweep (`files` 2 KiB files under
 /// a shared deep dirname, the cp -r shape) copied via the fused
-/// read-file/write-file entries. One "op" is one file copied.
+/// read-file/write-file entries, `rounds` times. One "op" is one file
+/// copied.
 fn batch_copy_run(batched: bool, rounds: usize, files: usize) -> BatchRun {
     let src = "/srcdir/project/src/lib/util";
     let dst = "/dstdir/project/src/lib/util";
@@ -415,19 +215,11 @@ fn batch_copy_run(batched: bool, rounds: usize, files: usize) -> BatchRun {
             .collect(),
     );
     // Warmup: one read pass populates propagation and caches.
-    let _ = if batched {
-        k.submit_batch(pid, &reads).unwrap()
-    } else {
-        k.run_sequential(pid, &reads).unwrap()
-    };
+    submit(&mut k, pid, &reads, batched);
     k.stats.reset();
     let t0 = Instant::now();
     for _ in 0..rounds {
-        let out = if batched {
-            k.submit_batch(pid, &reads).unwrap()
-        } else {
-            k.run_sequential(pid, &reads).unwrap()
-        };
+        let out = submit(&mut k, pid, &reads, batched);
         let writes = SyscallBatch::new(
             out.into_iter()
                 .enumerate()
@@ -443,119 +235,70 @@ fn batch_copy_run(batched: bool, rounds: usize, files: usize) -> BatchRun {
                 })
                 .collect(),
         );
-        let out = if batched {
-            k.submit_batch(pid, &writes).unwrap()
-        } else {
-            k.run_sequential(pid, &writes).unwrap()
-        };
+        let out = submit(&mut k, pid, &writes, batched);
         debug_assert!(out.iter().all(|r| r.is_ok()));
     }
     let elapsed = t0.elapsed();
     let st = k.stats.snapshot();
+    let ops = (rounds * files) as f64;
     BatchRun {
-        ns_per_op: elapsed.as_nanos() as f64 / (rounds * files) as f64,
-        charge_calls: st.charge_calls,
-        mac_ctx_setups: st.mac_ctx_setups,
-        prefix_hits: st.batch_prefix_hits,
+        ns_per_op: elapsed.as_nanos() as f64 / ops,
+        charge_calls: st.charge_calls as f64 / ops,
+        mac_ctx_setups: st.mac_ctx_setups as f64 / ops,
+        prefix_hits: st.batch_prefix_hits as f64 / ops,
+        trace_events: 0.0,
+        trace_dropped: 0.0,
     }
 }
 
-fn bench_batch_ablation() {
-    println!("\n5. batched-submission ablation (batched vs sequential, caches on):");
-    let report = |label: &str, r: &BatchRun| {
-        println!(
-            "   {label:<22} {:>8.0}ns/op  charges {:>8}  ctx setups {:>8}  prefix hits {:>8}",
-            r.ns_per_op, r.charge_calls, r.mac_ctx_setups, r.prefix_hits
-        );
-    };
-    let stat_rounds = 2_000;
-    let stat_b = batch_stat_run(true, stat_rounds, 64);
-    let stat_s = batch_stat_run(false, stat_rounds, 64);
-    report("deep-stat batched:", &stat_b);
-    report("deep-stat sequential:", &stat_s);
-    let copy_rounds = 300;
-    let copy_b = batch_copy_run(true, copy_rounds, 48);
-    let copy_s = batch_copy_run(false, copy_rounds, 48);
-    report("stream-copy batched:", &copy_b);
-    report("stream-copy sequential:", &copy_s);
-    let ratio = |s: f64, b: f64| s / b.max(1e-9);
-    let red = |s: u64, b: u64| s as f64 / (b.max(1)) as f64;
-    println!(
-        "   deep-stat:   {:.2}× faster; charges cut {:.1}×; ctx setups cut {:.1}×",
-        ratio(stat_s.ns_per_op, stat_b.ns_per_op),
-        red(stat_s.charge_calls, stat_b.charge_calls),
-        red(stat_s.mac_ctx_setups, stat_b.mac_ctx_setups),
-    );
-    println!(
-        "   stream-copy: {:.2}× faster; charges cut {:.1}×; ctx setups cut {:.1}×",
-        ratio(copy_s.ns_per_op, copy_b.ns_per_op),
-        red(copy_s.charge_calls, copy_b.charge_calls),
-        red(copy_s.mac_ctx_setups, copy_b.mac_ctx_setups),
-    );
-    if let Ok(path) = std::env::var("SHILL_BENCH_BATCH_JSON") {
-        let wl = |r: &BatchRun| {
-            format!(
-                "{{\"ns_per_op\": {:.1}, \"charge_calls\": {}, \"mac_ctx_setups\": {}, \"batch_prefix_hits\": {}}}",
-                r.ns_per_op, r.charge_calls, r.mac_ctx_setups, r.prefix_hits
-            )
-        };
-        let json = format!(
-            concat!(
-                "{{\n",
-                "  \"deep_stat\": {{\n",
-                "    \"workload\": \"fstatat at depth 9, {sr} rounds x 64-entry batches\",\n",
-                "    \"batched\": {},\n",
-                "    \"sequential\": {},\n",
-                "    \"speedup\": {:.3},\n",
-                "    \"charge_reduction\": {:.2},\n",
-                "    \"ctx_setup_reduction\": {:.2}\n",
-                "  }},\n",
-                "  \"stream_copy\": {{\n",
-                "    \"workload\": \"48 x 2KiB files at depth 4 copied via fused read/write, {cr} rounds\",\n",
-                "    \"batched\": {},\n",
-                "    \"sequential\": {},\n",
-                "    \"speedup\": {:.3},\n",
-                "    \"charge_reduction\": {:.2},\n",
-                "    \"ctx_setup_reduction\": {:.2}\n",
-                "  }}\n",
-                "}}\n"
-            ),
-            wl(&stat_b),
-            wl(&stat_s),
-            ratio(stat_s.ns_per_op, stat_b.ns_per_op),
-            red(stat_s.charge_calls, stat_b.charge_calls),
-            red(stat_s.mac_ctx_setups, stat_b.mac_ctx_setups),
-            wl(&copy_b),
-            wl(&copy_s),
-            ratio(copy_s.ns_per_op, copy_b.ns_per_op),
-            red(copy_s.charge_calls, copy_b.charge_calls),
-            red(copy_s.mac_ctx_setups, copy_b.mac_ctx_setups),
-            sr = stat_rounds,
-            cr = copy_rounds,
-        );
-        std::fs::write(&path, json).expect("write batch baseline");
-        println!("   baseline written to {path}");
+const BATCH_METRICS: [Metric<BatchRun>; 4] = [
+    ("time", "ns/op", |b| b.ns_per_op),
+    ("charge_calls", "count/op", |b| b.charge_calls),
+    ("mac_ctx_setups", "count/op", |b| b.mac_ctx_setups),
+    ("prefix_hits", "count/op", |b| b.prefix_hits),
+];
+
+fn bench_batch() {
+    const STAT: [&str; 3] = ["batched", "sequential", "traced"];
+    const COPY: [&str; 2] = ["batched", "sequential"];
+    let stat = interleave(runs(), 3, |arm| batch_stat_run(arm != 1, arm == 2, 300, 64));
+    let copy = interleave(runs(), 2, |arm| batch_copy_run(arm == 0, 20, 48));
+    let mut g = Group::new("batch");
+    for (metric, unit, f) in BATCH_METRICS {
+        g.per_arm(&format!("deep_stat.{metric}"), unit, &STAT, &stat, f);
     }
+    g.ratio("deep_stat.time_ratio", &STAT, &stat, 1, 0, |b| b.ns_per_op);
+    g.ratio("deep_stat.time_ratio", &STAT, &stat, 2, 0, |b| b.ns_per_op);
+    let events = stat.stats(2, |b| b.trace_events);
+    g.add("deep_stat.trace_events", "count/op", "traced", events);
+    let dropped = stat.stats(2, |b| b.trace_dropped);
+    g.add("deep_stat.trace_dropped", "count", "traced", dropped);
+    for (metric, unit, f) in BATCH_METRICS {
+        g.per_arm(&format!("stream_copy.{metric}"), unit, &COPY, &copy, f);
+    }
+    g.ratio("stream_copy.time_ratio", &COPY, &copy, 1, 0, |b| {
+        b.ns_per_op
+    });
+    g.write();
+
+    let traced = stat.samples(2);
+    assert!(
+        traced.iter().all(|b| b.trace_dropped == 0.0),
+        "ring drained every submission; nothing may drop"
+    );
+    assert!(
+        traced.iter().all(|b| b.trace_events > 0.0),
+        "armed plane must record events"
+    );
 }
 
-/// One multi-session measurement: total ops completed and wall time.
-struct ConcurrencyRun {
-    ns_per_op: f64,
-    ops: u64,
-}
-
-/// The multi-session workload groups 6 and 8 share: `sessions` confined
-/// subtrees of 8 files on each of `nshards` kernel shards, session `i`
-/// pinned to shard `i % nshards`, each session running `rounds` of 8
+/// The shard group's workload, in ns per op: `sessions` confined subtrees
+/// of 8 files on each of `nshards` kernel shards, session `i` pinned to
+/// shard `i % nshards`, each session running `rounds` of 8
 /// open/read/close triples plus one 8-entry stat batch. `threaded` runs
 /// every session on its own worker thread; otherwise the sessions run one
-/// after another on this thread (group 6's single-thread baseline).
-fn session_workload(
-    sessions: usize,
-    rounds: usize,
-    nshards: usize,
-    threaded: bool,
-) -> ConcurrencyRun {
+/// after another on this thread.
+fn session_workload(sessions: usize, rounds: usize, nshards: usize, threaded: bool) -> f64 {
     use shill::kernel::KernelShards;
     use shill_sandbox::{run_sessions, SessionBody, SessionTask};
 
@@ -642,7 +385,7 @@ fn session_workload(
         .collect();
 
     // ops per session per round: 8 open/read/close triples + 8 stat entries.
-    let ops = (sessions * rounds * (8 * 3 + 8)) as u64;
+    let ops = (sessions * rounds * (8 * 3 + 8)) as f64;
     let t0 = Instant::now();
     if threaded {
         let outcomes =
@@ -661,72 +404,22 @@ fn session_workload(
         if nshards > 1 { 1 } else { 0 },
         "only the policy attach may rendezvous — session traffic is shard-local"
     );
-    ConcurrencyRun {
-        ns_per_op: elapsed.as_nanos() as f64 / ops as f64,
-        ops,
-    }
+    elapsed.as_nanos() as f64 / ops
 }
 
-fn bench_concurrency() {
-    let sessions = 4;
-    let rounds = 400;
-    println!(
-        "\n6. multi-session throughput ({sessions} sessions x {rounds} rounds, shared kernel):"
-    );
-    // Group 8 at one shard, against the same work driven by one thread.
-    let threaded = session_workload(sessions, rounds, 1, true);
-    let single = session_workload(sessions, rounds, 1, false);
-    let report = |label: &str, r: &ConcurrencyRun| {
-        println!(
-            "   {label:<28} {:>8.0}ns/op  ({} ops, {:.2}M ops/s)",
-            r.ns_per_op,
-            r.ops,
-            1e3 / r.ns_per_op
-        );
-    };
-    report("4 worker threads:", &threaded);
-    report("single-threaded baseline:", &single);
-    println!(
-        "   threaded/single ratio: {:.2}× (global kernel lock; the sharding \
-         item exists to push this below 1.0)",
-        threaded.ns_per_op / single.ns_per_op.max(1e-9)
-    );
-    if let Ok(path) = std::env::var("SHILL_BENCH_CONCURRENCY_JSON") {
-        let json = format!(
-            concat!(
-                "{{\n",
-                "  \"workload\": \"{s} sessions x {r} rounds of 8 open/read/close + 8-entry stat batch, shared kernel\",\n",
-                "  \"threaded\": {{\"ns_per_op\": {:.1}, \"ops\": {}}},\n",
-                "  \"single_thread\": {{\"ns_per_op\": {:.1}, \"ops\": {}}},\n",
-                "  \"threaded_over_single\": {:.3}\n",
-                "}}\n"
-            ),
-            threaded.ns_per_op,
-            threaded.ops,
-            single.ns_per_op,
-            single.ops,
-            threaded.ns_per_op / single.ns_per_op.max(1e-9),
-            s = sessions,
-            r = rounds,
-        );
-        std::fs::write(&path, json).expect("write concurrency baseline");
-        println!("   baseline written to {path}");
-    }
-}
-
-/// One scheduler measurement.
+/// One sched-group copy round, counters per file.
 struct SchedRun {
     ns_per_op: f64,
-    batches: u64,
-    slot_links: u64,
-    sched_waves: u64,
+    batches: f64,
+    slot_links: f64,
 }
 
-/// Copy `files` files of `size` bytes, either as fused pipelines (one
-/// scheduled submission per file, data flowing via `OutputOf`) or as the
-/// two-submission slurp-then-spit form. One "op" is one file copied.
+/// Copy `files` files of `size` bytes `rounds` times, either as fused
+/// pipelines (one scheduled submission per file, data flowing via
+/// `OutputOf`) or as the two-submission slurp-then-spit form. One "op" is
+/// one file copied.
 fn sched_copy_run(fused: bool, rounds: usize, files: usize, size: usize) -> SchedRun {
-    use shill::kernel::{BatchArg, SyscallBatch};
+    use shill::kernel::BatchArg;
     // cp-in-place shape (`cp f f.bak`): source and copy share a deep
     // dirname, so the fused pipeline's write reuses the read's prefix walk
     // within the single submission — two submissions each pay their own.
@@ -805,20 +498,18 @@ fn sched_copy_run(fused: bool, rounds: usize, files: usize, size: usize) -> Sche
     }
     let elapsed = t0.elapsed();
     let st = k.stats.snapshot();
+    let ops = (rounds * files) as f64;
     SchedRun {
-        ns_per_op: elapsed.as_nanos() as f64 / (rounds * files) as f64,
-        batches: st.batches,
-        slot_links: st.slot_links,
-        sched_waves: st.sched_waves,
+        ns_per_op: elapsed.as_nanos() as f64 / ops,
+        batches: st.batches as f64 / ops,
+        slot_links: st.slot_links as f64 / ops,
     }
 }
 
-/// How group 7b drives the multi-session workload.
+/// How the sched group drives the multi-session workload.
 enum PoolMode {
-    /// The PR 3 shape `BENCH_concurrency.json` recorded: per-call
-    /// open/read/close triples + one batched stat sweep, one session after
-    /// another on this thread. This is the single-thread baseline the
-    /// acceptance criterion compares against.
+    /// Per-call open/read/close triples + one batched stat sweep, one
+    /// session after another on this thread.
     NaiveSingle,
     /// The same work as scheduled submissions (8 fused open→read→close
     /// chains in ONE batch, reads overlapping as a wave, plus the stat
@@ -830,12 +521,13 @@ enum PoolMode {
 }
 
 /// `sessions` sandboxed subtrees × `rounds`, each round touching 8 files
-/// (open/read/close) and stat-sweeping them — exactly the ablation-6
-/// workload — driven naively or through the scheduler + pool. One "op" is
-/// one logical syscall (8×3 + 8 per session-round), so ns/op is directly
-/// comparable with `BENCH_concurrency.json`.
-fn sched_pool_run(sessions: usize, rounds: usize, mode: PoolMode) -> ConcurrencyRun {
-    use shill::kernel::{BatchFd, KernelShards, SyscallBatch};
+/// (open/read/close) and stat-sweeping them — the shard group's workload —
+/// driven naively or through the scheduler + pool, in ns per op. One "op"
+/// is one logical syscall (8×3 + 8 per session-round), so ns/op is
+/// directly comparable with the shard group's. `rounds` is a multiple of
+/// `FOLD`.
+fn sched_pool_run(sessions: usize, rounds: usize, mode: PoolMode) -> f64 {
+    use shill::kernel::{BatchFd, KernelShards};
     use shill_sandbox::{BatchJob, BatchPool};
 
     let mut k = Kernel::new();
@@ -903,11 +595,9 @@ fn sched_pool_run(sessions: usize, rounds: usize, mode: PoolMode) -> Concurrency
         }
         batch
     };
-    /// Rounds folded into one scheduled submission in the pool modes.
-    const FOLD: usize = 8;
 
     // ops per session-round: 8 open/read/close triples + 8 stat entries.
-    let ops = (sessions * rounds * (8 * 3 + 8)) as u64;
+    let ops = (sessions * rounds * (8 * 3 + 8)) as f64;
     let t0 = Instant::now();
     match mode {
         PoolMode::NaiveSingle => {
@@ -975,230 +665,83 @@ fn sched_pool_run(sessions: usize, rounds: usize, mode: PoolMode) -> Concurrency
             }
         }
     }
-    let elapsed = t0.elapsed();
-    ConcurrencyRun {
-        ns_per_op: elapsed.as_nanos() as f64 / ops as f64,
-        ops,
-    }
+    t0.elapsed().as_nanos() as f64 / ops
 }
+
+/// Rounds folded into one scheduled submission in the sched group's
+/// scheduled modes.
+const FOLD: usize = 8;
+
+const SCHED_METRICS: [Metric<SchedRun>; 3] = [
+    ("copy.time", "ns/file", |c| c.ns_per_op),
+    ("copy.batches", "count/file", |c| c.batches),
+    ("copy.slot_links", "count/file", |c| c.slot_links),
+];
 
 fn bench_sched() {
-    println!("\n7. batch-scheduler ablation:");
-    let (copy_rounds, files, size) = (400, 32, 512);
-    // Best-of-3, like the pool group: single runs on a contended box swing
-    // by ±30%.
-    let best_copy = |fused: bool| -> SchedRun {
-        (0..3)
-            .map(|_| sched_copy_run(fused, copy_rounds, files, size))
-            .min_by(|a, b| a.ns_per_op.total_cmp(&b.ns_per_op))
-            .unwrap()
-    };
-    let fused = best_copy(true);
-    let two = best_copy(false);
-    let report = |label: &str, r: &SchedRun| {
-        println!(
-            "   {label:<26} {:>8.0}ns/file  batches {:>7}  slot links {:>7}  waves {:>7}",
-            r.ns_per_op, r.batches, r.slot_links, r.sched_waves
-        );
-    };
-    report("fused-pipeline copy:", &fused);
-    report("two-submission copy:", &two);
-    println!(
-        "   fused copy: {:.2}× faster; submissions cut {:.1}×",
-        two.ns_per_op / fused.ns_per_op.max(1e-9),
-        two.batches as f64 / fused.batches.max(1) as f64
-    );
-
-    let (sessions, rounds) = (4, 400);
-    // Best-of-5 per mode: ns/op on a contended box is noisy, and the
-    // minimum is the standard microbenchmark estimator.
-    let best = |mode: fn() -> PoolMode| -> ConcurrencyRun {
-        (0..5)
-            .map(|_| sched_pool_run(sessions, rounds, mode()))
-            .min_by(|a, b| a.ns_per_op.total_cmp(&b.ns_per_op))
-            .unwrap()
-    };
-    let single = best(|| PoolMode::NaiveSingle);
-    let sched_single = best(|| PoolMode::ScheduledSingle);
-    let pool1 = best(|| PoolMode::Pool(1));
-    let pool2 = best(|| PoolMode::Pool(2));
-    let pool4 = best(|| PoolMode::Pool(4));
-    let preport = |label: &str, r: &ConcurrencyRun| {
-        println!(
-            "   {label:<30} {:>8.0}ns/op  ({} ops, {:.2}M ops/s)",
-            r.ns_per_op,
-            r.ops,
-            1e3 / r.ns_per_op
-        );
-    };
-    preport("single-thread per-call (PR 3):", &single);
-    preport("single-thread scheduled:", &sched_single);
-    preport("pool, 1 worker:", &pool1);
-    preport("pool, 2 workers:", &pool2);
-    preport("pool, 4 workers:", &pool4);
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let (best_workers, best_pool) = [(1usize, &pool1), (2, &pool2), (4, &pool4)]
-        .into_iter()
-        .min_by(|a, b| a.1.ns_per_op.total_cmp(&b.1.ns_per_op))
-        .unwrap();
-    let speedup = single.ns_per_op / best_pool.ns_per_op.max(1e-9);
-    println!(
-        "   pool({best_workers}) over the PR 3 per-call single-thread baseline: \
-         {speedup:.2}× throughput on {cores} core(s) (fused chains amortize \
-         charges/contexts; waves of different sessions interleave under the \
-         per-wave lock — extra workers beyond the core count only add \
-         context switching)"
-    );
-    if let Ok(path) = std::env::var("SHILL_BENCH_SCHED_JSON") {
-        let json = format!(
-            concat!(
-                "{{\n",
-                "  \"fused_copy\": {{\n",
-                "    \"workload\": \"{files} x {size}B files copied, {cr} rounds\",\n",
-                "    \"fused\": {{\"ns_per_file\": {:.1}, \"batches\": {}, \"slot_links\": {}}},\n",
-                "    \"two_submission\": {{\"ns_per_file\": {:.1}, \"batches\": {}}},\n",
-                "    \"speedup\": {:.3},\n",
-                "    \"submission_reduction\": {:.2}\n",
-                "  }},\n",
-                "  \"batch_pool\": {{\n",
-                "    \"workload\": \"{s} sessions x {r} rounds of 8 open/read/close + 8-entry stat sweep (the BENCH_concurrency shape), scheduled as fused chains through BatchPool\",\n",
-                "    \"cores\": {cores},\n",
-                "    \"single_thread_per_call\": {{\"ns_per_op\": {:.1}, \"ops\": {}}},\n",
-                "    \"single_thread_scheduled\": {{\"ns_per_op\": {:.1}}},\n",
-                "    \"workers_1\": {{\"ns_per_op\": {:.1}}},\n",
-                "    \"workers_2\": {{\"ns_per_op\": {:.1}}},\n",
-                "    \"workers_4\": {{\"ns_per_op\": {:.1}}},\n",
-                "    \"best_workers\": {best_workers},\n",
-                "    \"pool_over_single_thread_throughput\": {:.3}\n",
-                "  }}\n",
-                "}}\n"
-            ),
-            fused.ns_per_op,
-            fused.batches,
-            fused.slot_links,
-            two.ns_per_op,
-            two.batches,
-            two.ns_per_op / fused.ns_per_op.max(1e-9),
-            two.batches as f64 / fused.batches.max(1) as f64,
-            single.ns_per_op,
-            single.ops,
-            sched_single.ns_per_op,
-            pool1.ns_per_op,
-            pool2.ns_per_op,
-            pool4.ns_per_op,
-            speedup,
-            files = files,
-            size = size,
-            cr = copy_rounds,
-            s = sessions,
-            r = rounds,
-            cores = cores,
-            best_workers = best_workers,
-        );
-        std::fs::write(&path, json).expect("write sched baseline");
-        println!("   baseline written to {path}");
+    const COPY: [&str; 2] = ["fused", "two_submission"];
+    const POOL: [&str; 5] = [
+        "per_call_single",
+        "scheduled_single",
+        "workers=1",
+        "workers=2",
+        "workers=4",
+    ];
+    let copy = interleave(runs(), 2, |arm| sched_copy_run(arm == 0, 64, 32, 512));
+    let pool = interleave(runs(), POOL.len(), |arm| {
+        let mode = match arm {
+            0 => PoolMode::NaiveSingle,
+            1 => PoolMode::ScheduledSingle,
+            a => PoolMode::Pool(1 << (a - 2)),
+        };
+        sched_pool_run(4, 12 * FOLD, mode)
+    });
+    let mut g = Group::new("sched");
+    for (metric, unit, f) in SCHED_METRICS {
+        g.per_arm(metric, unit, &COPY, &copy, f);
     }
+    g.ratio("copy.time_ratio", &COPY, &copy, 1, 0, |c| c.ns_per_op);
+    g.per_arm("pool.time", "ns/op", &POOL, &pool, |&ns| ns);
+    for workers in 2..POOL.len() {
+        g.ratio("pool.time_ratio", &POOL, &pool, 0, workers, |&ns| ns);
+    }
+    g.write();
 }
 
-/// Group 8 — kernel-shard ablation: the group-6 multi-session workload
-/// with sessions **pinned across N kernel shards**. At 1 shard this is
-/// exactly the group-6 threaded run (every wave serializes on one lock —
-/// the `BENCH_concurrency.json` ≈1.0× baseline); at N shards, sessions on
-/// different shards contend on no kernel lock at all, so throughput
-/// scales with cores. On a single-core box the ratio stays ≈1.0× by
-/// construction (the threads time-slice); the JSON records the core
-/// count so the baseline is interpretable.
+/// Sessions pinned round-robin across 1, 2 and 4 kernel shards on worker
+/// threads, against the same sessions driven one after another by one
+/// thread. At one shard every wave serializes on one kernel lock; at N
+/// shards, sessions on different shards contend on no kernel lock at all
+/// and pay zero rendezvous (the workload asserts it). On one core the
+/// shards can only time-slice; the records carry `cores`.
 fn bench_shard() {
-    let sessions = 4;
-    let rounds = 400;
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!(
-        "\n8. kernel-shard ablation ({sessions} sessions x {rounds} rounds, \
-         sessions pinned across shards, {cores} core(s)):"
-    );
-    // Best-of-5 per shard count (same estimator as groups 6/7).
-    let best = |nshards: usize| -> ConcurrencyRun {
-        (0..5)
-            .map(|_| session_workload(sessions, rounds, nshards, true))
-            .min_by(|a, b| a.ns_per_op.total_cmp(&b.ns_per_op))
-            .unwrap()
-    };
-    let s1 = best(1);
-    let s2 = best(2);
-    let s4 = best(4);
-    let report = |label: &str, r: &ConcurrencyRun| {
-        println!(
-            "   {label:<28} {:>8.0}ns/op  ({} ops, {:.2}M ops/s)",
-            r.ns_per_op,
-            r.ops,
-            1e3 / r.ns_per_op
-        );
-    };
-    report("1 shard (single lock):", &s1);
-    report("2 shards:", &s2);
-    report("4 shards:", &s4);
-    let speedup2 = s1.ns_per_op / s2.ns_per_op.max(1e-9);
-    let speedup4 = s1.ns_per_op / s4.ns_per_op.max(1e-9);
-    println!(
-        "   throughput over the single-lock baseline: {speedup2:.2}× at 2 shards, \
-         {speedup4:.2}× at 4 shards on {cores} core(s){}",
-        if cores == 1 {
-            " (single-core box: shards can only time-slice — the >1.3× \
-             acceptance target applies on multi-core)"
-        } else {
-            ""
-        }
-    );
-    if let Ok(path) = std::env::var("SHILL_BENCH_SHARD_JSON") {
-        let json = format!(
-            concat!(
-                "{{\n",
-                "  \"workload\": \"{s} sessions x {r} rounds of 8 open/read/close + 8-entry stat batch, sessions pinned round-robin across kernel shards\",\n",
-                "  \"cores\": {cores},\n",
-                "  \"shards_1\": {{\"ns_per_op\": {:.1}, \"ops\": {}}},\n",
-                "  \"shards_2\": {{\"ns_per_op\": {:.1}}},\n",
-                "  \"shards_4\": {{\"ns_per_op\": {:.1}}},\n",
-                "  \"speedup_2_shards_over_single_lock\": {:.3},\n",
-                "  \"speedup_4_shards_over_single_lock\": {:.3},\n",
-                "  \"note\": \"shard-local sessions pay zero rendezvous; on 1 core the ratio is bounded at ~1.0 by time-slicing — the >1.3x target is a multi-core property\"\n",
-                "}}\n"
-            ),
-            s1.ns_per_op,
-            s1.ops,
-            s2.ns_per_op,
-            s4.ns_per_op,
-            speedup2,
-            speedup4,
-            s = sessions,
-            r = rounds,
-            cores = cores,
-        );
-        std::fs::write(&path, json).expect("write shard baseline");
-        println!("   baseline written to {path}");
+    const ARMS: [&str; 4] = ["single_thread", "shards=1", "shards=2", "shards=4"];
+    let r = interleave(runs(), ARMS.len(), |arm| match arm {
+        0 => session_workload(4, 96, 1, false),
+        a => session_workload(4, 96, 1 << (a - 1), true),
+    });
+    let mut g = Group::new("shard");
+    g.per_arm("time", "ns/op", &ARMS, &r, |&ns| ns);
+    for den in [0, 2, 3] {
+        g.ratio("time_ratio", &ARMS, &r, 1, den, |&ns| ns);
     }
+    g.write();
 }
 
-/// One group-9 churn measurement: total sessions cycled and the policy's
-/// contended stripe acquisitions while they cycled.
+/// One churn run: time per session cycled and the policy's contended
+/// stripe acquisitions while they cycled.
 struct ChurnRun {
     ns_per_session: f64,
-    sessions: u64,
-    contention: u64,
+    contention: f64,
 }
 
-/// Group 9 workload — concurrent session churn: one churner thread per
-/// kernel shard, each cycling sandboxes (setup → first-touch `files`
-/// labels through lookup propagation → reclaim). Every phase of a cycle
-/// hits the policy plane: `shill_init`/grants/`shill_enter` (stripe
-/// writes + epoch bump), the first touches (stripe write per new label),
-/// and the reclaim scrub (stripe write + epoch bump). With striped state
-/// the churners only collide when their session ids share a stripe; the
-/// old single-`RwLock` policy serialized every one of these against all
-/// concurrent checks on other shards.
+/// Concurrent session churn: one churner thread per kernel shard, each
+/// cycling sandboxes (setup → first-touch `files` labels through lookup
+/// propagation → reclaim). Every phase of a cycle hits the policy plane:
+/// `shill_init`/grants/`shill_enter` (stripe writes + epoch bump), the
+/// first touches (stripe write per new label), and the reclaim scrub
+/// (stripe write + epoch bump). With striped state the churners only
+/// collide when their session ids share a stripe.
 fn policy_churn_workload(nshards: usize, per_shard: usize, files: usize) -> ChurnRun {
     use shill::kernel::{KernelShards, Pid};
 
@@ -1261,16 +804,15 @@ fn policy_churn_workload(nshards: usize, per_shard: usize, files: usize) -> Chur
         }
     });
     let elapsed = t0.elapsed();
-    let sessions = (nshards * per_shard) as u64;
+    let sessions = (nshards * per_shard) as f64;
     ChurnRun {
-        ns_per_session: elapsed.as_nanos() as f64 / sessions as f64,
-        sessions,
-        contention: policy.stats().stripe_contention - contention_before,
+        ns_per_session: elapsed.as_nanos() as f64 / sessions,
+        contention: (policy.stats().stripe_contention - contention_before) as f64,
     }
 }
 
-/// Group 9 steal phase: a `BatchPool` with twice as many workers as
-/// shards (the non-affine half lives off stolen jobs) drains a burst of
+/// The steal phase: a `BatchPool` with twice as many workers as shards
+/// (the non-affine half lives off stolen jobs) drains a burst of
 /// shard-local stat batches. Returns (pool-side steals, kernel-side
 /// `pool_steals`) — the kernel count is booked per home shard and can
 /// only lag the pool's.
@@ -1324,108 +866,36 @@ fn policy_steal_phase(nshards: usize, rounds: usize) -> (u64, u64) {
     (pool.steals(), shards.stats().pool_steals)
 }
 
-/// Group 9 — striped policy-plane ablation. The group-8 narrative said
-/// the policy write-lock was the last serializer left; this measures the
-/// fix: session-churn throughput as shards (and churner threads) grow,
-/// with stripe-contention and pool-steal observability alongside. On one
-/// core the shard counts can only time-slice, so the ratio reads as
-/// contention reduction, not parallel speedup — the ≥1.3× acceptance
-/// target at 4 shards applies on ≥4 cores.
+/// The striped policy plane under session churn as shards (and churner
+/// threads) grow, with stripe-contention and pool-steal counts alongside.
+/// On fewer cores than shards the shard counts time-slice, so the ratio
+/// reads as contention reduction, not parallel speedup.
 fn bench_policy() {
-    let per_shard = 400;
-    let files = 12;
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let stripes = ShillPolicy::new().stripe_count();
-    println!(
-        "\n9. striped policy-plane churn (1 churner/shard x {per_shard} sessions, \
-         {files} first-touch labels each, {stripes} stripes, {cores} core(s)):"
-    );
-    let best = |nshards: usize| -> ChurnRun {
-        (0..3)
-            .map(|_| policy_churn_workload(nshards, per_shard, files))
-            .min_by(|a, b| a.ns_per_session.total_cmp(&b.ns_per_session))
-            .unwrap()
-    };
-    let c1 = best(1);
-    let c2 = best(2);
-    let c4 = best(4);
-    let report = |label: &str, r: &ChurnRun| {
-        println!(
-            "   {label:<12} {:>8.0}ns/session  ({} sessions, {:.0} sessions/s, \
-             {} contended stripe acquisitions)",
-            r.ns_per_session,
-            r.sessions,
-            1e9 / r.ns_per_session,
-            r.contention,
-        );
-    };
-    report("1 shard:", &c1);
-    report("2 shards:", &c2);
-    report("4 shards:", &c4);
-    let ratio2 = c1.ns_per_session / c2.ns_per_session.max(1e-9);
-    let ratio4 = c1.ns_per_session / c4.ns_per_session.max(1e-9);
-    println!(
-        "   churn throughput over 1 shard: {ratio2:.2}× at 2, {ratio4:.2}× at 4 \
-         on {cores} core(s){}",
-        if cores == 1 {
-            " (single-core box: the gain is contention reduction only — the \
-             ≥1.3× target at 4 shards applies on ≥4 cores)"
-        } else {
-            ""
-        }
-    );
-    let (steals2_pool, steals2_kernel) = policy_steal_phase(2, 200);
-    let (steals4_pool, steals4_kernel) = policy_steal_phase(4, 200);
-    println!(
-        "   steal phase (2x workers draining shard-local bursts): \
-         2 shards {steals2_pool} pool / {steals2_kernel} kernel, \
-         4 shards {steals4_pool} pool / {steals4_kernel} kernel"
-    );
-    if let Ok(path) = std::env::var("SHILL_BENCH_POLICY_JSON") {
-        let json = format!(
-            concat!(
-                "{{\n",
-                "  \"workload\": \"one churner thread per shard x {p} sessions, each: setup -> {f} first-touch label merges -> reclaim\",\n",
-                "  \"cores\": {cores},\n",
-                "  \"stripes\": {stripes},\n",
-                "  \"churn_1_shard\": {{\"ns_per_session\": {:.1}, \"sessions\": {}, \"stripe_contention\": {}}},\n",
-                "  \"churn_2_shards\": {{\"ns_per_session\": {:.1}, \"sessions\": {}, \"stripe_contention\": {}}},\n",
-                "  \"churn_4_shards\": {{\"ns_per_session\": {:.1}, \"sessions\": {}, \"stripe_contention\": {}}},\n",
-                "  \"churn_ratio_2_shards_over_1\": {:.3},\n",
-                "  \"churn_ratio_4_shards_over_1\": {:.3},\n",
-                "  \"steal_phase\": {{\"shards_2\": {{\"pool\": {}, \"kernel\": {}}}, \"shards_4\": {{\"pool\": {}, \"kernel\": {}}}}},\n",
-                "  \"note\": \"striped label state: churners collide only when session ids share a stripe; on 1 core the ratio reads as contention reduction, the >=1.3x target at 4 shards applies on >=4 cores\"\n",
-                "}}\n"
-            ),
-            c1.ns_per_session,
-            c1.sessions,
-            c1.contention,
-            c2.ns_per_session,
-            c2.sessions,
-            c2.contention,
-            c4.ns_per_session,
-            c4.sessions,
-            c4.contention,
-            ratio2,
-            ratio4,
-            steals2_pool,
-            steals2_kernel,
-            steals4_pool,
-            steals4_kernel,
-            p = per_shard,
-            f = files,
-            cores = cores,
-            stripes = stripes,
-        );
-        std::fs::write(&path, json).expect("write policy baseline");
-        println!("   baseline written to {path}");
+    const ARMS: [&str; 3] = ["shards=1", "shards=2", "shards=4"];
+    let r = interleave(runs(), ARMS.len(), |arm| {
+        let churn = policy_churn_workload(1 << arm, 60, 12);
+        (churn, policy_steal_phase(1 << arm, 50))
+    });
+    let mut g = Group::new("policy");
+    let metrics: [Metric<(ChurnRun, (u64, u64))>; 4] = [
+        ("churn.time", "ns/session", |(c, _)| c.ns_per_session),
+        ("churn.stripe_contention", "count", |(c, _)| c.contention),
+        ("steal.pool", "count", |(_, s)| s.0 as f64),
+        ("steal.kernel", "count", |(_, s)| s.1 as f64),
+    ];
+    for (metric, unit, f) in metrics {
+        g.per_arm(metric, unit, &ARMS, &r, f);
     }
+    for den in 1..ARMS.len() {
+        g.ratio("churn.time_ratio", &ARMS, &r, 0, den, |(c, _)| {
+            c.ns_per_session
+        });
+    }
+    g.write();
 }
 
-/// The group-10 script pair: the async pipeline and its sequential twin,
-/// identical work — copy src→dst (slot-linked), two reads, one stat
+/// The lang group's script pair: the async pipeline and its sequential
+/// twin, identical work — copy src→dst (slot-linked), two reads, one stat
 /// sweep — differing only in when the kernel sees it.
 const LANG_PIPELINE: &str = r#"#lang shill/cap
 require shill/filesys;
@@ -1447,8 +917,8 @@ sequential = fun(src, a, b, d, dst) {
 };
 "#;
 
-/// One group-10 measurement: drive `rounds` pipeline invocations through
-/// a fresh runtime, returning (ns/round, batch submissions/round).
+/// One lang-group round: drive `rounds` pipeline invocations through a
+/// fresh runtime, returning (ns/round, batch submissions/round).
 fn lang_mode_run(mode: &str, rounds: usize) -> (f64, f64) {
     let mut rt = shill::setup::standard_runtime();
     for (path, data) in [
@@ -1498,202 +968,47 @@ require "pipeline.cap";
     )
 }
 
-/// Group 10 — language-surface fusion: the async script vs its
-/// sequential twin. The submission count is the structural win (ONE
-/// accumulated `submit_batch` per round vs one private batch per
-/// operation);
-/// wall time mostly tracks the amortizations that buys.
+/// Language-surface fusion: the async script vs its sequential twin. The
+/// submission count is the structural claim (ONE accumulated
+/// `submit_batch` per round vs one private batch per operation) and is
+/// machine-independent; time per round is box-dependent.
 fn bench_lang() {
-    let rounds = 300;
-    println!(
-        "\n10. language-surface fusion (copy + 2 reads + stat sweep x {rounds} \
-         rounds, best of 3):"
-    );
-    let best = |mode: &str| -> (f64, f64) {
-        (0..3)
-            .map(|_| lang_mode_run(mode, rounds))
-            .min_by(|a, b| a.0.total_cmp(&b.0))
-            .unwrap()
-    };
-    let (fused_ns, fused_batches) = best("fused");
-    let (seq_ns, seq_batches) = best("sequential");
-    println!("   async (fused):    {fused_ns:>8.0}ns/round  {fused_batches:.1} submissions/round");
-    println!("   sequential twin:  {seq_ns:>8.0}ns/round  {seq_batches:.1} submissions/round");
-    let sub_ratio = seq_batches / fused_batches.max(1e-9);
-    let time_ratio = seq_ns / fused_ns.max(1e-9);
-    println!("   fusion: {sub_ratio:.1}× fewer submissions, {time_ratio:.2}× wall time vs twin");
+    const ARMS: [&str; 2] = ["fused", "sequential"];
+    let r = interleave(runs(), 2, |arm| lang_mode_run(ARMS[arm], 60));
+    let mut g = Group::new("lang");
+    g.per_arm("time", "ns/round", &ARMS, &r, |m| m.0);
+    g.ratio("time_ratio", &ARMS, &r, 1, 0, |m| m.0);
+    g.per_arm("submissions", "count/round", &ARMS, &r, |m| m.1);
+    g.write();
     assert!(
-        fused_batches < seq_batches,
+        r.stats(0, |m| m.1).median < r.stats(1, |m| m.1).median,
         "the fused script must submit fewer batches than its twin"
     );
-    if let Ok(path) = std::env::var("SHILL_BENCH_LANG_JSON") {
-        let json = format!(
-            concat!(
-                "{{\n",
-                "  \"workload\": \"script pipeline per round: copy 16KiB (slot-linked) + 2 reads + 6-file stat sweep; async form forced by one await_all vs eager sequential twin\",\n",
-                "  \"rounds\": {rounds},\n",
-                "  \"fused\": {{\"ns_per_round\": {:.1}, \"submissions_per_round\": {:.2}}},\n",
-                "  \"sequential\": {{\"ns_per_round\": {:.1}, \"submissions_per_round\": {:.2}}},\n",
-                "  \"submission_ratio_sequential_over_fused\": {:.3},\n",
-                "  \"time_ratio_sequential_over_fused\": {:.3},\n",
-                "  \"note\": \"submissions/round is the structural claim (one accumulated submit_batch vs one private batch per op); ns/round varies with the box\"\n",
-                "}}\n"
-            ),
-            fused_ns,
-            fused_batches,
-            seq_ns,
-            seq_batches,
-            sub_ratio,
-            time_ratio,
-            rounds = rounds,
-        );
-        std::fs::write(&path, json).expect("write lang baseline");
-        println!("   baseline written to {path}");
-    }
 }
 
-/// One group-11 measurement.
-struct ObsRun {
-    ns_per_op: f64,
-    trace_events: u64,
-    trace_dropped: u64,
-}
-
-/// Drive the group-5 deep-stat batched workload with the trace plane
-/// absent (`traced = false`) or armed on every site. Rounds are timed
-/// individually and the ring is drained between them, so the measurement
-/// is the steady-state push cost, never the ring-full fast path.
-fn obs_stat_run(traced: bool, rounds: usize, width: usize) -> ObsRun {
-    let depth = 9;
-    let mut p = String::from("/deep");
-    for i in 0..depth {
-        p.push_str(&format!("/d{i}"));
-    }
-    let file = format!("{p}/leaf.bin");
-    let (mut k, pid) = batch_fixture(|k| {
-        k.fs.put_file(&file, b"z", Mode(0o644), Uid::ROOT, Gid::WHEEL)
-            .unwrap();
-    });
-    if traced {
-        k.set_trace_plane(Some(Arc::new(TracePlane::new(
-            TraceSite::ALL_MASK,
-            1 << 16,
-        ))));
-    }
-    let entries: Vec<BatchEntry> = (0..width)
-        .map(|_| BatchEntry::Stat {
-            dirfd: None,
-            path: file.clone(),
-            follow: true,
-        })
-        .collect();
-    let batch = SyscallBatch::new(entries);
-    // Warmup (propagation + caches), then measure.
-    k.fstatat(pid, None, &file, true).unwrap();
-    k.stats.reset();
-    let mut busy = std::time::Duration::ZERO;
-    let mut trace_events = 0u64;
-    for _ in 0..rounds {
-        let t0 = Instant::now();
-        let out = k.submit_batch(pid, &batch).unwrap();
-        busy += t0.elapsed();
-        debug_assert!(out.iter().all(|r| r.is_ok()));
-        if let Some(plane) = k.trace_plane_handle() {
-            trace_events += plane.drain().len() as u64;
-        }
-    }
-    let st = k.stats_snapshot();
-    ObsRun {
-        ns_per_op: busy.as_nanos() as f64 / (rounds * width) as f64,
-        trace_events,
-        trace_dropped: st.trace_dropped,
-    }
-}
-
-/// Group 11 — observability-plane overhead: deep-stat batched with the
-/// trace plane off vs armed on every site.
-fn bench_obs() {
-    println!("\n11. observability ablation (deep-stat batched, trace plane off vs on):");
-    let rounds = 2_000;
-    let width = 64;
-    // Interleaved best-of-3: off/on pairs sampled close together so a
-    // box-wide hiccup hits both sides of the ratio.
-    let keep = |slot: &mut Option<ObsRun>, r: ObsRun| {
-        if slot.as_ref().is_none_or(|b| r.ns_per_op < b.ns_per_op) {
-            *slot = Some(r);
-        }
-    };
-    let (mut off, mut on) = (None, None);
-    for _ in 0..3 {
-        keep(&mut off, obs_stat_run(false, rounds, width));
-        keep(&mut on, obs_stat_run(true, rounds, width));
-    }
-    let (off, on) = (off.unwrap(), on.unwrap());
-    assert_eq!(
-        on.trace_dropped, 0,
-        "ring drained every round; nothing may drop"
-    );
-    assert!(on.trace_events > 0, "armed plane must record events");
-    let overhead = on.ns_per_op / off.ns_per_op.max(1e-9);
-    println!("   trace off: {:>8.0}ns/op", off.ns_per_op);
-    println!(
-        "   trace on:  {:>8.0}ns/op  events {:>8}  dropped {:>4}",
-        on.ns_per_op, on.trace_events, on.trace_dropped
-    );
-    println!("   overhead (on/off): {overhead:.3}×");
-    if let Ok(path) = std::env::var("SHILL_BENCH_OBS_JSON") {
-        let json = format!(
-            concat!(
-                "{{\n",
-                "  \"workload\": \"fstatat at depth 9, {r} rounds x {w}-entry batches via submit_batch (the group-5 deep-stat shape), ring drained between rounds\",\n",
-                "  \"off\": {{\"ns_per_op\": {:.1}}},\n",
-                "  \"on\": {{\"ns_per_op\": {:.1}, \"trace_events\": {}, \"trace_dropped\": {}}},\n",
-                "  \"overhead_on_over_off\": {:.3},\n",
-                "  \"note\": \"off is the shipped default (no plane installed: one relaxed load per site); the CI gate holds on/off at 1.10x measured in the same process\"\n",
-                "}}\n"
-            ),
-            off.ns_per_op,
-            on.ns_per_op,
-            on.trace_events,
-            on.trace_dropped,
-            overhead,
-            r = rounds,
-            w = width,
-        );
-        std::fs::write(&path, json).expect("write obs baseline");
-        println!("   baseline written to {path}");
-    }
-}
-
-/// Group 12 — server front-end load generation. Open `sessions`
-/// concurrent authenticated TCP connections (thread-per-connection on
-/// the server side, `drivers` client threads each owning a slice), then
-/// push `rounds` read frames down every connection, timing each request
-/// end-to-end: frame write, server dispatch through the batch pool,
-/// reply frame read. Latency quantiles are exact (sorted samples, one
-/// per request), never histogram-bucketed.
+/// Server front-end load generation. Open `sessions` concurrent
+/// authenticated TCP connections (thread-per-connection on the server
+/// side, `DRIVERS` client threads each owning a slice), then push `ROUNDS`
+/// read frames down every connection, timing each request end-to-end:
+/// frame write, server dispatch through the batch pool, reply frame read.
+/// The storm is one run; its requests are the sample, so the latency
+/// median and quartiles are exact over every request.
 fn bench_server() {
     use shill::server::{
         Client, Server, ServerConfig, ServerCore, StaticTokens, TenantQuota, TenantSpec,
     };
 
-    let envnum = |name: &str, default: usize| {
-        std::env::var(name)
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
-    };
-    let sessions = envnum("SHILL_BENCH_SERVER_SESSIONS", 1000);
-    let rounds = envnum("SHILL_BENCH_SERVER_ROUNDS", 3);
-    let drivers = envnum("SHILL_BENCH_SERVER_DRIVERS", 16).max(1);
+    const ROUNDS: usize = 3;
+    const DRIVERS: usize = 16;
     const TENANTS: usize = 8;
-    println!("\n12. server front-end ({sessions} concurrent sessions, {rounds} rounds, {drivers} drivers):");
+    let sessions = shill_bench::server_sessions();
+    println!("\nserver: {sessions} concurrent sessions, {ROUNDS} rounds, {DRIVERS} drivers");
 
     let core = ServerCore::new(
         ServerConfig {
             shards: 4,
             pool_workers: 4,
-            max_sessions: sessions + drivers,
+            max_sessions: sessions + DRIVERS,
             tenants: (0..TENANTS)
                 .map(|i| {
                     TenantSpec::new(format!("t{i}")).with_quota(TenantQuota {
@@ -1716,11 +1031,11 @@ fn bench_server() {
     // its sandbox entered before any request is timed.
     let t_open = Instant::now();
     let mut conns: Vec<Vec<(Client, String)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..drivers)
+        let handles: Vec<_> = (0..DRIVERS)
             .map(|d| {
                 scope.spawn(move || {
                     let mut mine = Vec::new();
-                    for s in (d..sessions).step_by(drivers) {
+                    for s in (d..sessions).step_by(DRIVERS) {
                         let tenant = format!("t{}", s % TENANTS);
                         let mut c = Client::connect_tcp(addr).expect("connect");
                         let reply = c
@@ -1738,24 +1053,20 @@ fn bench_server() {
     let open_s = t_open.elapsed().as_secs_f64();
     let opened: usize = conns.iter().map(|v| v.len()).sum();
     assert_eq!(opened, sessions, "every session must open");
-    println!(
-        "   opened {opened} sessions in {open_s:.2}s ({:.0}/s)",
-        opened as f64 / open_s.max(1e-9)
-    );
 
     // Phase 2: the request storm, one latency sample per request.
     let t0 = Instant::now();
-    let samples: Vec<Vec<u64>> = std::thread::scope(|scope| {
+    let samples: Vec<Vec<f64>> = std::thread::scope(|scope| {
         let handles: Vec<_> = conns
             .iter_mut()
             .map(|mine| {
                 scope.spawn(move || {
-                    let mut lat = Vec::with_capacity(mine.len() * rounds);
-                    for _ in 0..rounds {
+                    let mut lat = Vec::with_capacity(mine.len() * ROUNDS);
+                    for _ in 0..ROUNDS {
                         for (c, req) in mine.iter_mut() {
                             let t = Instant::now();
                             let reply = c.req(req).expect("request frame");
-                            lat.push(t.elapsed().as_nanos() as u64);
+                            lat.push(t.elapsed().as_secs_f64() * 1e6);
                             assert!(reply.starts_with("ok "), "refused: {reply}");
                         }
                     }
@@ -1767,19 +1078,31 @@ fn bench_server() {
     });
     let wall = t0.elapsed().as_secs_f64();
 
-    let mut all: Vec<u64> = samples.into_iter().flatten().collect();
-    all.sort_unstable();
-    let total = all.len();
-    let q = |p: f64| all[(((total as f64) * p) as usize).min(total - 1)];
-    let (p50, p99) = (q(0.50), q(0.99));
-    let mean = all.iter().sum::<u64>() as f64 / total as f64;
-    let rps = total as f64 / wall.max(1e-9);
-    println!(
-        "   {total} requests in {wall:.2}s: {rps:.0} req/s  p50 {:.1}µs  p99 {:.1}µs  mean {:.1}µs",
-        p50 as f64 / 1e3,
-        p99 as f64 / 1e3,
-        mean / 1e3
+    let mut all: Vec<f64> = samples.into_iter().flatten().collect();
+    all.sort_by(f64::total_cmp);
+    let p99 = all[((all.len() as f64 * 0.99) as usize).min(all.len() - 1)];
+    let mut g = Group::new("server");
+    g.exact("sessions", "count", "", opened as f64);
+    g.exact(
+        "open_rate",
+        "sessions/s",
+        "",
+        opened as f64 / open_s.max(1e-9),
     );
+    g.exact("throughput", "req/s", "", all.len() as f64 / wall.max(1e-9));
+    g.add("latency", "us", "", Stats::of(&all));
+    g.add(
+        "latency_p99",
+        "us",
+        "",
+        Stats {
+            median: p99,
+            q1: p99,
+            q3: p99,
+            n: all.len(),
+        },
+    );
+    g.write();
 
     // Orderly close so the gauge really returns to zero.
     for (mut c, _) in conns.into_iter().flatten() {
@@ -1795,83 +1118,39 @@ fn bench_server() {
         })
         .sum();
     assert_eq!(open_now, 0, "sessions must all close after the storm");
-
-    if let Ok(path) = std::env::var("SHILL_BENCH_SERVER_JSON") {
-        let json = format!(
-            concat!(
-                "{{\n",
-                "  \"workload\": \"{s} concurrent authenticated TCP sessions across {t} tenants, {r} read frames each through the framed protocol onto a 4-shard kernel + 4-worker batch pool; latency is per-request end-to-end (client write to client read), quantiles exact-sorted\",\n",
-                "  \"sessions\": {s},\n",
-                "  \"drivers\": {d},\n",
-                "  \"requests\": {n},\n",
-                "  \"open_seconds\": {:.2},\n",
-                "  \"throughput_rps\": {:.0},\n",
-                "  \"p50_ns\": {},\n",
-                "  \"p99_ns\": {},\n",
-                "  \"mean_ns\": {:.0},\n",
-                "  \"note\": \"thread-per-connection server on loopback; on a single-core CI box the quantiles measure the multiplexing queue, not the kernel crossing\"\n",
-                "}}\n"
-            ),
-            open_s,
-            rps,
-            p50,
-            p99,
-            mean,
-            s = sessions,
-            t = TENANTS,
-            r = rounds,
-            d = drivers,
-            n = total,
-        );
-        std::fs::write(&path, json).expect("write server baseline");
-        println!("   baseline written to {path}");
-    }
 }
 
+const GROUPS: [(&str, fn()); 7] = [
+    ("cache", bench_cache),
+    ("batch", bench_batch),
+    ("sched", bench_sched),
+    ("shard", bench_shard),
+    ("policy", bench_policy),
+    ("lang", bench_lang),
+    ("server", bench_server),
+];
+
 fn main() {
-    println!("Ablation benches — design-choice costs\n");
-    // `SHILL_BENCH_ONLY=policy` (comma-separated names) runs a subset —
-    // CI uses it to record one group's baseline without paying for all.
+    println!(
+        "Ablation benches — design-choice costs ({} interleaved rounds; median [IQR])",
+        runs()
+    );
+    // `SHILL_BENCH_ONLY=policy,lang` (comma-separated group names) runs a
+    // subset.
     let only = std::env::var("SHILL_BENCH_ONLY").ok();
-    let want = |name: &str| {
-        only.as_deref()
-            .is_none_or(|o| o.split(',').any(|g| g.trim().eq_ignore_ascii_case(name)))
-    };
-    if want("contract") {
-        bench_contract_cost();
+    let wanted: Vec<&str> = only
+        .as_deref()
+        .map(|o| o.split(',').map(str::trim).collect())
+        .unwrap_or_default();
+    for name in &wanted {
+        assert!(
+            GROUPS.iter().any(|(g, _)| g == name),
+            "SHILL_BENCH_ONLY: unknown group {name:?}"
+        );
     }
-    if want("churn") {
-        bench_session_churn();
+    for (name, bench) in GROUPS {
+        if wanted.is_empty() || wanted.contains(&name) {
+            bench();
+        }
     }
-    if want("propagation") {
-        bench_propagation_depth();
-    }
-    if want("cache") {
-        bench_cache_ablation();
-    }
-    if want("batch") {
-        bench_batch_ablation();
-    }
-    if want("concurrency") {
-        bench_concurrency();
-    }
-    if want("sched") {
-        bench_sched();
-    }
-    if want("shard") {
-        bench_shard();
-    }
-    if want("policy") {
-        bench_policy();
-    }
-    if want("lang") {
-        bench_lang();
-    }
-    if want("obs") {
-        bench_obs();
-    }
-    if want("server") {
-        bench_server();
-    }
-    let _ = Arc::new(());
 }

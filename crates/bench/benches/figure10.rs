@@ -2,136 +2,73 @@
 //! runtime ("Racket") startup, sandbox setup, sandboxed execution, and
 //! remaining time (script evaluation incl. contract checking) for
 //! Uninstall, Download, Grading, and Find.
+//!
+//! The four tasks run in interleaved rounds. "Remaining" is total minus
+//! the three profiled buckets, computed per run; each bucket records its
+//! median over the rounds.
 
-use std::time::Duration;
+use shill::scenarios::{run_emacs, run_find, run_grading, Config, EmacsStep, Outcome};
+use shill_bench::{find_scale, grading_students, interleave, runs, Group, Metric};
 
-use shill::scenarios::{run_emacs, run_find, run_grading, Config, EmacsStep};
-use shill_bench::{find_scale, grading_students, runs};
-
+/// One run's breakdown: times in ms, then counts.
 struct Row {
-    name: &'static str,
-    total: Duration,
-    startup: Duration,
-    setup: Duration,
-    exec: Duration,
-    sandboxes: u64,
-    contracts: u64,
+    total: f64,
+    startup: f64,
+    setup: f64,
+    exec: f64,
+    sandboxes: f64,
+    contracts: f64,
 }
 
-fn avg(rows: Vec<Row>) -> Row {
-    let n = rows.len().max(1) as u32;
-    let mut out = Row {
-        name: rows[0].name,
-        total: Duration::ZERO,
-        startup: Duration::ZERO,
-        setup: Duration::ZERO,
-        exec: Duration::ZERO,
-        sandboxes: 0,
-        contracts: 0,
-    };
-    for r in &rows {
-        out.total += r.total;
-        out.startup += r.startup;
-        out.setup += r.setup;
-        out.exec += r.exec;
-        out.sandboxes += r.sandboxes;
-        out.contracts += r.contracts;
+impl Row {
+    fn of(o: Outcome) -> Row {
+        let p = o.profile.expect("profiled configuration");
+        let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+        Row {
+            total: ms(o.wall),
+            startup: ms(p.startup),
+            setup: ms(p.sandbox_setup),
+            exec: ms(p.sandboxed_exec),
+            sandboxes: p.sandboxes as f64,
+            contracts: p.contract_applications as f64,
+        }
     }
-    out.total /= n;
-    out.startup /= n;
-    out.setup /= n;
-    out.exec /= n;
-    out.sandboxes /= n as u64;
-    out.contracts /= n as u64;
-    out
 }
 
-fn run(name: &'static str, f: &dyn Fn() -> shill::scenarios::Outcome) -> Row {
-    let rows: Vec<Row> = (0..runs())
-        .map(|_| {
-            let o = f();
-            let p = o.profile.expect("profiled configuration");
-            Row {
-                name,
-                total: o.wall,
-                startup: p.startup,
-                setup: p.sandbox_setup,
-                exec: p.sandboxed_exec,
-                sandboxes: p.sandboxes,
-                contracts: p.contract_applications,
-            }
-        })
-        .collect();
-    avg(rows)
-}
-
-fn ms(d: Duration) -> String {
-    format!("{:9.3}", d.as_secs_f64() * 1e3)
-}
+const BUCKETS: [Metric<Row>; 7] = [
+    ("total", "ms", |r| r.total),
+    ("startup", "ms", |r| r.startup),
+    ("sandbox_setup", "ms", |r| r.setup),
+    ("sandboxed_exec", "ms", |r| r.exec),
+    ("remaining", "ms", |r| {
+        (r.total - r.startup - r.setup - r.exec).max(0.0)
+    }),
+    ("sandboxes", "count", |r| r.sandboxes),
+    ("contract_applications", "count", |r| r.contracts),
+];
 
 fn main() {
     let students = grading_students();
     let scale = find_scale();
     println!(
-        "Figure 10 — performance breakdown (mean of {} runs, ms)",
+        "Figure 10 — performance breakdown ({} interleaved rounds; median [IQR])",
         runs()
     );
     println!("(\"startup\" = runtime+stdlib init, the Racket-startup analogue;");
     println!(" \"remaining\" = script evaluation incl. contract checking, by subtraction)");
-    println!();
 
-    let rows = [
-        run("Uninstall", &|| {
-            run_emacs(Config::Sandboxed, EmacsStep::Uninstall)
-        }),
-        run("Download", &|| {
-            run_emacs(Config::Sandboxed, EmacsStep::Download)
-        }),
-        run("Grading", &|| {
-            run_grading(Config::ShillVersion, students, 3)
-        }),
-        run("Find", &|| run_find(Config::ShillVersion, scale)),
-    ];
-
-    println!(
-        "{:<22} {:>12} {:>12} {:>12} {:>12}",
-        "", rows[0].name, rows[1].name, rows[2].name, rows[3].name
-    );
-    let cell = |f: &dyn Fn(&Row) -> String| {
-        format!(
-            "{:>12} {:>12} {:>12} {:>12}",
-            f(&rows[0]),
-            f(&rows[1]),
-            f(&rows[2]),
-            f(&rows[3])
-        )
-    };
-    println!("{:<22} {}", "Total time", cell(&|r| ms(r.total)));
-    println!("{:<22} {}", "Runtime startup", cell(&|r| ms(r.startup)));
-    println!("{:<22} {}", "Sandbox setup", cell(&|r| ms(r.setup)));
-    println!("{:<22} {}", "Sandboxed execution", cell(&|r| ms(r.exec)));
-    println!(
-        "{:<22} {}",
-        "Remaining time",
-        cell(&|r| ms(r
-            .total
-            .saturating_sub(r.startup)
-            .saturating_sub(r.setup)
-            .saturating_sub(r.exec)))
-    );
-    println!(
-        "{:<22} {}",
-        "Sandboxes created",
-        cell(&|r| r.sandboxes.to_string())
-    );
-    println!(
-        "{:<22} {}",
-        "Contract applications",
-        cell(&|r| r.contracts.to_string())
-    );
-
-    println!();
-    println!("paper shape: Uninstall/Download dominated by startup; Grading/Find by");
-    println!("sandbox setup + contract checking (Grading 5,371 sandboxes, Find 15,292");
-    println!("on the full-size workload; scaled here).");
+    const TASKS: [&str; 4] = ["uninstall", "download", "grading", "find"];
+    let r = interleave(runs(), TASKS.len(), |arm| {
+        Row::of(match arm {
+            0 => run_emacs(Config::Sandboxed, EmacsStep::Uninstall),
+            1 => run_emacs(Config::Sandboxed, EmacsStep::Download),
+            2 => run_grading(Config::ShillVersion, students, 3),
+            _ => run_find(Config::ShillVersion, scale),
+        })
+    });
+    let mut g = Group::new("figure10");
+    for (bucket, unit, f) in BUCKETS {
+        g.per_arm(bucket, unit, &TASKS, &r, f);
+    }
+    g.write();
 }

@@ -5,23 +5,18 @@
 //!
 //! Microbenchmarks: pread-1B, pread-1MB, create-unlink, and
 //! open-read-close with 1 and 5 lookups; plus the paper's observation that
-//! open overhead "increases linearly in the length of the path".
+//! open overhead "increases linearly in the length of the path", recorded
+//! as a per-component slope and intercept fitted over depths 2–9.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use shill_bench::Stats;
+use shill_bench::{fit_line, interleave, runs, Group, Stats};
 use shill_cap::CapPrivs;
 use shill_kernel::{Fd, Kernel, OpenFlags, Pid};
 use shill_sandbox::{setup_sandbox, Grant, SandboxSpec, ShillPolicy};
 use shill_vfs::{Cred, Gid, Mode, Uid};
 
-fn iters(base: usize) -> usize {
-    let mult: f64 = std::env::var("SHILL_BENCH_MICRO_MULT")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0);
-    ((base as f64) * mult).max(1.0) as usize
-}
+const CONFIGS: [&str; 2] = ["installed", "sandboxed"];
 
 /// Build the bench tree and return a kernel + acting pid for a config.
 fn setup(sandboxed: bool) -> (Kernel, Pid) {
@@ -89,42 +84,32 @@ fn bench_op(name: &str, sandboxed: bool, n: usize, op: &dyn Fn(&mut Kernel, Pid,
     t0.elapsed().as_nanos() as f64 / n as f64
 }
 
-fn row(name: &str, n: usize, op: &dyn Fn(&mut Kernel, Pid, Fd)) {
-    // Three repetitions per configuration for a CI.
-    let installed: Vec<Duration> = (0..3)
-        .map(|_| Duration::from_nanos(bench_op(name, false, n, op) as u64))
-        .collect();
-    let sandboxed: Vec<Duration> = (0..3)
-        .map(|_| Duration::from_nanos(bench_op(name, true, n, op) as u64))
-        .collect();
-    let i = Stats::of(&installed);
-    let s = Stats::of(&sandboxed);
-    let diff = s.mean.as_nanos() as i128 - i.mean.as_nanos() as i128;
-    let pct = 100.0 * diff as f64 / i.mean.as_nanos().max(1) as f64;
-    println!(
-        "{:<22} {:>12.0}ns {:>12.0}ns {:>+10}ns ({:+5.1}%)",
-        name,
-        i.mean.as_nanos(),
-        s.mean.as_nanos(),
-        diff,
-        pct
-    );
+/// `n` operations per round and configuration.
+fn row(g: &mut Group, name: &str, n: usize, op: &dyn Fn(&mut Kernel, Pid, Fd)) {
+    let r = interleave(runs(), 2, |arm| bench_op(name, arm == 1, n, op));
+    g.per_arm(name, "ns", &CONFIGS, &r, |&ns| ns);
+    g.ratio(name, &CONFIGS, &r, 1, 0, |&ns| ns);
+}
+
+fn orc(k: &mut Kernel, pid: Pid, path: &str) {
+    let f = k.open(pid, path, OpenFlags::RDONLY, Mode(0)).expect("open");
+    k.read(pid, f, 1).expect("read");
+    k.close(pid, f).expect("close");
 }
 
 fn main() {
-    println!("Figure 11 — syscall microbenchmarks (ns/op; mean of 3 reps)");
     println!(
-        "{:<22} {:>14} {:>14} {:>20}",
-        "operation", "SHILL installed", "Sandboxed", "difference"
+        "Figure 11 — syscall microbenchmarks ({} interleaved rounds; median [IQR])",
+        runs()
     );
-
-    row("pread-1B", iters(200_000), &|k, pid, fd| {
+    let mut g = Group::new("figure11");
+    row(&mut g, "pread-1B", 40_000, &|k, pid, fd| {
         k.pread(pid, fd, 0, 1).expect("pread");
     });
-    row("pread-1MB", iters(2_000), &|k, pid, fd| {
+    row(&mut g, "pread-1MB", 400, &|k, pid, fd| {
         k.pread(pid, fd, 0, 1 << 20).expect("pread");
     });
-    row("create-unlink", iters(20_000), &|k, pid, dirfd| {
+    row(&mut g, "create-unlink", 4_000, &|k, pid, dirfd| {
         let f = k
             .openat(
                 pid,
@@ -143,58 +128,59 @@ fn main() {
         k.unlinkat(pid, Some(dirfd), "tmpfile", false)
             .expect("unlink");
     });
-    row("open-read-close/1", iters(50_000), &|k, pid, _| {
-        let f = k
-            .open(pid, "/bench/one.bin", OpenFlags::RDONLY, Mode(0))
-            .expect("open");
-        k.read(pid, f, 1).expect("read");
-        k.close(pid, f).expect("close");
+    row(&mut g, "open-read-close/1", 10_000, &|k, pid, _| {
+        orc(k, pid, "/bench/one.bin")
     });
-    row("open-read-close/5", iters(50_000), &|k, pid, _| {
-        let f = k
-            .open(
-                pid,
-                "/bench/d1/d2/d3/d4/deep.bin",
-                OpenFlags::RDONLY,
-                Mode(0),
-            )
-            .expect("open");
-        k.read(pid, f, 1).expect("read");
-        k.close(pid, f).expect("close");
+    row(&mut g, "open-read-close/5", 10_000, &|k, pid, _| {
+        orc(k, pid, "/bench/d1/d2/d3/d4/deep.bin")
     });
 
     // Linearity in path length (§4.2: "overhead increases linearly in the
     // length of the path (i.e., linearly with the number of lookup system
-    // calls required)").
-    println!("\nopen-read-close overhead vs path depth (sandboxed − installed, ns/op):");
-    let mut k0 = Kernel::new();
-    let mut path = String::from("/bench");
-    k0.fs
-        .mkdir_p("/bench", Mode(0o777), Uid::ROOT, Gid::WHEEL)
-        .unwrap();
-    let mut paths = Vec::new();
-    for d in 1..=8 {
-        path.push_str(&format!("/n{d}"));
-        paths.push(format!("{path}/f.bin"));
-    }
-    drop(k0);
-    for (depth, p) in paths.iter().enumerate() {
-        let n = iters(20_000);
-        let make = |sandboxed: bool| -> f64 {
-            let (mut k, pid) = setup(sandboxed);
-            // Ensure the nested path exists in this kernel.
-            k.fs.put_file(p, b"z", Mode(0o644), Uid::ROOT, Gid::WHEEL)
-                .unwrap();
-            let t0 = Instant::now();
-            for _ in 0..n {
-                let f = k.open(pid, p, OpenFlags::RDONLY, Mode(0)).expect("open");
-                k.read(pid, f, 1).expect("read");
-                k.close(pid, f).expect("close");
-            }
-            t0.elapsed().as_nanos() as f64 / n as f64
-        };
-        let inst = make(false);
-        let sand = make(true);
-        println!("  depth {:>2}: {:>8.0}ns", depth + 2, sand - inst);
-    }
+    // calls required)"). Arm 2d + c opens `paths[d]` under CONFIGS[c]; each
+    // round fits one line to its own sandboxed − installed overheads.
+    let paths: Vec<String> = (1..=8)
+        .map(|d| {
+            let dirs: String = (1..=d).map(|i| format!("/n{i}")).collect();
+            format!("/bench{dirs}/f.bin")
+        })
+        .collect();
+    let r = interleave(runs(), 2 * paths.len(), |arm| {
+        let (p, sandboxed) = (&paths[arm / 2], arm % 2 == 1);
+        let (mut k, pid) = setup(sandboxed);
+        k.fs.put_file(p, b"z", Mode(0o644), Uid::ROOT, Gid::WHEEL)
+            .unwrap();
+        let n = 1_500;
+        let t0 = Instant::now();
+        for _ in 0..n {
+            orc(&mut k, pid, p);
+        }
+        t0.elapsed().as_nanos() as f64 / n as f64
+    });
+    let fits: Vec<(f64, f64)> = (0..runs())
+        .map(|round| {
+            let points: Vec<(f64, f64)> = (0..paths.len())
+                .map(|d| {
+                    let overhead = r.samples(2 * d + 1)[round] - r.samples(2 * d)[round];
+                    ((d + 2) as f64, overhead)
+                })
+                .collect();
+            fit_line(&points)
+        })
+        .collect();
+    let slopes: Vec<f64> = fits.iter().map(|f| f.0).collect();
+    let intercepts: Vec<f64> = fits.iter().map(|f| f.1).collect();
+    g.add(
+        "orc-depth.slope",
+        "ns/component",
+        "sandboxed-installed",
+        Stats::of(&slopes),
+    );
+    g.add(
+        "orc-depth.intercept",
+        "ns",
+        "sandboxed-installed",
+        Stats::of(&intercepts),
+    );
+    g.write();
 }

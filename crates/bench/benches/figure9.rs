@@ -2,84 +2,89 @@
 //! benchmarks under the four configurations (Baseline, SHILL installed,
 //! Sandboxed, SHILL version).
 //!
-//! Scales are reduced relative to the paper's testbed (see DESIGN.md's
-//! substitution table); tune with SHILL_BENCH_RUNS / SHILL_BENCH_FIND_SCALE
-//! / SHILL_BENCH_STUDENTS / SHILL_BENCH_REQUESTS.
+//! Scales are reduced relative to the paper's testbed; tune with
+//! SHILL_BENCH_RUNS / SHILL_BENCH_FIND_SCALE / SHILL_BENCH_STUDENTS /
+//! SHILL_BENCH_REQUESTS. Each round runs one task under every
+//! configuration in rotating order. Per (task, configuration) the bench
+//! records the median wall time and the median of the per-round ratio to
+//! Baseline, with the paper's ratio where the paper states one.
+
+use std::time::Duration;
 
 use shill::scenarios::{run_apache, run_emacs, run_find, run_grading, Config, EmacsStep};
-use shill_bench::{ratio, runs, sample, Stats};
+use shill_bench::{interleave, runs, Group, APACHE_FILE_SIZE};
 
-fn measure(config: Config, f: &dyn Fn(Config) -> std::time::Duration) -> Stats {
-    Stats::of(&sample(runs(), || f(config)))
+const CONFIGS: [(Config, &str); 4] = [
+    (Config::Baseline, "baseline"),
+    (Config::Installed, "installed"),
+    (Config::Sandboxed, "sandboxed"),
+    (Config::ShillVersion, "shill_version"),
+];
+
+/// The paper's ratio to Baseline where §4.2 states one: Installed ≈ 1 on
+/// every task, Download Sandboxed ≈ 1.7, Uninstall Sandboxed ≈ 6.6, Find
+/// SHILL version ≈ 6.0 (short tasks are dominated by runtime startup, Find
+/// by its per-file sandboxes).
+fn paper(task: &str, config: Config) -> Option<f64> {
+    match (task, config) {
+        (_, Config::Installed) => Some(1.0),
+        ("download", Config::Sandboxed) => Some(1.7),
+        ("uninstall", Config::Sandboxed) => Some(6.6),
+        ("find", Config::ShillVersion) => Some(6.0),
+        _ => None,
+    }
 }
 
 fn main() {
-    let n = runs();
     let students = shill_bench::grading_students();
     let scale = shill_bench::find_scale();
     let reqs = shill_bench::apache_requests();
-    let fsize = shill_bench::apache_file_size();
-
-    println!("Figure 9 — case-study timings ({n} runs each; mean ±95% CI)");
+    println!(
+        "Figure 9 — case-study timings ({} interleaved rounds; median [IQR])",
+        runs()
+    );
     println!(
         "workloads: grading {students} students ×3 tests; emacs {} sources; apache {reqs} req × {}KB; find tree 1/{scale} of 57,817 files",
         shill::scenarios::EMACS_SOURCES,
-        fsize / 1024
-    );
-    println!();
-    println!(
-        "{:<12} {:>22} {:>22} {:>28} {:>28}",
-        "benchmark", "Baseline", "SHILL installed", "Sandboxed", "SHILL version"
+        APACHE_FILE_SIZE / 1024
     );
 
-    let report = |name: &str, f: &dyn Fn(Config) -> std::time::Duration, has_shill: bool| {
-        let base = measure(Config::Baseline, f);
-        let inst = measure(Config::Installed, f);
-        let sand = measure(Config::Sandboxed, f);
-        let shill = if has_shill {
-            Some(measure(Config::ShillVersion, f))
-        } else {
-            None
-        };
-        let shill_s = match &shill {
-            Some(s) => format!("{} ({})", s.fmt_ms(), ratio(s, &base)),
-            None => "—".to_string(),
-        };
-        println!(
-            "{:<12} {:>22} {:>22} {:>28} {:>28}",
-            name,
-            base.fmt_ms(),
-            format!("{} ({})", inst.fmt_ms(), ratio(&inst, &base)),
-            format!("{} ({})", sand.fmt_ms(), ratio(&sand, &base)),
-            shill_s
-        );
+    let mut g = Group::new("figure9");
+    let mut task = |name: &str, has_shill: bool, f: &dyn Fn(Config) -> Duration| {
+        let configs = &CONFIGS[..if has_shill { 4 } else { 3 }];
+        let r = interleave(runs(), configs.len(), |arm| {
+            f(configs[arm].0).as_secs_f64() * 1e3
+        });
+        for (arm, &(config, label)) in configs.iter().enumerate() {
+            g.add(&format!("{name}.wall"), "ms", label, r.stats(arm, |&ms| ms));
+            if arm > 0 {
+                g.add(
+                    &format!("{name}.vs_baseline"),
+                    "x",
+                    label,
+                    r.ratio(arm, 0, |&ms| ms),
+                )
+                .paper = paper(name, config);
+            }
+        }
     };
-
-    report("Grading", &|c| run_grading(c, students, 3).wall, true);
-    report("Emacs", &|c| run_emacs(c, EmacsStep::Total).wall, true);
-    report(
-        "Download",
-        &|c| run_emacs(c, EmacsStep::Download).wall,
-        false,
-    );
-    report("Untar", &|c| run_emacs(c, EmacsStep::Untar).wall, false);
-    report(
-        "Configure",
-        &|c| run_emacs(c, EmacsStep::Configure).wall,
-        false,
-    );
-    report("Make", &|c| run_emacs(c, EmacsStep::Make).wall, false);
-    report("Install", &|c| run_emacs(c, EmacsStep::Install).wall, false);
-    report(
-        "Uninstall",
-        &|c| run_emacs(c, EmacsStep::Uninstall).wall,
-        false,
-    );
-    report("Apache", &|c| run_apache(c, reqs, fsize).wall, false);
-    report("Find", &|c| run_find(c, scale).wall, true);
-
-    println!();
-    println!("paper shape targets: Installed ≈ Baseline everywhere; Sandboxed/SHILL ≤ ~1.2×");
-    println!("except Download-sandboxed ≈1.7×, Uninstall-sandboxed ≈6.6×, Find-SHILL ≈6.0×");
-    println!("(short tasks are dominated by runtime startup; Find by per-file sandboxes).");
+    task("grading", true, &|c| run_grading(c, students, 3).wall);
+    task("emacs", true, &|c| run_emacs(c, EmacsStep::Total).wall);
+    task("download", false, &|c| {
+        run_emacs(c, EmacsStep::Download).wall
+    });
+    task("untar", false, &|c| run_emacs(c, EmacsStep::Untar).wall);
+    task("configure", false, &|c| {
+        run_emacs(c, EmacsStep::Configure).wall
+    });
+    task("make", false, &|c| run_emacs(c, EmacsStep::Make).wall);
+    task("install", false, &|c| run_emacs(c, EmacsStep::Install).wall);
+    task("uninstall", false, &|c| {
+        run_emacs(c, EmacsStep::Uninstall).wall
+    });
+    task("apache", false, &|c| {
+        run_apache(c, reqs, APACHE_FILE_SIZE).wall
+    });
+    task("find", true, &|c| run_find(c, scale).wall);
+    g.write();
 }

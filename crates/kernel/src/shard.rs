@@ -4,9 +4,10 @@
 //!
 //! PR 3 made the kernel's hot state thread-safe and PR 4 let a worker pool
 //! acquire the kernel **per dependency wave** — but every wave of every
-//! session still serialized on the ONE kernel lock, and
-//! `BENCH_concurrency.json` recorded the consequence: threaded/single
-//! ≈ 1.0×. This module is the sharding step the ROADMAP called for:
+//! session still serialized on the ONE kernel lock: at one shard, the
+//! ablation bench's `shard` group runs its worker threads at ≈ 1.0× of one
+//! thread (`baselines/shard.json`). This module is the sharding step the
+//! ROADMAP called for:
 //!
 //! * **[`KernelShards`]** owns `N` [`Kernel`]s, each behind its own lock.
 //!   Every shard owns its *entire* hot state: process table, filesystem
