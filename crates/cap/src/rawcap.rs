@@ -9,6 +9,13 @@
 //! the capability: every clone shares one [`CapFd`], and the last clone to
 //! drop hands the descriptor back for closing.
 //!
+//! Derivation is a descriptor operation too: `lookup` is
+//! `openat(dirfd, name)` relative to the directory capability's descriptor,
+//! as `create_file` and `create_dir` are, so it walks one component at any
+//! depth and does not depend on the directory's ancestors. The derived
+//! capability's node and kind are those of the descriptor actually opened
+//! (for a symlink, its target).
+//!
 //! Contract enforcement does **not** live here: `shill-contracts` wraps raw
 //! capabilities in guards. This layer is what the ambient language creates
 //! with the user's full authority; DAC is still enforced by the kernel on
@@ -25,6 +32,15 @@ use std::sync::Arc;
 
 use shill_kernel::{CloseQueue, Fd, Kernel, OpenFlags, Pid, SockAddr, SockDomain};
 use shill_vfs::{Errno, FileType, Mode, NodeId, Stat, SysResult};
+
+/// Capability safety: a name handed to a directory capability is one
+/// component, and never `.` or `..` (§2.1).
+fn single_component(name: &str) -> SysResult<()> {
+    if !shill_vfs::node::valid_component(name) || name == "." || name == ".." {
+        return Err(Errno::EINVAL);
+    }
+    Ok(())
+}
 
 /// What kind of resource a capability designates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -154,69 +170,70 @@ impl RawCap {
     /// grants the process. **Ambient-only**: capability-safe code never
     /// sees paths.
     pub fn open_path(k: &mut Kernel, pid: Pid, path: &str) -> SysResult<RawCap> {
-        let node = k.resolve(pid, None, path, true)?;
-        let ftype = k.fs.node(node)?.file_type();
-        let name = path
-            .rsplit('/')
-            .find(|c| !c.is_empty())
-            .unwrap_or("/")
-            .to_string();
-        Self::open_node(k, pid, node, ftype, name)
+        let name = path.rsplit('/').find(|c| !c.is_empty()).unwrap_or("/");
+        Self::open_at(k, pid, None, path, name)
     }
 
-    /// Open a capability for a resolved node (shared by `open_path` and
+    /// Open `path` relative to `dirfd` (shared by `open_path` and
     /// `lookup`). Tries read+write, then degrades, recording what DAC
     /// allowed — "the capability has all privileges that the invoking user
-    /// is allowed for this file" (§2.5).
-    fn open_node(
+    /// is allowed for this file" (§2.5). A directory refuses the read+write
+    /// attempt with `EISDIR` and is opened once more as a directory. Node
+    /// and kind come from the descriptor actually opened, so a symlink
+    /// yields a capability for its target.
+    fn open_at(
         k: &mut Kernel,
         pid: Pid,
-        node: NodeId,
-        ftype: FileType,
-        name: String,
+        dirfd: Option<Fd>,
+        path: &str,
+        name: &str,
     ) -> SysResult<RawCap> {
-        let kind = match ftype {
-            FileType::Directory => CapKind::Dir,
-            FileType::CharDevice => CapKind::Device,
-            FileType::Regular | FileType::Symlink => CapKind::File,
-            FileType::Socket => CapKind::File,
-            FileType::Fifo => CapKind::PipeEnd,
-        };
-        let path = k.fs.path_of(node).ok_or(Errno::ENOENT)?;
-        if kind == CapKind::Dir {
-            let fd = k.open(pid, &path, OpenFlags::dir(), Mode(0))?;
-            return Ok(RawCap {
-                kind,
-                fd: Some(CapFd::new(k, pid, fd)),
-                node: Some(node),
-                name,
-                readable: true,
-                writable: false,
-            });
-        }
-        // Degrade through access combinations.
         let attempts: [(OpenFlags, bool, bool); 3] = [
             (OpenFlags::rdwr(), true, true),
             (OpenFlags::RDONLY, true, false),
             (OpenFlags::wronly(), false, true),
         ];
-        let mut last = Errno::EACCES;
-        for (flags, r, w) in attempts {
-            match k.open(pid, &path, flags, Mode(0)) {
-                Ok(fd) => {
-                    return Ok(RawCap {
-                        kind,
-                        fd: Some(CapFd::new(k, pid, fd)),
-                        node: Some(node),
-                        name,
-                        readable: r,
-                        writable: w,
-                    })
+        for (flags, readable, writable) in attempts {
+            match k.openat(pid, dirfd, path, flags, Mode(0)) {
+                Ok(fd) => return Self::from_fd(k, pid, fd, name, readable, writable),
+                Err(Errno::EISDIR) => {
+                    let fd = k.openat(pid, dirfd, path, OpenFlags::dir(), Mode(0))?;
+                    return Self::from_fd(k, pid, fd, name, true, false);
                 }
-                Err(e) => last = e,
+                // Only an access denial can clear at a lesser access.
+                Err(Errno::EACCES) => {}
+                Err(e) => return Err(e),
             }
         }
-        Err(last)
+        Err(Errno::EACCES)
+    }
+
+    /// Wrap a vnode descriptor just opened in the runtime process, taking
+    /// node and kind from what it names.
+    fn from_fd(
+        k: &mut Kernel,
+        pid: Pid,
+        fd: Fd,
+        name: &str,
+        readable: bool,
+        writable: bool,
+    ) -> SysResult<RawCap> {
+        let fd = CapFd::new(k, pid, fd);
+        let node = k.process(pid)?.fd_node(fd.fd)?;
+        let kind = match k.fs.node(node)?.file_type() {
+            FileType::Directory => CapKind::Dir,
+            FileType::CharDevice => CapKind::Device,
+            FileType::Regular | FileType::Symlink | FileType::Socket => CapKind::File,
+            FileType::Fifo => CapKind::PipeEnd,
+        };
+        Ok(RawCap {
+            kind,
+            fd: Some(fd),
+            node: Some(node),
+            name: name.to_string(),
+            readable,
+            writable,
+        })
     }
 
     // --- queries ---------------------------------------------------------
@@ -316,12 +333,8 @@ impl RawCap {
     /// `lookup` builtin: derive a capability for a direct child. Single
     /// component only; `.` and `..` refused (capability safety, §2.1).
     pub fn lookup(&self, k: &mut Kernel, pid: Pid, name: &str) -> SysResult<RawCap> {
-        if !shill_vfs::node::valid_component(name) || name == "." || name == ".." {
-            return Err(Errno::EINVAL);
-        }
-        let dirfd = self.live_fd()?;
-        let st = k.fstatat(pid, Some(dirfd), name, false)?;
-        Self::open_node(k, pid, st.node, st.ftype, name.to_string())
+        single_component(name)?;
+        Self::open_at(k, pid, Some(self.live_fd()?), name, name)
     }
 
     /// Create a file in this directory, deriving a capability for it.
@@ -332,23 +345,13 @@ impl RawCap {
         name: &str,
         mode: Mode,
     ) -> SysResult<RawCap> {
-        if !shill_vfs::node::valid_component(name) || name == "." || name == ".." {
-            return Err(Errno::EINVAL);
-        }
+        single_component(name)?;
         let dirfd = self.live_fd()?;
         let mut flags = OpenFlags::rdwr();
         flags.create = true;
         flags.exclusive = true;
         let fd = k.openat(pid, Some(dirfd), name, flags, mode)?;
-        let node = k.process(pid)?.fd_node(fd)?;
-        Ok(RawCap {
-            kind: CapKind::File,
-            fd: Some(CapFd::new(k, pid, fd)),
-            node: Some(node),
-            name: name.to_string(),
-            readable: true,
-            writable: true,
-        })
+        Self::from_fd(k, pid, fd, name, true, true)
     }
 
     /// Create a subdirectory, deriving a capability (uses the paper's
@@ -360,28 +363,16 @@ impl RawCap {
         name: &str,
         mode: Mode,
     ) -> SysResult<RawCap> {
-        if !shill_vfs::node::valid_component(name) || name == "." || name == ".." {
-            return Err(Errno::EINVAL);
-        }
+        single_component(name)?;
         let dirfd = self.live_fd()?;
         let fd = k.mkdirat(pid, Some(dirfd), name, mode)?;
-        let node = k.process(pid)?.fd_node(fd)?;
-        Ok(RawCap {
-            kind: CapKind::Dir,
-            fd: Some(CapFd::new(k, pid, fd)),
-            node: Some(node),
-            name: name.to_string(),
-            readable: true,
-            writable: false,
-        })
+        Self::from_fd(k, pid, fd, name, true, false)
     }
 
     /// Remove a file link in this directory. Uses the TOCTTOU-safe
     /// `funlinkat` when the caller supplies the expected file capability.
     pub fn unlink_file(&self, k: &mut Kernel, pid: Pid, name: &str) -> SysResult<()> {
-        if !shill_vfs::node::valid_component(name) || name == "." || name == ".." {
-            return Err(Errno::EINVAL);
-        }
+        single_component(name)?;
         k.unlinkat(pid, Some(self.live_fd()?), name, false)
     }
 
@@ -398,9 +389,7 @@ impl RawCap {
 
     /// Remove an empty subdirectory.
     pub fn unlink_dir(&self, k: &mut Kernel, pid: Pid, name: &str) -> SysResult<()> {
-        if !shill_vfs::node::valid_component(name) || name == "." || name == ".." {
-            return Err(Errno::EINVAL);
-        }
+        single_component(name)?;
         k.unlinkat(pid, Some(self.live_fd()?), name, true)
     }
 
@@ -411,9 +400,7 @@ impl RawCap {
 
     /// Read a symlink target within this directory.
     pub fn read_symlink(&self, k: &mut Kernel, pid: Pid, name: &str) -> SysResult<String> {
-        if !shill_vfs::node::valid_component(name) || name == "." || name == ".." {
-            return Err(Errno::EINVAL);
-        }
+        single_component(name)?;
         k.readlinkat(pid, Some(self.live_fd()?), name)
     }
 
@@ -542,6 +529,35 @@ mod tests {
         assert_eq!(names, vec!["dog.jpg", "notes.txt", "sub"]);
         let child = dir.lookup(&mut k, pid, "dog.jpg").unwrap();
         assert_eq!(child.read_all(&mut k, pid).unwrap(), b"JPG");
+    }
+
+    #[test]
+    fn derivation_walks_one_component_at_any_depth() {
+        for depth in [2, 9] {
+            let mut k = Kernel::new();
+            let dir: String = (1..=depth).map(|i| format!("/d{i}")).collect();
+            let (uid, gid) = (Uid(100), Gid(100));
+            k.fs.put_file(&format!("{dir}/f"), b"x", Mode::FILE_DEFAULT, uid, gid)
+                .unwrap();
+            k.fs.mkdir_p(&format!("{dir}/sub"), Mode::DIR_DEFAULT, uid, gid)
+                .unwrap();
+            let pid = k.spawn_user(Cred::user(100));
+            let parent = RawCap::open_path(&mut k, pid, &dir).unwrap();
+            let mut derive = |name: &str| {
+                let before = k.stats_snapshot().lookups;
+                let cap = parent.lookup(&mut k, pid, name).unwrap();
+                (cap, k.stats_snapshot().lookups - before)
+            };
+            let (file, walked) = derive("f");
+            assert!(file.is_file() && file.readable && file.writable);
+            assert_eq!(walked, 1, "file under a depth-{depth} directory");
+            let (sub, walked) = derive("sub");
+            assert!(sub.is_dir());
+            assert!(
+                walked <= 2,
+                "directory under depth {depth}: {walked} lookups"
+            );
+        }
     }
 
     #[test]

@@ -215,22 +215,25 @@ pub fn call_builtin(
             let pid = interp.pid;
             cap_result(cap.path(&mut interp.kernel, pid).map(Value::str))
         }
+        // A capability's extension is that of the directory-entry name it
+        // was derived or opened under (`RawCap::name`, the name `find
+        // -name` tests), so no kernel crossing: a symlink answers for its
+        // own name, and a later rename does not change the answer. It
+        // still needs `+path` from every contract, and a capability with
+        // no descriptor has no extension.
         "has_ext" => {
             arity(&args, 2, name)?;
             let ext = want_str(&args[1], "extension")?;
-            let p = match &args[0] {
-                Value::Str(s) => (**s).clone(),
+            let suffix = format!(".{ext}");
+            match &args[0] {
+                Value::Str(s) => Ok(Value::Bool(s.ends_with(&suffix))),
                 v => {
                     let (cap, _brands) = interp.unseal_for(v, Priv::Path)?;
-                    let pid = interp.pid;
-                    match cap.path(&mut interp.kernel, pid) {
-                        Ok(p) => p,
-                        Err(CapError::Sys(_)) => return Ok(Value::Bool(false)),
-                        Err(CapError::Violation(v)) => return Err(ShillError::Violation(v)),
-                    }
+                    cap.check(Priv::Path)?;
+                    let named = cap.raw.fd().is_some() && cap.name().ends_with(&suffix);
+                    Ok(Value::Bool(named))
                 }
-            };
-            Ok(Value::Bool(p.ends_with(&format!(".{ext}"))))
+            }
         }
         "stat_size" => {
             arity(&args, 1, name)?;

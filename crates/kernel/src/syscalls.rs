@@ -83,21 +83,11 @@ impl Kernel {
         }
         // MAC at open time. Character devices are still checked at *open*;
         // it is per-byte read/write the framework cannot see (§3.2.3).
-        if flags.read {
-            let op = if ftype == FileType::Directory {
-                VnodeOp::ReadDir
-            } else {
-                VnodeOp::Read
-            };
-            // Opening a directory read-only is permitted with either
-            // +contents or plain lookup use; emit Stat-level check instead
-            // would be too lax — use ReadDir only when listing. For open we
-            // check Read on files and nothing extra on directories (listing
-            // is checked in readdirfd).
-            if ftype != FileType::Directory {
-                let _ = op;
-                self.mac_vnode(pid, node, &VnodeOp::Read)?;
-            }
+        // Opening a directory checks nothing extra: a directory descriptor
+        // serves lookups as well as listings, and listing is checked in
+        // `readdirfd`.
+        if flags.read && ftype != FileType::Directory {
+            self.mac_vnode(pid, node, &VnodeOp::Read)?;
         }
         if flags.write || flags.append {
             self.mac_vnode(pid, node, &VnodeOp::Write)?;
