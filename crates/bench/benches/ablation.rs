@@ -102,7 +102,6 @@ struct BatchRun {
     ns_per_op: f64,
     charge_calls: f64,
     mac_ctx_setups: f64,
-    prefix_hits: f64,
     trace_events: f64,
     trace_dropped: f64,
 }
@@ -179,7 +178,6 @@ fn batch_stat_run(batched: bool, traced: bool, submissions: usize, width: usize)
         ns_per_op: busy.as_nanos() as f64 / ops,
         charge_calls: st.charge_calls as f64 / ops,
         mac_ctx_setups: st.mac_ctx_setups as f64 / ops,
-        prefix_hits: st.batch_prefix_hits as f64 / ops,
         trace_events: trace_events as f64 / ops,
         trace_dropped: st.trace_dropped as f64,
     }
@@ -245,17 +243,15 @@ fn batch_copy_run(batched: bool, rounds: usize, files: usize) -> BatchRun {
         ns_per_op: elapsed.as_nanos() as f64 / ops,
         charge_calls: st.charge_calls as f64 / ops,
         mac_ctx_setups: st.mac_ctx_setups as f64 / ops,
-        prefix_hits: st.batch_prefix_hits as f64 / ops,
         trace_events: 0.0,
         trace_dropped: 0.0,
     }
 }
 
-const BATCH_METRICS: [Metric<BatchRun>; 4] = [
+const BATCH_METRICS: [Metric<BatchRun>; 3] = [
     ("time", "ns/op", |b| b.ns_per_op),
     ("charge_calls", "count/op", |b| b.charge_calls),
     ("mac_ctx_setups", "count/op", |b| b.mac_ctx_setups),
-    ("prefix_hits", "count/op", |b| b.prefix_hits),
 ];
 
 fn bench_batch() {
@@ -421,8 +417,9 @@ struct SchedRun {
 fn sched_copy_run(fused: bool, rounds: usize, files: usize, size: usize) -> SchedRun {
     use shill::kernel::BatchArg;
     // cp-in-place shape (`cp f f.bak`): source and copy share a deep
-    // dirname, so the fused pipeline's write reuses the read's prefix walk
-    // within the single submission — two submissions each pay their own.
+    // dirname. Both forms walk it once per entry; the fused pipeline saves
+    // a submission's charge and MAC context, and the copy's round trip
+    // through the caller.
     let src = "/srcdir/p/a/b/c/d/e/f/util";
     let dst = src;
     let (mut k, pid) = batch_fixture(|k| {

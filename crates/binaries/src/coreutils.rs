@@ -166,17 +166,19 @@ pub fn find(k: &mut Kernel, pid: Pid, argv: &[String]) -> i32 {
                 continue;
             }
         };
+        // One batched stat sweep per directory, each name resolved against
+        // the directory's descriptor: one lookup per entry, as fts(3) does.
+        // The descriptor closes before the per-entry loop, so `-exec`
+        // children do not inherit it.
+        let stats = stat_sweep(k, pid, Some(dfd), &names);
         let _ = k.close(pid, dfd);
-        // One batched stat sweep per directory instead of one fstatat per
-        // entry; the batch's prefix reuse resolves the shared dirname once.
-        let paths: Vec<String> = names.iter().map(|n| join(&dir, n)).collect();
-        let stats = stat_sweep(k, pid, &paths);
         // Reverse so traversal order matches a recursive implementation.
-        for ((name, path), st) in names.into_iter().zip(paths).zip(stats).rev() {
+        for (name, st) in names.into_iter().zip(stats).rev() {
             let st = match st {
                 Ok(st) => st,
                 Err(_) => continue,
             };
+            let path = join(&dir, &name);
             if st.ftype.is_dir() {
                 stack.push(path);
                 continue;
@@ -395,24 +397,18 @@ fn tar_collect(
         join(root, rel)
     };
     let dfd = k.open(pid, &full, OpenFlags::dir(), Mode(0))?;
-    let names = k.readdirfd(pid, dfd)?;
-    k.close(pid, dfd)?;
-    let rels: Vec<String> = names
-        .iter()
-        .map(|name| {
-            if rel.is_empty() {
-                name.clone()
-            } else {
-                join(rel, name)
-            }
-        })
-        .collect();
-    let paths: Vec<String> = rels.iter().map(|r| join(root, r)).collect();
+    let names = match k.readdirfd(pid, dfd) {
+        Ok(names) => names,
+        Err(e) => {
+            let _ = k.close(pid, dfd);
+            return Err(e);
+        }
+    };
     // One batched stat sweep for the directory, then one batched read
-    // sweep over its regular files — per-directory submissions instead of
-    // per-name ones. Archive order is unchanged (names in readdir order,
-    // depth first).
-    let stats = stat_sweep(k, pid, &paths);
+    // sweep over its regular files, each name resolved against `dfd` —
+    // per-directory submissions instead of per-name ones. Archive order is
+    // unchanged (names in readdir order, depth first).
+    let stats = stat_sweep(k, pid, Some(dfd), &names);
     // Stats are swept per directory in one submission (like `find`), so a
     // denied name may log denials for its siblings too, where the old
     // per-name loop stopped at the first — a deliberate batching tradeoff.
@@ -424,14 +420,21 @@ fn tar_collect(
         .iter()
         .position(|st| st.is_err())
         .unwrap_or(stats.len());
-    let file_paths: Vec<String> = stats[..first_err]
+    let files: Vec<String> = stats[..first_err]
         .iter()
-        .zip(&paths)
+        .zip(&names)
         .filter(|(st, _)| st.as_ref().map(|s| s.ftype.is_regular()).unwrap_or(false))
-        .map(|(_, p)| p.clone())
+        .map(|(_, n)| n.clone())
         .collect();
-    let mut file_data = slurp_many(k, pid, &file_paths).into_iter();
-    for (r, st) in rels.into_iter().zip(stats) {
+    let mut file_data = slurp_many(k, pid, Some(dfd), &files).into_iter();
+    // Closed before recursing, so descriptors do not pile up with depth.
+    k.close(pid, dfd)?;
+    for (name, st) in names.into_iter().zip(stats) {
+        let r = if rel.is_empty() {
+            name
+        } else {
+            join(rel, &name)
+        };
         let st = st?;
         if st.ftype.is_dir() {
             out.push(Entry::Dir { path: r.clone() });

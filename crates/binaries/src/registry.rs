@@ -205,8 +205,10 @@ pub fn install_all(k: &mut Kernel) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shill_kernel::{Fd, Pid};
-    use shill_vfs::Cred;
+    use std::sync::Arc;
+
+    use shill_kernel::{Fd, MacCtx, MacPolicy, Pid, VnodeOp};
+    use shill_vfs::{Cred, Errno, NodeId, SysResult};
 
     fn setup() -> (Kernel, Pid) {
         let mut k = Kernel::new();
@@ -361,6 +363,67 @@ mod tests {
         );
         let n = k.fs.resolve_abs("/dest/src/main.c").unwrap();
         assert_eq!(k.fs.read(n, 0, 100).unwrap(), b"int main;");
+    }
+
+    #[test]
+    fn find_and_tar_sweep_a_directory_through_its_descriptor() {
+        let (mut k, pid) = setup();
+        let dir = "/d1/d2/d3/d4/d5";
+        for i in 0..8 {
+            k.fs.put_file(
+                &format!("{dir}/f{i}"),
+                b"data",
+                Mode(0o644),
+                Uid::ROOT,
+                Gid::WHEEL,
+            )
+            .unwrap();
+        }
+        let lookups = |k: &mut Kernel, argv: &[&str]| {
+            let before = k.stats.snapshot().lookups;
+            assert_eq!(run(k, pid, argv), 0, "{argv:?}");
+            k.stats.snapshot().lookups - before
+        };
+        // The binary's path (3 components) and the directory's (5), then
+        // one lookup per name resolved against the directory's descriptor.
+        // Re-walking `dir/name` from `/` would cost 6 per name.
+        assert_eq!(lookups(&mut k, &["/usr/bin/find", dir]), 3 + 5 + 8);
+        // `tar -cf` stats and reads each name, then writes the archive
+        // (2 components).
+        assert_eq!(
+            lookups(&mut k, &["/usr/bin/tar", "-cf", "/tmp/p.tar", dir]),
+            3 + 5 + 2 * 8 + 2
+        );
+    }
+
+    /// Denies listing one directory, so opening it succeeds and
+    /// `readdirfd` on it fails.
+    struct DenyReadDir(NodeId);
+
+    impl MacPolicy for DenyReadDir {
+        fn name(&self) -> &str {
+            "deny-readdir"
+        }
+
+        fn vnode_check(&self, _ctx: MacCtx, node: NodeId, op: &VnodeOp<'_>) -> SysResult<()> {
+            match op {
+                VnodeOp::ReadDir if node == self.0 => Err(Errno::EACCES),
+                _ => Ok(()),
+            }
+        }
+    }
+
+    #[test]
+    fn tar_closes_its_directory_when_listing_fails() {
+        let (mut k, pid) = setup();
+        k.fs.put_file("/proj/sub/a.c", b"x", Mode(0o644), Uid::ROOT, Gid::WHEEL)
+            .unwrap();
+        let sub = k.fs.resolve_abs("/proj/sub").unwrap();
+        k.register_policy(Arc::new(DenyReadDir(sub)));
+        let open_before = k.process(pid).unwrap().fds.len();
+        let argv = ["tar", "-cf", "/tmp/p.tar", "/proj"].map(String::from);
+        assert_eq!(crate::coreutils::tar(&mut k, pid, &argv), 1);
+        assert_eq!(k.process(pid).unwrap().fds.len(), open_before);
     }
 
     #[test]

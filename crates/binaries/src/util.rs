@@ -5,7 +5,7 @@
 //! open→write→close entries run the identical per-operation MAC checks
 //! with one ulimit charge and one MAC context per file.
 
-use shill_kernel::{BatchArg, BatchEntry, BatchOut, Fd, Kernel, Pid, SyscallBatch};
+use shill_kernel::{BatchArg, BatchEntry, BatchFd, BatchOut, Fd, Kernel, Pid, SyscallBatch};
 use shill_vfs::{Errno, Mode, Stat, SysResult};
 
 /// Read a whole file by path (fused open→read-to-EOF→close, one batch).
@@ -20,15 +20,21 @@ pub fn slurp(k: &mut Kernel, pid: Pid, path: &str) -> SysResult<Vec<u8>> {
     .into_data()
 }
 
-/// Read many files by path in ONE batched submission (one fused
-/// open→read→close entry per path, one charge/context/prefix walk set for
-/// the sweep). Per-path outcomes are preserved.
-pub fn slurp_many(k: &mut Kernel, pid: Pid, paths: &[String]) -> Vec<SysResult<Vec<u8>>> {
-    let entries: Vec<BatchEntry> = paths
+/// Read many files in ONE batched submission: one fused open→read→close
+/// entry per name, each resolved relative to `dirfd` (the cwd when
+/// `None`), with one charge and one MAC context for the sweep. Per-name
+/// outcomes are preserved.
+pub fn slurp_many(
+    k: &mut Kernel,
+    pid: Pid,
+    dirfd: Option<Fd>,
+    names: &[String],
+) -> Vec<SysResult<Vec<u8>>> {
+    let entries: Vec<BatchEntry> = names
         .iter()
-        .map(|p| BatchEntry::ReadFile {
-            dirfd: None,
-            path: p.clone(),
+        .map(|n| BatchEntry::ReadFile {
+            dirfd: dirfd.map(BatchFd::Fd),
+            path: n.clone(),
         })
         .collect();
     match k.submit_batch(pid, &SyscallBatch::new(entries)) {
@@ -36,7 +42,7 @@ pub fn slurp_many(k: &mut Kernel, pid: Pid, paths: &[String]) -> Vec<SysResult<V
             .into_iter()
             .map(|r| r.and_then(BatchOut::into_data))
             .collect(),
-        Err(e) => paths.iter().map(|_| Err(e)).collect(),
+        Err(e) => names.iter().map(|_| Err(e)).collect(),
     }
 }
 
@@ -65,9 +71,9 @@ pub enum CopyErr {
 
 /// Copy a file by path as ONE fused-pipeline submission: a `ReadFile`
 /// whose bytes flow to a `WriteFile` through a slot reference
-/// (`BatchArg::OutputOf`), scheduled as two dependency waves. The old
-/// shape — a `slurp` submission, the data surfacing to the caller, then a
-/// `spit` submission — paid two kernel crossings and two prefix walks.
+/// (`BatchArg::OutputOf`), scheduled as two dependency waves. The data
+/// never surfaces to the caller, and the copy pays one kernel crossing
+/// instead of a `slurp` and a `spit`.
 /// Returns bytes copied. Submission-level failures (nested batch, dead
 /// process) are reported against the source operand.
 pub fn copy_path(
@@ -122,15 +128,21 @@ pub fn append_line(k: &mut Kernel, pid: Pid, path: &str, line: &str) -> SysResul
     Ok(())
 }
 
-/// `stat` a set of paths in one batched submission (the readdir+fstatat
-/// sweep `find` and `tar` perform per directory). Per-path outcomes are
-/// preserved.
-pub fn stat_sweep(k: &mut Kernel, pid: Pid, paths: &[String]) -> Vec<SysResult<Stat>> {
-    let entries: Vec<BatchEntry> = paths
+/// `lstat` a set of names in one batched submission, each resolved
+/// relative to `dirfd` (the cwd when `None`): the readdir+fstatat sweep
+/// `find` and `tar` perform per directory, as fts(3) does. Per-name
+/// outcomes are preserved.
+pub fn stat_sweep(
+    k: &mut Kernel,
+    pid: Pid,
+    dirfd: Option<Fd>,
+    names: &[String],
+) -> Vec<SysResult<Stat>> {
+    let entries: Vec<BatchEntry> = names
         .iter()
-        .map(|p| BatchEntry::Stat {
-            dirfd: None,
-            path: p.clone(),
+        .map(|n| BatchEntry::Stat {
+            dirfd: dirfd.map(BatchFd::Fd),
+            path: n.clone(),
             follow: false,
         })
         .collect();
@@ -139,7 +151,7 @@ pub fn stat_sweep(k: &mut Kernel, pid: Pid, paths: &[String]) -> Vec<SysResult<S
             .into_iter()
             .map(|r| r.and_then(BatchOut::into_stat))
             .collect(),
-        Err(e) => paths.iter().map(|_| Err(e)).collect(),
+        Err(e) => names.iter().map(|_| Err(e)).collect(),
     }
 }
 

@@ -3,11 +3,11 @@
 //!
 //! SHILL's enforcement model (paper §2.3) makes every language operation
 //! pay a full kernel round-trip: a ulimit charge, a MAC subject-context
-//! construction, and a `namei` path walk. PR 1's caches cut the
+//! construction, and a `namei` path walk. The dcache and the AVC cut the
 //! per-*component* cost; this module cuts the per-*call* cost. A
 //! [`SyscallBatch`] carries a sequence of [`BatchEntry`] operations, and
 //! [`crate::Kernel::submit_batch`] — the one way a batch executes —
-//! runs them in dependency waves ([`crate::sched`]) with three
+//! runs them in dependency waves ([`crate::sched`]) with two
 //! amortizations:
 //!
 //! * **One ulimit charge per batch.** The cpu-tick budget is read once at
@@ -17,35 +17,16 @@
 //! * **One MAC context per batch.** No batch entry can change the subject's
 //!   credentials, so the `MacCtx` built at submit time is reused by every
 //!   check.
-//! * **In-batch `namei` prefix reuse.** Entries naming paths under a common
-//!   dirname reuse the first entry's dirname resolution. Each reused
-//!   prefix is fenced by the PR 1 invalidation machinery: every directory
-//!   stepped through is revalidated against its dcache generation and the
-//!   policy stack's combined AVC epoch; a mid-batch create/unlink/rename or
-//!   authority-shrinking event falls back to the full walk. Reuse is
-//!   enabled only when every loaded policy opted into verdict caching
-//!   ([`crate::mac::MacPolicy::decisions_cacheable`]) — the same contract
-//!   the AVC itself relies on — and the skipped components' `post_lookup`
-//!   propagation notifications are replayed so label state evolves exactly
-//!   as on the full walk.
 //!
-//! What prefix reuse skips, precisely: the intermediate components'
-//! directory-entry scans, MAC `Lookup` re-checks (fenced by the combined
-//! epoch, exactly like an AVC hit), **and their DAC Exec re-checks**. The
-//! DAC skip is sound only because of a *vocabulary invariant*, not a
-//! runtime fence: no batch entry can change credentials or DAC metadata
-//! (no setuid, no chmod/chown entries exist), so directory modes observed
-//! by the first walk cannot change before the batch ends. Anyone adding a
-//! metadata-mutating entry must also clear [`BatchState::prefixes`] after
-//! executing it — otherwise a later entry could resolve through a
-//! directory whose search permission was just revoked, diverging from
-//! [`crate::Kernel::run_sequential`]. Everything else is unchanged: the
-//! final path component always takes the full DAC + MAC path, data-path
-//! interposition (`Read`/`Write` checks per chunk) fires per operation
-//! exactly as in sequential execution, and denials are never cached.
-//! Observable equivalence with sequential execution — same results, same
-//! errnos, same audit denials — is a test target
-//! (`tests/batch_equivalence.rs`).
+//! Nothing else is elided. Every path an entry names is resolved by the
+//! same `namei` walk a sequential syscall takes — DAC search, MAC `Lookup`
+//! and `post_lookup` on every component — and data-path interposition
+//! (`Read`/`Write` checks per chunk) fires per operation. A submitter that
+//! sweeps one directory resolves names against that directory's
+//! descriptor (`dirfd`), as `openat`/`fstatat` callers do, rather than
+//! re-walking a shared dirname per entry. Observable equivalence with
+//! sequential execution — same results, same errnos, same audit denials —
+//! is a test target (`tests/batch_equivalence.rs`).
 //!
 //! ## Slot references and dependencies
 //!
@@ -80,11 +61,9 @@
 //! as one linear dependency chain (the first failure cancels every later
 //! entry, which never executes).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use shill_vfs::sync::Mutex;
-use shill_vfs::{Errno, Mode, NodeId, Stat, SysResult};
+use shill_vfs::{Errno, Mode, Stat, SysResult};
 
 use crate::kernel::Kernel;
 use crate::mac::MacCtx;
@@ -498,48 +477,9 @@ impl SyscallBatch {
     }
 }
 
-/// One directory step of a cached dirname resolution: where the lookup
-/// happened, the dcache generation observed, and what it resolved to (for
-/// replaying the `post_lookup` propagation notification).
-#[derive(Debug, Clone)]
-pub struct PrefixStep {
-    /// Directory the component was looked up in.
-    pub dir: NodeId,
-    /// `dir`'s dcache generation observed by the original walk.
-    pub gen: u64,
-    /// The component name.
-    pub name: String,
-    /// What the lookup resolved to.
-    pub child: NodeId,
-}
-
-/// A cached dirname resolution, valid while every step's generation and the
-/// policy stack's combined epoch are unchanged.
-#[derive(Debug, Clone)]
-pub struct PrefixHit {
-    /// The directory containing the final component.
-    pub parent: NodeId,
-    /// MAC combined epoch at resolution time.
-    pub epoch: u64,
-    /// Every directory step the walk took (revalidated on reuse).
-    pub steps: Vec<PrefixStep>,
-}
-
-/// Walk-time recording used to build a [`PrefixHit`].
-#[derive(Debug, Default)]
-pub struct PrefixTrace {
-    /// Directory steps recorded while walking the dirname.
-    pub steps: Vec<PrefixStep>,
-    /// The directory containing the final component, once resolved.
-    pub parent_of_last: Option<NodeId>,
-    /// Set when the prefix traversed a symlink: such resolutions are never
-    /// cached (the generation fence does not cover link targets).
-    pub tainted: bool,
-}
-
 /// Live state of a batched submission, installed on the kernel for the
-/// duration of `submit_batch` (or of one stepped wave). `charge`, `ctx`,
-/// and `namei` consult it.
+/// duration of `submit_batch` (or of one stepped wave). `charge` and `ctx`
+/// consult it.
 pub struct BatchState {
     /// The MAC subject context, built once.
     pub ctx: MacCtx,
@@ -549,27 +489,6 @@ pub struct BatchState {
     pub limit: u64,
     /// Ticks consumed so far by the batch's inner syscalls.
     pub used: AtomicU64,
-    /// Whether `namei` may reuse dirname resolutions (all loaded policies
-    /// opted into verdict caching, or none are loaded — and the AVC is on,
-    /// since prefix reuse memoizes MAC lookup verdicts under the same
-    /// contract the AVC does).
-    pub reuse_prefixes: bool,
-    /// start node → dirname text → resolution. Two-level so probes hash a
-    /// borrowed `&str` slice of the caller's path, no allocation.
-    pub prefixes: Mutex<HashMap<NodeId, HashMap<String, PrefixHit>>>,
-}
-
-/// Split a path into `(dirname, last-component)` textually, consistent with
-/// `namei`'s component semantics. `None` when the path has fewer than two
-/// components (nothing to reuse).
-pub(crate) fn split_dirname(path: &str) -> Option<(&str, &str)> {
-    let trimmed = path.trim_end_matches('/');
-    let idx = trimmed.rfind('/')?;
-    let (dir, last) = (&trimmed[..idx], &trimmed[idx + 1..]);
-    if last.is_empty() || !dir.split('/').any(|c| !c.is_empty()) {
-        return None;
-    }
-    Some((dir, last))
 }
 
 impl BatchState {
@@ -619,14 +538,11 @@ impl<'a> BatchGuard<'a> {
             pid,
             cred: k.process(pid)?.cred,
         };
-        let reuse_prefixes = k.prefix_reuse_allowed();
         k.batch = Some(BatchState {
             ctx,
             base,
             limit,
             used: AtomicU64::new(0),
-            reuse_prefixes,
-            prefixes: Mutex::new(HashMap::new()),
         });
         Ok(BatchGuard { k, pid })
     }
@@ -651,9 +567,9 @@ impl Drop for BatchGuard<'_> {
 
 impl Kernel {
     /// Submit a batch for `pid` and execute it in dependency waves under
-    /// one amortized installation: one ulimit charge, one MAC context, one
-    /// prefix cache (see the module docs for the amortization and
-    /// equivalence contract, and [`crate::sched`] for the wave model).
+    /// one amortized installation: one ulimit charge and one MAC context
+    /// (see the module docs for the amortization and equivalence contract,
+    /// and [`crate::sched`] for the wave model).
     /// Returns one result per entry, in slot order, moved out of the run
     /// with no copy. The outer `Err` is reserved for submission-level
     /// failures (no such process, nested submission, malformed slot
@@ -693,11 +609,11 @@ impl Kernel {
 
     /// Execute the same entries through the plain sequential path, in
     /// submission order: one charge and one MAC context per inner syscall,
-    /// no prefix reuse, no batch audit span. Slot references and
-    /// dependency poisoning are honoured identically — submission order is
-    /// always a valid topological order because every edge points
-    /// backward, so "execute in order, cancelling poisoned slots" realizes
-    /// exactly the semantics the wave scheduler realizes out of order.
+    /// no batch audit span. Slot references and dependency poisoning are
+    /// honoured identically — submission order is always a valid
+    /// topological order because every edge points backward, so "execute
+    /// in order, cancelling poisoned slots" realizes exactly the semantics
+    /// the wave scheduler realizes out of order.
     /// This is the equivalence oracle: the property suites and the
     /// ablation bench compare [`Kernel::submit_batch`] against it.
     pub fn run_sequential(
@@ -788,9 +704,8 @@ impl Kernel {
 
     /// Dispatch one entry through the ordinary syscall implementations —
     /// the same code paths, checks, and audit events as sequential
-    /// execution, modulo the charge/context/prefix amortizations (active
-    /// only while a batch is live; see the module docs for exactly what
-    /// prefix reuse elides). `prior` carries earlier slots' results for
+    /// execution, modulo the charge/context amortizations (active only
+    /// while a batch is live). `prior` carries earlier slots' results for
     /// slot-reference resolution.
     pub(crate) fn exec_entry(
         &mut self,
@@ -954,7 +869,7 @@ impl Kernel {
 mod tests {
     use super::*;
     use crate::mac::{MacPolicy, VnodeOp};
-    use shill_vfs::{Cred, Gid, Uid};
+    use shill_vfs::{Cred, Gid, NodeId, Uid};
 
     fn setup() -> (Kernel, Pid) {
         let mut k = Kernel::new();
@@ -1007,7 +922,7 @@ mod tests {
     }
 
     #[test]
-    fn prefix_reuse_hits_and_charge_amortized() {
+    fn one_charge_and_one_context_per_batch() {
         let (mut k, pid) = setup();
         k.stats.reset();
         let batch = SyscallBatch::new(
@@ -1020,34 +935,33 @@ mod tests {
         let st = k.stats.snapshot();
         assert_eq!(st.charge_calls, 1, "one ulimit charge for the batch");
         assert_eq!(st.mac_ctx_setups, 1, "one MAC context for the batch");
-        assert_eq!(st.batch_prefix_misses, 1, "first entry walks");
-        assert_eq!(st.batch_prefix_hits, 3, "later entries reuse the dirname");
+        assert_eq!(st.lookups, 4 * 5, "every entry walks its whole path");
     }
 
     #[test]
-    fn mid_batch_invalidation_falls_back_to_slow_path() {
+    fn mid_batch_mutations_match_sequential() {
         let (mut k, pid) = setup();
-        k.stats.reset();
-        let batch = SyscallBatch::new(vec![
+        let (mut k2, pid2) = setup();
+        let mut run = |batch: &SyscallBatch| {
+            let out = k.submit_batch(pid, batch).unwrap();
+            assert_eq!(out, k2.run_sequential(pid2, batch).unwrap());
+            out
+        };
+        let out = run(&SyscallBatch::new(vec![
             stat_entry("/deep/a/b/c/f0"),
-            // Mutating /deep/a/b bumps its generation: the cached prefix
-            // walked through it and must be revalidated.
             BatchEntry::Unlink {
                 dirfd: None,
                 path: "/deep/a/b/c".into(),
                 remove_dir: true,
             },
             stat_entry("/deep/a/b/c/f1"),
-        ]);
-        let out = k.submit_batch(pid, &batch).unwrap();
+        ]));
         assert!(out[0].is_ok());
         // The directory was not empty: the unlink itself fails...
         assert_eq!(out[1], Err(Errno::ENOTEMPTY));
 
-        // A mutation *inside the final directory* does not invalidate the
-        // cached dirname (the fence is per walked directory), but the final
-        // component is always re-resolved, so the ENOENT is still observed.
-        let batch2 = SyscallBatch::new(vec![
+        // ...and a name unlinked mid-batch is gone for the next entry.
+        let out = run(&SyscallBatch::new(vec![
             stat_entry("/deep/a/b/c/f0"),
             BatchEntry::Unlink {
                 dirfd: None,
@@ -1055,16 +969,14 @@ mod tests {
                 remove_dir: false,
             },
             stat_entry("/deep/a/b/c/f1"),
-        ]);
-        let out = k.submit_batch(pid, &batch2).unwrap();
+        ]));
         assert!(out[0].is_ok());
         assert!(out[1].is_ok());
         assert_eq!(out[2], Err(Errno::ENOENT), "unlinked mid-batch");
 
-        // A mutation in a directory *on the cached chain* (creating a file
-        // in /deep/a/b) bumps that generation: the next probe of the
-        // /deep/a/b/c dirname must fall back to the full walk.
-        let batch3 = SyscallBatch::new(vec![
+        // A create in a directory on the walked chain leaves later walks
+        // through it intact.
+        let out = run(&SyscallBatch::new(vec![
             stat_entry("/deep/a/b/c/f0"),
             BatchEntry::WriteFile {
                 dirfd: None,
@@ -1075,18 +987,8 @@ mod tests {
             },
             stat_entry("/deep/a/b/c/f2"),
             stat_entry("/deep/a/b/c/f0"),
-        ]);
-        k.stats.reset();
-        let out = k.submit_batch(pid, &batch3).unwrap();
+        ]));
         assert!(out.iter().all(|r| r.is_ok()), "{out:?}");
-        let st = k.stats.snapshot();
-        // Misses: f0's first walk, the WriteFile's own dirname, and the
-        // revalidation failure after the create. The final stat hits again.
-        assert_eq!(
-            st.batch_prefix_misses, 3,
-            "invalidation forced exactly one re-walk"
-        );
-        assert_eq!(st.batch_prefix_hits, 1);
     }
 
     #[test]
@@ -1162,8 +1064,6 @@ mod tests {
             base: 0,
             limit: u64::MAX,
             used: AtomicU64::new(0),
-            reuse_prefixes: true,
-            prefixes: Mutex::new(HashMap::new()),
         });
         assert_eq!(
             k.submit_batch(pid, &SyscallBatch::default()).unwrap_err(),

@@ -77,7 +77,7 @@ pub enum FaultSite {
     AllocPid = 1,
     /// Path resolution entry (`namei`), keyed by a hash of the path
     /// string — a cursed path fails resolution everywhere, whether or not
-    /// the walk would have been answered by the dcache or prefix cache.
+    /// the walk would have been answered by the dcache.
     Namei = 2,
     /// File reads at the vfs boundary (below MAC), keyed by
     /// (shard-relative node, offset, length). May fail or go short.

@@ -3,14 +3,15 @@
 //! live in [`crate::syscalls`] as further `impl Kernel` blocks.
 
 use std::collections::HashMap;
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, OnceLock};
 
 use shill_vfs::{
     dac, Access, Cred, DcacheProbe, DeviceKind, Errno, Filesystem, Mode, NodeId, SysResult,
 };
 
-use crate::avc::{avc_class, avc_pipe_class, avc_socket_class, Avc};
-use crate::batch::{BatchState, PrefixHit, PrefixStep, PrefixTrace};
+use crate::avc::{avc_class, avc_pipe_class, avc_socket_class, Avc, AvcClass};
+use crate::batch::BatchState;
 use crate::fault::{path_key, FaultPlane, FaultSite};
 use crate::mac::{MacCtx, MacPolicy, PipeOp, ProcOp, SocketOp, SystemOp, VnodeOp};
 use crate::net::NetStack;
@@ -60,9 +61,9 @@ pub struct Kernel {
     pub(crate) sysctls: HashMap<String, String>,
     pub(crate) kenv: HashMap<String, String>,
     /// Live batched submission, if any (see [`crate::batch`]): one ulimit
-    /// charge, one MAC context, and an in-batch `namei` prefix cache
-    /// amortized across the batch's entries (or, for the per-wave
-    /// scheduler path in [`crate::sched`], across one dependency wave).
+    /// charge and one MAC context amortized across the batch's entries (or,
+    /// for the per-wave scheduler path in [`crate::sched`], across one
+    /// dependency wave).
     /// Installed and cleared exclusively through the batch drop-guard so
     /// an unwind mid-batch can never leave it populated.
     pub(crate) batch: Option<BatchState>,
@@ -729,35 +730,16 @@ impl Kernel {
         if let Some(f) = &self.faults {
             f.maybe_panic(Self::fault_pid_key(pid));
         }
-        // Fast path: a previously memoized allow for this access vector,
-        // still valid at the current combined epoch. Denials are never
-        // cached and mutation/name-dependent ops have no class, so both
-        // always take the slow path below.
-        let vector = if self.avc.enabled() && self.registry.cacheable() {
-            avc_class(op)
-        } else {
-            None
-        };
-        let epoch = vector.map(|_| self.registry.combined_epoch());
-        if let (Some(class), Some(epoch)) = (vector, epoch) {
-            if self.avc.probe(pid, ObjId::Vnode(node), class, epoch) {
-                KernelStats::bump(&self.stats.avc_hits);
-                return Ok(());
-            }
-            KernelStats::bump(&self.stats.avc_misses);
-        }
-        let ctx = self.ctx(pid)?;
-        // Only checks that reach the policy modules are spanned: an AVC
-        // hit returned above without touching the trace plane.
-        let _mac_span = self.trace_span(TraceSite::Mac, pid.0 as u64, node.0);
-        for p in self.registry.iter() {
-            KernelStats::bump(&self.stats.mac_vnode_checks);
-            p.vnode_check(ctx, node, op)?;
-        }
-        if let (Some(class), Some(epoch)) = (vector, epoch) {
-            self.avc.record(pid, ObjId::Vnode(node), class, epoch);
-        }
-        Ok(())
+        // Mutation and name-dependent ops have no class, so they always
+        // reach the policies.
+        self.mac_fenced(
+            pid,
+            ObjId::Vnode(node),
+            avc_class(op),
+            &self.stats.mac_vnode_checks,
+            node.0,
+            |p, ctx| p.vnode_check(ctx, node, op),
+        )
     }
 
     pub(crate) fn mac_post_lookup(&self, pid: Pid, dir: NodeId, name: &str, child: NodeId) {
@@ -779,6 +761,9 @@ impl Kernel {
         child: NodeId,
         ftype: shill_vfs::FileType,
     ) {
+        if self.registry.is_empty() {
+            return;
+        }
         if let Ok(ctx) = self.ctx(pid) {
             for p in self.registry.iter() {
                 p.vnode_post_create(ctx, dir, name, child, ftype);
@@ -790,31 +775,16 @@ impl Kernel {
         if self.registry.is_empty() {
             return Ok(());
         }
-        // Same memoization discipline as vnodes: pipe data-path verdicts
-        // are operand-free and monotone between epoch bumps.
-        let vector = if self.avc.enabled() && self.registry.cacheable() {
-            avc_pipe_class(op)
-        } else {
-            None
-        };
-        let epoch = vector.map(|_| self.registry.combined_epoch());
-        if let (Some(class), Some(epoch)) = (vector, epoch) {
-            if self.avc.probe(pid, obj, class, epoch) {
-                KernelStats::bump(&self.stats.avc_hits);
-                return Ok(());
-            }
-            KernelStats::bump(&self.stats.avc_misses);
-        }
-        let ctx = self.ctx(pid)?;
-        let _mac_span = self.trace_span(TraceSite::Mac, pid.0 as u64, 0);
-        for p in self.registry.iter() {
-            KernelStats::bump(&self.stats.mac_other_checks);
-            p.pipe_check(ctx, obj, op)?;
-        }
-        if let (Some(class), Some(epoch)) = (vector, epoch) {
-            self.avc.record(pid, obj, class, epoch);
-        }
-        Ok(())
+        // Pipe data-path verdicts are operand-free and monotone between
+        // epoch bumps, so they memoize like vnode verdicts.
+        self.mac_fenced(
+            pid,
+            obj,
+            avc_pipe_class(op),
+            &self.stats.mac_other_checks,
+            0,
+            |p, ctx| p.pipe_check(ctx, obj, op),
+        )
     }
 
     pub(crate) fn mac_socket(&self, pid: Pid, obj: ObjId, op: &SocketOp) -> SysResult<()> {
@@ -823,13 +793,36 @@ impl Kernel {
         }
         // Send/Recv are cacheable; lifecycle and address-carrying checks
         // (Create/Bind/Connect/Listen/Accept) always reach the policies.
-        let vector = if self.avc.enabled() && self.registry.cacheable() {
-            avc_socket_class(op)
-        } else {
-            None
-        };
-        let epoch = vector.map(|_| self.registry.combined_epoch());
-        if let (Some(class), Some(epoch)) = (vector, epoch) {
+        self.mac_fenced(
+            pid,
+            obj,
+            avc_socket_class(op),
+            &self.stats.mac_other_checks,
+            0,
+            |p, ctx| p.socket_check(ctx, obj, op),
+        )
+    }
+
+    /// One AVC-fenced MAC check against a non-empty registry. A previously
+    /// memoized allow for `(pid, obj, class)`, still valid at the combined
+    /// epoch, answers without touching the policies. Otherwise every
+    /// policy runs `check` under one `Mac` span (booking `counter` per
+    /// policy), and an allow is memoized. Denials are never cached, and an
+    /// op with no class, a disabled AVC or an uncacheable policy stack
+    /// always takes the policy loop.
+    fn mac_fenced(
+        &self,
+        pid: Pid,
+        obj: ObjId,
+        class: Option<AvcClass>,
+        counter: &AtomicU64,
+        span_arg: u64,
+        check: impl Fn(&dyn MacPolicy, MacCtx) -> SysResult<()>,
+    ) -> SysResult<()> {
+        let fence = class
+            .filter(|_| self.avc.enabled() && self.registry.cacheable())
+            .map(|class| (class, self.registry.combined_epoch()));
+        if let Some((class, epoch)) = fence {
             if self.avc.probe(pid, obj, class, epoch) {
                 KernelStats::bump(&self.stats.avc_hits);
                 return Ok(());
@@ -837,12 +830,14 @@ impl Kernel {
             KernelStats::bump(&self.stats.avc_misses);
         }
         let ctx = self.ctx(pid)?;
-        let _mac_span = self.trace_span(TraceSite::Mac, pid.0 as u64, 0);
+        // Only checks that reach the policy modules are spanned: an AVC
+        // hit returned above without touching the trace plane.
+        let _mac_span = self.trace_span(TraceSite::Mac, pid.0 as u64, span_arg);
         for p in self.registry.iter() {
-            KernelStats::bump(&self.stats.mac_other_checks);
-            p.socket_check(ctx, obj, op)?;
+            KernelStats::bump(counter);
+            check(p.as_ref(), ctx)?;
         }
-        if let (Some(class), Some(epoch)) = (vector, epoch) {
+        if let Some((class, epoch)) = fence {
             self.avc.record(pid, obj, class, epoch);
         }
         Ok(())
@@ -869,18 +864,6 @@ impl Kernel {
 
     pub(crate) fn policies(&self) -> &[Arc<dyn MacPolicy>] {
         self.registry.as_slice()
-    }
-
-    /// Whether a batched submission may reuse dirname resolutions. Requires
-    /// the cacheable-policy contract *and* the resolution caches themselves:
-    /// prefix reuse memoizes directory-entry scans (the dcache's job) and
-    /// MAC lookup verdicts (the AVC's job), so when an operator has turned
-    /// either cache off, the batch path must not keep a private copy of it —
-    /// with caches off, batched execution degrades to exactly the sequential
-    /// walk, stats and all.
-    pub(crate) fn prefix_reuse_allowed(&self) -> bool {
-        self.fs.dcache().enabled()
-            && (self.registry.is_empty() || (self.avc.enabled() && self.registry.cacheable()))
     }
 
     /// Capacity-pressure evictions performed by the directory-entry cache
@@ -1002,16 +985,9 @@ impl Kernel {
     /// Full path resolution. With `parent_mode`, resolves the dirname and
     /// reports the final component without requiring it to exist (create/
     /// unlink/rename preparation). `follow_last` controls trailing-symlink
-    /// traversal.
-    ///
-    /// Inside a batched submission, multi-component paths first consult the
-    /// batch's prefix cache: if an earlier entry resolved the same dirname
-    /// from the same start and nothing invalidated it since (every walked
-    /// directory's dcache generation unchanged, MAC combined epoch
-    /// unchanged), the walk restarts at the final component. The skipped
-    /// components' `post_lookup` propagation notifications are replayed so
-    /// policy label state evolves exactly as on the full walk; the final
-    /// component always takes the full DAC + MAC path.
+    /// traversal. Batched and sequential callers take the same walk: every
+    /// component gets its DAC search check, MAC `Lookup` check and
+    /// `post_lookup` notification.
     pub fn namei(
         &self,
         pid: Pid,
@@ -1028,166 +1004,13 @@ impl Kernel {
         }
         // Injected resolution failure, keyed by the path string itself: a
         // cursed path fails identically whether the walk would have been
-        // served by the dcache, the in-batch prefix cache, or a full walk
-        // — which is what keeps fault schedules cache-mode-invariant.
+        // served by the dcache or by directory scans — which is what keeps
+        // fault schedules cache-mode-invariant.
         self.fault_check(FaultSite::Namei, path_key(path))?;
         let cred = self.process(pid)?.cred;
         let start = self.walk_start(pid, dirfd, path)?;
         let mut hops = 0u32;
-
-        let batch_reuse = self
-            .batch
-            .as_ref()
-            .filter(|b| b.ctx.pid == pid && b.reuse_prefixes);
-        if let Some(b) = batch_reuse {
-            if let Some((dirname, last)) = crate::batch::split_dirname(path) {
-                let epoch = self.registry.combined_epoch();
-                let mut hit_parent: Option<NodeId> = None;
-                {
-                    let prefixes = b.prefixes.lock();
-                    if let Some(hit) = prefixes.get(&start).and_then(|m| m.get(dirname)) {
-                        if hit.epoch == epoch && self.prefix_still_valid(hit) {
-                            // Account each skipped component as the cache
-                            // hit it logically is — one lookup answered by
-                            // the dcache (for scanned names) and one MAC
-                            // verdict answered by the AVC — so `lookups`/
-                            // `dcache_hits`/`avc_hits` stay in parity with
-                            // sequential execution.
-                            let steps = hit.steps.len() as u64;
-                            KernelStats::add(&self.stats.lookups, steps);
-                            let scanned = hit
-                                .steps
-                                .iter()
-                                .filter(|s| s.name != "." && s.name != "..")
-                                .count() as u64;
-                            KernelStats::add(&self.stats.dcache_hits, scanned);
-                            if !self.registry.is_empty() {
-                                KernelStats::add(&self.stats.avc_hits, steps);
-                                // Replay privilege propagation for the
-                                // skipped components (monotone under the
-                                // cacheable-policy contract, so order
-                                // relative to other entries is immaterial).
-                                for step in &hit.steps {
-                                    self.mac_post_lookup(pid, step.dir, &step.name, step.child);
-                                }
-                            }
-                            hit_parent = Some(hit.parent);
-                        }
-                    }
-                }
-                if let Some(parent) = hit_parent {
-                    KernelStats::bump(&self.stats.batch_prefix_hits);
-                    return self.namei_last(
-                        pid,
-                        cred,
-                        start,
-                        parent,
-                        last,
-                        follow_last,
-                        parent_mode,
-                        &mut hops,
-                    );
-                }
-                KernelStats::bump(&self.stats.batch_prefix_misses);
-                if let Some(m) = b.prefixes.lock().get_mut(&start) {
-                    m.remove(dirname);
-                }
-                let mut trace = PrefixTrace::default();
-                let res = self.namei_inner(
-                    pid,
-                    cred,
-                    start,
-                    path,
-                    follow_last,
-                    parent_mode,
-                    &mut hops,
-                    Some(&mut trace),
-                );
-                // The prefix is cacheable whenever the dirname resolved —
-                // even if the final component failed (find-style probes of
-                // absent names share the same dirname).
-                if !trace.tainted {
-                    if let Some(parent) = trace.parent_of_last {
-                        b.prefixes.lock().entry(start).or_default().insert(
-                            dirname.to_string(),
-                            PrefixHit {
-                                parent,
-                                epoch,
-                                steps: trace.steps,
-                            },
-                        );
-                    }
-                }
-                return res;
-            }
-        }
-        self.namei_inner(
-            pid,
-            cred,
-            start,
-            path,
-            follow_last,
-            parent_mode,
-            &mut hops,
-            None,
-        )
-    }
-
-    /// Validate a cached prefix: every directory the original walk stepped
-    /// through must still exist at the generation observed then. Any
-    /// namespace mutation that could change the prefix's resolution bumps
-    /// one of these generations (that is the dcache's invariant), so a
-    /// mid-batch create/unlink/rename anywhere along the chain forces the
-    /// slow path.
-    fn prefix_still_valid(&self, hit: &PrefixHit) -> bool {
-        if !self.fs.exists(hit.parent) {
-            return false;
-        }
-        hit.steps
-            .iter()
-            .all(|s| self.fs.exists(s.dir) && self.fs.dcache().generation(s.dir) == s.gen)
-    }
-
-    /// Resolve only the final component of a path whose dirname was reused
-    /// from the batch prefix cache. Mirrors `namei_inner`'s last-iteration
-    /// behaviour exactly (same checks, same errnos, same notifications).
-    #[allow(clippy::too_many_arguments)]
-    fn namei_last(
-        &self,
-        pid: Pid,
-        cred: Cred,
-        start: NodeId,
-        parent: NodeId,
-        comp: &str,
-        follow_last: bool,
-        parent_mode: bool,
-        hops: &mut u32,
-    ) -> SysResult<Lookup> {
-        if !shill_vfs::node::valid_component(comp) {
-            return Err(Errno::ENAMETOOLONG);
-        }
-        if parent_mode {
-            if comp == "." || comp == ".." {
-                return Err(Errno::EINVAL);
-            }
-            let node = match self.walk_component(pid, cred, parent, comp) {
-                Ok(n) => Some(self.follow_symlinks(pid, cred, parent, n, follow_last, hops)?),
-                Err(Errno::ENOENT) => None,
-                Err(e) => return Err(e),
-            };
-            return Ok(Lookup {
-                parent,
-                name: comp.to_string(),
-                node,
-            });
-        }
-        let child = self.walk_component(pid, cred, parent, comp)?;
-        let node = self.follow_symlinks(pid, cred, parent, child, follow_last, hops)?;
-        Ok(Lookup {
-            parent: start,
-            name: comp.to_string(),
-            node: Some(node),
-        })
+        self.namei_inner(pid, cred, start, path, follow_last, parent_mode, &mut hops)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1200,7 +1023,6 @@ impl Kernel {
         follow_last: bool,
         parent_mode: bool,
         hops: &mut u32,
-        mut trace: Option<&mut PrefixTrace>,
     ) -> SysResult<Lookup> {
         let comps: Vec<&str> = path.split('/').filter(|c| !c.is_empty()).collect();
         if comps.is_empty() {
@@ -1216,13 +1038,6 @@ impl Kernel {
             let last = i + 1 == comps.len();
             if !shill_vfs::node::valid_component(comp) {
                 return Err(Errno::ENAMETOOLONG);
-            }
-            if last {
-                if let Some(t) = trace.as_deref_mut() {
-                    // The dirname fully resolved: `cur` is the directory the
-                    // final component lives in.
-                    t.parent_of_last = Some(cur);
-                }
             }
             if last && parent_mode {
                 if *comp == "." || *comp == ".." {
@@ -1240,25 +1055,7 @@ impl Kernel {
                     node,
                 });
             }
-            let gen = self.fs.dcache().generation(cur);
             let child = self.walk_component(pid, cred, cur, comp)?;
-            if !last {
-                if let Some(t) = trace.as_deref_mut() {
-                    if self.fs.node(child).map(|n| n.is_symlink()).unwrap_or(true) {
-                        // Symlinked prefixes are not cached: their
-                        // resolution depends on the link target, which the
-                        // generation fence does not cover.
-                        t.tainted = true;
-                    } else {
-                        t.steps.push(PrefixStep {
-                            dir: cur,
-                            gen,
-                            name: comp.to_string(),
-                            child,
-                        });
-                    }
-                }
-            }
             let follow = !last || follow_last;
             cur = self.follow_symlinks(pid, cred, cur, child, follow, hops)?;
         }
@@ -1296,7 +1093,7 @@ impl Kernel {
             } else {
                 dir
             };
-            let res = self.namei_inner(pid, cred, base, &target, true, false, hops, None)?;
+            let res = self.namei_inner(pid, cred, base, &target, true, false, hops)?;
             cur = res.node.ok_or(Errno::ENOENT)?;
         }
         Ok(cur)

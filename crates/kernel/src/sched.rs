@@ -49,8 +49,8 @@
 //! Both forms share the wave executor and the slot-ordered result type;
 //! they differ only in locking. [`crate::Kernel::submit_batch`] runs all
 //! waves under one amortized [`crate::batch::BatchState`] installation
-//! (one ulimit charge, one MAC context, one prefix cache), for callers
-//! that hold `&mut Kernel`. The stepped form — [`ScheduledRun::prepare`]
+//! (one ulimit charge, one MAC context), for callers that hold
+//! `&mut Kernel`. The stepped form — [`ScheduledRun::prepare`]
 //! (pure validation, no kernel access, callable outside any lock) +
 //! [`crate::Kernel::sched_run_wave`] + [`crate::Kernel::sched_audit`] +
 //! [`ScheduledRun::into_results`] — installs batch state **per wave**, so
@@ -59,11 +59,10 @@
 //! submissions, and `select`/`stream_read` can look at each wave's
 //! completions before the next one runs. Per-wave installation re-reads
 //! the tick budget each wave (write-back keeps the cumulative count, so
-//! `EAGAIN` trip points are unchanged) and starts a fresh prefix cache
-//! (correctness is unaffected — prefix hits are generation/epoch-fenced
-//! at probe time). Lock order is inherited from the executor: the kernel
-//! lock is acquired first and no interior cache/policy lock is ever held
-//! across a wave boundary.
+//! `EAGAIN` trip points are unchanged) and builds one MAC context per
+//! wave. Lock order is inherited from the executor: the kernel lock is
+//! acquired first and no interior cache/policy lock is ever held across a
+//! wave boundary.
 
 use shill_vfs::{Errno, SysResult};
 

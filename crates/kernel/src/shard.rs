@@ -34,10 +34,10 @@
 //! epoch (an `AtomicU64` read without any lock) feeds every shard's
 //! `combined_epoch`, so an authority-shrinking event performed while
 //! holding *any* shard's lock — or no kernel lock at all — is observed by
-//! *every* shard's AVC and batch prefix cache on its next probe. No
-//! cross-shard broadcast call is needed: epochs are validated at probe
-//! time, which is what makes shard-local waves safe to run concurrently
-//! with policy-state changes driven from other shards. Dcache generations
+//! *every* shard's AVC on its next probe. No cross-shard broadcast call
+//! is needed: epochs are validated at probe time, which is what makes
+//! shard-local waves safe to run concurrently with policy-state changes
+//! driven from other shards. Dcache generations
 //! stay shard-private (each shard has its own namespace tree, hence its
 //! own dcache).
 //!

@@ -111,11 +111,6 @@ kernel_stats! {
     /// by [`crate::batch::FailMode::Abort`] short-circuiting never run and
     /// are not counted.
     batch_entries,
-    /// `namei` dirname resolutions reused from the in-batch prefix cache.
-    batch_prefix_hits,
-    /// In-batch prefix probes that fell back to a full walk (cold entry or
-    /// a mid-batch dcache/AVC epoch invalidation).
-    batch_prefix_misses,
     /// Dependency waves executed by the batch scheduler
     /// ([`crate::kernel::Kernel::submit_batch`] and the stepped per-wave
     /// path, [`crate::sched::ScheduledRun`]).
@@ -223,7 +218,7 @@ mod tests {
         assert_eq!(get("trace_dropped"), 1);
         assert_eq!(get("log_dropped"), 2);
         assert_eq!(get("syscalls"), 0);
-        assert!(fields.len() >= 29);
+        assert!(fields.len() >= 27);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! generations *while holding the owning shard's lock*, every
 //! authority-shrinking policy event bumps the `ShillPolicy` epoch (an
 //! atomic shared by **all** shards — the cross-shard invalidation
-//! broadcast) before its state-lock hold ends, and the AVC/prefix caches
+//! broadcast) before its state-lock hold ends, and the dcache and AVC
 //! validate against those fences on the next lock-holder's probe. The lock
 //! order is: shard lock(s) first — ascending shard order when a rendezvous
 //! takes several — then any interior cache/policy lock; no interior lock is

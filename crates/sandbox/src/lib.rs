@@ -26,10 +26,7 @@ pub mod sync;
 pub use executor::{run_sessions, BatchJob, BatchPool, SessionBody, SessionOutcome, SessionTask};
 pub use harness::{run_sandboxed, setup_sandbox, Grant, Sandbox, SandboxSpec};
 pub use log::{BatchWaveAudit, LogEvent, SandboxLog, DEFAULT_LOG_CAP, SHILL_LOG_CAP_ENV};
-pub use policy::{
-    stripe_count_from_env, PolicyStats, ShillPolicy, DEFAULT_POLICY_STRIPES, MAX_POLICY_STRIPES,
-    POLICY_STRIPES_ENV,
-};
+pub use policy::{PolicyStats, ShillPolicy, DEFAULT_POLICY_STRIPES, MAX_POLICY_STRIPES};
 pub use policyfile::{build_spec, parse_policy, ParseError, Rule};
 pub use session::{Session, SessionId};
 pub use shill_kernel::KernelShards;

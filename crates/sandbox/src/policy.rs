@@ -30,8 +30,8 @@
 //! audit log sits behind its own mutex, and every counter is an atomic —
 //! there is **no** global lock left on any label path. Stripe locks are
 //! leaves: no other lock is ever acquired while one is held (log pushes
-//! happen after the stripe guard drops). The stripe count comes from
-//! `SHILL_POLICY_STRIPES` (default [`DEFAULT_POLICY_STRIPES`]).
+//! happen after the stripe guard drops). The stripe count is
+//! [`DEFAULT_POLICY_STRIPES`]; [`ShillPolicy::with_stripes`] picks another.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -48,28 +48,12 @@ use shill_vfs::{Errno, FileType, NodeId, SysResult};
 use crate::log::{LogEvent, SandboxLog};
 use crate::session::{Session, SessionId};
 
-/// Environment knob selecting the policy stripe count (clamped to
-/// 1..=[`MAX_POLICY_STRIPES`]).
-pub const POLICY_STRIPES_ENV: &str = "SHILL_POLICY_STRIPES";
-
 /// Default stripe count: enough to keep sessions of a handful of kernel
 /// shards on distinct locks without bloating the tiny single-session case.
 pub const DEFAULT_POLICY_STRIPES: usize = 8;
 
 /// Upper bound on the stripe count (mirrors the kernel's shard clamp).
 pub const MAX_POLICY_STRIPES: usize = 1024;
-
-/// Stripe count from [`POLICY_STRIPES_ENV`], falling back to `default`;
-/// out-of-range or unparsable values clamp/fall back rather than panic.
-pub fn stripe_count_from_env(default: usize) -> usize {
-    match std::env::var(POLICY_STRIPES_ENV) {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n.min(MAX_POLICY_STRIPES),
-            _ => default,
-        },
-        Err(_) => default,
-    }
-}
 
 /// Counters exposed for tests and the benchmark harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -89,7 +73,8 @@ pub struct PolicyStats {
     /// Stripe-lock acquisitions (label or pid-routing stripes) whose
     /// `try_lock` probe found the stripe held by another thread. Zero for
     /// single-threaded and perfectly shard-affine workloads; growth means
-    /// sessions are colliding on a stripe (raise `SHILL_POLICY_STRIPES`).
+    /// sessions are colliding on a stripe (build the policy
+    /// [`ShillPolicy::with_stripes`] a larger count).
     pub stripe_contention: u64,
 }
 
@@ -194,13 +179,12 @@ pub struct ShillPolicy {
 
 impl Default for ShillPolicy {
     fn default() -> ShillPolicy {
-        ShillPolicy::with_stripes(stripe_count_from_env(DEFAULT_POLICY_STRIPES))
+        ShillPolicy::with_stripes(DEFAULT_POLICY_STRIPES)
     }
 }
 
 impl ShillPolicy {
-    /// Stripe count from [`POLICY_STRIPES_ENV`] (default
-    /// [`DEFAULT_POLICY_STRIPES`]).
+    /// A policy with [`DEFAULT_POLICY_STRIPES`] stripes.
     pub fn new() -> Arc<ShillPolicy> {
         Arc::new(ShillPolicy::default())
     }
@@ -578,11 +562,6 @@ impl ShillPolicy {
     pub fn set_log_enabled(&self, enabled: bool) {
         self.log_enabled.store(enabled, Ordering::Relaxed);
         self.log.lock().enabled = enabled;
-    }
-
-    /// Alias for [`ShillPolicy::set_log_enabled`] (historical name).
-    pub fn enable_logging(&self, enabled: bool) {
-        self.set_log_enabled(enabled);
     }
 
     /// Re-bound the audit-log ring (default [`crate::log::DEFAULT_LOG_CAP`],

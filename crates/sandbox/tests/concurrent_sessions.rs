@@ -120,8 +120,8 @@ fn revocation_is_never_outrun_by_cached_verdicts() {
                                 status = 1;
                             }
                         }
-                        // Batched resolution of the same names: the batch
-                        // prefix/AVC reuse must obey the same fences.
+                        // Batched resolution of the same names: the AVC's
+                        // reuse inside a batch must obey the same fences.
                         if i % 3 == 0 {
                             let was_revoked = revoked.load(Ordering::SeqCst);
                             let batch = SyscallBatch::new(vec![

@@ -262,8 +262,7 @@ impl Dcache {
         self.inner.lock().dirs.len()
     }
 
-    /// The current generation of a directory (tests/diagnostics; also the
-    /// validation stamp for the kernel's in-batch prefix reuse).
+    /// The current generation of a directory (tests/diagnostics).
     pub fn generation(&self, dir: NodeId) -> u64 {
         self.inner.lock().gens.get(&dir).copied().unwrap_or(0)
     }

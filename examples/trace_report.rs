@@ -117,7 +117,7 @@ fn main() {
     let policy = ShillPolicy::new();
     let shards = KernelShards::new_with(2, |k, _| populate(k));
     shards.register_policy(policy.clone());
-    policy.enable_logging(true);
+    policy.set_log_enabled(true);
 
     // Two sessions per shard: four concurrent tenants.
     let mut sessions = Vec::new();

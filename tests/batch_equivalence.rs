@@ -166,8 +166,8 @@ fn build_fixture(cached: bool) -> Fixture {
     }
 }
 
-/// Paths the generator draws from: granted, denied, and absent names, all
-/// sharing dirnames so the prefix cache is exercised.
+/// Paths the generator draws from: granted, denied, and absent names,
+/// sharing dirnames so mutations in one entry affect later walks.
 fn arb_path(rng: &mut Rng) -> String {
     const PATHS: &[&str] = &[
         "/data/pub/inner/f0",
@@ -300,7 +300,7 @@ fn run_equivalence_cases(cached: bool, seed: u64) {
         let mut sequential = build_fixture(cached);
         assert_eq!(batched.fds, sequential.fds, "twin fixtures diverged");
         // Each case submits several batches against evolving state, so
-        // later batches see mutations (and prefix invalidations) from
+        // later batches see mutations (and dcache invalidations) from
         // earlier ones.
         for round in 0..3 {
             let batch = arb_batch(&mut rng, &batched.fds);
@@ -410,7 +410,7 @@ fn abort_cancellations_are_cancellations_not_denials_or_successes() {
     // audit denials, and the batch span must book them as cancellations —
     // separate from the one real failure that tripped the abort.
     let mut f = build_fixture(true);
-    f.policy.enable_logging(true);
+    f.policy.set_log_enabled(true);
     f.k.stats.reset();
     f.policy.clear_log();
     let batch = SyscallBatch::aborting(vec![
@@ -488,10 +488,10 @@ fn batched_and_sequential_stats_are_in_parity() {
     // observability counters must agree between `submit_batch` and
     // `run_sequential` twins. Documented exceptions: `charge_calls` and
     // `mac_ctx_setups` (the amortizations are the batch path's point) and
-    // the `batches`/`batch_entries`/`batch_prefix_*` counters (sequential
-    // execution has no batch bookkeeping). Prefix hits are accounted as the
-    // dcache/AVC hits they logically are, so `lookups`, the cache hit/miss
-    // counters, and policy-reaching check counts all line up.
+    // the `batches`/`batch_entries` counters (sequential execution has no
+    // batch bookkeeping). Both forms take the same path walk, so `lookups`,
+    // the cache hit/miss counters, and policy-reaching check counts all
+    // line up.
     for cached in [true, false] {
         set_scenario_cache_mode(cached);
         let mut rng = Rng::new(0xFEED_FACE);
@@ -535,7 +535,7 @@ fn batched_and_sequential_stats_are_in_parity() {
 #[test]
 fn batch_audit_span_records_per_entry_outcomes() {
     let mut f = build_fixture(true);
-    f.policy.enable_logging(true);
+    f.policy.set_log_enabled(true);
     let batch = SyscallBatch::new(vec![
         BatchEntry::Stat {
             dirfd: None,
@@ -1007,7 +1007,7 @@ fn scheduled_and_in_order_spans_are_in_parity() {
     };
 
     let mut one_shot = build_fixture(true);
-    one_shot.policy.enable_logging(true);
+    one_shot.policy.set_log_enabled(true);
     one_shot.k.stats.reset();
     let a = one_shot
         .k
@@ -1015,7 +1015,7 @@ fn scheduled_and_in_order_spans_are_in_parity() {
         .unwrap();
 
     let mut stepped = build_fixture(true);
-    stepped.policy.enable_logging(true);
+    stepped.policy.set_log_enabled(true);
     stepped.k.stats.reset();
     let b = run_stepped(&mut stepped.k, stepped.child, make_batch());
     assert_eq!(a, b, "results identical across execution strategies");

@@ -79,7 +79,7 @@ fn verbose_logging_records_grants_and_session_lifecycle() {
         .unwrap();
     let policy = ShillPolicy::new();
     k.register_policy(policy.clone());
-    policy.enable_logging(true);
+    policy.set_log_enabled(true);
     let user = k.spawn_user(Cred::ROOT);
     let rules = parse_policy("path /data/x +read +stat\npath /bin/cat +exec +read\npath / +lookup")
         .unwrap();

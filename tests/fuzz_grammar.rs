@@ -869,7 +869,7 @@ fn standalone_fixture(
     k.set_cache_enabled(cached, cached);
     let policy = ShillPolicy::new();
     k.register_policy(policy.clone());
-    policy.enable_logging(true);
+    policy.set_log_enabled(true);
     populate_workload_fs(&mut k);
     let (child, fds) = build_sandbox(&mut k, &policy);
     // Armed only after setup: the schedule governs the workload, not the
@@ -929,7 +929,7 @@ fn run_pool_mode(cached: bool, schedule: Option<&str>, batches: &[SyscallBatch])
         populate_workload_fs(k);
     });
     shards.register_policy(policy.clone());
-    policy.enable_logging(true);
+    policy.set_log_enabled(true);
     let (child, _fds) = {
         let mut k = shards.lock_shard(0);
         build_sandbox(&mut k, &policy)

@@ -155,7 +155,7 @@ fn run_standalone(mode: &str, schedule: Option<&str>) -> (Vec<TraceEvent>, u64, 
     let mut k = Kernel::new_shard(0);
     let policy = ShillPolicy::new();
     k.register_policy(policy.clone());
-    policy.enable_logging(true);
+    policy.set_log_enabled(true);
     populate_fs(&mut k);
     let (child, fds) = build_sandbox(&mut k, &policy);
     k.set_trace_plane(Some(trace_plane()));
@@ -220,7 +220,7 @@ fn spans_balance_through_the_sharded_pool() {
         populate_fs(k);
     });
     shards.register_policy(policy.clone());
-    policy.enable_logging(true);
+    policy.set_log_enabled(true);
     let mut pids = Vec::new();
     for shard in 0..2 {
         let mut k = shards.lock_shard(shard);
@@ -321,7 +321,7 @@ fn log_ring_overflow_reaches_telemetry() {
     let mut k = Kernel::new_shard(0);
     let policy = ShillPolicy::new();
     k.register_policy(policy.clone());
-    policy.enable_logging(true);
+    policy.set_log_enabled(true);
     policy.set_log_capacity(8);
     populate_fs(&mut k);
     let (child, fds) = build_sandbox(&mut k, &policy);
