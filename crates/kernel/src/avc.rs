@@ -225,6 +225,12 @@ impl Avc {
     pub fn entry_count(&self) -> usize {
         self.entries.lock().len
     }
+
+    /// Cached verdicts, live or stale, held for one subject
+    /// (tests/diagnostics).
+    pub fn entries_for(&self, pid: Pid) -> usize {
+        self.entries.lock().by_pid.get(&pid).map_or(0, HashMap::len)
+    }
 }
 
 #[cfg(test)]

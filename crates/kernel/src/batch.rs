@@ -534,10 +534,7 @@ impl<'a> BatchGuard<'a> {
         };
         // One MAC context construction for the whole installation.
         KernelStats::bump(&k.stats.mac_ctx_setups);
-        let ctx = MacCtx {
-            pid,
-            cred: k.process(pid)?.cred,
-        };
+        let ctx = k.process(pid)?.mac_ctx();
         k.batch = Some(BatchState {
             ctx,
             base,
@@ -1060,6 +1057,7 @@ mod tests {
             ctx: MacCtx {
                 pid,
                 cred: Cred::ROOT,
+                label: None,
             },
             base: 0,
             limit: u64::MAX,

@@ -3,6 +3,7 @@
 //! live in [`crate::syscalls`] as further `impl Kernel` blocks.
 
 use std::collections::HashMap;
+use std::num::NonZeroU64;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, OnceLock};
 
@@ -102,12 +103,13 @@ impl Kernel {
     /// A kernel for shard `shard` of a [`crate::shard::KernelShards`]: same
     /// contents as [`Kernel::new`], but every id allocator (pids, vnode ids,
     /// pipe ids, socket ids) starts at the shard's stride offset. Shards
-    /// share one MAC policy module whose labels are keyed by pid and object
+    /// share one MAC policy module whose object labels are keyed by object
     /// id, so the id spaces must be disjoint — a grant on shard 0's
-    /// `vnode#7` must never alias shard 1's `vnode#7`. The one deliberate
-    /// exception is `init` (pid 1), which exists per shard: it never joins
-    /// a session and is never granted capabilities, so policy-side aliasing
-    /// is harmless. `new_shard(0)` is identical to `new()`.
+    /// `vnode#7` must never alias shard 1's `vnode#7` — and pids stay
+    /// disjoint so a pid names one process across shards. The one
+    /// deliberate exception is `init` (pid 1), which exists per shard: it
+    /// is never labelled and never granted capabilities, so policy-side
+    /// aliasing is harmless. `new_shard(0)` is identical to `new()`.
     ///
     /// # Panics
     ///
@@ -464,9 +466,9 @@ impl Kernel {
     }
 
     /// The MAC subject context for a process. Inside a batched submission
-    /// the context built once at submit time is reused — credentials cannot
-    /// change mid-batch (no batch entry alters them), so re-deriving it per
-    /// check is pure overhead.
+    /// the context built once at submit time is reused — credentials and
+    /// labels cannot change mid-batch (no batch entry alters them), so
+    /// re-deriving it per check is pure overhead.
     pub(crate) fn ctx(&self, pid: Pid) -> SysResult<MacCtx> {
         if let Some(b) = &self.batch {
             if b.ctx.pid == pid {
@@ -474,10 +476,15 @@ impl Kernel {
             }
         }
         KernelStats::bump(&self.stats.mac_ctx_setups);
-        Ok(MacCtx {
-            pid,
-            cred: self.process(pid)?.cred,
-        })
+        Ok(self.process(pid)?.mac_ctx())
+    }
+
+    /// Set (or clear) a process's MAC label. The labelling policy calls
+    /// this when it moves a process into a session (`shill_init`);
+    /// children inherit the label from then on.
+    pub fn set_label(&mut self, pid: Pid, label: Option<NonZeroU64>) -> SysResult<()> {
+        self.process_mut(pid)?.label = label;
+        Ok(())
     }
 
     /// Charge one syscall tick against the process's cpu ulimit. Inside a
@@ -507,12 +514,11 @@ impl Kernel {
         Ok(())
     }
 
-    /// Allocate the next pid, enforcing the shard stride the sharded
-    /// policy-label safety argument depends on: a shard that exhausts its
-    /// pid range must fail (`EAGAIN`, like real pid exhaustion) rather
-    /// than silently bleed into the next shard's range — a bled pid would
-    /// route to the wrong shard's lock *and* could alias a live pid there
-    /// in the shared policy's pid-keyed session/label maps.
+    /// Allocate the next pid, enforcing the shard stride: a shard that
+    /// exhausts its pid range must fail (`EAGAIN`, like real pid
+    /// exhaustion) rather than silently bleed into the next shard's range,
+    /// where a bled pid would route to the wrong shard's lock and could
+    /// alias a live pid there.
     fn alloc_pid(&mut self) -> SysResult<Pid> {
         let base = self.shard as u32 * crate::shard::SHARD_PID_STRIDE;
         // Simulated pid-space exhaustion, keyed by the shard-relative pid
@@ -538,22 +544,24 @@ impl Kernel {
     /// stride guard, or an injected `alloc_pid` fault) surfaces as the
     /// same `EAGAIN` real pid exhaustion produces, so callers can hand
     /// scripts a catchable `syserror` instead of aborting the harness.
+    /// The process starts unlabelled.
     pub fn try_spawn_user(&mut self, cred: Cred) -> SysResult<Pid> {
         let pid = self.alloc_pid()?;
         let root = self.fs.root();
-        self.procs
-            .insert(pid, Process::new(pid, Pid(1), cred, root));
+        let child = Process::new(pid, Pid(1), cred, root);
+        let ctx = child.mac_ctx();
+        self.procs.insert(pid, child);
         if let Some(init) = self.procs.get_mut(&Pid(1)) {
             init.children.push(pid);
         }
         for p in self.registry.iter() {
-            p.proc_fork(Pid(1), pid);
+            p.proc_fork(Pid(1), ctx);
         }
         Ok(pid)
     }
 
-    /// Fork: the child inherits credentials, cwd, ulimits, and descriptors
-    /// (with reference counts bumped). MAC policies are notified so session
+    /// Fork: the child inherits credentials, cwd, ulimits, descriptors
+    /// (with reference counts bumped) and the MAC label, so session
     /// membership is inherited (paper §3.2.1: "Processes spawned by a
     /// process in a session are by default placed in the same session").
     pub fn fork(&mut self, parent: Pid) -> SysResult<Pid> {
@@ -570,13 +578,14 @@ impl Kernel {
     }
 
     /// The body [`Kernel::fork`] and [`Kernel::spawn`] share: the charge,
-    /// the `max_processes` check, pid allocation, the `forks` counter and
-    /// the `proc_fork` hooks. `actions` picks the descriptor table: the
-    /// parent's whole table (`None`) or just the listed descriptors.
+    /// the `max_processes` check, pid allocation, label inheritance, the
+    /// `forks` counter and the `proc_fork` hooks. `actions` picks the
+    /// descriptor table: the parent's whole table (`None`) or just the
+    /// listed descriptors.
     fn new_child(&mut self, parent: Pid, actions: Option<&[(Fd, Fd)]>) -> SysResult<Pid> {
         self.charge(parent)?;
         KernelStats::bump(&self.stats.forks);
-        let (cred, cwd, ulimits, fds) = {
+        let (cred, cwd, ulimits, label, fds) = {
             let p = self.process(parent)?;
             let live = p.children.len() as u32;
             if live >= p.ulimits.max_processes {
@@ -589,11 +598,12 @@ impl Kernel {
                     .map(|&(src, dst)| Ok((dst, p.file(src)?.clone())))
                     .collect::<SysResult<_>>()?,
             };
-            (p.cred, p.cwd, p.ulimits, fds)
+            (p.cred, p.cwd, p.ulimits, p.label, fds)
         };
         let pid = self.alloc_pid()?;
         let mut child = Process::new(pid, parent, cred, cwd);
         child.ulimits = ulimits;
+        child.label = label;
         for (fd, of) in fds {
             match of.object {
                 FdObject::Vnode(n) => self.fs.incref(n),
@@ -604,10 +614,11 @@ impl Kernel {
             }
             child.install_fd(fd, of);
         }
+        let ctx = child.mac_ctx();
         self.procs.insert(pid, child);
         self.process_mut(parent)?.children.push(pid);
         for p in self.registry.iter() {
-            p.proc_fork(parent, pid);
+            p.proc_fork(parent, ctx);
         }
         Ok(pid)
     }
@@ -615,8 +626,8 @@ impl Kernel {
     /// Terminate a process: close descriptors, notify policies, zombify.
     /// Nobody can wait for the process's zombie children any more, and an
     /// orphan (its parent already exited) has nobody to wait for it, so
-    /// both are reaped here: the process table and the policies' per-pid
-    /// state stay bounded by the live processes.
+    /// both are reaped here: the process table, and the labels it holds,
+    /// stay bounded by the live processes.
     pub fn exit(&mut self, pid: Pid, status: i32) {
         let (fds, ppid) = match self.procs.get(&pid) {
             Some(p) if p.alive() => (p.fds.keys().copied().collect::<Vec<Fd>>(), p.ppid),
@@ -625,15 +636,15 @@ impl Kernel {
         for fd in fds {
             let _ = self.close(pid, fd);
         }
-        let zombies: Vec<Pid> = match self.procs.get_mut(&pid) {
+        let (zombies, ctx) = match self.procs.get_mut(&pid) {
             Some(p) => {
                 p.state = ProcState::Zombie(status);
-                p.children.clone()
+                (p.children.clone(), p.mac_ctx())
             }
-            None => Vec::new(),
+            None => return,
         };
         for p in self.registry.iter() {
-            p.proc_exit(pid);
+            p.proc_exit(ctx);
         }
         // The subject is gone; its cached MAC verdicts must not linger (a
         // policy may also have scrubbed session labels, which its epoch
@@ -656,10 +667,7 @@ impl Kernel {
         if !self.process(parent)?.children.contains(&child) {
             return Err(Errno::ECHILD);
         }
-        for p in self.registry.iter() {
-            p.proc_check(self.ctx(parent)?, ProcOp::Wait(child))?;
-            KernelStats::bump(&self.stats.mac_other_checks);
-        }
+        self.mac_proc(parent, child, ProcOp::Wait)?;
         let status = match self.process(child)?.state {
             ProcState::Zombie(s) => s,
             ProcState::Running => return Err(Errno::EAGAIN),
@@ -669,15 +677,12 @@ impl Kernel {
         Ok(status)
     }
 
-    /// Remove an exited `child` from the process table and from `parent`'s
-    /// children, then tell the policies it is gone for good.
+    /// Remove an exited `child`, and its label with it, from the process
+    /// table and from `parent`'s children.
     fn reap(&mut self, parent: Pid, child: Pid) {
         self.procs.remove(&child);
         if let Some(p) = self.procs.get_mut(&parent) {
             p.children.retain(|c| *c != child);
-        }
-        for p in self.registry.iter() {
-            p.proc_reap(child);
         }
     }
 
@@ -688,10 +693,7 @@ impl Kernel {
         if !self.procs.contains_key(&target) {
             return Err(Errno::ESRCH);
         }
-        for p in self.registry.iter() {
-            p.proc_check(self.ctx(pid)?, ProcOp::Signal(target))?;
-            KernelStats::bump(&self.stats.mac_other_checks);
-        }
+        self.mac_proc(pid, target, ProcOp::Signal)?;
         self.exit(target, -9);
         Ok(())
     }
@@ -703,11 +705,7 @@ impl Kernel {
         if !self.procs.contains_key(&target) {
             return Err(Errno::ESRCH);
         }
-        for p in self.registry.iter() {
-            p.proc_check(self.ctx(pid)?, ProcOp::Debug(target))?;
-            KernelStats::bump(&self.stats.mac_other_checks);
-        }
-        Ok(())
+        self.mac_proc(pid, target, ProcOp::Debug)
     }
 
     /// Set ulimits on a (child) process before exec, per the paper's
@@ -719,6 +717,25 @@ impl Kernel {
 
     // --- MAC helpers ------------------------------------------------------
 
+    /// Whether the MAC helpers skip `pid` outright because no loaded policy
+    /// can restrict it or wants its notifications: none is loaded, or every
+    /// one is label-scoped ([`MacPolicy::label_scoped`]) and the process
+    /// carries no label. Such a subject never reaches the AVC either.
+    /// Inside a batch the cached context answers; a pid not in the table
+    /// is not skipped, so the checks still report `ESRCH`.
+    pub(crate) fn unconfined(&self, pid: Pid) -> bool {
+        if self.registry.is_empty() {
+            return true;
+        }
+        if !self.registry.label_scoped() {
+            return false;
+        }
+        match &self.batch {
+            Some(b) if b.ctx.pid == pid => b.ctx.label.is_none(),
+            _ => matches!(self.procs.get(&pid), Some(p) if p.label.is_none()),
+        }
+    }
+
     pub(crate) fn mac_vnode(&self, pid: Pid, node: NodeId, op: &VnodeOp<'_>) -> SysResult<()> {
         if self.registry.is_empty() {
             return Ok(());
@@ -726,9 +743,14 @@ impl Kernel {
         // Injected policy-module panic: fires before the AVC probe and the
         // policy iteration, modeling a hook that dies mid-check. Only
         // armed when a policy is actually registered (it is a *policy*
-        // fault); containment is the caller's unwind boundary.
+        // fault); containment is the caller's unwind boundary. It fires
+        // for unlabelled subjects too, so a schedule counts the same
+        // checks whatever the labels.
         if let Some(f) = &self.faults {
             f.maybe_panic(Self::fault_pid_key(pid));
+        }
+        if self.unconfined(pid) {
+            return Ok(());
         }
         // Mutation and name-dependent ops have no class, so they always
         // reach the policies.
@@ -742,15 +764,21 @@ impl Kernel {
         )
     }
 
-    pub(crate) fn mac_post_lookup(&self, pid: Pid, dir: NodeId, name: &str, child: NodeId) {
-        if self.registry.is_empty() {
+    /// Deliver a notification from `pid` to every loaded policy, unless
+    /// [`Kernel::unconfined`] skips the subject.
+    pub(crate) fn mac_notify(&self, pid: Pid, hook: impl Fn(&dyn MacPolicy, MacCtx)) {
+        if self.unconfined(pid) {
             return;
         }
         if let Ok(ctx) = self.ctx(pid) {
             for p in self.registry.iter() {
-                p.vnode_post_lookup(ctx, dir, name, child);
+                hook(p.as_ref(), ctx);
             }
         }
+    }
+
+    pub(crate) fn mac_post_lookup(&self, pid: Pid, dir: NodeId, name: &str, child: NodeId) {
+        self.mac_notify(pid, |p, ctx| p.vnode_post_lookup(ctx, dir, name, child));
     }
 
     pub(crate) fn mac_post_create(
@@ -761,18 +789,13 @@ impl Kernel {
         child: NodeId,
         ftype: shill_vfs::FileType,
     ) {
-        if self.registry.is_empty() {
-            return;
-        }
-        if let Ok(ctx) = self.ctx(pid) {
-            for p in self.registry.iter() {
-                p.vnode_post_create(ctx, dir, name, child, ftype);
-            }
-        }
+        self.mac_notify(pid, |p, ctx| {
+            p.vnode_post_create(ctx, dir, name, child, ftype)
+        });
     }
 
     pub(crate) fn mac_pipe(&self, pid: Pid, obj: ObjId, op: PipeOp) -> SysResult<()> {
-        if self.registry.is_empty() {
+        if self.unconfined(pid) {
             return Ok(());
         }
         // Pipe data-path verdicts are operand-free and monotone between
@@ -788,7 +811,7 @@ impl Kernel {
     }
 
     pub(crate) fn mac_socket(&self, pid: Pid, obj: ObjId, op: &SocketOp) -> SysResult<()> {
-        if self.registry.is_empty() {
+        if self.unconfined(pid) {
             return Ok(());
         }
         // Send/Recv are cacheable; lifecycle and address-carrying checks
@@ -803,7 +826,8 @@ impl Kernel {
         )
     }
 
-    /// One AVC-fenced MAC check against a non-empty registry. A previously
+    /// One AVC-fenced MAC check against a non-empty registry, for a subject
+    /// that [`Kernel::unconfined`] did not skip. A previously
     /// memoized allow for `(pid, obj, class)`, still valid at the combined
     /// epoch, answers without touching the policies. Otherwise every
     /// policy runs `check` under one `Mac` span (booking `counter` per
@@ -844,13 +868,27 @@ impl Kernel {
     }
 
     pub(crate) fn mac_system(&self, pid: Pid, op: &SystemOp) -> SysResult<()> {
-        if self.registry.is_empty() {
+        if self.unconfined(pid) {
             return Ok(());
         }
         let ctx = self.ctx(pid)?;
         for p in self.registry.iter() {
             KernelStats::bump(&self.stats.mac_other_checks);
             p.system_check(ctx, op)?;
+        }
+        Ok(())
+    }
+
+    /// `pid` acting on the process `target` (signal, wait, debug).
+    fn mac_proc(&self, pid: Pid, target: Pid, op: ProcOp) -> SysResult<()> {
+        if self.unconfined(pid) {
+            return Ok(());
+        }
+        let ctx = self.ctx(pid)?;
+        let target = self.process(target)?.mac_ctx();
+        for p in self.registry.iter() {
+            p.proc_check(ctx, target, op)?;
+            KernelStats::bump(&self.stats.mac_other_checks);
         }
         Ok(())
     }
@@ -1292,6 +1330,31 @@ mod tests {
         let r2 = k.fork(u); // tick 2
         assert!(r2.is_ok());
         assert_eq!(k.fork(u).unwrap_err(), Errno::EAGAIN); // tick 3 > 2
+    }
+
+    #[test]
+    fn label_is_inherited_and_leaves_with_the_process() {
+        let mut k = Kernel::new();
+        let u = k.spawn_user(Cred::user(100));
+        assert_eq!(k.process(u).unwrap().label(), None);
+        let l = NonZeroU64::new(7);
+        assert_eq!(k.set_label(u, l), Ok(()));
+        let forked = k.fork(u).unwrap();
+        let spawned = k.spawn(u, &[]).unwrap();
+        assert_eq!(k.process(forked).unwrap().label(), l);
+        assert_eq!(k.process(spawned).unwrap().mac_ctx().label, l);
+        let fresh = k.spawn_user(Cred::user(100));
+        assert_eq!(k.process(fresh).unwrap().label(), None);
+        // The zombie keeps its label for the parent's wait; the reap drops
+        // it with the table entry, and an orphan is reaped at its exit.
+        k.exit(forked, 0);
+        assert_eq!(k.process(forked).unwrap().label(), l);
+        assert_eq!(k.waitpid(u, forked), Ok(0));
+        assert!(k.process(forked).is_err());
+        k.exit(u, 0);
+        k.exit(spawned, 0);
+        assert!(k.process(spawned).is_err());
+        assert_eq!(k.set_label(spawned, None), Err(Errno::ESRCH));
     }
 
     #[test]

@@ -9,23 +9,34 @@
 //! framework would, including the two hooks the paper *added*:
 //! `mac_vnode_post_lookup` and `mac_vnode_post_create` (§3.2.2).
 //!
-//! Labels: TrustedBSD attaches policy-agnostic labels to kernel objects.
-//! Policies in this simulator keep their own label tables keyed by
-//! [`crate::types::ObjId`] (interior mutability behind `&self` hooks), which
-//! is observationally equivalent and avoids threading label storage through
-//! every kernel object.
+//! Labels: TrustedBSD attaches policy-agnostic labels to kernel objects
+//! and keeps a subject's label on its credential. Here each process has one
+//! label slot: an opaque non-zero word the labelling policy assigns
+//! ([`crate::Kernel::set_label`]), inherited by `fork` and `spawn` and
+//! dropped with the process. [`MacCtx`] carries it to every hook. A policy
+//! that confines only labelled subjects says so once
+//! ([`MacPolicy::label_scoped`]); when every loaded policy does, the kernel
+//! answers an unlabelled subject's checks without the access-vector cache
+//! or the policy loop. Object labels stay in the policies' own tables keyed
+//! by [`crate::types::ObjId`] (interior mutability behind `&self` hooks),
+//! which is observationally equivalent and avoids threading label storage
+//! through every kernel object.
+
+use std::num::NonZeroU64;
 
 use shill_vfs::{Cred, Errno, FileType, NodeId, SysResult};
 
 use crate::types::{ObjId, Pid, SockAddr, SockDomain};
 
-/// Subject context passed to every hook: which process is acting and under
-/// which credentials. Policies that need richer state (e.g. the SHILL
-/// sandbox's sessions) key their own tables by `pid`.
+/// Subject context passed to every hook: which process is acting, under
+/// which credentials, and with which label (`None` when no policy has
+/// labelled it). The SHILL sandbox stores a session id in the label, so a
+/// hook reads the subject's session as a field.
 #[derive(Debug, Clone, Copy)]
 pub struct MacCtx {
     pub pid: Pid,
     pub cred: Cred,
+    pub label: Option<NonZeroU64>,
 }
 
 /// Vnode operations mediated by the framework. Each corresponds to one
@@ -104,12 +115,13 @@ pub enum PipeOp {
     Stat,
 }
 
-/// Process-on-process operations (`mac_proc_check_*`).
+/// Process-on-process operations (`mac_proc_check_*`); the target
+/// process reaches the hook as its own [`MacCtx`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProcOp {
-    Signal(Pid),
-    Wait(Pid),
-    Debug(Pid),
+    Signal,
+    Wait,
+    Debug,
 }
 
 /// Global (non-object) surfaces a policy may restrict; paper Figure 7.
@@ -153,6 +165,18 @@ pub trait MacPolicy: Send + Sync {
     /// Defaults to `false`: an unknown third-party policy disables the AVC
     /// entirely rather than risk caching around a revocation.
     fn decisions_cacheable(&self) -> bool {
+        false
+    }
+
+    /// Whether this policy confines only labelled subjects. Opting in
+    /// promises that it permits every check from a process without a label
+    /// and ignores every notification from one. When every loaded policy
+    /// opts in, the kernel skips the access-vector cache and the policy loop
+    /// for an unlabelled subject; [`MacPolicy::vnode_destroy`] and the
+    /// process lifecycle hooks are still delivered.
+    ///
+    /// Defaults to `false`: an unknown policy mediates every process.
+    fn label_scoped(&self) -> bool {
         false
     }
 
@@ -202,7 +226,8 @@ pub trait MacPolicy: Send + Sync {
     fn socket_check(&self, _ctx: MacCtx, _sock: ObjId, _op: &SocketOp) -> SysResult<()> {
         Ok(())
     }
-    fn proc_check(&self, _ctx: MacCtx, _op: ProcOp) -> SysResult<()> {
+    /// `ctx` acts on the process `target` (a zombie, for `Wait`).
+    fn proc_check(&self, _ctx: MacCtx, _target: MacCtx, _op: ProcOp) -> SysResult<()> {
         Ok(())
     }
     fn system_check(&self, _ctx: MacCtx, _op: &SystemOp) -> SysResult<()> {
@@ -253,18 +278,15 @@ pub trait MacPolicy: Send + Sync {
     fn vnode_destroy(&self, _node: NodeId) {}
 
     // --- process lifecycle ----------------------------------------------
-    /// `child` was forked from `parent` (label/session inheritance).
-    fn proc_fork(&self, _parent: Pid, _child: Pid) {}
+    /// `child` was created by `parent` (`fork`, `spawn`, or a top-level
+    /// user process under init), carrying the label it inherited.
+    fn proc_fork(&self, _parent: Pid, _child: MacCtx) {}
 
-    /// `pid` exited; release per-process state (session membership etc.).
-    /// The kernel calls it once per process. The zombie stays until
-    /// [`MacPolicy::proc_reap`], so state its parent's `waitpid` check
-    /// consults must outlive this hook.
-    fn proc_exit(&self, _pid: Pid) {}
-
-    /// `pid`'s zombie was reaped and left the process table; release what
-    /// `proc_exit` kept for the parent's `waitpid`.
-    fn proc_reap(&self, _pid: Pid) {}
+    /// `ctx.pid` exited; release per-process state (session membership
+    /// etc.). The kernel calls it once per process. The zombie keeps its
+    /// label until it is reaped, so its parent's `waitpid` check still
+    /// sees it.
+    fn proc_exit(&self, _ctx: MacCtx) {}
 }
 
 /// A do-nothing policy used by tests to verify hook plumbing and by the
@@ -293,6 +315,7 @@ mod tests {
         let ctx = MacCtx {
             pid: Pid(1),
             cred: Cred::ROOT,
+            label: None,
         };
         assert!(p.vnode_check(ctx, NodeId(1), &VnodeOp::Read).is_ok());
         assert!(p

@@ -1,11 +1,13 @@
 //! Processes and file descriptors.
 
 use std::collections::HashMap;
+use std::num::NonZeroU64;
 use std::sync::Arc;
 
 use shill_vfs::sync::Mutex;
 use shill_vfs::{Cred, Errno, NodeId, SysResult};
 
+use crate::mac::MacCtx;
 use crate::types::{Fd, Pid, PipeEnd, PipeId, SockId, Ulimits};
 
 /// What an open descriptor refers to.
@@ -59,6 +61,11 @@ pub struct Process {
     pub cpu_ticks: u64,
     /// Live (non-reaped) children.
     pub children: Vec<Pid>,
+    /// The MAC label: an opaque word a labelling policy assigned
+    /// ([`crate::Kernel::set_label`]), `None` for a process no policy has
+    /// labelled. A child inherits it at `fork`/`spawn`; a top-level user
+    /// process starts without one, and it leaves with the table entry.
+    pub(crate) label: Option<NonZeroU64>,
 }
 
 impl Process {
@@ -74,6 +81,21 @@ impl Process {
             ulimits: Ulimits::default(),
             cpu_ticks: 0,
             children: Vec::new(),
+            label: None,
+        }
+    }
+
+    /// The process's MAC label (see [`crate::Kernel::set_label`]).
+    pub fn label(&self) -> Option<NonZeroU64> {
+        self.label
+    }
+
+    /// The subject context MAC hooks see for this process.
+    pub fn mac_ctx(&self) -> MacCtx {
+        MacCtx {
+            pid: self.pid,
+            cred: self.cred,
+            label: self.label,
         }
     }
 

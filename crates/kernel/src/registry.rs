@@ -3,9 +3,10 @@
 //! Replaces the original bare `Vec<Arc<dyn MacPolicy>>` whose lifecycle
 //! notifications cloned the whole vector per call. The registry also owns
 //! the cache bookkeeping the access-vector cache ([`crate::avc`]) validates
-//! against: an attach/detach epoch, and a memoized "are all loaded policies
-//! cacheable" flag so the hot path never re-walks the stack to decide
-//! whether the AVC may be consulted.
+//! against: an attach/detach epoch, and memoized "are all loaded policies
+//! cacheable" and "are all loaded policies label-scoped" flags so the hot
+//! path never re-walks the stack to decide whether the AVC may be consulted
+//! or an unlabelled subject may skip the checks.
 
 use std::sync::Arc;
 
@@ -20,6 +21,9 @@ pub struct PolicyRegistry {
     /// True iff every loaded policy opted into AVC caching. Vacuously true
     /// when no policy is loaded (the AVC is bypassed then anyway).
     all_cacheable: bool,
+    /// True iff every loaded policy confines only labelled subjects
+    /// ([`MacPolicy::label_scoped`]). Vacuously true when none is loaded.
+    all_label_scoped: bool,
 }
 
 impl PolicyRegistry {
@@ -28,6 +32,7 @@ impl PolicyRegistry {
             entries: Vec::new(),
             epoch: 0,
             all_cacheable: true,
+            all_label_scoped: true,
         }
     }
 
@@ -51,6 +56,7 @@ impl PolicyRegistry {
 
     fn recompute(&mut self) {
         self.all_cacheable = self.entries.iter().all(|p| p.decisions_cacheable());
+        self.all_label_scoped = self.entries.iter().all(|p| p.label_scoped());
     }
 
     pub fn contains(&self, name: &str) -> bool {
@@ -78,6 +84,11 @@ impl PolicyRegistry {
         self.all_cacheable
     }
 
+    /// Whether no loaded policy can restrict an unlabelled subject.
+    pub fn label_scoped(&self) -> bool {
+        self.all_label_scoped
+    }
+
     /// The combined cache epoch: registry attach/detach epoch plus every
     /// policy's own epoch. Any authority-shrinking event anywhere in the
     /// stack changes this value and thereby invalidates the AVC.
@@ -100,6 +111,16 @@ mod tests {
         }
     }
 
+    struct Scoped;
+    impl MacPolicy for Scoped {
+        fn name(&self) -> &str {
+            "scoped"
+        }
+        fn label_scoped(&self) -> bool {
+            true
+        }
+    }
+
     #[test]
     fn attach_detach_tracks_epoch_and_cacheability() {
         let mut r = PolicyRegistry::new();
@@ -115,5 +136,16 @@ mod tests {
         assert!(!r.detach("opaque"));
         assert!(r.contains("null"));
         assert_eq!(r.len(), 1);
+    }
+
+    #[test]
+    fn label_scope_is_memoized_over_the_whole_stack() {
+        let mut r = PolicyRegistry::new();
+        r.attach(Arc::new(Scoped));
+        assert!(r.label_scoped());
+        r.attach(Arc::new(NullPolicy));
+        assert!(!r.label_scoped(), "one unscoped policy mediates everyone");
+        assert!(r.detach("null"));
+        assert!(r.label_scoped());
     }
 }

@@ -351,8 +351,12 @@ impl Kernel {
 
     /// One audit span per batch, for both scheduled forms: per-entry
     /// outcomes in slot order (`None` = success) and per-wave timing
-    /// (zeros unless the wave trace site is armed).
+    /// (zeros unless the wave trace site is armed). A subject that
+    /// [`Kernel::unconfined`] skips gets none.
     pub(crate) fn audit_batch(&self, ctx: crate::mac::MacCtx, table: &WaveTable) {
+        if self.unconfined(ctx.pid) {
+            return;
+        }
         let outcomes: Vec<Option<Errno>> = table
             .results
             .iter()

@@ -21,8 +21,9 @@
 //!   encodes its shard ([`KernelShards::shard_of`]) so later submissions
 //!   route without a table lookup.
 //! * **Id spaces are disjoint by construction.** Shards share one MAC
-//!   policy module (the `ShillPolicy`), whose labels are keyed by pid and
-//!   [`crate::types::ObjId`]. [`Kernel::new_shard`] therefore offsets every
+//!   policy module (the `ShillPolicy`), whose object labels are keyed by
+//!   [`crate::types::ObjId`]; a process's label lives in its shard's
+//!   process table. [`Kernel::new_shard`] therefore offsets every
 //!   id allocator by the shard's stride ([`SHARD_PID_STRIDE`],
 //!   [`SHARD_OBJ_STRIDE`]) so a grant on one shard's object can never alias
 //!   another shard's.

@@ -740,11 +740,7 @@ impl Kernel {
     pub fn pipe(&mut self, pid: Pid) -> SysResult<(Fd, Fd)> {
         self.charge(pid)?;
         let id = self.pipes.create();
-        if let Ok(ctx) = self.ctx(pid) {
-            for p in self.policies() {
-                p.pipe_post_create(ctx, ObjId::Pipe(id));
-            }
-        }
+        self.mac_notify(pid, |p, ctx| p.pipe_post_create(ctx, ObjId::Pipe(id)));
         let p = self.process_mut(pid)?;
         let rfd = p.alloc_fd()?;
         p.install_fd(
@@ -783,11 +779,7 @@ impl Kernel {
         // placeholder.
         self.mac_socket(pid, ObjId::Socket(SockId(0)), &SocketOp::Create(domain))?;
         let sid = self.net.socket(domain);
-        if let Ok(ctx) = self.ctx(pid) {
-            for p in self.policies() {
-                p.socket_post_create(ctx, ObjId::Socket(sid));
-            }
-        }
+        self.mac_notify(pid, |p, ctx| p.socket_post_create(ctx, ObjId::Socket(sid)));
         let p = self.process_mut(pid)?;
         let fd = p.alloc_fd()?;
         p.install_fd(
@@ -847,11 +839,7 @@ impl Kernel {
         let s = self.fd_sock(pid, fd)?;
         self.mac_socket(pid, ObjId::Socket(s), &SocketOp::Accept)?;
         let conn = self.net.accept(s)?;
-        if let Ok(ctx) = self.ctx(pid) {
-            for p in self.policies() {
-                p.socket_post_create(ctx, ObjId::Socket(conn));
-            }
-        }
+        self.mac_notify(pid, |p, ctx| p.socket_post_create(ctx, ObjId::Socket(conn)));
         let p = self.process_mut(pid)?;
         let cfd = p.alloc_fd()?;
         p.install_fd(

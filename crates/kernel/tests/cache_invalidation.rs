@@ -5,6 +5,8 @@
 //! the *outcome* of any operation — only how much work it takes.
 
 use std::collections::HashSet;
+use std::num::NonZeroU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use shill_kernel::{
@@ -308,6 +310,80 @@ fn avc_caches_allows_and_respects_policy_epoch() {
     // Re-allow (monotone growth, no bump needed): works again.
     policy.allow(node);
     assert!(k.read(pid, fd, 1).is_ok());
+}
+
+/// A label-scoped policy that counts the vnode checks and lookup
+/// notifications reaching it.
+#[derive(Default)]
+struct ScopedCounter {
+    checks: AtomicU64,
+    lookups: AtomicU64,
+}
+
+impl MacPolicy for ScopedCounter {
+    fn name(&self) -> &str {
+        "scoped"
+    }
+
+    fn decisions_cacheable(&self) -> bool {
+        true
+    }
+
+    fn label_scoped(&self) -> bool {
+        true
+    }
+
+    fn vnode_check(&self, _ctx: MacCtx, _node: NodeId, _op: &VnodeOp<'_>) -> SysResult<()> {
+        self.checks.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn vnode_post_lookup(&self, _ctx: MacCtx, _dir: NodeId, _name: &str, _child: NodeId) {
+        self.lookups.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+#[test]
+fn label_scoped_stack_skips_unlabelled_subjects_and_unscoped_policies_still_mediate() {
+    let (mut k, pid) = setup();
+    k.fs.put_file("/data/f", b"x", Mode(0o644), Uid::ROOT, Gid::WHEEL)
+        .unwrap();
+    let node = k.fs.resolve_abs("/data/f").unwrap();
+    let scoped = Arc::new(ScopedCounter::default());
+    k.register_policy(scoped.clone());
+    let labelled = k.fork(pid).unwrap();
+    k.set_label(labelled, NonZeroU64::new(1)).unwrap();
+    let seen = |p: &ScopedCounter| {
+        (
+            p.checks.load(Ordering::Relaxed),
+            p.lookups.load(Ordering::Relaxed),
+        )
+    };
+
+    // Unlabelled under a label-scoped stack: no policy call, no verdict.
+    let fd = k.open(pid, "/data/f", OpenFlags::RDONLY, Mode(0)).unwrap();
+    k.read(pid, fd, 1).unwrap();
+    assert_eq!(seen(&scoped), (0, 0));
+    assert_eq!(k.avc().entries_for(pid), 0);
+
+    // A labelled subject takes the full path and warms its own vectors.
+    let lfd = k
+        .open(labelled, "/data/f", OpenFlags::RDONLY, Mode(0))
+        .unwrap();
+    k.read(labelled, lfd, 1).unwrap();
+    let (checks, lookups) = seen(&scoped);
+    assert!(checks > 0 && lookups > 0);
+    assert!(k.avc().entries_for(labelled) > 0);
+
+    // One policy that is not label-scoped mediates the unlabelled process.
+    let toggle = Arc::new(TogglePolicy::default());
+    toggle.deny(node);
+    k.register_policy(toggle.clone());
+    assert_eq!(k.read(pid, fd, 1).unwrap_err(), Errno::EACCES);
+    toggle.allow(node);
+    k.read(pid, fd, 1).unwrap();
+    assert!(seen(&scoped).0 > checks, "the stack now checks everyone");
+    assert!(k.avc().entries_for(pid) > 0);
 }
 
 #[test]

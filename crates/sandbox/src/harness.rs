@@ -124,15 +124,15 @@ fn setup_sandbox_child(
     child: Pid,
     spec: &SandboxSpec,
 ) -> SysResult<crate::session::SessionId> {
-    let session = policy.shill_init(child)?;
+    let session = policy.shill_init(k, child)?;
     if spec.debug {
         policy.set_debug(session, true)?;
     }
     for g in &spec.grants {
-        policy.shill_grant(parent, session, g.obj, Arc::clone(&g.privs))?;
+        policy.shill_grant(k, parent, session, g.obj, Arc::clone(&g.privs))?;
     }
     if !spec.socket_privs.is_empty() {
-        policy.shill_grant_socket_factory(parent, session, spec.socket_privs)?;
+        policy.shill_grant_socket_factory(k, parent, session, spec.socket_privs)?;
     }
     if spec.pipe_factory {
         policy.shill_grant_pipe_factory(parent, session)?;
@@ -147,12 +147,12 @@ fn setup_sandbox_child(
             shill_kernel::FdObject::Pipe(id, _) => ObjId::Pipe(id),
             shill_kernel::FdObject::Socket(s) => ObjId::Socket(s),
         };
-        policy.shill_grant(parent, session, obj, Arc::new(CapPrivs::of(privs)))?;
+        policy.shill_grant(k, parent, session, obj, Arc::new(CapPrivs::of(privs)))?;
     }
     if let Some(l) = spec.ulimits {
         k.set_ulimits(child, l)?;
     }
-    policy.shill_enter(child)?;
+    policy.shill_enter(session)?;
     Ok(session)
 }
 
@@ -365,14 +365,14 @@ mod tests {
         // Left panel: privileges on /home/alice and /home/bob but NOT /home.
         let run = |k: &mut Kernel, grants: Vec<Grant>| -> i32 {
             let child = k.fork(user).unwrap();
-            let session = policy.shill_init(child).unwrap();
+            let session = policy.shill_init(k, child).unwrap();
             for g in &grants {
                 policy
-                    .shill_grant(user, session, g.obj, Arc::clone(&g.privs))
+                    .shill_grant(k, user, session, g.obj, Arc::clone(&g.privs))
                     .unwrap();
             }
             k.chdir(child, "/home/bob").unwrap();
-            policy.shill_enter(child).unwrap();
+            policy.shill_enter(session).unwrap();
             let status = k.exec_node(child, bin, &["opener".into()]).unwrap();
             k.exit(child, status);
             k.waitpid(user, child).unwrap()
@@ -444,8 +444,8 @@ mod tests {
     #[test]
     fn sandboxed_process_reaps_its_exited_child() {
         // §3.2.2: a sandboxed process may wait for processes of its own
-        // session, so the exited child's session route must outlive the
-        // exit until the reap.
+        // session, so the exited child's label must outlive the exit until
+        // the reap.
         let mut k = Kernel::new();
         let policy = ShillPolicy::new();
         k.register_policy(policy.clone());
@@ -455,7 +455,7 @@ mod tests {
         k.exit(child, 7);
         assert_eq!(k.waitpid(sb.child, child), Ok(7));
         assert!(k.process(child).is_err(), "the zombie left the table");
-        assert_eq!(policy.session_of(child), None, "the route went with it");
+        assert_eq!(policy.session_of(&k, child), None, "the label went with it");
         assert_eq!(k.waitpid(sb.child, child), Err(Errno::ECHILD));
     }
 
@@ -473,10 +473,40 @@ mod tests {
         // reaped with it, and the parent's own zombie waits for `user`.
         k.exit(sb.child, 3);
         assert!(k.process(child).is_err());
-        assert_eq!(policy.session_of(child), None);
+        assert_eq!(policy.session_of(&k, child), None);
         assert_eq!(k.waitpid(user, sb.child), Ok(3));
         assert_eq!(k.process_count(), procs);
-        assert_eq!(policy.session_of(sb.child), None);
+        assert_eq!(policy.session_of(&k, sb.child), None);
+    }
+
+    #[test]
+    fn nested_launch_releases_the_parent_session() {
+        // A sandboxed process launches a sandbox of its own: the spawned
+        // child inherits the outer session, then moves into a fresh inner
+        // one. The move must release it from the outer session, or that
+        // session outlives its last process and keeps its labels.
+        let mut k = Kernel::new();
+        let policy = ShillPolicy::new();
+        k.register_policy(policy.clone());
+        let user = k.spawn_user(Cred::user(100));
+        let root = k.fs.root();
+        let outer = SandboxSpec {
+            grants: vec![Grant::vnode(root, full(&[Priv::Lookup, Priv::Stat]))],
+            ..Default::default()
+        };
+        let sb = setup_sandbox(&mut k, &policy, user, &outer).unwrap();
+        let inner = SandboxSpec {
+            grants: vec![Grant::vnode(root, full(&[Priv::Lookup]))],
+            ..Default::default()
+        };
+        let nested = setup_sandbox(&mut k, &policy, sb.child, &inner).unwrap();
+        assert_ne!(nested.session, sb.session);
+        assert_eq!(policy.session_of(&k, nested.child), Some(nested.session));
+        assert_eq!(policy.label_entries(), 2);
+        k.exit(nested.child, 0);
+        k.exit(sb.child, 0);
+        assert_eq!(k.waitpid(user, sb.child), Ok(0));
+        assert_eq!(policy.label_entries(), 0, "the outer session leaked");
     }
 
     #[test]

@@ -24,16 +24,20 @@
 //! maps. The state is therefore **striped by session**: labels are kept
 //! session-major (`SessionId → ObjId → CapPrivs`) inside N lock stripes
 //! keyed by `SessionId`, so a session's enter, label merges, checks, and
-//! reclaim scrub touch only its own stripe. Pid→session routing lives in a
-//! second stripe array keyed by pid. The revocation epoch stays one global
-//! `AtomicU64` (the cross-shard/cross-stripe invalidation broadcast), the
-//! audit log sits behind its own mutex, and every counter is an atomic —
-//! there is **no** global lock left on any label path. Stripe locks are
-//! leaves: no other lock is ever acquired while one is held (log pushes
-//! happen after the stripe guard drops). The stripe count is
-//! [`DEFAULT_POLICY_STRIPES`]; [`ShillPolicy::with_stripes`] picks another.
+//! reclaim scrub touch only its own stripe. A process's session is its
+//! kernel label ([`Kernel::set_label`], read from [`MacCtx::label`]), so
+//! the policy keeps no pid-keyed state; being label-scoped, it is never
+//! consulted for a process outside every session. The revocation epoch
+//! stays one global `AtomicU64` (the cross-shard/cross-stripe invalidation
+//! broadcast), the audit log sits behind its own mutex, and every counter
+//! is an atomic — there is **no** global lock left on any label path.
+//! Stripe locks are leaves: no other lock is ever acquired while one is
+//! held (log pushes happen after the stripe guard drops). The stripe count
+//! is [`DEFAULT_POLICY_STRIPES`]; [`ShillPolicy::with_stripes`] picks
+//! another.
 
 use std::collections::HashMap;
+use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
 
@@ -41,7 +45,9 @@ use crate::sync::{Mutex, RwLock};
 
 use shill_cap::{pipe_op_priv, socket_op_priv, vnode_op_priv, CapPrivs, Priv, PrivSet};
 use shill_kernel::SockDomain;
-use shill_kernel::{MacCtx, MacPolicy, ObjId, Pid, PipeOp, ProcOp, SocketOp, SystemOp, VnodeOp};
+use shill_kernel::{
+    Kernel, MacCtx, MacPolicy, ObjId, Pid, PipeOp, ProcOp, SocketOp, SystemOp, VnodeOp,
+};
 use shill_kernel::{TracePlane, TraceScope, TraceSite};
 use shill_vfs::{Errno, FileType, NodeId, SysResult};
 
@@ -70,11 +76,11 @@ pub struct PolicyStats {
     /// session reclamation) that invalidated the kernel's access-vector
     /// cache.
     pub epoch_bumps: u64,
-    /// Stripe-lock acquisitions (label or pid-routing stripes) whose
-    /// `try_lock` probe found the stripe held by another thread. Zero for
-    /// single-threaded and perfectly shard-affine workloads; growth means
-    /// sessions are colliding on a stripe (build the policy
-    /// [`ShillPolicy::with_stripes`] a larger count).
+    /// Label-stripe acquisitions whose `try_lock` probe found the stripe
+    /// held by another thread. Zero for single-threaded and perfectly
+    /// shard-affine workloads; growth means sessions are colliding on a
+    /// stripe (build the policy [`ShillPolicy::with_stripes`] a larger
+    /// count).
     pub stripe_contention: u64,
 }
 
@@ -117,6 +123,12 @@ struct Stripe {
     sessions: HashMap<SessionId, SessionState>,
 }
 
+/// The session a process label names: `ShillPolicy` stores the session id
+/// itself, and ids start at 1.
+fn session(label: Option<NonZeroU64>) -> Option<SessionId> {
+    label.map(|l| SessionId(l.get()))
+}
+
 /// Merge a propagated/granted entry under the no-amplification rule:
 /// keep the existing entry unless the new one subsumes it.
 fn merge_label(labels: &mut HashMap<ObjId, Arc<CapPrivs>>, obj: ObjId, new: Arc<CapPrivs>) -> bool {
@@ -146,9 +158,6 @@ pub struct ShillPolicy {
     /// hooks take exactly one (the acting session's), never two at once,
     /// and acquire nothing else while holding one.
     stripes: Vec<RwLock<Stripe>>,
-    /// Pid → session routing, striped by pid so session churn on one shard
-    /// never serializes against routing lookups for another.
-    procs: Vec<RwLock<HashMap<Pid, SessionId>>>,
     /// Audit log behind its **own** lock (never nested with a stripe lock):
     /// logging a denial cannot block a label merge on any stripe, and
     /// log-only operations (`set_log_enabled`, `clear_log`) contend with
@@ -194,7 +203,6 @@ impl ShillPolicy {
         let n = stripes.clamp(1, MAX_POLICY_STRIPES);
         ShillPolicy {
             stripes: (0..n).map(|_| RwLock::new(Stripe::default())).collect(),
-            procs: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
             log: Mutex::new(SandboxLog::default()),
             log_enabled: AtomicBool::new(false),
             next_session: AtomicU64::new(0),
@@ -214,10 +222,6 @@ impl ShillPolicy {
     /// sessions on distinct stripes).
     pub fn stripe_of(&self, session: SessionId) -> usize {
         (session.0 as usize) % self.stripes.len()
-    }
-
-    fn proc_stripe_of(&self, pid: Pid) -> usize {
-        (pid.0 as usize) % self.procs.len()
     }
 
     // --- striped lock plumbing --------------------------------------------
@@ -267,32 +271,6 @@ impl ShillPolicy {
         }
     }
 
-    fn proc_read(&self, pid: Pid) -> RwLockReadGuard<'_, HashMap<Pid, SessionId>> {
-        let idx = self.proc_stripe_of(pid);
-        let lock = &self.procs[idx];
-        match lock.try_read() {
-            Some(g) => g,
-            None => {
-                self.count_contended();
-                let _wait = self.stripe_wait_span(idx as u64);
-                lock.read()
-            }
-        }
-    }
-
-    fn proc_write(&self, pid: Pid) -> RwLockWriteGuard<'_, HashMap<Pid, SessionId>> {
-        let idx = self.proc_stripe_of(pid);
-        let lock = &self.procs[idx];
-        match lock.try_write() {
-            Some(g) => g,
-            None => {
-                self.count_contended();
-                let _wait = self.stripe_wait_span(idx as u64);
-                lock.write()
-            }
-        }
-    }
-
     /// Push a verbose (gated) log event; the atomic gate keeps the log
     /// lock untouched when logging is off.
     fn log_verbose(&self, event: LogEvent) {
@@ -306,10 +284,10 @@ impl ShillPolicy {
         self.log.lock().push_always(event);
     }
 
-    /// The *entered* session of a process, if any — only entered sessions
-    /// are restricted (§3.2.1).
-    fn entered_session_of(&self, pid: Pid) -> Option<SessionId> {
-        let sid = self.session_of(pid)?;
+    /// The session a label names, if that session is *entered* — only
+    /// entered sessions are restricted (§3.2.1).
+    fn entered(&self, label: Option<NonZeroU64>) -> Option<SessionId> {
+        let sid = session(label)?;
         let st = self.stripe_read(sid);
         match st.sessions.get(&sid) {
             Some(s) if s.meta.entered => Some(sid),
@@ -403,18 +381,24 @@ impl ShillPolicy {
 
     // --- the module's system calls (§3.2.1) -------------------------------
 
-    /// `shill_init`: create a session and associate it with `pid`. If the
-    /// process is already in a session the new one is its child and can
-    /// hold at most the parent's privileges (hierarchical attenuation).
-    pub fn shill_init(&self, pid: Pid) -> SysResult<SessionId> {
-        let parent = self.session_of(pid);
+    /// `shill_init`: create a session and move `pid` into it by setting the
+    /// process's kernel label. If the process is already in a session the
+    /// new one is its child and can hold at most the parent's privileges
+    /// (hierarchical attenuation); the process leaves the parent session,
+    /// which is reclaimed if that was its last process. `ESRCH` if `pid`
+    /// is not in `k`'s process table.
+    pub fn shill_init(&self, k: &mut Kernel, pid: Pid) -> SysResult<SessionId> {
+        let parent = session(k.process(pid)?.label());
         let sid = SessionId(self.next_session.fetch_add(1, Ordering::Relaxed) + 1);
-        // Session state first, routing second: a pid never resolves to a
+        // Session state first, label second: a process never carries a
         // session whose stripe entry does not exist yet.
         self.stripe_write(sid)
             .sessions
             .insert(sid, SessionState::new(sid, parent));
-        self.proc_write(pid).insert(pid, sid);
+        k.set_label(pid, NonZeroU64::new(sid.0))?;
+        if let Some(parent) = parent {
+            self.release(parent);
+        }
         self.counters
             .sessions_created
             .fetch_add(1, Ordering::Relaxed);
@@ -427,9 +411,11 @@ impl ShillPolicy {
 
     /// `shill_grant`: give `session` privileges on a kernel object.
     /// Only possible before `shill_enter`; a granter inside an entered
-    /// session can only attenuate (grant a subset of what it holds).
+    /// session (its label in `k`) can only attenuate (grant a subset of
+    /// what it holds).
     pub fn shill_grant(
         &self,
+        k: &Kernel,
         granter: Pid,
         session: SessionId,
         obj: ObjId,
@@ -445,7 +431,7 @@ impl ShillPolicy {
         // Attenuation snapshot from the granter's (possibly different)
         // stripe — taken and released before the target stripe is locked,
         // so no two stripe locks are ever held together.
-        if let Some(gsid) = self.entered_session_of(granter) {
+        if let Some(gsid) = self.entered(k.process(granter)?.label()) {
             let held = self
                 .privs_on(gsid, obj)
                 .unwrap_or_else(|| Arc::new(CapPrivs::none()));
@@ -453,7 +439,12 @@ impl ShillPolicy {
                 return Err(Errno::EACCES);
             }
         }
-        let desc = privs.to_string();
+        // Formatting the description costs more than the grant itself, so
+        // it is done only for the verbose log.
+        let desc = self
+            .log_enabled
+            .load(Ordering::Relaxed)
+            .then(|| privs.to_string());
         {
             let mut st = self.stripe_write(session);
             let s = st.sessions.get_mut(&session).ok_or(Errno::EINVAL)?;
@@ -463,23 +454,26 @@ impl ShillPolicy {
             merge_label(&mut s.labels, obj, privs);
         }
         self.counters.grants.fetch_add(1, Ordering::Relaxed);
-        self.log_verbose(LogEvent::Grant {
-            session,
-            obj,
-            privs: desc,
-            propagated: false,
-        });
+        if let Some(privs) = desc {
+            self.log_verbose(LogEvent::Grant {
+                session,
+                obj,
+                privs,
+                propagated: false,
+            });
+        }
         Ok(())
     }
 
     /// Grant a socket-factory capability: session-scoped socket privileges.
     pub fn shill_grant_socket_factory(
         &self,
+        k: &Kernel,
         granter: Pid,
         session: SessionId,
         privs: PrivSet,
     ) -> SysResult<()> {
-        if let Some(gsid) = self.entered_session_of(granter) {
+        if let Some(gsid) = self.entered(k.process(granter)?.label()) {
             let held = {
                 self.stripe_read(gsid)
                     .sessions
@@ -515,9 +509,9 @@ impl ShillPolicy {
     }
 
     /// `shill_enter`: seal the session; from now on its processes are
-    /// restricted to the granted capabilities.
-    pub fn shill_enter(&self, pid: Pid) -> SysResult<()> {
-        let sid = self.session_of(pid).ok_or(Errno::EINVAL)?;
+    /// restricted to the granted capabilities. Touches only the session's
+    /// stripe and the epoch, never a kernel.
+    pub fn shill_enter(&self, sid: SessionId) -> SysResult<()> {
         let epoch = {
             let mut st = self.stripe_write(sid);
             let s = st.sessions.get_mut(&sid).ok_or(Errno::EINVAL)?;
@@ -594,9 +588,57 @@ impl ShillPolicy {
         }
     }
 
-    /// The session a process belongs to (entered or not).
-    pub fn session_of(&self, pid: Pid) -> Option<SessionId> {
-        self.proc_read(pid).get(&pid).copied()
+    /// The session a process of `k` belongs to (entered or not).
+    pub fn session_of(&self, k: &Kernel, pid: Pid) -> Option<SessionId> {
+        session(k.process(pid).ok()?.label())
+    }
+
+    /// A process left `sid` (exit, or a move into a child session): drop
+    /// the session's live count, and reclaim it when that reaches zero.
+    fn release(&self, sid: SessionId) {
+        let reclaimed = {
+            let mut st = self.stripe_write(sid);
+            let reclaim = match st.sessions.get_mut(&sid) {
+                Some(s) => {
+                    s.meta.live_procs = s.meta.live_procs.saturating_sub(1);
+                    s.meta.live_procs == 0
+                }
+                None => false,
+            };
+            if reclaim {
+                // Scrub this session's labels by dropping its own map —
+                // O(own labels), touching no other session and no other
+                // stripe. This is the (here synchronous) analogue of the
+                // kernel's asynchronous session cleanup the paper blames
+                // for part of Find's overhead (§4.2).
+                let scrubbed = st
+                    .sessions
+                    .remove(&sid)
+                    .map(|ss| ss.labels.len())
+                    .unwrap_or(0);
+                // Conservative: the scrub removed label entries, so nothing
+                // cached against this policy may survive it. Bumped inside
+                // the stripe hold so scrub and broadcast publish together.
+                let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
+                Some((scrubbed, epoch))
+            } else {
+                None
+            }
+        };
+        if let Some((scrubbed, epoch)) = reclaimed {
+            self.counters
+                .scrubbed
+                .fetch_add(scrubbed as u64, Ordering::Relaxed);
+            self.counters.epoch_bumps.fetch_add(1, Ordering::Relaxed);
+            self.log_verbose(LogEvent::SessionReclaimed {
+                session: sid,
+                labels_scrubbed: scrubbed,
+            });
+            self.log_verbose(LogEvent::CacheEpochBump {
+                session: sid,
+                epoch,
+            });
+        }
     }
 
     /// The privileges a session holds on an object (tests/diagnostics).
@@ -637,6 +679,12 @@ impl MacPolicy for ShillPolicy {
         true
     }
 
+    /// Only a process in a session is restricted, and every hook ignores a
+    /// process without one.
+    fn label_scoped(&self) -> bool {
+        true
+    }
+
     fn cache_epoch(&self) -> u64 {
         self.epoch.load(Ordering::Relaxed)
     }
@@ -666,7 +714,7 @@ impl MacPolicy for ShillPolicy {
     }
 
     fn vnode_check(&self, ctx: MacCtx, node: NodeId, op: &VnodeOp<'_>) -> SysResult<()> {
-        let Some(sid) = self.session_of(ctx.pid) else {
+        let Some(sid) = session(ctx.label) else {
             return Ok(());
         };
         let obj = ObjId::Vnode(node);
@@ -688,7 +736,7 @@ impl MacPolicy for ShillPolicy {
         if name == ".." || name == "." {
             return;
         }
-        let Some(sid) = self.session_of(ctx.pid) else {
+        let Some(sid) = session(ctx.label) else {
             return;
         };
         // Warm fast path under the stripe's read lock: repeated lookups
@@ -747,7 +795,7 @@ impl MacPolicy for ShillPolicy {
         child: NodeId,
         ftype: FileType,
     ) {
-        let Some(sid) = self.session_of(ctx.pid) else {
+        let Some(sid) = session(ctx.label) else {
             return;
         };
         let mut st = self.stripe_write(sid);
@@ -786,7 +834,7 @@ impl MacPolicy for ShillPolicy {
         if !self.log_enabled.load(Ordering::Relaxed) {
             return;
         }
-        let Some(sid) = self.entered_session_of(ctx.pid) else {
+        let Some(sid) = self.entered(ctx.label) else {
             return;
         };
         // One span per batch (verbose log level, like grants): the
@@ -839,7 +887,7 @@ impl MacPolicy for ShillPolicy {
     }
 
     fn pipe_post_create(&self, ctx: MacCtx, pipe: ObjId) {
-        let Some(sid) = self.session_of(ctx.pid) else {
+        let Some(sid) = session(ctx.label) else {
             return;
         };
         let mut st = self.stripe_write(sid);
@@ -854,7 +902,7 @@ impl MacPolicy for ShillPolicy {
     }
 
     fn socket_post_create(&self, ctx: MacCtx, sock: ObjId) {
-        let Some(sid) = self.session_of(ctx.pid) else {
+        let Some(sid) = session(ctx.label) else {
             return;
         };
         let mut st = self.stripe_write(sid);
@@ -871,7 +919,7 @@ impl MacPolicy for ShillPolicy {
     }
 
     fn pipe_check(&self, ctx: MacCtx, pipe: ObjId, op: PipeOp) -> SysResult<()> {
-        let Some(sid) = self.session_of(ctx.pid) else {
+        let Some(sid) = session(ctx.label) else {
             return Ok(());
         };
         let needed = pipe_op_priv(op);
@@ -884,7 +932,7 @@ impl MacPolicy for ShillPolicy {
     }
 
     fn socket_check(&self, ctx: MacCtx, sock: ObjId, op: &SocketOp) -> SysResult<()> {
-        let Some(sid) = self.session_of(ctx.pid) else {
+        let Some(sid) = session(ctx.label) else {
             return Ok(());
         };
         if let SocketOp::Create(domain) = op {
@@ -932,16 +980,13 @@ impl MacPolicy for ShillPolicy {
         self.check_priv(ctx.pid, sid, sock, socket_op_priv(op))
     }
 
-    fn proc_check(&self, ctx: MacCtx, op: ProcOp) -> SysResult<()> {
-        let Some(actor) = self.entered_session_of(ctx.pid) else {
+    fn proc_check(&self, ctx: MacCtx, target: MacCtx, _op: ProcOp) -> SysResult<()> {
+        let Some(actor) = self.entered(ctx.label) else {
             return Ok(());
-        };
-        let target_pid = match op {
-            ProcOp::Signal(t) | ProcOp::Wait(t) | ProcOp::Debug(t) => t,
         };
         // §3.2.2 "Process interaction": only processes in the same session
         // or a descendant session.
-        let ok = match self.session_of(target_pid) {
+        let ok = match session(target.label) {
             Some(t) => self.descends(t, actor),
             None => false,
         };
@@ -954,7 +999,7 @@ impl MacPolicy for ShillPolicy {
     }
 
     fn system_check(&self, ctx: MacCtx, op: &SystemOp) -> SysResult<()> {
-        if self.entered_session_of(ctx.pid).is_none() {
+        if self.entered(ctx.label).is_none() {
             return Ok(());
         }
         // Paper Figure 7: sysctl read-only; kenv, kernel modules, POSIX IPC
@@ -986,89 +1031,54 @@ impl MacPolicy for ShillPolicy {
         }
     }
 
-    fn proc_fork(&self, parent: Pid, child: Pid) {
-        // §3.2.1: spawned processes join the parent's session by default.
-        let Some(sid) = self.session_of(parent) else {
+    /// §3.2.1: spawned processes join the parent's session by default —
+    /// the kernel copied the label; the session counts one more process.
+    fn proc_fork(&self, _parent: Pid, child: MacCtx) {
+        let Some(sid) = session(child.label) else {
             return;
         };
-        // Liveness first, routing second: the session cannot be reclaimed
-        // out from under a child that is about to be routed to it.
-        {
-            let mut st = self.stripe_write(sid);
-            if let Some(s) = st.sessions.get_mut(&sid) {
-                s.meta.live_procs += 1;
-            }
-        }
-        self.proc_write(child).insert(child, sid);
-    }
-
-    /// The exit drops the session's live count (reclaiming it at zero) but
-    /// keeps the pid→session route: the parent's `waitpid` still needs
-    /// `proc_check` to find the zombie's session (§3.2.2). The route goes
-    /// in [`MacPolicy::proc_reap`].
-    fn proc_exit(&self, pid: Pid) {
-        let Some(sid) = self.session_of(pid) else {
-            return;
-        };
-        let reclaimed = {
-            let mut st = self.stripe_write(sid);
-            let reclaim = match st.sessions.get_mut(&sid) {
-                Some(s) => {
-                    s.meta.live_procs = s.meta.live_procs.saturating_sub(1);
-                    s.meta.live_procs == 0
-                }
-                None => false,
-            };
-            if reclaim {
-                // Scrub this session's labels by dropping its own map —
-                // O(own labels), touching no other session and no other
-                // stripe. This is the (here synchronous) analogue of the
-                // kernel's asynchronous session cleanup the paper blames
-                // for part of Find's overhead (§4.2).
-                let scrubbed = st
-                    .sessions
-                    .remove(&sid)
-                    .map(|ss| ss.labels.len())
-                    .unwrap_or(0);
-                // Conservative: the scrub removed label entries, so nothing
-                // cached against this policy may survive it. Bumped inside
-                // the stripe hold so scrub and broadcast publish together.
-                let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-                Some((scrubbed, epoch))
-            } else {
-                None
-            }
-        };
-        if let Some((scrubbed, epoch)) = reclaimed {
-            self.counters
-                .scrubbed
-                .fetch_add(scrubbed as u64, Ordering::Relaxed);
-            self.counters.epoch_bumps.fetch_add(1, Ordering::Relaxed);
-            self.log_verbose(LogEvent::SessionReclaimed {
-                session: sid,
-                labels_scrubbed: scrubbed,
-            });
-            self.log_verbose(LogEvent::CacheEpochBump {
-                session: sid,
-                epoch,
-            });
+        if let Some(s) = self.stripe_write(sid).sessions.get_mut(&sid) {
+            s.meta.live_procs += 1;
         }
     }
 
-    fn proc_reap(&self, pid: Pid) {
-        self.proc_write(pid).remove(&pid);
+    /// The exit drops the session's live count, reclaiming it at zero. The
+    /// zombie keeps its label until it is reaped, so the parent's
+    /// `waitpid` still finds its session (§3.2.2).
+    fn proc_exit(&self, ctx: MacCtx) {
+        if let Some(sid) = session(ctx.label) {
+            self.release(sid);
+        }
     }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use shill_vfs::Cred;
 
-    fn ctx(pid: u32) -> MacCtx {
-        MacCtx {
-            pid: Pid(pid),
-            cred: Cred::user(100),
-        }
+    /// A kernel with the policy loaded and one unlabelled user process.
+    fn setup() -> (Kernel, Arc<ShillPolicy>, Pid) {
+        let mut k = Kernel::new();
+        let p = ShillPolicy::new();
+        k.register_policy(p.clone());
+        let pid = k.spawn_user(Cred::user(100));
+        (k, p, pid)
+    }
+
+    fn ctx(k: &Kernel, pid: Pid) -> MacCtx {
+        k.process(pid).unwrap().mac_ctx()
+    }
+
+    /// Grant `privs` on vnode `node` to `sid`, from unlabelled init.
+    fn grant(
+        p: &ShillPolicy,
+        k: &Kernel,
+        sid: SessionId,
+        node: u64,
+        privs: Arc<CapPrivs>,
+    ) -> SysResult<()> {
+        p.shill_grant(k, Pid(1), sid, ObjId::Vnode(NodeId(node)), privs)
     }
 
     fn caps(privs: &[Priv]) -> Arc<CapPrivs> {
@@ -1077,59 +1087,57 @@ mod tests {
 
     #[test]
     fn unsandboxed_process_is_unrestricted() {
-        let p = ShillPolicy::new();
-        assert!(p.vnode_check(ctx(10), NodeId(5), &VnodeOp::Read).is_ok());
+        let (k, p, pid) = setup();
+        let c = ctx(&k, pid);
+        assert!(p.vnode_check(c, NodeId(5), &VnodeOp::Read).is_ok());
     }
 
     #[test]
     fn unentered_session_is_unrestricted() {
-        let p = ShillPolicy::new();
-        p.shill_init(Pid(10)).unwrap();
-        assert!(p.vnode_check(ctx(10), NodeId(5), &VnodeOp::Read).is_ok());
+        let (mut k, p, pid) = setup();
+        p.shill_init(&mut k, pid).unwrap();
+        let c = ctx(&k, pid);
+        assert!(p.vnode_check(c, NodeId(5), &VnodeOp::Read).is_ok());
     }
 
     #[test]
     fn entered_session_requires_privileges() {
-        let p = ShillPolicy::new();
-        let sid = p.shill_init(Pid(10)).unwrap();
-        p.shill_grant(Pid(1), sid, ObjId::Vnode(NodeId(5)), caps(&[Priv::Read]))
-            .unwrap();
-        p.shill_enter(Pid(10)).unwrap();
-        assert!(p.vnode_check(ctx(10), NodeId(5), &VnodeOp::Read).is_ok());
+        let (mut k, p, pid) = setup();
+        let sid = p.shill_init(&mut k, pid).unwrap();
+        grant(&p, &k, sid, 5, caps(&[Priv::Read])).unwrap();
+        p.shill_enter(sid).unwrap();
+        let c = ctx(&k, pid);
+        assert!(p.vnode_check(c, NodeId(5), &VnodeOp::Read).is_ok());
         assert_eq!(
-            p.vnode_check(ctx(10), NodeId(5), &VnodeOp::Stat)
-                .unwrap_err(),
+            p.vnode_check(c, NodeId(5), &VnodeOp::Stat).unwrap_err(),
             Errno::EACCES
         );
         assert_eq!(
-            p.vnode_check(ctx(10), NodeId(6), &VnodeOp::Read)
-                .unwrap_err(),
+            p.vnode_check(c, NodeId(6), &VnodeOp::Read).unwrap_err(),
             Errno::EACCES
         );
     }
 
     #[test]
     fn grant_after_enter_fails() {
-        let p = ShillPolicy::new();
-        let sid = p.shill_init(Pid(10)).unwrap();
-        p.shill_enter(Pid(10)).unwrap();
+        let (mut k, p, pid) = setup();
+        let sid = p.shill_init(&mut k, pid).unwrap();
+        p.shill_enter(sid).unwrap();
         assert_eq!(
-            p.shill_grant(Pid(1), sid, ObjId::Vnode(NodeId(5)), caps(&[Priv::Read]))
-                .unwrap_err(),
+            grant(&p, &k, sid, 5, caps(&[Priv::Read])).unwrap_err(),
             Errno::EINVAL
         );
     }
 
     #[test]
     fn write_requires_write_and_append() {
-        let p = ShillPolicy::new();
-        let sid = p.shill_init(Pid(10)).unwrap();
-        p.shill_grant(Pid(1), sid, ObjId::Vnode(NodeId(5)), caps(&[Priv::Write]))
-            .unwrap();
-        p.shill_enter(Pid(10)).unwrap();
+        let (mut k, p, pid) = setup();
+        let sid = p.shill_init(&mut k, pid).unwrap();
+        grant(&p, &k, sid, 5, caps(&[Priv::Write])).unwrap();
+        p.shill_enter(sid).unwrap();
         // +write alone is insufficient in the sandbox (§3.2.3).
         assert_eq!(
-            p.vnode_check(ctx(10), NodeId(5), &VnodeOp::Write)
+            p.vnode_check(ctx(&k, pid), NodeId(5), &VnodeOp::Write)
                 .unwrap_err(),
             Errno::EACCES
         );
@@ -1137,36 +1145,31 @@ mod tests {
 
     #[test]
     fn lookup_propagates_with_modifier() {
-        let p = ShillPolicy::new();
-        let sid = p.shill_init(Pid(10)).unwrap();
+        let (mut k, p, pid) = setup();
+        let sid = p.shill_init(&mut k, pid).unwrap();
         let parent = Arc::new(
             CapPrivs::of(PrivSet::of(&[Priv::Lookup]))
                 .with_modifier(Priv::Lookup, CapPrivs::of(PrivSet::of(&[Priv::Read]))),
         );
-        p.shill_grant(Pid(1), sid, ObjId::Vnode(NodeId(5)), parent)
-            .unwrap();
-        p.shill_enter(Pid(10)).unwrap();
-        p.vnode_post_lookup(ctx(10), NodeId(5), "dog.jpg", NodeId(9));
+        grant(&p, &k, sid, 5, parent).unwrap();
+        p.shill_enter(sid).unwrap();
+        let c = ctx(&k, pid);
+        p.vnode_post_lookup(c, NodeId(5), "dog.jpg", NodeId(9));
         let child = p.privs_on(sid, ObjId::Vnode(NodeId(9))).unwrap();
         assert!(child.allows(Priv::Read));
         assert!(!child.allows(Priv::Lookup));
-        assert!(p.vnode_check(ctx(10), NodeId(9), &VnodeOp::Read).is_ok());
+        assert!(p.vnode_check(c, NodeId(9), &VnodeOp::Read).is_ok());
     }
 
     #[test]
     fn dotdot_and_dot_do_not_propagate() {
-        let p = ShillPolicy::new();
-        let sid = p.shill_init(Pid(10)).unwrap();
-        p.shill_grant(
-            Pid(1),
-            sid,
-            ObjId::Vnode(NodeId(5)),
-            caps(&[Priv::Lookup, Priv::Stat]),
-        )
-        .unwrap();
-        p.shill_enter(Pid(10)).unwrap();
-        p.vnode_post_lookup(ctx(10), NodeId(5), "..", NodeId(4));
-        p.vnode_post_lookup(ctx(10), NodeId(5), ".", NodeId(5));
+        let (mut k, p, pid) = setup();
+        let sid = p.shill_init(&mut k, pid).unwrap();
+        grant(&p, &k, sid, 5, caps(&[Priv::Lookup, Priv::Stat])).unwrap();
+        p.shill_enter(sid).unwrap();
+        let c = ctx(&k, pid);
+        p.vnode_post_lookup(c, NodeId(5), "..", NodeId(4));
+        p.vnode_post_lookup(c, NodeId(5), ".", NodeId(5));
         assert!(p.privs_on(sid, ObjId::Vnode(NodeId(4))).is_none());
         // "." must not amplify either; entry for 5 stays the explicit grant.
         assert!(p
@@ -1177,16 +1180,15 @@ mod tests {
 
     #[test]
     fn no_amplification_on_conflicting_entries() {
-        let p = ShillPolicy::new();
-        let sid = p.shill_init(Pid(10)).unwrap();
+        let (mut k, p, pid) = setup();
+        let sid = p.shill_init(&mut k, pid).unwrap();
         // Existing entry: create-file derives read-only.
         let ro_create = Arc::new(CapPrivs::of(PrivSet::of(&[Priv::Lookup])).with_modifier(
             Priv::CreateFile,
             CapPrivs::of(PrivSet::of(&[Priv::Read, Priv::Stat, Priv::Path])),
         ));
-        p.shill_grant(Pid(1), sid, ObjId::Vnode(NodeId(7)), ro_create)
-            .unwrap();
-        p.shill_enter(Pid(10)).unwrap();
+        grant(&p, &k, sid, 7, ro_create).unwrap();
+        p.shill_enter(sid).unwrap();
         // A lookup from a parent whose modifier would give conflicting
         // (write-capable) create privileges must NOT be merged in.
         let conflicting = Arc::new(CapPrivs::of(PrivSet::of(&[Priv::Lookup])).with_modifier(
@@ -1197,25 +1199,22 @@ mod tests {
             CapPrivs::of(PrivSet::of(&[Priv::Lookup]))
                 .with_modifier(Priv::Lookup, (*conflicting).clone()),
         );
-        p.shill_grant(Pid(1), sid, ObjId::Vnode(NodeId(6)), parent)
-            .unwrap_err(); // entered: expected
-                           // Re-create scenario without enter ordering problems:
-        let p = ShillPolicy::new();
-        let sid = p.shill_init(Pid(10)).unwrap();
+        grant(&p, &k, sid, 6, parent).unwrap_err(); // entered: expected
+                                                    // Re-create scenario without enter ordering problems:
+        let (mut k, p, pid) = setup();
+        let sid = p.shill_init(&mut k, pid).unwrap();
         let ro_create = Arc::new(CapPrivs::of(PrivSet::of(&[Priv::Lookup])).with_modifier(
             Priv::CreateFile,
             CapPrivs::of(PrivSet::of(&[Priv::Read, Priv::Stat, Priv::Path])),
         ));
-        p.shill_grant(Pid(1), sid, ObjId::Vnode(NodeId(7)), ro_create.clone())
-            .unwrap();
+        grant(&p, &k, sid, 7, ro_create.clone()).unwrap();
         let parent = Arc::new(
             CapPrivs::of(PrivSet::of(&[Priv::Lookup]))
                 .with_modifier(Priv::Lookup, (*conflicting).clone()),
         );
-        p.shill_grant(Pid(1), sid, ObjId::Vnode(NodeId(6)), parent)
-            .unwrap();
-        p.shill_enter(Pid(10)).unwrap();
-        p.vnode_post_lookup(ctx(10), NodeId(6), "seven", NodeId(7));
+        grant(&p, &k, sid, 6, parent).unwrap();
+        p.shill_enter(sid).unwrap();
+        p.vnode_post_lookup(ctx(&k, pid), NodeId(6), "seven", NodeId(7));
         let entry = p.privs_on(sid, ObjId::Vnode(NodeId(7))).unwrap();
         assert_eq!(
             &*entry, &*ro_create,
@@ -1225,110 +1224,110 @@ mod tests {
 
     #[test]
     fn session_scrub_removes_labels() {
-        let p = ShillPolicy::new();
-        p.proc_fork(Pid(1), Pid(10)); // no session yet: no-op
-        let sid = p.shill_init(Pid(10)).unwrap();
-        p.shill_grant(Pid(1), sid, ObjId::Vnode(NodeId(5)), caps(&[Priv::Read]))
-            .unwrap();
-        p.shill_grant(Pid(1), sid, ObjId::Vnode(NodeId(6)), caps(&[Priv::Read]))
-            .unwrap();
-        p.shill_enter(Pid(10)).unwrap();
+        let (mut k, p, user) = setup();
+        let pid = k.fork(user).unwrap(); // no session yet: no count
+        let sid = p.shill_init(&mut k, pid).unwrap();
+        grant(&p, &k, sid, 5, caps(&[Priv::Read])).unwrap();
+        grant(&p, &k, sid, 6, caps(&[Priv::Read])).unwrap();
+        p.shill_enter(sid).unwrap();
         assert_eq!(p.label_entries(), 2);
-        p.proc_exit(Pid(10));
+        k.exit(pid, 0);
         assert_eq!(p.label_entries(), 0);
         assert_eq!(p.stats().scrubbed, 2);
     }
 
     #[test]
     fn fork_joins_session_and_keeps_it_alive() {
-        let p = ShillPolicy::new();
-        let sid = p.shill_init(Pid(10)).unwrap();
-        p.shill_grant(Pid(1), sid, ObjId::Vnode(NodeId(5)), caps(&[Priv::Read]))
-            .unwrap();
-        p.shill_enter(Pid(10)).unwrap();
-        p.proc_fork(Pid(10), Pid(11));
-        assert_eq!(p.session_of(Pid(11)), Some(sid));
-        assert!(p.vnode_check(ctx(11), NodeId(5), &VnodeOp::Read).is_ok());
-        p.proc_exit(Pid(10));
+        let (mut k, p, pid) = setup();
+        let sid = p.shill_init(&mut k, pid).unwrap();
+        grant(&p, &k, sid, 5, caps(&[Priv::Read])).unwrap();
+        p.shill_enter(sid).unwrap();
+        let child = k.fork(pid).unwrap();
+        assert_eq!(p.session_of(&k, child), Some(sid));
+        let c = ctx(&k, child);
+        assert!(p.vnode_check(c, NodeId(5), &VnodeOp::Read).is_ok());
+        k.exit(pid, 0);
         // Child still alive: labels retained.
         assert_eq!(p.label_entries(), 1);
-        p.proc_exit(Pid(11));
+        k.exit(child, 0);
         assert_eq!(p.label_entries(), 0);
     }
 
     #[test]
     fn hierarchical_attenuation() {
-        let p = ShillPolicy::new();
-        let s1 = p.shill_init(Pid(10)).unwrap();
-        p.shill_grant(
-            Pid(1),
-            s1,
-            ObjId::Vnode(NodeId(5)),
-            caps(&[Priv::Read, Priv::Stat]),
-        )
-        .unwrap();
-        p.shill_enter(Pid(10)).unwrap();
-        // Pid 10 (sandboxed, SHILL-aware) spawns a child in a sub-session.
-        p.proc_fork(Pid(10), Pid(11));
-        let s2 = p.shill_init(Pid(11)).unwrap();
+        let (mut k, p, pid) = setup();
+        let s1 = p.shill_init(&mut k, pid).unwrap();
+        grant(&p, &k, s1, 5, caps(&[Priv::Read, Priv::Stat])).unwrap();
+        p.shill_enter(s1).unwrap();
+        // The sandboxed, SHILL-aware process spawns a child in a
+        // sub-session.
+        let child = k.fork(pid).unwrap();
+        let s2 = p.shill_init(&mut k, child).unwrap();
         // Attenuation: can grant ⊆ of what s1 holds...
-        p.shill_grant(Pid(10), s2, ObjId::Vnode(NodeId(5)), caps(&[Priv::Read]))
+        p.shill_grant(&k, pid, s2, ObjId::Vnode(NodeId(5)), caps(&[Priv::Read]))
             .unwrap();
         // ...but not more.
         assert_eq!(
-            p.shill_grant(Pid(10), s2, ObjId::Vnode(NodeId(5)), caps(&[Priv::Write]))
+            p.shill_grant(&k, pid, s2, ObjId::Vnode(NodeId(5)), caps(&[Priv::Write]))
                 .unwrap_err(),
             Errno::EACCES
         );
-        p.shill_enter(Pid(11)).unwrap();
-        assert!(p.vnode_check(ctx(11), NodeId(5), &VnodeOp::Read).is_ok());
+        p.shill_enter(s2).unwrap();
+        let (c1, c2) = (ctx(&k, pid), ctx(&k, child));
+        assert!(p.vnode_check(c2, NodeId(5), &VnodeOp::Read).is_ok());
         assert_eq!(
-            p.vnode_check(ctx(11), NodeId(5), &VnodeOp::Stat)
-                .unwrap_err(),
+            p.vnode_check(c2, NodeId(5), &VnodeOp::Stat).unwrap_err(),
             Errno::EACCES
         );
-        // Signals: s2 descends from s1, so 10 can signal 11 but not vice versa.
-        assert!(p.proc_check(ctx(10), ProcOp::Signal(Pid(11))).is_ok());
+        // Signals: s2 descends from s1, so the parent can signal the child
+        // but not vice versa.
+        assert!(p.proc_check(c1, c2, ProcOp::Signal).is_ok());
         assert_eq!(
-            p.proc_check(ctx(11), ProcOp::Signal(Pid(10))).unwrap_err(),
+            p.proc_check(c2, c1, ProcOp::Signal).unwrap_err(),
             Errno::EACCES
         );
     }
 
     #[test]
     fn process_confinement() {
-        let p = ShillPolicy::new();
-        let _sid = p.shill_init(Pid(10)).unwrap();
-        p.shill_enter(Pid(10)).unwrap();
-        // Unsandboxed pid 99 is outside every session.
+        let (mut k, p, pid) = setup();
+        let sid = p.shill_init(&mut k, pid).unwrap();
+        p.shill_enter(sid).unwrap();
+        // An unsandboxed process is outside every session.
+        let other = k.spawn_user(Cred::user(100));
+        let (c, o) = (ctx(&k, pid), ctx(&k, other));
         assert_eq!(
-            p.proc_check(ctx(10), ProcOp::Signal(Pid(99))).unwrap_err(),
+            p.proc_check(c, o, ProcOp::Signal).unwrap_err(),
             Errno::EACCES
         );
         assert_eq!(
-            p.proc_check(ctx(10), ProcOp::Debug(Pid(99))).unwrap_err(),
+            p.proc_check(c, o, ProcOp::Debug).unwrap_err(),
             Errno::EACCES
         );
         // The unsandboxed side is unrestricted (kernel DAC still applies).
-        assert!(p.proc_check(ctx(99), ProcOp::Signal(Pid(10))).is_ok());
+        assert!(p.proc_check(o, c, ProcOp::Signal).is_ok());
     }
 
     #[test]
     fn socket_factory_gates_creation() {
-        let p = ShillPolicy::new();
-        let sid = p.shill_init(Pid(10)).unwrap();
-        p.shill_enter(Pid(10)).unwrap();
+        let (mut k, p, pid) = setup();
+        let sid = p.shill_init(&mut k, pid).unwrap();
+        p.shill_enter(sid).unwrap();
         let create = SocketOp::Create(SockDomain::Inet);
         assert_eq!(
-            p.socket_check(ctx(10), ObjId::Socket(shill_kernel::SockId(0)), &create)
-                .unwrap_err(),
+            p.socket_check(
+                ctx(&k, pid),
+                ObjId::Socket(shill_kernel::SockId(0)),
+                &create
+            )
+            .unwrap_err(),
             Errno::EACCES
         );
         // With a factory: allowed, and new sockets get the factory privs.
-        let p = ShillPolicy::new();
-        let sid2 = p.shill_init(Pid(10)).unwrap();
-        let _ = sid;
+        let (mut k, p, pid) = setup();
+        let sid2 = p.shill_init(&mut k, pid).unwrap();
         p.shill_grant_socket_factory(
+            &k,
             Pid(1),
             sid2,
             PrivSet::of(&[
@@ -1339,31 +1338,24 @@ mod tests {
             ]),
         )
         .unwrap();
-        p.shill_enter(Pid(10)).unwrap();
+        p.shill_enter(sid2).unwrap();
+        let c = ctx(&k, pid);
         assert!(p
-            .socket_check(ctx(10), ObjId::Socket(shill_kernel::SockId(0)), &create)
+            .socket_check(c, ObjId::Socket(shill_kernel::SockId(0)), &create)
             .is_ok());
-        p.socket_post_create(ctx(10), ObjId::Socket(shill_kernel::SockId(7)));
+        p.socket_post_create(c, ObjId::Socket(shill_kernel::SockId(7)));
         assert!(p
-            .socket_check(
-                ctx(10),
-                ObjId::Socket(shill_kernel::SockId(7)),
-                &SocketOp::Send
-            )
+            .socket_check(c, ObjId::Socket(shill_kernel::SockId(7)), &SocketOp::Send)
             .is_ok());
         assert_eq!(
-            p.socket_check(
-                ctx(10),
-                ObjId::Socket(shill_kernel::SockId(7)),
-                &SocketOp::Listen
-            )
-            .unwrap_err(),
+            p.socket_check(c, ObjId::Socket(shill_kernel::SockId(7)), &SocketOp::Listen)
+                .unwrap_err(),
             Errno::EACCES
         );
         // "Other" domains are denied even with a factory (Figure 7).
         assert_eq!(
             p.socket_check(
-                ctx(10),
+                c,
                 ObjId::Socket(shill_kernel::SockId(0)),
                 &SocketOp::Create(SockDomain::Other)
             )
@@ -1374,11 +1366,12 @@ mod tests {
 
     #[test]
     fn system_surfaces_follow_figure7() {
-        let p = ShillPolicy::new();
-        let _sid = p.shill_init(Pid(10)).unwrap();
-        p.shill_enter(Pid(10)).unwrap();
+        let (mut k, p, pid) = setup();
+        let sid = p.shill_init(&mut k, pid).unwrap();
+        p.shill_enter(sid).unwrap();
+        let c = ctx(&k, pid);
         assert!(p
-            .system_check(ctx(10), &SystemOp::SysctlRead("kern.ostype".into()))
+            .system_check(c, &SystemOp::SysctlRead("kern.ostype".into()))
             .is_ok());
         for denied in [
             SystemOp::SysctlWrite("kern.x".into()),
@@ -1387,17 +1380,18 @@ mod tests {
             SystemOp::PosixIpc,
             SystemOp::SysvIpc,
         ] {
-            assert_eq!(p.system_check(ctx(10), &denied).unwrap_err(), Errno::EACCES);
+            assert_eq!(p.system_check(c, &denied).unwrap_err(), Errno::EACCES);
         }
     }
 
     #[test]
     fn debug_mode_auto_grants_and_logs() {
-        let p = ShillPolicy::new();
-        let sid = p.shill_init(Pid(10)).unwrap();
+        let (mut k, p, pid) = setup();
+        let sid = p.shill_init(&mut k, pid).unwrap();
         p.set_debug(sid, true).unwrap();
-        p.shill_enter(Pid(10)).unwrap();
-        assert!(p.vnode_check(ctx(10), NodeId(5), &VnodeOp::Read).is_ok());
+        p.shill_enter(sid).unwrap();
+        let c = ctx(&k, pid);
+        assert!(p.vnode_check(c, NodeId(5), &VnodeOp::Read).is_ok());
         let events = p.log_events();
         assert!(events.iter().any(|e| matches!(
             e,
@@ -1415,10 +1409,10 @@ mod tests {
 
     #[test]
     fn denials_are_logged() {
-        let p = ShillPolicy::new();
-        let sid = p.shill_init(Pid(10)).unwrap();
-        p.shill_enter(Pid(10)).unwrap();
-        let _ = p.vnode_check(ctx(10), NodeId(5), &VnodeOp::Read);
+        let (mut k, p, pid) = setup();
+        let sid = p.shill_init(&mut k, pid).unwrap();
+        p.shill_enter(sid).unwrap();
+        let _ = p.vnode_check(ctx(&k, pid), NodeId(5), &VnodeOp::Read);
         let log = p.log_events();
         assert_eq!(log.len(), 1);
         assert!(

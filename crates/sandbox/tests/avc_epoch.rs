@@ -24,7 +24,7 @@ fn enter_invalidates_pre_enter_verdicts() {
         .unwrap();
     let user = k.spawn_user(Cred::ROOT);
     let child = k.fork(user).unwrap();
-    let _session = policy.shill_init(child).unwrap();
+    let session = policy.shill_init(&mut k, child).unwrap();
 
     // Un-entered session: unrestricted. This warms the AVC for (child,
     // /data/secret, Read) and every Lookup on the path.
@@ -40,7 +40,7 @@ fn enter_invalidates_pre_enter_verdicts() {
 
     // Enter with no grants: everything must now be denied — the warm cache
     // must not answer for the old permissive world.
-    policy.shill_enter(child).unwrap();
+    policy.shill_enter(session).unwrap();
     assert_eq!(
         k.open(child, "/data/secret", OpenFlags::RDONLY, Mode(0))
             .unwrap_err(),

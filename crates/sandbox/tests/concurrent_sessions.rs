@@ -394,12 +394,12 @@ fn cross_shard_revocation_is_never_stale_served() {
     // A session on shard B, created but NOT yet entered: its process is
     // unrestricted, so shard B's AVC fills with permissive allows — the
     // verdicts the cross-shard enter must revoke.
-    let reader_pid = {
+    let (reader_pid, reader_sid) = {
         let mut k = shards.lock_shard(shard_b);
         let parent = k.spawn_user(Cred::user(100));
         let child = k.fork(parent).unwrap();
-        policy.shill_init(child).unwrap();
-        child
+        let sid = policy.shill_init(&mut k, child).unwrap();
+        (child, sid)
     };
 
     // Two-flag bracketing of the revocation: `entering` is set before the
@@ -491,7 +491,7 @@ fn cross_shard_revocation_is_never_stale_served() {
                     // Real shard-A kernel work in the same lock hold, so
                     // the enter is literally performed "on shard A".
                     let probe = k.spawn_user(Cred::user(9));
-                    policy.shill_enter(reader_pid).expect("enter");
+                    policy.shill_enter(reader_sid).expect("enter");
                     k.exit(probe, 0);
                     let _ = k.waitpid(Pid(1), probe);
                 });
@@ -575,14 +575,13 @@ fn stripe_revocation_is_not_stalled_by_first_touch_storms() {
 
     // The victim: a session on shard B, created but not entered, so shard
     // B's AVC fills with permissive allows that the enter must revoke.
-    let reader_pid = {
+    let (reader_pid, reader_sid) = {
         let mut k = shards.lock_shard(shard_b);
         let parent = k.spawn_user(Cred::user(100));
         let child = k.fork(parent).unwrap();
-        policy.shill_init(child).unwrap();
-        child
+        let sid = policy.shill_init(&mut k, child).unwrap();
+        (child, sid)
     };
-    let reader_sid = policy.session_of(reader_pid).unwrap();
 
     let entering = Arc::new(AtomicBool::new(false));
     let entered = Arc::new(AtomicBool::new(false));
@@ -688,9 +687,9 @@ fn stripe_revocation_is_not_stalled_by_first_touch_storms() {
             })
         };
 
-        // The revocation: `shill_enter` touches only the reader's routing
-        // and label stripes — no kernel lock, no storm stripe. It must
-        // complete while the storm keeps pounding its own stripe.
+        // The revocation: `shill_enter` touches only the reader's label
+        // stripe — no kernel lock, no storm stripe. It must complete while
+        // the storm keeps pounding its own stripe.
         let revoker = {
             let policy = Arc::clone(&policy);
             let entering = Arc::clone(&entering);
@@ -701,7 +700,7 @@ fn stripe_revocation_is_not_stalled_by_first_touch_storms() {
                     thread::yield_now();
                 }
                 entering.store(true, Ordering::SeqCst);
-                policy.shill_enter(reader_pid).expect("enter");
+                policy.shill_enter(reader_sid).expect("enter");
                 entered.store(true, Ordering::SeqCst);
             })
         };
@@ -731,30 +730,33 @@ fn stripe_revocation_is_not_stalled_by_first_touch_storms() {
 /// Satellite regression (audit log off the label lock): a denial storm —
 /// every event goes through `push_always` under the log's own mutex —
 /// must never block first-touch label merges of a session on another
-/// stripe. Drives the policy hooks directly: no kernel lock anywhere, so
-/// the only locks in play are the two stripes and the log mutex.
+/// stripe. Drives the policy hooks directly: the kernel only labels the two
+/// processes, so the only locks in play are the two stripes and the log
+/// mutex.
 #[test]
 fn denial_logging_never_blocks_label_merges_on_other_stripes() {
-    use shill_kernel::{MacCtx, MacPolicy, ObjId, VnodeOp};
+    use shill_kernel::{MacPolicy, ObjId, VnodeOp};
     use shill_vfs::NodeId;
 
     const N: usize = 5_000;
 
     let p = Arc::new(ShillPolicy::with_stripes(2));
-    let denier_pid = Pid(1);
-    let merger_pid = Pid(2);
-    let denier_sid = p.shill_init(denier_pid).unwrap();
-    let merger_sid = p.shill_init(merger_pid).unwrap();
+    let mut k = Kernel::new();
+    let denier_pid = k.spawn_user(Cred::user(100));
+    let merger_pid = k.spawn_user(Cred::user(100));
+    let denier_sid = p.shill_init(&mut k, denier_pid).unwrap();
+    let merger_sid = p.shill_init(&mut k, merger_pid).unwrap();
     // Consecutive session ids, two stripes: guaranteed disjoint.
     assert_ne!(p.stripe_of(denier_sid), p.stripe_of(merger_sid));
 
     // Denier: entered with no grants — every check denies and logs.
-    p.shill_enter(denier_pid).unwrap();
+    p.shill_enter(denier_sid).unwrap();
     // Merger: a lookup-propagating grant, so every fresh child node is a
     // first-touch merge under its stripe's write lock.
     let parent_dir = NodeId(1000);
     p.shill_grant(
-        Pid(3),
+        &k,
+        Pid(1),
         merger_sid,
         ObjId::Vnode(parent_dir),
         Arc::new(
@@ -762,16 +764,15 @@ fn denial_logging_never_blocks_label_merges_on_other_stripes() {
         ),
     )
     .unwrap();
-    p.shill_enter(merger_pid).unwrap();
+    p.shill_enter(merger_sid).unwrap();
+    let denier_ctx = k.process(denier_pid).unwrap().mac_ctx();
+    let merger_ctx = k.process(merger_pid).unwrap().mac_ctx();
 
     thread::scope(|scope| {
         let denier = {
             let p = Arc::clone(&p);
             scope.spawn(move || {
-                let ctx = MacCtx {
-                    pid: denier_pid,
-                    cred: Cred::user(100),
-                };
+                let ctx = denier_ctx;
                 for _ in 0..N {
                     assert_eq!(
                         p.vnode_check(ctx, NodeId(5), &VnodeOp::Read),
@@ -783,10 +784,7 @@ fn denial_logging_never_blocks_label_merges_on_other_stripes() {
         let merger = {
             let p = Arc::clone(&p);
             scope.spawn(move || {
-                let ctx = MacCtx {
-                    pid: merger_pid,
-                    cred: Cred::user(100),
-                };
+                let ctx = merger_ctx;
                 for i in 0..N {
                     p.vnode_post_lookup(ctx, parent_dir, "f", NodeId(2000 + i as u64));
                 }

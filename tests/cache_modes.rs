@@ -128,9 +128,10 @@ fn kernel_denial_suite(cached: bool) -> Vec<(String, String)> {
         let bob = k.fs.resolve_abs("/home/bob").unwrap();
         let alice = k.fs.resolve_abs("/home/alice").unwrap();
         let child = k.fork(user).unwrap();
-        let session = policy.shill_init(child).unwrap();
+        let session = policy.shill_init(&mut k, child).unwrap();
         policy
             .shill_grant(
+                &k,
                 user,
                 session,
                 shill::kernel::ObjId::Vnode(bob),
@@ -139,6 +140,7 @@ fn kernel_denial_suite(cached: bool) -> Vec<(String, String)> {
             .unwrap();
         policy
             .shill_grant(
+                &k,
                 user,
                 session,
                 shill::kernel::ObjId::Vnode(alice),
@@ -146,7 +148,7 @@ fn kernel_denial_suite(cached: bool) -> Vec<(String, String)> {
             )
             .unwrap();
         k.chdir(child, "/home/bob").unwrap();
-        policy.shill_enter(child).unwrap();
+        policy.shill_enter(session).unwrap();
         push(
             "dotdot escape",
             fmt(k.open(child, "../alice/dog.jpg", OpenFlags::RDONLY, Mode(0))),

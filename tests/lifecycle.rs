@@ -162,3 +162,48 @@ hoard(open_dir("/data"), w, open_file("/tmp/log.txt"));"#,
     // Once the wallet is gone, its descriptors are released.
     assert_eq!(runtime_fds(&mut rt), 0);
 }
+
+/// The runtime is a process no session owns. With only the label-scoped
+/// SHILL policy loaded, its checks never reach the access-vector cache, so
+/// after a fine-grained Find run the cache holds no verdict for it — only
+/// its `grep` sandboxes went through the policy.
+#[test]
+fn find_leaves_no_avc_verdict_for_the_unlabelled_runtime() {
+    use shill::scenarios::{FIND_SHILL_CAP, POLY_FIND_CAP};
+    let mut k = shill::setup::standard_kernel();
+    let tree = shill::binaries::workloads::source_tree(&mut k, 400);
+    k.fs.put_file("/tmp/matches.txt", b"", Mode(0o666), Uid::ROOT, Gid::WHEEL)
+        .unwrap();
+    let mut rt = ShillRuntime::new(k, RuntimeConfig::WithPolicy, Cred::ROOT);
+    rt.add_script("find.cap", POLY_FIND_CAP);
+    rt.add_script("task.cap", FIND_SHILL_CAP);
+    rt.run(
+        "find-main",
+        r#"#lang shill/ambient
+require shill/native;
+require "task.cap";
+
+root = open_dir("/");
+wallet = create_wallet();
+populate_native_wallet(wallet, root, "/usr/bin:/bin", "/lib", pipe_factory);
+find_fine(open_dir("/usr/src"), open_file("/tmp/matches.txt"), wallet)
+"#,
+    )
+    .expect("find fine");
+    let pid = rt.pid();
+    let k = rt.kernel();
+    let node = k.fs.resolve_abs("/tmp/matches.txt").unwrap();
+    let matches = k.fs.read(node, 0, 1 << 24).unwrap();
+    assert_eq!(
+        matches.iter().filter(|&&b| b == b'\n').count(),
+        tree.c_files_with_pattern,
+        "every matching file was grepped"
+    );
+    assert_eq!(k.process(pid).unwrap().label(), None);
+    let st = k.stats_snapshot();
+    assert!(
+        st.forks > 0 && st.avc_misses > 0,
+        "the sandboxes used the AVC"
+    );
+    assert_eq!(k.avc().entries_for(pid), 0);
+}

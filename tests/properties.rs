@@ -251,7 +251,7 @@ fn fs_write_read_agrees_with_model() {
 
 #[test]
 fn propagation_never_amplifies() {
-    use shill::kernel::{MacCtx, MacPolicy, ObjId, Pid};
+    use shill::kernel::{Kernel, MacPolicy, ObjId, Pid};
     use shill::sandbox::ShillPolicy;
     use shill::vfs::{Cred, NodeId};
     use std::sync::Arc;
@@ -263,18 +263,16 @@ fn propagation_never_amplifies() {
         let lookup_names: Vec<String> = (0..hops).map(|_| rng.arb_name(5)).collect();
 
         let policy = ShillPolicy::new();
-        let pid = Pid(10);
-        let sid = policy.shill_init(pid).unwrap();
+        let mut k = Kernel::new();
+        let pid = k.spawn_user(Cred::ROOT);
+        let sid = policy.shill_init(&mut k, pid).unwrap();
         let dir = NodeId(100);
         let grant = Arc::new(grant);
         policy
-            .shill_grant(Pid(1), sid, ObjId::Vnode(dir), Arc::clone(&grant))
+            .shill_grant(&k, Pid(1), sid, ObjId::Vnode(dir), Arc::clone(&grant))
             .unwrap();
-        policy.shill_enter(pid).unwrap();
-        let ctx = MacCtx {
-            pid,
-            cred: Cred::ROOT,
-        };
+        policy.shill_enter(sid).unwrap();
+        let ctx = k.process(pid).unwrap().mac_ctx();
         // Propagate through a chain of lookups; each object's entry must be
         // exactly what `derived` yields (or absent if lookup not granted) —
         // never a merge that exceeds it.
