@@ -3,9 +3,9 @@
 //! rounds and reports through `shill_bench::Group` (see the crate docs);
 //! `SHILL_BENCH_ONLY=<group>[,<group>…]` runs a subset.
 //!
-//! * **cache** — deep-path repeated `fstatat` (depth 9) with the dcache +
-//!   AVC on vs off (the `security.cache.*` sysctls): time per op,
-//!   policy-reaching MAC checks, cache hits and directory scans.
+//! * **cache** — deep-path repeated `fstatat` (depth 9) with the AVC on vs
+//!   off (the `security.cache.avc` sysctl): time per op, policy-reaching MAC
+//!   checks, AVC hits and directory scans.
 //! * **batch** — the same entries through `Kernel::submit_batch` vs
 //!   replayed sequentially (`Kernel::run_sequential`) on the deep-path stat
 //!   and streaming-copy workloads: time per op, ulimit charges, MAC context
@@ -49,7 +49,6 @@ struct CacheRun {
     ns_per_op: f64,
     mac_vnode_checks: f64,
     avc_hits: f64,
-    dcache_hits: f64,
     dir_scans: f64,
 }
 
@@ -59,7 +58,7 @@ fn cache_run(cached: bool, ops: usize) -> CacheRun {
         k.fs.put_file(&file, b"z", Mode(0o644), Uid::ROOT, Gid::WHEEL)
             .unwrap();
     });
-    k.set_cache_enabled(cached, cached);
+    k.set_avc_enabled(cached);
     k.fstatat(pid, None, &file, true).unwrap(); // warmup + propagation
     k.stats.reset();
     let t0 = Instant::now();
@@ -73,16 +72,14 @@ fn cache_run(cached: bool, ops: usize) -> CacheRun {
         ns_per_op: elapsed.as_nanos() as f64 / ops as f64,
         mac_vnode_checks: per(st.mac_vnode_checks),
         avc_hits: per(st.avc_hits),
-        dcache_hits: per(st.dcache_hits),
         dir_scans: per(st.dir_scans),
     }
 }
 
-const CACHE_METRICS: [Metric<CacheRun>; 5] = [
+const CACHE_METRICS: [Metric<CacheRun>; 4] = [
     ("time", "ns/op", |c| c.ns_per_op),
     ("mac_vnode_checks", "count/op", |c| c.mac_vnode_checks),
     ("avc_hits", "count/op", |c| c.avc_hits),
-    ("dcache_hits", "count/op", |c| c.dcache_hits),
     ("dir_scans", "count/op", |c| c.dir_scans),
 ];
 
@@ -950,7 +947,7 @@ require "pipeline.cap";
    open_file("/home/user/lang/dst.bin"))
 "#
     );
-    // Warm the module cache and the dcache before timing.
+    // Warm the module cache and the AVC before timing.
     rt.run("warmup", &driver).expect("warmup");
     let before = rt.kernel().stats_snapshot();
     let t0 = Instant::now();

@@ -1,16 +1,19 @@
 //! Runtime profiling instrumentation.
 //!
 //! Figure 10 of the paper breaks script time into: total, "Racket startup"
-//! (here: runtime + stdlib initialization and script compilation), sandbox
-//! setup, sandboxed execution, and "remaining time" (script evaluation
-//! including contract checking). The runtime accumulates the same buckets.
+//! (here: constructing the runtime and loading its prelude), sandbox setup,
+//! sandboxed execution, and "remaining time" (script evaluation including
+//! contract checking). The runtime accumulates the same buckets. Parsing
+//! and loading a script, or a module it `require`s, books to no bucket, so
+//! it counts as remaining time.
 
 use std::time::Duration;
 
 /// Accumulated phase timings and counters for one runtime.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Profile {
-    /// Runtime construction + stdlib installation + script parsing.
+    /// Time inside `ShillRuntime::new`: policy registration, the runtime
+    /// process's spawn, and the prelude's parse and evaluation.
     pub startup: Duration,
     /// Time spent forking/granting/entering sandboxes (the `exec` builtin's
     /// setup path).

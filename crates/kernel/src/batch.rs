@@ -3,8 +3,8 @@
 //!
 //! SHILL's enforcement model (paper §2.3) makes every language operation
 //! pay a full kernel round-trip: a ulimit charge, a MAC subject-context
-//! construction, and a `namei` path walk. The dcache and the AVC cut the
-//! per-*component* cost; this module cuts the per-*call* cost. A
+//! construction, and a `namei` path walk. The AVC cuts the per-*component*
+//! MAC cost; this module cuts the per-*call* cost. A
 //! [`SyscallBatch`] carries a sequence of [`BatchEntry`] operations, and
 //! [`crate::Kernel::submit_batch`] — the one way a batch executes —
 //! runs them in dependency waves ([`crate::sched`]) with two

@@ -76,8 +76,8 @@ pub enum FaultSite {
     /// exhaustion, keyed by the shard-relative pid about to be handed out.
     AllocPid = 1,
     /// Path resolution entry (`namei`), keyed by a hash of the path
-    /// string — a cursed path fails resolution everywhere, whether or not
-    /// the walk would have been answered by the dcache.
+    /// string — a cursed path fails resolution everywhere, before any
+    /// MAC hook, whether the AVC is on or off.
     Namei = 2,
     /// File reads at the vfs boundary (below MAC), keyed by
     /// (shard-relative node, offset, length). May fail or go short.

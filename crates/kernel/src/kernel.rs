@@ -7,9 +7,7 @@ use std::num::NonZeroU64;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, OnceLock};
 
-use shill_vfs::{
-    dac, Access, Cred, DcacheProbe, DeviceKind, Errno, Filesystem, Mode, NodeId, SysResult,
-};
+use shill_vfs::{dac, Access, Cred, DeviceKind, Errno, Filesystem, Mode, NodeId, SysResult};
 
 use crate::avc::{avc_class, avc_pipe_class, avc_socket_class, Avc, AvcClass};
 use crate::batch::BatchState;
@@ -23,8 +21,6 @@ use crate::stats::KernelStats;
 use crate::trace::{Telemetry, TracePlane, TraceScope, TraceSite};
 use crate::types::{Fd, ObjId, Pid, PipeEnd, Ulimits};
 
-/// Sysctl knob toggling the directory-entry cache (`0`/`1`).
-pub const SYSCTL_DCACHE: &str = "security.cache.dcache";
 /// Sysctl knob toggling the MAC access-vector cache (`0`/`1`).
 pub const SYSCTL_AVC: &str = "security.cache.avc";
 
@@ -160,7 +156,6 @@ impl Kernel {
         sysctls.insert("kern.ostype".to_string(), "SimBSD".to_string());
         sysctls.insert("kern.osrelease".to_string(), "9.2-SHILL".to_string());
         sysctls.insert("hw.ncpu".to_string(), "6".to_string());
-        sysctls.insert(SYSCTL_DCACHE.to_string(), "1".to_string());
         sysctls.insert(SYSCTL_AVC.to_string(), "1".to_string());
 
         let mut k = Kernel {
@@ -371,48 +366,46 @@ impl Kernel {
 
     // --- cache control ----------------------------------------------------
 
-    /// Toggle the resolution caches directly (the `security.cache.*`
-    /// sysctls route here; ablation benches call it to compare modes).
+    /// Toggle the access-vector cache directly (the `security.cache.avc`
+    /// sysctl routes here; ablation benches call it to compare modes).
     /// `avc_flushes` is bumped only when disabling actually dropped live
     /// verdicts: a disabled→disabled write or a toggle of an empty cache
     /// flushes nothing and must not inflate the counter.
-    pub fn set_cache_enabled(&mut self, dcache: bool, avc: bool) {
-        self.fs.dcache().set_enabled(dcache);
-        if self.avc.set_enabled(avc) > 0 {
+    pub fn set_avc_enabled(&mut self, on: bool) {
+        if self.avc.set_enabled(on) > 0 {
             KernelStats::bump(&self.stats.avc_flushes);
         }
         self.sysctls.insert(
-            SYSCTL_DCACHE.to_string(),
-            if dcache { "1" } else { "0" }.to_string(),
-        );
-        self.sysctls.insert(
             SYSCTL_AVC.to_string(),
-            if avc { "1" } else { "0" }.to_string(),
+            if on { "1" } else { "0" }.to_string(),
         );
     }
 
-    /// Current `(dcache, avc)` enablement.
-    pub fn cache_enabled(&self) -> (bool, bool) {
-        (self.fs.dcache().enabled(), self.avc.enabled())
+    /// Whether the access-vector cache is on.
+    pub fn avc_enabled(&self) -> bool {
+        self.avc.enabled()
     }
 
-    /// Apply a `security.cache.*` sysctl write; no-op for other names.
-    /// Cache knobs accept exactly `"0"`/`"1"` — anything else is `EINVAL`
+    /// Forwards to [`Kernel::set_avc_enabled`] and ignores its first
+    /// argument, which toggled the directory-entry cache this kernel no
+    /// longer has. perfbench (`perfbench/src/layers.rs`) is its only
+    /// caller; everything else calls `set_avc_enabled`.
+    pub fn set_cache_enabled(&mut self, _dcache: bool, avc: bool) {
+        self.set_avc_enabled(avc);
+    }
+
+    /// Apply a `security.cache.avc` sysctl write; no-op for other names.
+    /// The knob accepts exactly `"0"`/`"1"` — anything else is `EINVAL`
     /// so a malformed write (e.g. `"off"`) can never silently enable a
     /// cache the operator meant to turn off.
     pub(crate) fn apply_cache_sysctl(&mut self, name: &str, value: &str) -> SysResult<()> {
-        if name != SYSCTL_DCACHE && name != SYSCTL_AVC {
+        if name != SYSCTL_AVC {
             return Ok(());
         }
-        let on = match value.trim() {
-            "0" => false,
-            "1" => true,
+        match value.trim() {
+            "0" => self.set_avc_enabled(false),
+            "1" => self.set_avc_enabled(true),
             _ => return Err(Errno::EINVAL),
-        };
-        let (dcache, avc) = self.cache_enabled();
-        match name {
-            SYSCTL_DCACHE => self.set_cache_enabled(on, avc),
-            _ => self.set_cache_enabled(dcache, on),
         }
         Ok(())
     }
@@ -904,12 +897,6 @@ impl Kernel {
         self.registry.as_slice()
     }
 
-    /// Capacity-pressure evictions performed by the directory-entry cache
-    /// (stale-generation drops that ran before any full purge).
-    pub fn dcache_evictions(&self) -> u64 {
-        self.fs.dcache().stats().evictions
-    }
-
     /// Stats snapshot that first drains each registered policy's contention
     /// counter ([`MacPolicy::take_contention`]) into
     /// `KernelStats::policy_stripe_contention`. [`crate::shard::KernelShards::stats`]
@@ -982,36 +969,10 @@ impl Kernel {
         let child = match name {
             "." => cur,
             ".." => self.fs.parent_of(cur)?,
-            // The dcache replaces only the directory-entry scan; the DAC
-            // search check and MAC lookup hook above ran either way.
-            // Negative entries cache validated ENOENTs (generation-fenced:
-            // a create or rename in the directory bumps the generation and
-            // the absence is forgotten with it).
-            _ => match self.fs.dcache().probe(cur, name) {
-                DcacheProbe::Pos(n) => {
-                    KernelStats::bump(&self.stats.dcache_hits);
-                    n
-                }
-                DcacheProbe::Neg => {
-                    KernelStats::bump(&self.stats.dcache_neg_hits);
-                    return Err(Errno::ENOENT);
-                }
-                DcacheProbe::Miss => {
-                    KernelStats::bump(&self.stats.dcache_misses);
-                    KernelStats::bump(&self.stats.dir_scans);
-                    match self.fs.lookup(cur, name) {
-                        Ok(n) => {
-                            self.fs.dcache().insert(cur, name, n);
-                            n
-                        }
-                        Err(Errno::ENOENT) => {
-                            self.fs.dcache().insert_negative(cur, name);
-                            return Err(Errno::ENOENT);
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-            },
+            _ => {
+                KernelStats::bump(&self.stats.dir_scans);
+                self.fs.lookup(cur, name)?
+            }
         };
         // The paper adds mac_vnode_post_lookup precisely here: after a
         // successful lookup, so the policy can propagate privileges (or
@@ -1040,10 +1001,9 @@ impl Kernel {
         if path.len() > 1024 {
             return Err(Errno::ENAMETOOLONG);
         }
-        // Injected resolution failure, keyed by the path string itself: a
-        // cursed path fails identically whether the walk would have been
-        // served by the dcache or by directory scans — which is what keeps
-        // fault schedules cache-mode-invariant.
+        // Injected resolution failure, keyed by the path string itself and
+        // checked before any MAC hook: a cursed path fails identically with
+        // the AVC on or off, which keeps fault schedules cache-mode-invariant.
         self.fault_check(FaultSite::Namei, path_key(path))?;
         let cred = self.process(pid)?.cred;
         let start = self.walk_start(pid, dirfd, path)?;

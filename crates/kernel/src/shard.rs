@@ -11,10 +11,9 @@
 //!
 //! * **[`KernelShards`]** owns `N` [`Kernel`]s, each behind its own lock.
 //!   Every shard owns its *entire* hot state: process table, filesystem
-//!   tree (and the per-shard dcache inside it), AVC, pipe and socket
-//!   tables, stats. Two sessions pinned to different shards share **no**
-//!   kernel lock and no kernel data structure — their syscalls genuinely
-//!   overlap on a multi-core box.
+//!   tree, AVC, pipe and socket tables, stats. Two sessions pinned to
+//!   different shards share **no** kernel lock and no kernel data
+//!   structure — their syscalls genuinely overlap on a multi-core box.
 //! * **Sessions are pinned to a shard** at launch: the sandbox executor
 //!   (`shill-sandbox`) runs the whole `fork`/`shill_init`/grant/
 //!   `shill_enter` choreography against one shard's kernel, and every pid
@@ -38,9 +37,9 @@
 //! *every* shard's AVC on its next probe. No cross-shard broadcast call
 //! is needed: epochs are validated at probe time, which is what makes
 //! shard-local waves safe to run concurrently with policy-state changes
-//! driven from other shards. Dcache generations
-//! stay shard-private (each shard has its own namespace tree, hence its
-//! own dcache).
+//! driven from other shards. Namespace state needs no channel at all:
+//! each shard walks its own tree, and a walk reads a directory's entries
+//! directly.
 //!
 //! ## Rendezvous
 //!
@@ -523,12 +522,9 @@ mod tests {
         for i in 0..2 {
             assert!(shards.with_shard(i, |k| k.has_policy("null")));
         }
-        shards.rendezvous(|ks| {
-            ks.iter_mut()
-                .for_each(|k| k.set_cache_enabled(false, false))
-        });
+        shards.rendezvous(|ks| ks.iter_mut().for_each(|k| k.set_avc_enabled(false)));
         for i in 0..2 {
-            assert_eq!(shards.with_shard(i, |k| k.cache_enabled()), (false, false));
+            assert!(!shards.with_shard(i, |k| k.avc_enabled()));
         }
     }
 

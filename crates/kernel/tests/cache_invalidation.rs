@@ -1,17 +1,16 @@
-//! Invalidation-correctness tests for the resolution fast path: the
-//! directory-entry cache (dcache) and the MAC access-vector cache (AVC).
+//! Invalidation-correctness tests for path resolution and the MAC
+//! access-vector cache (AVC).
 //!
-//! The security property under test: enabling the caches must never change
-//! the *outcome* of any operation — only how much work it takes.
+//! The properties under test: a walk sees every namespace mutation, and
+//! enabling the AVC never changes the *outcome* of any operation — only
+//! how much work it takes.
 
 use std::collections::HashSet;
 use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use shill_kernel::{
-    Kernel, MacCtx, MacPolicy, NullPolicy, OpenFlags, Pid, VnodeOp, SYSCTL_AVC, SYSCTL_DCACHE,
-};
+use shill_kernel::{Kernel, MacCtx, MacPolicy, NullPolicy, OpenFlags, Pid, VnodeOp, SYSCTL_AVC};
 use shill_vfs::{Cred, Errno, Gid, Mode, NodeId, SysResult, Uid};
 
 fn setup() -> (Kernel, Pid) {
@@ -20,14 +19,13 @@ fn setup() -> (Kernel, Pid) {
     (k, pid)
 }
 
-// --- dcache invalidation ----------------------------------------------------
+// --- a walk sees every namespace mutation ------------------------------------
 
 #[test]
-fn unlink_invalidates_dcache_entry() {
+fn unlink_then_recreate_resolves_the_new_node() {
     let (mut k, pid) = setup();
     k.fs.put_file("/a/f", b"x", Mode(0o644), Uid::ROOT, Gid::WHEEL)
         .unwrap();
-    // Warm the cache.
     let st1 = k.fstatat(pid, None, "/a/f", true).unwrap();
     k.unlinkat(pid, None, "/a/f", false).unwrap();
     assert_eq!(
@@ -38,10 +36,7 @@ fn unlink_invalidates_dcache_entry() {
     k.fs.put_file("/a/f", b"y", Mode(0o644), Uid::ROOT, Gid::WHEEL)
         .unwrap();
     let st2 = k.fstatat(pid, None, "/a/f", true).unwrap();
-    assert_ne!(
-        st1.node, st2.node,
-        "stale dcache entry resolved to the old node"
-    );
+    assert_ne!(st1.node, st2.node, "the walk resolved the unlinked node");
 }
 
 #[test]
@@ -68,11 +63,11 @@ fn rename_invalidates_both_directories() {
 }
 
 #[test]
-fn rmdir_invalidates_dcache_entry() {
+fn rmdir_then_recreate_resolves_again() {
     let (mut k, pid) = setup();
     k.fs.mkdir_p("/top/sub", Mode::DIR_DEFAULT, Uid::ROOT, Gid::WHEEL)
         .unwrap();
-    k.fstatat(pid, None, "/top/sub", true).unwrap(); // warm
+    k.fstatat(pid, None, "/top/sub", true).unwrap();
     k.unlinkat(pid, None, "/top/sub", true).unwrap();
     assert_eq!(
         k.fstatat(pid, None, "/top/sub", true).unwrap_err(),
@@ -97,38 +92,7 @@ fn symlink_creation_invalidates_parent() {
     assert!(k.fstatat(pid, None, "/tmp/link", true).is_ok());
 }
 
-#[test]
-fn dcache_counters_move_and_sysctl_toggles() {
-    let (mut k, pid) = setup();
-    k.fs.put_file("/w/x/y/leaf", b"d", Mode(0o644), Uid::ROOT, Gid::WHEEL)
-        .unwrap();
-    k.stats.reset();
-    for _ in 0..10 {
-        k.fstatat(pid, None, "/w/x/y/leaf", true).unwrap();
-    }
-    let warm = k.stats.snapshot();
-    assert!(warm.dcache_hits > 0, "repeated walks must hit the dcache");
-    assert!(
-        warm.dir_scans < warm.lookups,
-        "directory scans ({}) should be fewer than components walked ({})",
-        warm.dir_scans,
-        warm.lookups
-    );
-    // Toggle off via sysctl: every component scans again.
-    k.sysctl_write(pid, SYSCTL_DCACHE, "0").unwrap();
-    k.stats.reset();
-    for _ in 0..10 {
-        k.fstatat(pid, None, "/w/x/y/leaf", true).unwrap();
-    }
-    let cold = k.stats.snapshot();
-    assert_eq!(cold.dcache_hits, 0);
-    assert_eq!(cold.dir_scans, cold.lookups);
-    assert!(!k.cache_enabled().0);
-    k.sysctl_write(pid, SYSCTL_DCACHE, "1").unwrap();
-    assert!(k.cache_enabled().0);
-}
-
-// --- symlink hop limit is cache-invariant ------------------------------------
+// --- symlink hop limit is AVC-invariant --------------------------------------
 
 fn symlink_outcomes(k: &mut Kernel, pid: Pid) -> Vec<Result<Vec<u8>, Errno>> {
     let mut out = Vec::new();
@@ -205,11 +169,13 @@ fn build_symlink_workload(k: &mut Kernel, pid: Pid) {
 fn symlink_hop_limit_identical_with_and_without_caches() {
     let (mut k, pid) = setup();
     build_symlink_workload(&mut k, pid);
+    // A cacheable policy, so the AVC has verdicts to serve.
+    k.register_policy(Arc::new(NullPolicy));
 
-    k.set_cache_enabled(true, true);
+    k.set_avc_enabled(true);
     let cached_cold = symlink_outcomes(&mut k, pid);
-    let cached_warm = symlink_outcomes(&mut k, pid); // warm dcache this time
-    k.set_cache_enabled(false, false);
+    let cached_warm = symlink_outcomes(&mut k, pid); // warm AVC this time
+    k.set_avc_enabled(false);
     let uncached = symlink_outcomes(&mut k, pid);
 
     assert_eq!(
@@ -465,7 +431,7 @@ fn avc_sysctl_toggle() {
         .unwrap();
     k.register_policy(Arc::new(NullPolicy));
     k.sysctl_write(pid, SYSCTL_AVC, "0").unwrap();
-    assert!(!k.cache_enabled().1);
+    assert!(!k.avc_enabled());
     k.stats.reset();
     let fd = k.open(pid, "/data/f", OpenFlags::RDONLY, Mode(0)).unwrap();
     for _ in 0..5 {
@@ -478,7 +444,7 @@ fn avc_sysctl_toggle() {
         "with the AVC off every check reaches the policy"
     );
     k.sysctl_write(pid, SYSCTL_AVC, "1").unwrap();
-    assert!(k.cache_enabled().1);
+    assert!(k.avc_enabled());
 }
 
 #[test]
@@ -490,49 +456,29 @@ fn cache_sysctls_reject_malformed_values() {
             Errno::EINVAL,
             "value {bad:?} must be rejected"
         );
-        assert_eq!(
-            k.sysctl_write(pid, SYSCTL_DCACHE, bad).unwrap_err(),
-            Errno::EINVAL
-        );
     }
     // A failed write changes neither the cache state nor the stored knob.
-    assert_eq!(k.cache_enabled(), (true, true));
+    assert!(k.avc_enabled());
     assert_eq!(k.sysctl_read(pid, SYSCTL_AVC).unwrap(), "1");
     // Whitespace-tolerant well-formed values still work.
     k.sysctl_write(pid, SYSCTL_AVC, " 0 ").unwrap();
-    assert!(!k.cache_enabled().1);
+    assert!(!k.avc_enabled());
 }
 
-// --- negative dcache entries -------------------------------------------------
+// --- absent names ------------------------------------------------------------
 
 #[test]
-fn negative_dcache_caches_absent_names_until_create() {
+fn absent_name_resolves_once_created() {
     let (mut k, pid) = setup();
     k.fs.mkdir_p("/probe", Mode::DIR_DEFAULT, Uid::ROOT, Gid::WHEEL)
         .unwrap();
-    k.stats.reset();
-    // First probe scans and records the absence.
-    assert_eq!(
-        k.fstatat(pid, None, "/probe/ghost", true).unwrap_err(),
-        Errno::ENOENT
-    );
-    let after_first = k.stats.snapshot();
-    assert_eq!(after_first.dcache_neg_hits, 0);
-    // Re-probes answer from the negative entry: no new directory scan of
-    // /probe (the walk of "probe" in "/" still hits positively).
-    for _ in 0..5 {
+    for _ in 0..6 {
         assert_eq!(
             k.fstatat(pid, None, "/probe/ghost", true).unwrap_err(),
             Errno::ENOENT
         );
     }
-    let after = k.stats.snapshot();
-    assert_eq!(after.dcache_neg_hits, 5, "absent name answered from cache");
-    assert_eq!(
-        after.dir_scans, after_first.dir_scans,
-        "no further scans for the cached absence"
-    );
-    // Creating the name invalidates the negative entry immediately.
+    // Creating the name makes it resolve immediately.
     k.fs.put_file(
         "/probe/ghost",
         b"now real",
@@ -546,11 +492,10 @@ fn negative_dcache_caches_absent_names_until_create() {
 }
 
 #[test]
-fn negative_dcache_invalidated_by_rename_into_place() {
+fn absent_name_resolves_after_rename_into_place() {
     let (mut k, pid) = setup();
     k.fs.put_file("/dir/real", b"x", Mode(0o644), Uid::ROOT, Gid::WHEEL)
         .unwrap();
-    // Cache the absence of /dir/target.
     assert_eq!(
         k.fstatat(pid, None, "/dir/target", true).unwrap_err(),
         Errno::ENOENT
@@ -559,26 +504,8 @@ fn negative_dcache_invalidated_by_rename_into_place() {
         .unwrap();
     assert!(
         k.fstatat(pid, None, "/dir/target", true).is_ok(),
-        "rename into place must kill the negative entry"
+        "rename into place must make the name resolve"
     );
-}
-
-#[test]
-fn negative_dcache_inert_when_disabled() {
-    let (mut k, pid) = setup();
-    k.fs.mkdir_p("/probe", Mode::DIR_DEFAULT, Uid::ROOT, Gid::WHEEL)
-        .unwrap();
-    k.set_cache_enabled(false, false);
-    k.stats.reset();
-    for _ in 0..3 {
-        assert_eq!(
-            k.fstatat(pid, None, "/probe/ghost", true).unwrap_err(),
-            Errno::ENOENT
-        );
-    }
-    let snap = k.stats.snapshot();
-    assert_eq!(snap.dcache_neg_hits, 0);
-    assert!(snap.dir_scans >= 3, "every probe scans with the cache off");
 }
 
 // --- pipe/socket access vectors ---------------------------------------------
@@ -713,7 +640,7 @@ fn uncacheable_policy_keeps_pipe_checks_on_slow_path() {
     );
 }
 
-// --- flush accounting and capacity boundaries (ISSUE 3 satellites) -----------
+// --- flush accounting --------------------------------------------------------
 
 /// `avc_flushes` counts only flushes that dropped live cached verdicts:
 /// attaching to an empty cache, disabled→disabled writes, and empty-cache
@@ -733,18 +660,18 @@ fn avc_flushes_count_only_live_flushes() {
     assert!(k.avc().entry_count() > 0);
 
     // Disabling with live entries: exactly one counted flush.
-    k.set_cache_enabled(true, false);
+    k.set_avc_enabled(false);
     assert_eq!(k.stats.snapshot().avc_flushes, 1);
 
     // disabled→disabled, disabled→enabled: nothing to drop, no count.
-    k.set_cache_enabled(true, false);
-    k.set_cache_enabled(true, true);
+    k.set_avc_enabled(false);
+    k.set_avc_enabled(true);
     assert_eq!(k.stats.snapshot().avc_flushes, 1);
 
     // enabled→disabled with an *empty* cache: still nothing dropped.
-    k.set_cache_enabled(true, false);
+    k.set_avc_enabled(false);
     assert_eq!(k.stats.snapshot().avc_flushes, 1);
-    k.set_cache_enabled(true, true);
+    k.set_avc_enabled(true);
 
     // Detach with an empty cache: not a counted flush either.
     assert!(k.unregister_policy("null"));
@@ -757,107 +684,4 @@ fn avc_flushes_count_only_live_flushes() {
     assert!(k.avc().entry_count() > 0);
     assert!(k.unregister_policy("null"));
     assert_eq!(k.stats.snapshot().avc_flushes, 2);
-}
-
-/// Drive the dcache past its 4096-directory capacity through real path
-/// walks: with every cached generation live the fallback is a (counted)
-/// full purge and resolution stays correct; with stale generations present
-/// the eviction pass drops exactly those, which `dcache_evictions` exposes.
-#[test]
-fn dcache_capacity_boundary_under_real_walks() {
-    const DIRS: usize = 4000;
-    const STALE: usize = 500;
-    const FRESH: usize = 500;
-    let (mut k, pid) = setup();
-    for i in 0..DIRS {
-        k.fs.put_file(
-            &format!("/big/d{i}/f"),
-            b"x",
-            Mode(0o644),
-            Uid::ROOT,
-            Gid::WHEEL,
-        )
-        .unwrap();
-    }
-
-    // Pass 1: walk a file in every directory. 4000 leaf dirs (+ /, /big)
-    // stay under capacity: no pressure events.
-    let first: Vec<NodeId> = (0..DIRS)
-        .map(|i| {
-            k.fstatat(pid, None, &format!("/big/d{i}/f"), true)
-                .unwrap()
-                .node
-        })
-        .collect();
-    k.fs.dcache().reset_stats();
-
-    // Mutate the first 500 directories (creating a sibling bumps their
-    // generations): their cached entries are now stale.
-    for i in 0..STALE {
-        k.fs.put_file(
-            &format!("/big/d{i}/g"),
-            b"y",
-            Mode(0o644),
-            Uid::ROOT,
-            Gid::WHEEL,
-        )
-        .unwrap();
-    }
-
-    // Walk files in 500 *new* directories: the cache crosses 4096 cached
-    // directories part-way through, and the pressure pass must evict the
-    // 500 stale ones instead of purging the live set.
-    for i in 0..FRESH {
-        k.fs.put_file(
-            &format!("/big/e{i}/f"),
-            b"z",
-            Mode(0o644),
-            Uid::ROOT,
-            Gid::WHEEL,
-        )
-        .unwrap();
-        k.fstatat(pid, None, &format!("/big/e{i}/f"), true).unwrap();
-    }
-    assert_eq!(
-        k.dcache_evictions(),
-        STALE as u64,
-        "capacity pressure must drop exactly the stale generations"
-    );
-    assert_eq!(
-        k.fs.dcache().stats().purges,
-        0,
-        "stale eviction freed room; no full purge"
-    );
-
-    // Correctness across the pressure event: every original file still
-    // resolves to the same node, including the stale-evicted directories.
-    for i in (0..DIRS).step_by(97) {
-        let st = k.fstatat(pid, None, &format!("/big/d{i}/f"), true).unwrap();
-        assert_eq!(st.node, first[i], "d{i}/f resolved differently");
-    }
-
-    // All-live pressure: re-walk everything (refilling the cache), then keep
-    // adding new directories until the capacity check fires with no stale
-    // generations anywhere — the fallback full purge must fire and count.
-    for i in 0..DIRS {
-        k.fstatat(pid, None, &format!("/big/d{i}/f"), true).unwrap();
-    }
-    let mut extra = 0usize;
-    while k.fs.dcache().stats().purges == 0 {
-        k.fs.put_file(
-            &format!("/big/p{extra}/f"),
-            b"w",
-            Mode(0o644),
-            Uid::ROOT,
-            Gid::WHEEL,
-        )
-        .unwrap();
-        k.fstatat(pid, None, &format!("/big/p{extra}/f"), true)
-            .unwrap();
-        extra += 1;
-        assert!(extra < 8192, "purge never fired under all-live pressure");
-    }
-    // And resolution is still correct afterwards.
-    let st = k.fstatat(pid, None, "/big/d0/f", true).unwrap();
-    assert_eq!(st.node, first[0]);
 }

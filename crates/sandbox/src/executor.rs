@@ -1,8 +1,8 @@
 //! Concurrent session execution: N worker threads, each driving one
 //! sandboxed session against a [`KernelShards`] set.
 //!
-//! The kernel's interior-mutable hot state (stats counters, the AVC, the
-//! dcache, in-flight batch state) is thread-safe (atomics + lock-guarded
+//! The kernel's interior-mutable hot state (stats counters, the AVC,
+//! in-flight batch state) is thread-safe (atomics + lock-guarded
 //! maps), so whole [`Kernel`]s sit behind per-shard locks
 //! ([`KernelShards`]) and sessions pinned to different shards genuinely
 //! overlap. The shard set is the only kernel handle the executor takes: one
@@ -22,12 +22,13 @@
 //! panics.
 //!
 //! Consistency under interleaving is inherited from the PR 1/2 invalidation
-//! machinery, not re-derived here: every namespace mutation bumps dcache
-//! generations *while holding the owning shard's lock*, every
-//! authority-shrinking policy event bumps the `ShillPolicy` epoch (an
-//! atomic shared by **all** shards — the cross-shard invalidation
-//! broadcast) before its state-lock hold ends, and the dcache and AVC
-//! validate against those fences on the next lock-holder's probe. The lock
+//! machinery, not re-derived here: every namespace mutation happens *while
+//! holding the owning shard's lock*, so the next walk reads the directory
+//! as it now is; every authority-shrinking policy event bumps the
+//! `ShillPolicy` epoch (an atomic shared by **all** shards — the
+//! cross-shard invalidation broadcast) before its state-lock hold ends,
+//! and the AVC validates against that fence on the next lock-holder's
+//! probe. The lock
 //! order is: shard lock(s) first — ascending shard order when a rendezvous
 //! takes several — then any interior cache/policy lock; no interior lock is
 //! ever held across a shard-lock acquisition. See `docs/concurrency.md`

@@ -510,6 +510,41 @@ mod tests {
     }
 
     #[test]
+    fn parent_waits_for_a_child_whose_nested_session_is_reclaimed() {
+        // The nested child exits first, and its exit reclaims its session.
+        // Its zombie keeps that session's label, and the sandboxed parent
+        // must still be allowed to wait for it.
+        let mut k = Kernel::new();
+        let policy = ShillPolicy::new();
+        k.register_policy(policy.clone());
+        let user = k.spawn_user(Cred::user(100));
+        let root = k.fs.root();
+        let outer = SandboxSpec {
+            grants: vec![Grant::vnode(root, full(&[Priv::Lookup, Priv::Stat]))],
+            ..Default::default()
+        };
+        let sb = setup_sandbox(&mut k, &policy, user, &outer).unwrap();
+        let inner = SandboxSpec {
+            grants: vec![Grant::vnode(root, full(&[Priv::Lookup]))],
+            ..Default::default()
+        };
+        let nested = setup_sandbox(&mut k, &policy, sb.child, &inner).unwrap();
+        let other = setup_sandbox(&mut k, &policy, user, &outer).unwrap();
+        k.exit(nested.child, 7);
+        // An unrelated entered session still may not touch the zombie.
+        assert_eq!(k.kill(other.child, nested.child), Err(Errno::EACCES));
+        assert_eq!(k.pdebug(other.child, nested.child), Err(Errno::EACCES));
+        assert_eq!(k.waitpid(sb.child, nested.child), Ok(7));
+        k.exit(sb.child, 0);
+        k.exit(other.child, 0);
+        assert_eq!(k.waitpid(user, sb.child), Ok(0));
+        assert_eq!(k.waitpid(user, other.child), Ok(0));
+        // Every session held grant labels, so none outlived its processes,
+        // and no reclaimed child's parent link outlived its parent.
+        assert_eq!(policy.label_entries(), 0);
+    }
+
+    #[test]
     fn spawned_child_holds_only_its_stdio() {
         let mut k = Kernel::new();
         let policy = ShillPolicy::new();

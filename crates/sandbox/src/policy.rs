@@ -106,6 +106,11 @@ struct PolicyCounters {
 struct SessionState {
     meta: Session,
     labels: HashMap<ObjId, Arc<CapPrivs>>,
+    /// Child sessions already reclaimed: their parent link, which their
+    /// zombies still need (a zombie keeps its label until it is reaped, and
+    /// `waitpid` checks that it descends from the waiter's session). Kept
+    /// until this session is itself reclaimed.
+    reclaimed_children: Vec<SessionId>,
 }
 
 impl SessionState {
@@ -113,6 +118,7 @@ impl SessionState {
         SessionState {
             meta: Session::new(id, parent),
             labels: HashMap::new(),
+            reclaimed_children: Vec::new(),
         }
     }
 }
@@ -303,13 +309,27 @@ impl ShillPolicy {
             if c == ancestor {
                 return true;
             }
-            cur = self
-                .stripe_read(c)
-                .sessions
-                .get(&c)
-                .and_then(|s| s.meta.parent);
+            cur = self.parent_session(c);
         }
         false
+    }
+
+    /// A session's parent. A reclaimed session's link lives on in its
+    /// parent's `reclaimed_children`, found by sweeping the stripes one read
+    /// at a time: only a process check on a zombie whose session is gone
+    /// pays that.
+    fn parent_session(&self, sid: SessionId) -> Option<SessionId> {
+        if let Some(s) = self.stripe_read(sid).sessions.get(&sid) {
+            return s.meta.parent;
+        }
+        self.stripes.iter().find_map(|stripe| {
+            stripe
+                .read()
+                .sessions
+                .values()
+                .find(|s| s.reclaimed_children.contains(&sid))
+                .map(|s| s.meta.id)
+        })
     }
 
     /// Check a privilege against the session's own label map, applying
@@ -611,21 +631,28 @@ impl ShillPolicy {
                 // stripe. This is the (here synchronous) analogue of the
                 // kernel's asynchronous session cleanup the paper blames
                 // for part of Find's overhead (§4.2).
-                let scrubbed = st
+                let (scrubbed, parent) = st
                     .sessions
                     .remove(&sid)
-                    .map(|ss| ss.labels.len())
-                    .unwrap_or(0);
+                    .map(|ss| (ss.labels.len(), ss.meta.parent))
+                    .unwrap_or((0, None));
                 // Conservative: the scrub removed label entries, so nothing
                 // cached against this policy may survive it. Bumped inside
                 // the stripe hold so scrub and broadcast publish together.
                 let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-                Some((scrubbed, epoch))
+                Some((scrubbed, parent, epoch))
             } else {
                 None
             }
         };
-        if let Some((scrubbed, epoch)) = reclaimed {
+        if let Some((scrubbed, parent, epoch)) = reclaimed {
+            // The parent session, while it lives, keeps the link for this
+            // session's zombies.
+            if let Some(p) = parent {
+                if let Some(ps) = self.stripe_write(p).sessions.get_mut(&p) {
+                    ps.reclaimed_children.push(sid);
+                }
+            }
             self.counters
                 .scrubbed
                 .fetch_add(scrubbed as u64, Ordering::Relaxed);

@@ -3,8 +3,8 @@
 //! revocation racing path resolution and batched submission.
 //!
 //! The safety claim under test (ISSUE 3 tentpole + the concurrent
-//! invalidation satellite): with the kernel's caches fenced by dcache
-//! generations and the policy's cache epoch, **no stale allow verdict is
+//! invalidation satellite): with the kernel's AVC fenced by the policy's
+//! cache epoch, **no stale allow verdict is
 //! ever served** — once a revocation (vnode replaced, session reclaimed)
 //! has happened-before a check (both ordered by the kernel lock), the
 //! check's outcome reflects it.

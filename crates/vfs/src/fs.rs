@@ -10,7 +10,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::dcache::Dcache;
 use crate::errno::{Errno, SysResult};
 use crate::fault::{IoFault, SharedFaultHook};
 use crate::node::{DeviceKind, NodeBody, Vnode};
@@ -34,10 +33,6 @@ pub struct Filesystem {
     /// Open-file reference counts maintained by the kernel so unlinked but
     /// still-open files stay readable (Unix semantics).
     open_refs: HashMap<NodeId, u32>,
-    /// Directory-entry cache consulted by the kernel's path walker; every
-    /// namespace mutation below invalidates the affected directory's
-    /// generation (see [`crate::dcache`]).
-    dcache: Dcache,
     /// Node-id base this filesystem allocates from (shard stride); hooks
     /// below are consulted with ids relative to it so fault schedules are
     /// shard-invariant.
@@ -87,7 +82,6 @@ impl Filesystem {
             clock: 1,
             name_cache: HashMap::new(),
             open_refs: HashMap::new(),
-            dcache: Dcache::new(),
             id_base: base,
             fault: None,
         }
@@ -109,11 +103,6 @@ impl Filesystem {
         } else {
             hook.on_read(rel, offset, len)
         }
-    }
-
-    /// The directory-entry cache (probed by the kernel path walker).
-    pub fn dcache(&self) -> &Dcache {
-        &self.dcache
     }
 
     /// The root directory's node id.
@@ -196,7 +185,6 @@ impl Filesystem {
         entries.insert(name.to_string(), child);
         d.mtime = now;
         self.name_cache.insert(child, (dir, name.to_string()));
-        self.dcache.invalidate_dir(dir);
         Ok(())
     }
 
@@ -334,7 +322,6 @@ impl Filesystem {
         let d = self.node_mut(dir)?;
         d.dir_entries_mut()?.remove(name);
         d.mtime = now;
-        self.dcache.invalidate_dir(dir);
         if let Some((p, n)) = self.name_cache.get(&child) {
             if *p == dir && n == name {
                 self.name_cache.remove(&child);
@@ -361,8 +348,6 @@ impl Filesystem {
         d.dir_entries_mut()?.remove(name);
         d.mtime = now;
         d.nlink = d.nlink.saturating_sub(1);
-        self.dcache.invalidate_dir(dir);
-        self.dcache.forget_dir(child);
         self.name_cache.remove(&child);
         let c = self.node_mut(child)?;
         c.nlink = 0;
@@ -426,8 +411,6 @@ impl Filesystem {
             self.node_mut(srcdir)?.nlink = self.node(srcdir)?.nlink.saturating_sub(1);
             self.node_mut(dstdir)?.nlink += 1;
         }
-        self.dcache.invalidate_dir(srcdir);
-        self.dcache.invalidate_dir(dstdir);
         self.name_cache.insert(node, (dstdir, dname.to_string()));
         Ok(())
     }
@@ -565,7 +548,6 @@ impl Filesystem {
         if reclaim {
             self.nodes.remove(&node);
             self.name_cache.remove(&node);
-            self.dcache.forget_dir(node);
         }
     }
 

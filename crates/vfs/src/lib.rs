@@ -16,7 +16,6 @@
 //! TrustedBSD MAC framework.
 
 pub mod dac;
-pub mod dcache;
 pub mod errno;
 pub mod fault;
 pub mod fs;
@@ -24,7 +23,6 @@ pub mod node;
 pub mod sync;
 pub mod types;
 
-pub use dcache::{Dcache, DcacheProbe, DcacheStats};
 pub use errno::{Errno, SysResult};
 pub use fault::{FaultHook, IoFault, SharedFaultHook};
 pub use fs::Filesystem;

@@ -4,8 +4,8 @@
 //! caching subsystem's locks are a thin wrapper that recovers from
 //! poisoning (a panicking test must not wedge every later check) and
 //! returns the guard directly. Lives in the lowest crate of the workspace
-//! so the dcache, the kernel's AVC/batch state, and the sandbox policy all
-//! share one primitive (`shill_sandbox::sync` re-exports it).
+//! so the kernel's AVC/batch state and the sandbox policy share one
+//! primitive (`shill_sandbox::sync` re-exports it).
 
 use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 

@@ -55,11 +55,11 @@ pub fn direct_exec(k: &mut Kernel, user: Pid, argv: &[&str]) -> i32 {
 
 /// Process-global cache mode for scenario kernels (they are constructed
 /// inside each `run_*` driver). Ablation benches and the cache-mode parity
-/// tests flip this to compare cached vs. uncached resolution end to end.
+/// tests flip this to compare cached vs. uncached MAC verdicts end to end.
 static SCENARIO_CACHES: AtomicBool = AtomicBool::new(true);
 
-/// Run subsequent scenarios with the resolution caches (dcache + AVC) on
-/// or off. Affects only kernels built by this module's drivers.
+/// Run subsequent scenarios with the access-vector cache on or off.
+/// Affects only kernels built by this module's `run_*` functions.
 pub fn set_scenario_cache_mode(enabled: bool) {
     SCENARIO_CACHES.store(enabled, Ordering::SeqCst);
 }
@@ -67,8 +67,7 @@ pub fn set_scenario_cache_mode(enabled: bool) {
 /// A standard kernel honoring the scenario cache mode.
 fn scenario_kernel() -> Kernel {
     let mut k = crate::setup::standard_kernel();
-    let on = SCENARIO_CACHES.load(Ordering::SeqCst);
-    k.set_cache_enabled(on, on);
+    k.set_avc_enabled(SCENARIO_CACHES.load(Ordering::SeqCst));
     k
 }
 

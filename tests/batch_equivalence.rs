@@ -65,7 +65,7 @@ fn caps(privs: &[Priv]) -> CapPrivs {
 
 fn build_fixture(cached: bool) -> Fixture {
     let mut k = Kernel::new();
-    k.set_cache_enabled(cached, cached);
+    k.set_avc_enabled(cached);
     let policy = ShillPolicy::new();
     k.register_policy(policy.clone());
 
@@ -300,8 +300,7 @@ fn run_equivalence_cases(cached: bool, seed: u64) {
         let mut sequential = build_fixture(cached);
         assert_eq!(batched.fds, sequential.fds, "twin fixtures diverged");
         // Each case submits several batches against evolving state, so
-        // later batches see mutations (and dcache invalidations) from
-        // earlier ones.
+        // later batches see mutations from earlier ones.
         for round in 0..3 {
             let batch = arb_batch(&mut rng, &batched.fds);
             let b = batched
@@ -341,8 +340,8 @@ fn random_batches_equivalent_with_caches_off() {
 #[test]
 fn batched_results_identical_across_cache_modes() {
     // The same batch sequence must also produce identical outcomes whether
-    // the dcache/AVC are on or off (composing the PR 1 parity criterion
-    // with the batch path).
+    // the AVC is on or off (composing the cache-mode parity criterion with
+    // the batch path).
     let mut rng_on = Rng::new(0xBEEF);
     let mut rng_off = Rng::new(0xBEEF);
     for _ in 0..16 {
@@ -517,9 +516,6 @@ fn batched_and_sequential_stats_are_in_parity() {
                 b.mac_vnode_checks, s.mac_vnode_checks,
                 "{ctxt}: policy-reaching vnode checks"
             );
-            assert_eq!(b.dcache_hits, s.dcache_hits, "{ctxt}: dcache hits");
-            assert_eq!(b.dcache_misses, s.dcache_misses, "{ctxt}: dcache misses");
-            assert_eq!(b.dcache_neg_hits, s.dcache_neg_hits, "{ctxt}: neg hits");
             assert_eq!(b.dir_scans, s.dir_scans, "{ctxt}: dir scans");
             assert_eq!(b.avc_hits, s.avc_hits, "{ctxt}: avc hits");
             assert_eq!(b.avc_misses, s.avc_misses, "{ctxt}: avc misses");
@@ -615,7 +611,7 @@ fn scheduled_flat_batches_equivalent_to_sequential() {
             assert_eq!(b.syscalls, s.syscalls, "{ctxt}: syscalls");
             assert_eq!(b.lookups, s.lookups, "{ctxt}: lookups");
             assert_eq!(b.mac_vnode_checks, s.mac_vnode_checks, "{ctxt}: checks");
-            assert_eq!(b.dcache_hits, s.dcache_hits, "{ctxt}: dcache hits");
+            assert_eq!(b.dir_scans, s.dir_scans, "{ctxt}: dir scans");
             assert_eq!(b.avc_hits, s.avc_hits, "{ctxt}: avc hits");
         }
     }
@@ -891,9 +887,6 @@ fn random_dags_scheduled_equivalent_to_sequential() {
                 b.mac_vnode_checks, s.mac_vnode_checks,
                 "{ctxt}: policy-reaching vnode checks"
             );
-            assert_eq!(b.dcache_hits, s.dcache_hits, "{ctxt}: dcache hits");
-            assert_eq!(b.dcache_misses, s.dcache_misses, "{ctxt}: dcache misses");
-            assert_eq!(b.dcache_neg_hits, s.dcache_neg_hits, "{ctxt}: neg hits");
             assert_eq!(b.dir_scans, s.dir_scans, "{ctxt}: dir scans");
             assert_eq!(b.avc_hits, s.avc_hits, "{ctxt}: avc hits");
             assert_eq!(b.avc_misses, s.avc_misses, "{ctxt}: avc misses");

@@ -1,8 +1,8 @@
 //! The security suite, run in both cache modes.
 //!
-//! Acceptance criterion for the resolution fast path (dcache + AVC): every
-//! MAC/DAC denial that holds with the caches off must hold identically with
-//! them on. Each scenario below returns a compact outcome fingerprint; the
+//! Acceptance criterion for the MAC access-vector cache (AVC): every
+//! MAC/DAC denial that holds with the AVC off must hold identically with
+//! it on. Each scenario below returns a compact outcome fingerprint; the
 //! suite runs once per mode and the fingerprints must match exactly (and
 //! match the expected denials).
 
@@ -34,7 +34,7 @@ fn kernel_denial_suite(cached: bool) -> Vec<(String, String)> {
     // 1. Read without a grant is denied; granted file is readable.
     {
         let mut k = Kernel::new();
-        k.set_cache_enabled(cached, cached);
+        k.set_avc_enabled(cached);
         let policy = ShillPolicy::new();
         k.register_policy(policy.clone());
         k.fs.put_file("/data/ok", b"1", Mode(0o644), Uid::ROOT, Gid::WHEEL)
@@ -76,7 +76,7 @@ fn kernel_denial_suite(cached: bool) -> Vec<(String, String)> {
     // 2. §3.2.3 granularity: +write alone is insufficient (needs +append too).
     {
         let mut k = Kernel::new();
-        k.set_cache_enabled(cached, cached);
+        k.set_avc_enabled(cached);
         let policy = ShillPolicy::new();
         k.register_policy(policy.clone());
         k.fs.put_file("/data/f", b"x", Mode(0o666), Uid::ROOT, Gid::WHEEL)
@@ -111,7 +111,7 @@ fn kernel_denial_suite(cached: bool) -> Vec<(String, String)> {
     //    left panel), warm caches included.
     {
         let mut k = Kernel::new();
-        k.set_cache_enabled(cached, cached);
+        k.set_avc_enabled(cached);
         let policy = ShillPolicy::new();
         k.register_policy(policy.clone());
         k.fs.mkdir_p("/home/bob", Mode::DIR_DEFAULT, Uid::ROOT, Gid::WHEEL)
@@ -163,7 +163,7 @@ fn kernel_denial_suite(cached: bool) -> Vec<(String, String)> {
     //    unreadable for uid 100 even with a full MAC grant.
     {
         let mut k = Kernel::new();
-        k.set_cache_enabled(cached, cached);
+        k.set_avc_enabled(cached);
         let policy = ShillPolicy::new();
         k.register_policy(policy.clone());
         k.fs.put_file("/data/rootonly", b"r", Mode(0o600), Uid::ROOT, Gid::WHEEL)
@@ -188,7 +188,7 @@ fn kernel_denial_suite(cached: bool) -> Vec<(String, String)> {
     // 5. Sockets without a factory capability are denied.
     {
         let mut k = Kernel::new();
-        k.set_cache_enabled(cached, cached);
+        k.set_avc_enabled(cached);
         let policy = ShillPolicy::new();
         k.register_policy(policy.clone());
         let user = k.spawn_user(Cred::user(100));
@@ -207,7 +207,7 @@ fn kernel_denial_suite(cached: bool) -> Vec<(String, String)> {
     // 6. Sandboxed root cannot unload the policy module.
     {
         let mut k = Kernel::new();
-        k.set_cache_enabled(cached, cached);
+        k.set_avc_enabled(cached);
         let policy = ShillPolicy::new();
         k.register_policy(policy.clone());
         k.register_exec(
@@ -246,7 +246,7 @@ fn kernel_denial_suite(cached: bool) -> Vec<(String, String)> {
     //    inside) are denied — the checked cannot disable the checker.
     {
         let mut k = Kernel::new();
-        k.set_cache_enabled(cached, cached);
+        k.set_avc_enabled(cached);
         let policy = ShillPolicy::new();
         k.register_policy(policy.clone());
         let user = k.spawn_user(Cred::ROOT);
@@ -257,10 +257,7 @@ fn kernel_denial_suite(cached: bool) -> Vec<(String, String)> {
             fmt(k.sysctl_write(sb.child, shill::kernel::SYSCTL_AVC, "0")),
         );
         // The denied write must leave the configured mode untouched.
-        push(
-            "caches unchanged",
-            format!("{}", k.cache_enabled() == (cached, cached)),
-        );
+        push("caches unchanged", format!("{}", k.avc_enabled() == cached));
         let _ = Fd::STDIN;
     }
 

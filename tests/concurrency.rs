@@ -178,7 +178,7 @@ fn build_sessions(k: &mut Kernel, policy: &Arc<ShillPolicy>) -> Vec<SessionFixtu
 /// kernels.
 fn build_kernel(cached: bool) -> (Kernel, Arc<ShillPolicy>, Vec<SessionFixture>) {
     let mut k = Kernel::new();
-    k.set_cache_enabled(cached, cached);
+    k.set_avc_enabled(cached);
     let policy = ShillPolicy::new();
     k.register_policy(policy.clone());
     populate_fs(&mut k);
@@ -604,7 +604,7 @@ fn sharded_pool_matches_per_shard_sequential_replay() {
         // per shard, every job shard-local through the persistent pool.
         let policy_a = ShillPolicy::new();
         let shards = KernelShards::new_with(nshards, |k, _| {
-            k.set_cache_enabled(cached, cached);
+            k.set_avc_enabled(cached);
             populate_fs(k);
         });
         shards.register_policy(policy_a.clone());
@@ -620,7 +620,7 @@ fn sharded_pool_matches_per_shard_sequential_replay() {
         let mut twins: Vec<(Kernel, Arc<ShillPolicy>, Vec<SessionFixture>)> = (0..nshards)
             .map(|s| {
                 let mut k = Kernel::new_shard(s);
-                k.set_cache_enabled(cached, cached);
+                k.set_avc_enabled(cached);
                 let p = ShillPolicy::new();
                 k.register_policy(p.clone());
                 populate_fs(&mut k);

@@ -241,7 +241,7 @@ fn fuzzed_sources_parse_and_mutants_never_panic() {
 
 fn script_kernel(cached: bool) -> Kernel {
     let mut k = Kernel::new();
-    k.set_cache_enabled(cached, cached);
+    k.set_avc_enabled(cached);
     k.fs.put_file("/home/u/a.txt", b"alpha", Mode(0o644), Uid(100), Gid(100))
         .unwrap();
     k.fs.put_file("/home/u/b.txt", b"beta", Mode(0o600), Uid::ROOT, Gid::WHEEL)
@@ -289,7 +289,7 @@ fn fuzzed_scripts_evaluate_deterministically_in_both_cache_modes() {
 /// divergences possible are the deferred-execution machinery's own.
 fn async_twin_kernel(cached: bool) -> Kernel {
     let mut k = Kernel::new();
-    k.set_cache_enabled(cached, cached);
+    k.set_avc_enabled(cached);
     for (i, data) in [&b"tango"[..], b"uniform-uniform", b"victor", b""]
         .iter()
         .enumerate()
@@ -866,7 +866,7 @@ fn standalone_fixture(
     schedule: Option<&str>,
 ) -> (Kernel, Arc<ShillPolicy>, Pid, Vec<Fd>) {
     let mut k = Kernel::new_shard(0);
-    k.set_cache_enabled(cached, cached);
+    k.set_avc_enabled(cached);
     let policy = ShillPolicy::new();
     k.register_policy(policy.clone());
     policy.set_log_enabled(true);
@@ -925,7 +925,7 @@ fn run_mode(
 fn run_pool_mode(cached: bool, schedule: Option<&str>, batches: &[SyscallBatch]) -> ModeRun {
     let policy = ShillPolicy::new();
     let shards = KernelShards::new_with(1, |k, _| {
-        k.set_cache_enabled(cached, cached);
+        k.set_avc_enabled(cached);
         populate_workload_fs(k);
     });
     shards.register_policy(policy.clone());
