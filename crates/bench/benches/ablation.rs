@@ -14,13 +14,13 @@
 //!   gates at 1.10×.
 //! * **sched** — (a) copies as fused pipelines (`ReadFile → WriteFile{data:
 //!   OutputOf}` in one submission) vs two submissions; (b) the
-//!   multi-session workload as fused chains through `BatchPool` at 1/2/4
-//!   workers vs one thread, per call or scheduled.
+//!   multi-session workload per call vs as scheduled fused chains, on one
+//!   thread.
 //! * **shard** — sandboxed sessions of open/read/close + stat batches on
 //!   worker threads, pinned across 1, 2 and 4 kernel shards, vs the same
 //!   sessions run one after another on one thread.
 //! * **policy** — concurrent session churn against the striped policy
-//!   plane at 1, 2 and 4 shards, plus `BatchPool` steal counts.
+//!   plane at 1, 2 and 4 shards.
 //! * **lang** — a SHILL script's async pipeline (one `await_all`) vs its
 //!   sequential twin: time and batch submissions per round.
 //! * **server** — concurrent authenticated TCP sessions against the
@@ -500,29 +500,17 @@ fn sched_copy_run(fused: bool, rounds: usize, files: usize, size: usize) -> Sche
     }
 }
 
-/// How the sched group drives the multi-session workload.
-enum PoolMode {
-    /// Per-call open/read/close triples + one batched stat sweep, one
-    /// session after another on this thread.
-    NaiveSingle,
-    /// The same work as scheduled submissions (8 fused open→read→close
-    /// chains in ONE batch, reads overlapping as a wave, plus the stat
-    /// sweep), driven by this thread directly — isolates the scheduler's
-    /// amortization from the pool machinery.
-    ScheduledSingle,
-    /// The scheduled submissions through a `BatchPool` of N workers.
-    Pool(usize),
-}
-
 /// `sessions` sandboxed subtrees × `rounds`, each round touching 8 files
 /// (open/read/close) and stat-sweeping them — the shard group's workload —
-/// driven naively or through the scheduler + pool, in ns per op. One "op"
-/// is one logical syscall (8×3 + 8 per session-round), so ns/op is
-/// directly comparable with the shard group's. `rounds` is a multiple of
-/// `FOLD`.
-fn sched_pool_run(sessions: usize, rounds: usize, mode: PoolMode) -> f64 {
+/// on this thread, in ns per op. One "op" is one logical syscall (8×3 + 8
+/// per session-round), so ns/op is directly comparable with the shard
+/// group's. Unscheduled, each session runs per-call open/read/close
+/// triples plus one batched stat sweep per round. Scheduled, it submits
+/// the same work as `FOLD` rounds of 8 fused open→read→close chains in ONE
+/// batch (reads overlapping as a wave) plus the folded stat sweep.
+/// `rounds` is a multiple of `FOLD`.
+fn sched_session_run(sessions: usize, rounds: usize, scheduled: bool) -> f64 {
     use shill::kernel::{BatchFd, KernelShards};
-    use shill_sandbox::{BatchJob, BatchPool};
 
     let mut k = Kernel::new();
     let policy = ShillPolicy::new();
@@ -593,69 +581,38 @@ fn sched_pool_run(sessions: usize, rounds: usize, mode: PoolMode) -> f64 {
     // ops per session-round: 8 open/read/close triples + 8 stat entries.
     let ops = (sessions * rounds * (8 * 3 + 8)) as f64;
     let t0 = Instant::now();
-    match mode {
-        PoolMode::NaiveSingle => {
-            for _ in 0..rounds {
-                for (i, &pid) in children.iter().enumerate() {
-                    for j in 0..8 {
-                        shared
-                            .with_pid(pid, |k| {
-                                let fd = k.open(
-                                    pid,
-                                    &format!("{}/f{j}", inner(i)),
-                                    OpenFlags::RDONLY,
-                                    Mode(0),
-                                )?;
-                                let _ = k.read(pid, fd, 512)?;
-                                k.close(pid, fd)
-                            })
-                            .expect("triple");
-                    }
+    if scheduled {
+        for _ in 0..rounds / FOLD {
+            for (i, &pid) in children.iter().enumerate() {
+                for batch in [pipelines(i, FOLD), sweep(i, FOLD)] {
                     let out = shared
-                        .with_pid(pid, |k| k.submit_batch(pid, &sweep(i, 1)))
-                        .expect("sweep");
+                        .with_pid(pid, |k| k.submit_batch(pid, &batch))
+                        .expect("scheduled");
                     assert!(out.iter().all(|r| r.is_ok()));
                 }
             }
         }
-        PoolMode::ScheduledSingle => {
-            for _ in 0..rounds / FOLD {
-                for (i, &pid) in children.iter().enumerate() {
-                    for batch in [pipelines(i, FOLD), sweep(i, FOLD)] {
-                        let out = shared
-                            .with_pid(pid, |k| k.submit_batch(pid, &batch))
-                            .expect("scheduled");
-                        assert!(out.iter().all(|r| r.is_ok()));
-                    }
+    } else {
+        for _ in 0..rounds {
+            for (i, &pid) in children.iter().enumerate() {
+                for j in 0..8 {
+                    shared
+                        .with_pid(pid, |k| {
+                            let fd = k.open(
+                                pid,
+                                &format!("{}/f{j}", inner(i)),
+                                OpenFlags::RDONLY,
+                                Mode(0),
+                            )?;
+                            let _ = k.read(pid, fd, 512)?;
+                            k.close(pid, fd)
+                        })
+                        .expect("triple");
                 }
-            }
-        }
-        PoolMode::Pool(workers) => {
-            // The whole run is one job stream (every job is read-only, so
-            // cross-round ordering is immaterial): workers drain it,
-            // acquiring the kernel per wave.
-            let pool = BatchPool::new(workers);
-            let jobs: Vec<BatchJob> = (0..rounds / FOLD)
-                .flat_map(|_| {
-                    (0..sessions).flat_map(|i| {
-                        [
-                            BatchJob {
-                                pid: children[i],
-                                batch: pipelines(i, FOLD),
-                                fence: Vec::new(),
-                            },
-                            BatchJob {
-                                pid: children[i],
-                                batch: sweep(i, FOLD),
-                                fence: Vec::new(),
-                            },
-                        ]
-                    })
-                })
-                .collect();
-            for out in pool.run(&shared, jobs) {
-                let slots = out.expect("pool job");
-                assert!(slots.iter().all(|r| r.is_ok()));
+                let out = shared
+                    .with_pid(pid, |k| k.submit_batch(pid, &sweep(i, 1)))
+                    .expect("sweep");
+                assert!(out.iter().all(|r| r.is_ok()));
             }
         }
     }
@@ -674,31 +631,18 @@ const SCHED_METRICS: [Metric<SchedRun>; 3] = [
 
 fn bench_sched() {
     const COPY: [&str; 2] = ["fused", "two_submission"];
-    const POOL: [&str; 5] = [
-        "per_call_single",
-        "scheduled_single",
-        "workers=1",
-        "workers=2",
-        "workers=4",
-    ];
+    const SESSIONS: [&str; 2] = ["per_call_single", "scheduled_single"];
     let copy = interleave(runs(), 2, |arm| sched_copy_run(arm == 0, 64, 32, 512));
-    let pool = interleave(runs(), POOL.len(), |arm| {
-        let mode = match arm {
-            0 => PoolMode::NaiveSingle,
-            1 => PoolMode::ScheduledSingle,
-            a => PoolMode::Pool(1 << (a - 2)),
-        };
-        sched_pool_run(4, 12 * FOLD, mode)
+    let sessions = interleave(runs(), SESSIONS.len(), |arm| {
+        sched_session_run(4, 12 * FOLD, arm == 1)
     });
     let mut g = Group::new("sched");
     for (metric, unit, f) in SCHED_METRICS {
         g.per_arm(metric, unit, &COPY, &copy, f);
     }
     g.ratio("copy.time_ratio", &COPY, &copy, 1, 0, |c| c.ns_per_op);
-    g.per_arm("pool.time", "ns/op", &POOL, &pool, |&ns| ns);
-    for workers in 2..POOL.len() {
-        g.ratio("pool.time_ratio", &POOL, &pool, 0, workers, |&ns| ns);
-    }
+    g.per_arm("sessions.time", "ns/op", &SESSIONS, &sessions, |&ns| ns);
+    g.ratio("sessions.time_ratio", &SESSIONS, &sessions, 0, 1, |&ns| ns);
     g.write();
 }
 
@@ -805,85 +749,25 @@ fn policy_churn_workload(nshards: usize, per_shard: usize, files: usize) -> Chur
     }
 }
 
-/// The steal phase: a `BatchPool` with twice as many workers as shards
-/// (the non-affine half lives off stolen jobs) drains a burst of
-/// shard-local stat batches. Returns (pool-side steals, kernel-side
-/// `pool_steals`) — the kernel count is booked per home shard and can
-/// only lag the pool's.
-fn policy_steal_phase(nshards: usize, rounds: usize) -> (u64, u64) {
-    use shill::kernel::KernelShards;
-    use shill_sandbox::{BatchJob, BatchPool};
-
-    let policy = ShillPolicy::new();
-    let shards = KernelShards::new_with(nshards, |k, _| {
-        k.fs.put_file("/churn/f0", b"x", Mode(0o644), Uid::ROOT, Gid::WHEEL)
-            .unwrap();
-    });
-    shards.register_policy(policy.clone());
-    let children: Vec<_> = (0..nshards)
-        .map(|s| {
-            shards.with_shard(s, |k| {
-                let parent = k.spawn_user(Cred::user(100));
-                let root = k.fs.root();
-                let dir = k.fs.resolve_abs("/churn").unwrap();
-                let file = k.fs.resolve_abs("/churn/f0").unwrap();
-                let spec = SandboxSpec {
-                    grants: vec![
-                        Grant::vnode(root, CapPrivs::of(PrivSet::of(&[Priv::Lookup]))),
-                        Grant::vnode(dir, CapPrivs::of(PrivSet::of(&[Priv::Lookup]))),
-                        Grant::vnode(file, CapPrivs::of(PrivSet::of(&[Priv::Read, Priv::Stat]))),
-                    ],
-                    ..Default::default()
-                };
-                setup_sandbox(k, &policy, parent, &spec)
-                    .expect("steal sandbox")
-                    .child
-            })
-        })
-        .collect();
-    let pool = BatchPool::new(nshards * 2);
-    let jobs: Vec<BatchJob> = (0..rounds)
-        .flat_map(|_| {
-            children.iter().map(|&child| BatchJob {
-                pid: child,
-                batch: SyscallBatch::single(BatchEntry::Stat {
-                    dirfd: None,
-                    path: "/churn/f0".into(),
-                    follow: true,
-                }),
-                fence: Vec::new(),
-            })
-        })
-        .collect();
-    let outs = pool.run(&shards, jobs);
-    assert!(outs.iter().all(|o| o.is_ok()));
-    (pool.steals(), shards.stats().pool_steals)
-}
-
 /// The striped policy plane under session churn as shards (and churner
-/// threads) grow, with stripe-contention and pool-steal counts alongside.
-/// On fewer cores than shards the shard counts time-slice, so the ratio
-/// reads as contention reduction, not parallel speedup.
+/// threads) grow, with stripe-contention counts alongside. On fewer cores
+/// than shards the shard counts time-slice, so the ratio reads as
+/// contention reduction, not parallel speedup.
 fn bench_policy() {
     const ARMS: [&str; 3] = ["shards=1", "shards=2", "shards=4"];
     let r = interleave(runs(), ARMS.len(), |arm| {
-        let churn = policy_churn_workload(1 << arm, 60, 12);
-        (churn, policy_steal_phase(1 << arm, 50))
+        policy_churn_workload(1 << arm, 60, 12)
     });
     let mut g = Group::new("policy");
-    let metrics: [Metric<(ChurnRun, (u64, u64))>; 4] = [
-        ("churn.time", "ns/session", |(c, _)| c.ns_per_session),
-        ("churn.stripe_contention", "count", |(c, _)| c.contention),
-        ("steal.pool", "count", |(_, s)| s.0 as f64),
-        ("steal.kernel", "count", |(_, s)| s.1 as f64),
+    let metrics: [Metric<ChurnRun>; 2] = [
+        ("churn.time", "ns/session", |c| c.ns_per_session),
+        ("churn.stripe_contention", "count", |c| c.contention),
     ];
     for (metric, unit, f) in metrics {
         g.per_arm(metric, unit, &ARMS, &r, f);
     }
     for den in 1..ARMS.len() {
-        g.ratio("churn.time_ratio", &ARMS, &r, 0, den, |(c, _)| {
-            c.ns_per_session
-        });
+        g.ratio("churn.time_ratio", &ARMS, &r, 0, den, |c| c.ns_per_session);
     }
     g.write();
 }
@@ -984,7 +868,7 @@ fn bench_lang() {
 /// authenticated TCP connections (thread-per-connection on the server
 /// side, `DRIVERS` client threads each owning a slice), then push `ROUNDS`
 /// read frames down every connection, timing each request end-to-end:
-/// frame write, server dispatch through the batch pool, reply frame read.
+/// frame write, server dispatch on the connection thread, reply frame read.
 /// The storm is one run; its requests are the sample, so the latency
 /// median and quartiles are exact over every request.
 fn bench_server() {
@@ -1001,7 +885,6 @@ fn bench_server() {
     let core = ServerCore::new(
         ServerConfig {
             shards: 4,
-            pool_workers: 4,
             max_sessions: sessions + DRIVERS,
             tenants: (0..TENANTS)
                 .map(|i| {

@@ -7,7 +7,8 @@
 //! point is to prove the degradation story: under any schedule the kernel
 //! returns clean errnos, the batch machinery cancels dependents instead of
 //! wedging, and the three execution modes (the sequential oracle,
-//! `submit_batch`, the sharded pool) stay observationally identical.
+//! `submit_batch`, the stepped `KernelShards::run_job`) stay
+//! observationally identical.
 //!
 //! ## Determinism model
 //!
@@ -18,8 +19,9 @@
 //!   *mode-invariant* identities — shard-relative pids and node ids, path
 //!   hashes, batch slot indices — never from global hit order. Stateless
 //!   firing is what makes one schedule produce the *same* faults whether
-//!   entries run in submission order, out-of-order by wave, or on a
-//!   sharded worker pool: reordering cannot change which operations fail.
+//!   entries run in submission order, out-of-order by wave, or wave by
+//!   wave across shard-lock releases: reordering cannot change which
+//!   operations fail.
 //! - **Explicit nth-hit entries**: `site@n=ERRNO` fires on the n-th hit
 //!   of that site (per-plane counter). Hit order is deterministic within
 //!   one execution mode, so these are for targeted regression tests, not
@@ -46,8 +48,8 @@
 //! Every fired fault bumps `faults_injected`; faults that surface as a
 //! clean errno (or short op) bump `faults_survived` at the same instant.
 //! An injected panic bumps only `faults_injected` — the containment site
-//! that catches it (the `BatchPool` worker, a session body's unwind
-//! guard) books `faults_survived`. `injected == survived` after a run is
+//! that catches it ([`crate::KernelShards::run_job`], a session body's
+//! unwind guard) books `faults_survived`. `injected == survived` after a run is
 //! therefore the machine-checkable statement that no panic escaped.
 //! Counters accumulate in the plane and drain into
 //! [`crate::stats::KernelStats`] at [`crate::kernel::Kernel::stats_snapshot`]
@@ -86,7 +88,7 @@ pub enum FaultSite {
     FsWrite = 4,
     /// Batch-entry execution, keyed by (shard-relative pid, slot index) —
     /// slot identity, not execution order, so the same entry fails under
-    /// sequential, wave-scheduled, and pooled execution.
+    /// sequential, wave-scheduled, and stepped execution.
     Batch = 5,
     /// Injected panic in the MAC vnode hook, modeling a buggy policy
     /// module. Keyed by shard-relative pid.
@@ -107,13 +109,13 @@ pub enum FaultSite {
     /// length). May fail or deliver short.
     SockRecv = 10,
     /// Injected panic inside a multi-shard rendezvous
-    /// ([`crate::shard::KernelShards::fenced_ordered`]), fired *after*
+    /// ([`crate::shard::KernelShards::fenced`]), fired *after*
     /// every fence lock is acquired — modeling a shard that dies
     /// mid-rendezvous with the cross-shard locks held. Keyed by the
     /// (home, fence-set) fingerprint, which is a property of the job's
     /// fence declaration, never of execution order. Panic-only, like
     /// `mac_panic`: survival is booked by the containment boundary that
-    /// catches the unwind (the `BatchPool` worker).
+    /// catches the unwind ([`crate::KernelShards::run_job`]).
     Fence = 11,
 }
 

@@ -183,8 +183,8 @@ impl HistSnapshot {
 pub struct SiteHists {
     /// Per-entry syscall dispatch latency.
     pub syscall: LatencyHist,
-    /// Whole-batch submission latency (`submit_batch`, or one pool job
-    /// across its stepped waves).
+    /// Whole-batch submission latency (`submit_batch`, or one
+    /// `KernelShards::run_job` across its stepped waves).
     pub batch: LatencyHist,
     /// Scheduler wave execution latency.
     pub wave: LatencyHist,

@@ -272,16 +272,6 @@ impl Kernel {
         }
     }
 
-    /// Record a point event at an instrumented site (no-op when untraced).
-    /// Public so out-of-crate executors (the sandbox worker pool) can mark
-    /// events such as work steals without holding a plane handle.
-    #[inline]
-    pub fn trace_instant(&self, site: TraceSite, pid: u64, arg: u64, tag: &'static str) {
-        if let Some(t) = &self.trace {
-            t.instant(site, pid, arg, tag);
-        }
-    }
-
     /// One unified observability snapshot: drained counters (see
     /// [`Kernel::stats_snapshot`]), per-site latency histograms, and the
     /// drained trace ring. With no plane armed the histogram and event
@@ -318,7 +308,7 @@ impl Kernel {
     }
 
     /// Consult the fault plane for a batch entry, keyed by slot identity
-    /// (never execution order) so sequential, wave-scheduled, and pooled
+    /// (never execution order) so sequential, wave-scheduled, and stepped
     /// execution fail the same entries.
     pub(crate) fn fault_batch_entry(&self, pid: Pid, slot: usize) -> SysResult<()> {
         self.fault_check(
@@ -416,19 +406,19 @@ impl Kernel {
     }
 
     /// Whether a batched submission's amortized state is currently
-    /// installed (diagnostics: the executor's worker-pool tests assert the
-    /// per-wave install/release discipline never leaks state past a run).
+    /// installed (diagnostics: the job tests assert the per-wave
+    /// install/release discipline never leaks state past a run).
     pub fn batch_in_flight(&self) -> bool {
         self.batch.is_some()
     }
 
     /// Defensive teardown of any batch state left installed. The batch
-    /// drop-guard makes a stuck batch unreachable in principle; the worker
-    /// pool still calls this after containing a panic, because a kernel
-    /// wedged with stale batch state would fail every later submission on
-    /// the shard with `EINVAL`. Returns whether anything was cleared.
-    pub fn abort_stale_batch(&mut self) -> bool {
-        self.batch.take().is_some()
+    /// drop-guard makes a stuck batch unreachable in principle;
+    /// [`crate::KernelShards::run_job`] still calls this after containing
+    /// a panic, because a kernel wedged with stale batch state would fail
+    /// every later submission on the shard with `EINVAL`.
+    pub(crate) fn abort_stale_batch(&mut self) {
+        self.batch = None;
     }
 
     /// Register a simulated executable under `program` (matched against the

@@ -17,7 +17,7 @@ use crate::types::PipeId;
 
 /// Mode-invariant fault key for a pipe/socket data op: shard-relative
 /// object id mixed with the op length — never global order, so the same
-/// schedule fires identically under sequential, batched, and pooled
+/// schedule fires identically under sequential, batched, and stepped
 /// execution.
 pub(crate) fn data_fault_key(id: u64, len: usize) -> u64 {
     (id % SHARD_OBJ_STRIDE) ^ (len as u64).rotate_left(37)

@@ -54,10 +54,10 @@
 //! (pure validation, no kernel access, callable outside any lock) +
 //! [`crate::Kernel::sched_run_wave`] + [`crate::Kernel::sched_audit`] +
 //! [`ScheduledRun::into_results`] — installs batch state **per wave**, so
-//! a worker pool (`shill-sandbox`'s `BatchPool`) can drop the shard lock
-//! between waves and interleave waves of different sessions'
-//! submissions, and `select`/`stream_read` can look at each wave's
-//! completions before the next one runs. Per-wave installation re-reads
+//! [`crate::KernelShards::run_job`] can drop the shard lock between waves
+//! and interleave waves of different sessions' submissions, and
+//! `select`/`stream_read` can look at each wave's completions before the
+//! next one runs. Per-wave installation re-reads
 //! the tick budget each wave (write-back keeps the cumulative count, so
 //! `EAGAIN` trip points are unchanged) and builds one MAC context per
 //! wave. Lock order is inherited from the executor: the kernel lock is
@@ -246,7 +246,8 @@ pub struct ScheduledRun {
 
 impl ScheduledRun {
     /// Validate `batch` into an executable run. Pure computation — no
-    /// kernel access, so a worker pool calls this outside the kernel lock.
+    /// kernel access, so [`crate::KernelShards::run_job`] calls this
+    /// outside the kernel lock.
     pub fn prepare(pid: Pid, batch: SyscallBatch) -> SysResult<ScheduledRun> {
         let table = WaveTable::new(&batch)?;
         Ok(ScheduledRun {
@@ -285,7 +286,7 @@ impl ScheduledRun {
 
     /// Consume the run into its slot-ordered results (the
     /// [`Kernel::submit_batch`] shape), moving each result — no payload
-    /// copies, and callable outside any kernel lock (the pool hands each
+    /// copies, and callable outside any kernel lock (`run_job` hands each
     /// job's payloads back here).
     pub fn into_results(self) -> Vec<SysResult<BatchOut>> {
         self.table.into_results()
@@ -332,8 +333,8 @@ impl Kernel {
     }
 
     /// Deliver a finished run's audit span (the only step that needs the
-    /// kernel). `EINVAL` if waves remain. Worker pools call this under the
-    /// kernel lock and then move the results out with
+    /// kernel). `EINVAL` if waves remain. `run_job` calls this under the
+    /// kernel lock and then moves the results out with
     /// [`ScheduledRun::into_results`] outside it. The span carries the
     /// context captured when the run's first wave installed — not a
     /// re-read — so a process reclaimed between last wave and audit still
@@ -662,7 +663,7 @@ mod tests {
 
     #[test]
     fn steppable_empty_batch_matches_one_shot_semantics() {
-        // The pool path must not skip the liveness check or the `batches`
+        // The stepped path must not skip the liveness check or the `batches`
         // accounting just because a batch has zero waves.
         let (mut k, pid) = setup();
         k.stats.reset();

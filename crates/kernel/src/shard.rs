@@ -2,12 +2,12 @@
 //! with sessions pinned to shards and epoch-fenced cross-shard
 //! invalidation through the shared MAC policy module.
 //!
-//! PR 3 made the kernel's hot state thread-safe and PR 4 let a worker pool
-//! acquire the kernel **per dependency wave** — but every wave of every
-//! session still serialized on the ONE kernel lock: at one shard, the
-//! ablation bench's `shard` group runs its worker threads at ≈ 1.0× of one
-//! thread (`baselines/shard.json`). This module is the sharding step the
-//! ROADMAP called for:
+//! The kernel's hot state is thread-safe and a batch job can take the
+//! kernel **per dependency wave** ([`KernelShards::run_job`]) — but with
+//! one kernel, every wave of every session serializes on the ONE kernel
+//! lock: at one shard, the ablation bench's `shard` group runs its worker
+//! threads at ≈ 1.0× of one thread (`baselines/shard.json`). Sharding
+//! removes that lock:
 //!
 //! * **[`KernelShards`]** owns `N` [`Kernel`]s, each behind its own lock.
 //!   Every shard owns its *entire* hot state: process table, filesystem
@@ -62,16 +62,20 @@
 //! pinning, epoch fencing, rendezvous protocol) these invariants are
 //! tested against.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, MutexGuard};
 
 use shill_vfs::sync::Mutex;
+use shill_vfs::{Errno, SysResult};
 
+use crate::batch::{BatchOut, SyscallBatch};
 use crate::hist::SiteHistsSnapshot;
 use crate::kernel::Kernel;
 use crate::mac::MacPolicy;
-use crate::stats::StatsSnapshot;
-use crate::trace::{Telemetry, TracePlane};
+use crate::sched::ScheduledRun;
+use crate::stats::{KernelStats, StatsSnapshot};
+use crate::trace::{Telemetry, TracePlane, TraceScope, TraceSite};
 use crate::types::Pid;
 
 /// Pid-space stride between shards: shard `i` allocates pids from
@@ -232,17 +236,13 @@ impl KernelShards {
 
     /// Normalize a fence declaration into the ascending, deduped lock set
     /// (always containing `home`) that [`KernelShards::fenced_ordered`]
-    /// consumes. Callers that fence repeatedly (the batch pool, once per
-    /// wave) compute this once per job into a reusable buffer.
+    /// consumes.
     ///
     /// # Panics
     ///
-    /// If `home` or any fence entry is out of range (the same contract as
-    /// [`KernelShards::lock_shard`]). Silently dropping an out-of-range
-    /// fence entry would quietly run the job *unfenced* — losing exactly
-    /// the cross-shard ordering guarantee the fence was declared for,
-    /// with no error and no `rendezvous_count` signal.
-    pub fn fence_set(&self, home: usize, fence: &[usize], set: &mut Vec<usize>) {
+    /// If `home` or any fence entry is out of range (see
+    /// [`KernelShards::fenced`]).
+    fn fence_set(&self, home: usize, fence: &[usize]) -> Vec<usize> {
         assert!(
             home < self.count(),
             "home shard {home} out of range (count {})",
@@ -255,10 +255,10 @@ impl KernelShards {
                 self.count()
             );
         }
-        set.clear();
-        set.extend(fence.iter().copied().chain(std::iter::once(home)));
+        let mut set: Vec<usize> = fence.iter().copied().chain([home]).collect();
         set.sort_unstable();
         set.dedup();
+        set
     }
 
     /// A partial rendezvous: acquire the locks of `home` plus every shard
@@ -269,27 +269,34 @@ impl KernelShards {
     ///
     /// # Panics
     ///
-    /// If `home` is out of range (see [`KernelShards::fence_set`]).
+    /// If `home` or any fence entry is out of range (the same contract as
+    /// [`KernelShards::lock_shard`]). Silently dropping an out-of-range
+    /// fence entry would quietly run the job *unfenced* — losing exactly
+    /// the cross-shard ordering guarantee the fence was declared for,
+    /// with no error and no `rendezvous_count` signal.
     pub fn fenced<R>(&self, home: usize, fence: &[usize], f: impl FnOnce(&mut Kernel) -> R) -> R {
-        let mut set = Vec::new();
-        self.fence_set(home, fence, &mut set);
-        self.fenced_ordered(home, &set, f)
+        self.fenced_ordered(home, &self.fence_set(home, fence), f)
     }
 
     /// [`KernelShards::fenced`] over a pre-normalized lock set (from
     /// [`KernelShards::fence_set`]): no per-call sort or allocation, so a
-    /// worker fencing every wave of a job pays the normalization once.
+    /// job fencing every wave pays the normalization once. An empty set
+    /// is the shard-local case: `home`'s lock alone.
     ///
     /// # Panics
     ///
-    /// If `ordered` is not an ascending, deduped, in-range set containing
-    /// `home` (debug-asserted; the home lookup fails hard either way).
-    pub fn fenced_ordered<R>(
+    /// If a non-empty `ordered` is not an ascending, deduped, in-range set
+    /// containing `home` (debug-asserted; the home lookup fails hard
+    /// either way).
+    fn fenced_ordered<R>(
         &self,
         home: usize,
         ordered: &[usize],
         f: impl FnOnce(&mut Kernel) -> R,
     ) -> R {
+        if ordered.is_empty() {
+            return self.with_shard(home, f);
+        }
         debug_assert!(ordered.windows(2).all(|w| w[0] < w[1]), "set not ascending");
         debug_assert!(ordered.iter().all(|&i| i < self.count()), "out of range");
         let home_at = ordered
@@ -320,6 +327,86 @@ impl KernelShards {
             }
         }
         f(&mut guards[home_at])
+    }
+
+    /// Run one scheduled batch for `pid` on the calling thread, wave by
+    /// wave, returning its slot-ordered results (the
+    /// [`Kernel::submit_batch`] shape). DAG validation
+    /// ([`ScheduledRun::prepare`]) and moving the results out run outside
+    /// any kernel lock; each wave, and the audit, takes the lock of the
+    /// shard `pid` is pinned to and releases it before the next, so
+    /// concurrent jobs of other sessions interleave with this one wave
+    /// for wave. An empty `fence` is the shard-local case. A non-empty
+    /// `fence` names extra shards every wave must be ordered against:
+    /// each wave then pays a [`KernelShards::fenced`] rendezvous.
+    ///
+    /// The `Err` is the submission-level failure: a malformed DAG, a dead
+    /// process, or a contained panic. A panic inside the job — a
+    /// panicking policy module, an injected fault, an out-of-range fence
+    /// entry — costs this job only: it returns `EINVAL`, any batch state
+    /// left installed on the home shard is cleared so the shard keeps
+    /// serving, the dead wave is booked in `sched_cancelled_cone`, and an
+    /// armed fault plane books the panic as survived.
+    pub fn run_job(
+        &self,
+        pid: Pid,
+        batch: SyscallBatch,
+        fence: &[usize],
+    ) -> SysResult<Vec<SysResult<BatchOut>>> {
+        let home = self.shard_of(pid);
+        match catch_unwind(AssertUnwindSafe(|| self.run_waves(home, pid, batch, fence))) {
+            Ok(out) => out,
+            Err(_) => {
+                // The unwind released every shard lock (the sync shim
+                // never poisons), so the home shard is free to book the
+                // containment.
+                self.with_shard(home, |k| {
+                    k.abort_stale_batch();
+                    KernelStats::bump(&k.stats.sched_cancelled_cone);
+                    if let Some(plane) = k.fault_plane() {
+                        plane.book_survived();
+                    }
+                });
+                Err(Errno::EINVAL)
+            }
+        }
+    }
+
+    fn run_waves(
+        &self,
+        home: usize,
+        pid: Pid,
+        batch: SyscallBatch,
+        fence: &[usize],
+    ) -> SysResult<Vec<SysResult<BatchOut>>> {
+        // Normalize the fence once; every wave then acquires the
+        // pre-ordered set without sorting or allocating.
+        let set = if fence.is_empty() {
+            Vec::new()
+        } else {
+            self.fence_set(home, fence)
+        };
+        let entries = batch.entries.len() as u64;
+        let mut run = ScheduledRun::prepare(pid, batch)?;
+        // The stepped form never passes through `submit_batch`, so the
+        // batch-site span opens here: it covers the whole job, across
+        // every wave and the lock releases between them, and ends before
+        // the audit.
+        let mut span: Option<TraceScope> = None;
+        let mut more = true;
+        while more {
+            more = self.fenced_ordered(home, &set, |k| {
+                if span.is_none() {
+                    span = k
+                        .trace_plane_handle()
+                        .and_then(|p| p.span(TraceSite::Batch, pid.0 as u64, entries));
+                }
+                k.sched_run_wave(&mut run)
+            })?;
+        }
+        drop(span);
+        self.fenced_ordered(home, &set, |k| k.sched_audit(&run))?;
+        Ok(run.into_results())
     }
 
     /// Multi-shard lock acquisitions paid so far (tests and benches assert
@@ -604,7 +691,7 @@ mod tests {
         shards.with_shard(1, |_| {});
         shards.rendezvous(|ks| assert_eq!(ks.len(), 2));
         // Containment bookkeeping is the catcher's job; book it here the
-        // way a pool worker would, then check the accounting balances.
+        // way `run_job` does, then check the accounting balances.
         shards.with_shard(0, |k| k.fault_plane().unwrap().book_survived());
         let stats = shards.stats();
         assert_eq!(stats.faults_injected, 1);

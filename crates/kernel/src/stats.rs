@@ -128,10 +128,9 @@ kernel_stats! {
     /// snapshot time. Zero when every stripe acquisition found its lock
     /// free — the healthy state for shard-affine traffic.
     policy_stripe_contention,
-    /// Jobs a `BatchPool` worker stole from another worker's deque and
-    /// executed against this shard. Booked under the stolen job's first
-    /// wave lock, so the per-shard split shows *whose* traffic overflowed
-    /// its affine worker.
+    /// Always 0: a batch job runs on the thread that submits it, so
+    /// nothing is stolen and nothing books this. Kept only because the
+    /// end-to-end benchmark (`perfbench/`) still reads it as `pool.steals`.
     pool_steals,
     /// Faults fired by the fault-injection plane ([`crate::fault`]):
     /// errno failures, short I/O, and injected panics. Drained from the

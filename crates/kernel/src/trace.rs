@@ -44,8 +44,8 @@ pub fn trace_now_ns() -> u64 {
 pub enum TraceSite {
     /// Per-entry syscall dispatch (all three execution modes).
     Syscall = 0,
-    /// Whole-batch submission (`submit_batch`, or one pool job across its
-    /// stepped waves).
+    /// Whole-batch submission (`submit_batch`, or one
+    /// `KernelShards::run_job` across its stepped waves).
     Batch = 1,
     /// One scheduler wave (`exec_next_wave`).
     Wave = 2,
@@ -53,30 +53,26 @@ pub enum TraceSite {
     Mac = 3,
     /// A contended policy stripe-lock wait.
     Stripe = 4,
-    /// A pool worker stealing a wave from another worker's deque.
-    Steal = 5,
     /// A fault-plane injection firing.
-    Fault = 6,
+    Fault = 5,
     /// A server front-end connection accept (`shill-server`).
-    Accept = 7,
+    Accept = 6,
     /// A server front-end authentication attempt (factor check +
     /// session entry).
-    Auth = 8,
-    /// A server front-end frame dispatched onto the batch pool; the
-    /// span covers queueing *and* execution, and its `End` feeds the
-    /// `dispatch` latency histogram.
-    Dispatch = 9,
+    Auth = 7,
+    /// A server front-end frame dispatch, run on the connection's own
+    /// thread; its `End` feeds the `dispatch` latency histogram.
+    Dispatch = 8,
 }
 
 impl TraceSite {
     /// Every site, in mask-bit order.
-    pub const ALL: [TraceSite; 10] = [
+    pub const ALL: [TraceSite; 9] = [
         TraceSite::Syscall,
         TraceSite::Batch,
         TraceSite::Wave,
         TraceSite::Mac,
         TraceSite::Stripe,
-        TraceSite::Steal,
         TraceSite::Fault,
         TraceSite::Accept,
         TraceSite::Auth,
@@ -84,7 +80,7 @@ impl TraceSite {
     ];
 
     /// Mask with every site enabled.
-    pub const ALL_MASK: u32 = (1 << 10) - 1;
+    pub const ALL_MASK: u32 = (1 << 9) - 1;
 
     /// The site's bit in the site mask.
     #[inline]
@@ -100,7 +96,6 @@ impl TraceSite {
             TraceSite::Wave => "wave",
             TraceSite::Mac => "mac",
             TraceSite::Stripe => "stripe",
-            TraceSite::Steal => "steal",
             TraceSite::Fault => "fault",
             TraceSite::Accept => "accept",
             TraceSite::Auth => "auth",
@@ -121,7 +116,7 @@ pub enum TraceKind {
     Begin,
     /// Span close with duration, pushed when the scope drops.
     End,
-    /// A point event (steals, fault firings).
+    /// A point event (fault firings, accepts).
     Instant,
 }
 
@@ -502,7 +497,7 @@ mod tests {
         {
             let _g = plane.span(TraceSite::Syscall, 7, 0).unwrap();
         }
-        plane.instant(TraceSite::Steal, 0, 3, "");
+        plane.instant(TraceSite::Fault, 0, 3, "");
         let events = plane.drain();
         assert_eq!(events.len(), 3);
         assert_eq!(events[0].kind, TraceKind::Begin);
@@ -516,7 +511,7 @@ mod tests {
     fn masked_site_records_nothing() {
         let plane = Arc::new(TracePlane::new(TraceSite::Batch.mask(), 64));
         assert!(plane.span(TraceSite::Syscall, 1, 0).is_none());
-        plane.instant(TraceSite::Steal, 1, 0, "");
+        plane.instant(TraceSite::Fault, 1, 0, "");
         assert!(plane.drain().is_empty());
     }
 

@@ -12,8 +12,9 @@
 //! * [`policyfile`] — the policy-file format of the command-line debugging
 //!   tool;
 //! * [`executor`] — concurrent execution against a [`KernelShards`] set:
-//!   [`run_sessions`] drives sandboxed sessions on worker threads, and
-//!   [`BatchPool`] runs scheduled batch jobs wave by wave.
+//!   [`run_sessions`] drives sandboxed sessions on worker threads. A
+//!   scheduled batch job runs on the thread that submits it, wave by
+//!   wave, through [`KernelShards::run_job`].
 
 pub mod executor;
 pub mod harness;
@@ -23,7 +24,7 @@ pub mod policyfile;
 pub mod session;
 pub mod sync;
 
-pub use executor::{run_sessions, BatchJob, BatchPool, SessionBody, SessionOutcome, SessionTask};
+pub use executor::{run_sessions, SessionBody, SessionOutcome, SessionTask};
 pub use harness::{run_sandboxed, setup_sandbox, Grant, Sandbox, SandboxSpec};
 pub use log::{BatchWaveAudit, LogEvent, SandboxLog, DEFAULT_LOG_CAP, SHILL_LOG_CAP_ENV};
 pub use policy::{PolicyStats, ShillPolicy, DEFAULT_POLICY_STRIPES, MAX_POLICY_STRIPES};

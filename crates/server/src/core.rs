@@ -1,8 +1,9 @@
 //! [`ServerCore`]: the transport-independent server engine.
 //!
-//! The core owns the sharded kernel, the SHILL policy module, and a
-//! persistent [`BatchPool`], and exposes exactly four operations to the
-//! socket layer (and to in-process harnesses like the fuzzer):
+//! The core owns the sharded kernel and the SHILL policy module, and
+//! exposes exactly four operations to the socket layer (and to in-process
+//! harnesses like the fuzzer). Each runs on the calling thread — for the
+//! socket layer, the connection's own thread:
 //!
 //! * [`ServerCore::open_session`] — factor gate, admission control, and
 //!   the fork/grant/`shill_enter` choreography. A passing tenant gets a
@@ -10,9 +11,10 @@
 //!   `/srv/<tenant>` subtree and limited by its quota's ulimits (the
 //!   PR 2 charge meter: every kernel crossing ticks `cpu_ticks`, and an
 //!   exhausted budget surfaces as catchable `EAGAIN`, not a kill).
-//! * [`ServerCore::dispatch`] — one request frame → one batch on the
-//!   pool, under per-tenant backpressure and a `dispatch` trace span
-//!   (which feeds the `dispatch` latency histogram).
+//! * [`ServerCore::dispatch`] — one request frame → one batch, run wave
+//!   by wave through [`KernelShards::run_job`], under per-tenant
+//!   backpressure and a `dispatch` trace span (which feeds the `dispatch`
+//!   latency histogram).
 //! * [`ServerCore::close_session`] — teardown and session reclamation
 //!   (label scrub + epoch bump), same choreography as the executor.
 //! * [`ServerCore::drain`] — graceful drain: new frames and sessions are
@@ -34,9 +36,7 @@ use shill_kernel::{
     BatchArg, BatchEntry, BatchOut, KernelShards, Pid, StatsSnapshot, SyscallBatch, TracePlane,
     TraceSite, Ulimits,
 };
-use shill_sandbox::{
-    setup_sandbox, BatchJob, BatchPool, Grant, SandboxSpec, SessionId, ShillPolicy,
-};
+use shill_sandbox::{setup_sandbox, Grant, SandboxSpec, SessionId, ShillPolicy};
 use shill_vfs::{Cred, Errno, Gid, Mode, SysResult, Uid};
 
 use crate::auth::AuthFactor;
@@ -97,8 +97,6 @@ impl TenantSpec {
 pub struct ServerConfig {
     /// Kernel shard count.
     pub shards: usize,
-    /// Batch-pool worker count.
-    pub pool_workers: usize,
     /// Global cap on concurrently open sessions (admission control; the
     /// per-tenant cap is [`TenantQuota::max_sessions`]).
     pub max_sessions: usize,
@@ -119,7 +117,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             shards: 2,
-            pool_workers: 2,
             max_sessions: 1024,
             max_frame: crate::proto::MAX_FRAME_DEFAULT,
             tenants: Vec::new(),
@@ -283,7 +280,6 @@ struct CoreState {
 pub struct ServerCore {
     shards: KernelShards,
     policy: Arc<ShillPolicy>,
-    pool: BatchPool,
     factor: Box<dyn AuthFactor>,
     tenants: HashMap<String, Arc<TenantState>>,
     state: Mutex<CoreState>,
@@ -342,8 +338,8 @@ fn dir_caps() -> CapPrivs {
 
 impl ServerCore {
     /// Build the kernel (one `/srv/<tenant>` subtree per tenant on every
-    /// shard), register the SHILL policy, arm the configured fault/trace
-    /// planes, and start the batch pool.
+    /// shard), register the SHILL policy, and arm the configured
+    /// fault/trace planes. Starts no thread.
     pub fn new(cfg: ServerConfig, factor: Box<dyn AuthFactor>) -> ServerCore {
         let names: Vec<String> = cfg.tenants.iter().map(|t| t.name.clone()).collect();
         let shards = KernelShards::new_with(cfg.shards.max(1), |k, _| {
@@ -391,7 +387,6 @@ impl ServerCore {
         ServerCore {
             shards,
             policy,
-            pool: BatchPool::new(cfg.pool_workers.max(1)),
             factor,
             tenants,
             state: Mutex::new(CoreState {
@@ -560,9 +555,9 @@ impl ServerCore {
         }
     }
 
-    /// Execute one request frame for an open session. Returns the `ok`
-    /// payload, or the typed refusal/failure. The whole execution — queue
-    /// wait included — runs under a `dispatch` trace span, so p50/p99
+    /// Execute one request frame for an open session, on the calling
+    /// thread. Returns the `ok` payload, or the typed refusal/failure. The
+    /// whole execution runs under a `dispatch` trace span, so p50/p99
     /// dispatch latency falls out of the `dispatch` histogram.
     pub fn dispatch(&self, h: &SessionHandle, req: &Request) -> Result<Vec<u8>, ServerError> {
         let out = self.dispatch_inner(h, req);
@@ -619,7 +614,7 @@ impl ServerCore {
                         dirfd: None,
                         path: path.clone(),
                     }),
-                    Vec::new(),
+                    &[],
                 )?;
                 match take_slot(slots, 0)? {
                     BatchOut::Data(d) => Ok(d),
@@ -636,7 +631,7 @@ impl ServerCore {
                         mode: Mode(0o644),
                         append: false,
                     }),
-                    Vec::new(),
+                    &[],
                 )?;
                 match take_slot(slots, 0)? {
                     BatchOut::Written(n) => Ok(n.to_string().into_bytes()),
@@ -651,7 +646,7 @@ impl ServerCore {
                         path: path.clone(),
                         follow: true,
                     }),
-                    Vec::new(),
+                    &[],
                 )?;
                 match take_slot(slots, 0)? {
                     BatchOut::Stat(st) => Ok(format!("size={}", st.size).into_bytes()),
@@ -674,7 +669,7 @@ impl ServerCore {
                             append: false,
                         },
                     ]),
-                    Vec::new(),
+                    &[],
                 )?;
                 // Surface the *first* failure: under FailMode::Abort the
                 // write is ECANCELED when the read failed, which would
@@ -701,7 +696,7 @@ impl ServerCore {
                         path: format!("/srv/{}/seed.txt", h.tenant.name),
                         follow: true,
                     }),
-                    fence,
+                    &fence,
                 )?;
                 take_slot(slots, 0)?;
                 Ok(b"synced".to_vec())
@@ -717,16 +712,10 @@ impl ServerCore {
         &self,
         h: &SessionHandle,
         batch: SyscallBatch,
-        fence: Vec<usize>,
+        fence: &[usize],
     ) -> Result<Vec<SysResult<BatchOut>>, ServerError> {
-        let job = BatchJob {
-            pid: h.child,
-            batch,
-            fence,
-        };
-        let mut out = self.pool.run(&self.shards, vec![job]);
-        out.pop()
-            .unwrap_or(Err(Errno::EINVAL))
+        self.shards
+            .run_job(h.child, batch, fence)
             .map_err(ServerError::Sys)
     }
 

@@ -4,8 +4,9 @@
 //! that accepts framed requests over TCP and Unix sockets, authenticates
 //! each connection through a pluggable factor gate ([`auth::AuthFactor`]),
 //! attaches a per-tenant capability policy and ulimit quota, and
-//! multiplexes the resulting sandboxed sessions onto the sharded kernel
-//! and the persistent `BatchPool`.
+//! multiplexes the resulting sandboxed sessions onto the sharded kernel.
+//! Each request runs on its connection's own thread, as a system call
+//! runs in its calling process.
 //!
 //! Layering:
 //!
@@ -17,8 +18,9 @@
 //!   session pinned to a kernel shard.
 //! * [`core`] — [`core::ServerCore`], the transport-independent engine:
 //!   admission control, per-tenant backpressure, the charge-meter quota
-//!   (PR 2's ulimit machinery), frame dispatch onto the batch pool, and
-//!   graceful drain. Also the per-tenant telemetry counters.
+//!   (the kernel's ulimit machinery), frame dispatch through
+//!   `KernelShards::run_job`, and graceful drain. Also the per-tenant
+//!   telemetry counters.
 //! * [`net`] — the socket front-end ([`net::Server`]): accept loops,
 //!   per-connection handlers, and a small blocking [`net::Client`] used
 //!   by the tests, the load-generator bench, and the CI smoke.
@@ -28,7 +30,7 @@
 //! (`shill_kernel::TraceSite::{Accept, Auth, Dispatch}`), dispatch
 //! latency feeds the `dispatch` histogram, and every kernel-side fault
 //! schedule (including the `fence` rendezvous site) applies to server
-//! traffic unchanged because dispatch rides the same pool.
+//! traffic unchanged because dispatch rides the same wave scheduler.
 
 pub mod auth;
 pub mod core;

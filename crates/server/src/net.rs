@@ -4,9 +4,11 @@
 //! [`Server::start`] binds a loopback TCP listener (and optionally a Unix
 //! socket) and serves frames until [`Server::shutdown`]. Each accepted
 //! connection is an `accept` trace instant and gets its own handler
-//! thread; the handler speaks the [`crate::proto`] grammar, owns at most
-//! one session, and always closes that session on the way out — a client
-//! that vanishes mid-stream leaks nothing.
+//! thread; the handler speaks the [`crate::proto`] grammar, runs each
+//! request's kernel work itself, owns at most one session, and always
+//! closes that session on the way out — a client that vanishes
+//! mid-stream leaks nothing. The accepter drops an ended connection's
+//! thread handle at its next accept.
 //!
 //! Handlers read with a short timeout so an idle connection never wedges
 //! shutdown: a timeout at a frame boundary just polls the stop flag,
@@ -170,10 +172,11 @@ fn spawn_accepter(
             }
             let core = Arc::clone(&core);
             let stop = Arc::clone(&stop);
-            conns
-                .lock()
-                .unwrap()
-                .push(thread::spawn(move || handle_conn(&core, stream, &stop)));
+            let mut conns = conns.lock().unwrap();
+            // Drop the handles of connections that have ended, so a
+            // long-lived server keeps only its live connections' threads.
+            conns.retain(|h| !h.is_finished());
+            conns.push(thread::spawn(move || handle_conn(&core, stream, &stop)));
         }
     })
 }
@@ -396,6 +399,28 @@ mod tests {
         drop(c);
         server.shutdown();
         assert!(!path.exists(), "socket file must be removed on shutdown");
+    }
+
+    #[test]
+    fn finished_connection_threads_are_reaped_at_accept() {
+        const N: usize = 32;
+        let server = serve();
+        for _ in 0..N {
+            let mut c = Client::connect_tcp(server.tcp_addr()).unwrap();
+            assert!(c.auth("alice", "sesame").unwrap().starts_with("ok "));
+            assert_eq!(c.req("bye").unwrap(), "ok bye");
+            // The handler hangs up after it has closed the session.
+            assert!(matches!(
+                read_frame(&mut c.stream, c.max_frame),
+                Err(FrameError::Closed)
+            ));
+        }
+        let held = server.conns.lock().unwrap().len();
+        assert!(
+            held < N / 4,
+            "{held} of {N} finished connection threads still held"
+        );
+        server.shutdown();
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Kernel-wide tracing in action: a multi-session sharded workload with
 //! the observability plane armed, exported two ways (ISSUE 9).
 //!
-//! 1. Two kernel shards, two sandboxed sessions each, driven through the
-//!    `BatchPool` with every trace site enabled. The merged
+//! 1. Two kernel shards, two sandboxed sessions each, each session's jobs
+//!    submitted from its own thread with every trace site enabled. The merged
 //!    [`Telemetry`] snapshot is rendered as Prometheus text exposition
 //!    (`target/trace_report.prom`) and as a chrome://tracing document
 //!    (`target/trace_report.json` — load it via `chrome://tracing` or
@@ -19,7 +19,7 @@ use shill::kernel::{
     BatchArg, BatchEntry, BatchFd, FailMode, Fd, Kernel, KernelShards, SyscallBatch, Telemetry,
 };
 use shill::prelude::*;
-use shill::sandbox::{setup_sandbox, BatchJob, BatchPool, Grant, SandboxSpec, ShillPolicy};
+use shill::sandbox::{setup_sandbox, Grant, SandboxSpec, ShillPolicy};
 
 fn caps(privs: &[Priv]) -> CapPrivs {
     CapPrivs::of(PrivSet::of(privs))
@@ -132,21 +132,18 @@ fn main() {
     // `SHILL_TRACE=sites=all;cap=65536`).
     shards.set_trace_plane(Some("sites=all;cap=65536"));
 
-    let pool = BatchPool::new(3);
-    for round in 0..64 {
-        let jobs: Vec<BatchJob> = sessions
-            .iter()
-            .map(|(pid, fds)| BatchJob {
-                pid: *pid,
-                batch: workload(fds, round),
-                fence: Vec::new(),
-            })
-            .collect();
-        for out in pool.run(&shards, jobs) {
-            out.expect("batch job");
+    std::thread::scope(|scope| {
+        for (pid, fds) in &sessions {
+            let shards = &shards;
+            scope.spawn(move || {
+                for round in 0..64 {
+                    shards
+                        .run_job(*pid, workload(fds, round), &[])
+                        .expect("batch job");
+                }
+            });
         }
-    }
-    drop(pool);
+    });
 
     let tele = shards.telemetry();
     println!(
@@ -155,11 +152,10 @@ fn main() {
     );
     quantile_report(&tele);
     println!(
-        "  syscalls={} batches={} waves={} steals={} rendezvous={}",
+        "  syscalls={} batches={} waves={} rendezvous={}",
         tele.stats.syscalls,
         tele.stats.batches,
         tele.stats.sched_waves,
-        tele.stats.pool_steals,
         shards.rendezvous_count(),
     );
 

@@ -249,8 +249,8 @@ fn arb_batch(rng: &mut Rng, fds: &[Fd]) -> SyscallBatch {
 }
 
 /// Execute `batch` through the stepped form — one batch-state installation
-/// per wave, as `BatchPool` drives it — then audit it and move its
-/// slot-ordered results out.
+/// per wave, as `KernelShards::run_job` drives it — then audit it and move
+/// its slot-ordered results out.
 fn run_stepped(
     k: &mut Kernel,
     pid: Pid,

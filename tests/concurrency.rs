@@ -409,14 +409,32 @@ fn threaded_outcomes_identical_across_cache_modes() {
 }
 
 // ===================================================================
-// ISSUE 4: the BatchPool — scheduled batches from different sessions on
-// worker threads that acquire the kernel per dependency wave — must
-// preserve the same per-session equivalence as the per-session-thread
-// executor, with waves of different submissions interleaving freely.
+// Scheduled jobs (`KernelShards::run_job`) — batches from different
+// sessions, each on its own thread, acquiring the kernel per dependency
+// wave — must preserve the same per-session equivalence as the
+// per-session-thread executor, with waves of different submissions
+// interleaving freely.
 // ===================================================================
 
 use shill::kernel::{BatchArg, BatchFd};
-use shill::sandbox::{BatchJob, BatchPool};
+
+/// Run every `(pid, batch)` job at once, one thread each, returning each
+/// job's slot fingerprints in job order. A job takes its shard's lock per
+/// wave, so waves of different jobs interleave.
+fn run_concurrently(shards: &KernelShards, jobs: Vec<(Pid, SyscallBatch)>) -> Vec<Vec<String>> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = jobs
+            .into_iter()
+            .map(|(pid, batch)| {
+                scope.spawn(move || {
+                    let slots = shards.run_job(pid, batch, &[]).expect("job");
+                    slots.iter().map(fingerprint).collect()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
 
 /// The deterministic fused-pipeline job each session submits per round:
 /// open → read → write-copy → close, plus a denied probe of the
@@ -454,11 +472,11 @@ fn neighbour_probe(i: usize) -> SyscallBatch {
     })
 }
 
-/// Pool execution vs sequential replay: per-session results and denial
+/// Concurrent jobs vs sequential replay: per-session results and denial
 /// sequences must match exactly (fd numbers excluded — descriptor
 /// allocation order under interleaved waves is legitimately different).
 #[test]
-fn batch_pool_matches_sequential_replay() {
+fn concurrent_jobs_match_sequential_replay() {
     for cached in [true, false] {
         let (kernel_a, policy_a, fixtures_a) = build_kernel(cached);
         let (mut kernel_b, policy_b, fixtures_b) = build_kernel(cached);
@@ -466,42 +484,30 @@ fn batch_pool_matches_sequential_replay() {
             assert_eq!(a.session, b.session);
         }
         let shared = KernelShards::from_kernel(kernel_a);
-        let pool = BatchPool::new(4);
-        let mut pool_results: Vec<Vec<String>> = vec![Vec::new(); SESSIONS];
+        let mut job_results: Vec<Vec<String>> = vec![Vec::new(); SESSIONS];
 
-        // Each round submits one pipeline + one denied probe per session
-        // through the pool; a session's rounds stay ordered (its own
+        // Each round submits one pipeline + one denied probe per session,
+        // all in flight at once; a session's rounds stay ordered (its own
         // subtree mutations must not race), different sessions' waves
         // interleave inside each round.
         for round in 0..ROUNDS {
-            let jobs: Vec<BatchJob> = fixtures_a
+            let jobs = fixtures_a
                 .iter()
                 .enumerate()
                 .flat_map(|(i, fx)| {
                     [
-                        BatchJob {
-                            pid: fx.child,
-                            batch: session_pipeline(i, round),
-                            fence: Vec::new(),
-                        },
-                        BatchJob {
-                            pid: fx.child,
-                            batch: neighbour_probe(i),
-                            fence: Vec::new(),
-                        },
+                        (fx.child, session_pipeline(i, round)),
+                        (fx.child, neighbour_probe(i)),
                     ]
                 })
                 .collect();
-            let outs = pool.run(&shared, jobs);
-            for (j, out) in outs.into_iter().enumerate() {
-                let session = j / 2;
-                let slots = out.expect("pool job");
-                pool_results[session].extend(slots.iter().map(fingerprint));
+            for (j, fps) in run_concurrently(&shared, jobs).into_iter().enumerate() {
+                job_results[j / 2].extend(fps);
             }
         }
         assert!(
             !shared.with_shard(0, |k| k.batch_in_flight()),
-            "no batch state may leak past the pool"
+            "no batch state may leak past the jobs"
         );
 
         // Sequential replay of the identical per-session job streams.
@@ -516,50 +522,43 @@ fn batch_pool_matches_sequential_replay() {
         }
         for i in 0..SESSIONS {
             assert_eq!(
-                pool_results[i], seq_results[i],
-                "session {i} (cached={cached}): pool execution diverged from \
+                job_results[i], seq_results[i],
+                "session {i} (cached={cached}): concurrent jobs diverged from \
                  sequential replay"
             );
             assert_eq!(
                 session_denials(&policy_a, fixtures_a[i].session),
                 session_denials(&policy_b, fixtures_b[i].session),
-                "session {i} (cached={cached}): pool denials diverged"
+                "session {i} (cached={cached}): concurrent-job denials diverged"
             );
         }
     }
 }
 
-/// The pool must also be equivalent for the random *flat* batch streams
-/// the per-session-thread suites use — one job per batch, per-session
-/// order preserved by submitting each session's rounds as successive
-/// pool runs.
+/// Concurrent jobs must also be equivalent for the random *flat* batch
+/// streams the per-session-thread suites use — one job per batch,
+/// per-session order preserved by submitting each session's rounds as
+/// successive concurrent runs.
 #[test]
-fn batch_pool_random_flat_batches_match_sequential_replay() {
+fn concurrent_random_flat_batches_match_sequential_replay() {
     let (kernel_a, policy_a, fixtures_a) = build_kernel(true);
     let (mut kernel_b, policy_b, fixtures_b) = build_kernel(true);
     let shared = KernelShards::from_kernel(kernel_a);
-    let pool = BatchPool::new(4);
     let all_batches: Vec<Vec<SyscallBatch>> = fixtures_a
         .iter()
         .enumerate()
         .map(|(i, fx)| session_batches(i, &fx.fds))
         .collect();
 
-    let mut pool_results: Vec<Vec<String>> = vec![Vec::new(); SESSIONS];
+    let mut job_results: Vec<Vec<String>> = vec![Vec::new(); SESSIONS];
     for round in 0..ROUNDS {
-        let jobs: Vec<BatchJob> = fixtures_a
+        let jobs = fixtures_a
             .iter()
             .zip(&all_batches)
-            .map(|(fx, batches)| BatchJob {
-                pid: fx.child,
-                batch: batches[round].clone(),
-                fence: Vec::new(),
-            })
+            .map(|(fx, batches)| (fx.child, batches[round].clone()))
             .collect();
-        let outs = pool.run(&shared, jobs);
-        for (i, out) in outs.into_iter().enumerate() {
-            let slots = out.expect("pool job");
-            pool_results[i].extend(slots.iter().map(fingerprint));
+        for (i, fps) in run_concurrently(&shared, jobs).into_iter().enumerate() {
+            job_results[i].extend(fps);
         }
     }
 
@@ -574,13 +573,13 @@ fn batch_pool_random_flat_batches_match_sequential_replay() {
     }
     for i in 0..SESSIONS {
         assert_eq!(
-            pool_results[i], seq_results[i],
-            "session {i}: pooled flat batches diverged from sequential replay"
+            job_results[i], seq_results[i],
+            "session {i}: concurrent flat batches diverged from sequential replay"
         );
         assert_eq!(
             session_denials(&policy_a, fixtures_a[i].session),
             session_denials(&policy_b, fixtures_b[i].session),
-            "session {i}: pooled flat-batch denials diverged"
+            "session {i}: concurrent flat-batch denials diverged"
         );
     }
 }
@@ -597,11 +596,11 @@ fn batch_pool_random_flat_batches_match_sequential_replay() {
 use shill::kernel::shard_count_from_env;
 
 #[test]
-fn sharded_pool_matches_per_shard_sequential_replay() {
+fn sharded_jobs_match_per_shard_sequential_replay() {
     let nshards = shard_count_from_env(2);
     for cached in [true, false] {
         // Sharded side: ONE policy across all shards, `SESSIONS` sandboxes
-        // per shard, every job shard-local through the persistent pool.
+        // per shard, every job shard-local.
         let policy_a = ShillPolicy::new();
         let shards = KernelShards::new_with(nshards, |k, _| {
             k.set_avc_enabled(cached);
@@ -635,38 +634,23 @@ fn sharded_pool_matches_per_shard_sequential_replay() {
             }
         }
 
-        // Twice as many workers as shards: the non-affine half has nothing
-        // routed to it and lives entirely off stolen jobs, so the replay
-        // equivalence below is checked *with stealing engaged*, not just
-        // with affine workers keeping up.
-        let pool = BatchPool::new(nshards * 2);
+        // Every job of a round in flight at once, across every shard.
         let rendezvous_before = shards.rendezvous_count();
-        let mut pool_results: Vec<Vec<Vec<String>>> = vec![vec![Vec::new(); SESSIONS]; nshards];
+        let mut job_results: Vec<Vec<Vec<String>>> = vec![vec![Vec::new(); SESSIONS]; nshards];
         for round in 0..ROUNDS {
-            let jobs: Vec<BatchJob> = (0..nshards)
+            let jobs = (0..nshards)
                 .flat_map(|s| {
                     fixtures_a[s].iter().enumerate().flat_map(move |(i, fx)| {
                         [
-                            BatchJob {
-                                pid: fx.child,
-                                batch: session_pipeline(i, round),
-                                fence: Vec::new(),
-                            },
-                            BatchJob {
-                                pid: fx.child,
-                                batch: neighbour_probe(i),
-                                fence: Vec::new(),
-                            },
+                            (fx.child, session_pipeline(i, round)),
+                            (fx.child, neighbour_probe(i)),
                         ]
                     })
                 })
                 .collect();
-            let outs = pool.run(&shards, jobs);
-            for (j, out) in outs.into_iter().enumerate() {
+            for (j, fps) in run_concurrently(&shards, jobs).into_iter().enumerate() {
                 let (s, rest) = (j / (SESSIONS * 2), j % (SESSIONS * 2));
-                let i = rest / 2;
-                let slots = out.expect("pool job");
-                pool_results[s][i].extend(slots.iter().map(fingerprint));
+                job_results[s][rest / 2].extend(fps);
             }
         }
         for s in 0..nshards {
@@ -680,15 +664,6 @@ fn sharded_pool_matches_per_shard_sequential_replay() {
             rendezvous_before,
             "shard-local jobs must never pay a rendezvous"
         );
-        // Steal accounting: the kernel books a stolen job on its home
-        // shard inside its first wave, so the merged kernel count can
-        // never exceed the pool's own tally.
-        assert!(
-            shards.stats().pool_steals <= pool.steals(),
-            "kernel recorded more steals ({}) than the pool ({})",
-            shards.stats().pool_steals,
-            pool.steals()
-        );
 
         // Per-shard sequential replay on the twins.
         for (s, (kernel_b, policy_b, fixtures_b)) in twins.iter_mut().enumerate() {
@@ -701,10 +676,10 @@ fn sharded_pool_matches_per_shard_sequential_replay() {
                     }
                     let start = round * seq.len();
                     assert_eq!(
-                        &pool_results[s][i][start..start + seq.len()],
+                        &job_results[s][i][start..start + seq.len()],
                         &seq[..],
                         "shard {s} session {i} round {round} (cached={cached}, \
-                         shards={nshards}): sharded pool diverged from twin replay"
+                         shards={nshards}): sharded jobs diverged from twin replay"
                     );
                 }
             }

@@ -14,8 +14,8 @@
 //! 3. **The standing differential twin** — grammar-generated syscall
 //!    workloads (dependency DAGs over a partially-granted sandbox) run
 //!    through all three execution modes — `run_sequential` (the oracle),
-//!    `submit_batch`, and the sharded `BatchPool` — under the same
-//!    seeded fault schedule, caches on and off. Results, errnos, denial
+//!    `submit_batch`, and the stepped `KernelShards::run_job` — under the
+//!    same seeded fault schedule, caches on and off. Results, errnos, denial
 //!    sets, audit-span accounting, and fault bookkeeping must be
 //!    identical; `faults_injected == faults_survived` proves no injected
 //!    fault ever escaped as a panic.
@@ -33,9 +33,7 @@ use shill::kernel::{
     OpenFlags, Pid, SyscallBatch,
 };
 use shill::prelude::*;
-use shill::sandbox::{
-    setup_sandbox, BatchJob, BatchPool, Grant, LogEvent, SandboxSpec, ShillPolicy,
-};
+use shill::sandbox::{setup_sandbox, Grant, LogEvent, SandboxSpec, ShillPolicy};
 
 fn iters() -> usize {
     std::env::var("SHILL_FUZZ_ITERS")
@@ -918,11 +916,11 @@ fn run_mode(
     }
 }
 
-/// The third mode: the persistent sharded worker pool. One shard with two
-/// workers, so the steppable per-wave path (and work stealing) executes
+/// The third mode: `KernelShards::run_job` on a one-shard set, which takes
+/// the shard lock once per wave, so the stepped per-wave path executes
 /// every batch; construction order matches the standalone twins, so session
 /// ids, pids, and descriptors line up exactly.
-fn run_pool_mode(cached: bool, schedule: Option<&str>, batches: &[SyscallBatch]) -> ModeRun {
+fn run_job_mode(cached: bool, schedule: Option<&str>, batches: &[SyscallBatch]) -> ModeRun {
     let policy = ShillPolicy::new();
     let shards = KernelShards::new_with(1, |k, _| {
         k.set_avc_enabled(cached);
@@ -935,24 +933,14 @@ fn run_pool_mode(cached: bool, schedule: Option<&str>, batches: &[SyscallBatch])
         build_sandbox(&mut k, &policy)
     };
     shards.set_fault_plane(schedule);
-    let pool = BatchPool::new(2);
     let mut results = Vec::with_capacity(batches.len());
     for b in batches {
-        let outs = pool.run(
-            &shards,
-            vec![BatchJob {
-                pid: child,
-                batch: b.clone(),
-                fence: Vec::new(),
-            }],
-        );
-        let slots = outs.into_iter().next().unwrap().expect("pool job");
+        let slots = shards.run_job(child, b.clone(), &[]).expect("job");
         results.push(slots.iter().map(fingerprint).collect());
     }
     let snap = shards.stats();
-    drop(pool);
     ModeRun {
-        name: "sharded-pool",
+        name: "run-job",
         results,
         denials: denial_set(&policy),
         spans: Some(span_totals(&policy)),
@@ -977,8 +965,8 @@ fn four_modes_agree_under_every_fault_schedule_and_cache_mode() {
 
             let seq = run_mode("sequential", cached, *schedule, &batches);
             let bat = run_mode("batched", cached, *schedule, &batches);
-            let pool = run_pool_mode(cached, *schedule, &batches);
-            let modes = [&seq, &bat, &pool];
+            let job = run_job_mode(cached, *schedule, &batches);
+            let modes = [&seq, &bat, &job];
 
             let ctxt =
                 |m: &ModeRun| format!("schedule {:?}, cached={cached}, mode {}", schedule, m.name);
@@ -997,7 +985,7 @@ fn four_modes_agree_under_every_fault_schedule_and_cache_mode() {
             }
             // Audit-span accounting agrees across the two span-producing
             // modes (sequential execution books no batch spans).
-            assert_eq!(bat.spans, pool.spans, "span accounting: batched vs pool");
+            assert_eq!(bat.spans, job.spans, "span accounting: batched vs run_job");
 
             // Fault bookkeeping: every mode injected the same faults, and
             // every injected fault was survived — none escaped as a panic.
@@ -1255,7 +1243,7 @@ fn fuzzed_workloads_keep_spans_balanced_with_tracing_on() {
 
 /// The server-path extension of the differential oracle: generated
 /// multi-tenant request streams run through `ServerCore::dispatch` — the
-/// same admission/backpressure/quota/pool path the socket front-end uses
+/// same admission/backpressure/quota/scheduler path the socket front-end uses
 /// — under standing fault schedules, including the `fence` rendezvous
 /// site (exercised by generated `sync` frames, whose waves fence every
 /// shard). Meanwhile a revoker thread churns whole sessions
@@ -1270,7 +1258,7 @@ fn fuzzed_workloads_keep_spans_balanced_with_tracing_on() {
 ///   that grant moments earlier.
 /// * **Fault accounting balances**: `faults_injected == faults_survived`
 ///   across every shard when the storm ends — a mid-rendezvous fence
-///   panic with all shard locks held is contained by the pool worker,
+///   panic with all shard locks held is contained by `run_job`,
 ///   books its survival, and leaves no lock behind (proved by the very
 ///   next dispatch succeeding).
 /// * **Dead-oracle guard**: each armed schedule must actually fire.
@@ -1291,7 +1279,6 @@ fn fuzzed_server_sessions_survive_fault_storms_without_stale_allows() {
         let core = Arc::new(ServerCore::new(
             ServerConfig {
                 shards: 3,
-                pool_workers: 3,
                 tenants: vec![
                     TenantSpec::new("victim"),
                     TenantSpec::new("p0"),

@@ -1,10 +1,11 @@
 //! Span discipline for the tracing plane (ISSUE 9).
 //!
 //! Property: **every `Begin` has a matching `End`**, per site, in every
-//! execution mode — `run_sequential`, `submit_batch`, and the sharded
-//! `BatchPool` — and the property survives standing fault schedules,
-//! including injected policy panics (the RAII scope closes during unwind,
-//! so containment at the wave boundary never leaks an open span). Alongside the balance property, the tests pin the exported
+//! execution mode — `run_sequential`, `submit_batch`, and sharded jobs
+//! (`KernelShards::run_job`) — and the property survives standing fault
+//! schedules, including injected policy panics (the RAII scope closes
+//! during unwind, so containment at the wave boundary never leaks an open
+//! span). Alongside the balance property, the tests pin the exported
 //! artifacts: Prometheus text exposition with per-site quantiles, and a
 //! structurally valid chrome://tracing JSON document.
 
@@ -17,7 +18,7 @@ use shill::kernel::{
     SyscallBatch, TraceEvent, TraceKind, TracePlane, TraceSite,
 };
 use shill::prelude::*;
-use shill::sandbox::{setup_sandbox, BatchJob, BatchPool, Grant, SandboxSpec, ShillPolicy};
+use shill::sandbox::{setup_sandbox, Grant, SandboxSpec, ShillPolicy};
 
 fn caps(privs: &[Priv]) -> CapPrivs {
     CapPrivs::of(PrivSet::of(privs))
@@ -211,10 +212,10 @@ fn spans_balance_in_every_mode_under_every_schedule() {
     }
 }
 
-/// The third mode: spans stay balanced through the sharded worker pool,
-/// and per-shard rings merge into one attributable stream.
+/// The third mode: spans stay balanced through concurrent jobs on two
+/// shards, and per-shard rings merge into one attributable stream.
 #[test]
-fn spans_balance_through_the_sharded_pool() {
+fn spans_balance_through_concurrent_sharded_jobs() {
     let policy = ShillPolicy::new();
     let shards = KernelShards::new_with(2, |k, _| {
         populate_fs(k);
@@ -228,26 +229,23 @@ fn spans_balance_through_the_sharded_pool() {
         pids.push((child, fds));
     }
     shards.set_trace_plane(Some("sites=all;cap=65536"));
-    let pool = BatchPool::new(2);
     for round in 0..8 {
-        let jobs: Vec<BatchJob> = pids
-            .iter()
-            .map(|(child, fds)| BatchJob {
-                pid: *child,
-                batch: workload(fds, round),
-                fence: Vec::new(),
-            })
-            .collect();
-        for out in pool.run(&shards, jobs) {
-            let slots = out.expect("pool job");
-            // Sanity: the workload really ran.
-            assert!(!slots.is_empty());
-        }
+        std::thread::scope(|scope| {
+            for (child, fds) in &pids {
+                let shards = &shards;
+                scope.spawn(move || {
+                    let slots = shards
+                        .run_job(*child, workload(fds, round), &[])
+                        .expect("job");
+                    // Sanity: the workload really ran.
+                    assert!(!slots.is_empty());
+                });
+            }
+        });
     }
-    drop(pool);
     let tele = shards.telemetry();
     assert_eq!(tele.stats.trace_dropped, 0);
-    assert_balanced(&tele.events, "sharded pool");
+    assert_balanced(&tele.events, "sharded jobs");
     // Both shards contributed events, and the merged stream is
     // timestamp-ordered.
     let shard_ids: std::collections::HashSet<u64> = tele.events.iter().map(|e| e.shard).collect();
