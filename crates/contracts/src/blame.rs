@@ -20,40 +20,67 @@ pub enum Party {
     Consumer,
 }
 
+/// The source text of the contract a blame cites, e.g.
+/// `cur : dir(+contents, +lookup with {+path})`. Most contracts are never
+/// violated, so a blame keeps the contract itself and renders the text
+/// only when a [`Violation`] is built or a contracted value is displayed.
+pub trait ContractText: Send + Sync {
+    fn render(&self) -> String;
+}
+
+impl ContractText for String {
+    fn render(&self) -> String {
+        self.clone()
+    }
+}
+
 /// Identities attached to one contract boundary.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Blame {
     /// Name of the providing side (e.g. the ambient script or caller).
     pub provider: String,
     /// Name of the consuming side (e.g. the capability-safe script).
     pub consumer: String,
-    /// Human-readable contract source, e.g.
-    /// `cur : dir(+contents, +lookup with {+path})`.
-    pub contract: String,
+    contract: Arc<dyn ContractText>,
 }
 
 impl Blame {
+    /// A blame citing contract text that is already rendered.
     pub fn new(
         provider: impl Into<String>,
         consumer: impl Into<String>,
         contract: impl Into<String>,
     ) -> Arc<Blame> {
+        Blame::citing(provider, consumer, Arc::new(contract.into()))
+    }
+
+    /// A blame citing a contract that renders its text when asked.
+    pub fn citing(
+        provider: impl Into<String>,
+        consumer: impl Into<String>,
+        contract: Arc<dyn ContractText>,
+    ) -> Arc<Blame> {
         Arc::new(Blame {
             provider: provider.into(),
             consumer: consumer.into(),
-            contract: contract.into(),
+            contract,
         })
+    }
+
+    /// The cited contract's source text.
+    pub fn contract(&self) -> String {
+        self.contract.render()
     }
 
     /// Swap the parties: used when a value flows *out* of a component (a
     /// function argument position reverses obligations — standard
     /// higher-order contract blame).
     pub fn swapped(&self) -> Arc<Blame> {
-        Arc::new(Blame {
-            provider: self.consumer.clone(),
-            consumer: self.provider.clone(),
-            contract: self.contract.clone(),
-        })
+        Blame::citing(
+            self.consumer.clone(),
+            self.provider.clone(),
+            Arc::clone(&self.contract),
+        )
     }
 
     pub fn party_name(&self, p: Party) -> &str {
@@ -61,6 +88,16 @@ impl Blame {
             Party::Provider => &self.provider,
             Party::Consumer => &self.consumer,
         }
+    }
+}
+
+impl fmt::Debug for Blame {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Blame")
+            .field("provider", &self.provider)
+            .field("consumer", &self.consumer)
+            .field("contract", &self.contract())
+            .finish()
     }
 }
 
@@ -90,7 +127,7 @@ impl Violation {
         Violation {
             blamed: Party::Consumer,
             blamed_name: blame.consumer.clone(),
-            contract: blame.contract.clone(),
+            contract: blame.contract(),
             message: message.into(),
         }
     }
@@ -99,7 +136,7 @@ impl Violation {
         Violation {
             blamed: Party::Provider,
             blamed_name: blame.provider.clone(),
-            contract: blame.contract.clone(),
+            contract: blame.contract(),
             message: message.into(),
         }
     }
@@ -115,7 +152,7 @@ mod tests {
         let s = b.swapped();
         assert_eq!(s.provider, "script");
         assert_eq!(s.consumer, "user");
-        assert_eq!(s.contract, b.contract);
+        assert_eq!(s.contract(), b.contract());
     }
 
     #[test]

@@ -13,6 +13,6 @@ pub mod blame;
 pub mod guard;
 pub mod seal;
 
-pub use blame::{Blame, Party, Violation};
+pub use blame::{Blame, ContractText, Party, Violation};
 pub use guard::{CapError, CapResult, Guard, GuardedCap};
 pub use seal::SealBrand;

@@ -19,7 +19,7 @@ static NEXT_BRAND: AtomicU64 = AtomicU64::new(1);
 /// A fresh brand minted per polymorphic-function *call*: two calls to the
 /// same `forall` function get distinct brands, so capabilities cannot leak
 /// between instantiations.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct SealBrand {
     id: u64,
     /// The contract variable's name, for messages (e.g. `X`).

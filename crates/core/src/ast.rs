@@ -7,8 +7,12 @@
 //! functions").
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use shill_cap::{CapPrivs, PrivSet};
+use shill_contracts::ContractText;
+
+use crate::builtins::Builtin;
 
 /// Which dialect a script is written in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,19 +48,26 @@ pub struct Script {
     pub body: Vec<Stmt>,
 }
 
-/// One `provide` declaration.
+/// One `provide` declaration. The contract is shared with the blame of
+/// every wrapper it makes, which renders it only if a violation cites it.
 #[derive(Debug, Clone)]
 pub struct Provide {
     pub name: String,
-    pub contract: ContractExpr,
+    pub contract: Arc<ContractExpr>,
     pub pos: Pos,
 }
 
 /// Statements.
 #[derive(Debug, Clone)]
 pub enum Stmt {
-    /// `name = expr;` — an immutable binding.
-    Def { name: String, expr: Expr, pos: Pos },
+    /// `name = expr;` — an immutable binding into `slot` of the frame the
+    /// definition runs in, as the resolver (`resolve.rs`) assigned it.
+    Def {
+        name: String,
+        expr: Expr,
+        pos: Pos,
+        slot: usize,
+    },
     /// A bare expression. The boolean records whether it was terminated by
     /// an explicit `;`: a semicolon-terminated final statement makes the
     /// enclosing block evaluate to void (statement position), while a bare
@@ -82,6 +93,39 @@ pub enum BinOp {
     Concat,
 }
 
+/// Where a variable reference looks, innermost first, as the resolver
+/// (`resolve.rs`) decided: the slots of every enclosing scope that binds
+/// the name, then the builtin of that name. At run time the first slot
+/// already defined wins, so a reference made before its scope's
+/// definition has run still reads the outer binding.
+#[derive(Debug, Clone, Default)]
+pub struct VarRef {
+    pub name: String,
+    pub pos: Pos,
+    pub scopes: Vec<Addr>,
+    pub builtin: Option<Builtin>,
+}
+
+/// A slot `up` frames out from the current one.
+#[derive(Debug, Clone, Copy)]
+pub struct Addr {
+    pub up: usize,
+    pub slot: usize,
+}
+
+/// A `fun` literal's code, shared by every closure made from it.
+#[derive(Debug, Clone)]
+pub struct Fun {
+    pub params: Vec<String>,
+    pub body: Vec<Stmt>,
+    /// The slot each parameter binds in a call's frame; a repeated name
+    /// repeats its slot, so binding it twice fails when the call runs.
+    pub param_slots: Vec<usize>,
+    /// Slots in a call's frame: parameters, body definitions, and the
+    /// definitions of the `if` blocks in the body.
+    pub frame_size: usize,
+}
+
 /// Expressions.
 #[derive(Debug, Clone)]
 pub enum Expr {
@@ -89,14 +133,10 @@ pub enum Expr {
     Bool(bool, Pos),
     Num(i64, Pos),
     Str(String, Pos),
-    Var(String, Pos),
+    Var(VarRef),
     List(Vec<Expr>, Pos),
     /// `fun(a, b) { ... }`.
-    Fun {
-        params: Vec<String>,
-        body: Rc<Vec<Stmt>>,
-        pos: Pos,
-    },
+    Fun(Rc<Fun>, Pos),
     /// `f(a, b, key = c)`.
     Call {
         callee: Box<Expr>,
@@ -105,17 +145,20 @@ pub enum Expr {
         pos: Pos,
     },
     /// `if c then t [else e]` — branches are blocks or single statements.
+    /// A branch's definitions live in slots of the enclosing frame.
     If {
         cond: Box<Expr>,
-        then: Rc<Vec<Stmt>>,
-        els: Option<Rc<Vec<Stmt>>>,
+        then: Vec<Stmt>,
+        els: Option<Vec<Stmt>>,
         pos: Pos,
     },
-    /// `for x in e { ... }`.
+    /// `for x in e { ... }`. Each iteration runs in a frame of
+    /// `frame_size` slots, the loop variable in slot 0.
     For {
         var: String,
         iter: Box<Expr>,
-        body: Rc<Vec<Stmt>>,
+        body: Vec<Stmt>,
+        frame_size: usize,
         pos: Pos,
     },
     Unary {
@@ -148,9 +191,9 @@ impl Expr {
             | Expr::Bool(_, p)
             | Expr::Num(_, p)
             | Expr::Str(_, p)
-            | Expr::Var(_, p)
+            | Expr::Var(VarRef { pos: p, .. })
             | Expr::List(_, p)
-            | Expr::Fun { pos: p, .. }
+            | Expr::Fun(_, p)
             | Expr::Call { pos: p, .. }
             | Expr::If { pos: p, .. }
             | Expr::For { pos: p, .. }
@@ -206,7 +249,7 @@ pub enum ContractExpr {
     /// Conjunction `c1 && c2`.
     And(Vec<ContractExpr>),
     /// Function contract `{a : C1, b : C2} -> C3`.
-    Func(Rc<FuncContract>),
+    Func(Arc<FuncContract>),
     /// Bounded polymorphism: `forall X with {+p, ...} . C` (§2.4.2).
     Forall {
         var: String,
@@ -233,6 +276,12 @@ pub struct FuncContract {
     pub kwargs: Vec<(String, ContractExpr)>,
     /// The postcondition.
     pub result: ContractExpr,
+}
+
+impl ContractText for ContractExpr {
+    fn render(&self) -> String {
+        contract_to_string(self)
+    }
 }
 
 /// Render a contract back to (approximately) its source form — used in
@@ -317,7 +366,7 @@ mod tests {
         let c = ContractExpr::Forall {
             var: "X".into(),
             bound: PrivSet::of(&[Priv::Lookup, Priv::Contents]),
-            body: Box::new(ContractExpr::Func(Rc::new(fc))),
+            body: Box::new(ContractExpr::Func(Arc::new(fc))),
         };
         let s = contract_to_string(&c);
         assert!(s.starts_with("forall X with"));

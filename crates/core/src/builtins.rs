@@ -12,110 +12,143 @@ use shill_kernel::{BatchEntry, BatchOut, FdObject, ObjId, ScheduledRun, SyscallB
 use shill_sandbox::{Grant, SandboxSpec};
 use shill_vfs::{Errno, Mode};
 
-use crate::ast::ContractExpr;
-use crate::env::Env;
+use crate::ast::{ContractExpr, Dialect};
 use crate::eval::Interp;
 use crate::value::{EvalResult, ShillError, Value, Wallet};
 
-/// Builtins available in both dialects.
-const COMMON: &[&str] = &[
-    "is_file",
-    "is_dir",
-    "is_pipe",
-    "is_syserror",
-    "is_bool",
-    "is_num",
-    "is_string",
-    "is_list",
-    "is_void",
-    "is_fun",
-    "has_ext",
-    "path",
-    "read",
-    "write",
-    "append",
-    "await_all",
-    "select",
-    "stream_read",
-    "contents",
-    "lookup",
-    "create_file",
-    "create_dir",
-    "unlink_file",
-    "unlink_dir",
-    "read_symlink",
-    "link",
-    "create_pipe",
-    "create_socket",
-    "sock_connect",
-    "sock_send",
-    "sock_recv",
-    "exec",
-    "length",
-    "nth",
-    "split",
-    "starts_with",
-    "ends_with",
-    "strip_prefix",
-    "to_string",
-    "display",
-    "syserror",
-    "telemetry",
-    "wallet_get",
-    "wallet_keys",
-    "wallet_set",
-    "wallet_add_dep",
-    "stat_size",
-];
+/// Declares [`Builtin`] with the name each variant is called by.
+macro_rules! builtins {
+    ($($variant:ident = $name:literal,)*) => {
+        /// A builtin, by what scripts call it. The resolver binds every
+        /// free name that names one, so no scope holds the builtins.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Builtin {
+            $($variant,)*
+        }
 
-/// Install common builtins and standard contract abbreviations.
-pub fn install_common(env: &Env) {
-    for name in COMMON {
-        env.define_internal(name, Value::Builtin(name));
-    }
-    // §3.1.4: "a programmer can specify the contract `readonly` rather than
-    // the more verbose dir(...) ∨ file(...)".
-    let readonly = ContractExpr::Or(vec![
-        ContractExpr::Dir(CapPrivs::of(PrivSet::readonly_dir())),
-        ContractExpr::File(CapPrivs::of(PrivSet::readonly_file())),
-    ]);
-    env.define_internal("readonly", Value::Contract(Rc::new(readonly)));
-    let writeable = ContractExpr::File(CapPrivs::of(PrivSet::of(&[
-        Priv::Write,
-        Priv::Append,
-        Priv::Truncate,
-        Priv::Stat,
-        Priv::Path,
-    ])));
-    env.define_internal("writeable", Value::Contract(Rc::new(writeable)));
-    let appendonly = ContractExpr::File(CapPrivs::of(PrivSet::of(&[Priv::Append, Priv::Path])));
-    env.define_internal("appendonly", Value::Contract(Rc::new(appendonly)));
+        impl Builtin {
+            /// The name scripts use.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Builtin::$variant => $name,)*
+                }
+            }
+
+            fn named(name: &str) -> Option<Builtin> {
+                match name {
+                    $($name => Some(Builtin::$variant),)*
+                    _ => None,
+                }
+            }
+        }
+    };
 }
 
-/// Install ambient-only bindings: path-based capability creation, stdio
-/// capabilities, the factories, and wallet creation (§2.5).
-pub fn install_ambient(interp: &mut Interp, env: &Env) {
-    for name in ["open_file", "open_dir", "create_wallet"] {
-        env.define_internal(name, Value::Builtin(name));
+builtins! {
+    IsFile = "is_file",
+    IsDir = "is_dir",
+    IsPipe = "is_pipe",
+    IsSyserror = "is_syserror",
+    IsBool = "is_bool",
+    IsNum = "is_num",
+    IsString = "is_string",
+    IsList = "is_list",
+    IsVoid = "is_void",
+    IsFun = "is_fun",
+    HasExt = "has_ext",
+    Path = "path",
+    Read = "read",
+    Write = "write",
+    Append = "append",
+    AwaitAll = "await_all",
+    Select = "select",
+    StreamRead = "stream_read",
+    Contents = "contents",
+    Lookup = "lookup",
+    CreateFile = "create_file",
+    CreateDir = "create_dir",
+    UnlinkFile = "unlink_file",
+    UnlinkDir = "unlink_dir",
+    ReadSymlink = "read_symlink",
+    Link = "link",
+    CreatePipe = "create_pipe",
+    CreateSocket = "create_socket",
+    SockConnect = "sock_connect",
+    SockSend = "sock_send",
+    SockRecv = "sock_recv",
+    Exec = "exec",
+    Length = "length",
+    Nth = "nth",
+    Split = "split",
+    StartsWith = "starts_with",
+    EndsWith = "ends_with",
+    StripPrefix = "strip_prefix",
+    ToString = "to_string",
+    Display = "display",
+    Syserror = "syserror",
+    Telemetry = "telemetry",
+    WalletGet = "wallet_get",
+    WalletKeys = "wallet_keys",
+    WalletSet = "wallet_set",
+    WalletAddDep = "wallet_add_dep",
+    StatSize = "stat_size",
+    // Ambient only (§2.5): path-based capability creation and wallets.
+    OpenFile = "open_file",
+    OpenDir = "open_dir",
+    CreateWallet = "create_wallet",
+    // Contract abbreviations. §3.1.4: "a programmer can specify the
+    // contract `readonly` rather than the more verbose dir(...) ∨ file(...)".
+    Readonly = "readonly",
+    Writeable = "writeable",
+    Appendonly = "appendonly",
+}
+
+impl Builtin {
+    /// The builtin a free `name` means in `dialect`.
+    pub fn lookup(name: &str, dialect: Dialect) -> Option<Builtin> {
+        use Builtin::*;
+        Builtin::named(name).filter(|b| {
+            dialect == Dialect::Ambient || !matches!(b, OpenFile | OpenDir | CreateWallet)
+        })
     }
-    env.define_internal(
-        "pipe_factory",
-        Value::Cap(Rc::new(GuardedCap::unguarded(RawCap::pipe_factory()))),
-    );
-    env.define_internal(
-        "socket_factory",
-        Value::Cap(Rc::new(GuardedCap::unguarded(RawCap::socket_factory()))),
-    );
-    // stdio: capabilities for the controlling terminal.
-    for (name, dev) in [
-        ("stdin", "/dev/tty"),
-        ("stdout", "/dev/tty"),
-        ("stderr", "/dev/tty"),
-    ] {
-        if let Ok(cap) = RawCap::open_path(&mut interp.kernel, interp.pid, dev) {
-            env.define_internal(name, Value::Cap(Rc::new(GuardedCap::unguarded(cap))));
+
+    /// What a reference to the builtin evaluates to: the function itself,
+    /// or the contract an abbreviation stands for.
+    pub fn value(self) -> Value {
+        let file = |privs: &[Priv]| ContractExpr::File(CapPrivs::of(PrivSet::of(privs)));
+        let contract = match self {
+            Builtin::Readonly => ContractExpr::Or(vec![
+                ContractExpr::Dir(CapPrivs::of(PrivSet::readonly_dir())),
+                ContractExpr::File(CapPrivs::of(PrivSet::readonly_file())),
+            ]),
+            Builtin::Writeable => file(&[
+                Priv::Write,
+                Priv::Append,
+                Priv::Truncate,
+                Priv::Stat,
+                Priv::Path,
+            ]),
+            Builtin::Appendonly => file(&[Priv::Append, Priv::Path]),
+            b => return Value::Builtin(b),
+        };
+        Value::Contract(Rc::new(contract))
+    }
+}
+
+/// What an ambient script's root binds before it runs: the factories, and
+/// capabilities for the controlling terminal (§2.5).
+pub fn ambient_values(interp: &mut Interp) -> Vec<(String, Value)> {
+    let unguarded = |cap| Value::Cap(Rc::new(GuardedCap::unguarded(cap)));
+    let mut out = vec![
+        ("pipe_factory".into(), unguarded(RawCap::pipe_factory())),
+        ("socket_factory".into(), unguarded(RawCap::socket_factory())),
+    ];
+    for name in ["stdin", "stdout", "stderr"] {
+        if let Ok(cap) = RawCap::open_path(&mut interp.kernel, interp.pid, "/dev/tty") {
+            out.push((name.into(), unguarded(cap)));
         }
     }
+    out
 }
 
 fn arity(args: &[Value], n: usize, name: &str) -> Result<(), ShillError> {
@@ -151,65 +184,67 @@ pub(crate) fn cap_result(r: Result<Value, CapError>) -> EvalResult {
 /// Dispatch a builtin call.
 pub fn call_builtin(
     interp: &mut Interp,
-    name: &str,
+    builtin: Builtin,
     args: Vec<Value>,
     kwargs: Vec<(String, Value)>,
 ) -> EvalResult {
-    if name != "exec" && !kwargs.is_empty() {
+    use Builtin::*;
+    let name = builtin.name();
+    if builtin != Exec && !kwargs.is_empty() {
         return Err(ShillError::Runtime(format!(
             "{name} does not accept keyword arguments"
         )));
     }
-    match name {
+    match builtin {
         // --- type predicates ------------------------------------------------
-        "is_file" => {
+        IsFile => {
             arity(&args, 1, name)?;
             let inner = strip_seals(&args[0]);
             Ok(Value::Bool(matches!(inner, Value::Cap(c) if c.is_file())))
         }
-        "is_dir" => {
+        IsDir => {
             arity(&args, 1, name)?;
             let inner = strip_seals(&args[0]);
             Ok(Value::Bool(matches!(inner, Value::Cap(c) if c.is_dir())))
         }
-        "is_pipe" => {
+        IsPipe => {
             arity(&args, 1, name)?;
             let inner = strip_seals(&args[0]);
             Ok(Value::Bool(
                 matches!(inner, Value::Cap(c) if c.kind() == CapKind::PipeEnd),
             ))
         }
-        "is_syserror" => {
+        IsSyserror => {
             arity(&args, 1, name)?;
             Ok(Value::Bool(matches!(args[0], Value::SysErr(_))))
         }
-        "is_bool" => {
+        IsBool => {
             arity(&args, 1, name)?;
             Ok(Value::Bool(matches!(args[0], Value::Bool(_))))
         }
-        "is_num" => {
+        IsNum => {
             arity(&args, 1, name)?;
             Ok(Value::Bool(matches!(args[0], Value::Num(_))))
         }
-        "is_string" => {
+        IsString => {
             arity(&args, 1, name)?;
             Ok(Value::Bool(matches!(args[0], Value::Str(_))))
         }
-        "is_list" => {
+        IsList => {
             arity(&args, 1, name)?;
             Ok(Value::Bool(matches!(args[0], Value::List(_))))
         }
-        "is_void" => {
+        IsVoid => {
             arity(&args, 1, name)?;
             Ok(Value::Bool(matches!(args[0], Value::Void)))
         }
-        "is_fun" => {
+        IsFun => {
             arity(&args, 1, name)?;
             Ok(Value::Bool(args[0].is_callable()))
         }
 
         // --- capability queries ------------------------------------------------
-        "path" => {
+        Path => {
             arity(&args, 1, name)?;
             let (cap, _brands) = interp.unseal_for(&args[0], Priv::Path)?;
             let pid = interp.pid;
@@ -221,7 +256,7 @@ pub fn call_builtin(
         // own name, and a later rename does not change the answer. It
         // still needs `+path` from every contract, and a capability with
         // no descriptor has no extension.
-        "has_ext" => {
+        HasExt => {
             arity(&args, 2, name)?;
             let ext = want_str(&args[1], "extension")?;
             let suffix = format!(".{ext}");
@@ -235,7 +270,7 @@ pub fn call_builtin(
                 }
             }
         }
-        "stat_size" => {
+        StatSize => {
             arity(&args, 1, name)?;
             let (cap, _brands) = interp.unseal_for(&args[0], Priv::Stat)?;
             let pid = interp.pid;
@@ -251,7 +286,7 @@ pub fn call_builtin(
         // per window instead of one per chunk, deferred inside `async`.
         // Pipes, sockets and devices decline the fragment and go through
         // the checked raw path.
-        "read" => {
+        Read => {
             arity(&args, 1, name)?;
             let (cap, _brands) = interp.unseal_for(&args[0], Priv::Read)?;
             cap_result(match interp.batchable(|acc, _, _| acc.defer_read(&cap)) {
@@ -262,7 +297,7 @@ pub fn call_builtin(
                 Err(e) => Err(e),
             })
         }
-        "write" => {
+        Write => {
             arity(&args, 2, name)?;
             let mut data = want_str(&args[1], "data")?.into_bytes();
             let (cap, _brands) = interp.unseal_for(&args[0], Priv::Write)?;
@@ -277,7 +312,7 @@ pub fn call_builtin(
             )
         }
         // --- completion-model surface (deferred execution) -------------------
-        "await_all" => {
+        AwaitAll => {
             arity(&args, 1, name)?;
             let items: Vec<Value> = match &args[0] {
                 Value::List(l) => l.iter().cloned().collect(),
@@ -301,9 +336,9 @@ pub fn call_builtin(
                     .collect(),
             ))
         }
-        "select" => builtin_select(interp, args),
-        "stream_read" => builtin_stream_read(interp, args),
-        "append" => {
+        Select => builtin_select(interp, args),
+        StreamRead => builtin_stream_read(interp, args),
+        Append => {
             arity(&args, 2, name)?;
             let data = want_str(&args[1], "data")?;
             let (cap, _brands) = interp.unseal_for(&args[0], Priv::Append)?;
@@ -315,7 +350,7 @@ pub fn call_builtin(
         }
 
         // --- directory operations ----------------------------------------------
-        "contents" => {
+        Contents => {
             arity(&args, 1, name)?;
             let (cap, _brands) = interp.unseal_for(&args[0], Priv::Contents)?;
             let pid = interp.pid;
@@ -324,7 +359,7 @@ pub fn call_builtin(
                     .map(|names| Value::list(names.into_iter().map(Value::str).collect())),
             )
         }
-        "lookup" => {
+        Lookup => {
             arity(&args, 2, name)?;
             let child_name = want_str(&args[1], "name")?;
             let (cap, brands) = interp.unseal_for(&args[0], Priv::Lookup)?;
@@ -335,7 +370,7 @@ pub fn call_builtin(
                 Err(CapError::Violation(v)) => Err(ShillError::Violation(v)),
             }
         }
-        "create_file" => {
+        CreateFile => {
             arity(&args, 2, name)?;
             let fname = want_str(&args[1], "name")?;
             let (cap, brands) = interp.unseal_for(&args[0], Priv::CreateFile)?;
@@ -346,7 +381,7 @@ pub fn call_builtin(
                 Err(CapError::Violation(v)) => Err(ShillError::Violation(v)),
             }
         }
-        "create_dir" => {
+        CreateDir => {
             arity(&args, 2, name)?;
             let dname = want_str(&args[1], "name")?;
             let (cap, brands) = interp.unseal_for(&args[0], Priv::CreateDir)?;
@@ -357,7 +392,7 @@ pub fn call_builtin(
                 Err(CapError::Violation(v)) => Err(ShillError::Violation(v)),
             }
         }
-        "unlink_file" => {
+        UnlinkFile => {
             arity(&args, 2, name)?;
             let n = want_str(&args[1], "name")?;
             let (cap, _brands) = interp.unseal_for(&args[0], Priv::UnlinkFile)?;
@@ -367,7 +402,7 @@ pub fn call_builtin(
                     .map(|_| Value::Void),
             )
         }
-        "unlink_dir" => {
+        UnlinkDir => {
             arity(&args, 2, name)?;
             let n = want_str(&args[1], "name")?;
             let (cap, _brands) = interp.unseal_for(&args[0], Priv::UnlinkDir)?;
@@ -377,7 +412,7 @@ pub fn call_builtin(
                     .map(|_| Value::Void),
             )
         }
-        "read_symlink" => {
+        ReadSymlink => {
             arity(&args, 2, name)?;
             let n = want_str(&args[1], "name")?;
             let (cap, _brands) = interp.unseal_for(&args[0], Priv::ReadSymlink)?;
@@ -387,7 +422,7 @@ pub fn call_builtin(
                     .map(Value::str),
             )
         }
-        "link" => {
+        Link => {
             arity(&args, 3, name)?;
             let n = want_str(&args[2], "name")?;
             let (dir, _b1) = interp.unseal_for(&args[0], Priv::Link)?;
@@ -398,7 +433,7 @@ pub fn call_builtin(
                     .map(|_| Value::Void),
             )
         }
-        "create_pipe" => {
+        CreatePipe => {
             arity(&args, 1, name)?;
             let (cap, _brands) = interp.unseal_for(&args[0], Priv::PipeCreate)?;
             let pid = interp.pid;
@@ -414,7 +449,7 @@ pub fn call_builtin(
 
         // --- sockets (paper §3.1.1's suggested extension: "adding built-in
         // functions for socket operations to the language") ------------------
-        "create_socket" => {
+        CreateSocket => {
             arity(&args, 2, name)?;
             let domain = match want_str(&args[1], "domain")?.as_str() {
                 "inet" => shill_kernel::SockDomain::Inet,
@@ -433,7 +468,7 @@ pub fn call_builtin(
                 Err(CapError::Violation(v)) => Err(ShillError::Violation(v)),
             }
         }
-        "sock_connect" => {
+        SockConnect => {
             arity(&args, 2, name)?;
             let addr = want_str(&args[1], "address")?;
             let addr = match addr.rsplit_once(':') {
@@ -452,7 +487,7 @@ pub fn call_builtin(
                     .map(|_| Value::Void),
             )
         }
-        "sock_send" => {
+        SockSend => {
             arity(&args, 2, name)?;
             let data = want_str(&args[1], "data")?;
             let (cap, _brands) = interp.unseal_for(&args[0], Priv::SockSend)?;
@@ -462,7 +497,7 @@ pub fn call_builtin(
                     .map(|_| Value::Void),
             )
         }
-        "sock_recv" => {
+        SockRecv => {
             arity(&args, 1, name)?;
             let (cap, _brands) = interp.unseal_for(&args[0], Priv::SockRecv)?;
             let pid = interp.pid;
@@ -473,10 +508,10 @@ pub fn call_builtin(
         }
 
         // --- exec (sandbox launcher) ------------------------------------------
-        "exec" => builtin_exec(interp, args, kwargs),
+        Exec => builtin_exec(interp, args, kwargs),
 
         // --- lists & strings -----------------------------------------------------
-        "length" => {
+        Length => {
             arity(&args, 1, name)?;
             match &args[0] {
                 Value::List(l) => Ok(Value::Num(l.len() as i64)),
@@ -487,7 +522,7 @@ pub fn call_builtin(
                 ))),
             }
         }
-        "nth" => {
+        Nth => {
             arity(&args, 2, name)?;
             let i = match args[1] {
                 Value::Num(n) if n >= 0 => n as usize,
@@ -505,7 +540,7 @@ pub fn call_builtin(
                 other => Err(ShillError::Runtime(format!("nth on {}", other.type_name()))),
             }
         }
-        "split" => {
+        Split => {
             arity(&args, 2, name)?;
             let s = want_str(&args[0], "string")?;
             let sep = want_str(&args[1], "separator")?;
@@ -516,29 +551,29 @@ pub fn call_builtin(
                     .collect(),
             ))
         }
-        "starts_with" => {
+        StartsWith => {
             arity(&args, 2, name)?;
             let s = want_str(&args[0], "string")?;
             let p = want_str(&args[1], "prefix")?;
             Ok(Value::Bool(s.starts_with(&p)))
         }
-        "ends_with" => {
+        EndsWith => {
             arity(&args, 2, name)?;
             let s = want_str(&args[0], "string")?;
             let p = want_str(&args[1], "suffix")?;
             Ok(Value::Bool(s.ends_with(&p)))
         }
-        "strip_prefix" => {
+        StripPrefix => {
             arity(&args, 2, name)?;
             let s = want_str(&args[0], "string")?;
             let p = want_str(&args[1], "prefix")?;
             Ok(Value::str(s.strip_prefix(&p).unwrap_or(&s).to_string()))
         }
-        "to_string" => {
+        ToString => {
             arity(&args, 1, name)?;
             Ok(Value::str(args[0].display()))
         }
-        "display" => {
+        Display => {
             for a in &args {
                 interp.out.extend_from_slice(a.display().as_bytes());
             }
@@ -546,7 +581,7 @@ pub fn call_builtin(
             Ok(Value::Void)
         }
 
-        "syserror" => {
+        Syserror => {
             // Construct a catchable system error from its errno name —
             // the value a denied syscall would have produced. Scripts
             // talking to the server front-end use this to re-raise wire
@@ -568,7 +603,7 @@ pub fn call_builtin(
         }
 
         // --- observability ----------------------------------------------------------
-        "telemetry" => {
+        Telemetry => {
             // Draining snapshot of the kernel's observability plane.
             // `telemetry()` renders Prometheus text exposition;
             // `telemetry("chrome")` renders a chrome://tracing JSON
@@ -608,7 +643,7 @@ pub fn call_builtin(
         }
 
         // --- wallets ----------------------------------------------------------------
-        "wallet_get" => {
+        WalletGet => {
             arity(&args, 2, name)?;
             let key = want_str(&args[1], "key")?;
             match &args[0] {
@@ -621,7 +656,7 @@ pub fn call_builtin(
                 ))),
             }
         }
-        "wallet_keys" => {
+        WalletKeys => {
             arity(&args, 1, name)?;
             match &args[0] {
                 Value::Wallet(w) => Ok(Value::list(
@@ -633,7 +668,7 @@ pub fn call_builtin(
                 ))),
             }
         }
-        "wallet_set" => {
+        WalletSet => {
             arity(&args, 3, name)?;
             let key = want_str(&args[1], "key")?;
             let items = match &args[2] {
@@ -651,7 +686,7 @@ pub fn call_builtin(
                 ))),
             }
         }
-        "wallet_add_dep" => {
+        WalletAddDep => {
             // wallet_add_dep(wallet, program, cap): register an extra
             // dependency for a program (§4.1: adding /usr/local/lib/ocaml
             // as a dependency for OCaml executables).
@@ -674,16 +709,16 @@ pub fn call_builtin(
         }
 
         // --- ambient-only ----------------------------------------------------------
-        "open_file" | "open_dir" => {
+        OpenFile | OpenDir => {
             arity(&args, 1, name)?;
             let p = want_str(&args[0], "path")?;
             let pid = interp.pid;
             match RawCap::open_path(&mut interp.kernel, pid, &p) {
                 Ok(cap) => {
-                    if name == "open_dir" && !cap.is_dir() {
+                    if builtin == OpenDir && !cap.is_dir() {
                         return Err(ShillError::Runtime(format!("{p} is not a directory")));
                     }
-                    if name == "open_file" && cap.is_dir() {
+                    if builtin == OpenFile && cap.is_dir() {
                         return Err(ShillError::Runtime(format!("{p} is a directory")));
                     }
                     Ok(Value::Cap(Rc::new(GuardedCap::unguarded(cap))))
@@ -691,7 +726,7 @@ pub fn call_builtin(
                 Err(e) => Ok(Value::SysErr(e)),
             }
         }
-        "create_wallet" => {
+        CreateWallet => {
             arity(&args, 0, name)?;
             Ok(Value::Wallet(Rc::new(Wallet {
                 kind: "native".into(),
@@ -699,7 +734,10 @@ pub fn call_builtin(
             })))
         }
 
-        other => Err(ShillError::Runtime(format!("unknown builtin {other}"))),
+        // Abbreviations evaluate to contracts, never to a callable.
+        Readonly | Writeable | Appendonly => {
+            Err(ShillError::Runtime("cannot call a contract".into()))
+        }
     }
 }
 

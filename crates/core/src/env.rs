@@ -1,71 +1,142 @@
-//! Lexical environments.
+//! Lexical environments as slot frames.
 //!
-//! SHILL "does not have mutable variables" (§2.1): `define` inserts a fresh
-//! binding and re-defining a name already bound *in the same scope* is an
-//! error. Inner scopes may shadow outer ones (loop variables, parameters).
+//! The resolver (`resolve.rs`) gives every definition, parameter and
+//! loop variable a slot, and every variable reference the (frames out,
+//! slot) addresses of the scopes that may bind it
+//! ([`crate::ast::VarRef`]). A frame is one call's, one loop iteration's
+//! or one script's vector of slots; the definitions of an `if` block take
+//! slots of the frame it runs in. Free names that no definition or import
+//! binds are builtins, so no frame holds the builtins.
+//!
+//! SHILL "does not have mutable variables" (§2.1): a slot is written once,
+//! and defining it again is the redefinition error. Inner scopes shadow
+//! outer ones with slots of their own.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
+use std::cell::OnceCell;
 use std::rc::Rc;
 
-use crate::value::{ShillError, Value};
+use crate::ast::{Addr, Dialect};
+use crate::builtins::Builtin;
+use crate::value::{Lambda, ShillError, Value};
 
-struct EnvNode {
-    vars: RefCell<HashMap<String, Value>>,
-    parent: Option<Env>,
+/// A slot's contents. A closure defined in the frame it closes over is
+/// kept without that frame, and reading the slot pairs it with the frame
+/// again: a frame holding its own closures would be an `Rc` cycle, kept
+/// alive forever with every capability bound in it.
+enum Slot {
+    Val(Value),
+    Fun(Rc<Lambda>),
 }
 
-/// A shared, immutable-by-policy environment frame.
+struct Frame {
+    slots: Box<[OnceCell<Slot>]>,
+    parent: Option<Env>,
+    /// Root frames only: what by-name lookups see.
+    root: Option<Rc<Root>>,
+}
+
+/// The root scope of a script, as the resolver laid it out.
+pub(crate) struct Root {
+    /// The names of the first slots: imports, an ambient script's stdio
+    /// and factories, and the top-level definitions.
+    pub(crate) names: Vec<String>,
+    /// All slots of the root frame, with those of top-level `if` blocks.
+    pub(crate) size: usize,
+    pub(crate) dialect: Dialect,
+    /// Builtins that a top-level definition redefines. Their slots start
+    /// out holding the builtin, so the definition fails when it runs, as
+    /// any redefinition does.
+    pub(crate) redefined: Vec<(usize, Builtin)>,
+}
+
+/// A shared frame and, through its parents, the frames around it.
 #[derive(Clone)]
-pub struct Env(Rc<EnvNode>);
+pub struct Env(Rc<Frame>);
 
 impl Env {
-    /// A fresh root environment.
-    pub fn root() -> Env {
-        Env(Rc::new(EnvNode {
-            vars: RefCell::new(HashMap::new()),
+    /// A script's root frame. `preset` binds names before the body runs;
+    /// a later entry replaces an earlier one of the same name, as an
+    /// import replaces another import or an ambient value.
+    pub(crate) fn root(root: Rc<Root>, preset: Vec<(String, Value)>) -> Env {
+        let mut init: Vec<Option<Value>> = vec![None; root.size];
+        for (slot, b) in &root.redefined {
+            init[*slot] = Some(b.value());
+        }
+        for (name, v) in preset {
+            if let Some(slot) = root.names.iter().position(|n| *n == name) {
+                init[slot] = Some(v);
+            }
+        }
+        let slots = init
+            .into_iter()
+            .map(|v| v.map(Slot::Val).map_or_else(OnceCell::new, OnceCell::from))
+            .collect();
+        Env(Rc::new(Frame {
+            slots,
             parent: None,
+            root: Some(root),
         }))
     }
 
-    /// A child scope.
-    pub fn child(&self) -> Env {
-        Env(Rc::new(EnvNode {
-            vars: RefCell::new(HashMap::new()),
+    /// A root frame that binds nothing: by-name lookups see the builtins
+    /// of `dialect` only.
+    pub(crate) fn bare(dialect: Dialect) -> Env {
+        let root = Root {
+            names: Vec::new(),
+            size: 0,
+            dialect,
+            redefined: Vec::new(),
+        };
+        Env::root(Rc::new(root), Vec::new())
+    }
+
+    /// A child frame of `size` empty slots.
+    pub(crate) fn child(&self, size: usize) -> Env {
+        Env(Rc::new(Frame {
+            slots: (0..size).map(|_| OnceCell::new()).collect(),
             parent: Some(self.clone()),
+            root: None,
         }))
     }
 
-    /// Define a new binding. Fails if the name is already bound in *this*
-    /// frame — SHILL has no mutation or redefinition.
-    pub fn define(&self, name: &str, value: Value) -> Result<(), ShillError> {
-        let mut vars = self.0.vars.borrow_mut();
-        if vars.contains_key(name) {
-            return Err(ShillError::Runtime(format!(
+    /// Bind `slot` of this frame. Fails if it is already bound — SHILL has
+    /// no mutation or redefinition.
+    pub(crate) fn define(&self, slot: usize, name: &str, value: Value) -> Result<(), ShillError> {
+        let v = match value {
+            Value::Closure(lambda, env) if Rc::ptr_eq(&env.0, &self.0) => Slot::Fun(lambda),
+            other => Slot::Val(other),
+        };
+        self.0.slots[slot].set(v).map_err(|_| {
+            ShillError::Runtime(format!(
                 "`{name}` is already defined; SHILL bindings are immutable"
-            )));
+            ))
+        })
+    }
+
+    /// The value at `at`, if that slot has been defined.
+    pub(crate) fn get(&self, at: Addr) -> Option<Value> {
+        let mut frame = self;
+        for _ in 0..at.up {
+            frame = frame.0.parent.as_ref()?;
         }
-        vars.insert(name.to_string(), value);
-        Ok(())
+        Some(match frame.0.slots[at.slot].get()? {
+            Slot::Val(v) => v.clone(),
+            Slot::Fun(lambda) => Value::Closure(Rc::clone(lambda), frame.clone()),
+        })
     }
 
-    /// Define allowing replacement — used only by the runtime itself to
-    /// install builtins/stdlib before user code runs.
-    pub fn define_internal(&self, name: &str, value: Value) {
-        self.0.vars.borrow_mut().insert(name.to_string(), value);
-    }
-
-    /// Look a name up through the scope chain.
-    pub fn lookup(&self, name: &str) -> Option<Value> {
-        if let Some(v) = self.0.vars.borrow().get(name) {
-            return Some(v.clone());
+    /// Look `name` up by name in the root scope, then among the builtins —
+    /// for what is known only by name at run time: provided names, named
+    /// contracts and predicates.
+    pub fn named(&self, name: &str) -> Option<Value> {
+        let mut frame = self;
+        while let Some(parent) = &frame.0.parent {
+            frame = parent;
         }
-        self.0.parent.as_ref()?.lookup(name)
-    }
-
-    /// Whether the name is bound anywhere in scope.
-    pub fn bound(&self, name: &str) -> bool {
-        self.lookup(name).is_some()
+        let root = frame.0.root.as_ref()?;
+        let slot = root.names.iter().position(|n| n == name);
+        slot.and_then(|slot| frame.get(Addr { up: 0, slot }))
+            .or_else(|| Builtin::lookup(name, root.dialect).map(Builtin::value))
     }
 }
 
@@ -73,38 +144,71 @@ impl Env {
 mod tests {
     use super::*;
 
+    fn root(names: &[&str], size: usize) -> Env {
+        let root = Root {
+            names: names.iter().map(|n| n.to_string()).collect(),
+            size,
+            dialect: Dialect::CapSafe,
+            redefined: Vec::new(),
+        };
+        Env::root(Rc::new(root), Vec::new())
+    }
+
+    const HERE: Addr = Addr { up: 0, slot: 0 };
+
     #[test]
     fn define_and_lookup() {
-        let env = Env::root();
-        env.define("x", Value::Num(1)).unwrap();
-        assert!(matches!(env.lookup("x"), Some(Value::Num(1))));
-        assert!(env.lookup("y").is_none());
+        let env = root(&["x"], 2);
+        env.define(0, "x", Value::Num(1)).unwrap();
+        assert!(matches!(env.get(HERE), Some(Value::Num(1))));
+        assert!(env.get(Addr { up: 0, slot: 1 }).is_none());
     }
 
     #[test]
     fn no_redefinition_in_same_scope() {
-        let env = Env::root();
-        env.define("x", Value::Num(1)).unwrap();
-        assert!(env.define("x", Value::Num(2)).is_err());
+        let env = root(&["x"], 1);
+        env.define(0, "x", Value::Num(1)).unwrap();
+        assert!(env.define(0, "x", Value::Num(2)).is_err());
         // The original binding is untouched.
-        assert!(matches!(env.lookup("x"), Some(Value::Num(1))));
+        assert!(matches!(env.get(HERE), Some(Value::Num(1))));
     }
 
     #[test]
     fn shadowing_in_child_scope_is_fine() {
-        let env = Env::root();
-        env.define("x", Value::Num(1)).unwrap();
-        let inner = env.child();
-        inner.define("x", Value::Num(2)).unwrap();
-        assert!(matches!(inner.lookup("x"), Some(Value::Num(2))));
-        assert!(matches!(env.lookup("x"), Some(Value::Num(1))));
+        let env = root(&["x"], 1);
+        env.define(0, "x", Value::Num(1)).unwrap();
+        let inner = env.child(1);
+        inner.define(0, "x", Value::Num(2)).unwrap();
+        assert!(matches!(inner.get(HERE), Some(Value::Num(2))));
+        assert!(matches!(
+            inner.get(Addr { up: 1, slot: 0 }),
+            Some(Value::Num(1))
+        ));
     }
 
     #[test]
     fn child_sees_parent() {
-        let env = Env::root();
-        env.define("x", Value::Num(7)).unwrap();
-        let inner = env.child().child();
-        assert!(matches!(inner.lookup("x"), Some(Value::Num(7))));
+        let env = root(&["x"], 1);
+        env.define(0, "x", Value::Num(7)).unwrap();
+        let inner = env.child(0).child(0);
+        assert!(matches!(
+            inner.get(Addr { up: 2, slot: 0 }),
+            Some(Value::Num(7))
+        ));
+    }
+
+    #[test]
+    fn by_name_lookups_see_the_root_scope_then_the_builtins() {
+        let env = root(&["x", "length"], 2);
+        env.define(0, "x", Value::Num(7)).unwrap();
+        let inner = env.child(0);
+        assert!(matches!(inner.named("x"), Some(Value::Num(7))));
+        assert!(matches!(
+            inner.named("length"),
+            Some(Value::Builtin(Builtin::Length))
+        ));
+        assert!(matches!(inner.named("readonly"), Some(Value::Contract(_))));
+        assert!(inner.named("open_file").is_none(), "ambient only");
+        assert!(inner.named("y").is_none());
     }
 }

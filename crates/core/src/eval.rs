@@ -1,6 +1,13 @@
 //! The SHILL evaluator: expression evaluation, function application,
 //! contract application at boundaries, and the module system.
+//!
+//! A script is parsed, its `require`s are loaded, and the resolver
+//! (`resolve.rs`) gives every name a slot before the tree walker runs it.
+//! Variables read slots of [`Env`] frames, free names are [`Builtin`]
+//! constants, and a contracted call cites its contract's text in blame
+//! only when a violation is built.
 
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -12,11 +19,12 @@ use shill_sandbox::ShillPolicy;
 
 use crate::ast::{contract_to_string, BinOp, ContractExpr, Dialect, Expr, Script, Stmt, UnOp};
 use crate::batchio::DeferredAcc;
-use crate::builtins;
+use crate::builtins::{self, Builtin};
 use crate::env::Env;
 use crate::parse::parse_script;
 use crate::profile::{PhaseNesting, Profile};
-use crate::value::{Closure, ContractedFn, EvalResult, FutureCell, ShillError, Value};
+use crate::resolve::resolve;
+use crate::value::{ContractedFn, EvalResult, FutureCell, Lambda, ShillError, Value};
 
 /// Maximum evaluation depth (recursion guard).
 /// Applications may nest this deep. The bound is set so that the native
@@ -133,54 +141,52 @@ impl Interp {
     /// value of the last top-level expression.
     pub fn run_script(&mut self, name: &str, source: &str) -> EvalResult {
         let script = parse_script(source)?;
-        let env = self.base_env(script.dialect);
-        let last = self
-            .eval_script_in(&script, name, &env)
-            .map(|(_, last)| last);
+        let last = self.eval_script(script, name).map(|(_, last)| last);
         // The script's bindings are gone: close the descriptors only they
         // held.
-        drop(env);
         self.kernel.drain_closes();
         last
     }
 
-    /// Evaluate a script and collect its provided (contract-wrapped)
-    /// exports.
-    fn eval_script_in(
+    /// Load a script's imports, resolve it, evaluate it, and collect its
+    /// provided (contract-wrapped) exports.
+    fn eval_script(
         &mut self,
-        script: &Script,
+        mut script: Script,
         name: &str,
-        env: &Env,
     ) -> Result<(HashMap<String, Value>, Value), ShillError> {
+        // What the root binds before the body runs: an ambient script's
+        // stdio and factories, then the imports, which may shadow them and
+        // the builtins; definitions still cannot rebind them afterwards.
+        let mut preset = match script.dialect {
+            Dialect::Ambient => builtins::ambient_values(self),
+            Dialect::CapSafe => Vec::new(),
+        };
         for req in &script.requires {
             let exports = self.load_module(req)?;
-            for (n, v) in exports.iter() {
-                // Imports install into the base frame and may shadow the
-                // pre-installed builtins/abbreviations (e.g. `shill/contracts`
-                // re-exports `readonly`); user definitions still cannot
-                // rebind them afterwards.
-                env.define_internal(n, v.clone());
-            }
+            preset.extend(exports.iter().map(|(n, v)| (n.clone(), v.clone())));
         }
+        let root = resolve(&mut script, preset.iter().map(|(n, _)| n.as_str()));
+        let env = Env::root(Rc::new(root), preset);
         let mut last = Value::Void;
         for stmt in &script.body {
-            last = self.eval_stmt(env, stmt)?;
+            last = self.eval_stmt(&env, stmt)?;
         }
         // Wrap provides with their contracts at the module boundary.
         let mut exports = HashMap::new();
         for p in &script.provides {
-            let v = env.lookup(&p.name).ok_or_else(|| {
+            let v = env.named(&p.name).ok_or_else(|| {
                 ShillError::Runtime(format!("provided `{}` is not defined", p.name))
             })?;
-            let blame = Blame::new(
+            let blame = Blame::citing(
                 format!("client of {name}"),
                 format!("{name}:{}", p.name),
-                contract_to_string(&p.contract),
+                p.contract.clone(),
             );
             // positive=false: the provided value flows *out* of the module
             // to its client; function wrappers created here get
             // `into_body = true` (calling them enters the module).
-            let wrapped = self.apply_contract(v, &p.contract, blame, &[], env, false)?;
+            let wrapped = self.apply_contract(v, &p.contract, blame, &[], &env, false)?;
             exports.insert(p.name.clone(), wrapped);
         }
         Ok((exports, last))
@@ -214,8 +220,7 @@ impl Interp {
             )));
         }
         self.loading.push(name.to_string());
-        let env = self.base_env(Dialect::CapSafe);
-        let result = self.eval_script_in(&script, name, &env);
+        let result = self.eval_script(script, name);
         self.loading.pop();
         let (exports, _) = result?;
         let m = Rc::new(exports);
@@ -223,30 +228,21 @@ impl Interp {
         Ok(m)
     }
 
-    /// The initial environment for a dialect: builtins, plus ambient-only
-    /// bindings for ambient scripts.
-    pub fn base_env(&mut self, dialect: Dialect) -> Env {
-        let env = Env::root();
-        builtins::install_common(&env);
-        if dialect == Dialect::Ambient {
-            builtins::install_ambient(self, &env);
-        }
-        env
-    }
-
     // --- statements / expressions ---------------------------------------------
 
     pub fn eval_stmt(&mut self, env: &Env, stmt: &Stmt) -> EvalResult {
         match stmt {
-            Stmt::Def { name, expr, .. } => {
+            Stmt::Def {
+                name, expr, slot, ..
+            } => {
                 let v = self.eval_expr(env, expr)?;
                 // Name closures after their binding for blame messages.
-                if let Value::Closure(c) = &v {
-                    if c.name.borrow().is_empty() {
-                        *c.name.borrow_mut() = name.clone();
+                if let Value::Closure(l, _) = &v {
+                    if l.name.borrow().is_empty() {
+                        *l.name.borrow_mut() = name.clone();
                     }
                 }
-                env.define(name, v)?;
+                env.define(*slot, name, v)?;
                 Ok(Value::Void)
             }
             Stmt::Expr(e, semi) => {
@@ -259,11 +255,11 @@ impl Interp {
         }
     }
 
+    /// A block's definitions bind slots of the frame it runs in.
     fn eval_block(&mut self, env: &Env, stmts: &[Stmt]) -> EvalResult {
-        let scope = env.child();
         let mut last = Value::Void;
         for s in stmts {
-            last = self.eval_stmt(&scope, s)?;
+            last = self.eval_stmt(env, s)?;
         }
         Ok(last)
     }
@@ -281,9 +277,15 @@ impl Interp {
             Expr::Bool(b, _) => Ok(Value::Bool(*b)),
             Expr::Num(n, _) => Ok(Value::Num(*n)),
             Expr::Str(s, _) => Ok(Value::str(s.clone())),
-            Expr::Var(name, pos) => env
-                .lookup(name)
-                .ok_or_else(|| ShillError::Runtime(format!("unbound variable `{name}` at {pos}"))),
+            Expr::Var(v) => {
+                // The innermost scope whose definition has run wins.
+                if let Some(val) = v.scopes.iter().find_map(|at| env.get(*at)) {
+                    return Ok(val);
+                }
+                v.builtin.map(Builtin::value).ok_or_else(|| {
+                    ShillError::Runtime(format!("unbound variable `{}` at {}", v.name, v.pos))
+                })
+            }
             Expr::List(items, _) => {
                 let mut out = Vec::with_capacity(items.len());
                 for e in items {
@@ -291,12 +293,13 @@ impl Interp {
                 }
                 Ok(Value::list(out))
             }
-            Expr::Fun { params, body, .. } => Ok(Value::Closure(Rc::new(Closure {
-                name: std::cell::RefCell::new(String::new()),
-                params: params.clone(),
-                body: Rc::clone(body),
-                env: env.clone(),
-            }))),
+            Expr::Fun(fun, _) => {
+                let lambda = Lambda {
+                    name: RefCell::default(),
+                    fun: Rc::clone(fun),
+                };
+                Ok(Value::Closure(Rc::new(lambda), env.clone()))
+            }
             Expr::Contract(c, _) => Ok(Value::Contract(Rc::new((**c).clone()))),
             Expr::Async(inner, _) => {
                 // Evaluate the operand with deferral armed: I/O builtins
@@ -359,7 +362,11 @@ impl Interp {
                 }
             }
             Expr::For {
-                var, iter, body, ..
+                var,
+                iter,
+                body,
+                frame_size,
+                ..
             } => {
                 let it = self.eval_expr(env, iter)?;
                 let items: Vec<Value> = match it {
@@ -372,9 +379,9 @@ impl Interp {
                     }
                 };
                 for item in items {
-                    let scope = env.child();
-                    scope.define(var, item)?;
-                    self.eval_block(&scope, body)?;
+                    let frame = env.child(*frame_size);
+                    frame.define(0, var, item)?;
+                    self.eval_block(&frame, body)?;
                 }
                 Ok(Value::Void)
             }
@@ -481,26 +488,27 @@ impl Interp {
         kwargs: Vec<(String, Value)>,
     ) -> EvalResult {
         match f {
-            Value::Closure(c) => {
-                if args.len() != c.params.len() {
+            Value::Closure(l, env) => {
+                let fun = &l.fun;
+                if args.len() != fun.params.len() {
                     return Err(ShillError::Runtime(format!(
                         "{} expects {} arguments, got {}",
-                        c.name.borrow(),
-                        c.params.len(),
+                        l.name.borrow(),
+                        fun.params.len(),
                         args.len()
                     )));
                 }
                 if !kwargs.is_empty() {
                     return Err(ShillError::Runtime(format!(
                         "{} does not accept keyword arguments",
-                        c.name.borrow()
+                        l.name.borrow()
                     )));
                 }
-                let scope = c.env.child();
-                for (p, v) in c.params.iter().zip(args) {
-                    scope.define(p, v)?;
+                let frame = env.child(fun.frame_size);
+                for ((slot, p), v) in fun.param_slots.iter().zip(&fun.params).zip(args) {
+                    frame.define(*slot, p, v)?;
                 }
-                self.eval_block(&scope, &c.body)
+                self.eval_block(&frame, &fun.body)
             }
             Value::Contracted(cf) => self.apply_contracted(&cf, args, kwargs),
             // Builtins and native functions are the interpreter's kernel
@@ -508,16 +516,11 @@ impl Interp {
             // dropped since the last one (see `shill_cap::CapFd`).
             Value::Native(nf) => {
                 self.kernel.drain_closes();
-                let f = &nf.f;
-                // Native functions are Rust closures that may re-enter the
-                // interpreter; clone the Rc to end the borrow.
-                let nf2 = Rc::clone(&nf);
-                let _ = f;
-                (nf2.f)(self, args, kwargs)
+                (nf.f)(self, args, kwargs)
             }
-            Value::Builtin(name) => {
+            Value::Builtin(b) => {
                 self.kernel.drain_closes();
-                builtins::call_builtin(self, name, args, kwargs)
+                builtins::call_builtin(self, b, args, kwargs)
             }
             other => Err(ShillError::Runtime(format!(
                 "cannot call a {}",
@@ -541,40 +544,36 @@ impl Interp {
             )));
         }
         // Mint a fresh brand per call for polymorphic contracts (§2.4.2).
-        let mut seals = cf.seals.clone();
-        if let Some((var, bound)) = &cf.forall {
-            let brand = SealBrand::mint(var.clone(), *bound, Arc::clone(&cf.blame));
-            seals.push((var.clone(), brand));
-        }
+        let mut minted;
+        let seals = match &cf.forall {
+            Some((var, bound)) => {
+                minted = cf.seals.clone();
+                let brand = SealBrand::mint(var.clone(), *bound, Arc::clone(&cf.blame));
+                minted.push((var.clone(), brand));
+                &minted
+            }
+            None => &cf.seals,
+        };
         // Precondition: wrap each argument. The argument's *provider* is the
         // caller; violations of flat checks blame the caller side. Domain
         // polarity is `cf.into_body`: values entering the guarded body seal.
         // Named contracts resolve in the contract's defining environment.
-        let env = cf.cenv.clone();
+        let env = &cf.cenv;
+        let blames = cf.blames();
         let mut wrapped_args = Vec::with_capacity(args.len());
-        for (v, (argname, c)) in args.into_iter().zip(fc.args.iter()) {
-            let blame = Blame::new(
-                cf.blame.provider.clone(),
-                cf.blame.consumer.clone(),
-                format!("{argname} : {}", contract_to_string(c)),
-            );
-            wrapped_args.push(self.apply_contract(v, c, blame, &seals, &env, cf.into_body)?);
+        for ((v, (_, c)), blame) in args.into_iter().zip(&fc.args).zip(blames) {
+            let blame = Arc::clone(blame);
+            wrapped_args.push(self.apply_contract(v, c, blame, seals, env, cf.into_body)?);
         }
         // Keyword arguments: check those with declared contracts.
         let mut wrapped_kwargs = Vec::with_capacity(kwargs.len());
         for (name, v) in kwargs {
-            let declared = fc.kwargs.iter().find(|(n, _)| *n == name).map(|(_, c)| c);
-            match declared {
-                Some(c) => {
-                    let blame = Blame::new(
-                        cf.blame.provider.clone(),
-                        cf.blame.consumer.clone(),
-                        format!("{name} = : {}", contract_to_string(c)),
-                    );
-                    wrapped_kwargs.push((
-                        name,
-                        self.apply_contract(v, c, blame, &seals, &env, cf.into_body)?,
-                    ));
+            match fc.kwargs.iter().position(|(n, _)| *n == name) {
+                Some(i) => {
+                    let blame = Arc::clone(&blames[fc.args.len() + i]);
+                    let c = &fc.kwargs[i].1;
+                    let v = self.apply_contract(v, c, blame, seals, env, cf.into_body)?;
+                    wrapped_kwargs.push((name, v));
                 }
                 None => wrapped_kwargs.push((name, v)),
             }
@@ -582,12 +581,8 @@ impl Interp {
         let result = self.apply(cf.inner.clone(), wrapped_args, wrapped_kwargs)?;
         // Postcondition: the function is the provider of the result; range
         // polarity is the flip of the domain's.
-        let blame = Blame::new(
-            cf.blame.consumer.clone(),
-            cf.blame.provider.clone(),
-            contract_to_string(&fc.result),
-        );
-        self.apply_contract(result, &fc.result, blame, &seals, &env, !cf.into_body)
+        let blame = Arc::clone(blames.last().expect("a result blame"));
+        self.apply_contract(result, &fc.result, blame, seals, env, !cf.into_body)
     }
 
     // --- contract application ---------------------------------------------------
@@ -642,7 +637,7 @@ impl Interp {
             ContractExpr::Or(cs) => cs.iter().any(|c| self.first_order(v, c, seals, env)),
             ContractExpr::And(cs) => cs.iter().all(|c| self.first_order(v, c, seals, env)),
             ContractExpr::Var(_) => matches!(v, Value::Cap(_) | Value::Sealed { .. }),
-            ContractExpr::Named(name) => match env.lookup(name) {
+            ContractExpr::Named(name) => match env.named(name) {
                 Some(Value::Contract(inner)) => self.first_order(v, &inner, seals, env),
                 Some(f) if f.is_callable() => true, // predicate: decided at apply
                 _ => false,
@@ -776,12 +771,13 @@ impl Interp {
                 // swap (standard higher-order blame).
                 Ok(Value::Contracted(Rc::new(ContractedFn {
                     inner: v,
-                    contract: Rc::clone(fc),
+                    contract: Arc::clone(fc),
                     forall: None,
                     blame: if positive { blame.swapped() } else { blame },
                     seals: seals.to_vec(),
                     into_body: !positive,
                     cenv: env.clone(),
+                    blames: OnceCell::new(),
                 })))
             }
             ContractExpr::Forall { var, bound, body } => {
@@ -793,12 +789,13 @@ impl Interp {
                 }
                 Ok(Value::Contracted(Rc::new(ContractedFn {
                     inner: v,
-                    contract: Rc::clone(fc),
+                    contract: Arc::clone(fc),
                     forall: Some((var.clone(), *bound)),
                     blame: if positive { blame.swapped() } else { blame },
                     seals: seals.to_vec(),
                     into_body: !positive,
                     cenv: env.clone(),
+                    blames: OnceCell::new(),
                 })))
             }
             ContractExpr::Var(name) => {
@@ -834,7 +831,7 @@ impl Interp {
                     }
                 }
             }
-            ContractExpr::Named(name) => match env.lookup(name) {
+            ContractExpr::Named(name) => match env.named(name) {
                 Some(Value::Contract(inner)) => {
                     self.apply_contract(v, &inner, blame, seals, env, positive)
                 }
@@ -857,7 +854,7 @@ impl Interp {
             },
             ContractExpr::Predicate(name) => {
                 let f = env
-                    .lookup(name)
+                    .named(name)
                     .ok_or_else(|| ShillError::Runtime(format!("unknown predicate `{name}`")))?;
                 let verdict = self.apply(f, vec![v.clone()], vec![])?;
                 match verdict {

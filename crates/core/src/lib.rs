@@ -16,6 +16,7 @@ pub mod eval;
 pub mod lex;
 pub mod parse;
 pub mod profile;
+mod resolve;
 pub mod runtime;
 pub mod stdlib;
 pub mod value;

@@ -7,11 +7,12 @@
 //! at parse time.
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use shill_cap::{CapPrivs, Priv, PrivSet};
 
 use crate::ast::{
-    BinOp, ContractExpr, Dialect, Expr, FuncContract, Pos, Provide, Script, Stmt, UnOp,
+    BinOp, ContractExpr, Dialect, Expr, Fun, FuncContract, Pos, Provide, Script, Stmt, UnOp, VarRef,
 };
 use crate::lex::{lex, Tok, Token};
 
@@ -146,7 +147,7 @@ impl Parser {
                     self.expect(Tok::Semi, "';' after provide")?;
                     provides.push(Provide {
                         name,
-                        contract,
+                        contract: Arc::new(contract),
                         pos,
                     });
                 }
@@ -174,7 +175,12 @@ impl Parser {
                 if *self.peek() == Tok::Semi {
                     self.bump();
                 }
-                return Ok(Stmt::Def { name, expr, pos });
+                return Ok(Stmt::Def {
+                    name,
+                    expr,
+                    pos,
+                    slot: 0,
+                });
             }
         }
         let e = self.expr()?;
@@ -186,7 +192,7 @@ impl Parser {
     }
 
     /// A block `{ stmt* }`, or a single statement (for `then`-branches).
-    fn block_or_stmt(&mut self) -> PResult<Rc<Vec<Stmt>>> {
+    fn block_or_stmt(&mut self) -> PResult<Vec<Stmt>> {
         if *self.peek() == Tok::LBrace {
             self.bump();
             let mut stmts = Vec::new();
@@ -197,9 +203,9 @@ impl Parser {
                 stmts.push(self.stmt()?);
             }
             self.bump();
-            Ok(Rc::new(stmts))
+            Ok(stmts)
         } else {
-            Ok(Rc::new(vec![self.stmt()?]))
+            Ok(vec![self.stmt()?])
         }
     }
 
@@ -418,7 +424,11 @@ impl Parser {
             }
             Tok::Ident(name) => {
                 self.bump();
-                Ok(Expr::Var(name, pos))
+                Ok(Expr::Var(VarRef {
+                    name,
+                    pos,
+                    ..VarRef::default()
+                }))
             }
             Tok::LParen => {
                 self.bump();
@@ -450,7 +460,13 @@ impl Parser {
                 }
                 self.bump();
                 let body = self.block_or_stmt()?;
-                Ok(Expr::Fun { params, body, pos })
+                let fun = Fun {
+                    params,
+                    body,
+                    param_slots: Vec::new(),
+                    frame_size: 0,
+                };
+                Ok(Expr::Fun(Rc::new(fun), pos))
             }
             Tok::If => {
                 self.bump();
@@ -493,6 +509,7 @@ impl Parser {
                     var,
                     iter: Box::new(iter),
                     body,
+                    frame_size: 0,
                     pos,
                 })
             }
@@ -546,7 +563,7 @@ impl Parser {
             self.bump();
             self.expect(Tok::Arrow, "'->' after contract domain")?;
             let result = self.contract()?;
-            return Ok(ContractExpr::Func(Rc::new(FuncContract {
+            return Ok(ContractExpr::Func(Arc::new(FuncContract {
                 args,
                 kwargs: vec![],
                 result,
@@ -556,7 +573,7 @@ impl Parser {
         if *self.peek() == Tok::Arrow {
             self.bump();
             let result = self.contract()?;
-            return Ok(ContractExpr::Func(Rc::new(FuncContract {
+            return Ok(ContractExpr::Func(Arc::new(FuncContract {
                 args: vec![("arg".to_string(), lhs)],
                 kwargs: vec![],
                 result,
@@ -772,7 +789,7 @@ find_jpg = fun(cur, out) {
         assert_eq!(s.dialect, Dialect::CapSafe);
         assert_eq!(s.provides.len(), 1);
         assert_eq!(s.provides[0].name, "find_jpg");
-        match &s.provides[0].contract {
+        match &*s.provides[0].contract {
             ContractExpr::Func(fc) => {
                 assert_eq!(fc.args.len(), 2);
                 assert_eq!(fc.args[0].0, "cur");

@@ -19,8 +19,9 @@ use std::sync::Arc;
 use shill_cap::{CapPrivs, Priv, PrivSet};
 use shill_contracts::{Blame, CapError, GuardedCap};
 
-use crate::ast::{ContractExpr, FuncContract};
-use crate::builtins::cap_result;
+use crate::ast::{ContractExpr, Dialect, FuncContract};
+use crate::builtins::{cap_result, Builtin};
+use crate::env::Env;
 use crate::eval::Interp;
 use crate::value::{ContractedFn, EvalResult, NativeFn, ShillError, Value};
 
@@ -47,35 +48,17 @@ fn native_fn(
 // --- shill/contracts ---------------------------------------------------------
 
 fn contracts_module() -> HashMap<String, Value> {
-    let mut m = HashMap::new();
-    let readonly = ContractExpr::Or(vec![
-        ContractExpr::Dir(CapPrivs::of(PrivSet::readonly_dir())),
-        ContractExpr::File(CapPrivs::of(PrivSet::readonly_file())),
-    ]);
-    m.insert("readonly".into(), Value::Contract(Rc::new(readonly)));
-    m.insert(
-        "writeable".into(),
-        Value::Contract(Rc::new(ContractExpr::File(CapPrivs::of(PrivSet::of(&[
-            Priv::Write,
-            Priv::Append,
-            Priv::Truncate,
-            Priv::Stat,
-            Priv::Path,
-        ]))))),
-    );
+    let mut m: HashMap<String, Value> =
+        [Builtin::Readonly, Builtin::Writeable, Builtin::Appendonly]
+            .into_iter()
+            .map(|b| (b.name().to_string(), b.value()))
+            .collect();
     m.insert(
         "executable".into(),
         Value::Contract(Rc::new(ContractExpr::File(CapPrivs::of(PrivSet::of(&[
             Priv::Exec,
             Priv::Read,
             Priv::Stat,
-            Priv::Path,
-        ]))))),
-    );
-    m.insert(
-        "appendonly".into(),
-        Value::Contract(Rc::new(ContractExpr::File(CapPrivs::of(PrivSet::of(&[
-            Priv::Append,
             Priv::Path,
         ]))))),
     );
@@ -463,7 +446,7 @@ fn pkg_native(interp: &mut Interp, args: Vec<Value>, _kw: Vec<(String, Value)>) 
             }
             kwargs.push(("extras".to_string(), Value::list(extras)));
             interp.apply(
-                Value::Builtin("exec"),
+                Value::Builtin(Builtin::Exec),
                 vec![captured_exec.clone(), Value::list(argv)],
                 kwargs,
             )
@@ -499,15 +482,14 @@ fn pkg_native(interp: &mut Interp, args: Vec<Value>, _kw: Vec<(String, Value)>) 
         format!("native:{program}"),
         format!("native wrapper for {program}"),
     );
-    let cenv = crate::env::Env::root();
-    crate::builtins::install_common(&cenv);
     Ok(Value::Contracted(Rc::new(ContractedFn {
         inner: wrapper,
-        contract: Rc::new(contract),
+        contract: Arc::new(contract),
         forall: None,
         blame,
         seals: Vec::new(),
         into_body: true,
-        cenv,
+        cenv: Env::bare(Dialect::CapSafe),
+        blames: Default::default(),
     })))
 }

@@ -6,17 +6,18 @@
 //! mutable variables — so "SHILL scripts cannot store or share capabilities
 //! through memory, the filesystem, or the network".
 
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use shill_cap::CapFd;
-use shill_contracts::{Blame, GuardedCap, SealBrand, Violation};
+use shill_contracts::{Blame, ContractText, GuardedCap, SealBrand, Violation};
 use shill_vfs::Errno;
 
-use crate::ast::{FuncContract, Stmt};
+use crate::ast::{contract_to_string, Fun, FuncContract};
+use crate::builtins::Builtin;
 use crate::env::Env;
 
 /// What a pending future's slots in the accumulated batch resolve into.
@@ -142,19 +143,18 @@ impl FutureCell {
     }
 }
 
-/// A user-defined function.
-pub struct Closure {
-    /// Name for blame and diagnostics (binding name or `<anonymous>`).
+/// One evaluation of a `fun` literal: its code, and the name the first
+/// definition that binds it gives it, for diagnostics. A closure value is
+/// a lambda and the frame it closes over ([`Value::Closure`]).
+pub struct Lambda {
     pub name: RefCell<String>,
-    pub params: Vec<String>,
-    pub body: Rc<Vec<Stmt>>,
-    pub env: Env,
+    pub fun: Rc<Fun>,
 }
 
 /// A function contract wrapper around a callable value.
 pub struct ContractedFn {
     pub inner: Value,
-    pub contract: Rc<FuncContract>,
+    pub contract: Arc<FuncContract>,
     /// `forall` information: variable name and privilege bound, if present.
     pub forall: Option<(String, shill_cap::PrivSet)>,
     pub blame: Arc<Blame>,
@@ -165,9 +165,65 @@ pub struct ContractedFn {
     /// the component the contract guards (so `forall` variables in the
     /// domain seal); flips at each function-contract nesting (§2.4.2).
     pub into_body: bool,
-    /// The environment the contract was written in: named contract
-    /// abbreviations and user-defined predicates resolve here at call time.
+    /// The root frame of the script the contract was written in: named
+    /// contract abbreviations and user-defined predicates resolve there,
+    /// by name, at call time.
     pub cenv: Env,
+    /// The blame of each argument, then each keyword, then the result,
+    /// made at the first call.
+    pub(crate) blames: OnceCell<Box<[Arc<Blame>]>>,
+}
+
+impl ContractedFn {
+    /// Blame for each position of the contract: the arguments, then the
+    /// keywords, then the result, whose provider is the function.
+    pub(crate) fn blames(&self) -> &[Arc<Blame>] {
+        self.blames.get_or_init(|| {
+            let fc = &self.contract;
+            let (args, kwargs) = (fc.args.len(), fc.kwargs.len());
+            let positions = (0..args).map(At::Arg).chain((0..kwargs).map(At::Kwarg));
+            let cite = |at| {
+                let (provider, consumer) = match at {
+                    At::Result => (&self.blame.consumer, &self.blame.provider),
+                    _ => (&self.blame.provider, &self.blame.consumer),
+                };
+                let text = Arc::new(Cited {
+                    func: Arc::clone(fc),
+                    at,
+                });
+                Blame::citing(provider.as_str(), consumer.as_str(), text)
+            };
+            positions.chain([At::Result]).map(cite).collect()
+        })
+    }
+}
+
+/// A position of a function contract.
+#[derive(Clone, Copy)]
+enum At {
+    Arg(usize),
+    Kwarg(usize),
+    Result,
+}
+
+/// The text a blame cites for one position of a function contract.
+struct Cited {
+    func: Arc<FuncContract>,
+    at: At,
+}
+
+impl ContractText for Cited {
+    fn render(&self) -> String {
+        let fc = &self.func;
+        match self.at {
+            At::Arg(i) => format!("{} : {}", fc.args[i].0, contract_to_string(&fc.args[i].1)),
+            At::Kwarg(i) => {
+                let (name, c) = &fc.kwargs[i];
+                format!("{name} = : {}", contract_to_string(c))
+            }
+            At::Result => contract_to_string(&fc.result),
+        }
+    }
 }
 
 /// Native (Rust-implemented) function, e.g. the wrapper `pkg_native`
@@ -203,11 +259,12 @@ pub enum Value {
         brand: Arc<SealBrand>,
         inner: Rc<Value>,
     },
-    Closure(Rc<Closure>),
+    /// A lambda and the frame it closes over.
+    Closure(Rc<Lambda>, Env),
     Contracted(Rc<ContractedFn>),
     Native(Rc<NativeFn>),
-    /// A builtin, by name (dispatched in `builtins.rs`).
-    Builtin(&'static str),
+    /// A builtin (dispatched in `builtins.rs`).
+    Builtin(Builtin),
     /// A first-class contract value (user-defined abbreviations).
     Contract(Rc<crate::ast::ContractExpr>),
     Wallet(Rc<Wallet>),
@@ -278,7 +335,7 @@ impl Value {
             Value::List(_) => "list",
             Value::Cap(_) => "capability",
             Value::Sealed { .. } => "sealed capability",
-            Value::Closure(_) | Value::Contracted(_) | Value::Native(_) | Value::Builtin(_) => {
+            Value::Closure(..) | Value::Contracted(_) | Value::Native(_) | Value::Builtin(_) => {
                 "function"
             }
             Value::Contract(_) => "contract",
@@ -291,7 +348,7 @@ impl Value {
     pub fn is_callable(&self) -> bool {
         matches!(
             self,
-            Value::Closure(_) | Value::Contracted(_) | Value::Native(_) | Value::Builtin(_)
+            Value::Closure(..) | Value::Contracted(_) | Value::Native(_) | Value::Builtin(_)
         )
     }
 
@@ -342,10 +399,10 @@ impl Value {
             }
             Value::Cap(c) => format!("<capability {}>", c.name()),
             Value::Sealed { brand, .. } => format!("<sealed {}>", brand.var),
-            Value::Closure(c) => format!("<fun {}>", c.name.borrow()),
-            Value::Contracted(c) => format!("<contracted fun via {}>", c.blame.contract),
+            Value::Closure(l, _) => format!("<fun {}>", l.name.borrow()),
+            Value::Contracted(c) => format!("<contracted fun via {}>", c.blame.contract()),
             Value::Native(n) => format!("<native {}>", n.name),
-            Value::Builtin(n) => format!("<builtin {n}>"),
+            Value::Builtin(b) => format!("<builtin {}>", b.name()),
             Value::Contract(c) => format!("<contract {}>", crate::ast::contract_to_string(c)),
             Value::Wallet(w) => format!("<{} wallet>", w.kind),
             Value::SysErr(e) => format!("<syserror {}>", e.name()),

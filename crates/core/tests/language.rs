@@ -613,3 +613,152 @@ find_jpg(pics, out);
     assert!(p.guard_checks > 0, "{p:?}");
     assert!(p.total > std::time::Duration::ZERO);
 }
+
+// --- scoping rules and error text, pinned byte for byte ------------------------
+//
+// Scopes are resolved before evaluation, but a name still means what the
+// dynamic chain of scopes says when the reference runs. Each case runs a
+// cap-dialect script whose line 1 is the `#lang` header, so the positions
+// in the error text are stable.
+
+/// `ok:<value>` or `err:<error text>` for a script run in a fresh runtime.
+fn outcome(rt: &mut ShillRuntime, src: &str) -> String {
+    match rt.run("main", src) {
+        Ok(v) => format!("ok:{}", v.display()),
+        Err(e) => format!("err:{e}"),
+    }
+}
+
+fn cap_outcome(lines: &[&str]) -> String {
+    outcome(
+        &mut runtime(),
+        &format!("#lang shill/cap\n{}\n", lines.join("\n")),
+    )
+}
+
+#[test]
+fn a_use_before_a_definition_in_the_same_block_reads_the_outer_binding() {
+    assert_eq!(
+        cap_outcome(&[
+            "x = 1;",
+            "f = fun() { y = x; x = 2; [y, x] };",
+            "to_string(f())",
+        ]),
+        "ok:[1, 2]"
+    );
+}
+
+#[test]
+fn a_later_sibling_is_visible_once_its_definition_has_run() {
+    assert_eq!(
+        cap_outcome(&["g = fun() { h() };", "v = g();", "h = fun() { 7 };"]),
+        "err:runtime error: unbound variable `h` at 2:13 (call at 3:6)"
+    );
+    assert_eq!(
+        cap_outcome(&["g = fun() { h() };", "h = fun() { 7 };", "g()"]),
+        "ok:7"
+    );
+    assert_eq!(
+        cap_outcome(&[
+            "even = fun(n) { if n == 0 then true else odd(n - 1) };",
+            "odd = fun(n) { if n == 0 then false else even(n - 1) };",
+            "[even(10), odd(7), even(3)]",
+        ]),
+        "ok:[true, true, false]"
+    );
+}
+
+#[test]
+fn redefining_a_builtin_fails_at_top_level_and_a_parameter_shadows_it() {
+    assert_eq!(
+        cap_outcome(&["length = fun(x) { 0 };"]),
+        "err:runtime error: `length` is already defined; SHILL bindings are immutable"
+    );
+    assert_eq!(
+        cap_outcome(&["f = fun(length) { length + 1 };", "f(2)"]),
+        "ok:3"
+    );
+}
+
+#[test]
+fn definitions_in_an_if_block_do_not_escape_it() {
+    assert_eq!(
+        cap_outcome(&[
+            "f = fun(c) { if c then { z = 1; z } else 0; z };",
+            "f(true)",
+        ]),
+        "err:runtime error: unbound variable `z` at 2:45 (call at 3:2)"
+    );
+}
+
+#[test]
+fn duplicate_parameters_fail_when_the_function_is_called() {
+    assert_eq!(
+        cap_outcome(&["f = fun(a, a) { a };"]),
+        "ok:void",
+        "neither parsing nor resolving rejects them"
+    );
+    assert_eq!(
+        cap_outcome(&["f = fun(a, a) { a };", "f(1, 2)"]),
+        "err:runtime error: `a` is already defined; SHILL bindings are immutable (call at 3:2)"
+    );
+}
+
+#[test]
+fn an_arity_error_names_the_binding() {
+    assert_eq!(
+        cap_outcome(&["myfun = fun(a) { a };", "myfun(1, 2)"]),
+        "err:runtime error: myfun expects 1 arguments, got 2 (call at 3:6)"
+    );
+}
+
+#[test]
+fn a_closure_is_named_by_the_first_definition_that_binds_it() {
+    assert_eq!(
+        cap_outcome(&[
+            "mk = fun() { fun(a) { a } };",
+            "k = mk();",
+            "h = k;",
+            "to_string([k, h, mk, mk()])",
+        ]),
+        "ok:[<fun k>, <fun k>, <fun mk>, <fun >]"
+    );
+}
+
+const PINNED_CAP: &str = r#"#lang shill/cap
+f = fun(x) { x };
+g = fun(out) { read(out) };
+provide f : {x : is_num} -> is_string;
+provide g : {out : file(+append)} -> any;
+"#;
+
+#[test]
+fn contract_violations_and_function_displays_are_pinned() {
+    let mut rt = runtime();
+    rt.add_script("pinned.cap", PINNED_CAP);
+    let run = |rt: &mut ShillRuntime, body: &str| {
+        outcome(
+            rt,
+            &format!("#lang shill/ambient\nrequire \"pinned.cap\";\n{body}\n"),
+        )
+    };
+    assert_eq!(
+        run(&mut rt, "f(\"one\")"),
+        "err:contract violation: client of pinned.cap broke the contract `x : is_num`: \
+         value of type string does not satisfy is_num"
+    );
+    assert_eq!(
+        run(&mut rt, "f(1)"),
+        "err:contract violation: pinned.cap:f broke the contract `is_string`: \
+         value of type number does not satisfy is_string"
+    );
+    assert_eq!(
+        run(&mut rt, "g(open_file(\"/home/u/out.txt\"))"),
+        "err:contract violation: pinned.cap:g broke the contract `out : file(+append)`: \
+         operation +read on capability `out.txt` is not permitted"
+    );
+    assert_eq!(
+        run(&mut rt, "to_string([f, length, open_file])"),
+        "ok:[<contracted fun via {x : is_num} -> is_string>, <builtin length>, <builtin open_file>]"
+    );
+}

@@ -20,6 +20,11 @@
 //!    identical; `faults_injected == faults_survived` proves no injected
 //!    fault ever escaped as a panic.
 //!
+//! Layers 3b and 4 carry the differential oracle to span accounting and
+//! to the server path. Layer 5 compares the evaluator with itself across
+//! changes: generated scoping scripts must reproduce the outcomes recorded
+//! in `tests/corpus/eval_fingerprints.txt`.
+//!
 //! Iteration counts honor `SHILL_FUZZ_ITERS` (CI runs 1000); crashes and
 //! divergences are reported with the generating seed so they can be
 //! replayed bit-for-bit, and interesting sources land in `tests/corpus/`
@@ -1427,4 +1432,326 @@ fn fuzzed_server_sessions_survive_fault_storms_without_stale_allows() {
             );
         }
     }
+}
+
+// =======================================================================
+// Layer 5: recorded evaluator fingerprints.
+// =======================================================================
+//
+// Layers 2 and 2b and the corpus replay compare two runs of one build, so
+// they cannot see a change in what the evaluator returns. This layer
+// compares against outcomes recorded once, in
+// `tests/corpus/eval_fingerprints.txt`, for cap-dialect scripts that stress
+// scoping: nested `fun`s whose parameters shadow outer names, `if` and
+// `for` blocks that define names, self- and mutually recursive local
+// helpers, references before and after a definition, and unbound names.
+//
+// Every call of a user function passes a fuel argument `k` that only
+// decreases (`k - 1` inside a body, a literal 0–3 at top level), and
+// every function body guards its calls with `k > 0`, so the call tree of
+// a generated script stays small.
+
+/// Cases recorded in the fingerprint file.
+const FINGERPRINT_CASES: usize = 300;
+/// The layer's own seed: layers 1–4 keep their random streams.
+const FINGERPRINT_SEED: u64 = 0x005C_09E5_F1D0;
+/// Names used as values; `length` is a builtin and `zz` is never bound.
+const SCOPE_VALUES: &[&str] = &["a", "b", "x", "length", "zz"];
+/// Names value definitions bind: `length` now and then, `zz` never.
+const SCOPE_DEFS: &[&str] = &[
+    "a", "b", "x", "a", "b", "x", "a", "b", "x", "a", "b", "length",
+];
+/// Names that are called.
+const SCOPE_FUNS: &[&str] = &["f", "g", "h", "go"];
+
+/// A generator of scoping scripts. `vals` and `funs` hold the names bound
+/// where the generator stands (a superset of the pools' bound names is
+/// never assumed): most references pick one of those, the rest pick any
+/// name of the pool, bound or not, defined earlier or later.
+struct ScopeGen {
+    rng: Rng,
+    vals: Vec<&'static str>,
+    funs: Vec<&'static str>,
+    in_fun: bool,
+}
+
+impl ScopeGen {
+    /// A bound name from `bound` most of the time, else any name of
+    /// `pool`; `None` when nothing is bound and the dice say so.
+    fn name(&mut self, pool: &[&'static str], funs: bool) -> Option<&'static str> {
+        let bound = if funs { &self.funs } else { &self.vals };
+        match self.rng.below(10) {
+            0 => Some(pool[self.rng.below(pool.len())]),
+            _ if bound.is_empty() => None,
+            _ => Some(bound[self.rng.below(bound.len())]),
+        }
+    }
+
+    /// The fuel passed by a call: `k - 1` inside a function, else a literal.
+    fn fuel(&mut self) -> String {
+        if self.in_fun {
+            "k - 1".into()
+        } else {
+            format!("{}", self.rng.below(4))
+        }
+    }
+
+    fn leaf(&mut self) -> String {
+        let name = match self.rng.below(5) {
+            0 | 1 => None,
+            2 if self.in_fun => Some("k"),
+            _ => self.name(SCOPE_VALUES, false),
+        };
+        match name {
+            Some(n) => n.into(),
+            None if self.rng.below(4) != 0 => format!("{}", self.rng.below(10)),
+            None => format!("\"s{}\"", self.rng.below(4)),
+        }
+    }
+
+    /// Run `f` in a nested scope: names it binds are forgotten after.
+    fn scoped<T>(&mut self, f: impl FnOnce(&mut ScopeGen) -> T) -> T {
+        let (v, g, in_fun) = (self.vals.len(), self.funs.len(), self.in_fun);
+        let r = f(self);
+        self.vals.truncate(v);
+        self.funs.truncate(g);
+        self.in_fun = in_fun;
+        r
+    }
+
+    /// A `fun` literal whose body guards every call with its fuel, and
+    /// its parameter count.
+    fn fun(&mut self, depth: usize) -> (String, usize) {
+        self.scoped(|g| {
+            g.in_fun = true;
+            g.vals.push("k");
+            let params = match g.rng.below(8) {
+                0..=5 => "k".to_string(),
+                6 => {
+                    let p = SCOPE_VALUES[g.rng.below(SCOPE_VALUES.len())];
+                    g.vals.push(p);
+                    format!("k, {p}")
+                }
+                _ => match g.rng.below(3) {
+                    0 => "k, k".to_string(),
+                    _ => {
+                        let p = SCOPE_FUNS[g.rng.below(SCOPE_FUNS.len())];
+                        format!("k, {p}")
+                    }
+                },
+            };
+            let body = g.block(depth.saturating_sub(1));
+            let leaf = g.leaf();
+            let arity = params.split(',').count();
+            (
+                format!("fun({params}) {{ if k > 0 then {{ {body} }} else {leaf} }}"),
+                arity,
+            )
+        })
+    }
+
+    /// The arguments of a call: the fuel, then `arity - 1` expressions.
+    fn args(&mut self, arity: usize, depth: usize) -> String {
+        let mut a = self.fuel();
+        for _ in 1..arity {
+            a.push_str(", ");
+            a.push_str(&self.expr(depth.saturating_sub(1)));
+        }
+        a
+    }
+
+    /// A call of a named function or, when none is bound, of a literal.
+    fn call(&mut self, depth: usize) -> String {
+        let arity = if self.rng.below(6) == 0 { 2 } else { 1 };
+        match self.name(SCOPE_FUNS, true) {
+            Some(f) => format!("{f}({})", self.args(arity, depth)),
+            None => {
+                let (f, arity) = self.fun(depth.saturating_sub(1));
+                format!("{f}({})", self.args(arity, depth))
+            }
+        }
+    }
+
+    fn expr(&mut self, depth: usize) -> String {
+        if depth == 0 {
+            return self.leaf();
+        }
+        let d = depth - 1;
+        match self.rng.below(10) {
+            0 if self.rng.flag() => format!("({} + {})", self.expr(d), self.expr(d)),
+            0 => format!("({} == {})", self.expr(d), self.expr(d)),
+            1 => format!("[{}, {}]", self.expr(d), self.expr(d)),
+            2 | 3 => self.call(depth),
+            4 => {
+                let (f, arity) = self.fun(d);
+                format!("{f}({})", self.args(arity, depth))
+            }
+            5 => {
+                let (l, r) = (self.leaf(), self.leaf());
+                let then = self.scoped(|g| g.block(d));
+                let els = self.scoped(|g| g.block(d));
+                format!("if {l} == {r} then {{ {then} }} else {{ {els} }}")
+            }
+            6 => {
+                let (l, r) = (self.leaf(), self.leaf());
+                let var = SCOPE_VALUES[self.rng.below(SCOPE_VALUES.len())];
+                let body = self.scoped(|g| {
+                    g.vals.push(var);
+                    g.block(d)
+                });
+                format!("for {var} in [{l}, {r}] {{ {body} }}")
+            }
+            7 => format!("to_string({})", self.expr(d)),
+            8 => format!("length(to_string({}))", self.expr(d)),
+            _ => self.leaf(),
+        }
+    }
+
+    /// A name to define from `pool`, rerolled twice while already bound,
+    /// so most definitions bind a fresh name and some shadow or collide.
+    fn def_name(&mut self, pool: &[&'static str]) -> &'static str {
+        let mut name = pool[self.rng.below(pool.len())];
+        for _ in 0..2 {
+            if !self.vals.contains(&name) && !self.funs.contains(&name) {
+                break;
+            }
+            name = pool[self.rng.below(pool.len())];
+        }
+        name
+    }
+
+    /// One statement: a definition (of a value or a function), a
+    /// `display`, or an expression statement.
+    fn stmt(&mut self, depth: usize) -> String {
+        match self.rng.below(6) {
+            0 | 1 => {
+                let name = self.def_name(SCOPE_FUNS);
+                let (rhs, _) = self.fun(depth);
+                self.funs.push(name);
+                format!("{name} = {rhs};")
+            }
+            2 | 3 => {
+                let name = self.def_name(SCOPE_DEFS);
+                let alias = self
+                    .name(SCOPE_FUNS, true)
+                    .filter(|_| self.rng.below(4) == 0);
+                let rhs = if let Some(f) = alias {
+                    f.to_string()
+                } else {
+                    self.expr(depth)
+                };
+                self.vals.push(name);
+                format!("{name} = {rhs};")
+            }
+            4 => format!("display({});", self.expr(depth)),
+            _ => format!("{};", self.expr(depth)),
+        }
+    }
+
+    /// A block body: a few statements and a trailing expression.
+    fn block(&mut self, depth: usize) -> String {
+        let mut s = String::new();
+        for _ in 0..self.rng.below(3) {
+            s.push_str(&self.stmt(depth));
+            s.push(' ');
+        }
+        s.push_str(&self.expr(depth));
+        s
+    }
+
+    /// A whole cap-dialect script, one top-level statement per line.
+    fn script(&mut self) -> String {
+        self.vals.clear();
+        self.funs.clear();
+        let mut s = String::from("#lang shill/cap\n");
+        for _ in 0..2 + self.rng.below(4) {
+            s.push_str(&self.stmt(2));
+            s.push('\n');
+        }
+        let tail = match self.rng.below(3) {
+            0 => self.call(2),
+            1 => {
+                let e = self.expr(2);
+                let f = self.name(SCOPE_FUNS, true).unwrap_or("length");
+                format!("to_string([{e}, {f}])")
+            }
+            _ => self.expr(2),
+        };
+        s.push_str(&tail);
+        s.push('\n');
+        s
+    }
+}
+
+/// One case's outcome on one line: `ok:<value>|out:<output>` or
+/// `err:<text>`, with `\` and newlines escaped.
+fn recorded_fingerprint(src: &str) -> String {
+    let mut rt = ShillRuntime::new(
+        script_kernel(true),
+        RuntimeConfig::WithPolicy,
+        Cred::user(100),
+    );
+    let fp = match rt.run("fuzz", src) {
+        Ok(v) => format!("ok:{}|out:{}", v.display(), rt.output()),
+        Err(e) => format!("err:{e}"),
+    };
+    fp.replace('\\', "\\\\").replace('\n', "\\n")
+}
+
+fn fingerprint_cases() -> Vec<(String, String)> {
+    let mut gen = ScopeGen {
+        rng: Rng::new(FINGERPRINT_SEED),
+        vals: Vec::new(),
+        funs: Vec::new(),
+        in_fun: false,
+    };
+    (0..FINGERPRINT_CASES)
+        .map(|_| {
+            let src = gen.script();
+            let fp = recorded_fingerprint(&src);
+            (src, fp)
+        })
+        .collect()
+}
+
+fn fingerprint_path() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus/eval_fingerprints.txt")
+}
+
+#[test]
+fn evaluator_matches_recorded_fingerprints() {
+    let recorded = std::fs::read_to_string(fingerprint_path()).expect("fingerprint file");
+    let lines: Vec<&str> = recorded.lines().collect();
+    assert_eq!(lines.len(), FINGERPRINT_CASES, "one line per case");
+    let mut diffs = Vec::new();
+    for (i, ((src, now), line)) in fingerprint_cases().iter().zip(&lines).enumerate() {
+        let want = line
+            .strip_prefix(&format!("{i} "))
+            .unwrap_or_else(|| panic!("line {i} does not start with its case index: {line}"));
+        if now != want {
+            diffs.push(format!(
+                "case {i}:\n{src}  recorded: {want}\n  now:      {now}"
+            ));
+        }
+    }
+    assert!(
+        diffs.is_empty(),
+        "{} of {FINGERPRINT_CASES} cases changed outcome:\n\n{}",
+        diffs.len(),
+        diffs.join("\n\n")
+    );
+}
+
+/// Rewrites the fingerprint file from the current evaluator. Run it only
+/// when a change of outcome is intended:
+/// `cargo test --test fuzz_grammar regenerate_eval_fingerprints -- --ignored`.
+#[test]
+#[ignore]
+fn regenerate_eval_fingerprints() {
+    let out: String = fingerprint_cases()
+        .iter()
+        .enumerate()
+        .map(|(i, (_, fp))| format!("{i} {fp}\n"))
+        .collect();
+    std::fs::write(fingerprint_path(), out).expect("write fingerprint file");
 }

@@ -4,6 +4,7 @@
 //! table is bounded by the capabilities a script keeps alive — not by
 //! everything it ever looked up.
 
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use shill::kernel::Ulimits;
@@ -161,6 +162,64 @@ hoard(open_dir("/data"), w, open_file("/tmp/log.txt"));"#,
     );
     // Once the wallet is gone, its descriptors are released.
     assert_eq!(runtime_fds(&mut rt), 0);
+}
+
+/// `probe` binds its parameter, a capability it derives and a
+/// self-recursive helper. The helper's closure lives in a slot of the
+/// call's own frame, so the frame must not outlive the call.
+const HELPER_CAP: &str = r#"#lang shill/cap
+provide probe : {d : dir(+lookup)} -> is_num;
+probe = fun(d) {
+  f = lookup(d, "f0000");
+  go = fun(i) { if i < 3 then go(i + 1) else i };
+  go(0)
+};
+"#;
+
+#[test]
+fn a_call_that_binds_a_recursive_helper_releases_its_capabilities() {
+    let mut rt = runtime(kernel_with_files(1));
+    rt.add_script("helper.cap", HELPER_CAP);
+    rt.run_ok("#lang shill/ambient\nrequire \"helper.cap\";\n0");
+    let start = runtime_fds(&mut rt);
+    for call in 0..2000 {
+        let v = rt
+            .run(
+                "main",
+                "#lang shill/ambient\nrequire \"helper.cap\";\nprobe(open_dir(\"/data\"))",
+            )
+            .unwrap_or_else(|e| panic!("call {call}: {e}"));
+        assert!(matches!(v, Value::Num(3)), "call {call}: {v:?}");
+    }
+    assert_eq!(runtime_fds(&mut rt), start, "descriptors after 2 000 calls");
+}
+
+/// A module's top-level closures live in its root frame and close over it.
+/// Once the runtime and the caller's copies of the exports drop, nothing
+/// keeps them alive.
+#[test]
+fn module_level_closures_die_with_their_runtime() {
+    let mut rt = runtime(kernel_with_files(1));
+    rt.add_script("helper.cap", HELPER_CAP);
+    let mut closures = Vec::new();
+    for module in ["shill/prelude", "helper.cap", "walk.cap"] {
+        let exports = rt.interp.load_module(module).expect("module loads");
+        for (name, v) in exports.iter() {
+            let Value::Contracted(wrapper) = v else {
+                panic!("{module}: {name} is {v:?}")
+            };
+            let Value::Closure(lambda, _) = &wrapper.inner else {
+                panic!("{module}: {name} wraps {:?}", wrapper.inner)
+            };
+            closures.push((format!("{module}: {name}"), Rc::downgrade(lambda)));
+        }
+    }
+    assert_eq!(closures.len(), 9 + 1 + 2);
+    assert!(closures.iter().all(|(_, c)| c.upgrade().is_some()));
+    drop(rt);
+    for (name, closure) in closures {
+        assert!(closure.upgrade().is_none(), "{name} outlived its runtime");
+    }
 }
 
 /// The runtime is a process no session owns. With only the label-scoped
