@@ -285,11 +285,6 @@ impl RawCap {
         Ok(out)
     }
 
-    /// Positional read.
-    pub fn read_at(&self, k: &mut Kernel, pid: Pid, off: u64, len: usize) -> SysResult<Vec<u8>> {
-        k.pread(pid, self.live_fd()?, off, len)
-    }
-
     /// Overwrite contents (truncate + write).
     pub fn write_all(&self, k: &mut Kernel, pid: Pid, data: &[u8]) -> SysResult<()> {
         let fd = self.live_fd()?;

@@ -82,13 +82,6 @@ impl Blame {
             Arc::clone(&self.contract),
         )
     }
-
-    pub fn party_name(&self, p: Party) -> &str {
-        match p {
-            Party::Provider => &self.provider,
-            Party::Consumer => &self.consumer,
-        }
-    }
 }
 
 impl fmt::Debug for Blame {

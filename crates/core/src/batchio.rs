@@ -235,11 +235,6 @@ impl DeferredAcc {
         self.futures.is_empty()
     }
 
-    /// Number of entries accumulated so far (test observability).
-    pub fn pending_entries(&self) -> usize {
-        self.batch.entries.len()
-    }
-
     fn push_future(&mut self, kind: FragKind) -> Rc<FutureCell> {
         let fut = FutureCell::pending(kind);
         self.futures.push(Rc::clone(&fut));

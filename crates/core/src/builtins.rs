@@ -1131,40 +1131,28 @@ fn builtin_exec(interp: &mut Interp, args: Vec<Value>, kwargs: Vec<(String, Valu
         Err(e) => return Ok(Value::SysErr(e)),
     };
     interp.profile.sandboxes += 1;
-    // Setup cannot recurse back into the interpreter, but when this exec
-    // is itself nested inside another exec's window the enclosing phase
-    // must subtract it — book it as a leaf.
-    let setup_span = interp.phase_nest.book_leaf(setup_start.elapsed());
-    interp.profile.sandbox_setup += setup_span;
+    interp.profile.sandbox_setup += setup_start.elapsed();
 
-    // Sandboxed execution. The handler behind `exec_node` may re-enter
-    // the interpreter (a script spawning a script), so the window is a
-    // proper phase: every exit path closes it through `phase_nest` and
-    // books only the innermost-attributable remainder.
+    // Sandboxed execution. The handler behind `exec_node` is a kernel-level
+    // binary with no way back into this interpreter, so the window never
+    // nests inside another and books its whole span.
     let exec_start = Instant::now();
-    interp.phase_nest.enter();
     let status = match interp.kernel.exec_node(sandbox.child, exec_node, &argv) {
-        Ok(s) => s,
+        Ok(s) => {
+            interp.kernel.exit(sandbox.child, s);
+            interp.kernel.waitpid(parent, sandbox.child)
+        }
         Err(e) => {
             interp.kernel.exit(sandbox.child, 126);
             let _ = interp.kernel.waitpid(parent, sandbox.child);
-            let span = interp.phase_nest.exit(exec_start.elapsed());
-            interp.profile.sandboxed_exec += span;
-            return Ok(Value::SysErr(e));
+            Err(e)
         }
     };
-    interp.kernel.exit(sandbox.child, status);
-    let status = match interp.kernel.waitpid(parent, sandbox.child) {
-        Ok(s) => s,
-        Err(e) => {
-            let span = interp.phase_nest.exit(exec_start.elapsed());
-            interp.profile.sandboxed_exec += span;
-            return Ok(Value::SysErr(e));
-        }
-    };
-    let span = interp.phase_nest.exit(exec_start.elapsed());
-    interp.profile.sandboxed_exec += span;
-    Ok(Value::Num(status as i64))
+    interp.profile.sandboxed_exec += exec_start.elapsed();
+    Ok(match status {
+        Ok(s) => Value::Num(s as i64),
+        Err(e) => Value::SysErr(e),
+    })
 }
 
 fn flatten(items: Vec<Value>) -> Vec<Value> {

@@ -22,7 +22,7 @@ use crate::batchio::DeferredAcc;
 use crate::builtins::{self, Builtin};
 use crate::env::Env;
 use crate::parse::parse_script;
-use crate::profile::{PhaseNesting, Profile};
+use crate::profile::Profile;
 use crate::resolve::resolve;
 use crate::value::{ContractedFn, EvalResult, FutureCell, Lambda, ShillError, Value};
 
@@ -51,10 +51,6 @@ pub struct Interp {
     /// Modules currently being loaded (cycle detection).
     loading: Vec<String>,
     pub profile: Profile,
-    /// Open phase windows for reentrancy-safe profile attribution (a
-    /// nested `run`/`exec` recursing through an outer `exec` must not
-    /// double-book its time — see [`PhaseNesting`]).
-    pub phase_nest: PhaseNesting,
     /// Output of the `display` builtin.
     pub out: Vec<u8>,
     depth: usize,
@@ -82,7 +78,6 @@ impl Interp {
             module_cache: HashMap::new(),
             loading: Vec::new(),
             profile: Profile::default(),
-            phase_nest: PhaseNesting::default(),
             out: Vec::new(),
             depth: 0,
             deferred: None,

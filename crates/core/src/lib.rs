@@ -25,6 +25,6 @@ pub use ast::{ContractExpr, Dialect, Script};
 pub use env::Env;
 pub use eval::Interp;
 pub use parse::{parse_contract, parse_script, ParseError};
-pub use profile::{PhaseNesting, Profile};
+pub use profile::Profile;
 pub use runtime::{RuntimeConfig, ShillRuntime};
 pub use value::{EvalResult, ShillError, Value};

@@ -161,13 +161,6 @@ impl PipeTable {
     pub fn buffered(&self, id: PipeId) -> SysResult<usize> {
         Ok(self.pipes.get(&id).ok_or(Errno::EBADF)?.data.len())
     }
-
-    /// Drain everything buffered without consuming an end reference
-    /// (used by the runtime to collect a sandboxed child's stdout).
-    pub fn drain_all(&mut self, id: PipeId) -> SysResult<Vec<u8>> {
-        let p = self.pipes.get_mut(&id).ok_or(Errno::EBADF)?;
-        Ok(p.data.drain(..).collect())
-    }
 }
 
 #[cfg(test)]

@@ -508,14 +508,6 @@ impl KernelShards {
             }
         })
     }
-
-    /// Recover the kernels once every clone is gone (`None` while other
-    /// handles are alive). Shard order is preserved.
-    pub fn try_into_kernels(self) -> Option<Vec<Kernel>> {
-        Arc::try_unwrap(self.inner)
-            .ok()
-            .map(|inner| inner.shards.into_iter().map(|m| m.into_inner()).collect())
-    }
 }
 
 #[cfg(test)]
@@ -662,16 +654,6 @@ mod tests {
             k.fs.resolve_abs("/f").unwrap()
         });
         assert_ne!(ObjId::Vnode(n0), ObjId::Vnode(n1));
-    }
-
-    #[test]
-    fn try_into_kernels_requires_sole_ownership() {
-        let shards = KernelShards::new(2);
-        let clone = shards.clone();
-        assert!(clone.try_into_kernels().is_none());
-        let kernels = shards.try_into_kernels().expect("sole owner");
-        assert_eq!(kernels.len(), 2);
-        assert_eq!(kernels[1].shard_index(), 1);
     }
 
     #[test]

@@ -233,14 +233,6 @@ impl SandboxLog {
             .filter(|e| matches!(e, LogEvent::CacheEpochBump { .. }))
             .collect()
     }
-
-    /// Batch audit spans for a session (verbose logging only).
-    pub fn batch_spans(&self, session: SessionId) -> Vec<&LogEvent> {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, LogEvent::BatchSpan { session: s, .. } if *s == session))
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -219,11 +219,6 @@ impl ShillPolicy {
         }
     }
 
-    /// Number of lock stripes.
-    pub fn stripe_count(&self) -> usize {
-        self.stripes.len()
-    }
-
     /// Which stripe a session's state lives on (tests use this to place
     /// sessions on distinct stripes).
     pub fn stripe_of(&self, session: SessionId) -> usize {

@@ -428,11 +428,6 @@ impl ServerCore {
         self.shards.stats()
     }
 
-    /// Is the server draining?
-    pub fn is_draining(&self) -> bool {
-        self.state.lock().unwrap().draining
-    }
-
     /// Factor gate + admission + sandbox choreography. On success the
     /// connection owns an entered session confined to `/srv/<tenant>`.
     pub fn open_session(&self, tenant: &str, secret: &str) -> Result<SessionHandle, ServerError> {
@@ -717,12 +712,6 @@ impl ServerCore {
         self.shards
             .run_job(h.child, batch, fence)
             .map_err(ServerError::Sys)
-    }
-
-    /// Begin draining without waiting: new sessions and frames are
-    /// refused from this point on.
-    pub fn begin_drain(&self) {
-        self.state.lock().unwrap().draining = true;
     }
 
     /// Graceful drain: refuse new work, then block until every in-flight

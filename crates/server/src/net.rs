@@ -10,13 +10,16 @@
 //! mid-stream leaks nothing. The accepter drops an ended connection's
 //! thread handle at its next accept.
 //!
-//! Handlers read with a short timeout so an idle connection never wedges
-//! shutdown: a timeout at a frame boundary just polls the stop flag,
-//! while a timeout *mid-frame* keeps waiting for the rest of the frame
-//! (slow writers are fine; only a stopped server gives up on them).
+//! Threads block on their sockets; none polls. [`Server::shutdown`] sets
+//! the stop flag and wakes each accepter with one loopback connection to
+//! its own address, dropped unserved. It then closes the read half of the
+//! stream clone kept beside each handler's thread handle, so a handler
+//! blocked in [`read_frame`] reads `Closed` (or `Truncated` mid-frame),
+//! closes its session and hangs up. Every handler hangs up on the way
+//! out, so a kept clone never holds a finished connection open.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -27,10 +30,17 @@ use std::time::Duration;
 use shill_kernel::TraceSite;
 
 use crate::core::{ServerCore, SessionHandle};
-use crate::proto::{err_payload, ok_payload, read_frame, write_frame, FrameError, Request};
+use crate::proto::{
+    err_payload, ok_payload, read_frame, write_frame, FrameError, Request, MAX_FRAME_DEFAULT,
+};
 
-const READ_TICK: Duration = Duration::from_millis(25);
-const ACCEPT_TICK: Duration = Duration::from_millis(2);
+/// How long an accepter waits after a failed `accept` before it retries:
+/// a descriptor shortage fails every retry at once, so it must not spin.
+const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(2);
+
+/// Each live connection's handler thread, beside a clone of its stream
+/// through which [`Server::shutdown`] wakes the handler.
+type Conns = Arc<Mutex<Vec<(JoinHandle<()>, Box<dyn Stream>)>>>;
 
 /// A running server: accept threads plus one handler thread per live
 /// connection.
@@ -38,7 +48,7 @@ pub struct Server {
     core: Arc<ServerCore>,
     stop: Arc<AtomicBool>,
     accepters: Vec<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Conns,
     tcp_addr: SocketAddr,
     unix_path: Option<PathBuf>,
 }
@@ -55,40 +65,38 @@ impl Server {
     }
 
     fn start_inner(core: ServerCore, unix_path: Option<PathBuf>) -> std::io::Result<Server> {
-        let core = Arc::new(core);
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let mut accepters = Vec::new();
-
         let tcp = TcpListener::bind("127.0.0.1:0")?;
         let tcp_addr = tcp.local_addr()?;
-        tcp.set_nonblocking(true)?;
-        accepters.push(spawn_accepter(
-            Arc::clone(&core),
-            Arc::clone(&stop),
-            Arc::clone(&conns),
-            move || match tcp.accept() {
-                Ok((s, _)) => Accepted::Tcp(s),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Accepted::Idle,
-                Err(_) => Accepted::Idle,
-            },
-        ));
+        let unix = match &unix_path {
+            // Taking a live server's path would leave that server's
+            // `shutdown` unable to reach its accepter.
+            Some(path) if UnixStream::connect(path).is_ok() => {
+                return Err(std::io::ErrorKind::AddrInUse.into())
+            }
+            Some(path) => {
+                // A stale socket file from a previous run refuses the bind.
+                let _ = std::fs::remove_file(path);
+                Some(UnixListener::bind(path)?)
+            }
+            None => None,
+        };
 
-        if let Some(path) = &unix_path {
-            // A stale socket file from a previous run refuses the bind.
-            let _ = std::fs::remove_file(path);
-            let unix = UnixListener::bind(path)?;
-            unix.set_nonblocking(true)?;
-            accepters.push(spawn_accepter(
-                Arc::clone(&core),
-                Arc::clone(&stop),
-                Arc::clone(&conns),
-                move || match unix.accept() {
-                    Ok((s, _)) => Accepted::Unix(s),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Accepted::Idle,
-                    Err(_) => Accepted::Idle,
-                },
-            ));
+        let core = Arc::new(core);
+        let stop = Arc::new(AtomicBool::new(false));
+        let conns = Conns::default();
+        let mut accepters = vec![spawn_accepter(&core, &stop, &conns, "tcp", move || {
+            let (s, _) = tcp.accept()?;
+            // A frame is two small writes (prefix, payload): without
+            // NODELAY, Nagle holds the second until the peer's delayed
+            // ACK — tens of ms per request.
+            let _ = s.set_nodelay(true);
+            Ok((s.try_clone()?, s))
+        })];
+        if let Some(unix) = unix {
+            accepters.push(spawn_accepter(&core, &stop, &conns, "unix", move || {
+                let (s, _) = unix.accept()?;
+                Ok((s.try_clone()?, s))
+            }));
         }
 
         Ok(Server {
@@ -122,11 +130,22 @@ impl Server {
     /// sessions are closed by their handlers on the way out.
     pub fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
+        // Each accepter is blocked in `accept`: one connection to its own
+        // address wakes it, and it sees the flag.
+        let _ = TcpStream::connect(self.tcp_addr);
+        if let Some(path) = &self.unix_path {
+            let _ = UnixStream::connect(path);
+        }
         for h in self.accepters {
             let _ = h.join();
         }
+        // With the accepters gone, `conns` holds every handler they
+        // started. Closing a read half wakes a handler blocked reading.
         let conns = std::mem::take(&mut *self.conns.lock().unwrap());
-        for h in conns {
+        for (_, stream) in &conns {
+            stream.hang_up(Shutdown::Read);
+        }
+        for (h, _) in conns {
             let _ = h.join();
         }
         if let Some(path) = &self.unix_path {
@@ -135,128 +154,67 @@ impl Server {
     }
 }
 
-enum Accepted {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-    Idle,
-}
-
-fn spawn_accepter(
-    core: Arc<ServerCore>,
-    stop: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    mut accept: impl FnMut() -> Accepted + Send + 'static,
+/// Runs `accept`, which yields a clone of a connection's stream to keep
+/// and the stream itself, until `shutdown` sets `stop`. The connection that
+/// wakes it then goes unserved.
+fn spawn_accepter<S: Stream + 'static>(
+    core: &Arc<ServerCore>,
+    stop: &Arc<AtomicBool>,
+    conns: &Conns,
+    tag: &'static str,
+    accept: impl Fn() -> std::io::Result<(S, S)> + Send + 'static,
 ) -> JoinHandle<()> {
-    thread::spawn(move || {
-        while !stop.load(Ordering::SeqCst) {
-            let (stream, tag): (Box<dyn Stream>, &'static str) = match accept() {
-                Accepted::Tcp(s) => {
-                    let _ = s.set_read_timeout(Some(READ_TICK));
-                    // A frame is two small writes (prefix, payload):
-                    // without NODELAY, Nagle holds the second until the
-                    // peer's delayed ACK — tens of ms per request.
-                    let _ = s.set_nodelay(true);
-                    (Box::new(s), "tcp")
-                }
-                Accepted::Unix(s) => {
-                    let _ = s.set_read_timeout(Some(READ_TICK));
-                    (Box::new(s), "unix")
-                }
-                Accepted::Idle => {
-                    thread::park_timeout(ACCEPT_TICK);
-                    continue;
-                }
-            };
-            if let Some(plane) = core.trace() {
-                plane.instant(TraceSite::Accept, 0, 0, tag);
-            }
-            let core = Arc::clone(&core);
-            let stop = Arc::clone(&stop);
-            let mut conns = conns.lock().unwrap();
-            // Drop the handles of connections that have ended, so a
-            // long-lived server keeps only its live connections' threads.
-            conns.retain(|h| !h.is_finished());
-            conns.push(thread::spawn(move || handle_conn(&core, stream, &stop)));
+    let (core, stop, conns) = (Arc::clone(core), Arc::clone(stop), Arc::clone(conns));
+    thread::spawn(move || loop {
+        let accepted = accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
         }
+        let Ok((kept, stream)) = accepted else {
+            thread::sleep(ACCEPT_ERROR_PAUSE);
+            continue;
+        };
+        if let Some(plane) = core.trace() {
+            plane.instant(TraceSite::Accept, 0, 0, tag);
+        }
+        let core = Arc::clone(&core);
+        let mut conns = conns.lock().unwrap();
+        // Drop the handles of connections that have ended, so a
+        // long-lived server keeps only its live connections' threads.
+        conns.retain(|(h, _)| !h.is_finished());
+        conns.push((
+            thread::spawn(move || handle_conn(&core, stream)),
+            Box::new(kept),
+        ));
     })
 }
 
-trait Stream: Read + Write + Send {}
-impl<T: Read + Write + Send> Stream for T {}
-
-/// Read one frame, tolerating read-timeout ticks. A timeout with zero
-/// bytes consumed polls `stop` and keeps waiting; a timeout mid-frame
-/// waits for the rest unless the server stopped. `Ok(None)` means "the
-/// server is stopping and the connection is at a frame boundary".
-fn read_frame_ticking(
-    r: &mut impl Read,
-    max: usize,
-    stop: &AtomicBool,
-) -> Result<Option<Vec<u8>>, FrameError> {
-    let mut len_buf = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut len_buf[got..]) {
-            Ok(0) => {
-                return if got == 0 {
-                    Err(FrameError::Closed)
-                } else {
-                    Err(FrameError::Truncated)
-                }
-            }
-            Ok(n) => got += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    return if got == 0 {
-                        Ok(None)
-                    } else {
-                        Err(FrameError::Truncated)
-                    };
-                }
-            }
-            Err(_) => return Err(FrameError::Truncated),
-        }
-    }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > max {
-        return Err(FrameError::Oversized(len));
-    }
-    let mut payload = vec![0u8; len];
-    let mut got = 0;
-    while got < len {
-        match r.read(&mut payload[got..]) {
-            Ok(0) => return Err(FrameError::Truncated),
-            Ok(n) => got += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    return Err(FrameError::Truncated);
-                }
-            }
-            Err(_) => return Err(FrameError::Truncated),
-        }
-    }
-    Ok(Some(payload))
+trait Stream: Read + Write + Send {
+    /// Shut down one or both halves; a thread blocked reading wakes.
+    fn hang_up(&self, how: Shutdown);
 }
 
-fn handle_conn(core: &ServerCore, mut stream: Box<dyn Stream>, stop: &AtomicBool) {
+impl Stream for TcpStream {
+    fn hang_up(&self, how: Shutdown) {
+        let _ = self.shutdown(how);
+    }
+}
+
+impl Stream for UnixStream {
+    fn hang_up(&self, how: Shutdown) {
+        let _ = self.shutdown(how);
+    }
+}
+
+fn handle_conn(core: &ServerCore, mut stream: impl Stream) {
     let max = core.max_frame();
     let mut session: Option<SessionHandle> = None;
     loop {
-        let payload = match read_frame_ticking(&mut stream, max, stop) {
-            Ok(Some(p)) => p,
-            // Stop at a frame boundary, clean close, or truncation: the
-            // conversation is over either way.
-            Ok(None) | Err(FrameError::Closed) | Err(FrameError::Truncated) => break,
+        let payload = match read_frame(&mut stream, max) {
+            Ok(p) => p,
+            // A clean close, a truncated frame, or `shutdown` closing the
+            // read half: the conversation is over either way.
+            Err(FrameError::Closed | FrameError::Truncated) => break,
             Err(FrameError::Oversized(n)) => {
                 // The stream is out of sync past the prefix — answer and
                 // hang up.
@@ -299,13 +257,15 @@ fn handle_conn(core: &ServerCore, mut stream: Box<dyn Stream>, stop: &AtomicBool
     if let Some(h) = session.take() {
         core.close_session(h);
     }
+    // The accepter's clone would otherwise hold the connection open until
+    // the next accept.
+    stream.hang_up(Shutdown::Both);
 }
 
 /// A blocking protocol client for tests, the load-generator bench, and
 /// the CI smoke.
 pub struct Client {
     stream: Box<dyn Stream>,
-    max_frame: usize,
 }
 
 impl Client {
@@ -315,7 +275,6 @@ impl Client {
         let _ = stream.set_nodelay(true);
         Ok(Client {
             stream: Box::new(stream),
-            max_frame: crate::proto::MAX_FRAME_DEFAULT,
         })
     }
 
@@ -323,7 +282,6 @@ impl Client {
     pub fn connect_unix(path: &Path) -> std::io::Result<Client> {
         Ok(Client {
             stream: Box::new(UnixStream::connect(path)?),
-            max_frame: crate::proto::MAX_FRAME_DEFAULT,
         })
     }
 
@@ -335,7 +293,7 @@ impl Client {
     /// Send one raw request payload, return the response payload as text.
     pub fn req_bytes(&mut self, payload: &[u8]) -> Result<String, FrameError> {
         write_frame(&mut self.stream, payload).map_err(|_| FrameError::Truncated)?;
-        let reply = read_frame(&mut self.stream, self.max_frame)?;
+        let reply = read_frame(&mut self.stream, MAX_FRAME_DEFAULT)?;
         Ok(String::from_utf8_lossy(&reply).into_owned())
     }
 
@@ -351,15 +309,18 @@ mod tests {
     use crate::auth::StaticTokens;
     use crate::core::{ServerConfig, TenantSpec};
 
-    fn serve() -> Server {
-        let core = ServerCore::new(
+    fn two_tenants() -> ServerCore {
+        ServerCore::new(
             ServerConfig {
                 tenants: vec![TenantSpec::new("alice"), TenantSpec::new("bob")],
                 ..Default::default()
             },
             Box::new(StaticTokens::new([("alice", "sesame"), ("bob", "hunter2")])),
-        );
-        Server::start(core).unwrap()
+        )
+    }
+
+    fn serve() -> Server {
+        Server::start(two_tenants()).unwrap()
     }
 
     #[test]
@@ -393,6 +354,8 @@ mod tests {
             Box::new(StaticTokens::new([("alice", "sesame")])),
         );
         let server = Server::start_with_unix(core, &path).unwrap();
+        let taken = Server::start_with_unix(two_tenants(), &path).err();
+        assert_eq!(taken.map(|e| e.kind()), Some(std::io::ErrorKind::AddrInUse));
         let mut c = Client::connect_unix(&path).unwrap();
         assert!(c.auth("alice", "sesame").unwrap().starts_with("ok "));
         assert_eq!(c.req("sync").unwrap(), "ok synced");
@@ -411,7 +374,7 @@ mod tests {
             assert_eq!(c.req("bye").unwrap(), "ok bye");
             // The handler hangs up after it has closed the session.
             assert!(matches!(
-                read_frame(&mut c.stream, c.max_frame),
+                read_frame(&mut c.stream, MAX_FRAME_DEFAULT),
                 Err(FrameError::Closed)
             ));
         }
@@ -421,6 +384,38 @@ mod tests {
             "{held} of {N} finished connection threads still held"
         );
         server.shutdown();
+    }
+
+    #[test]
+    fn connections_open_at_shutdown_close_their_sessions() {
+        let path = std::env::temp_dir().join(format!(
+            "shill-server-open-at-shutdown-{}.sock",
+            std::process::id()
+        ));
+        let server = Server::start_with_unix(two_tenants(), &path).unwrap();
+        let core = server.core();
+        // Idle at a frame boundary.
+        let mut idle = Client::connect_tcp(server.tcp_addr()).unwrap();
+        assert!(idle.auth("alice", "sesame").unwrap().starts_with("ok "));
+        // Stopped mid-frame: 2 of the 4 bytes of the next length prefix.
+        let mut partial = Client::connect_unix(&path).unwrap();
+        assert!(partial.auth("bob", "hunter2").unwrap().starts_with("ok "));
+        partial.stream.write_all(&[0, 0]).unwrap();
+        server.shutdown();
+        for tenant in ["alice", "bob"] {
+            assert_eq!(
+                core.tenant_counters(tenant).unwrap().open_sessions,
+                0,
+                "{tenant}'s session must close at shutdown"
+            );
+        }
+        assert_eq!(core.policy().label_entries(), 0);
+        for c in [&mut idle, &mut partial] {
+            assert_eq!(
+                read_frame(&mut c.stream, MAX_FRAME_DEFAULT),
+                Err(FrameError::Closed)
+            );
+        }
     }
 
     #[test]

@@ -556,18 +556,6 @@ impl Filesystem {
         self.nodes.contains_key(&node)
     }
 
-    /// Total bytes stored in regular files (used by `ENOSPC`-style tests and
-    /// workload sanity checks).
-    pub fn total_file_bytes(&self) -> u64 {
-        self.nodes
-            .values()
-            .filter_map(|n| match &n.body {
-                NodeBody::File(d) => Some(d.len() as u64),
-                _ => None,
-            })
-            .sum()
-    }
-
     /// Convenience used by workload builders and the ambient runtime:
     /// resolve an absolute, slash-separated path with no symlink following
     /// and no `.`/`..` handling. Not used on any sandboxed path — the kernel
