@@ -23,9 +23,11 @@
 //!   plane at 1, 2 and 4 shards.
 //! * **lang** — a SHILL script's async pipeline (one `await_all`) vs its
 //!   sequential twin: time and batch submissions per round.
-//! * **server** — concurrent authenticated TCP sessions against the
-//!   multi-tenant server (`SHILL_BENCH_SERVER_SESSIONS`, default 1000),
-//!   per-request latency end to end through the framed protocol.
+//! * **server** — storms of concurrent authenticated TCP sessions
+//!   (`SHILL_BENCH_SERVER_SESSIONS`, default 1000) against one
+//!   multi-tenant server, one storm per round: open rate, throughput, and
+//!   the p50 and p99 of per-request latency end to end through the framed
+//!   protocol, each over storms.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -871,52 +873,33 @@ fn bench_lang() {
 /// frame write, server dispatch on the connection thread, reply frame read.
 /// The storm is one run; its requests are the sample, so the latency
 /// median and quartiles are exact over every request.
-fn bench_server() {
-    use shill::server::{
-        Client, Server, ServerConfig, ServerCore, StaticTokens, TenantQuota, TenantSpec,
-    };
-
-    const ROUNDS: usize = 3;
-    const DRIVERS: usize = 16;
-    const TENANTS: usize = 8;
-    let sessions = shill_bench::server_sessions();
-    println!("\nserver: {sessions} concurrent sessions, {ROUNDS} rounds, {DRIVERS} drivers");
-
-    let core = ServerCore::new(
-        ServerConfig {
-            shards: 4,
-            max_sessions: sessions + DRIVERS,
-            tenants: (0..TENANTS)
-                .map(|i| {
-                    TenantSpec::new(format!("t{i}")).with_quota(TenantQuota {
-                        max_sessions: sessions,
-                        max_inflight: sessions,
-                        ..Default::default()
-                    })
-                })
-                .collect(),
-            ..Default::default()
-        },
-        Box::new(StaticTokens::new(
-            (0..TENANTS).map(|i| (format!("t{i}"), format!("s{i}"))),
-        )),
-    );
-    let server = Server::start(core).expect("bind loopback");
-    let addr = server.tcp_addr();
+/// One storm against the server at `addr`: open `sessions` authenticated
+/// sessions from `drivers` threads, time `rounds` requests on each, then
+/// close every session and wait for the server to hang up. Returns the
+/// open rate (sessions/s), the throughput (req/s) and every request's
+/// latency in µs.
+fn server_storm(
+    addr: std::net::SocketAddr,
+    sessions: usize,
+    drivers: usize,
+    tenants: usize,
+    rounds: usize,
+) -> (f64, f64, Vec<f64>) {
+    use shill::server::Client;
 
     // Phase 1: the session storm — every connection authenticated and
     // its sandbox entered before any request is timed.
     let t_open = Instant::now();
     let mut conns: Vec<Vec<(Client, String)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..DRIVERS)
+        let handles: Vec<_> = (0..drivers)
             .map(|d| {
                 scope.spawn(move || {
                     let mut mine = Vec::new();
-                    for s in (d..sessions).step_by(DRIVERS) {
-                        let tenant = format!("t{}", s % TENANTS);
+                    for s in (d..sessions).step_by(drivers) {
+                        let tenant = format!("t{}", s % tenants);
                         let mut c = Client::connect_tcp(addr).expect("connect");
                         let reply = c
-                            .auth(&tenant, &format!("s{}", s % TENANTS))
+                            .auth(&tenant, &format!("s{}", s % tenants))
                             .expect("auth frame");
                         assert!(reply.starts_with("ok "), "auth refused: {reply}");
                         mine.push((c, format!("read /srv/{tenant}/seed.txt")));
@@ -938,8 +921,8 @@ fn bench_server() {
             .iter_mut()
             .map(|mine| {
                 scope.spawn(move || {
-                    let mut lat = Vec::with_capacity(mine.len() * ROUNDS);
-                    for _ in 0..ROUNDS {
+                    let mut lat = Vec::with_capacity(mine.len() * rounds);
+                    for _ in 0..rounds {
                         for (c, req) in mine.iter_mut() {
                             let t = Instant::now();
                             let reply = c.req(req).expect("request frame");
@@ -955,46 +938,91 @@ fn bench_server() {
     });
     let wall = t0.elapsed().as_secs_f64();
 
-    let mut all: Vec<f64> = samples.into_iter().flatten().collect();
-    all.sort_by(f64::total_cmp);
-    let p99 = all[((all.len() as f64 * 0.99) as usize).min(all.len() - 1)];
-    let mut g = Group::new("server");
-    g.exact("sessions", "count", "", opened as f64);
-    g.exact(
-        "open_rate",
-        "sessions/s",
-        "",
+    // Orderly close. A handler closes its session before it hangs up, so
+    // a request after `bye` fails only once the session is gone.
+    std::thread::scope(|scope| {
+        for mine in conns {
+            scope.spawn(move || {
+                for (mut c, _) in mine {
+                    assert_eq!(c.req("bye").expect("bye frame"), "ok bye");
+                    assert!(c.req("ping").is_err(), "the server hangs up after bye");
+                }
+            });
+        }
+    });
+    let all: Vec<f64> = samples.into_iter().flatten().collect();
+    (
         opened as f64 / open_s.max(1e-9),
+        all.len() as f64 / wall.max(1e-9),
+        all,
+    )
+}
+
+fn bench_server() {
+    use shill::server::{Server, ServerConfig, ServerCore, StaticTokens, TenantQuota, TenantSpec};
+
+    const ROUNDS: usize = 3;
+    const DRIVERS: usize = 16;
+    const TENANTS: usize = 8;
+    let sessions = shill_bench::server_sessions();
+    let storms = runs();
+    println!(
+        "\nserver: {storms} storms of {sessions} concurrent sessions, {ROUNDS} rounds, {DRIVERS} drivers"
     );
-    g.exact("throughput", "req/s", "", all.len() as f64 / wall.max(1e-9));
-    g.add("latency", "us", "", Stats::of(&all));
-    g.add(
-        "latency_p99",
-        "us",
-        "",
-        Stats {
-            median: p99,
-            q1: p99,
-            q3: p99,
-            n: all.len(),
+
+    let core = ServerCore::new(
+        ServerConfig {
+            shards: 4,
+            max_sessions: sessions + DRIVERS,
+            tenants: (0..TENANTS)
+                .map(|i| {
+                    TenantSpec::new(format!("t{i}")).with_quota(TenantQuota {
+                        max_sessions: sessions,
+                        max_inflight: sessions,
+                        ..Default::default()
+                    })
+                })
+                .collect(),
+            ..Default::default()
         },
+        Box::new(StaticTokens::new(
+            (0..TENANTS).map(|i| (format!("t{i}"), format!("s{i}"))),
+        )),
     );
+    let server = Server::start(core).expect("bind loopback");
+    let core = server.core();
+    let open_sessions = || -> u64 {
+        (0..TENANTS)
+            .map(|i| {
+                core.tenant_counters(&format!("t{i}"))
+                    .unwrap()
+                    .open_sessions
+            })
+            .sum()
+    };
+
+    // One sample per storm of each: the p50 and p99 are its requests'.
+    let (mut open_rate, mut throughput, mut p50, mut p99) = (vec![], vec![], vec![], vec![]);
+    for _ in 0..storms {
+        let (rate, tput, mut lat) =
+            server_storm(server.tcp_addr(), sessions, DRIVERS, TENANTS, ROUNDS);
+        assert_eq!(open_sessions(), 0, "sessions must all close after a storm");
+        lat.sort_by(f64::total_cmp);
+        open_rate.push(rate);
+        throughput.push(tput);
+        p50.push(Stats::of(&lat).median);
+        p99.push(lat[((lat.len() as f64 * 0.99) as usize).min(lat.len() - 1)]);
+    }
+    let mut g = Group::new("server");
+    g.exact("sessions", "count", "", sessions as f64);
+    g.add("open_rate", "sessions/s", "", Stats::of(&open_rate));
+    g.add("throughput", "req/s", "", Stats::of(&throughput));
+    g.add("latency", "us", "", Stats::of(&p50));
+    g.add("latency_p99", "us", "", Stats::of(&p99));
     g.write();
 
-    // Orderly close so the gauge really returns to zero.
-    for (mut c, _) in conns.into_iter().flatten() {
-        let _ = c.req("bye");
-    }
-    let core = server.core();
     server.shutdown();
-    let open_now: u64 = (0..TENANTS)
-        .map(|i| {
-            core.tenant_counters(&format!("t{i}"))
-                .unwrap()
-                .open_sessions
-        })
-        .sum();
-    assert_eq!(open_now, 0, "sessions must all close after the storm");
+    assert_eq!(open_sessions(), 0, "sessions must all close");
 }
 
 const GROUPS: [(&str, fn()); 7] = [

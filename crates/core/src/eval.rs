@@ -6,11 +6,17 @@
 //! Variables read slots of [`Env`] frames, free names are [`Builtin`]
 //! constants, and a contracted call cites its contract's text in blame
 //! only when a violation is built.
+//!
+//! A module (the prelude, or a script that `require` loads) is parsed and
+//! resolved once per thread: every runtime on the thread that loads the
+//! same source against the same import names reuses that code. Each
+//! runtime still evaluates its own instance of the module.
 
 use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
+use std::time::Instant;
 
 use shill_cap::PrivSet;
 use shill_contracts::{Blame, CapResult, GuardedCap, SealBrand, Violation};
@@ -20,7 +26,7 @@ use shill_sandbox::ShillPolicy;
 use crate::ast::{contract_to_string, BinOp, ContractExpr, Dialect, Expr, Script, Stmt, UnOp};
 use crate::batchio::DeferredAcc;
 use crate::builtins::{self, Builtin};
-use crate::env::Env;
+use crate::env::{Env, Root};
 use crate::parse::parse_script;
 use crate::profile::Profile;
 use crate::resolve::resolve;
@@ -36,6 +42,25 @@ const MAX_DEPTH: usize = 220;
 
 /// Exported bindings of an evaluated module.
 pub type ModuleExports = Rc<HashMap<String, Value>>;
+
+/// Modules a thread keeps compiled; the cache is cleared when it is full.
+const COMPILED_CAP: usize = 64;
+
+/// A module's code as the resolver left it. It holds no value, frame or
+/// blame, so sharing it shares no authority between runtimes.
+struct Compiled {
+    script: Rc<Script>,
+    root: Rc<Root>,
+    /// The preset names the root was resolved against, sorted: the same
+    /// source resolves differently against other imports.
+    imports: Vec<String>,
+}
+
+thread_local! {
+    /// Module source text → its compiled form. The AST holds `Rc`s, so
+    /// each thread keeps its own, and a fresh thread starts cold.
+    static COMPILED: RefCell<HashMap<String, Rc<Compiled>>> = RefCell::new(HashMap::new());
+}
 
 /// The interpreter: kernel, policy module, the runtime's process, module
 /// store, and profiling state.
@@ -133,23 +158,19 @@ impl Interp {
     // --- script evaluation ---------------------------------------------------
 
     /// Evaluate a whole script (usually an ambient script). Returns the
-    /// value of the last top-level expression.
+    /// value of the last top-level expression. The script is parsed afresh
+    /// on every call; only the modules it `require`s are compiled once per
+    /// thread.
     pub fn run_script(&mut self, name: &str, source: &str) -> EvalResult {
-        let script = parse_script(source)?;
-        let last = self.eval_script(script, name).map(|(_, last)| last);
+        let mut script = parse_script(source)?;
+        let last = self.run_parsed(&mut script, name);
         // The script's bindings are gone: close the descriptors only they
         // held.
         self.kernel.drain_closes();
         last
     }
 
-    /// Load a script's imports, resolve it, evaluate it, and collect its
-    /// provided (contract-wrapped) exports.
-    fn eval_script(
-        &mut self,
-        mut script: Script,
-        name: &str,
-    ) -> Result<(HashMap<String, Value>, Value), ShillError> {
+    fn run_parsed(&mut self, script: &mut Script, name: &str) -> EvalResult {
         // What the root binds before the body runs: an ambient script's
         // stdio and factories, then the imports, which may shadow them and
         // the builtins; definitions still cannot rebind them afterwards.
@@ -157,12 +178,44 @@ impl Interp {
             Dialect::Ambient => builtins::ambient_values(self),
             Dialect::CapSafe => Vec::new(),
         };
-        for req in &script.requires {
+        // Nested loads run inside this one, so each is booked once.
+        let t0 = Instant::now();
+        let imported = self.import(&script.requires, &mut preset);
+        self.profile.module_load += t0.elapsed();
+        imported?;
+        let root = resolve(script, preset.iter().map(|(n, _)| n.as_str()));
+        let (_, last) = self.eval_script(script, Rc::new(root), preset, name)?;
+        Ok(last)
+    }
+
+    /// Load `requires` and append their exports to `preset`, then sort it
+    /// stably by name. A module's exports come from a map, so only the
+    /// sort gives equal imports equal slots from one runtime to the next;
+    /// stability keeps a later entry of a name after an earlier one, and
+    /// the later one wins (`Env::root`).
+    fn import(
+        &mut self,
+        requires: &[String],
+        preset: &mut Vec<(String, Value)>,
+    ) -> Result<(), ShillError> {
+        for req in requires {
             let exports = self.load_module(req)?;
             preset.extend(exports.iter().map(|(n, v)| (n.clone(), v.clone())));
         }
-        let root = resolve(&mut script, preset.iter().map(|(n, _)| n.as_str()));
-        let env = Env::root(Rc::new(root), preset);
+        preset.sort_by(|(a, _), (b, _)| a.cmp(b));
+        Ok(())
+    }
+
+    /// Evaluate a resolved script in a fresh root frame, and collect its
+    /// provided (contract-wrapped) exports.
+    fn eval_script(
+        &mut self,
+        script: &Script,
+        root: Rc<Root>,
+        preset: Vec<(String, Value)>,
+        name: &str,
+    ) -> Result<(HashMap<String, Value>, Value), ShillError> {
+        let env = Env::root(root, preset);
         let mut last = Value::Void;
         for stmt in &script.body {
             last = self.eval_stmt(&env, stmt)?;
@@ -208,19 +261,65 @@ impl Interp {
             .get(name)
             .cloned()
             .ok_or_else(|| ShillError::Runtime(format!("unknown module {name:?}")))?;
-        let script = parse_script(&source)?;
+        // The borrow ends here: loading the module's imports loads more.
+        let cached = COMPILED.with(|c| c.borrow().get(&source).cloned());
+        let script = match &cached {
+            Some(c) => Rc::clone(&c.script),
+            None => Rc::new(parse_script(&source)?),
+        };
         if script.dialect != Dialect::CapSafe {
             return Err(ShillError::Runtime(format!(
                 "cannot require {name:?}: only capability-safe scripts may be imported"
             )));
         }
         self.loading.push(name.to_string());
-        let result = self.eval_script(script, name);
+        let result = self.instantiate(name, source, script, cached);
         self.loading.pop();
-        let (exports, _) = result?;
-        let m = Rc::new(exports);
+        let m = Rc::new(result?);
         self.module_cache.insert(name.to_string(), Rc::clone(&m));
         Ok(m)
+    }
+
+    /// Load a module's imports, reuse its compiled form if it was resolved
+    /// against the same import names (or compile it), and evaluate it.
+    fn instantiate(
+        &mut self,
+        name: &str,
+        source: String,
+        script: Rc<Script>,
+        cached: Option<Rc<Compiled>>,
+    ) -> Result<HashMap<String, Value>, ShillError> {
+        let mut preset = Vec::new();
+        self.import(&script.requires, &mut preset)?;
+        let names = || preset.iter().map(|(n, _)| n.as_str());
+        let compiled = match cached {
+            Some(c) if c.imports.iter().map(String::as_str).eq(names()) => c,
+            stale => {
+                // A fresh parse is ours alone. A stale entry's AST is never
+                // resolved again: live closures share its `Fun`s.
+                let mut script = match stale {
+                    None => Rc::try_unwrap(script).expect("a fresh parse is not shared"),
+                    Some(_) => parse_script(&source)?,
+                };
+                let root = resolve(&mut script, names());
+                let c = Rc::new(Compiled {
+                    script: Rc::new(script),
+                    root: Rc::new(root),
+                    imports: names().map(str::to_string).collect(),
+                });
+                COMPILED.with(|m| {
+                    let mut m = m.borrow_mut();
+                    if m.len() >= COMPILED_CAP {
+                        m.clear();
+                    }
+                    m.insert(source, Rc::clone(&c));
+                });
+                c
+            }
+        };
+        let root = Rc::clone(&compiled.root);
+        let (exports, _) = self.eval_script(&compiled.script, root, preset, name)?;
+        Ok(exports)
     }
 
     // --- statements / expressions ---------------------------------------------
@@ -922,5 +1021,79 @@ impl Interp {
             }
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use shill_vfs::Cred;
+
+    use super::*;
+    use crate::runtime::{RuntimeConfig, ShillRuntime};
+
+    /// Run `f` on a fresh thread, whose module cache starts empty.
+    fn on_fresh_thread(f: impl FnOnce() + Send + 'static) {
+        std::thread::spawn(f).join().expect("test thread");
+    }
+
+    fn runtime() -> ShillRuntime {
+        ShillRuntime::new(Kernel::new(), RuntimeConfig::NoPolicy, Cred::ROOT)
+    }
+
+    fn compiled(source: &str) -> Option<Rc<Compiled>> {
+        COMPILED.with(|c| c.borrow().get(source).cloned())
+    }
+
+    fn entries() -> usize {
+        COMPILED.with(|c| c.borrow().len())
+    }
+
+    /// `v` of a module registered as `m.cap`, required by an ambient script.
+    fn require_v(rt: &mut ShillRuntime, source: &str) -> EvalResult {
+        rt.add_script("m.cap", source);
+        rt.run("main", "#lang shill/ambient\nrequire \"m.cap\";\nv")
+    }
+
+    #[test]
+    fn runtimes_on_one_thread_share_a_module_that_imports_shill_native() {
+        // `shill/native` is built afresh by every runtime, so its exports
+        // come out of a new map each time.
+        const M: &str = r#"#lang shill/cap
+require shill/native;
+require "shill/prelude";
+v = length(map(id, [is_syserror, pkg_native]));
+provide v : is_num;
+"#;
+        on_fresh_thread(|| {
+            let mut first = runtime();
+            assert!(matches!(require_v(&mut first, M), Ok(Value::Num(2))));
+            let entry = compiled(M).expect("the module is compiled");
+            let mut second = runtime();
+            assert!(matches!(require_v(&mut second, M), Ok(Value::Num(2))));
+            assert!(Rc::ptr_eq(&entry, &compiled(M).expect("still compiled")));
+        });
+    }
+
+    #[test]
+    fn a_module_name_with_new_source_runs_the_new_text() {
+        on_fresh_thread(|| {
+            for n in [1, 2] {
+                let mut rt = runtime();
+                let source = format!("#lang shill/cap\nv = {n};\nprovide v : is_num;\n");
+                assert!(matches!(require_v(&mut rt, &source), Ok(Value::Num(v)) if v == n));
+            }
+        });
+    }
+
+    #[test]
+    fn the_script_a_run_takes_is_not_cached() {
+        on_fresh_thread(|| {
+            let mut rt = runtime();
+            assert_eq!(entries(), 1, "the prelude");
+            rt.run("main", "#lang shill/ambient\nx = 1;\nx").unwrap();
+            rt.run("main", "#lang shill/cap\nf = fun(x) { x };\nf(1)")
+                .unwrap();
+            assert_eq!(entries(), 1);
+        });
     }
 }

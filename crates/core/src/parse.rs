@@ -66,12 +66,12 @@ impl Parser {
         self.toks[self.i].pos
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.i].tok.clone();
+    /// Step past the current token; the last token (`Eof`) is never
+    /// passed.
+    fn bump(&mut self) {
         if self.i + 1 < self.toks.len() {
             self.i += 1;
         }
-        t
     }
 
     fn err(&self, message: impl Into<String>) -> ParseError {
@@ -91,8 +91,9 @@ impl Parser {
     }
 
     fn ident(&mut self, what: &str) -> PResult<String> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Ident(s) => {
+                let s = s.clone();
                 self.bump();
                 Ok(s)
             }
@@ -119,12 +120,9 @@ impl Parser {
                 Tok::Eof => break,
                 Tok::Require => {
                     self.bump();
-                    let name = match self.peek().clone() {
-                        Tok::Str(s) => {
-                            self.bump();
-                            s
-                        }
-                        Tok::Ident(s) => {
+                    let name = match self.peek() {
+                        Tok::Str(s) | Tok::Ident(s) => {
+                            let s = s.clone();
                             self.bump();
                             s
                         }
@@ -164,8 +162,9 @@ impl Parser {
 
     fn stmt(&mut self) -> PResult<Stmt> {
         // `name = expr ;?` is a definition (unless it's `==`).
-        if let Tok::Ident(name) = self.peek().clone() {
+        if let Tok::Ident(name) = self.peek() {
             if *self.peek2() == Tok::Assign {
+                let name = name.clone();
                 let pos = self.pos();
                 self.bump(); // ident
                 self.bump(); // =
@@ -375,8 +374,9 @@ impl Parser {
             let mut kwargs = Vec::new();
             while *self.peek() != Tok::RParen {
                 // keyword argument `name = expr`?
-                if let Tok::Ident(n) = self.peek().clone() {
+                if let Tok::Ident(n) = self.peek() {
                     if *self.peek2() == Tok::Assign {
+                        let n = n.clone();
                         self.bump();
                         self.bump();
                         let v = self.expr()?;
@@ -405,12 +405,14 @@ impl Parser {
 
     fn primary(&mut self) -> PResult<Expr> {
         let pos = self.pos();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Num(n) => {
+                let n = *n;
                 self.bump();
                 Ok(Expr::Num(n, pos))
             }
             Tok::Str(s) => {
+                let s = s.clone();
                 self.bump();
                 Ok(Expr::Str(s, pos))
             }
@@ -423,6 +425,7 @@ impl Parser {
                 Ok(Expr::Bool(false, pos))
             }
             Tok::Ident(name) => {
+                let name = name.clone();
                 self.bump();
                 Ok(Expr::Var(VarRef {
                     name,
@@ -609,7 +612,7 @@ impl Parser {
     }
 
     fn contract_atom(&mut self) -> PResult<ContractExpr> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::LParen => {
                 self.bump();
                 let c = self.contract()?;
@@ -617,52 +620,23 @@ impl Parser {
                 Ok(c)
             }
             Tok::Ident(name) => {
-                self.bump();
-                match name.as_str() {
-                    "is_file" => Ok(ContractExpr::IsFile),
-                    "is_dir" => Ok(ContractExpr::IsDir),
-                    "is_pipe" => Ok(ContractExpr::IsPipe),
-                    "is_bool" => Ok(ContractExpr::IsBool),
-                    "is_num" => Ok(ContractExpr::IsNum),
-                    "is_string" => Ok(ContractExpr::IsString),
-                    "is_list" => Ok(ContractExpr::IsList),
-                    "is_fun" => Ok(ContractExpr::IsFun),
-                    "void" => Ok(ContractExpr::Void),
-                    "any" => Ok(ContractExpr::Any),
-                    "pipe_factory" => Ok(ContractExpr::PipeFactory),
-                    "native_wallet" => Ok(ContractExpr::NativeWallet),
-                    "wallet" => Ok(ContractExpr::Wallet),
-                    "file" | "dir" | "socket" | "socket_factory" if *self.peek() == Tok::LParen => {
-                        self.bump();
-                        let privs = self.cap_privs()?;
-                        self.expect(Tok::RParen, "')'")?;
-                        Ok(match name.as_str() {
-                            "file" => ContractExpr::File(privs),
-                            "dir" => ContractExpr::Dir(privs),
-                            "socket" => ContractExpr::Socket(privs),
-                            _ => ContractExpr::SocketFactory(privs.privs),
-                        })
-                    }
-                    "socket_factory" => Ok(ContractExpr::SocketFactory(PrivSet::of(&[
-                        Priv::SockCreate,
-                        Priv::SockBind,
-                        Priv::SockConnect,
-                        Priv::SockListen,
-                        Priv::SockAccept,
-                        Priv::SockSend,
-                        Priv::SockRecv,
-                    ]))),
-                    // Contract variables are single uppercase letters by
-                    // convention; anything else is a named contract alias
-                    // or user-defined predicate, resolved at wrap time.
-                    _ => {
-                        if name.len() <= 2 && name.chars().all(|c| c.is_ascii_uppercase()) {
-                            Ok(ContractExpr::Var(name))
-                        } else {
-                            Ok(ContractExpr::Named(name))
-                        }
-                    }
+                let with_privs: Option<fn(CapPrivs) -> ContractExpr> = match name.as_str() {
+                    "file" => Some(ContractExpr::File),
+                    "dir" => Some(ContractExpr::Dir),
+                    "socket" => Some(ContractExpr::Socket),
+                    "socket_factory" => Some(|p| ContractExpr::SocketFactory(p.privs)),
+                    _ => None,
+                };
+                if let Some(make) = with_privs.filter(|_| *self.peek2() == Tok::LParen) {
+                    self.bump();
+                    self.bump();
+                    let privs = self.cap_privs()?;
+                    self.expect(Tok::RParen, "')'")?;
+                    return Ok(make(privs));
                 }
+                let c = named_contract(name);
+                self.bump();
+                Ok(c)
             }
             other => Err(self.err(format!("unexpected token {other:?} in contract"))),
         }
@@ -672,11 +646,11 @@ impl Parser {
     fn cap_privs(&mut self) -> PResult<CapPrivs> {
         let mut out = CapPrivs::none();
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 Tok::PrivName(name) => {
+                    let p = Priv::parse(name).ok_or_else(|| format!("unknown privilege +{name}"));
                     self.bump();
-                    let p = Priv::parse(&name)
-                        .ok_or_else(|| self.err(format!("unknown privilege +{name}")))?;
+                    let p = p.map_err(|m| self.err(m))?;
                     if *self.peek() == Tok::With {
                         self.bump();
                         self.expect(Tok::LBrace, "'{' after with")?;
@@ -707,12 +681,11 @@ impl Parser {
     fn priv_set(&mut self) -> PResult<PrivSet> {
         let mut set = PrivSet::EMPTY;
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 Tok::PrivName(name) => {
+                    let p = Priv::parse(name).ok_or_else(|| format!("unknown privilege +{name}"));
                     self.bump();
-                    let p = Priv::parse(&name)
-                        .ok_or_else(|| self.err(format!("unknown privilege +{name}")))?;
-                    set.insert(p);
+                    set.insert(p.map_err(|m| self.err(m))?);
                     if *self.peek() == Tok::Comma {
                         self.bump();
                         continue;
@@ -724,6 +697,41 @@ impl Parser {
             }
         }
         Ok(set)
+    }
+}
+
+/// The contract an identifier names when no privilege list follows it.
+/// Contract variables are single uppercase letters by convention; any
+/// other unknown name is a named contract alias or user-defined predicate,
+/// resolved at wrap time.
+fn named_contract(name: &str) -> ContractExpr {
+    match name {
+        "is_file" => ContractExpr::IsFile,
+        "is_dir" => ContractExpr::IsDir,
+        "is_pipe" => ContractExpr::IsPipe,
+        "is_bool" => ContractExpr::IsBool,
+        "is_num" => ContractExpr::IsNum,
+        "is_string" => ContractExpr::IsString,
+        "is_list" => ContractExpr::IsList,
+        "is_fun" => ContractExpr::IsFun,
+        "void" => ContractExpr::Void,
+        "any" => ContractExpr::Any,
+        "pipe_factory" => ContractExpr::PipeFactory,
+        "native_wallet" => ContractExpr::NativeWallet,
+        "wallet" => ContractExpr::Wallet,
+        "socket_factory" => ContractExpr::SocketFactory(PrivSet::of(&[
+            Priv::SockCreate,
+            Priv::SockBind,
+            Priv::SockConnect,
+            Priv::SockListen,
+            Priv::SockAccept,
+            Priv::SockSend,
+            Priv::SockRecv,
+        ])),
+        _ if name.len() <= 2 && name.chars().all(|c| c.is_ascii_uppercase()) => {
+            ContractExpr::Var(name.to_string())
+        }
+        _ => ContractExpr::Named(name.to_string()),
     }
 }
 

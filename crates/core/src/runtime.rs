@@ -15,8 +15,10 @@ use crate::value::{EvalResult, Value};
 /// A small prelude evaluated at startup. This plays the role of Racket
 /// runtime + stdlib initialization in the original prototype ("Racket
 /// startup cost is responsible for the high overhead of Download and
-/// Uninstall", §4.2): real parsing and evaluation work performed before any
-/// user script runs.
+/// Uninstall", §4.2): real evaluation work performed before any user script
+/// runs. Like any module, it is parsed and resolved by the first runtime on
+/// a thread only, so that runtime pays what the prototype paid on every
+/// run.
 const PRELUDE: &str = r#"#lang shill/cap
 # --- shill prelude: list and string helpers -------------------------------
 id = fun(x) { x };
@@ -82,8 +84,9 @@ pub struct ShillRuntime {
 impl ShillRuntime {
     /// Build a runtime around an existing kernel, spawning the runtime's
     /// (unsandboxed) process with `cred`. Startup cost — process spawn,
-    /// policy registration, prelude evaluation — is recorded in the
-    /// profile's `startup` bucket.
+    /// policy registration, the prelude's load — is recorded in the
+    /// profile's `startup` bucket. The first runtime on a thread also
+    /// parses and resolves the prelude; later ones reuse that code.
     pub fn new(mut kernel: Kernel, config: RuntimeConfig, cred: Cred) -> ShillRuntime {
         let t0 = Instant::now();
         let policy = match config {
@@ -110,8 +113,12 @@ impl ShillRuntime {
         self.interp.add_script(name, source);
     }
 
-    /// Run an ambient (or test) script. Prelude exports are made available
-    /// by an implicit `require shill/prelude`.
+    /// Run an ambient (or test) script. The runtime has already loaded the
+    /// prelude, but nothing imports it implicitly: a script sees its
+    /// exports by `require "shill/prelude";`, as `GRADING_SHILL_CAP` does.
+    /// The script is parsed on every call; the modules it `require`s are
+    /// compiled once per thread, and their loads book to
+    /// [`Profile::module_load`].
     pub fn run(&mut self, name: &str, source: &str) -> EvalResult {
         let t0 = Instant::now();
         let r = self.interp.run_script(name, source);

@@ -762,3 +762,37 @@ fn contract_violations_and_function_displays_are_pinned() {
         "ok:[<contracted fun via {x : is_num} -> is_string>, <builtin length>, <builtin open_file>]"
     );
 }
+
+// --- modules compiled once per thread -------------------------------------------
+
+/// Requires `b.cap` and reads its `x` at top level.
+const READS_X: &str = "#lang shill/cap\nrequire \"b.cap\";\nv = x + 1;\nprovide v : is_num;\n";
+
+/// `ok:`/`err:` of requiring `READS_X` through each `b.cap` in turn, a new
+/// runtime each, all on one fresh thread.
+fn read_x_on_one_thread(bs: &'static [&'static str]) -> Vec<String> {
+    let read_x = |b: &str| {
+        let mut rt = runtime();
+        rt.add_script("b.cap", b);
+        rt.add_script("a.cap", READS_X);
+        outcome(&mut rt, "#lang shill/ambient\nrequire \"a.cap\";\nv")
+    };
+    std::thread::spawn(move || bs.iter().map(|b| read_x(b)).collect())
+        .join()
+        .unwrap()
+}
+
+#[test]
+fn a_module_is_compiled_again_when_its_imports_change() {
+    const PROVIDES_X: &str = "#lang shill/cap\nx = 41;\nprovide x : is_num;\n";
+    const PROVIDES_Y: &str = "#lang shill/cap\ny = 41;\nprovide y : is_num;\n";
+    let unbound = "err:runtime error: unbound variable `x` at 3:5";
+    assert_eq!(read_x_on_one_thread(&[PROVIDES_X]), ["ok:42"]);
+    assert_eq!(read_x_on_one_thread(&[PROVIDES_Y]), [unbound]);
+    // Each runtime after the first finds `a.cap` compiled against the
+    // imports of the runtime before it.
+    assert_eq!(
+        read_x_on_one_thread(&[PROVIDES_Y, PROVIDES_X, PROVIDES_Y]),
+        [unbound, "ok:42", unbound]
+    );
+}

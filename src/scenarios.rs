@@ -6,8 +6,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::binaries::workloads;
-use crate::core::{Profile, RuntimeConfig, ShillRuntime, Value};
-use crate::kernel::{Kernel, Pid, SockAddr};
+use crate::core::{EvalResult, Profile, RuntimeConfig, ShillRuntime, Value};
+use crate::kernel::{InjConnId, Kernel, Pid, SockAddr};
 use crate::sandbox::ShillPolicy;
 use crate::vfs::Cred;
 
@@ -80,10 +80,29 @@ fn kernel_for(config: Config) -> Kernel {
     k
 }
 
-fn runtime_for(config: Config, k: Kernel, cred: Cred) -> ShillRuntime {
-    debug_assert!(matches!(config, Config::Sandboxed | Config::ShillVersion));
-    let _ = config;
-    ShillRuntime::new(k, RuntimeConfig::WithPolicy, cred)
+/// A case study's SHILL run, ready to start: a prepared kernel, the
+/// capability-safe modules its ambient script requires, and that script.
+/// The Sandboxed and SHILL-version configurations time [`ShillTask::run`].
+pub struct ShillTask {
+    pub kernel: Kernel,
+    /// `(name, source)` of each module, registered for `require`.
+    pub modules: Vec<(&'static str, &'static str)>,
+    /// The run's name.
+    pub name: &'static str,
+    pub ambient: String,
+}
+
+impl ShillTask {
+    /// Start a runtime over the prepared kernel, register the modules, and
+    /// run the ambient script.
+    pub fn run(self) -> (ShillRuntime, EvalResult) {
+        let mut rt = ShillRuntime::new(self.kernel, RuntimeConfig::WithPolicy, Cred::ROOT);
+        for (name, source) in self.modules {
+            rt.add_script(name, source);
+        }
+        let r = rt.run(self.name, &self.ambient);
+        (rt, r)
+    }
 }
 
 // =============================================================================
@@ -201,6 +220,24 @@ grades = open_dir("/course/grades");
     )
 }
 
+/// Grading's SHILL run: under `Sandboxed`, the Bash-equivalent grader in
+/// one sandbox; under any other configuration, the fine-grained SHILL
+/// version.
+pub fn grading_task(config: Config, students: usize, tests: usize) -> ShillTask {
+    let mut kernel = scenario_kernel();
+    workloads::grading_workload(&mut kernel, students, tests);
+    let (module, entry) = match config {
+        Config::Sandboxed => (GRADING_SANDBOXED_CAP, "grade_sandboxed"),
+        _ => (GRADING_SHILL_CAP, "grade_all"),
+    };
+    ShillTask {
+        kernel,
+        modules: vec![("grading.cap", module)],
+        name: "grading-main",
+        ambient: grading_ambient(entry),
+    }
+}
+
 /// Run the grading scenario under a configuration.
 pub fn run_grading(config: Config, students: usize, tests: usize) -> Outcome {
     match config {
@@ -229,16 +266,9 @@ pub fn run_grading(config: Config, students: usize, tests: usize) -> Outcome {
             }
         }
         Config::Sandboxed | Config::ShillVersion => {
-            let mut k = scenario_kernel();
-            workloads::grading_workload(&mut k, students, tests);
+            let task = grading_task(config, students, tests);
             let t0 = Instant::now();
-            let mut rt = runtime_for(config, k, Cred::ROOT);
-            let (script, entry) = match config {
-                Config::Sandboxed => (GRADING_SANDBOXED_CAP, "grade_sandboxed"),
-                _ => (GRADING_SHILL_CAP, "grade_all"),
-            };
-            rt.add_script("grading.cap", script);
-            let r = rt.run("grading-main", &grading_ambient(entry));
+            let (mut rt, r) = task.run();
             let wall = t0.elapsed();
             if let Err(e) = r {
                 panic!("grading script failed: {e}");
@@ -329,6 +359,37 @@ out = open_file("/tmp/matches.txt");
     )
 }
 
+/// Find's SHILL run: under `Sandboxed`, `find -exec grep` in one
+/// sandbox; under any other configuration, the polymorphic find with one
+/// `grep` sandbox per `.c` file.
+pub fn find_task(config: Config, scale: usize) -> ShillTask {
+    let mut kernel = scenario_kernel();
+    workloads::source_tree(&mut kernel, scale);
+    kernel
+        .fs
+        .put_file(
+            "/tmp/matches.txt",
+            b"",
+            crate::vfs::Mode(0o666),
+            crate::vfs::Uid::ROOT,
+            crate::vfs::Gid::WHEEL,
+        )
+        .unwrap();
+    let (modules, entry) = match config {
+        Config::Sandboxed => (vec![("task.cap", FIND_SANDBOXED_CAP)], "find_sandboxed"),
+        _ => (
+            vec![("find.cap", POLY_FIND_CAP), ("task.cap", FIND_SHILL_CAP)],
+            "find_fine",
+        ),
+    };
+    ShillTask {
+        kernel,
+        modules,
+        name: "find-main",
+        ambient: find_ambient(entry),
+    }
+}
+
 /// Run the find scenario. `scale` divides the paper's 57,817-file tree.
 pub fn run_find(config: Config, scale: usize) -> Outcome {
     match config {
@@ -383,32 +444,11 @@ pub fn run_find(config: Config, scale: usize) -> Outcome {
             }
         }
         Config::Sandboxed | Config::ShillVersion => {
-            let mut k = scenario_kernel();
-            workloads::source_tree(&mut k, scale);
-            k.fs.put_file(
-                "/tmp/matches.txt",
-                b"",
-                crate::vfs::Mode(0o666),
-                crate::vfs::Uid::ROOT,
-                crate::vfs::Gid::WHEEL,
-            )
-            .unwrap();
+            let task = find_task(config, scale);
             let t0 = Instant::now();
-            let mut rt = runtime_for(config, k, Cred::ROOT);
-            match config {
-                Config::Sandboxed => {
-                    rt.add_script("task.cap", FIND_SANDBOXED_CAP);
-                    rt.run("find-main", &find_ambient("find_sandboxed"))
-                        .expect("find sandboxed");
-                }
-                _ => {
-                    rt.add_script("find.cap", POLY_FIND_CAP);
-                    rt.add_script("task.cap", FIND_SHILL_CAP);
-                    rt.run("find-main", &find_ambient("find_fine"))
-                        .expect("find fine");
-                }
-            }
+            let (mut rt, r) = task.run();
             let wall = t0.elapsed();
+            r.expect("find script");
             let checked = count_matches(rt.kernel());
             Outcome {
                 wall,
@@ -665,6 +705,58 @@ fn emacs_direct_step(k: &mut Kernel, user: Pid, step: EmacsStep) -> i32 {
     }
 }
 
+/// An Emacs step's SHILL run (the same under `Sandboxed` and SHILL
+/// version): `PACKAGE_CAP` gives each step only the authority it needs.
+/// The script's value is the sum of the steps' exit statuses.
+pub fn emacs_task(step: EmacsStep) -> ShillTask {
+    let mut kernel = scenario_kernel();
+    emacs_prepare(&mut kernel, step);
+    // gmake resolves Makefile commands (cc, mkdir, install, rm) by
+    // absolute path inside the sandbox, so they are registered as wallet
+    // dependencies — the paper's mechanism for exactly this (§3.1.4 "a
+    // map from known libraries to the file resources those libraries
+    // depend on").
+    let prologue = r#"#lang shill/ambient
+require shill/native;
+require "package.cap";
+
+root = open_dir("/");
+wallet = create_wallet();
+populate_native_wallet(wallet, root, "/usr/local/bin:/usr/bin:/bin:/usr/local/sbin", "/lib:/usr/local/lib", pipe_factory);
+wallet_add_dep(wallet, "gmake", open_file("/usr/bin/cc"));
+wallet_add_dep(wallet, "gmake", open_file("/bin/mkdir"));
+wallet_add_dep(wallet, "gmake", open_file("/usr/bin/install"));
+wallet_add_dep(wallet, "gmake", open_file("/bin/rm"));
+wallet_add_dep(wallet, "gmake", open_file("/lib/libelf.so"));
+builddir = open_dir("/build");
+"#;
+    let call = match step {
+        EmacsStep::Download => "st = download(builddir, socket_factory, wallet);",
+        EmacsStep::Untar => "st = unpack(open_file(\"/build/emacs-24.tar\"), builddir, wallet);",
+        EmacsStep::Configure => {
+            "srcdir = open_dir(\"/build/emacs-24\");\nst = configure_pkg(srcdir, wallet);"
+        }
+        EmacsStep::Make => "srcdir = open_dir(\"/build/emacs-24\");\nst = make_pkg(srcdir, wallet);",
+        EmacsStep::Install => "srcdir = open_dir(\"/build/emacs-24\");\nprefix = open_dir(\"/opt/emacs\");\nst = install_pkg(srcdir, prefix, wallet);",
+        EmacsStep::Uninstall => "srcdir = open_dir(\"/build/emacs-24\");\nprefix = open_dir(\"/opt/emacs\");\nst = uninstall_pkg(srcdir, prefix, wallet);",
+        EmacsStep::Total => r#"st0 = download(builddir, socket_factory, wallet);
+stu = unpack(open_file("/build/emacs-24.tar"), builddir, wallet);
+srcdir = open_dir("/build/emacs-24");
+prefix = open_dir("/opt/emacs");
+stc = configure_pkg(srcdir, wallet);
+stm = make_pkg(srcdir, wallet);
+sti = install_pkg(srcdir, prefix, wallet);
+stx = uninstall_pkg(srcdir, prefix, wallet);
+st = st0 + stu + stc + stm + sti + stx;"#,
+    };
+    ShillTask {
+        kernel,
+        modules: vec![("package.cap", PACKAGE_CAP)],
+        name: "emacs-main",
+        ambient: format!("{prologue}{call}\nst"),
+    }
+}
+
 /// Run one Emacs step (or the total pipeline) under a configuration.
 pub fn run_emacs(config: Config, step: EmacsStep) -> Outcome {
     match config {
@@ -683,58 +775,10 @@ pub fn run_emacs(config: Config, step: EmacsStep) -> Outcome {
             }
         }
         Config::Sandboxed | Config::ShillVersion => {
-            let mut k = scenario_kernel();
-            emacs_prepare(&mut k, step);
+            let task = emacs_task(step);
             let t0 = Instant::now();
-            let mut rt = runtime_for(config, k, Cred::ROOT);
-            rt.add_script("package.cap", PACKAGE_CAP);
-            // gmake resolves Makefile commands (cc, mkdir, install, rm) by
-            // absolute path inside the sandbox, so they are registered as
-            // wallet dependencies — the paper's mechanism for exactly this
-            // (§3.1.4 "a map from known libraries to the file resources
-            // those libraries depend on").
-            let prologue = r#"#lang shill/ambient
-require shill/native;
-require "package.cap";
-
-root = open_dir("/");
-wallet = create_wallet();
-populate_native_wallet(wallet, root, "/usr/local/bin:/usr/bin:/bin:/usr/local/sbin", "/lib:/usr/local/lib", pipe_factory);
-wallet_add_dep(wallet, "gmake", open_file("/usr/bin/cc"));
-wallet_add_dep(wallet, "gmake", open_file("/bin/mkdir"));
-wallet_add_dep(wallet, "gmake", open_file("/usr/bin/install"));
-wallet_add_dep(wallet, "gmake", open_file("/bin/rm"));
-wallet_add_dep(wallet, "gmake", open_file("/lib/libelf.so"));
-builddir = open_dir("/build");
-"#;
-            let call = match step {
-                EmacsStep::Download => "st = download(builddir, socket_factory, wallet);".to_string(),
-                EmacsStep::Untar => {
-                    "st = unpack(open_file(\"/build/emacs-24.tar\"), builddir, wallet);".to_string()
-                }
-                EmacsStep::Configure => {
-                    "srcdir = open_dir(\"/build/emacs-24\");\nst = configure_pkg(srcdir, wallet);"
-                        .to_string()
-                }
-                EmacsStep::Make => {
-                    "srcdir = open_dir(\"/build/emacs-24\");\nst = make_pkg(srcdir, wallet);"
-                        .to_string()
-                }
-                EmacsStep::Install => "srcdir = open_dir(\"/build/emacs-24\");\nprefix = open_dir(\"/opt/emacs\");\nst = install_pkg(srcdir, prefix, wallet);".to_string(),
-                EmacsStep::Uninstall => "srcdir = open_dir(\"/build/emacs-24\");\nprefix = open_dir(\"/opt/emacs\");\nst = uninstall_pkg(srcdir, prefix, wallet);".to_string(),
-                EmacsStep::Total => r#"st0 = download(builddir, socket_factory, wallet);
-stu = unpack(open_file("/build/emacs-24.tar"), builddir, wallet);
-srcdir = open_dir("/build/emacs-24");
-prefix = open_dir("/opt/emacs");
-stc = configure_pkg(srcdir, wallet);
-stm = make_pkg(srcdir, wallet);
-sti = install_pkg(srcdir, prefix, wallet);
-stx = uninstall_pkg(srcdir, prefix, wallet);
-st = st0 + stu + stc + stm + sti + stx;"#
-                    .to_string(),
-            };
-            let script = format!("{prologue}{call}\nst");
-            let v = rt.run("emacs-main", &script).expect("emacs step script");
+            let (rt, r) = task.run();
+            let v = r.expect("emacs step script");
             let wall = t0.elapsed();
             match v {
                 Value::Num(0) => {}
@@ -774,24 +818,52 @@ serve = fun(content, conf, log, net, wallet) {
 }
 "#;
 
+/// Preload `requests` clients asking for the `size`-byte file.
+fn apache_prepare(k: &mut Kernel, requests: usize, size: usize) -> Vec<InjConnId> {
+    let w = workloads::web_workload(k, size);
+    let addr = SockAddr::Inet {
+        host: "0.0.0.0".into(),
+        port: w.port,
+    };
+    (0..requests)
+        .map(|_| {
+            k.net
+                .preload_connection(addr.clone(), format!("GET /{}", w.file_name).into_bytes())
+        })
+        .collect()
+}
+
+/// Apache's SHILL run (`APACHE_CAP` launches the server in one sandbox),
+/// with the preloaded clients' connections.
+pub fn apache_task(requests: usize, size: usize) -> (ShillTask, Vec<InjConnId>) {
+    let mut kernel = scenario_kernel();
+    let conns = apache_prepare(&mut kernel, requests, size);
+    let task = ShillTask {
+        kernel,
+        modules: vec![("apache.cap", APACHE_CAP)],
+        name: "apache-main",
+        ambient: r#"#lang shill/ambient
+require shill/native;
+require "apache.cap";
+
+root = open_dir("/");
+wallet = create_wallet();
+populate_native_wallet(wallet, root, "/usr/local/sbin:/usr/bin:/bin", "/lib", pipe_factory);
+content = open_dir("/var/www");
+conf = open_file("/etc/apache/httpd.conf");
+log = open_file("/var/log/httpd-access.log");
+serve(content, conf, log, socket_factory, wallet)
+"#
+        .to_string(),
+    };
+    (task, conns)
+}
+
 /// Run the Apache scenario: preload `requests` clients for a `size`-byte
 /// file, run the server, verify every response carried the full payload.
+/// Apache has no SHILL version: that configuration runs the sandboxed one.
 pub fn run_apache(config: Config, requests: usize, size: usize) -> Outcome {
-    let prepare = |k: &mut Kernel| -> (Vec<crate::kernel::InjConnId>, SockAddr) {
-        let w = workloads::web_workload(k, size);
-        let addr = SockAddr::Inet {
-            host: "0.0.0.0".into(),
-            port: w.port,
-        };
-        let conns: Vec<_> = (0..requests)
-            .map(|_| {
-                k.net
-                    .preload_connection(addr.clone(), format!("GET /{}", w.file_name).into_bytes())
-            })
-            .collect();
-        (conns, addr)
-    };
-    let verify = |k: &mut Kernel, conns: Vec<crate::kernel::InjConnId>| -> u64 {
+    let verify = |k: &mut Kernel, conns: Vec<InjConnId>| -> u64 {
         let mut ok = 0;
         for c in conns {
             if let Ok((done, resp)) = k.net.take_response(c) {
@@ -805,7 +877,7 @@ pub fn run_apache(config: Config, requests: usize, size: usize) -> Outcome {
     match config {
         Config::Baseline | Config::Installed => {
             let mut k = kernel_for(config);
-            let (conns, _) = prepare(&mut k);
+            let conns = apache_prepare(&mut k, requests, size);
             let user = k.spawn_user(Cred::ROOT);
             let t0 = Instant::now();
             let st = direct_exec(
@@ -830,29 +902,11 @@ pub fn run_apache(config: Config, requests: usize, size: usize) -> Outcome {
             }
         }
         Config::Sandboxed | Config::ShillVersion => {
-            let mut k = scenario_kernel();
-            let (conns, _) = prepare(&mut k);
+            let (task, conns) = apache_task(requests, size);
             let t0 = Instant::now();
-            let mut rt = runtime_for(Config::Sandboxed, k, Cred::ROOT);
-            rt.add_script("apache.cap", APACHE_CAP);
-            let v = rt
-                .run(
-                    "apache-main",
-                    r#"#lang shill/ambient
-require shill/native;
-require "apache.cap";
-
-root = open_dir("/");
-wallet = create_wallet();
-populate_native_wallet(wallet, root, "/usr/local/sbin:/usr/bin:/bin", "/lib", pipe_factory);
-content = open_dir("/var/www");
-conf = open_file("/etc/apache/httpd.conf");
-log = open_file("/var/log/httpd-access.log");
-serve(content, conf, log, socket_factory, wallet)
-"#,
-                )
-                .expect("apache script");
+            let (mut rt, r) = task.run();
             let wall = t0.elapsed();
+            let v = r.expect("apache script");
             assert!(matches!(v, Value::Num(0)), "apached exit: {v:?}");
             let checked = verify(rt.kernel(), conns);
             Outcome {
