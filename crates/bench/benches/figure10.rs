@@ -4,14 +4,17 @@
 //! checking) for Uninstall, Download, Grading, and Find.
 //!
 //! The four tasks run in interleaved rounds, each twice per round. The
-//! warm arm (`<task>`) runs on the bench thread, which compiled the task's
-//! modules in one untimed run before the rounds; the cold arm
+//! warm arms (`<task>`) run on one spawned worker thread, which compiled
+//! every task's modules in one untimed run before the rounds; the cold arm
 //! (`<task>_cold`) runs on a freshly spawned thread, whose module cache is
 //! empty. "Remaining" is total minus the four profiled buckets, computed
-//! per run; each bucket records its median over the rounds.
+//! per run from the outer wall time; each bucket records its median over
+//! the rounds.
 
 use shill::scenarios::{run_emacs, run_find, run_grading, Config, EmacsStep, Outcome};
-use shill_bench::{find_scale, grading_students, interleave, runs, Group, Metric};
+use shill_bench::{
+    find_scale, grading_students, interleave, on_fresh_thread, on_worker, runs, Group, Metric,
+};
 
 /// One run's breakdown: times in ms, then counts.
 struct Row {
@@ -72,21 +75,23 @@ fn main() {
         2 => run_grading(Config::ShillVersion, students, 3),
         _ => run_find(Config::ShillVersion, scale),
     };
-    for t in 0..TASKS.len() {
-        task(t);
-    }
     let labels: Vec<String> = TASKS
         .iter()
         .map(|t| t.to_string())
         .chain(TASKS.iter().map(|t| format!("{t}_cold")))
         .collect();
     let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
-    let r = interleave(runs(), labels.len(), |arm| {
-        let t = arm % TASKS.len();
-        Row::of(if arm < TASKS.len() {
-            task(t)
-        } else {
-            std::thread::scope(|s| s.spawn(|| task(t)).join().expect("cold run"))
+    let r = on_worker(&task, |warm_run| {
+        for t in 0..TASKS.len() {
+            warm_run(t);
+        }
+        interleave(runs(), labels.len(), |arm| {
+            let t = arm % TASKS.len();
+            Row::of(if arm < TASKS.len() {
+                warm_run(t)
+            } else {
+                on_fresh_thread(|| task(t))
+            })
         })
     });
     let mut g = Group::new("figure10");

@@ -9,18 +9,18 @@
 //! records the median wall time and the median of the per-round ratio to
 //! Baseline, with the paper's ratio where the paper states one.
 //!
-//! The SHILL configurations run twice per round. `sandboxed` and
-//! `shill_version` are warm: the bench thread compiled the task's modules
-//! in one untimed run before the rounds. `sandboxed_cold` and
-//! `shill_version_cold` run on a freshly spawned thread, whose module
-//! cache is empty, so they parse and resolve the prelude and every module
-//! again, as the paper's prototype paid Racket startup on every run. The
-//! spawn is outside the task's wall time.
+//! The SHILL configurations run twice per round. The warm arms, Baseline
+//! and Installed included, run on one worker thread spawned per task,
+//! which compiled the task's modules in one untimed run before the
+//! rounds. `sandboxed_cold` and `shill_version_cold` run on a freshly
+//! spawned thread, whose module cache is empty, so they parse and resolve
+//! the prelude and every module again, as the paper's prototype paid
+//! Racket startup on every run. The spawn is outside the task's wall time.
 
 use std::time::Duration;
 
 use shill::scenarios::{run_apache, run_emacs, run_find, run_grading, Config, EmacsStep};
-use shill_bench::{interleave, runs, Group, APACHE_FILE_SIZE};
+use shill_bench::{interleave, on_fresh_thread, on_worker, runs, Group, APACHE_FILE_SIZE};
 
 const CONFIGS: [(Config, &str); 4] = [
     (Config::Baseline, "baseline"),
@@ -69,17 +69,19 @@ fn main() {
             .copied()
             .chain(cold.iter().map(|(config, label)| (*config, label.as_str())))
             .collect();
-        for &(config, _) in &warm[2..] {
-            f(config);
-        }
-        let r = interleave(runs(), configs.len(), |arm| {
-            let config = configs[arm].0;
-            let wall = if arm < warm.len() {
-                f(config)
-            } else {
-                std::thread::scope(|s| s.spawn(|| f(config)).join().expect("cold run"))
-            };
-            wall.as_secs_f64() * 1e3
+        let r = on_worker(f, |warm_run| {
+            for &(config, _) in &warm[2..] {
+                warm_run(config);
+            }
+            interleave(runs(), configs.len(), |arm| {
+                let config = configs[arm].0;
+                let wall = if arm < warm.len() {
+                    warm_run(config)
+                } else {
+                    on_fresh_thread(|| f(config))
+                };
+                wall.as_secs_f64() * 1e3
+            })
         });
         for (arm, &(config, label)) in configs.iter().enumerate() {
             g.add(&format!("{name}.wall"), "ms", label, r.stats(arm, |&ms| ms));

@@ -18,9 +18,15 @@
 //!   JSON array with one flat object per line. A relative directory
 //!   resolves against the workspace root, not the bench's working
 //!   directory (`crates/bench`).
+//! * **Threads** ([`on_worker`], [`on_fresh_thread`]). A warm arm runs on
+//!   one long-lived spawned thread, which also runs its untimed warm-up; a
+//!   cold arm runs on a thread spawned for that run alone. Each module
+//!   cache is per thread, and the bench's main thread is no neutral place
+//!   to time on: it moved warm tasks by as much as the cache did.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -55,6 +61,38 @@ pub const APACHE_FILE_SIZE: usize = 512 * 1024;
 /// Concurrent sessions in the ablation bench's server group.
 pub fn server_sessions() -> usize {
     env_usize("SHILL_BENCH_SERVER_SESSIONS", 1000)
+}
+
+/// Run `body` with a function that calls `f` on one worker thread, spawned
+/// for `body`'s duration, and waits for the result: every call lands on
+/// the same thread, so what it caches carries from call to call.
+pub fn on_worker<A: Send, R: Send, T>(
+    f: &(dyn Fn(A) -> R + Sync),
+    body: impl FnOnce(&dyn Fn(A) -> R) -> T,
+) -> T {
+    std::thread::scope(|s| {
+        let (jobs, job_rx) = mpsc::channel::<A>();
+        let (done_tx, done) = mpsc::channel::<R>();
+        s.spawn(move || {
+            for a in job_rx {
+                if done_tx.send(f(a)).is_err() {
+                    break;
+                }
+            }
+        });
+        let out = body(&|a| {
+            jobs.send(a).expect("worker thread alive");
+            done.recv().expect("worker thread panicked")
+        });
+        drop(jobs);
+        out
+    })
+}
+
+/// Call `f` on a thread spawned for this call alone, whose thread-local
+/// caches start empty.
+pub fn on_fresh_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+    std::thread::scope(|s| s.spawn(f).join().expect("fresh-thread run"))
 }
 
 /// Median and quartiles of a sample (linear interpolation between order

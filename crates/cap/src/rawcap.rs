@@ -238,8 +238,10 @@ impl RawCap {
 
     // --- queries ---------------------------------------------------------
 
-    /// `path` builtin: the paper's `path` syscall with last-known-path
-    /// fallback (§3.1.3).
+    /// `path` builtin: the paper's `path` syscall, falling back to the
+    /// last-known path (§3.1.3) once the name cache no longer covers the
+    /// file: the path the filesystem recorded when the file lost its name
+    /// while this descriptor held it open ([`Kernel::fd_last_path`]).
     pub fn path(&self, k: &mut Kernel, pid: Pid) -> SysResult<String> {
         let fd = self.live_fd()?;
         match k.path_syscall(pid, fd) {

@@ -27,7 +27,9 @@ pub struct Profile {
     pub sandbox_setup: Duration,
     /// Time spent inside sandboxed executables.
     pub sandboxed_exec: Duration,
-    /// Wall-clock total of `run` calls.
+    /// Wall-clock total of `ShillRuntime::new` and every `run` call, so
+    /// that [`Profile::remaining`] subtracts `startup` from a total that
+    /// contains it.
     pub total: Duration,
     /// Number of sandboxes created (Figure 10 discussion: Grading creates
     /// 5,371; Find 15,292).

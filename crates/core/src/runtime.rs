@@ -85,7 +85,7 @@ impl ShillRuntime {
     /// Build a runtime around an existing kernel, spawning the runtime's
     /// (unsandboxed) process with `cred`. Startup cost — process spawn,
     /// policy registration, the prelude's load — is recorded in the
-    /// profile's `startup` bucket. The first runtime on a thread also
+    /// profile's `startup` bucket and in its `total`. The first runtime on a thread also
     /// parses and resolves the prelude; later ones reuse that code.
     pub fn new(mut kernel: Kernel, config: RuntimeConfig, cred: Cred) -> ShillRuntime {
         let t0 = Instant::now();
@@ -104,7 +104,9 @@ impl ShillRuntime {
         // Evaluate the prelude (the "Racket startup" analogue).
         interp.add_script("shill/prelude", PRELUDE);
         let _ = interp.load_module("shill/prelude");
-        interp.profile.startup += t0.elapsed();
+        let elapsed = t0.elapsed();
+        interp.profile.startup += elapsed;
+        interp.profile.total += elapsed;
         ShillRuntime { interp, policy }
     }
 
@@ -158,5 +160,20 @@ impl ShillRuntime {
     /// session worker threads (`shill_sandbox::run_sessions`) from here.
     pub fn into_parts(self) -> (Kernel, Option<Arc<ShillPolicy>>) {
         (self.interp.kernel, self.policy)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    #[test]
+    fn construction_books_to_startup_and_total() {
+        let rt = ShillRuntime::new(Kernel::new(), RuntimeConfig::WithPolicy, Cred::ROOT);
+        let p = rt.profile();
+        assert!(p.startup > Duration::ZERO);
+        assert_eq!(p.total, p.startup);
+        assert_eq!(p.remaining(), Duration::ZERO);
     }
 }

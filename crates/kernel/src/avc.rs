@@ -26,10 +26,10 @@
 //! * The cache is consulted at all only when **every** registered policy
 //!   opted in via `decisions_cacheable`.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use shill_vfs::sync::Mutex;
+use shill_vfs::IdMap;
 
 use crate::mac::{PipeOp, SocketOp, VnodeOp};
 use crate::types::{ObjId, Pid};
@@ -110,7 +110,7 @@ pub struct Avc {
 struct Entries {
     /// subject → (object, class) → combined epoch at which the allow was
     /// recorded. Presence at the current epoch means "allowed".
-    by_pid: HashMap<Pid, HashMap<(ObjId, AvcClass), u64>>,
+    by_pid: IdMap<Pid, IdMap<(ObjId, AvcClass), u64>>,
     /// Verdicts across all subjects, kept exact so neither the capacity
     /// check nor `entry_count` walks the map.
     len: usize,
@@ -229,7 +229,7 @@ impl Avc {
     /// Cached verdicts, live or stale, held for one subject
     /// (tests/diagnostics).
     pub fn entries_for(&self, pid: Pid) -> usize {
-        self.entries.lock().by_pid.get(&pid).map_or(0, HashMap::len)
+        self.entries.lock().by_pid.get(&pid).map_or(0, IdMap::len)
     }
 }
 

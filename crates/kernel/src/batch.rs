@@ -627,6 +627,7 @@ impl Kernel {
         let dag = BatchDag::build(batch)?;
         let mut results: Vec<Option<SysResult<BatchOut>>> = Vec::new();
         results.resize_with(batch.entries.len(), || None);
+        let mut syscall_span = None;
         for (i, entry) in batch.entries.iter().enumerate() {
             let r = if dag.should_cancel(i, batch.fail_mode, &results) {
                 // Cancelled entries never execute.
@@ -637,8 +638,7 @@ impl Kernel {
                 // the same slot-keyed schedule the wave scheduler sees.
                 Err(e)
             } else {
-                let _syscall_span =
-                    self.trace_span(crate::trace::TraceSite::Syscall, pid.0 as u64, i as u64);
+                self.chain_syscall_span(&mut syscall_span, pid, i);
                 self.exec_entry(pid, entry, &results)
             };
             results[i] = Some(r);

@@ -32,10 +32,12 @@ fn bucket_upper(i: usize) -> u64 {
 }
 
 /// Concurrent log2 latency histogram. All updates are relaxed atomics.
+/// A sample costs two read-modify-writes (its bucket and the sum); the
+/// count is the sum of the buckets, and the maximum is written only when a
+/// sample exceeds it.
 #[derive(Debug)]
 pub struct LatencyHist {
     buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
     sum_ns: AtomicU64,
     max_ns: AtomicU64,
 }
@@ -44,7 +46,6 @@ impl Default for LatencyHist {
     fn default() -> Self {
         Self {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum_ns: AtomicU64::new(0),
             max_ns: AtomicU64::new(0),
         }
@@ -55,16 +56,18 @@ impl LatencyHist {
     /// Record one duration in nanoseconds.
     pub fn record(&self, ns: u64) {
         self.buckets[bucket_of(ns)].fetch_add(1, Relaxed);
-        self.count.fetch_add(1, Relaxed);
         self.sum_ns.fetch_add(ns, Relaxed);
-        self.max_ns.fetch_max(ns, Relaxed);
+        if ns > self.max_ns.load(Relaxed) {
+            self.max_ns.fetch_max(ns, Relaxed);
+        }
     }
 
     /// Point-in-time copy of the histogram.
     pub fn snapshot(&self) -> HistSnapshot {
+        let buckets: [u64; HIST_BUCKETS] = std::array::from_fn(|i| self.buckets[i].load(Relaxed));
         HistSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Relaxed)),
-            count: self.count.load(Relaxed),
+            buckets,
+            count: buckets.iter().sum(),
             sum_ns: self.sum_ns.load(Relaxed),
             max_ns: self.max_ns.load(Relaxed),
         }
@@ -75,7 +78,6 @@ impl LatencyHist {
         for b in &self.buckets {
             b.store(0, Relaxed);
         }
-        self.count.store(0, Relaxed);
         self.sum_ns.store(0, Relaxed);
         self.max_ns.store(0, Relaxed);
     }

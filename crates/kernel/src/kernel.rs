@@ -7,7 +7,7 @@ use std::num::NonZeroU64;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, OnceLock};
 
-use shill_vfs::{dac, Access, Cred, DeviceKind, Errno, Filesystem, Mode, NodeId, SysResult};
+use shill_vfs::{dac, Access, Cred, DeviceKind, Errno, Filesystem, IdMap, Mode, NodeId, SysResult};
 
 use crate::avc::{avc_class, avc_pipe_class, avc_socket_class, Avc, AvcClass};
 use crate::batch::BatchState;
@@ -50,7 +50,7 @@ pub struct Kernel {
     pub stats: KernelStats,
     /// Bytes written to the console (tty device); visible to tests.
     pub console: Vec<u8>,
-    procs: HashMap<Pid, Process>,
+    procs: IdMap<Pid, Process>,
     registry: PolicyRegistry,
     /// Access-vector cache for MAC vnode verdicts (see [`crate::avc`]).
     avc: Avc,
@@ -149,7 +149,7 @@ impl Kernel {
         )
         .expect("mkdir /tmp");
 
-        let mut procs = HashMap::new();
+        let mut procs = IdMap::default();
         procs.insert(Pid(1), Process::new(Pid(1), Pid(1), Cred::ROOT, root));
 
         let mut sysctls = HashMap::new();
@@ -269,6 +269,18 @@ impl Kernel {
         match &self.trace {
             Some(t) => t.span(site, pid, arg),
             None => None,
+        }
+    }
+
+    /// Open the syscall span of batch slot `slot`: the first entry a loop
+    /// executes opens it, and each later one chains onto it
+    /// ([`TraceScope::chain`]), so a loop over entries reads the clock
+    /// once per entry and clones the plane handle once.
+    #[inline]
+    pub(crate) fn chain_syscall_span(&self, span: &mut Option<TraceScope>, pid: Pid, slot: usize) {
+        match span {
+            Some(s) => s.chain(slot as u64),
+            None => *span = self.trace_span(TraceSite::Syscall, pid.0 as u64, slot as u64),
         }
     }
 
@@ -1111,7 +1123,6 @@ impl Kernel {
         writable: bool,
         append: bool,
     ) -> SysResult<Fd> {
-        let last_path = self.fs.path_of(node);
         self.fs.incref(node);
         let p = self.process_mut(pid)?;
         let fd = match p.alloc_fd() {
@@ -1130,7 +1141,6 @@ impl Kernel {
                 readable,
                 writable,
                 append,
-                last_path,
             },
         );
         Ok(fd)

@@ -17,10 +17,10 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use shill_vfs::{Errno, IoFault, SysResult};
+use shill_vfs::{Errno, IdMap, IoFault, SysResult};
 
 use crate::fault::{FaultPlane, FaultSite};
-use crate::pipe::data_fault_key;
+use crate::pipe::{data_fault_key, take_front};
 use crate::types::{SockAddr, SockDomain, SockId};
 
 /// Handler for a simulated remote host: consumes one request message and
@@ -67,9 +67,9 @@ struct Socket {
 #[derive(Default)]
 pub struct NetStack {
     remotes: HashMap<SockAddr, RemoteHandler>,
-    sockets: HashMap<SockId, Socket>,
+    sockets: IdMap<SockId, Socket>,
     listeners: HashMap<SockAddr, SockId>,
-    inj: HashMap<InjConnId, InjConn>,
+    inj: IdMap<InjConnId, InjConn>,
     /// Connections queued for an address *before* anything listens there;
     /// delivered to the accept queue at `listen` time. This is how a
     /// synchronous driver plays "clients" against a server it runs next.
@@ -338,15 +338,11 @@ impl NetStack {
             }
         }
         let out = match &mut s.state {
-            SockState::Connected(ConnKind::Remote { recv_buf, .. }) => {
-                let n = len.min(recv_buf.len());
-                recv_buf.drain(..n).collect::<Vec<u8>>()
-            }
+            SockState::Connected(ConnKind::Remote { recv_buf, .. }) => take_front(recv_buf, len),
             SockState::Connected(ConnKind::Injected(conn)) => {
                 let conn = *conn;
                 let c = self.inj.get_mut(&conn).ok_or(Errno::ECONNRESET)?;
-                let n = len.min(c.request.len());
-                c.request.drain(..n).collect::<Vec<u8>>()
+                take_front(&mut c.request, len)
             }
             _ => return Err(Errno::ENOTCONN),
         };
@@ -404,6 +400,27 @@ mod tests {
         n.connect(s, inet(80)).unwrap();
         n.send(s, b"hello").unwrap();
         assert_eq!(n.recv(s, 100).unwrap(), b"echo:hello");
+        assert_eq!(n.recv(s, 100).unwrap(), b""); // EOF
+    }
+
+    #[test]
+    fn recv_copies_across_the_ring_wrap() {
+        let mut n = NetStack::new();
+        n.register_remote(inet(80), Box::new(|req| req.to_vec()));
+        let s = n.socket(SockDomain::Inet);
+        n.connect(s, inet(80)).unwrap();
+        let bytes: Vec<u8> = (0..12).collect();
+        n.send(s, &bytes[..8]).unwrap();
+        assert_eq!(n.recv(s, 5).unwrap(), &bytes[..5]);
+        n.send(s, &bytes[8..]).unwrap();
+        match &n.sockets[&s].state {
+            SockState::Connected(ConnKind::Remote { recv_buf, .. }) => assert!(
+                !recv_buf.as_slices().1.is_empty(),
+                "the second response wraps the ring"
+            ),
+            _ => unreachable!("connected to a remote"),
+        }
+        assert_eq!(n.recv(s, 100).unwrap(), &bytes[5..]);
         assert_eq!(n.recv(s, 100).unwrap(), b""); // EOF
     }
 

@@ -6,10 +6,10 @@
 //! write end remains open, and `EAGAIN` otherwise (non-blocking semantics —
 //! a blocking read could never be satisfied in a synchronous world).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use shill_vfs::{Errno, IoFault, SysResult};
+use shill_vfs::{Errno, IdMap, IoFault, SysResult};
 
 use crate::fault::{FaultPlane, FaultSite};
 use crate::shard::SHARD_OBJ_STRIDE;
@@ -23,6 +23,19 @@ pub(crate) fn data_fault_key(id: u64, len: usize) -> u64 {
     (id % SHARD_OBJ_STRIDE) ^ (len as u64).rotate_left(37)
 }
 
+/// Move up to `n` bytes off the front of a pipe or socket buffer: one
+/// slice copy per half of the ring, then the drained range is dropped.
+pub(crate) fn take_front(buf: &mut VecDeque<u8>, n: usize) -> Vec<u8> {
+    let n = n.min(buf.len());
+    let (head, tail) = buf.as_slices();
+    let from_head = n.min(head.len());
+    let mut out = Vec::with_capacity(n);
+    out.extend_from_slice(&head[..from_head]);
+    out.extend_from_slice(&tail[..n - from_head]);
+    buf.drain(..n);
+    out
+}
+
 /// One pipe buffer plus reference counts for each end.
 #[derive(Debug)]
 struct PipeBuf {
@@ -34,7 +47,7 @@ struct PipeBuf {
 /// Table of live pipes.
 #[derive(Debug, Default)]
 pub struct PipeTable {
-    pipes: HashMap<PipeId, PipeBuf>,
+    pipes: IdMap<PipeId, PipeBuf>,
     next: u64,
     /// Fault plane consulted on the data path (`pipe.read` / `pipe.write`
     /// sites); installed by [`crate::kernel::Kernel::set_fault_plane`].
@@ -132,7 +145,7 @@ impl PipeTable {
                 None => {}
             }
         }
-        p.data.extend(buf.iter().copied());
+        p.data.extend(buf);
         Ok(buf.len())
     }
 
@@ -153,8 +166,7 @@ impl PipeTable {
             }
             return Err(Errno::EAGAIN);
         }
-        let n = len.min(p.data.len());
-        Ok(p.data.drain(..n).collect())
+        Ok(take_front(&mut p.data, len))
     }
 
     /// Bytes currently buffered.
@@ -175,6 +187,22 @@ mod tests {
         t.write(id, b"def").unwrap();
         assert_eq!(t.read(id, 4).unwrap(), b"abcd");
         assert_eq!(t.read(id, 10).unwrap(), b"ef");
+    }
+
+    #[test]
+    fn read_copies_across_the_ring_wrap() {
+        let mut t = PipeTable::new();
+        let id = t.create();
+        let bytes: Vec<u8> = (0..12).collect();
+        t.write(id, &bytes[..8]).unwrap();
+        assert_eq!(t.read(id, 5).unwrap(), &bytes[..5]);
+        t.write(id, &bytes[8..]).unwrap();
+        assert!(
+            !t.pipes[&id].data.as_slices().1.is_empty(),
+            "the second write wraps the ring"
+        );
+        assert_eq!(t.read(id, 100).unwrap(), &bytes[5..]);
+        assert_eq!(t.read(id, 1).unwrap_err(), Errno::EAGAIN);
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Processes and file descriptors.
+//!
+//! A descriptor holds its object, offset and access mode only. The path a
+//! vnode was last reachable at lives in the filesystem, which records it
+//! when the name goes ([`shill_vfs::Filesystem::last_path`]).
 
-use std::collections::HashMap;
 use std::num::NonZeroU64;
 use std::sync::Arc;
 
 use shill_vfs::sync::Mutex;
-use shill_vfs::{Cred, Errno, NodeId, SysResult};
+use shill_vfs::{Cred, Errno, IdMap, NodeId, SysResult};
 
 use crate::mac::MacCtx;
 use crate::types::{Fd, Pid, PipeEnd, PipeId, SockId, Ulimits};
@@ -29,10 +32,6 @@ pub struct OpenFile {
     pub readable: bool,
     pub writable: bool,
     pub append: bool,
-    /// Last path at which the vnode was known reachable; the `path` syscall
-    /// falls back to this when the name cache has been purged (§3.1.3:
-    /// "If the path system call fails, SHILL uses the last known path").
-    pub last_path: Option<String>,
 }
 
 /// Process lifecycle states. Execution is synchronous, so `Running` simply
@@ -53,7 +52,7 @@ pub struct Process {
     pub ppid: Pid,
     pub cred: Cred,
     pub cwd: NodeId,
-    pub fds: HashMap<Fd, OpenFile>,
+    pub fds: IdMap<Fd, OpenFile>,
     pub next_fd: u32,
     pub state: ProcState,
     pub ulimits: Ulimits,
@@ -75,7 +74,7 @@ impl Process {
             ppid,
             cred,
             cwd,
-            fds: HashMap::new(),
+            fds: IdMap::default(),
             next_fd: 3, // 0-2 reserved for stdio
             state: ProcState::Running,
             ulimits: Ulimits::default(),
@@ -170,7 +169,6 @@ mod tests {
             readable: true,
             writable: false,
             append: false,
-            last_path: None,
         }
     }
 
@@ -208,7 +206,6 @@ mod tests {
                 readable: true,
                 writable: false,
                 append: false,
-                last_path: None,
             },
         );
         assert_eq!(p.fd_node(Fd(3)).unwrap_err(), Errno::EBADF);

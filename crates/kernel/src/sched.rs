@@ -399,6 +399,7 @@ impl Kernel {
         // snapshot instead of rescanning the order list per slot.
         let mut prior = order.clone();
         prior.sort_unstable();
+        let mut syscall_span = None;
         for &slot in &dag.waves[wave] {
             let r = if dag.should_cancel(slot, batch.fail_mode, results) {
                 KernelStats::bump(&self.stats.sched_cancelled_cone);
@@ -411,11 +412,10 @@ impl Kernel {
                 Err(e)
             } else {
                 KernelStats::bump(&self.stats.batch_entries);
-                // Per-entry dispatch span: with the sequential oracle's
-                // loop in `crate::batch`, this covers syscall dispatch in
-                // every execution mode.
-                let _syscall_span =
-                    self.trace_span(crate::trace::TraceSite::Syscall, pid.0 as u64, slot as u64);
+                // Per-entry dispatch span, chained across the wave: with
+                // the sequential oracle's loop in `crate::batch`, this
+                // covers syscall dispatch in every execution mode.
+                self.chain_syscall_span(&mut syscall_span, pid, slot);
                 self.exec_entry(pid, &batch.entries[slot], results)
             };
             let inversions = (prior.len() - prior.partition_point(|&s| s < slot)) as u64;
@@ -423,6 +423,7 @@ impl Kernel {
             results[slot] = Some(r);
             order.push(slot);
         }
+        drop(syscall_span);
         wave_ns.push(wave_t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0));
     }
 }

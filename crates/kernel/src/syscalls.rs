@@ -686,7 +686,7 @@ impl Kernel {
     /// The paper's new `path` system call: "attempts to retrieve an
     /// accessible path for a file descriptor from the filesystem's lookup
     /// cache" (§3.1.3). `ENOENT` when the cache no longer covers the node;
-    /// the SHILL runtime then falls back to the descriptor's last known path.
+    /// the SHILL runtime then falls back to [`Kernel::fd_last_path`].
     pub fn path_syscall(&mut self, pid: Pid, fd: Fd) -> SysResult<String> {
         self.charge(pid)?;
         let node = self.process(pid)?.fd_node(fd)?;
@@ -694,9 +694,15 @@ impl Kernel {
         self.fs.path_of(node).ok_or(Errno::ENOENT)
     }
 
-    /// Last path recorded at open time (runtime-side fallback for `path`).
+    /// The last path at which a descriptor's vnode was reachable, recorded
+    /// by the filesystem when the name went (runtime-side fallback for
+    /// `path`). `None` while the name cache still covers the node, and for
+    /// pipes and sockets.
     pub fn fd_last_path(&self, pid: Pid, fd: Fd) -> SysResult<Option<String>> {
-        Ok(self.process(pid)?.file(fd)?.last_path.clone())
+        Ok(match self.process(pid)?.file(fd)?.object {
+            FdObject::Vnode(n) => self.fs.last_path(n).map(str::to_owned),
+            _ => None,
+        })
     }
 
     // --- cwd ----------------------------------------------------------------
@@ -751,7 +757,6 @@ impl Kernel {
                 readable: true,
                 writable: false,
                 append: false,
-                last_path: None,
             },
         );
         let wfd = p.alloc_fd()?;
@@ -763,7 +768,6 @@ impl Kernel {
                 readable: false,
                 writable: true,
                 append: false,
-                last_path: None,
             },
         );
         Ok((rfd, wfd))
@@ -790,7 +794,6 @@ impl Kernel {
                 readable: true,
                 writable: true,
                 append: false,
-                last_path: None,
             },
         );
         Ok(fd)
@@ -850,7 +853,6 @@ impl Kernel {
                 readable: true,
                 writable: true,
                 append: false,
-                last_path: None,
             },
         );
         Ok(cfd)
@@ -1190,6 +1192,47 @@ mod tests {
         k.unlinkat(pid, None, "/tmp/p.txt", false).unwrap();
         assert_eq!(k.path_syscall(pid, fd).unwrap_err(), Errno::ENOENT);
         assert_eq!(k.fd_last_path(pid, fd).unwrap().unwrap(), "/tmp/p.txt");
+    }
+
+    #[test]
+    fn last_path_is_taken_when_the_name_goes_not_at_open() {
+        let (mut k, pid) = setup();
+        k.fs.put_file("/tmp/a", b"", Mode::FILE_DEFAULT, Uid::ROOT, Gid::WHEEL)
+            .unwrap();
+        let fd = k.open(pid, "/tmp/a", OpenFlags::RDONLY, Mode(0)).unwrap();
+        k.renameat(pid, None, "/tmp/a", None, "/tmp/b").unwrap();
+        assert_eq!(k.fd_last_path(pid, fd).unwrap(), None);
+        k.unlinkat(pid, None, "/tmp/b", false).unwrap();
+        assert_eq!(k.path_syscall(pid, fd).unwrap_err(), Errno::ENOENT);
+        assert_eq!(k.fd_last_path(pid, fd).unwrap().unwrap(), "/tmp/b");
+    }
+
+    #[test]
+    fn removed_open_directory_keeps_its_path() {
+        let (mut k, pid) = setup();
+        k.fs.mkdir_p("/tmp/d", Mode::DIR_DEFAULT, Uid::ROOT, Gid::WHEEL)
+            .unwrap();
+        let fd = k.open(pid, "/tmp/d", OpenFlags::dir(), Mode(0)).unwrap();
+        k.unlinkat(pid, None, "/tmp/d", true).unwrap();
+        assert_eq!(k.path_syscall(pid, fd).unwrap_err(), Errno::ENOENT);
+        assert_eq!(k.fd_last_path(pid, fd).unwrap().unwrap(), "/tmp/d");
+    }
+
+    #[test]
+    fn unlinked_cached_link_keeps_its_path_until_the_last_close() {
+        let (mut k, pid) = setup();
+        let node =
+            k.fs.put_file("/tmp/a", b"", Mode::FILE_DEFAULT, Uid::ROOT, Gid::WHEEL)
+                .unwrap();
+        // The newest link is the name the cache holds.
+        k.linkat(pid, None, "/tmp/a", None, "/tmp/b").unwrap();
+        let fd = k.open(pid, "/tmp/a", OpenFlags::RDONLY, Mode(0)).unwrap();
+        k.unlinkat(pid, None, "/tmp/b", false).unwrap();
+        assert_eq!(k.path_syscall(pid, fd).unwrap_err(), Errno::ENOENT);
+        assert_eq!(k.fd_last_path(pid, fd).unwrap().unwrap(), "/tmp/b");
+        k.close(pid, fd).unwrap();
+        assert_eq!(k.fs.last_path(node), None);
+        assert_eq!(k.fs.resolve_abs("/tmp/a"), Ok(node));
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! RAII guard pushes a `Begin` event into a fixed-capacity ring on
 //! creation and a matching `End` (with duration) on drop — including
 //! drops that happen while unwinding from an injected panic, which is
-//! what keeps spans balanced under fault schedules.
+//! what keeps spans balanced under fault schedules. A run of spans at
+//! one site, such as the syscall spans of one wave, is one guard
+//! [`chained`](TraceScope::chain) from entry to entry: each link's `End`
+//! and the next one's `Begin` share one clock read and one ring lock.
 //!
 //! Arming mirrors the fault plane: `SHILL_TRACE` is parsed per shard at
 //! kernel construction (`sites=syscall+batch+wave;cap=8192`, or
@@ -265,13 +268,36 @@ impl TracePlane {
         self.shard.store(shard, Relaxed);
     }
 
-    fn push(&self, ev: TraceEvent) {
+    /// Append events under one lock, dropping the oldest when full.
+    fn push<const N: usize>(&self, events: [TraceEvent; N]) {
         let mut ring = self.ring.lock();
-        if ring.len() >= self.cap {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Relaxed);
+        for ev in events {
+            if ring.len() >= self.cap {
+                ring.pop_front();
+                self.dropped.fetch_add(1, Relaxed);
+            }
+            ring.push_back(ev);
         }
-        ring.push_back(ev);
+    }
+
+    fn event(
+        &self,
+        site: TraceSite,
+        kind: TraceKind,
+        pid: u64,
+        arg: u64,
+        ts_ns: u64,
+    ) -> TraceEvent {
+        TraceEvent {
+            site,
+            kind,
+            ts_ns,
+            dur_ns: 0,
+            shard: self.shard.load(Relaxed),
+            pid,
+            arg,
+            tag: "",
+        }
     }
 
     /// Open a span: pushes `Begin` now, and the returned guard pushes
@@ -282,16 +308,7 @@ impl TracePlane {
             return None;
         }
         let ts_ns = trace_now_ns();
-        self.push(TraceEvent {
-            site,
-            kind: TraceKind::Begin,
-            ts_ns,
-            dur_ns: 0,
-            shard: self.shard.load(Relaxed),
-            pid,
-            arg,
-            tag: "",
-        });
+        self.push([self.event(site, TraceKind::Begin, pid, arg, ts_ns)]);
         Some(TraceScope {
             plane: Arc::clone(self),
             site,
@@ -306,31 +323,15 @@ impl TracePlane {
         if !self.wants(site) {
             return;
         }
-        self.push(TraceEvent {
-            site,
-            kind: TraceKind::Instant,
-            ts_ns: trace_now_ns(),
-            dur_ns: 0,
-            shard: self.shard.load(Relaxed),
-            pid,
-            arg,
-            tag,
-        });
+        let ev = self.event(site, TraceKind::Instant, pid, arg, trace_now_ns());
+        self.push([TraceEvent { tag, ..ev }]);
     }
 
-    fn record_end(&self, site: TraceSite, pid: u64, arg: u64, begin_ns: u64) {
-        let now = trace_now_ns();
-        let dur_ns = now.saturating_sub(begin_ns);
-        self.push(TraceEvent {
-            site,
-            kind: TraceKind::End,
-            ts_ns: now,
-            dur_ns,
-            shard: self.shard.load(Relaxed),
-            pid,
-            arg,
-            tag: "",
-        });
+    /// The `End` event of `scope` closing at `now`, with its duration
+    /// booked in the site histogram.
+    fn end_event(&self, scope: &TraceScope, now: u64) -> TraceEvent {
+        let dur_ns = now.saturating_sub(scope.begin_ns);
+        let site = scope.site;
         match site {
             TraceSite::Syscall => self.hists.syscall.record(dur_ns),
             TraceSite::Batch => self.hists.batch.record(dur_ns),
@@ -339,6 +340,8 @@ impl TracePlane {
             TraceSite::Dispatch => self.hists.dispatch.record(dur_ns),
             _ => {}
         }
+        let ev = self.event(site, TraceKind::End, scope.pid, scope.arg, now);
+        TraceEvent { dur_ns, ..ev }
     }
 
     /// Snapshot the per-site latency histograms.
@@ -369,10 +372,27 @@ pub struct TraceScope {
     begin_ns: u64,
 }
 
+impl TraceScope {
+    /// Close this span and open the next one at the same site and pid,
+    /// with argument `arg`, at the same instant: one clock read and one
+    /// ring lock for the pair. Chained spans tile the interval from the
+    /// first `Begin` to the last `End`, so each link also covers the
+    /// caller's work between its own operation and the next one's.
+    pub fn chain(&mut self, arg: u64) {
+        let now = trace_now_ns();
+        let plane = &self.plane;
+        let end = plane.end_event(self, now);
+        let begin = plane.event(self.site, TraceKind::Begin, self.pid, arg, now);
+        plane.push([end, begin]);
+        self.arg = arg;
+        self.begin_ns = now;
+    }
+}
+
 impl Drop for TraceScope {
     fn drop(&mut self) {
-        self.plane
-            .record_end(self.site, self.pid, self.arg, self.begin_ns);
+        let end = self.plane.end_event(self, trace_now_ns());
+        self.plane.push([end]);
     }
 }
 
@@ -526,6 +546,37 @@ mod tests {
         assert_eq!(events[0].arg, 2); // the two oldest were dropped
         assert_eq!(plane.take_dropped(), 2);
         assert_eq!(plane.take_dropped(), 0);
+    }
+
+    #[test]
+    fn chained_spans_share_their_boundaries() {
+        let plane = Arc::new(TracePlane::new(TraceSite::ALL_MASK, 64));
+        {
+            let mut g = plane.span(TraceSite::Syscall, 3, 0).unwrap();
+            g.chain(1);
+            g.chain(2);
+        }
+        let events = plane.drain();
+        let kinds: Vec<_> = events.iter().map(|e| (e.kind, e.arg)).collect();
+        use TraceKind::{Begin, End};
+        assert_eq!(
+            kinds,
+            [
+                (Begin, 0),
+                (End, 0),
+                (Begin, 1),
+                (End, 1),
+                (Begin, 2),
+                (End, 2)
+            ]
+        );
+        for link in events[1..5].chunks(2) {
+            assert_eq!(
+                link[0].ts_ns, link[1].ts_ns,
+                "a link opens as the last closes"
+            );
+        }
+        assert_eq!(plane.hists().syscall.count, 3);
     }
 
     #[test]

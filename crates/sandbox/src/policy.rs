@@ -36,7 +36,6 @@
 //! is [`DEFAULT_POLICY_STRIPES`]; [`ShillPolicy::with_stripes`] picks
 //! another.
 
-use std::collections::HashMap;
 use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
@@ -49,7 +48,7 @@ use shill_kernel::{
     Kernel, MacCtx, MacPolicy, ObjId, Pid, PipeOp, ProcOp, SocketOp, SystemOp, VnodeOp,
 };
 use shill_kernel::{TracePlane, TraceScope, TraceSite};
-use shill_vfs::{Errno, FileType, NodeId, SysResult};
+use shill_vfs::{Errno, FileType, IdMap, NodeId, SysResult};
 
 use crate::log::{LogEvent, SandboxLog};
 use crate::session::{Session, SessionId};
@@ -105,7 +104,7 @@ struct PolicyCounters {
 /// struct — the scrub is `O(own labels)` and touches no other stripe.
 struct SessionState {
     meta: Session,
-    labels: HashMap<ObjId, Arc<CapPrivs>>,
+    labels: IdMap<ObjId, Arc<CapPrivs>>,
     /// Child sessions already reclaimed: their parent link, which their
     /// zombies still need (a zombie keeps its label until it is reaped, and
     /// `waitpid` checks that it descends from the waiter's session). Kept
@@ -117,7 +116,7 @@ impl SessionState {
     fn new(id: SessionId, parent: Option<SessionId>) -> SessionState {
         SessionState {
             meta: Session::new(id, parent),
-            labels: HashMap::new(),
+            labels: IdMap::default(),
             reclaimed_children: Vec::new(),
         }
     }
@@ -126,7 +125,7 @@ impl SessionState {
 /// One lock stripe of session-major state.
 #[derive(Default)]
 struct Stripe {
-    sessions: HashMap<SessionId, SessionState>,
+    sessions: IdMap<SessionId, SessionState>,
 }
 
 /// The session a process label names: `ShillPolicy` stores the session id
@@ -137,7 +136,7 @@ fn session(label: Option<NonZeroU64>) -> Option<SessionId> {
 
 /// Merge a propagated/granted entry under the no-amplification rule:
 /// keep the existing entry unless the new one subsumes it.
-fn merge_label(labels: &mut HashMap<ObjId, Arc<CapPrivs>>, obj: ObjId, new: Arc<CapPrivs>) -> bool {
+fn merge_label(labels: &mut IdMap<ObjId, Arc<CapPrivs>>, obj: ObjId, new: Arc<CapPrivs>) -> bool {
     match labels.get(&obj) {
         // Re-propagation of the very same description (hot path: every
         // repeated lookup re-derives the same `Arc` from the parent

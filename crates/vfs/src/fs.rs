@@ -7,11 +7,17 @@
 //! applied by the kernel before calling into these operations — exactly the
 //! layering of a real kernel, where `ufs_lookup` does the work and the MAC
 //! framework's hooks gate it.
+//!
+//! Every table here is keyed by a node id this filesystem allocates, so
+//! each is an [`IdMap`]. A node's last-known path (§3.1.3) is taken when
+//! its name-cache entry goes while a descriptor holds it open, not at
+//! open: see [`Filesystem::last_path`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use crate::errno::{Errno, SysResult};
 use crate::fault::{IoFault, SharedFaultHook};
+use crate::idmap::IdMap;
 use crate::node::{DeviceKind, NodeBody, Vnode};
 use crate::types::{Gid, Mode, NodeId, Timestamp, Uid};
 
@@ -22,17 +28,21 @@ const LINK_MAX: u32 = 32_767;
 /// name cache used by the paper's new `path` system call.
 #[derive(Debug)]
 pub struct Filesystem {
-    nodes: HashMap<NodeId, Vnode>,
+    nodes: IdMap<NodeId, Vnode>,
     root: NodeId,
     next_id: u64,
     clock: u64,
     /// Name cache: child → (parent, name under which it was last reachable).
     /// Mirrors FreeBSD's lookup cache, which the `path` syscall consults
     /// (§3.1.3). Entries are best-effort: unlinking purges them.
-    name_cache: HashMap<NodeId, (NodeId, String)>,
+    name_cache: IdMap<NodeId, (NodeId, String)>,
     /// Open-file reference counts maintained by the kernel so unlinked but
     /// still-open files stay readable (Unix semantics).
-    open_refs: HashMap<NodeId, u32>,
+    open_refs: IdMap<NodeId, u32>,
+    /// Path of each open node at the moment its name-cache entry was
+    /// purged. An entry goes with the node's last open reference, so it
+    /// never outlives `open_refs`, and a reclaimed node has none.
+    last_paths: IdMap<NodeId, String>,
     /// Node-id base this filesystem allocates from (shard stride); hooks
     /// below are consulted with ids relative to it so fault schedules are
     /// shard-invariant.
@@ -61,7 +71,7 @@ impl Filesystem {
     /// alias between shards' namespaces.
     pub fn with_id_base(base: u64) -> Filesystem {
         let root_id = NodeId(base + 1);
-        let mut nodes = HashMap::new();
+        let mut nodes = IdMap::default();
         nodes.insert(
             root_id,
             Vnode {
@@ -80,8 +90,9 @@ impl Filesystem {
             root: root_id,
             next_id: base + 2,
             clock: 1,
-            name_cache: HashMap::new(),
-            open_refs: HashMap::new(),
+            name_cache: IdMap::default(),
+            open_refs: IdMap::default(),
+            last_paths: IdMap::default(),
             id_base: base,
             fault: None,
         }
@@ -322,10 +333,8 @@ impl Filesystem {
         let d = self.node_mut(dir)?;
         d.dir_entries_mut()?.remove(name);
         d.mtime = now;
-        if let Some((p, n)) = self.name_cache.get(&child) {
-            if *p == dir && n == name {
-                self.name_cache.remove(&child);
-            }
+        if matches!(self.name_cache.get(&child), Some((p, n)) if *p == dir && n == name) {
+            self.purge_name(child);
         }
         let c = self.node_mut(child)?;
         c.nlink = c.nlink.saturating_sub(1);
@@ -348,7 +357,7 @@ impl Filesystem {
         d.dir_entries_mut()?.remove(name);
         d.mtime = now;
         d.nlink = d.nlink.saturating_sub(1);
-        self.name_cache.remove(&child);
+        self.purge_name(child);
         let c = self.node_mut(child)?;
         c.nlink = 0;
         self.maybe_reclaim(child);
@@ -523,6 +532,26 @@ impl Filesystem {
         Some(format!("/{}", parts.join("/")))
     }
 
+    /// Drop `node`'s name-cache entry. A node a descriptor still holds
+    /// open keeps the path it was reachable at until now.
+    fn purge_name(&mut self, node: NodeId) {
+        if self.open_refs.contains_key(&node) {
+            if let Some(path) = self.path_of(node) {
+                self.last_paths.insert(node, path);
+            }
+        }
+        self.name_cache.remove(&node);
+    }
+
+    /// The last path at which an open node was reachable, recorded when its
+    /// name-cache entry was purged (`unlink`, `rmdir`, or the one a
+    /// replacing `rename` performs). The runtime falls back to it when the
+    /// `path` syscall fails (§3.1.3: "If the path system call fails, SHILL
+    /// uses the last known path"). `None` once the last descriptor closes.
+    pub fn last_path(&self, node: NodeId) -> Option<&str> {
+        self.last_paths.get(&node).map(String::as_str)
+    }
+
     /// Take an open reference on a node (kernel calls this when a descriptor
     /// is created), keeping unlinked-but-open files alive.
     pub fn incref(&mut self, node: NodeId) {
@@ -535,6 +564,7 @@ impl Filesystem {
             *c = c.saturating_sub(1);
             if *c == 0 {
                 self.open_refs.remove(&node);
+                self.last_paths.remove(&node);
             }
         }
         self.maybe_reclaim(node);

@@ -19,6 +19,7 @@ pub mod dac;
 pub mod errno;
 pub mod fault;
 pub mod fs;
+pub mod idmap;
 pub mod node;
 pub mod sync;
 pub mod types;
@@ -26,5 +27,6 @@ pub mod types;
 pub use errno::{Errno, SysResult};
 pub use fault::{FaultHook, IoFault, SharedFaultHook};
 pub use fs::Filesystem;
+pub use idmap::{IdHasher, IdMap};
 pub use node::{DeviceKind, NodeBody, Vnode};
 pub use types::{Access, Cred, FileType, Gid, Mode, NodeId, Stat, Timestamp, Uid};

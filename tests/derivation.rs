@@ -178,3 +178,21 @@ exts_later(open_dir("/home/user"))
     let v = rt.interp.apply(probe, vec![], vec![]).unwrap();
     assert_eq!(v.display(), "[true, false, true, false]");
 }
+
+#[test]
+fn path_of_a_file_another_capability_deleted_is_its_last_path() {
+    // §3.1.3: once the file has no name the `path` syscall fails, and
+    // "SHILL uses the last known path".
+    let mut rt = user_runtime(&[("/home/user/doomed.txt", "x")]);
+    rt.run(
+        "main",
+        r#"#lang shill/ambient
+f = open_file("/home/user/doomed.txt");
+d = open_dir("/home/user");
+unlink_file(d, "doomed.txt");
+display(path(f), " ", is_syserror(lookup(d, "doomed.txt")));
+"#,
+    )
+    .unwrap();
+    assert_eq!(rt.output(), "/home/user/doomed.txt true\n");
+}
