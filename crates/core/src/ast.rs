@@ -132,7 +132,9 @@ pub enum Expr {
     Void(Pos),
     Bool(bool, Pos),
     Num(i64, Pos),
-    Str(String, Pos),
+    /// A string literal. Evaluating it shares the string: a string carries
+    /// no authority, so the compiled-module cache may hold it.
+    Str(Rc<String>, Pos),
     Var(VarRef),
     List(Vec<Expr>, Pos),
     /// `fun(a, b) { ... }`.

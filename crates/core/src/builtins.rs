@@ -161,9 +161,9 @@ fn arity(args: &[Value], n: usize, name: &str) -> Result<(), ShillError> {
     Ok(())
 }
 
-fn want_str(v: &Value, what: &str) -> Result<String, ShillError> {
+fn want_str<'v>(v: &'v Value, what: &str) -> Result<&'v str, ShillError> {
     match v {
-        Value::Str(s) => Ok((**s).clone()),
+        Value::Str(s) => Ok(s),
         other => Err(ShillError::Runtime(format!(
             "{what} must be a string, got {}",
             other.type_name()
@@ -177,15 +177,28 @@ pub(crate) fn cap_result(r: Result<Value, CapError>) -> EvalResult {
     match r {
         Ok(v) => Ok(v),
         Err(CapError::Sys(e)) => Ok(Value::SysErr(e)),
-        Err(CapError::Violation(v)) => Err(ShillError::Violation(v)),
+        Err(CapError::Violation(v)) => Err(v.into()),
     }
 }
 
-/// Dispatch a builtin call.
+/// Whether `name` ends in `.` and then `ext`.
+fn has_ext(name: &str, ext: &str) -> bool {
+    name.strip_suffix(ext)
+        .is_some_and(|stem| stem.ends_with('.'))
+}
+
+/// A capability derived from `from`, sealed with the brands `from` is
+/// sealed with (§2.4.2: what a sealed directory yields stays sealed).
+fn derived(from: &Value, r: Result<GuardedCap, CapError>) -> EvalResult {
+    cap_result(r.map(|cap| Interp::reseal(Value::Cap(Rc::new(cap)), Interp::seal_chain(from))))
+}
+
+/// Dispatch a builtin call. The arguments are read in place: they drop
+/// when the caller clears its argument vector.
 pub fn call_builtin(
     interp: &mut Interp,
     builtin: Builtin,
-    args: Vec<Value>,
+    args: &[Value],
     kwargs: Vec<(String, Value)>,
 ) -> EvalResult {
     use Builtin::*;
@@ -198,55 +211,55 @@ pub fn call_builtin(
     match builtin {
         // --- type predicates ------------------------------------------------
         IsFile => {
-            arity(&args, 1, name)?;
+            arity(args, 1, name)?;
             let inner = strip_seals(&args[0]);
             Ok(Value::Bool(matches!(inner, Value::Cap(c) if c.is_file())))
         }
         IsDir => {
-            arity(&args, 1, name)?;
+            arity(args, 1, name)?;
             let inner = strip_seals(&args[0]);
             Ok(Value::Bool(matches!(inner, Value::Cap(c) if c.is_dir())))
         }
         IsPipe => {
-            arity(&args, 1, name)?;
+            arity(args, 1, name)?;
             let inner = strip_seals(&args[0]);
             Ok(Value::Bool(
                 matches!(inner, Value::Cap(c) if c.kind() == CapKind::PipeEnd),
             ))
         }
         IsSyserror => {
-            arity(&args, 1, name)?;
+            arity(args, 1, name)?;
             Ok(Value::Bool(matches!(args[0], Value::SysErr(_))))
         }
         IsBool => {
-            arity(&args, 1, name)?;
+            arity(args, 1, name)?;
             Ok(Value::Bool(matches!(args[0], Value::Bool(_))))
         }
         IsNum => {
-            arity(&args, 1, name)?;
+            arity(args, 1, name)?;
             Ok(Value::Bool(matches!(args[0], Value::Num(_))))
         }
         IsString => {
-            arity(&args, 1, name)?;
+            arity(args, 1, name)?;
             Ok(Value::Bool(matches!(args[0], Value::Str(_))))
         }
         IsList => {
-            arity(&args, 1, name)?;
+            arity(args, 1, name)?;
             Ok(Value::Bool(matches!(args[0], Value::List(_))))
         }
         IsVoid => {
-            arity(&args, 1, name)?;
+            arity(args, 1, name)?;
             Ok(Value::Bool(matches!(args[0], Value::Void)))
         }
         IsFun => {
-            arity(&args, 1, name)?;
+            arity(args, 1, name)?;
             Ok(Value::Bool(args[0].is_callable()))
         }
 
         // --- capability queries ------------------------------------------------
         Path => {
-            arity(&args, 1, name)?;
-            let (cap, _brands) = interp.unseal_for(&args[0], Priv::Path)?;
+            arity(args, 1, name)?;
+            let cap = interp.unseal_for(&args[0], Priv::Path)?;
             let pid = interp.pid;
             cap_result(cap.path(&mut interp.kernel, pid).map(Value::str))
         }
@@ -257,22 +270,22 @@ pub fn call_builtin(
         // still needs `+path` from every contract, and a capability with
         // no descriptor has no extension.
         HasExt => {
-            arity(&args, 2, name)?;
+            arity(args, 2, name)?;
             let ext = want_str(&args[1], "extension")?;
-            let suffix = format!(".{ext}");
             match &args[0] {
-                Value::Str(s) => Ok(Value::Bool(s.ends_with(&suffix))),
+                Value::Str(s) => Ok(Value::Bool(has_ext(s, ext))),
                 v => {
-                    let (cap, _brands) = interp.unseal_for(v, Priv::Path)?;
+                    let cap = interp.unseal_for(v, Priv::Path)?;
                     cap.check(Priv::Path)?;
-                    let named = cap.raw.fd().is_some() && cap.name().ends_with(&suffix);
-                    Ok(Value::Bool(named))
+                    Ok(Value::Bool(
+                        cap.raw.fd().is_some() && has_ext(cap.name(), ext),
+                    ))
                 }
             }
         }
         StatSize => {
-            arity(&args, 1, name)?;
-            let (cap, _brands) = interp.unseal_for(&args[0], Priv::Stat)?;
+            arity(args, 1, name)?;
+            let cap = interp.unseal_for(&args[0], Priv::Stat)?;
             let pid = interp.pid;
             cap_result(
                 cap.stat(&mut interp.kernel, pid)
@@ -287,9 +300,9 @@ pub fn call_builtin(
         // Pipes, sockets and devices decline the fragment and go through
         // the checked raw path.
         Read => {
-            arity(&args, 1, name)?;
-            let (cap, _brands) = interp.unseal_for(&args[0], Priv::Read)?;
-            cap_result(match interp.batchable(|acc, _, _| acc.defer_read(&cap)) {
+            arity(args, 1, name)?;
+            let cap = interp.unseal_for(&args[0], Priv::Read)?;
+            cap_result(match interp.batchable(|acc, _, _| acc.defer_read(cap)) {
                 Ok(Some(v)) => Ok(v),
                 Ok(None) => cap
                     .read_all(&mut interp.kernel, interp.pid)
@@ -298,11 +311,11 @@ pub fn call_builtin(
             })
         }
         Write => {
-            arity(&args, 2, name)?;
-            let mut data = want_str(&args[1], "data")?.into_bytes();
-            let (cap, _brands) = interp.unseal_for(&args[0], Priv::Write)?;
+            arity(args, 2, name)?;
+            let mut data = want_str(&args[1], "data")?.as_bytes().to_vec();
+            let cap = interp.unseal_for(&args[0], Priv::Write)?;
             cap_result(
-                match interp.batchable(|acc, _, _| acc.defer_write(&cap, &mut data)) {
+                match interp.batchable(|acc, _, _| acc.defer_write(cap, &mut data)) {
                     Ok(Some(v)) => Ok(v),
                     Ok(None) => cap
                         .write_all(&mut interp.kernel, interp.pid, &data)
@@ -313,7 +326,7 @@ pub fn call_builtin(
         }
         // --- completion-model surface (deferred execution) -------------------
         AwaitAll => {
-            arity(&args, 1, name)?;
+            arity(args, 1, name)?;
             let items: Vec<Value> = match &args[0] {
                 Value::List(l) => l.iter().cloned().collect(),
                 other => vec![other.clone()],
@@ -339,9 +352,9 @@ pub fn call_builtin(
         Select => builtin_select(interp, args),
         StreamRead => builtin_stream_read(interp, args),
         Append => {
-            arity(&args, 2, name)?;
+            arity(args, 2, name)?;
             let data = want_str(&args[1], "data")?;
-            let (cap, _brands) = interp.unseal_for(&args[0], Priv::Append)?;
+            let cap = interp.unseal_for(&args[0], Priv::Append)?;
             let pid = interp.pid;
             cap_result(
                 cap.append(&mut interp.kernel, pid, data.as_bytes())
@@ -351,8 +364,8 @@ pub fn call_builtin(
 
         // --- directory operations ----------------------------------------------
         Contents => {
-            arity(&args, 1, name)?;
-            let (cap, _brands) = interp.unseal_for(&args[0], Priv::Contents)?;
+            arity(args, 1, name)?;
+            let cap = interp.unseal_for(&args[0], Priv::Contents)?;
             let pid = interp.pid;
             cap_result(
                 cap.contents(&mut interp.kernel, pid)
@@ -360,98 +373,82 @@ pub fn call_builtin(
             )
         }
         Lookup => {
-            arity(&args, 2, name)?;
+            arity(args, 2, name)?;
             let child_name = want_str(&args[1], "name")?;
-            let (cap, brands) = interp.unseal_for(&args[0], Priv::Lookup)?;
+            let cap = interp.unseal_for(&args[0], Priv::Lookup)?;
             let pid = interp.pid;
-            match cap.lookup(&mut interp.kernel, pid, &child_name) {
-                Ok(derived) => Ok(Interp::reseal(Value::Cap(Rc::new(derived)), brands)),
-                Err(CapError::Sys(e)) => Ok(Value::SysErr(e)),
-                Err(CapError::Violation(v)) => Err(ShillError::Violation(v)),
-            }
+            derived(&args[0], cap.lookup(&mut interp.kernel, pid, child_name))
         }
         CreateFile => {
-            arity(&args, 2, name)?;
+            arity(args, 2, name)?;
             let fname = want_str(&args[1], "name")?;
-            let (cap, brands) = interp.unseal_for(&args[0], Priv::CreateFile)?;
+            let cap = interp.unseal_for(&args[0], Priv::CreateFile)?;
             let pid = interp.pid;
-            match cap.create_file(&mut interp.kernel, pid, &fname, Mode::FILE_DEFAULT) {
-                Ok(derived) => Ok(Interp::reseal(Value::Cap(Rc::new(derived)), brands)),
-                Err(CapError::Sys(e)) => Ok(Value::SysErr(e)),
-                Err(CapError::Violation(v)) => Err(ShillError::Violation(v)),
-            }
+            let r = cap.create_file(&mut interp.kernel, pid, fname, Mode::FILE_DEFAULT);
+            derived(&args[0], r)
         }
         CreateDir => {
-            arity(&args, 2, name)?;
+            arity(args, 2, name)?;
             let dname = want_str(&args[1], "name")?;
-            let (cap, brands) = interp.unseal_for(&args[0], Priv::CreateDir)?;
+            let cap = interp.unseal_for(&args[0], Priv::CreateDir)?;
             let pid = interp.pid;
-            match cap.create_dir(&mut interp.kernel, pid, &dname, Mode::DIR_DEFAULT) {
-                Ok(derived) => Ok(Interp::reseal(Value::Cap(Rc::new(derived)), brands)),
-                Err(CapError::Sys(e)) => Ok(Value::SysErr(e)),
-                Err(CapError::Violation(v)) => Err(ShillError::Violation(v)),
-            }
+            let r = cap.create_dir(&mut interp.kernel, pid, dname, Mode::DIR_DEFAULT);
+            derived(&args[0], r)
         }
         UnlinkFile => {
-            arity(&args, 2, name)?;
+            arity(args, 2, name)?;
             let n = want_str(&args[1], "name")?;
-            let (cap, _brands) = interp.unseal_for(&args[0], Priv::UnlinkFile)?;
+            let cap = interp.unseal_for(&args[0], Priv::UnlinkFile)?;
             let pid = interp.pid;
             cap_result(
-                cap.unlink_file(&mut interp.kernel, pid, &n)
+                cap.unlink_file(&mut interp.kernel, pid, n)
                     .map(|_| Value::Void),
             )
         }
         UnlinkDir => {
-            arity(&args, 2, name)?;
+            arity(args, 2, name)?;
             let n = want_str(&args[1], "name")?;
-            let (cap, _brands) = interp.unseal_for(&args[0], Priv::UnlinkDir)?;
+            let cap = interp.unseal_for(&args[0], Priv::UnlinkDir)?;
             let pid = interp.pid;
             cap_result(
-                cap.unlink_dir(&mut interp.kernel, pid, &n)
+                cap.unlink_dir(&mut interp.kernel, pid, n)
                     .map(|_| Value::Void),
             )
         }
         ReadSymlink => {
-            arity(&args, 2, name)?;
+            arity(args, 2, name)?;
             let n = want_str(&args[1], "name")?;
-            let (cap, _brands) = interp.unseal_for(&args[0], Priv::ReadSymlink)?;
+            let cap = interp.unseal_for(&args[0], Priv::ReadSymlink)?;
             let pid = interp.pid;
-            cap_result(
-                cap.read_symlink(&mut interp.kernel, pid, &n)
-                    .map(Value::str),
-            )
+            cap_result(cap.read_symlink(&mut interp.kernel, pid, n).map(Value::str))
         }
         Link => {
-            arity(&args, 3, name)?;
+            arity(args, 3, name)?;
             let n = want_str(&args[2], "name")?;
-            let (dir, _b1) = interp.unseal_for(&args[0], Priv::Link)?;
-            let (file, _b2) = interp.unseal_for(&args[1], Priv::Path)?;
+            let dir = interp.unseal_for(&args[0], Priv::Link)?;
+            let file = interp.unseal_for(&args[1], Priv::Path)?;
             let pid = interp.pid;
             cap_result(
-                dir.link(&mut interp.kernel, pid, &file, &n)
+                dir.link(&mut interp.kernel, pid, file, n)
                     .map(|_| Value::Void),
             )
         }
         CreatePipe => {
-            arity(&args, 1, name)?;
-            let (cap, _brands) = interp.unseal_for(&args[0], Priv::PipeCreate)?;
+            arity(args, 1, name)?;
+            let cap = interp.unseal_for(&args[0], Priv::PipeCreate)?;
             let pid = interp.pid;
-            match cap.create_pipe(&mut interp.kernel, pid) {
-                Ok((r, w)) => Ok(Value::list(vec![
-                    Value::Cap(Rc::new(r)),
-                    Value::Cap(Rc::new(w)),
-                ])),
-                Err(CapError::Sys(e)) => Ok(Value::SysErr(e)),
-                Err(CapError::Violation(v)) => Err(ShillError::Violation(v)),
-            }
+            cap_result(
+                cap.create_pipe(&mut interp.kernel, pid).map(|(r, w)| {
+                    Value::list(vec![Value::Cap(Rc::new(r)), Value::Cap(Rc::new(w))])
+                }),
+            )
         }
 
         // --- sockets (paper §3.1.1's suggested extension: "adding built-in
         // functions for socket operations to the language") ------------------
         CreateSocket => {
-            arity(&args, 2, name)?;
-            let domain = match want_str(&args[1], "domain")?.as_str() {
+            arity(args, 2, name)?;
+            let domain = match want_str(&args[1], "domain")? {
                 "inet" => shill_kernel::SockDomain::Inet,
                 "unix" => shill_kernel::SockDomain::Unix,
                 other => {
@@ -460,16 +457,15 @@ pub fn call_builtin(
                     )))
                 }
             };
-            let (cap, _brands) = interp.unseal_for(&args[0], Priv::SockCreate)?;
+            let cap = interp.unseal_for(&args[0], Priv::SockCreate)?;
             let pid = interp.pid;
-            match cap.create_socket(&mut interp.kernel, pid, domain) {
-                Ok(sock) => Ok(Value::Cap(Rc::new(sock))),
-                Err(CapError::Sys(e)) => Ok(Value::SysErr(e)),
-                Err(CapError::Violation(v)) => Err(ShillError::Violation(v)),
-            }
+            cap_result(
+                cap.create_socket(&mut interp.kernel, pid, domain)
+                    .map(|sock| Value::Cap(Rc::new(sock))),
+            )
         }
         SockConnect => {
-            arity(&args, 2, name)?;
+            arity(args, 2, name)?;
             let addr = want_str(&args[1], "address")?;
             let addr = match addr.rsplit_once(':') {
                 Some((host, port)) => shill_kernel::SockAddr::Inet {
@@ -478,9 +474,11 @@ pub fn call_builtin(
                         ShillError::Runtime(format!("bad port in address {addr:?}"))
                     })?,
                 },
-                None => shill_kernel::SockAddr::Unix { path: addr },
+                None => shill_kernel::SockAddr::Unix {
+                    path: addr.to_string(),
+                },
             };
-            let (cap, _brands) = interp.unseal_for(&args[0], Priv::SockConnect)?;
+            let cap = interp.unseal_for(&args[0], Priv::SockConnect)?;
             let pid = interp.pid;
             cap_result(
                 cap.sock_connect(&mut interp.kernel, pid, addr)
@@ -488,9 +486,9 @@ pub fn call_builtin(
             )
         }
         SockSend => {
-            arity(&args, 2, name)?;
+            arity(args, 2, name)?;
             let data = want_str(&args[1], "data")?;
-            let (cap, _brands) = interp.unseal_for(&args[0], Priv::SockSend)?;
+            let cap = interp.unseal_for(&args[0], Priv::SockSend)?;
             let pid = interp.pid;
             cap_result(
                 cap.sock_send(&mut interp.kernel, pid, data.as_bytes())
@@ -498,8 +496,8 @@ pub fn call_builtin(
             )
         }
         SockRecv => {
-            arity(&args, 1, name)?;
-            let (cap, _brands) = interp.unseal_for(&args[0], Priv::SockRecv)?;
+            arity(args, 1, name)?;
+            let cap = interp.unseal_for(&args[0], Priv::SockRecv)?;
             let pid = interp.pid;
             cap_result(
                 cap.sock_recv(&mut interp.kernel, pid)
@@ -512,7 +510,7 @@ pub fn call_builtin(
 
         // --- lists & strings -----------------------------------------------------
         Length => {
-            arity(&args, 1, name)?;
+            arity(args, 1, name)?;
             match &args[0] {
                 Value::List(l) => Ok(Value::Num(l.len() as i64)),
                 Value::Str(s) => Ok(Value::Num(s.len() as i64)),
@@ -523,7 +521,7 @@ pub fn call_builtin(
             }
         }
         Nth => {
-            arity(&args, 2, name)?;
+            arity(args, 2, name)?;
             let i = match args[1] {
                 Value::Num(n) if n >= 0 => n as usize,
                 _ => {
@@ -541,40 +539,40 @@ pub fn call_builtin(
             }
         }
         Split => {
-            arity(&args, 2, name)?;
+            arity(args, 2, name)?;
             let s = want_str(&args[0], "string")?;
             let sep = want_str(&args[1], "separator")?;
             Ok(Value::list(
-                s.split(&sep)
+                s.split(sep)
                     .filter(|p| !p.is_empty())
                     .map(Value::str)
                     .collect(),
             ))
         }
         StartsWith => {
-            arity(&args, 2, name)?;
+            arity(args, 2, name)?;
             let s = want_str(&args[0], "string")?;
             let p = want_str(&args[1], "prefix")?;
-            Ok(Value::Bool(s.starts_with(&p)))
+            Ok(Value::Bool(s.starts_with(p)))
         }
         EndsWith => {
-            arity(&args, 2, name)?;
+            arity(args, 2, name)?;
             let s = want_str(&args[0], "string")?;
             let p = want_str(&args[1], "suffix")?;
-            Ok(Value::Bool(s.ends_with(&p)))
+            Ok(Value::Bool(s.ends_with(p)))
         }
         StripPrefix => {
-            arity(&args, 2, name)?;
+            arity(args, 2, name)?;
             let s = want_str(&args[0], "string")?;
             let p = want_str(&args[1], "prefix")?;
-            Ok(Value::str(s.strip_prefix(&p).unwrap_or(&s).to_string()))
+            Ok(Value::str(s.strip_prefix(p).unwrap_or(s)))
         }
         ToString => {
-            arity(&args, 1, name)?;
+            arity(args, 1, name)?;
             Ok(Value::str(args[0].display()))
         }
         Display => {
-            for a in &args {
+            for a in args {
                 interp.out.extend_from_slice(a.display().as_bytes());
             }
             interp.out.push(b'\n');
@@ -587,7 +585,7 @@ pub fn call_builtin(
             // talking to the server front-end use this to re-raise wire
             // errors (`err EAGAIN ...`) as ordinary `is_syserror` values
             // their retry logic already handles.
-            arity(&args, 1, name)?;
+            arity(args, 1, name)?;
             let Value::Str(s) = &args[0] else {
                 return Err(ShillError::Runtime(format!(
                     "syserror wants an errno name string, got {}",
@@ -644,11 +642,11 @@ pub fn call_builtin(
 
         // --- wallets ----------------------------------------------------------------
         WalletGet => {
-            arity(&args, 2, name)?;
+            arity(args, 2, name)?;
             let key = want_str(&args[1], "key")?;
             match &args[0] {
                 Value::Wallet(w) => Ok(Value::list(
-                    w.map.borrow().get(&key).cloned().unwrap_or_default(),
+                    w.map.borrow().get(key).cloned().unwrap_or_default(),
                 )),
                 other => Err(ShillError::Runtime(format!(
                     "wallet_get on {}",
@@ -657,7 +655,7 @@ pub fn call_builtin(
             }
         }
         WalletKeys => {
-            arity(&args, 1, name)?;
+            arity(args, 1, name)?;
             match &args[0] {
                 Value::Wallet(w) => Ok(Value::list(
                     w.map.borrow().keys().cloned().map(Value::str).collect(),
@@ -669,7 +667,7 @@ pub fn call_builtin(
             }
         }
         WalletSet => {
-            arity(&args, 3, name)?;
+            arity(args, 3, name)?;
             let key = want_str(&args[1], "key")?;
             let items = match &args[2] {
                 Value::List(l) => l.iter().cloned().collect(),
@@ -677,7 +675,7 @@ pub fn call_builtin(
             };
             match &args[0] {
                 Value::Wallet(w) => {
-                    w.map.borrow_mut().insert(key, items);
+                    w.map.borrow_mut().insert(key.to_string(), items);
                     Ok(Value::Void)
                 }
                 other => Err(ShillError::Runtime(format!(
@@ -690,7 +688,7 @@ pub fn call_builtin(
             // wallet_add_dep(wallet, program, cap): register an extra
             // dependency for a program (§4.1: adding /usr/local/lib/ocaml
             // as a dependency for OCaml executables).
-            arity(&args, 3, name)?;
+            arity(args, 3, name)?;
             let prog = want_str(&args[1], "program")?;
             match &args[0] {
                 Value::Wallet(w) => {
@@ -710,10 +708,10 @@ pub fn call_builtin(
 
         // --- ambient-only ----------------------------------------------------------
         OpenFile | OpenDir => {
-            arity(&args, 1, name)?;
+            arity(args, 1, name)?;
             let p = want_str(&args[0], "path")?;
             let pid = interp.pid;
-            match RawCap::open_path(&mut interp.kernel, pid, &p) {
+            match RawCap::open_path(&mut interp.kernel, pid, p) {
                 Ok(cap) => {
                     if builtin == OpenDir && !cap.is_dir() {
                         return Err(ShillError::Runtime(format!("{p} is not a directory")));
@@ -727,7 +725,7 @@ pub fn call_builtin(
             }
         }
         CreateWallet => {
-            arity(&args, 0, name)?;
+            arity(args, 0, name)?;
             Ok(Value::Wallet(Rc::new(Wallet {
                 kind: "native".into(),
                 map: std::cell::RefCell::new(Default::default()),
@@ -794,8 +792,8 @@ fn obj_of(interp: &Interp, cap: &GuardedCap) -> Option<ObjId> {
 /// never abandons work), but the winner is decided by scheduler wave
 /// order: the first list element whose slots have all completed when a
 /// wave drains wins.
-fn builtin_select(interp: &mut Interp, args: Vec<Value>) -> EvalResult {
-    arity(&args, 1, "select")?;
+fn builtin_select(interp: &mut Interp, args: &[Value]) -> EvalResult {
+    arity(args, 1, "select")?;
     let items: Vec<Value> = match &args[0] {
         Value::List(l) => l.iter().cloned().collect(),
         other => vec![other.clone()],
@@ -872,9 +870,9 @@ fn builtin_select(interp: &mut Interp, args: Vec<Value>) -> EvalResult {
 /// `handler(chunk)` as each scheduler wave completes instead of buffering
 /// the whole file. Each round submits a chain of dependent reads so the
 /// kernel streams one completion per wave (`sched_run_wave`).
-fn builtin_stream_read(interp: &mut Interp, args: Vec<Value>) -> EvalResult {
-    arity(&args, 2, "stream_read")?;
-    let (cap, _brands) = interp.unseal_for(&args[0], Priv::Read)?;
+fn builtin_stream_read(interp: &mut Interp, args: &[Value]) -> EvalResult {
+    arity(args, 2, "stream_read")?;
+    let cap = interp.unseal_for(&args[0], Priv::Read)?;
     let handler = args[1].clone();
     if let Err(e) = cap.check(Priv::Read) {
         return cap_result(Err(CapError::Violation(e)));
@@ -886,7 +884,7 @@ fn builtin_stream_read(interp: &mut Interp, args: Vec<Value>) -> EvalResult {
         Some(fd) => fd,
         None => {
             // Pipes/sockets: no pread offsets — fall back to one eager read.
-            let data = match crate::batchio::cap_read_all(&mut interp.kernel, pid, &cap) {
+            let data = match crate::batchio::cap_read_all(&mut interp.kernel, pid, cap) {
                 Ok(d) => d,
                 Err(e) => return cap_result(Err(e)),
             };
@@ -981,7 +979,7 @@ fn builtin_stream_read(interp: &mut Interp, args: Vec<Value>) -> EvalResult {
 /// (strings or capabilities — capabilities are passed as paths). Keyword:
 /// `stdin`/`stdout`/`stderr` capabilities, `extras` (additional
 /// capabilities, §2.3), `timeout` (cpu tick ulimit).
-fn builtin_exec(interp: &mut Interp, args: Vec<Value>, kwargs: Vec<(String, Value)>) -> EvalResult {
+fn builtin_exec(interp: &mut Interp, args: &[Value], kwargs: Vec<(String, Value)>) -> EvalResult {
     if args.len() != 2 {
         return Err(ShillError::Runtime(
             "exec expects (executable, argv-list)".into(),
@@ -995,7 +993,7 @@ fn builtin_exec(interp: &mut Interp, args: Vec<Value>, kwargs: Vec<(String, Valu
     let setup_start = Instant::now();
 
     // Executable capability: +exec required.
-    let (exec_cap, _brands) = interp.unseal_for(&args[0], Priv::Exec)?;
+    let exec_cap = interp.unseal_for(&args[0], Priv::Exec)?;
     let exec_node = exec_cap
         .raw
         .node
@@ -1026,12 +1024,12 @@ fn builtin_exec(interp: &mut Interp, args: Vec<Value>, kwargs: Vec<(String, Valu
         match item {
             Value::Str(s) => argv.push((**s).clone()),
             v @ (Value::Cap(_) | Value::Sealed { .. }) => {
-                let (cap, _b) = interp.unseal_for(v, Priv::Path)?;
+                let cap = interp.unseal_for(v, Priv::Path)?;
                 let pid = interp.pid;
                 let p = match cap.path(&mut interp.kernel, pid) {
                     Ok(p) => p,
                     Err(CapError::Sys(e)) => return Ok(Value::SysErr(e)),
-                    Err(CapError::Violation(viol)) => return Err(ShillError::Violation(viol)),
+                    Err(CapError::Violation(viol)) => return Err(viol.into()),
                 };
                 argv.push(p);
                 if let Some((obj, privs)) = grant_privs(interp, v) {
@@ -1058,7 +1056,7 @@ fn builtin_exec(interp: &mut Interp, args: Vec<Value>, kwargs: Vec<(String, Valu
                 } else {
                     Priv::Append
                 };
-                let (cap, _b) = interp.unseal_for(v, needed)?;
+                let cap = interp.unseal_for(v, needed)?;
                 let fd = cap.raw.fd().ok_or_else(|| {
                     ShillError::Runtime(format!("{key} capability has no descriptor"))
                 })?;

@@ -4,9 +4,12 @@
 //! loop variable a slot, and every variable reference the (frames out,
 //! slot) addresses of the scopes that may bind it
 //! ([`crate::ast::VarRef`]). A frame is one call's, one loop iteration's
-//! or one script's vector of slots; the definitions of an `if` block take
-//! slots of the frame it runs in. Free names that no definition or import
-//! binds are builtins, so no frame holds the builtins.
+//! or one script's slots; the definitions of an `if` block take slots of
+//! the frame it runs in. Free names that no definition or import binds
+//! are builtins, so no frame holds the builtins.
+//!
+//! A frame is one allocation: it holds its first [`INLINE_SLOTS`] slots
+//! itself, and only a larger frame keeps the rest in a boxed slice.
 //!
 //! SHILL "does not have mutable variables" (§2.1): a slot is written once,
 //! and defining it again is the redefinition error. Inner scopes shadow
@@ -28,11 +31,37 @@ enum Slot {
     Fun(Rc<Lambda>),
 }
 
+/// Slots a frame holds inline. Every call and loop frame of the Find and
+/// package case studies has at most four slots (`docs/tuning.md`, "A lean
+/// call path").
+const INLINE_SLOTS: usize = 4;
+
 struct Frame {
-    slots: Box<[OnceCell<Slot>]>,
+    inline: [OnceCell<Slot>; INLINE_SLOTS],
+    /// The slots past the inline ones: empty, and unallocated, unless the
+    /// frame has more than [`INLINE_SLOTS`].
+    spill: Box<[OnceCell<Slot>]>,
     parent: Option<Env>,
     /// Root frames only: what by-name lookups see.
     root: Option<Rc<Root>>,
+}
+
+impl Frame {
+    fn new(size: usize, parent: Option<Env>) -> Frame {
+        Frame {
+            inline: [const { OnceCell::new() }; INLINE_SLOTS],
+            spill: (INLINE_SLOTS..size).map(|_| OnceCell::new()).collect(),
+            parent,
+            root: None,
+        }
+    }
+
+    fn slot(&self, slot: usize) -> &OnceCell<Slot> {
+        match self.inline.get(slot) {
+            Some(cell) => cell,
+            None => &self.spill[slot - INLINE_SLOTS],
+        }
+    }
 }
 
 /// The root scope of a script, as the resolver laid it out.
@@ -58,24 +87,24 @@ impl Env {
     /// a later entry replaces an earlier one of the same name, as an
     /// import replaces another import or an ambient value.
     pub(crate) fn root(root: Rc<Root>, preset: Vec<(String, Value)>) -> Env {
-        let mut init: Vec<Option<Value>> = vec![None; root.size];
+        let mut frame = Frame::new(root.size, None);
+        let mut bind = |slot: usize, v: Value| {
+            let cell = match frame.inline.get_mut(slot) {
+                Some(cell) => cell,
+                None => &mut frame.spill[slot - INLINE_SLOTS],
+            };
+            *cell = OnceCell::from(Slot::Val(v));
+        };
         for (slot, b) in &root.redefined {
-            init[*slot] = Some(b.value());
+            bind(*slot, b.value());
         }
         for (name, v) in preset {
             if let Some(slot) = root.names.iter().position(|n| *n == name) {
-                init[slot] = Some(v);
+                bind(slot, v);
             }
         }
-        let slots = init
-            .into_iter()
-            .map(|v| v.map(Slot::Val).map_or_else(OnceCell::new, OnceCell::from))
-            .collect();
-        Env(Rc::new(Frame {
-            slots,
-            parent: None,
-            root: Some(root),
-        }))
+        frame.root = Some(root);
+        Env(Rc::new(frame))
     }
 
     /// A root frame that binds nothing: by-name lookups see the builtins
@@ -92,11 +121,7 @@ impl Env {
 
     /// A child frame of `size` empty slots.
     pub(crate) fn child(&self, size: usize) -> Env {
-        Env(Rc::new(Frame {
-            slots: (0..size).map(|_| OnceCell::new()).collect(),
-            parent: Some(self.clone()),
-            root: None,
-        }))
+        Env(Rc::new(Frame::new(size, Some(self.clone()))))
     }
 
     /// Bind `slot` of this frame. Fails if it is already bound — SHILL has
@@ -106,7 +131,7 @@ impl Env {
             Value::Closure(lambda, env) if Rc::ptr_eq(&env.0, &self.0) => Slot::Fun(lambda),
             other => Slot::Val(other),
         };
-        self.0.slots[slot].set(v).map_err(|_| {
+        self.0.slot(slot).set(v).map_err(|_| {
             ShillError::Runtime(format!(
                 "`{name}` is already defined; SHILL bindings are immutable"
             ))
@@ -119,7 +144,7 @@ impl Env {
         for _ in 0..at.up {
             frame = frame.0.parent.as_ref()?;
         }
-        Some(match frame.0.slots[at.slot].get()? {
+        Some(match frame.0.slot(at.slot).get()? {
             Slot::Val(v) => v.clone(),
             Slot::Fun(lambda) => Value::Closure(Rc::clone(lambda), frame.clone()),
         })
@@ -195,6 +220,48 @@ mod tests {
             inner.get(Addr { up: 2, slot: 0 }),
             Some(Value::Num(7))
         ));
+    }
+
+    #[test]
+    fn slots_past_the_inline_ones_bind_once_and_read_back() {
+        let size = INLINE_SLOTS + 3;
+        let env = root(&[], 1).child(size);
+        for slot in 0..size {
+            env.define(slot, "s", Value::Num(slot as i64)).unwrap();
+        }
+        for slot in 0..size {
+            let got = env.get(Addr { up: 0, slot });
+            assert!(matches!(got, Some(Value::Num(n)) if n == slot as i64));
+        }
+        assert!(env.define(INLINE_SLOTS + 1, "s", Value::Num(0)).is_err());
+        let past = Addr {
+            up: 1,
+            slot: size - 1,
+        };
+        assert!(matches!(env.child(0).get(past), Some(Value::Num(6))));
+    }
+
+    #[test]
+    fn a_root_frame_presets_slots_past_the_inline_ones() {
+        let names: Vec<String> = (0..INLINE_SLOTS + 2).map(|i| format!("n{i}")).collect();
+        let last = names[INLINE_SLOTS + 1].clone();
+        let root = Root {
+            size: names.len(),
+            names,
+            dialect: Dialect::CapSafe,
+            redefined: Vec::new(),
+        };
+        let preset = vec![(last.clone(), Value::Num(1)), (last, Value::Num(2))];
+        let env = Env::root(Rc::new(root), preset);
+        let at = Addr {
+            up: 0,
+            slot: INLINE_SLOTS + 1,
+        };
+        assert!(
+            matches!(env.get(at), Some(Value::Num(2))),
+            "the later entry wins"
+        );
+        assert!(env.get(HERE).is_none());
     }
 
     #[test]

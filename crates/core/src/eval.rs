@@ -46,6 +46,11 @@ pub type ModuleExports = Rc<HashMap<String, Value>>;
 /// Modules a thread keeps compiled; the cache is cleared when it is full.
 const COMPILED_CAP: usize = 64;
 
+/// Empty argument vectors an interpreter keeps for its next calls. A call
+/// in flight holds one, so this bounds the reuse across nested calls, not
+/// the nesting.
+const ARG_POOL: usize = 32;
+
 /// A module's code as the resolver left it. It holds no value, frame or
 /// blame, so sharing it shares no authority between runtimes.
 struct Compiled {
@@ -89,6 +94,9 @@ pub struct Interp {
     /// at once. A plain counter (not a flag): `async` forms nest,
     /// including through closure calls made inside the operand.
     pub async_depth: usize,
+    /// Argument vectors for reuse by `Expr::Call`. Every vector here is
+    /// empty: no argument outlives its call through the pool.
+    arg_pool: Vec<Vec<Value>>,
 }
 
 impl Interp {
@@ -107,6 +115,7 @@ impl Interp {
             depth: 0,
             deferred: None,
             async_depth: 0,
+            arg_pool: Vec::new(),
         }
     }
 
@@ -370,7 +379,7 @@ impl Interp {
             Expr::Void(_) => Ok(Value::Void),
             Expr::Bool(b, _) => Ok(Value::Bool(*b)),
             Expr::Num(n, _) => Ok(Value::Num(*n)),
-            Expr::Str(s, _) => Ok(Value::str(s.clone())),
+            Expr::Str(s, _) => Ok(Value::Str(Rc::clone(s))),
             Expr::Var(v) => {
                 // The innermost scope whose definition has run wins.
                 if let Some(val) = v.scopes.iter().find_map(|at| env.get(*at)) {
@@ -462,9 +471,8 @@ impl Interp {
                 frame_size,
                 ..
             } => {
-                let it = self.eval_expr(env, iter)?;
-                let items: Vec<Value> = match it {
-                    Value::List(l) => l.iter().cloned().collect(),
+                let items = match self.eval_expr(env, iter)? {
+                    Value::List(l) => l,
                     other => {
                         return Err(ShillError::Runtime(format!(
                             "for-loop expects a list, got {}",
@@ -472,9 +480,9 @@ impl Interp {
                         )))
                     }
                 };
-                for item in items {
+                for item in items.iter() {
                     let frame = env.child(*frame_size);
-                    frame.define(0, var, item)?;
+                    frame.define(0, var, item.clone())?;
                     self.eval_block(&frame, body)?;
                 }
                 Ok(Value::Void)
@@ -486,18 +494,36 @@ impl Interp {
                 pos,
             } => {
                 let f = self.eval_expr(env, callee)?;
-                let mut argv = Vec::with_capacity(args.len());
-                for a in args {
-                    argv.push(self.eval_expr(env, a)?);
+                let mut argv = self.arg_pool.pop().unwrap_or_default();
+                let r = 'call: {
+                    for a in args {
+                        match self.eval_expr(env, a) {
+                            Ok(v) => argv.push(v),
+                            Err(e) => break 'call Err(e),
+                        }
+                    }
+                    let mut kw = Vec::with_capacity(kwargs.len());
+                    for (n, e) in kwargs {
+                        match self.eval_expr(env, e) {
+                            Ok(v) => kw.push((n.clone(), v)),
+                            Err(e) => break 'call Err(e),
+                        }
+                    }
+                    match self.call(f, &mut argv, kw) {
+                        Err(ShillError::Runtime(m)) => {
+                            Err(ShillError::Runtime(format!("{m} (call at {pos})")))
+                        }
+                        r => r,
+                    }
+                };
+                // A closure moves the arguments into its frame; a builtin
+                // reads them in place, and a failed argument leaves those
+                // before it. Either way they drop here, with the call.
+                argv.clear();
+                if self.arg_pool.len() < ARG_POOL {
+                    self.arg_pool.push(argv);
                 }
-                let mut kw = Vec::with_capacity(kwargs.len());
-                for (n, e) in kwargs {
-                    kw.push((n.clone(), self.eval_expr(env, e)?));
-                }
-                self.apply(f, argv, kw).map_err(|e| match e {
-                    ShillError::Runtime(m) => ShillError::Runtime(format!("{m} (call at {pos})")),
-                    other => other,
-                })
+                r
             }
         }
     }
@@ -566,19 +592,31 @@ impl Interp {
     pub fn apply(
         &mut self,
         f: Value,
-        args: Vec<Value>,
+        mut args: Vec<Value>,
+        kwargs: Vec<(String, Value)>,
+    ) -> EvalResult {
+        self.call(f, &mut args, kwargs)
+    }
+
+    /// Call `f`. A closure moves the arguments into its frame, a native
+    /// function takes the vector, and a builtin reads the arguments in
+    /// place: what is left drops when the caller clears `args`.
+    fn call(
+        &mut self,
+        f: Value,
+        args: &mut Vec<Value>,
         kwargs: Vec<(String, Value)>,
     ) -> EvalResult {
         self.enter()?;
-        let r = self.apply_inner(f, args, kwargs);
+        let r = self.call_inner(f, args, kwargs);
         self.leave();
         r
     }
 
-    fn apply_inner(
+    fn call_inner(
         &mut self,
         f: Value,
-        args: Vec<Value>,
+        args: &mut Vec<Value>,
         kwargs: Vec<(String, Value)>,
     ) -> EvalResult {
         match f {
@@ -599,7 +637,8 @@ impl Interp {
                     )));
                 }
                 let frame = env.child(fun.frame_size);
-                for ((slot, p), v) in fun.param_slots.iter().zip(&fun.params).zip(args) {
+                let params = fun.param_slots.iter().zip(&fun.params);
+                for ((slot, p), v) in params.zip(args.drain(..)) {
                     frame.define(*slot, p, v)?;
                 }
                 self.eval_block(&frame, &fun.body)
@@ -610,7 +649,7 @@ impl Interp {
             // dropped since the last one (see `shill_cap::CapFd`).
             Value::Native(nf) => {
                 self.kernel.drain_closes();
-                (nf.f)(self, args, kwargs)
+                (nf.f)(self, std::mem::take(args), kwargs)
             }
             Value::Builtin(b) => {
                 self.kernel.drain_closes();
@@ -623,19 +662,22 @@ impl Interp {
         }
     }
 
+    /// Call a contracted function: wrap each argument in place, call the
+    /// inner function on them, and wrap its result.
     fn apply_contracted(
         &mut self,
         cf: &ContractedFn,
-        args: Vec<Value>,
-        kwargs: Vec<(String, Value)>,
+        args: &mut Vec<Value>,
+        mut kwargs: Vec<(String, Value)>,
     ) -> EvalResult {
         self.profile.contract_applications += 1;
         let fc = &cf.contract;
         if args.len() != fc.args.len() {
-            return Err(ShillError::Violation(Violation::provider(
+            return Err(Violation::provider(
                 &cf.blame,
                 format!("expected {} arguments, got {}", fc.args.len(), args.len()),
-            )));
+            )
+            .into());
         }
         // Mint a fresh brand per call for polymorphic contracts (§2.4.2).
         let mut minted;
@@ -654,25 +696,21 @@ impl Interp {
         // Named contracts resolve in the contract's defining environment.
         let env = &cf.cenv;
         let blames = cf.blames();
-        let mut wrapped_args = Vec::with_capacity(args.len());
-        for ((v, (_, c)), blame) in args.into_iter().zip(&fc.args).zip(blames) {
+        for ((v, (_, c)), blame) in args.iter_mut().zip(&fc.args).zip(blames) {
+            let arg = std::mem::replace(v, Value::Void);
             let blame = Arc::clone(blame);
-            wrapped_args.push(self.apply_contract(v, c, blame, seals, env, cf.into_body)?);
+            *v = self.apply_contract(arg, c, blame, seals, env, cf.into_body)?;
         }
         // Keyword arguments: check those with declared contracts.
-        let mut wrapped_kwargs = Vec::with_capacity(kwargs.len());
-        for (name, v) in kwargs {
-            match fc.kwargs.iter().position(|(n, _)| *n == name) {
-                Some(i) => {
-                    let blame = Arc::clone(&blames[fc.args.len() + i]);
-                    let c = &fc.kwargs[i].1;
-                    let v = self.apply_contract(v, c, blame, seals, env, cf.into_body)?;
-                    wrapped_kwargs.push((name, v));
-                }
-                None => wrapped_kwargs.push((name, v)),
+        for (name, v) in &mut kwargs {
+            if let Some(i) = fc.kwargs.iter().position(|(n, _)| n == name) {
+                let arg = std::mem::replace(v, Value::Void);
+                let blame = Arc::clone(&blames[fc.args.len() + i]);
+                let c = &fc.kwargs[i].1;
+                *v = self.apply_contract(arg, c, blame, seals, env, cf.into_body)?;
             }
         }
-        let result = self.apply(cf.inner.clone(), wrapped_args, wrapped_kwargs)?;
+        let result = self.call(cf.inner.clone(), args, kwargs)?;
         // Postcondition: the function is the provider of the result; range
         // polarity is the flip of the domain's.
         let blame = Arc::clone(blames.last().expect("a result blame"));
@@ -753,8 +791,7 @@ impl Interp {
         positive: bool,
     ) -> EvalResult {
         self.profile.contract_applications += 1;
-        let fail =
-            |msg: String| -> ShillError { ShillError::Violation(Violation::provider(&blame, msg)) };
+        let fail = |msg: String| -> ShillError { Violation::provider(&blame, msg).into() };
         match c {
             ContractExpr::Any => Ok(v),
             ContractExpr::Void => match v {
@@ -912,15 +949,14 @@ impl Interp {
                     // Value flows OUT to a context that bound X: unseal.
                     match v {
                         Value::Sealed { brand: b, inner } if b.same(brand) => Ok((*inner).clone()),
-                        Value::Sealed { brand: b, .. } => {
-                            Err(ShillError::Violation(Violation::consumer(
-                                &blame,
-                                format!(
-                                    "sealed value of {} leaked into context expecting {}",
-                                    b.var, name
-                                ),
-                            )))
-                        }
+                        Value::Sealed { brand: b, .. } => Err(Violation::consumer(
+                            &blame,
+                            format!(
+                                "sealed value of {} leaked into context expecting {}",
+                                b.var, name
+                            ),
+                        )
+                        .into()),
                         other => Ok(other), // unsealed values pass through
                     }
                 }
@@ -962,33 +998,33 @@ impl Interp {
     // --- helpers shared with builtins ------------------------------------------
 
     /// Unwrap a (possibly multiply) sealed capability, checking that every
-    /// brand's bound allows `needed`. Returns the inner guarded capability
-    /// and the brand chain for re-sealing derived capabilities.
-    pub fn unseal_for(
+    /// brand's bound allows `needed`. Returns the inner guarded capability;
+    /// a caller that derives a capability from it reseals that with
+    /// [`Interp::seal_chain`] of `v`.
+    pub fn unseal_for<'v>(
         &mut self,
-        v: &Value,
+        v: &'v Value,
         needed: shill_cap::Priv,
-    ) -> Result<(Rc<GuardedCap>, Vec<Arc<SealBrand>>), ShillError> {
-        let mut brands = Vec::new();
-        let mut cur = v.clone();
+    ) -> Result<&'v Rc<GuardedCap>, ShillError> {
+        let mut cur = v;
         loop {
             match cur {
                 Value::Sealed { brand, inner } => {
                     if !brand.bound.contains(needed) {
-                        return Err(ShillError::Violation(Violation::consumer(
+                        return Err(Violation::consumer(
                             &brand.blame,
                             format!(
                                 "operation {needed} is outside the bound of contract variable {}",
                                 brand.var
                             ),
-                        )));
+                        )
+                        .into());
                     }
-                    brands.push(brand);
-                    cur = (*inner).clone();
+                    cur = inner;
                 }
                 Value::Cap(cap) => {
                     self.profile.guard_checks += 1;
-                    return Ok((cap, brands));
+                    return Ok(cap);
                 }
                 other => {
                     return Err(ShillError::Runtime(format!(
@@ -1000,7 +1036,20 @@ impl Interp {
         }
     }
 
-    /// Re-seal a derived capability with a brand chain (outermost last).
+    /// The brands `v` is sealed with, outermost first: what
+    /// [`Interp::reseal`] wraps a capability derived from `v` in.
+    pub(crate) fn seal_chain(v: &Value) -> Vec<Arc<SealBrand>> {
+        let mut brands = Vec::new();
+        let mut cur = v;
+        while let Value::Sealed { brand, inner } = cur {
+            brands.push(Arc::clone(brand));
+            cur = inner;
+        }
+        brands
+    }
+
+    /// Re-seal a derived capability with a brand chain (outermost first,
+    /// applied last).
     pub fn reseal(mut v: Value, brands: Vec<Arc<SealBrand>>) -> Value {
         for brand in brands.into_iter().rev() {
             v = Value::Sealed {

@@ -414,7 +414,7 @@ impl Parser {
             Tok::Str(s) => {
                 let s = s.clone();
                 self.bump();
-                Ok(Expr::Str(s, pos))
+                Ok(Expr::Str(Rc::new(s), pos))
             }
             Tok::True => {
                 self.bump();

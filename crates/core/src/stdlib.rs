@@ -87,12 +87,15 @@ fn filesys_module() -> HashMap<String, Value> {
             };
             let mut cur = args[0].clone();
             for comp in path.split('/').filter(|c| !c.is_empty()) {
-                let (cap, brands) = interp.unseal_for(&cur, Priv::Lookup)?;
+                let cap = interp.unseal_for(&cur, Priv::Lookup)?;
                 let pid = interp.pid;
                 match cap.lookup(&mut interp.kernel, pid, comp) {
-                    Ok(next) => cur = Interp::reseal(Value::Cap(Rc::new(next)), brands),
+                    Ok(next) => {
+                        let brands = Interp::seal_chain(&cur);
+                        cur = Interp::reseal(Value::Cap(Rc::new(next)), brands);
+                    }
                     Err(CapError::Sys(e)) => return Ok(Value::SysErr(e)),
-                    Err(CapError::Violation(v)) => return Err(ShillError::Violation(v)),
+                    Err(CapError::Violation(v)) => return Err(v.into()),
                 }
             }
             Ok(cur)
@@ -112,15 +115,13 @@ fn filesys_module() -> HashMap<String, Value> {
             if args.len() != 2 {
                 return Err(ShillError::Runtime("copy_file expects (src, dst)".into()));
             }
-            let (src, _b1) = interp.unseal_for(&args[0], Priv::Read)?;
-            let (dst, _b2) = interp.unseal_for(&args[1], Priv::Write)?;
+            let src = interp.unseal_for(&args[0], Priv::Read)?;
+            let dst = interp.unseal_for(&args[1], Priv::Write)?;
             cap_result(
-                match interp.batchable(|acc, _, _| acc.defer_copy(&src, &dst)) {
+                match interp.batchable(|acc, _, _| acc.defer_copy(src, dst)) {
                     Ok(Some(v)) => Ok(v),
-                    Ok(None) => {
-                        crate::batchio::cap_copy(&mut interp.kernel, interp.pid, &src, &dst)
-                            .map(|n| Value::Num(n as i64))
-                    }
+                    Ok(None) => crate::batchio::cap_copy(&mut interp.kernel, interp.pid, src, dst)
+                        .map(|n| Value::Num(n as i64)),
                     Err(e) => Err(e),
                 },
             )
@@ -137,10 +138,10 @@ fn filesys_module() -> HashMap<String, Value> {
             if args.len() != 1 {
                 return Err(ShillError::Runtime("dir_stats expects (dir)".into()));
             }
-            let (dir, _b) = interp.unseal_for(&args[0], Priv::Contents)?;
+            let dir = interp.unseal_for(&args[0], Priv::Contents)?;
             cap_result(
                 interp
-                    .batchable(|acc, k, pid| acc.defer_dir_stats(k, pid, &dir).map(Some))
+                    .batchable(|acc, k, pid| acc.defer_dir_stats(k, pid, dir).map(Some))
                     .map(|v| v.unwrap_or(Value::Void)),
             )
         }),
@@ -161,8 +162,7 @@ fn filesys_module() -> HashMap<String, Value> {
             };
             let mut caps = Vec::with_capacity(items.len());
             for v in &items {
-                let (cap, _b) = interp.unseal_for(v, Priv::Read)?;
-                caps.push(cap);
+                caps.push(Rc::clone(interp.unseal_for(v, Priv::Read)?));
             }
             match interp.batchable(|acc, _, _| acc.defer_slurp(&caps)) {
                 Ok(Some(v)) => return Ok(v),
@@ -177,7 +177,7 @@ fn filesys_module() -> HashMap<String, Value> {
                 match crate::batchio::cap_read_all(&mut interp.kernel, pid, cap) {
                     Ok(d) => out.push(Value::str(String::from_utf8_lossy(&d).into_owned())),
                     Err(CapError::Sys(e)) => out.push(Value::SysErr(e)),
-                    Err(CapError::Violation(v)) => return Err(ShillError::Violation(v)),
+                    Err(CapError::Violation(v)) => return Err(v.into()),
                 }
             }
             Ok(Value::list(out))
@@ -230,7 +230,7 @@ fn walk(
         match cur.lookup(&mut interp.kernel, pid, comp) {
             Ok(next) => cur = next,
             Err(CapError::Sys(_)) => return Ok(None),
-            Err(CapError::Violation(v)) => return Err(ShillError::Violation(v)),
+            Err(CapError::Violation(v)) => return Err(v.into()),
         }
     }
     Ok(Some(cur))
@@ -341,7 +341,7 @@ fn pkg_native(interp: &mut Interp, args: Vec<Value>, _kw: Vec<(String, Value)>) 
             }
             Ok(_) => {}
             Err(CapError::Sys(_)) => {}
-            Err(CapError::Violation(v)) => return Err(ShillError::Violation(v)),
+            Err(CapError::Violation(v)) => return Err(v.into()),
         }
     }
     let Some(exec_cap) = exec_cap else {
@@ -393,7 +393,7 @@ fn pkg_native(interp: &mut Interp, args: Vec<Value>, _kw: Vec<(String, Value)>) 
                     break;
                 }
                 Err(CapError::Sys(_)) => {}
-                Err(CapError::Violation(v)) => return Err(ShillError::Violation(v)),
+                Err(CapError::Violation(v)) => return Err(v.into()),
             }
         }
     }

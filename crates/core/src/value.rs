@@ -278,12 +278,14 @@ pub enum Value {
     Future(Rc<FutureCell>),
 }
 
-/// Top-level script errors.
+/// Top-level script errors. Errors are the cold path, so every payload
+/// wider than a `String` is boxed: an [`EvalResult`] is 32 bytes, and
+/// each evaluation step moves one.
 #[derive(Debug)]
 pub enum ShillError {
-    Parse(crate::parse::ParseError),
+    Parse(Box<crate::parse::ParseError>),
     /// Contract violation: aborts execution with blame (§2.2).
-    Violation(Violation),
+    Violation(Box<Violation>),
     /// Unrecoverable system error escaping the runtime.
     Sys(Errno),
     /// Other runtime errors (unbound variable, arity, type errors...).
@@ -305,13 +307,13 @@ impl std::error::Error for ShillError {}
 
 impl From<Violation> for ShillError {
     fn from(v: Violation) -> Self {
-        ShillError::Violation(v)
+        ShillError::Violation(Box::new(v))
     }
 }
 
 impl From<crate::parse::ParseError> for ShillError {
     fn from(e: crate::parse::ParseError) -> Self {
-        ShillError::Parse(e)
+        ShillError::Parse(Box::new(e))
     }
 }
 
@@ -445,6 +447,12 @@ mod tests {
         assert!(Value::list(vec![Value::Num(1)]).equals(&Value::list(vec![Value::Num(1)])));
         assert!(!Value::str("a").equals(&Value::str("b")));
         assert!(!Value::Num(1).equals(&Value::Bool(true)));
+    }
+
+    #[test]
+    fn an_evaluation_result_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+        assert_eq!(std::mem::size_of::<EvalResult>(), 32);
     }
 
     #[test]

@@ -796,3 +796,113 @@ fn a_module_is_compiled_again_when_its_imports_change() {
         [unbound, "ok:42", unbound]
     );
 }
+
+// --- the call path: frames, argument buffers, literals and blame ----------------
+// Exact texts recorded before the call path's representation changed.
+
+#[test]
+fn a_frame_larger_than_its_inline_slots_reads_back_and_refuses_redefinition() {
+    let body = [
+        "f = fun(a, b, c, d, e, g) {",
+        "  x = a + b;",
+        "  y = c + d;",
+        "  z = e + g;",
+        "  [g, e, d, c, b, a, x, y, z]",
+        "};",
+        "f(1, 2, 3, 4, 5, 6)",
+    ];
+    assert_eq!(cap_outcome(&body), "ok:[6, 5, 4, 3, 2, 1, 3, 7, 11]");
+    let redefined = [
+        "f = fun(a, b, c, d, e, g) {",
+        "  x = a;",
+        "  y = g;",
+        "  z = x + y;",
+        "  z = 0;",
+        "  z",
+        "};",
+        "f(1, 2, 3, 4, 5, 6)",
+    ];
+    assert_eq!(
+        cap_outcome(&redefined),
+        "err:runtime error: `z` is already defined; SHILL bindings are immutable (call at 9:2)"
+    );
+}
+
+#[test]
+fn a_failing_argument_leaves_no_stale_arguments_for_the_next_call() {
+    let mut rt = runtime();
+    rt.add_script(
+        "pair.cap",
+        "#lang shill/cap\npair = fun(a, b) { [a, b] };\nprovide pair : {a : any, b : any} -> is_list;\n",
+    );
+    let run = |rt: &mut ShillRuntime, body: &str| {
+        outcome(
+            rt,
+            &format!("#lang shill/ambient\nrequire \"pair.cap\";\n{body}\n"),
+        )
+    };
+    assert_eq!(
+        run(&mut rt, "pair(pair(1, 2), nth([], 3))"),
+        "err:runtime error: nth: index 3 out of bounds (call at 3:21)"
+    );
+    assert_eq!(run(&mut rt, "pair(5, 6)"), "ok:[5, 6]");
+    assert_eq!(
+        cap_outcome(&[
+            "f = fun(a, b) { [a, b] };",
+            "g = fun(x) { f(x, nth([x], 1)) };",
+            "h = fun(x) { g(x) };",
+            "h(7)",
+        ]),
+        "err:runtime error: nth: index 1 out of bounds (call at 3:22) (call at 4:15) (call at 5:2)"
+    );
+    assert_eq!(
+        cap_outcome(&[
+            "f = fun(a, b) { [a, b] };",
+            "bad = fun() { f(1, length(3)) };",
+            "[f(8, 9), f(f(1, 2), [])]",
+        ]),
+        "ok:[[8, 9], [[1, 2], []]]"
+    );
+}
+
+#[test]
+fn has_ext_on_strings_matches_a_dot_and_the_extension() {
+    assert_eq!(
+        cap_outcome(&[
+            "[has_ext(\"a.c\", \"c\"), has_ext(\".c\", \"c\"), has_ext(\"c\", \"c\"),",
+            " has_ext(\"a.cc\", \"c\"), has_ext(\"a.c\", \"\"), has_ext(\"a.\", \"\")]",
+        ]),
+        "ok:[true, true, false, false, false, true]"
+    );
+}
+
+#[test]
+fn a_violation_three_calls_deep_keeps_its_blame_text() {
+    let mut rt = runtime();
+    rt.add_script(
+        "inner.cap",
+        "#lang shill/cap\ninner = fun(x) { x + 1 };\nprovide inner : {x : is_num} -> is_num;\n",
+    );
+    rt.add_script(
+        "outer.cap",
+        r#"#lang shill/cap
+require "inner.cap";
+a = fun(v) { b(v) };
+b = fun(v) { c(v) };
+c = fun(v) { inner(v) };
+provide a : {v : any} -> any;
+"#,
+    );
+    let run = |rt: &mut ShillRuntime, body: &str| {
+        outcome(
+            rt,
+            &format!("#lang shill/ambient\nrequire \"outer.cap\";\n{body}\n"),
+        )
+    };
+    assert_eq!(
+        run(&mut rt, "a(\"s\")"),
+        "err:contract violation: client of inner.cap broke the contract `x : is_num`: \
+         value of type string does not satisfy is_num"
+    );
+    assert_eq!(run(&mut rt, "a(41)"), "ok:42");
+}

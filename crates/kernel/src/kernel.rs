@@ -33,10 +33,13 @@ const MAX_SYMLINK_HOPS: u32 = 32;
 
 /// Result of a path walk.
 #[derive(Debug, Clone)]
-pub struct Lookup {
+pub(crate) struct Lookup {
     /// Directory containing the final component.
     pub parent: NodeId,
-    /// The final component name (after symlink resolution of the dirname).
+    /// The final component name (after symlink resolution of the
+    /// dirname), in parent mode only: the callers that create, unlink,
+    /// link or rename are the ones that read it. Empty otherwise, so a
+    /// plain walk allocates nothing.
     pub name: String,
     /// The final node, if it exists.
     pub node: Option<NodeId>,
@@ -81,6 +84,9 @@ pub struct Kernel {
     /// Created on first use, so a kernel nobody defers closes on pays
     /// nothing for it.
     closes: OnceLock<CloseQueue>,
+    /// The buffer `drain_closes` swaps with the queue's: empty between
+    /// drains, with the capacity of earlier ones.
+    closing: Vec<(Pid, Fd)>,
 }
 
 impl Default for Kernel {
@@ -177,6 +183,7 @@ impl Kernel {
             faults: None,
             trace: None,
             closes: OnceLock::new(),
+            closing: Vec::new(),
         };
         // `SHILL_FAULTS` arms every kernel in the process with the same
         // schedule — shard-relative keying makes the planes agree on which
@@ -988,8 +995,10 @@ impl Kernel {
     /// unlink/rename preparation). `follow_last` controls trailing-symlink
     /// traversal. Batched and sequential callers take the same walk: every
     /// component gets its DAC search check, MAC `Lookup` check and
-    /// `post_lookup` notification.
-    pub fn namei(
+    /// `post_lookup` notification. A walk allocates nothing: it iterates
+    /// the path's components, and copies out the final one
+    /// ([`Lookup::name`]) only in parent mode.
+    pub(crate) fn namei(
         &self,
         pid: Pid,
         dirfd: Option<Fd>,
@@ -1024,23 +1033,15 @@ impl Kernel {
         parent_mode: bool,
         hops: &mut u32,
     ) -> SysResult<Lookup> {
-        let comps: Vec<&str> = path.split('/').filter(|c| !c.is_empty()).collect();
-        if comps.is_empty() {
-            // Path was "/" or "." equivalent: the node itself.
-            return Ok(Lookup {
-                parent: start,
-                name: String::new(),
-                node: Some(start),
-            });
-        }
+        let mut comps = path.split('/').filter(|c| !c.is_empty()).peekable();
         let mut cur = start;
-        for (i, comp) in comps.iter().enumerate() {
-            let last = i + 1 == comps.len();
+        while let Some(comp) = comps.next() {
+            let last = comps.peek().is_none();
             if !shill_vfs::node::valid_component(comp) {
                 return Err(Errno::ENAMETOOLONG);
             }
             if last && parent_mode {
-                if *comp == "." || *comp == ".." {
+                if comp == "." || comp == ".." {
                     return Err(Errno::EINVAL);
                 }
                 // Look the final component up, tolerating absence.
@@ -1059,10 +1060,10 @@ impl Kernel {
             let follow = !last || follow_last;
             cur = self.follow_symlinks(pid, cred, cur, child, follow, hops)?;
         }
-        let name = comps.last().map(|s| s.to_string()).unwrap_or_default();
+        // Every component walked; a path with none ("/") names the start.
         Ok(Lookup {
             parent: start,
-            name,
+            name: String::new(),
             node: Some(cur),
         })
     }
@@ -1177,9 +1178,13 @@ impl Kernel {
     /// closed wholesale) is skipped.
     pub fn drain_closes(&mut self) {
         let Some(q) = self.closes.get() else { return };
-        for (pid, fd) in q.take() {
+        let mut closing = std::mem::take(&mut self.closing);
+        q.take_into(&mut closing);
+        for &(pid, fd) in &closing {
             let _ = self.close(pid, fd);
         }
+        closing.clear();
+        self.closing = closing;
     }
 
     /// Close a descriptor, releasing the underlying object reference.
@@ -1221,6 +1226,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::OpenFlags;
 
     #[test]
     fn new_kernel_has_devices_and_init() {
@@ -1229,6 +1235,33 @@ mod tests {
         assert!(k.fs.resolve_abs("/dev/tty").is_ok());
         assert!(k.fs.resolve_abs("/tmp").is_ok());
         assert!(k.process(Pid(1)).is_ok());
+    }
+
+    #[test]
+    fn each_drain_closes_exactly_the_descriptors_queued_since_the_last() {
+        let mut k = Kernel::new();
+        let u = k.spawn_user(Cred::ROOT);
+        let fds: Vec<Fd> = (0..4)
+            .map(|_| k.open(u, "/dev/null", OpenFlags::RDONLY, Mode(0)).unwrap())
+            .collect();
+        let open = |k: &Kernel| -> Vec<Fd> {
+            fds.iter()
+                .copied()
+                .filter(|fd| k.process(u).unwrap().file(*fd).is_ok())
+                .collect()
+        };
+        let q = k.close_queue();
+        k.drain_closes();
+        assert_eq!(open(&k), fds, "nothing queued, nothing closed");
+        q.push(u, fds[2]);
+        q.push(u, fds[0]);
+        k.drain_closes();
+        assert_eq!(open(&k), [fds[1], fds[3]]);
+        q.push(u, fds[3]);
+        k.drain_closes();
+        assert_eq!(open(&k), [fds[1]]);
+        k.drain_closes();
+        assert_eq!(open(&k), [fds[1]]);
     }
 
     #[test]

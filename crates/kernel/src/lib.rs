@@ -37,7 +37,7 @@ pub use avc::{avc_class, avc_pipe_class, avc_socket_class, Avc, AvcClass};
 pub use batch::{BatchArg, BatchEntry, BatchFd, BatchOut, FailMode, SyscallBatch};
 pub use fault::{path_key, FaultPlane, FaultSite};
 pub use hist::{HistSnapshot, LatencyHist, SiteHists, SiteHistsSnapshot, HIST_BUCKETS};
-pub use kernel::{ExecHandler, Kernel, Lookup, SYSCTL_AVC};
+pub use kernel::{ExecHandler, Kernel, SYSCTL_AVC};
 pub use mac::{MacCtx, MacPolicy, NullPolicy, PipeOp, ProcOp, SocketOp, SystemOp, VnodeOp};
 pub use net::{InjConnId, RemoteHandler};
 pub use process::{CloseQueue, FdObject, OpenFile, ProcState, Process};

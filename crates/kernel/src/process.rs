@@ -5,6 +5,7 @@
 //! when the name goes ([`shill_vfs::Filesystem::last_path`]).
 
 use std::num::NonZeroU64;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use shill_vfs::sync::Mutex;
@@ -143,18 +144,41 @@ impl Process {
 /// (the analogue of Linux deferring the final `fput` to the return to user
 /// space). Descriptor numbers are never reused ([`Process::alloc_fd`] only
 /// counts up), so a late close cannot hit another file.
+///
+/// Every builtin call drains the queue, and most find it empty: a drain
+/// reads a flag and takes the lock only when something is queued.
 #[derive(Debug, Clone, Default)]
-pub struct CloseQueue(Arc<Mutex<Vec<(Pid, Fd)>>>);
+pub struct CloseQueue(Arc<Closes>);
+
+#[derive(Debug, Default)]
+struct Closes {
+    /// Whether `queued` may hold entries. `push` stores `true` (Release)
+    /// after queuing and `take_into` clears it, both under the lock; a
+    /// drain that loads it clear (Acquire) skips the lock, and an entry
+    /// pushed meanwhile on another thread waits for the next drain.
+    pending: AtomicBool,
+    queued: Mutex<Vec<(Pid, Fd)>>,
+}
 
 impl CloseQueue {
     /// Queue `fd` of `pid` for closing at the next drain.
     pub fn push(&self, pid: Pid, fd: Fd) {
-        self.0.lock().push((pid, fd));
+        let mut queued = self.0.queued.lock();
+        queued.push((pid, fd));
+        self.0.pending.store(true, Ordering::Release);
     }
 
-    /// Everything queued since the last take.
-    pub(crate) fn take(&self) -> Vec<(Pid, Fd)> {
-        std::mem::take(&mut *self.0.lock())
+    /// Swap everything queued since the last take, in order, into `out`,
+    /// which must be empty. The queue keeps `out`'s buffer in exchange, so
+    /// neither buffer is allocated again once both have grown.
+    pub(crate) fn take_into(&self, out: &mut Vec<(Pid, Fd)>) {
+        debug_assert!(out.is_empty());
+        if !self.0.pending.load(Ordering::Acquire) {
+            return;
+        }
+        let mut queued = self.0.queued.lock();
+        self.0.pending.store(false, Ordering::Relaxed);
+        std::mem::swap(&mut *queued, out);
     }
 }
 
@@ -169,6 +193,37 @@ mod tests {
             readable: true,
             writable: false,
             append: false,
+        }
+    }
+
+    #[test]
+    fn a_close_queue_hands_over_what_was_queued_in_order_and_keeps_its_buffers() {
+        let q = CloseQueue::default();
+        let mut out = Vec::new();
+        q.take_into(&mut out);
+        assert!(out.is_empty(), "nothing queued");
+        q.push(Pid(2), Fd(3));
+        q.push(Pid(2), Fd(4));
+        q.take_into(&mut out);
+        assert_eq!(out, [(Pid(2), Fd(3)), (Pid(2), Fd(4))]);
+        out.clear();
+        q.push(Pid(3), Fd(5));
+        q.take_into(&mut out);
+        assert_eq!(out, [(Pid(3), Fd(5))]);
+        out.clear();
+        q.take_into(&mut out);
+        assert!(out.is_empty(), "a drain takes each descriptor once");
+        // Both buffers have grown: later rounds swap them, allocating none.
+        q.push(Pid(2), Fd(6));
+        q.take_into(&mut out);
+        let buffers = [out.as_ptr(), q.0.queued.lock().as_ptr()];
+        for fd in 7..10 {
+            out.clear();
+            q.push(Pid(2), Fd(fd));
+            q.take_into(&mut out);
+            assert_eq!(out, [(Pid(2), Fd(fd))]);
+            let now = [out.as_ptr(), q.0.queued.lock().as_ptr()];
+            assert!(now == buffers || now == [buffers[1], buffers[0]]);
         }
     }
 
