@@ -67,6 +67,17 @@ impl CapPrivs {
         }
     }
 
+    /// These privileges limited to `to` (modifiers kept): shared when they
+    /// lie within it already.
+    pub fn within(self: Arc<Self>, to: PrivSet) -> Arc<CapPrivs> {
+        if self.privs.is_subset(&to) {
+            return self;
+        }
+        let mut narrowed = (*self).clone();
+        narrowed.privs = narrowed.privs.intersection(to);
+        Arc::new(narrowed)
+    }
+
     /// Structural subset: `self` grants no more than `other`, recursively
     /// through modifiers. Used to compare contract strength and by the
     /// sandbox's no-amplification rule.

@@ -15,4 +15,4 @@ pub mod rawcap;
 pub use capprivs::CapPrivs;
 pub use mapping::{pipe_op_priv, socket_op_priv, vnode_op_priv};
 pub use privs::{filesystem_privs, socket_privs, Priv, PrivSet, ALL_PRIVS};
-pub use rawcap::{CapFd, CapKind, RawCap};
+pub use rawcap::{CapKind, CapObj, FdHandle, Name, RawCap};

@@ -5,9 +5,14 @@
 //! functions such as `append` and `lookup` are wrappers for the
 //! corresponding system calls" (§2.1). A [`RawCap`] carries the descriptor
 //! (held by the SHILL runtime's process) plus enough metadata to answer
-//! kind queries without a syscall. The descriptor lives exactly as long as
-//! the capability: every clone shares one [`CapFd`], and the last clone to
-//! drop hands the descriptor back for closing.
+//! kind queries without a syscall. A capability is one allocation: its
+//! descriptor, node, kind and name live behind one `Rc`, which every
+//! contract-restricted copy shares, and the last copy to drop hands the
+//! descriptor back for closing. A capability never leaves the thread of
+//! the runtime that opened it; [`RawCap`] is not `Send`, so the compiler
+//! holds that. Its name is the `Rc<str>` the script handed `lookup`, so a
+//! name read from `contents` becomes the derived capability's name without
+//! a copy.
 //!
 //! Derivation is a descriptor operation too: `lookup` is
 //! `openat(dirfd, name)` relative to the directory capability's descriptor,
@@ -28,7 +33,8 @@
 //! * Capabilities cannot be constructed from paths (only the ambient
 //!   runtime does that, and only via [`RawCap::open_path`] which it alone calls).
 
-use std::sync::Arc;
+use std::ops::Deref;
+use std::rc::Rc;
 
 use shill_kernel::{CloseQueue, Fd, Kernel, OpenFlags, Pid, SockAddr, SockDomain};
 use shill_vfs::{Errno, FileType, Mode, NodeId, Stat, SysResult};
@@ -41,6 +47,13 @@ fn single_component(name: &str) -> SysResult<()> {
     }
     Ok(())
 }
+
+/// A name a capability is derived under: borrowed for the syscall, and
+/// kept (`Rc<str>` shared, anything else copied) only when the derivation
+/// succeeds.
+pub trait Name: AsRef<str> + Into<Rc<str>> {}
+
+impl<N: AsRef<str> + Into<Rc<str>>> Name for N {}
 
 /// What kind of resource a capability designates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,30 +80,15 @@ impl CapKind {
     }
 }
 
-/// The runtime's descriptor behind a capability, shared by every clone of
-/// it (a contract application clones the [`RawCap`] under a new guard).
-/// Dropping the last clone queues the close on the kernel's
+/// The runtime's descriptor behind a capability. Dropping it (with the
+/// capability's last copy) queues the close on the kernel's
 /// [`CloseQueue`]; the runtime drains it at its next kernel crossing
 /// ([`Kernel::drain_closes`]).
 #[derive(Debug)]
-pub struct CapFd {
+struct CapFd {
     fd: Fd,
     pid: Pid,
     closes: CloseQueue,
-}
-
-impl CapFd {
-    fn new(k: &Kernel, pid: Pid, fd: Fd) -> Arc<CapFd> {
-        Arc::new(CapFd {
-            fd,
-            pid,
-            closes: k.close_queue(),
-        })
-    }
-
-    pub fn fd(&self) -> Fd {
-        self.fd
-    }
 }
 
 impl Drop for CapFd {
@@ -99,59 +97,115 @@ impl Drop for CapFd {
     }
 }
 
-/// A raw capability.
+/// A capability's descriptor number and a copy of the capability, which
+/// keeps the descriptor open.
 #[derive(Debug, Clone)]
-pub struct RawCap {
+pub struct FdHandle {
+    fd: Fd,
+    _cap: RawCap,
+}
+
+impl FdHandle {
+    pub fn fd(&self) -> Fd {
+        self.fd
+    }
+}
+
+/// What a capability designates, read through [`RawCap`].
+#[derive(Debug)]
+pub struct CapObj {
     pub kind: CapKind,
     /// Descriptor in the runtime process. Factories have no descriptor.
-    fd: Option<Arc<CapFd>>,
+    fd: Option<CapFd>,
     /// Underlying vnode for filesystem-backed capabilities; this is what
     /// gets granted (with privileges) to sandbox sessions.
     pub node: Option<NodeId>,
     /// Name under which the capability was created/derived (display,
     /// `has_ext`). Not used for access.
-    pub name: String,
+    pub name: Rc<str>,
     /// Whether the descriptor was opened readable / writable (the maximum
     /// DAC allowed at creation).
     pub readable: bool,
     pub writable: bool,
 }
 
+/// A raw capability: a shared handle on one [`CapObj`]. Cloning it, as a
+/// contract application does, copies a pointer.
+#[derive(Debug, Clone)]
+pub struct RawCap(Rc<CapObj>);
+
+impl Deref for RawCap {
+    type Target = CapObj;
+
+    fn deref(&self) -> &CapObj {
+        &self.0
+    }
+}
+
 impl RawCap {
-    /// Make a pipe-factory capability.
-    pub fn pipe_factory() -> RawCap {
-        RawCap {
-            kind: CapKind::PipeFactory,
+    fn factory(kind: CapKind, name: &str) -> RawCap {
+        RawCap(Rc::new(CapObj {
+            kind,
             fd: None,
             node: None,
-            name: "<pipe-factory>".into(),
+            name: name.into(),
             readable: false,
             writable: false,
-        }
+        }))
+    }
+
+    /// A capability for descriptor `fd` of `pid`.
+    fn with_fd(
+        k: &Kernel,
+        pid: Pid,
+        fd: Fd,
+        kind: CapKind,
+        name: &str,
+        rw: (bool, bool),
+    ) -> RawCap {
+        let fd = CapFd {
+            fd,
+            pid,
+            closes: k.close_queue(),
+        };
+        RawCap(Rc::new(CapObj {
+            kind,
+            fd: Some(fd),
+            node: None,
+            name: name.into(),
+            readable: rw.0,
+            writable: rw.1,
+        }))
+    }
+
+    /// Make a pipe-factory capability.
+    pub fn pipe_factory() -> RawCap {
+        RawCap::factory(CapKind::PipeFactory, "<pipe-factory>")
     }
 
     /// Make a socket-factory capability.
     pub fn socket_factory() -> RawCap {
-        RawCap {
-            kind: CapKind::SocketFactory,
-            fd: None,
-            node: None,
-            name: "<socket-factory>".into(),
-            readable: false,
-            writable: false,
-        }
+        RawCap::factory(CapKind::SocketFactory, "<socket-factory>")
     }
 
     /// The descriptor in the runtime process, if the capability has one.
     pub fn fd(&self) -> Option<Fd> {
-        self.fd.as_ref().map(|h| h.fd)
+        self.0.fd.as_ref().map(|h| h.fd)
     }
 
-    /// The shared descriptor handle: holding it keeps the descriptor open
-    /// after the capability itself is gone (deferred I/O that resolves
-    /// later).
-    pub fn fd_handle(&self) -> Option<&Arc<CapFd>> {
-        self.fd.as_ref()
+    /// The descriptor, held open by a copy of the capability: deferred
+    /// I/O that resolves after the capability itself is gone holds one.
+    pub fn fd_handle(&self) -> Option<FdHandle> {
+        Some(FdHandle {
+            fd: self.fd()?,
+            _cap: self.clone(),
+        })
+    }
+
+    /// Whether `self` and `other` are copies of one capability (one
+    /// descriptor).
+    pub fn same(&self, other: &RawCap) -> bool {
+        Rc::ptr_eq(&self.0, &other.0)
     }
 
     fn live_fd(&self) -> SysResult<Fd> {
@@ -171,7 +225,8 @@ impl RawCap {
     /// sees paths.
     pub fn open_path(k: &mut Kernel, pid: Pid, path: &str) -> SysResult<RawCap> {
         let name = path.rsplit('/').find(|c| !c.is_empty()).unwrap_or("/");
-        Self::open_at(k, pid, None, path, name)
+        let (fd, readable, writable) = Self::open_at(k, pid, None, path)?;
+        Self::from_fd(k, pid, fd, name.into(), readable, writable)
     }
 
     /// Open `path` relative to `dirfd` (shared by `open_path` and
@@ -180,14 +235,14 @@ impl RawCap {
     /// is allowed for this file" (§2.5). A directory refuses the read+write
     /// attempt with `EISDIR` and is opened once more as a directory. Node
     /// and kind come from the descriptor actually opened, so a symlink
-    /// yields a capability for its target.
+    /// yields a capability for its target. Returns the descriptor and
+    /// whether it reads and writes.
     fn open_at(
         k: &mut Kernel,
         pid: Pid,
         dirfd: Option<Fd>,
         path: &str,
-        name: &str,
-    ) -> SysResult<RawCap> {
+    ) -> SysResult<(Fd, bool, bool)> {
         let attempts: [(OpenFlags, bool, bool); 3] = [
             (OpenFlags::rdwr(), true, true),
             (OpenFlags::RDONLY, true, false),
@@ -195,10 +250,10 @@ impl RawCap {
         ];
         for (flags, readable, writable) in attempts {
             match k.openat(pid, dirfd, path, flags, Mode(0)) {
-                Ok(fd) => return Self::from_fd(k, pid, fd, name, readable, writable),
+                Ok(fd) => return Ok((fd, readable, writable)),
                 Err(Errno::EISDIR) => {
                     let fd = k.openat(pid, dirfd, path, OpenFlags::dir(), Mode(0))?;
-                    return Self::from_fd(k, pid, fd, name, true, false);
+                    return Ok((fd, true, false));
                 }
                 // Only an access denial can clear at a lesser access.
                 Err(Errno::EACCES) => {}
@@ -214,11 +269,15 @@ impl RawCap {
         k: &mut Kernel,
         pid: Pid,
         fd: Fd,
-        name: &str,
+        name: Rc<str>,
         readable: bool,
         writable: bool,
     ) -> SysResult<RawCap> {
-        let fd = CapFd::new(k, pid, fd);
+        let fd = CapFd {
+            fd,
+            pid,
+            closes: k.close_queue(),
+        };
         let node = k.process(pid)?.fd_node(fd.fd)?;
         let kind = match k.fs.node(node)?.file_type() {
             FileType::Directory => CapKind::Dir,
@@ -226,14 +285,14 @@ impl RawCap {
             FileType::Regular | FileType::Symlink | FileType::Socket => CapKind::File,
             FileType::Fifo => CapKind::PipeEnd,
         };
-        Ok(RawCap {
+        Ok(RawCap(Rc::new(CapObj {
             kind,
             fd: Some(fd),
             node: Some(node),
-            name: name.to_string(),
+            name,
             readable,
             writable,
-        })
+        })))
     }
 
     // --- queries ---------------------------------------------------------
@@ -322,16 +381,25 @@ impl RawCap {
 
     // --- directory operations -----------------------------------------------
 
-    /// `contents` builtin: list entry names.
-    pub fn contents(&self, k: &mut Kernel, pid: Pid) -> SysResult<Vec<String>> {
-        k.readdirfd(pid, self.live_fd()?)
+    /// `contents` builtin: the entry names, each mapped by `each` as it is
+    /// read (so a caller that keeps a name copies it once).
+    pub fn contents<T>(
+        &self,
+        k: &mut Kernel,
+        pid: Pid,
+        each: impl FnMut(&str) -> T,
+    ) -> SysResult<Vec<T>> {
+        k.readdirfd_map(pid, self.live_fd()?, each)
     }
 
     /// `lookup` builtin: derive a capability for a direct child. Single
     /// component only; `.` and `..` refused (capability safety, §2.1).
-    pub fn lookup(&self, k: &mut Kernel, pid: Pid, name: &str) -> SysResult<RawCap> {
-        single_component(name)?;
-        Self::open_at(k, pid, Some(self.live_fd()?), name, name)
+    /// The child is named by `name` itself: an `Rc<str>` is shared, not
+    /// copied, and nothing is copied when the lookup fails.
+    pub fn lookup(&self, k: &mut Kernel, pid: Pid, name: impl Name) -> SysResult<RawCap> {
+        single_component(name.as_ref())?;
+        let (fd, readable, writable) = Self::open_at(k, pid, Some(self.live_fd()?), name.as_ref())?;
+        Self::from_fd(k, pid, fd, name.into(), readable, writable)
     }
 
     /// Create a file in this directory, deriving a capability for it.
@@ -339,16 +407,16 @@ impl RawCap {
         &self,
         k: &mut Kernel,
         pid: Pid,
-        name: &str,
+        name: impl Name,
         mode: Mode,
     ) -> SysResult<RawCap> {
-        single_component(name)?;
+        single_component(name.as_ref())?;
         let dirfd = self.live_fd()?;
         let mut flags = OpenFlags::rdwr();
         flags.create = true;
         flags.exclusive = true;
-        let fd = k.openat(pid, Some(dirfd), name, flags, mode)?;
-        Self::from_fd(k, pid, fd, name, true, true)
+        let fd = k.openat(pid, Some(dirfd), name.as_ref(), flags, mode)?;
+        Self::from_fd(k, pid, fd, name.into(), true, true)
     }
 
     /// Create a subdirectory, deriving a capability (uses the paper's
@@ -357,13 +425,13 @@ impl RawCap {
         &self,
         k: &mut Kernel,
         pid: Pid,
-        name: &str,
+        name: impl Name,
         mode: Mode,
     ) -> SysResult<RawCap> {
-        single_component(name)?;
+        single_component(name.as_ref())?;
         let dirfd = self.live_fd()?;
-        let fd = k.mkdirat(pid, Some(dirfd), name, mode)?;
-        Self::from_fd(k, pid, fd, name, true, false)
+        let fd = k.mkdirat(pid, Some(dirfd), name.as_ref(), mode)?;
+        Self::from_fd(k, pid, fd, name.into(), true, false)
     }
 
     /// Remove a file link in this directory. Uses the TOCTTOU-safe
@@ -436,22 +504,8 @@ impl RawCap {
         }
         let (r, w) = k.pipe(pid)?;
         Ok((
-            RawCap {
-                kind: CapKind::PipeEnd,
-                fd: Some(CapFd::new(k, pid, r)),
-                node: None,
-                name: "<pipe-r>".into(),
-                readable: true,
-                writable: false,
-            },
-            RawCap {
-                kind: CapKind::PipeEnd,
-                fd: Some(CapFd::new(k, pid, w)),
-                node: None,
-                name: "<pipe-w>".into(),
-                readable: false,
-                writable: true,
-            },
+            RawCap::with_fd(k, pid, r, CapKind::PipeEnd, "<pipe-r>", (true, false)),
+            RawCap::with_fd(k, pid, w, CapKind::PipeEnd, "<pipe-w>", (false, true)),
         ))
     }
 
@@ -461,14 +515,14 @@ impl RawCap {
             return Err(Errno::EINVAL);
         }
         let fd = k.socket(pid, domain)?;
-        Ok(RawCap {
-            kind: CapKind::Socket,
-            fd: Some(CapFd::new(k, pid, fd)),
-            node: None,
-            name: "<socket>".into(),
-            readable: true,
-            writable: true,
-        })
+        Ok(RawCap::with_fd(
+            k,
+            pid,
+            fd,
+            CapKind::Socket,
+            "<socket>",
+            (true, true),
+        ))
     }
 
     /// Connect a socket capability.
@@ -512,7 +566,7 @@ mod tests {
         let cap = RawCap::open_path(&mut k, pid, "/home/alice/dog.jpg").unwrap();
         assert!(cap.is_file());
         assert!(!cap.is_dir());
-        assert_eq!(cap.name, "dog.jpg");
+        assert_eq!(&*cap.name, "dog.jpg");
         assert_eq!(cap.path(&mut k, pid).unwrap(), "/home/alice/dog.jpg");
         assert_eq!(cap.read_all(&mut k, pid).unwrap(), b"JPG");
     }
@@ -522,7 +576,7 @@ mod tests {
         let (mut k, pid) = setup();
         let dir = RawCap::open_path(&mut k, pid, "/home/alice").unwrap();
         assert!(dir.is_dir());
-        let names = dir.contents(&mut k, pid).unwrap();
+        let names = dir.contents(&mut k, pid, str::to_owned).unwrap();
         assert_eq!(names, vec!["dog.jpg", "notes.txt", "sub"]);
         let child = dir.lookup(&mut k, pid, "dog.jpg").unwrap();
         assert_eq!(child.read_all(&mut k, pid).unwrap(), b"JPG");

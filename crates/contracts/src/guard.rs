@@ -7,10 +7,17 @@
 //! per contract boundary it has crossed; deriving a capability (lookup,
 //! create) maps every guard through its `with { ... }` modifier, which is
 //! how contract restrictions follow derived capabilities.
+//!
+//! The stack is a shared, immutable list, newest guard first. A contract
+//! application adds one node in front of the list it was given. A
+//! derivation through guards that have no modifier for the operation
+//! shares its parent's list whole, so deriving a capability allocates
+//! only the capability ([`RawCap`]).
 
-use std::sync::Arc;
+use std::rc::Rc;
+use std::sync::{Arc, LazyLock};
 
-use shill_cap::{CapKind, CapPrivs, Priv, RawCap};
+use shill_cap::{CapKind, CapPrivs, Name, Priv, RawCap};
 use shill_kernel::{Kernel, Pid, SockAddr, SockDomain};
 use shill_vfs::{Errno, Mode, Stat};
 
@@ -48,12 +55,26 @@ impl std::fmt::Display for CapError {
 
 pub type CapResult<T> = Result<T, CapError>;
 
-/// One contract boundary's restriction on a capability.
-#[derive(Debug, Clone)]
+/// One contract boundary's restriction on a capability, in front of the
+/// guards of the boundaries it crossed before.
+#[derive(Debug)]
 pub struct Guard {
     pub privs: Arc<CapPrivs>,
     pub blame: Arc<Blame>,
+    /// The guard of the boundary crossed before this one.
+    outer: Option<Rc<Guard>>,
 }
+
+/// Whether two guard lists are one list.
+fn same_list(a: &Option<Rc<Guard>>, b: &Option<Rc<Guard>>) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => Rc::ptr_eq(a, b),
+        (a, b) => a.is_none() && b.is_none(),
+    }
+}
+
+/// The effective privileges of an unguarded capability, shared.
+static FULL: LazyLock<Arc<CapPrivs>> = LazyLock::new(|| Arc::new(CapPrivs::full()));
 
 /// A capability with zero or more contract guards. Zero guards means the
 /// capability is used with the authority it was created with (ambient
@@ -61,23 +82,38 @@ pub struct Guard {
 #[derive(Debug, Clone)]
 pub struct GuardedCap {
     pub raw: RawCap,
-    pub guards: Vec<Guard>,
+    /// The newest guard; `None` when unguarded.
+    guards: Option<Rc<Guard>>,
 }
 
 impl GuardedCap {
     /// An unguarded capability (full creation-time authority).
     pub fn unguarded(raw: RawCap) -> GuardedCap {
-        GuardedCap {
-            raw,
-            guards: Vec::new(),
-        }
+        GuardedCap { raw, guards: None }
     }
 
     /// Apply a capability contract: push a guard.
     pub fn restrict(&self, privs: Arc<CapPrivs>, blame: Arc<Blame>) -> GuardedCap {
-        let mut g = self.clone();
-        g.guards.push(Guard { privs, blame });
-        g
+        let guard = Guard {
+            privs,
+            blame,
+            outer: self.guards.clone(),
+        };
+        GuardedCap {
+            raw: self.raw.clone(),
+            guards: Some(Rc::new(guard)),
+        }
+    }
+
+    /// The guards, newest first.
+    fn guards(&self) -> impl Iterator<Item = &Guard> {
+        std::iter::successors(self.guards.as_deref(), |g| g.outer.as_deref())
+    }
+
+    /// Whether `self` and `other` are one capability under one list of
+    /// guards: copies of one value.
+    pub fn same(&self, other: &GuardedCap) -> bool {
+        same_list(&self.guards, &other.guards) && self.raw.same(&other.raw)
     }
 
     pub fn kind(&self) -> CapKind {
@@ -97,65 +133,80 @@ impl GuardedCap {
         &self.raw.name
     }
 
-    /// Check every guard for privilege `op`; innermost (earliest) first so
-    /// blame lands on the first contract that forbids the operation.
+    /// Check every guard for privilege `op`. Blame lands on the earliest
+    /// (innermost) contract that forbids the operation: the last one
+    /// denying it in the newest-first list.
     pub fn check(&self, op: Priv) -> Result<(), Violation> {
-        for g in &self.guards {
-            if !g.privs.allows(op) {
-                return Err(Violation::consumer(
-                    &g.blame,
-                    format!(
-                        "operation {op} on capability `{}` is not permitted",
-                        self.raw.name
-                    ),
-                ));
-            }
+        match self.guards().filter(|g| !g.privs.allows(op)).last() {
+            None => Ok(()),
+            Some(g) => Err(Violation::consumer(
+                &g.blame,
+                format!(
+                    "operation {op} on capability `{}` is not permitted",
+                    self.raw.name
+                ),
+            )),
         }
-        Ok(())
-    }
-
-    /// Whether every guard permits `op` (non-aborting query).
-    pub fn allows(&self, op: Priv) -> bool {
-        self.guards.iter().all(|g| g.privs.allows(op))
     }
 
     /// The effective privileges after all guards (used when granting this
     /// capability to a sandbox: "if any of these capabilities comes with a
     /// contract, the MAC policy further limits access to the resource
     /// according to the capability's contract", §2.3).
+    ///
+    /// An unguarded capability shares one full set. Where no guard has a
+    /// modifier and one guard's set is the intersection of them all (a
+    /// capability under one contract, or under nested contracts that
+    /// narrow it step by step), that guard's privileges are shared too.
     pub fn effective_privs(&self) -> Arc<CapPrivs> {
-        match self.guards.len() {
-            0 => Arc::new(CapPrivs::full()),
-            1 => Arc::clone(&self.guards[0].privs),
-            _ => {
-                // Intersect guard privilege sets; modifiers come from the
-                // innermost guard that has one for each deriving privilege.
-                let mut privs = self.guards[0].privs.privs;
-                for g in &self.guards[1..] {
-                    privs = privs.intersection(g.privs.privs);
-                }
-                let mut out = CapPrivs::of(privs);
-                for p in privs.iter().filter(|p| p.derives()) {
-                    for g in &self.guards {
-                        if let Some(m) = g.privs.modifiers.get(&p) {
-                            out.modifiers.insert(p, Arc::clone(m));
-                            break;
-                        }
-                    }
-                }
-                Arc::new(out)
+        let Some(newest) = self.guards.as_deref() else {
+            return Arc::clone(&FULL);
+        };
+        if newest.outer.is_none() {
+            return Arc::clone(&newest.privs);
+        }
+        // Intersect guard privilege sets; modifiers come from the
+        // innermost guard that has one for each deriving privilege.
+        let privs = self
+            .guards()
+            .fold(newest.privs.privs, |acc, g| acc.intersection(g.privs.privs));
+        if self.guards().all(|g| g.privs.modifiers.is_empty()) {
+            if let Some(g) = self.guards().find(|g| g.privs.privs == privs) {
+                return Arc::clone(&g.privs);
             }
         }
+        let mut out = CapPrivs::of(privs);
+        for p in privs.iter().filter(|p| p.derives()) {
+            let innermost = self
+                .guards()
+                .filter_map(|g| g.privs.modifiers.get(&p))
+                .last();
+            if let Some(m) = innermost {
+                out.modifiers.insert(p, Arc::clone(m));
+            }
+        }
+        Arc::new(out)
     }
 
-    fn derive_guards(&self, op: Priv) -> Vec<Guard> {
-        self.guards
-            .iter()
-            .map(|g| Guard {
-                privs: g.privs.derived(op),
+    /// The guards of a capability derived through `op`: each mapped
+    /// through its modifier for `op`. The longest run of oldest guards
+    /// that no modifier changes is shared, so a derivation with no
+    /// modifier shares the whole list.
+    fn derive_guards(&self, op: Priv) -> Option<Rc<Guard>> {
+        fn derive(guard: &Option<Rc<Guard>>, op: Priv) -> Option<Rc<Guard>> {
+            let g = guard.as_ref()?;
+            let privs = g.privs.derived(op);
+            let outer = derive(&g.outer, op);
+            if same_list(&outer, &g.outer) && Arc::ptr_eq(&privs, &g.privs) {
+                return Some(Rc::clone(g));
+            }
+            Some(Rc::new(Guard {
+                privs,
                 blame: Arc::clone(&g.blame),
-            })
-            .collect()
+                outer,
+            }))
+        }
+        derive(&self.guards, op)
     }
 
     // --- checked operations -------------------------------------------------
@@ -204,15 +255,21 @@ impl GuardedCap {
         Ok(self.raw.chmod(k, pid, mode)?)
     }
 
-    /// `contents` builtin (requires `+contents`).
-    pub fn contents(&self, k: &mut Kernel, pid: Pid) -> CapResult<Vec<String>> {
+    /// `contents` builtin (requires `+contents`): the entry names, each
+    /// mapped by `each` as it is read.
+    pub fn contents<T>(
+        &self,
+        k: &mut Kernel,
+        pid: Pid,
+        each: impl FnMut(&str) -> T,
+    ) -> CapResult<Vec<T>> {
         self.check(Priv::Contents)?;
-        Ok(self.raw.contents(k, pid)?)
+        Ok(self.raw.contents(k, pid, each)?)
     }
 
     /// `lookup` builtin (requires `+lookup`); the derived capability's
     /// guards are mapped through each contract's `with` modifier.
-    pub fn lookup(&self, k: &mut Kernel, pid: Pid, name: &str) -> CapResult<GuardedCap> {
+    pub fn lookup(&self, k: &mut Kernel, pid: Pid, name: impl Name) -> CapResult<GuardedCap> {
         self.check(Priv::Lookup)?;
         let raw = self.raw.lookup(k, pid, name)?;
         Ok(GuardedCap {
@@ -226,7 +283,7 @@ impl GuardedCap {
         &self,
         k: &mut Kernel,
         pid: Pid,
-        name: &str,
+        name: impl Name,
         mode: Mode,
     ) -> CapResult<GuardedCap> {
         self.check(Priv::CreateFile)?;
@@ -242,7 +299,7 @@ impl GuardedCap {
         &self,
         k: &mut Kernel,
         pid: Pid,
-        name: &str,
+        name: impl Name,
         mode: Mode,
     ) -> CapResult<GuardedCap> {
         self.check(Priv::CreateDir)?;
@@ -344,7 +401,10 @@ mod tests {
     #[test]
     fn unguarded_allows_everything_dac_allows() {
         let (mut k, pid, dir) = setup();
-        assert_eq!(dir.contents(&mut k, pid).unwrap(), vec!["a.txt", "b.jpg"]);
+        assert_eq!(
+            dir.contents(&mut k, pid, str::to_owned).unwrap(),
+            vec!["a.txt", "b.jpg"]
+        );
         let a = dir.lookup(&mut k, pid, "a.txt").unwrap();
         assert_eq!(a.read_all(&mut k, pid).unwrap(), b"alpha");
     }
@@ -356,7 +416,7 @@ mod tests {
             Arc::new(CapPrivs::of(PrivSet::of(&[Priv::Contents, Priv::Lookup]))),
             blame("cur : dir(+contents, +lookup)"),
         );
-        assert!(ro.contents(&mut k, pid).is_ok());
+        assert!(ro.contents(&mut k, pid, str::to_owned).is_ok());
         match ro.unlink_file(&mut k, pid, "a.txt").unwrap_err() {
             CapError::Violation(v) => {
                 assert_eq!(v.blamed_name, "script");
@@ -424,7 +484,7 @@ mod tests {
             Arc::new(CapPrivs::of(PrivSet::of(&[Priv::Contents]))),
             Blame::new("script", "helper", "inner"),
         );
-        assert!(layer2.contents(&mut k, pid).is_ok());
+        assert!(layer2.contents(&mut k, pid, str::to_owned).is_ok());
         // +stat passes layer1 but fails layer2 → the inner consumer is blamed.
         match layer2.stat(&mut k, pid).unwrap_err() {
             CapError::Violation(v) => {

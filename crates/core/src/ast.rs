@@ -134,7 +134,7 @@ pub enum Expr {
     Num(i64, Pos),
     /// A string literal. Evaluating it shares the string: a string carries
     /// no authority, so the compiled-module cache may hold it.
-    Str(Rc<String>, Pos),
+    Str(Rc<str>, Pos),
     Var(VarRef),
     List(Vec<Expr>, Pos),
     /// `fun(a, b) { ... }`.
@@ -143,7 +143,7 @@ pub enum Expr {
     Call {
         callee: Box<Expr>,
         args: Vec<Expr>,
-        kwargs: Vec<(String, Expr)>,
+        kwargs: Vec<(Rc<str>, Expr)>,
         pos: Pos,
     },
     /// `if c then t [else e]` — branches are blocks or single statements.

@@ -28,9 +28,8 @@
 //! underlying operation.
 
 use std::rc::Rc;
-use std::sync::Arc;
 
-use shill_cap::{CapFd, CapKind, Priv};
+use shill_cap::{CapKind, FdHandle, Priv};
 use shill_contracts::{CapError, CapResult, GuardedCap};
 use shill_kernel::{BatchArg, BatchEntry, BatchOut, FailMode, Fd, Kernel, Pid, SyscallBatch};
 use shill_vfs::{Errno, SysResult};
@@ -97,7 +96,7 @@ pub fn read_from_fd(k: &mut Kernel, pid: Pid, fd: Fd, mut off: u64) -> SysResult
 /// Whether a capability's reads/writes can take the batched fast path: a
 /// regular file with a live descriptor. Pipes, sockets, and devices keep
 /// the sequential wrappers (their drain/EAGAIN semantics differ).
-fn batchable_file(cap: &GuardedCap) -> Option<&Arc<CapFd>> {
+fn batchable_file(cap: &GuardedCap) -> Option<FdHandle> {
     if cap.kind() == CapKind::File {
         cap.raw.fd_handle()
     } else {
@@ -256,7 +255,6 @@ impl DeferredAcc {
             offset: 0,
             lens: vec![CHUNK; WINDOW],
         });
-        let fd = Arc::clone(fd);
         Ok(Some(self.push_future(FragKind::Read { slot, fd })))
     }
 
@@ -284,7 +282,6 @@ impl DeferredAcc {
             data: std::mem::take(data).into(),
         });
         self.batch.deps.push((wr, tr));
-        let fd = Arc::clone(fd);
         Ok(Some(self.push_future(FragKind::Write {
             slots: [tr, wr],
             fd,
@@ -330,8 +327,8 @@ impl DeferredAcc {
         self.batch.deps.push((wr, tr));
         Ok(Some(self.push_future(FragKind::Copy {
             first_slot: rd,
-            sfd: Arc::clone(sfd),
-            dfd: Arc::clone(dfd),
+            sfd,
+            dfd,
         })))
     }
 
@@ -360,7 +357,7 @@ impl DeferredAcc {
         Ok(self.push_future(FragKind::DirStats {
             names,
             first_slot,
-            dir: Arc::clone(dir),
+            dir,
         }))
     }
 
@@ -368,14 +365,14 @@ impl DeferredAcc {
     /// list whose elements are independently contents strings or
     /// syserrors. `None` if any capability is non-batchable — the caller
     /// falls back to per-file sequential reads.
-    pub fn defer_slurp(&mut self, caps: &[Rc<GuardedCap>]) -> CapResult<Option<Rc<FutureCell>>> {
+    pub fn defer_slurp(&mut self, caps: &[GuardedCap]) -> CapResult<Option<Rc<FutureCell>>> {
         for c in caps {
             c.check(Priv::Read)?;
         }
         let mut fds = Vec::with_capacity(caps.len());
         for c in caps {
             match batchable_file(c) {
-                Some(fd) => fds.push(Arc::clone(fd)),
+                Some(fd) => fds.push(fd),
                 None => return Ok(None),
             }
         }

@@ -14,7 +14,7 @@ use shill_vfs::{Errno, Mode};
 
 use crate::ast::{ContractExpr, Dialect};
 use crate::eval::Interp;
-use crate::value::{EvalResult, ShillError, Value, Wallet};
+use crate::value::{EvalResult, Kwarg, ShillError, Value, Wallet};
 
 /// Declares [`Builtin`] with the name each variant is called by.
 macro_rules! builtins {
@@ -138,7 +138,7 @@ impl Builtin {
 /// What an ambient script's root binds before it runs: the factories, and
 /// capabilities for the controlling terminal (§2.5).
 pub fn ambient_values(interp: &mut Interp) -> Vec<(String, Value)> {
-    let unguarded = |cap| Value::Cap(Rc::new(GuardedCap::unguarded(cap)));
+    let unguarded = |cap| Value::Cap(GuardedCap::unguarded(cap));
     let mut out = vec![
         ("pipe_factory".into(), unguarded(RawCap::pipe_factory())),
         ("socket_factory".into(), unguarded(RawCap::socket_factory())),
@@ -190,16 +190,28 @@ fn has_ext(name: &str, ext: &str) -> bool {
 /// A capability derived from `from`, sealed with the brands `from` is
 /// sealed with (§2.4.2: what a sealed directory yields stays sealed).
 fn derived(from: &Value, r: Result<GuardedCap, CapError>) -> EvalResult {
-    cap_result(r.map(|cap| Interp::reseal(Value::Cap(Rc::new(cap)), Interp::seal_chain(from))))
+    cap_result(r.map(|cap| Interp::sealed_like(from, Value::Cap(cap))))
+}
+
+/// The name a string argument holds, shared: a capability derived under it
+/// keeps this very allocation as its name.
+fn want_name<'v>(v: &'v Value, what: &str) -> Result<&'v Rc<str>, ShillError> {
+    match v {
+        Value::Str(s) => Ok(s),
+        other => Err(ShillError::Runtime(format!(
+            "{what} must be a string, got {}",
+            other.type_name()
+        ))),
+    }
 }
 
 /// Dispatch a builtin call. The arguments are read in place: they drop
-/// when the caller clears its argument vector.
+/// when the caller clears its argument vectors.
 pub fn call_builtin(
     interp: &mut Interp,
     builtin: Builtin,
     args: &[Value],
-    kwargs: Vec<(String, Value)>,
+    kwargs: &[Kwarg],
 ) -> EvalResult {
     use Builtin::*;
     let name = builtin.name();
@@ -363,36 +375,46 @@ pub fn call_builtin(
         }
 
         // --- directory operations ----------------------------------------------
+        // Each name is one allocation, read straight from the directory;
+        // a capability `lookup` derives under it shares it.
         Contents => {
             arity(args, 1, name)?;
             let cap = interp.unseal_for(&args[0], Priv::Contents)?;
             let pid = interp.pid;
             cap_result(
-                cap.contents(&mut interp.kernel, pid)
-                    .map(|names| Value::list(names.into_iter().map(Value::str).collect())),
+                cap.contents(&mut interp.kernel, pid, |name| Value::str(name))
+                    .map(Value::list),
             )
         }
         Lookup => {
             arity(args, 2, name)?;
-            let child_name = want_str(&args[1], "name")?;
+            let child_name = want_name(&args[1], "name")?;
             let cap = interp.unseal_for(&args[0], Priv::Lookup)?;
             let pid = interp.pid;
-            derived(&args[0], cap.lookup(&mut interp.kernel, pid, child_name))
+            derived(
+                &args[0],
+                cap.lookup(&mut interp.kernel, pid, Rc::clone(child_name)),
+            )
         }
         CreateFile => {
             arity(args, 2, name)?;
-            let fname = want_str(&args[1], "name")?;
+            let fname = want_name(&args[1], "name")?;
             let cap = interp.unseal_for(&args[0], Priv::CreateFile)?;
             let pid = interp.pid;
-            let r = cap.create_file(&mut interp.kernel, pid, fname, Mode::FILE_DEFAULT);
+            let r = cap.create_file(
+                &mut interp.kernel,
+                pid,
+                Rc::clone(fname),
+                Mode::FILE_DEFAULT,
+            );
             derived(&args[0], r)
         }
         CreateDir => {
             arity(args, 2, name)?;
-            let dname = want_str(&args[1], "name")?;
+            let dname = want_name(&args[1], "name")?;
             let cap = interp.unseal_for(&args[0], Priv::CreateDir)?;
             let pid = interp.pid;
-            let r = cap.create_dir(&mut interp.kernel, pid, dname, Mode::DIR_DEFAULT);
+            let r = cap.create_dir(&mut interp.kernel, pid, Rc::clone(dname), Mode::DIR_DEFAULT);
             derived(&args[0], r)
         }
         UnlinkFile => {
@@ -438,9 +460,8 @@ pub fn call_builtin(
             let cap = interp.unseal_for(&args[0], Priv::PipeCreate)?;
             let pid = interp.pid;
             cap_result(
-                cap.create_pipe(&mut interp.kernel, pid).map(|(r, w)| {
-                    Value::list(vec![Value::Cap(Rc::new(r)), Value::Cap(Rc::new(w))])
-                }),
+                cap.create_pipe(&mut interp.kernel, pid)
+                    .map(|(r, w)| Value::list(vec![Value::Cap(r), Value::Cap(w)])),
             )
         }
 
@@ -461,7 +482,7 @@ pub fn call_builtin(
             let pid = interp.pid;
             cap_result(
                 cap.create_socket(&mut interp.kernel, pid, domain)
-                    .map(|sock| Value::Cap(Rc::new(sock))),
+                    .map(Value::Cap),
             )
         }
         SockConnect => {
@@ -610,8 +631,8 @@ pub fn call_builtin(
             let format = match args.len() {
                 0 => "text",
                 1 => match &args[0] {
-                    Value::Str(s) => match s.as_str() {
-                        "text" | "chrome" => s.as_str(),
+                    Value::Str(s) => match &**s {
+                        "text" | "chrome" => &**s,
                         other => {
                             return Err(ShillError::Runtime(format!(
                                 "telemetry: unknown format {other:?} (want \"text\" or \"chrome\")"
@@ -719,7 +740,7 @@ pub fn call_builtin(
                     if builtin == OpenFile && cap.is_dir() {
                         return Err(ShillError::Runtime(format!("{p} is a directory")));
                     }
-                    Ok(Value::Cap(Rc::new(GuardedCap::unguarded(cap))))
+                    Ok(Value::Cap(GuardedCap::unguarded(cap)))
                 }
                 Err(e) => Ok(Value::SysErr(e)),
             }
@@ -747,30 +768,21 @@ fn strip_seals(v: &Value) -> &Value {
     cur
 }
 
-/// Effective privileges to grant a sandbox for a (possibly sealed,
-/// possibly guarded) capability value.
-fn grant_privs(interp: &Interp, v: &Value) -> Option<(ObjId, Arc<CapPrivs>)> {
-    let _ = interp;
-    let mut bound: Option<PrivSet> = None;
+/// The one grant rule (§2.3). A capability passed to `exec`, whether as
+/// the executable, in the argv, in the extras or as stdio, gives the
+/// sandbox its effective privileges ("the MAC policy further limits access
+/// to the resource according to the capability's contract"), within the
+/// bound of every seal around it. `None` for a value that is not a
+/// capability.
+fn grant_of(v: &Value) -> Option<(&GuardedCap, Arc<CapPrivs>)> {
+    let mut bound = PrivSet::full();
     let mut cur = v;
     while let Value::Sealed { brand, inner } = cur {
-        bound = Some(match bound {
-            Some(b) => b.intersection(brand.bound),
-            None => brand.bound,
-        });
+        bound = bound.intersection(brand.bound);
         cur = inner;
     }
     let Value::Cap(cap) = cur else { return None };
-    // No vnode (pipes/sockets): the caller resolves the object with
-    // `fd_object`.
-    let obj = ObjId::Vnode(cap.raw.node?);
-    let mut privs = cap.effective_privs();
-    if let Some(b) = bound {
-        let mut cp = (*privs).clone();
-        cp.privs = cp.privs.intersection(b);
-        privs = Arc::new(cp);
-    }
-    Some((obj, privs))
+    Some((cap, cap.effective_privs().within(bound)))
 }
 
 /// Resolve the kernel object for a capability (pipes/sockets have no vnode).
@@ -974,17 +986,112 @@ fn builtin_stream_read(interp: &mut Interp, args: &[Value]) -> EvalResult {
     }
 }
 
+/// What an `exec` grants beyond its executable and argv: its extras.
+#[derive(Default)]
+pub(crate) struct Extras {
+    grants: Vec<Grant>,
+    pipe_factory: bool,
+    socket_privs: PrivSet,
+}
+
+impl Extras {
+    /// Add `v`, a capability or a list of them nested at any depth, under
+    /// the one grant rule. A pipe or socket factory grants the right to
+    /// create pipes or sockets, as far as its own grant allows.
+    pub(crate) fn add(&mut self, interp: &Interp, v: &Value) -> Result<(), ShillError> {
+        if let Value::List(items) = v {
+            return items.iter().try_for_each(|item| self.add(interp, item));
+        }
+        let Some((cap, privs)) = grant_of(v) else {
+            return Err(ShillError::Runtime(
+                "exec extras must be capabilities".into(),
+            ));
+        };
+        match cap.kind() {
+            CapKind::PipeFactory => self.pipe_factory |= privs.allows(Priv::PipeCreate),
+            CapKind::SocketFactory => {
+                self.socket_privs = self
+                    .socket_privs
+                    .union(Interp::socket_factory_privs(&privs));
+            }
+            _ => {
+                if let Some(obj) = obj_of(interp, cap) {
+                    self.grants.push(Grant { obj, privs });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Forget what was added, keeping the grant list's buffer.
+    fn clear(&mut self) {
+        self.grants.clear();
+        self.pipe_factory = false;
+        self.socket_privs = PrivSet::EMPTY;
+    }
+}
+
+/// What every launch writes and the next one reuses: the argv strings and
+/// the grant list.
+#[derive(Default)]
+pub(crate) struct ExecBuffers {
+    argv: Vec<String>,
+    extras: Extras,
+}
+
 /// The `exec` builtin (§2.3): run an executable in a capability-based
 /// sandbox. Positional: the executable capability and the argv list
 /// (strings or capabilities — capabilities are passed as paths). Keyword:
 /// `stdin`/`stdout`/`stderr` capabilities, `extras` (additional
 /// capabilities, §2.3), `timeout` (cpu tick ulimit).
-fn builtin_exec(interp: &mut Interp, args: &[Value], kwargs: Vec<(String, Value)>) -> EvalResult {
+fn builtin_exec(interp: &mut Interp, args: &[Value], kwargs: &[Kwarg]) -> EvalResult {
     if args.len() != 2 {
         return Err(ShillError::Runtime(
             "exec expects (executable, argv-list)".into(),
         ));
     }
+    let Value::List(argv) = &args[1] else {
+        return Err(ShillError::Runtime(format!(
+            "exec argv must be a list, got {}",
+            args[1].type_name()
+        )));
+    };
+    launch(interp, &args[0], &[], argv, kwargs, &Extras::default())
+}
+
+/// Launch `exec` in a sandbox with argv `head` followed by `argv`,
+/// keyword arguments as [`builtin_exec`]'s, and the
+/// `fixed` extras a `pkg_native` wrapper computed when it was made. Every
+/// grant follows [`grant_of`]. A stdio capability must allow what the
+/// child does through it (`+read` for stdin, `+append` for stdout and
+/// stderr), or the launch is a violation blaming the contract's consumer,
+/// as `read` or `append` would be.
+pub(crate) fn launch(
+    interp: &mut Interp,
+    exec: &Value,
+    head: &[Value],
+    argv: &[Value],
+    kwargs: &[Kwarg],
+    fixed: &Extras,
+) -> EvalResult {
+    let mut bufs = std::mem::take(&mut interp.exec_buffers);
+    let r = launch_with(interp, exec, head, argv, kwargs, fixed, &mut bufs);
+    // A launch that stopped early leaves what it added: none of it may
+    // reach the next one.
+    bufs.extras.clear();
+    interp.exec_buffers = bufs;
+    r
+}
+
+fn launch_with(
+    interp: &mut Interp,
+    exec: &Value,
+    head: &[Value],
+    argv: &[Value],
+    kwargs: &[Kwarg],
+    fixed: &Extras,
+    bufs: &mut ExecBuffers,
+) -> EvalResult {
     let policy = interp
         .policy
         .clone()
@@ -993,48 +1100,38 @@ fn builtin_exec(interp: &mut Interp, args: &[Value], kwargs: Vec<(String, Value)
     let setup_start = Instant::now();
 
     // Executable capability: +exec required.
-    let exec_cap = interp.unseal_for(&args[0], Priv::Exec)?;
+    let exec_cap = interp.unseal_for(exec, Priv::Exec)?;
     let exec_node = exec_cap
         .raw
         .node
         .ok_or_else(|| ShillError::Runtime("executable capability has no file".into()))?;
-
-    let mut grants: Vec<Grant> = Vec::new();
-    let push_grant = |grants: &mut Vec<Grant>, obj: ObjId, privs: Arc<CapPrivs>| {
-        grants.push(Grant { obj, privs });
-    };
-    push_grant(
-        &mut grants,
-        ObjId::Vnode(exec_node),
-        exec_cap.effective_privs(),
-    );
+    let ExecBuffers { argv: args, extras } = bufs;
+    if let Some((_, privs)) = grant_of(exec) {
+        let obj = ObjId::Vnode(exec_node);
+        extras.grants.push(Grant { obj, privs });
+    }
 
     // argv: strings pass through; capabilities become paths AND grants.
-    let argv_list = match &args[1] {
-        Value::List(l) => l.clone(),
-        other => {
-            return Err(ShillError::Runtime(format!(
-                "exec argv must be a list, got {}",
-                other.type_name()
-            )))
-        }
-    };
-    let mut argv: Vec<String> = Vec::with_capacity(argv_list.len());
-    for item in argv_list.iter() {
-        match item {
-            Value::Str(s) => argv.push((**s).clone()),
+    // Each string is written into the buffer's string at its position.
+    let mut n = 0;
+    for item in head.iter().chain(argv) {
+        let path;
+        let arg = match item {
+            Value::Str(s) => &**s,
             v @ (Value::Cap(_) | Value::Sealed { .. }) => {
                 let cap = interp.unseal_for(v, Priv::Path)?;
                 let pid = interp.pid;
-                let p = match cap.path(&mut interp.kernel, pid) {
+                path = match cap.path(&mut interp.kernel, pid) {
                     Ok(p) => p,
                     Err(CapError::Sys(e)) => return Ok(Value::SysErr(e)),
                     Err(CapError::Violation(viol)) => return Err(viol.into()),
                 };
-                argv.push(p);
-                if let Some((obj, privs)) = grant_privs(interp, v) {
-                    push_grant(&mut grants, obj, privs);
+                if let Some((cap, privs)) = grant_of(v) {
+                    if let Some(obj) = obj_of(interp, cap) {
+                        extras.grants.push(Grant { obj, privs });
+                    }
                 }
+                &path
             }
             other => {
                 return Err(ShillError::Runtime(format!(
@@ -1042,61 +1139,43 @@ fn builtin_exec(interp: &mut Interp, args: &[Value], kwargs: Vec<(String, Value)
                     other.type_name()
                 )))
             }
+        };
+        match args.get_mut(n) {
+            Some(slot) => {
+                slot.clear();
+                slot.push_str(arg);
+            }
+            None => args.push(arg.to_owned()),
         }
+        n += 1;
     }
+    extras.grants.extend(fixed.grants.iter().cloned());
+    extras.pipe_factory |= fixed.pipe_factory;
+    extras.socket_privs = extras.socket_privs.union(fixed.socket_privs);
 
     let mut spec = SandboxSpec::default();
     let mut timeout: Option<u64> = None;
-
-    for (key, v) in &kwargs {
-        match key.as_str() {
+    for (key, v) in kwargs {
+        match &**key {
             "stdin" | "stdout" | "stderr" => {
-                let needed = if key == "stdin" {
-                    Priv::Read
-                } else {
-                    Priv::Append
+                let (slot, needed) = match &**key {
+                    "stdin" => (0, Priv::Read),
+                    "stdout" => (1, Priv::Append),
+                    _ => (2, Priv::Append),
                 };
                 let cap = interp.unseal_for(v, needed)?;
+                cap.check(needed)?;
                 let fd = cap.raw.fd().ok_or_else(|| {
                     ShillError::Runtime(format!("{key} capability has no descriptor"))
                 })?;
-                match key.as_str() {
-                    "stdin" => spec.stdin = Some(fd),
-                    "stdout" => spec.stdout = Some(fd),
+                spec.stdio_privs[slot] = grant_of(v).map(|(_, privs)| privs);
+                match slot {
+                    0 => spec.stdin = Some(fd),
+                    1 => spec.stdout = Some(fd),
                     _ => spec.stderr = Some(fd),
                 }
             }
-            "extras" => {
-                let list = match v {
-                    Value::List(l) => l.iter().cloned().collect::<Vec<_>>(),
-                    single => vec![single.clone()],
-                };
-                for item in flatten(list) {
-                    match strip_seals(&item) {
-                        Value::Cap(cap) if cap.kind() == CapKind::PipeFactory => {
-                            if cap.allows(Priv::PipeCreate) {
-                                spec.pipe_factory = true;
-                            }
-                        }
-                        Value::Cap(cap) if cap.kind() == CapKind::SocketFactory => {
-                            spec.socket_privs =
-                                spec.socket_privs.union(Interp::socket_factory_privs(cap));
-                        }
-                        Value::Cap(cap) => {
-                            if let Some((obj, privs)) = grant_privs(interp, &item) {
-                                push_grant(&mut grants, obj, privs);
-                            } else if let Some(obj) = obj_of(interp, cap) {
-                                push_grant(&mut grants, obj, cap.effective_privs());
-                            }
-                        }
-                        _ => {
-                            return Err(ShillError::Runtime(
-                                "exec extras must be capabilities".into(),
-                            ))
-                        }
-                    }
-                }
-            }
+            "extras" => extras.add(interp, v)?,
             "timeout" => {
                 if let Value::Num(n) = v {
                     timeout = Some((*n).max(0) as u64);
@@ -1109,7 +1188,9 @@ fn builtin_exec(interp: &mut Interp, args: &[Value], kwargs: Vec<(String, Value)
             }
         }
     }
-    spec.grants = grants;
+    spec.grants = std::mem::take(&mut extras.grants);
+    spec.pipe_factory = extras.pipe_factory;
+    spec.socket_privs = extras.socket_privs;
     if let Some(t) = timeout {
         spec.ulimits = Some(Ulimits {
             max_cpu_ticks: t,
@@ -1124,7 +1205,9 @@ fn builtin_exec(interp: &mut Interp, args: &[Value], kwargs: Vec<(String, Value)
     // script that hits a resource wall must be able to observe it with
     // `is_syserror` and degrade, exactly like any other denied syscall.
     let parent = interp.pid;
-    let sandbox = match shill_sandbox::setup_sandbox(&mut interp.kernel, &policy, parent, &spec) {
+    let sandbox = shill_sandbox::setup_sandbox(&mut interp.kernel, &policy, parent, &spec);
+    extras.grants = spec.grants;
+    let sandbox = match sandbox {
         Ok(sb) => sb,
         Err(e) => return Ok(Value::SysErr(e)),
     };
@@ -1135,7 +1218,10 @@ fn builtin_exec(interp: &mut Interp, args: &[Value], kwargs: Vec<(String, Value)
     // binary with no way back into this interpreter, so the window never
     // nests inside another and books its whole span.
     let exec_start = Instant::now();
-    let status = match interp.kernel.exec_node(sandbox.child, exec_node, &argv) {
+    let status = match interp
+        .kernel
+        .exec_node(sandbox.child, exec_node, &args[..n])
+    {
         Ok(s) => {
             interp.kernel.exit(sandbox.child, s);
             interp.kernel.waitpid(parent, sandbox.child)
@@ -1151,15 +1237,4 @@ fn builtin_exec(interp: &mut Interp, args: &[Value], kwargs: Vec<(String, Value)
         Ok(s) => Value::Num(s as i64),
         Err(e) => Value::SysErr(e),
     })
-}
-
-fn flatten(items: Vec<Value>) -> Vec<Value> {
-    let mut out = Vec::new();
-    for v in items {
-        match v {
-            Value::List(l) => out.extend(flatten(l.iter().cloned().collect())),
-            other => out.push(other),
-        }
-    }
-    out
 }

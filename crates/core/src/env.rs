@@ -8,7 +8,7 @@
 //! the frame it runs in. Free names that no definition or import binds
 //! are builtins, so no frame holds the builtins.
 //!
-//! A frame is one allocation: it holds its first [`INLINE_SLOTS`] slots
+//! A frame is one allocation: it holds its first `INLINE_SLOTS` slots
 //! itself, and only a larger frame keeps the rest in a boxed slice.
 //!
 //! SHILL "does not have mutable variables" (§2.1): a slot is written once,

@@ -18,7 +18,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
-use shill_cap::PrivSet;
+use shill_cap::{CapPrivs, PrivSet};
 use shill_contracts::{Blame, CapResult, GuardedCap, SealBrand, Violation};
 use shill_kernel::{Kernel, Pid};
 use shill_sandbox::ShillPolicy;
@@ -30,7 +30,7 @@ use crate::env::{Env, Root};
 use crate::parse::parse_script;
 use crate::profile::Profile;
 use crate::resolve::resolve;
-use crate::value::{ContractedFn, EvalResult, FutureCell, Lambda, ShillError, Value};
+use crate::value::{ContractedFn, EvalResult, FutureCell, Kwarg, Lambda, ShillError, Value};
 
 /// Maximum evaluation depth (recursion guard).
 /// Applications may nest this deep. The bound is set so that the native
@@ -97,6 +97,10 @@ pub struct Interp {
     /// Argument vectors for reuse by `Expr::Call`. Every vector here is
     /// empty: no argument outlives its call through the pool.
     arg_pool: Vec<Vec<Value>>,
+    /// Emptied keyword-argument vectors, as `arg_pool`.
+    kwarg_pool: Vec<Vec<Kwarg>>,
+    /// The argv strings and grant list every `exec` launch reuses.
+    pub(crate) exec_buffers: builtins::ExecBuffers,
 }
 
 impl Interp {
@@ -116,6 +120,8 @@ impl Interp {
             deferred: None,
             async_depth: 0,
             arg_pool: Vec::new(),
+            kwarg_pool: Vec::new(),
+            exec_buffers: Default::default(),
         }
     }
 
@@ -495,6 +501,7 @@ impl Interp {
             } => {
                 let f = self.eval_expr(env, callee)?;
                 let mut argv = self.arg_pool.pop().unwrap_or_default();
+                let mut kw = Vec::new();
                 let r = 'call: {
                     for a in args {
                         match self.eval_expr(env, a) {
@@ -502,14 +509,16 @@ impl Interp {
                             Err(e) => break 'call Err(e),
                         }
                     }
-                    let mut kw = Vec::with_capacity(kwargs.len());
+                    if !kwargs.is_empty() {
+                        kw = self.kwarg_pool.pop().unwrap_or_default();
+                    }
                     for (n, e) in kwargs {
                         match self.eval_expr(env, e) {
-                            Ok(v) => kw.push((n.clone(), v)),
+                            Ok(v) => kw.push((Rc::clone(n), v)),
                             Err(e) => break 'call Err(e),
                         }
                     }
-                    match self.call(f, &mut argv, kw) {
+                    match self.call(f, &mut argv, &mut kw) {
                         Err(ShillError::Runtime(m)) => {
                             Err(ShillError::Runtime(format!("{m} (call at {pos})")))
                         }
@@ -522,6 +531,12 @@ impl Interp {
                 argv.clear();
                 if self.arg_pool.len() < ARG_POOL {
                     self.arg_pool.push(argv);
+                }
+                if kw.capacity() > 0 {
+                    kw.clear();
+                    if self.kwarg_pool.len() < ARG_POOL {
+                        self.kwarg_pool.push(kw);
+                    }
                 }
                 r
             }
@@ -589,24 +604,14 @@ impl Interp {
 
     // --- application ----------------------------------------------------------
 
-    pub fn apply(
-        &mut self,
-        f: Value,
-        mut args: Vec<Value>,
-        kwargs: Vec<(String, Value)>,
-    ) -> EvalResult {
-        self.call(f, &mut args, kwargs)
+    pub fn apply(&mut self, f: Value, mut args: Vec<Value>, mut kwargs: Vec<Kwarg>) -> EvalResult {
+        self.call(f, &mut args, &mut kwargs)
     }
 
-    /// Call `f`. A closure moves the arguments into its frame, a native
-    /// function takes the vector, and a builtin reads the arguments in
-    /// place: what is left drops when the caller clears `args`.
-    fn call(
-        &mut self,
-        f: Value,
-        args: &mut Vec<Value>,
-        kwargs: Vec<(String, Value)>,
-    ) -> EvalResult {
+    /// Call `f`. A closure moves the arguments into its frame, and a
+    /// native function or a builtin reads them in place: what is left
+    /// drops when the caller clears `args` and `kwargs`.
+    fn call(&mut self, f: Value, args: &mut Vec<Value>, kwargs: &mut Vec<Kwarg>) -> EvalResult {
         self.enter()?;
         let r = self.call_inner(f, args, kwargs);
         self.leave();
@@ -617,7 +622,7 @@ impl Interp {
         &mut self,
         f: Value,
         args: &mut Vec<Value>,
-        kwargs: Vec<(String, Value)>,
+        kwargs: &mut Vec<Kwarg>,
     ) -> EvalResult {
         match f {
             Value::Closure(l, env) => {
@@ -646,10 +651,10 @@ impl Interp {
             Value::Contracted(cf) => self.apply_contracted(&cf, args, kwargs),
             // Builtins and native functions are the interpreter's kernel
             // crossings: each first closes the descriptors of capabilities
-            // dropped since the last one (see `shill_cap::CapFd`).
+            // dropped since the last one (see `shill_cap::RawCap`).
             Value::Native(nf) => {
                 self.kernel.drain_closes();
-                (nf.f)(self, std::mem::take(args), kwargs)
+                (nf.f)(self, args, kwargs)
             }
             Value::Builtin(b) => {
                 self.kernel.drain_closes();
@@ -668,7 +673,7 @@ impl Interp {
         &mut self,
         cf: &ContractedFn,
         args: &mut Vec<Value>,
-        mut kwargs: Vec<(String, Value)>,
+        kwargs: &mut Vec<Kwarg>,
     ) -> EvalResult {
         self.profile.contract_applications += 1;
         let fc = &cf.contract;
@@ -702,8 +707,8 @@ impl Interp {
             *v = self.apply_contract(arg, c, blame, seals, env, cf.into_body)?;
         }
         // Keyword arguments: check those with declared contracts.
-        for (name, v) in &mut kwargs {
-            if let Some(i) = fc.kwargs.iter().position(|(n, _)| n == name) {
+        for (name, v) in kwargs.iter_mut() {
+            if let Some(i) = fc.kwargs.iter().position(|(n, _)| **n == **name) {
                 let arg = std::mem::replace(v, Value::Void);
                 let blame = Arc::clone(&blames[fc.args.len() + i]);
                 let c = &fc.kwargs[i].1;
@@ -827,9 +832,9 @@ impl Interp {
                 match v {
                     Value::Cap(cap) => {
                         self.profile.guard_checks += 1;
-                        Ok(Value::Cap(Rc::new(
+                        Ok(Value::Cap(
                             cap.restrict(Arc::new(privs.clone()), Arc::clone(&blame)),
-                        )))
+                        ))
                     }
                     Value::Sealed { .. } => Err(fail(
                         "cannot apply a capability contract to a sealed value".into(),
@@ -848,9 +853,7 @@ impl Interp {
                 Value::Cap(cap) if cap.kind() == shill_cap::CapKind::SocketFactory => {
                     let mut cp = shill_cap::CapPrivs::of(*privs);
                     cp.privs.insert(shill_cap::Priv::SockCreate);
-                    Ok(Value::Cap(Rc::new(
-                        cap.restrict(Arc::new(cp), Arc::clone(&blame)),
-                    )))
+                    Ok(Value::Cap(cap.restrict(Arc::new(cp), Arc::clone(&blame))))
                 }
                 other => Err(fail(format!(
                     "expected a socket factory, got {}",
@@ -999,13 +1002,13 @@ impl Interp {
 
     /// Unwrap a (possibly multiply) sealed capability, checking that every
     /// brand's bound allows `needed`. Returns the inner guarded capability;
-    /// a caller that derives a capability from it reseals that with
-    /// [`Interp::seal_chain`] of `v`.
+    /// a caller that derives a capability from it seals that as `v` is
+    /// sealed, with `Interp::sealed_like`.
     pub fn unseal_for<'v>(
         &mut self,
         v: &'v Value,
         needed: shill_cap::Priv,
-    ) -> Result<&'v Rc<GuardedCap>, ShillError> {
+    ) -> Result<&'v GuardedCap, ShillError> {
         let mut cur = v;
         loop {
             match cur {
@@ -1036,36 +1039,24 @@ impl Interp {
         }
     }
 
-    /// The brands `v` is sealed with, outermost first: what
-    /// [`Interp::reseal`] wraps a capability derived from `v` in.
-    pub(crate) fn seal_chain(v: &Value) -> Vec<Arc<SealBrand>> {
-        let mut brands = Vec::new();
-        let mut cur = v;
-        while let Value::Sealed { brand, inner } = cur {
-            brands.push(Arc::clone(brand));
-            cur = inner;
+    /// `v` sealed with the brands `from` is sealed with, in the same
+    /// order (§2.4.2: what a sealed directory yields stays sealed). One
+    /// allocation per seal, none for an unsealed `from`.
+    pub(crate) fn sealed_like(from: &Value, v: Value) -> Value {
+        match from {
+            Value::Sealed { brand, inner } => Value::Sealed {
+                brand: Arc::clone(brand),
+                inner: Rc::new(Self::sealed_like(inner, v)),
+            },
+            _ => v,
         }
-        brands
-    }
-
-    /// Re-seal a derived capability with a brand chain (outermost first,
-    /// applied last).
-    pub fn reseal(mut v: Value, brands: Vec<Arc<SealBrand>>) -> Value {
-        for brand in brands.into_iter().rev() {
-            v = Value::Sealed {
-                brand,
-                inner: Rc::new(v),
-            };
-        }
-        v
     }
 
     /// The socket-factory privileges of a capability (used by `exec`).
-    pub fn socket_factory_privs(cap: &GuardedCap) -> PrivSet {
-        let eff = cap.effective_privs();
+    pub fn socket_factory_privs(privs: &CapPrivs) -> PrivSet {
         let mut out = PrivSet::EMPTY;
         for p in shill_cap::privs::socket_privs() {
-            if eff.allows(*p) {
+            if privs.allows(*p) {
                 out.insert(*p);
             }
         }

@@ -380,7 +380,7 @@ impl Parser {
                         self.bump();
                         self.bump();
                         let v = self.expr()?;
-                        kwargs.push((n, v));
+                        kwargs.push((n.into(), v));
                         if *self.peek() == Tok::Comma {
                             self.bump();
                         }
@@ -414,7 +414,7 @@ impl Parser {
             Tok::Str(s) => {
                 let s = s.clone();
                 self.bump();
-                Ok(Expr::Str(Rc::new(s), pos))
+                Ok(Expr::Str(s.into(), pos))
             }
             Tok::True => {
                 self.bump();
@@ -892,8 +892,8 @@ find_jpg = fun(cur, out) {
             Stmt::Expr(Expr::Call { args, kwargs, .. }, _) => {
                 assert_eq!(args.len(), 2);
                 assert_eq!(kwargs.len(), 2);
-                assert_eq!(kwargs[0].0, "stdout");
-                assert_eq!(kwargs[1].0, "extras");
+                assert_eq!(&*kwargs[0].0, "stdout");
+                assert_eq!(&*kwargs[1].0, "extras");
             }
             other => panic!("{other:?}"),
         }

@@ -20,10 +20,10 @@ use shill_cap::{CapPrivs, Priv, PrivSet};
 use shill_contracts::{Blame, CapError, GuardedCap};
 
 use crate::ast::{ContractExpr, Dialect, FuncContract};
-use crate::builtins::{cap_result, Builtin};
+use crate::builtins::{self, cap_result, Builtin, Extras};
 use crate::env::Env;
 use crate::eval::Interp;
-use crate::value::{ContractedFn, EvalResult, NativeFn, ShillError, Value};
+use crate::value::{ContractedFn, EvalResult, Kwarg, NativeFn, ShillError, Value};
 
 /// Fetch a Rust-implemented stdlib module by name.
 pub fn stdlib_module(name: &str) -> Option<HashMap<String, Value>> {
@@ -37,7 +37,7 @@ pub fn stdlib_module(name: &str) -> Option<HashMap<String, Value>> {
 
 fn native_fn(
     name: &str,
-    f: impl Fn(&mut Interp, Vec<Value>, Vec<(String, Value)>) -> EvalResult + 'static,
+    f: impl Fn(&mut Interp, &[Value], &[Kwarg]) -> EvalResult + 'static,
 ) -> Value {
     Value::Native(Rc::new(NativeFn {
         name: name.to_string(),
@@ -90,10 +90,7 @@ fn filesys_module() -> HashMap<String, Value> {
                 let cap = interp.unseal_for(&cur, Priv::Lookup)?;
                 let pid = interp.pid;
                 match cap.lookup(&mut interp.kernel, pid, comp) {
-                    Ok(next) => {
-                        let brands = Interp::seal_chain(&cur);
-                        cur = Interp::reseal(Value::Cap(Rc::new(next)), brands);
-                    }
+                    Ok(next) => cur = Interp::sealed_like(&cur, Value::Cap(next)),
                     Err(CapError::Sys(e)) => return Ok(Value::SysErr(e)),
                     Err(CapError::Violation(v)) => return Err(v.into()),
                 }
@@ -162,7 +159,7 @@ fn filesys_module() -> HashMap<String, Value> {
             };
             let mut caps = Vec::with_capacity(items.len());
             for v in &items {
-                caps.push(Rc::clone(interp.unseal_for(v, Priv::Read)?));
+                caps.push(interp.unseal_for(v, Priv::Read)?.clone());
             }
             match interp.batchable(|acc, _, _| acc.defer_slurp(&caps)) {
                 Ok(Some(v)) => return Ok(v),
@@ -208,9 +205,9 @@ fn want_wallet(v: &Value) -> Result<Rc<crate::value::Wallet>, ShillError> {
     }
 }
 
-fn want_cap(v: &Value) -> Result<Rc<GuardedCap>, ShillError> {
+fn want_cap(v: &Value) -> Result<&GuardedCap, ShillError> {
     match v {
-        Value::Cap(c) => Ok(Rc::clone(c)),
+        Value::Cap(c) => Ok(c),
         other => Err(ShillError::Runtime(format!(
             "expected a capability, got {}",
             other.type_name()
@@ -242,18 +239,14 @@ fn walk(
 /// for executables and libraries (i.e., colon-separated strings, analogous
 /// to environment variables $PATH and $LD_LIBRARY_PATH), and a directory
 /// capability to use as a root for the path specifications."
-fn populate_native_wallet(
-    interp: &mut Interp,
-    args: Vec<Value>,
-    _kw: Vec<(String, Value)>,
-) -> EvalResult {
+fn populate_native_wallet(interp: &mut Interp, args: &[Value], _kw: &[Kwarg]) -> EvalResult {
     if args.len() < 4 || args.len() > 5 {
         return Err(ShillError::Runtime(
             "populate_native_wallet expects (wallet, root, path_spec, libpath_spec[, pipe_factory])".into(),
         ));
     }
     let wallet = want_wallet(&args[0])?;
-    let root = want_cap(&args[1])?;
+    let root = want_cap(&args[1])?.clone();
     let Value::Str(path_spec) = &args[2] else {
         return Err(ShillError::Runtime("path_spec must be a string".into()));
     };
@@ -264,13 +257,13 @@ fn populate_native_wallet(
     let mut paths = Vec::new();
     for spec in path_spec.split(':').filter(|s| !s.is_empty()) {
         if let Some(cap) = walk(interp, &root, spec)? {
-            paths.push(Value::Cap(Rc::new(cap)));
+            paths.push(Value::Cap(cap));
         }
     }
     let mut libs = Vec::new();
     for spec in lib_spec.split(':').filter(|s| !s.is_empty()) {
         if let Some(cap) = walk(interp, &root, spec)? {
-            libs.push(Value::Cap(Rc::new(cap)));
+            libs.push(Value::Cap(cap));
         }
     }
     // Traversal-only root: +lookup with nothing extra propagating beyond
@@ -292,7 +285,7 @@ fn populate_native_wallet(
     map.entry("LD_LIBRARY_PATH".into())
         .or_default()
         .extend(libs);
-    map.insert("root".into(), vec![Value::Cap(Rc::new(rooted))]);
+    map.insert("root".into(), vec![Value::Cap(rooted)]);
     if let Some(pf) = args.get(4) {
         match pf {
             Value::Cap(c) if c.kind() == shill_cap::CapKind::PipeFactory => {
@@ -314,7 +307,7 @@ fn populate_native_wallet(
 /// wallet's PATH, run `ldd` for its libraries, gather known extra
 /// dependencies, and return a contracted wrapper closing over everything
 /// needed to `exec` it.
-fn pkg_native(interp: &mut Interp, args: Vec<Value>, _kw: Vec<(String, Value)>) -> EvalResult {
+fn pkg_native(interp: &mut Interp, args: &[Value], _kw: &[Kwarg]) -> EvalResult {
     if args.len() != 2 {
         return Err(ShillError::Runtime(
             "pkg_native expects (program, wallet)".into(),
@@ -325,7 +318,7 @@ fn pkg_native(interp: &mut Interp, args: Vec<Value>, _kw: Vec<(String, Value)>) 
             "pkg_native: program must be a string".into(),
         ));
     };
-    let program = (**program).clone();
+    let program = program.to_string();
     let wallet = want_wallet(&args[1])?;
 
     // 1. Find the executable along PATH.
@@ -334,7 +327,7 @@ fn pkg_native(interp: &mut Interp, args: Vec<Value>, _kw: Vec<(String, Value)>) 
     for dir in &path_caps {
         let dir = want_cap(dir)?;
         let pid = interp.pid;
-        match dir.lookup(&mut interp.kernel, pid, &program) {
+        match dir.lookup(&mut interp.kernel, pid, program.as_str()) {
             Ok(c) if c.is_file() => {
                 exec_cap = Some(c);
                 break;
@@ -389,7 +382,7 @@ fn pkg_native(interp: &mut Interp, args: Vec<Value>, _kw: Vec<(String, Value)>) 
                         Arc::clone(&ro),
                         Blame::new("pkg_native", "sandbox", "lib : file(+stat, +read, +path)"),
                     );
-                    lib_caps.push(Value::Cap(Rc::new(guarded)));
+                    lib_caps.push(Value::Cap(guarded));
                     break;
                 }
                 Err(CapError::Sys(_)) => {}
@@ -414,42 +407,30 @@ fn pkg_native(interp: &mut Interp, args: Vec<Value>, _kw: Vec<(String, Value)>) 
 
     // 4. The wrapper: exec with all gathered capabilities. It accepts
     // (args_list) plus stdio/extras keywords, like Figure 4's
-    // `jpeg_wrapper(["-i", arg], stdout = out)`.
-    let program_name = program.clone();
-    let exec_val = Value::Cap(Rc::new(exec_cap));
-    let captured_exec = exec_val.clone();
+    // `jpeg_wrapper(["-i", arg], stdout = out)`. What is the same on every
+    // launch is built here, once: the program's name, which heads the
+    // argv, and the grants of the libraries, the root and the pipe
+    // factory.
+    let mut fixed = Extras::default();
+    for cap in &lib_caps {
+        fixed.add(interp, cap)?;
+    }
+    let head = [Value::str(program.as_str())];
+    let exec_val = Value::Cap(exec_cap);
     let wrapper = native_fn(
         &format!("native:{program}"),
         move |interp, wargs, wkwargs| {
             if wargs.len() != 1 {
                 return Err(ShillError::Runtime(format!(
-                    "{program_name} wrapper expects one argument (argv list)"
+                    "{} wrapper expects one argument (argv list)",
+                    head[0].display()
                 )));
             }
-            let user_args = match &wargs[0] {
-                Value::List(l) => l.iter().cloned().collect::<Vec<_>>(),
-                other => vec![other.clone()],
+            let argv = match &wargs[0] {
+                Value::List(items) => &items[..],
+                one => std::slice::from_ref(one),
             };
-            let mut argv = vec![Value::str(program_name.clone())];
-            argv.extend(user_args);
-            let mut kwargs = Vec::new();
-            let mut extras: Vec<Value> = lib_caps.clone();
-            for (k, v) in wkwargs {
-                if k == "extras" {
-                    match v {
-                        Value::List(l) => extras.extend(l.iter().cloned()),
-                        other => extras.push(other),
-                    }
-                } else {
-                    kwargs.push((k, v));
-                }
-            }
-            kwargs.push(("extras".to_string(), Value::list(extras)));
-            interp.apply(
-                Value::Builtin(Builtin::Exec),
-                vec![captured_exec.clone(), Value::list(argv)],
-                kwargs,
-            )
+            builtins::launch(interp, &exec_val, &head, argv, wkwargs, &fixed)
         },
     );
 

@@ -12,7 +12,7 @@ use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use shill_cap::CapFd;
+use shill_cap::FdHandle;
 use shill_contracts::{Blame, ContractText, GuardedCap, SealBrand, Violation};
 use shill_vfs::Errno;
 
@@ -24,7 +24,7 @@ use crate::env::Env;
 /// Slot indices refer to the interpreter's single pending
 /// [`crate::batchio::DeferredAcc`]; the descriptors let resolution continue
 /// an operation whose first 1 MiB window came back full. Each fragment
-/// holds the [`CapFd`] handles its batch entries name, so a capability
+/// holds an [`FdHandle`] on each descriptor its batch entries name, so a capability
 /// passed as a temporary (`async read(open_file(..))`) keeps its
 /// descriptor open until the fragment resolves. Guard checks already
 /// happened at enqueue time — resolution only maps slot results to values,
@@ -33,17 +33,17 @@ use crate::env::Env;
 pub enum FragKind {
     /// One `Preadv` window at `slot`; resolves to the file's contents as a
     /// string (continuing past a full window via `fd`).
-    Read { slot: usize, fd: Arc<CapFd> },
+    Read { slot: usize, fd: FdHandle },
     /// `Ftruncate` + `Pwrite` at `slots` on `fd`; resolves to void, like
     /// the sequential `write` builtin.
-    Write { slots: [usize; 2], fd: Arc<CapFd> },
+    Write { slots: [usize; 2], fd: FdHandle },
     /// A fused copy window at `first_slot..first_slot + 3`
     /// (read → truncate → write, data flowing by slot reference); resolves
     /// to the total bytes copied (continuing past a full window).
     Copy {
         first_slot: usize,
-        sfd: Arc<CapFd>,
-        dfd: Arc<CapFd>,
+        sfd: FdHandle,
+        dfd: FdHandle,
     },
     /// A `Stat` sweep relative to `dir` at
     /// `first_slot..first_slot + names.len()`; resolves to
@@ -52,11 +52,11 @@ pub enum FragKind {
     DirStats {
         names: Vec<String>,
         first_slot: usize,
-        dir: Arc<CapFd>,
+        dir: FdHandle,
     },
     /// One `Preadv` window per file; resolves to a list of contents
     /// strings, each element independently a string or a syserror.
-    Slurp { reads: Vec<(usize, Arc<CapFd>)> },
+    Slurp { reads: Vec<(usize, FdHandle)> },
 }
 
 impl FragKind {
@@ -226,10 +226,14 @@ impl ContractText for Cited {
     }
 }
 
+/// A keyword argument: its name, shared with the call's syntax, and value.
+pub type Kwarg = (Rc<str>, Value);
+
 /// Native (Rust-implemented) function, e.g. the wrapper `pkg_native`
-/// returns. Receives evaluated positional and keyword arguments.
+/// returns. Reads the evaluated positional and keyword arguments in
+/// place, as a builtin does.
 pub type NativeFnImpl =
-    dyn Fn(&mut crate::eval::Interp, Vec<Value>, Vec<(String, Value)>) -> Result<Value, ShillError>;
+    dyn Fn(&mut crate::eval::Interp, &[Value], &[Kwarg]) -> Result<Value, ShillError>;
 
 pub struct NativeFn {
     pub name: String,
@@ -250,10 +254,11 @@ pub enum Value {
     Void,
     Bool(bool),
     Num(i64),
-    Str(Rc<String>),
+    Str(Rc<str>),
     List(Rc<Vec<Value>>),
-    /// A capability (possibly contract-guarded).
-    Cap(Rc<GuardedCap>),
+    /// A capability (possibly contract-guarded): two pointers, so copying
+    /// it allocates nothing.
+    Cap(GuardedCap),
     /// A sealed capability inside a polymorphic function body (§2.4.2).
     Sealed {
         brand: Arc<SealBrand>,
@@ -320,8 +325,8 @@ impl From<crate::parse::ParseError> for ShillError {
 pub type EvalResult = Result<Value, ShillError>;
 
 impl Value {
-    pub fn str(s: impl Into<String>) -> Value {
-        Value::Str(Rc::new(s.into()))
+    pub fn str(s: impl Into<Rc<str>>) -> Value {
+        Value::Str(s.into())
     }
 
     pub fn list(items: Vec<Value>) -> Value {
@@ -378,7 +383,7 @@ impl Value {
             }
             (Value::Cap(a), Value::Cap(b)) => match (a.raw.node, b.raw.node) {
                 (Some(x), Some(y)) => x == y,
-                _ => Rc::ptr_eq(a, b),
+                _ => a.same(b),
             },
             // Futures compare by identity: two deferred ops are never "the
             // same" even if they resolve to equal values.
@@ -394,7 +399,7 @@ impl Value {
             Value::Void => "void".into(),
             Value::Bool(b) => b.to_string(),
             Value::Num(n) => n.to_string(),
-            Value::Str(s) => (**s).clone(),
+            Value::Str(s) => s.to_string(),
             Value::List(items) => {
                 let inner: Vec<String> = items.iter().map(|v| v.display()).collect();
                 format!("[{}]", inner.join(", "))

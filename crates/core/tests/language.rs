@@ -96,11 +96,11 @@ fn runtime() -> ShillRuntime {
 fn arithmetic_and_strings() {
     let mut rt = runtime();
     let v = rt.run_ok("#lang shill/ambient\nx = 2 + 3 * 4;\nto_string(x)");
-    assert!(matches!(v, Value::Str(s) if *s == "14"));
+    assert!(matches!(v, Value::Str(s) if &*s == "14"));
     let v = rt
         .run("main2", "#lang shill/ambient\ns = \"a\" ++ \"b\";\ns")
         .unwrap();
-    assert!(matches!(v, Value::Str(s) if *s == "ab"));
+    assert!(matches!(v, Value::Str(s) if &*s == "ab"));
 }
 
 #[test]
@@ -593,7 +593,7 @@ provide f : {x : readonly} -> is_string;
     let v = rt.run_ok(
         "#lang shill/ambient\nrequire \"ro.cap\";\nfile = open_file(\"/home/u/pics/readme.txt\");\nf(file)",
     );
-    assert!(matches!(v, Value::Str(s) if *s == "text"));
+    assert!(matches!(v, Value::Str(s) if &*s == "text"));
 }
 
 #[test]

@@ -869,6 +869,19 @@ impl Kernel {
         Ok(())
     }
 
+    /// `pid` creates a pipe pair ([`MacPolicy::pipe_check_create`]).
+    pub(crate) fn mac_pipe_create(&self, pid: Pid) -> SysResult<()> {
+        if self.unconfined(pid) {
+            return Ok(());
+        }
+        let ctx = self.ctx(pid)?;
+        for p in self.registry.iter() {
+            KernelStats::bump(&self.stats.mac_other_checks);
+            p.pipe_check_create(ctx)?;
+        }
+        Ok(())
+    }
+
     pub(crate) fn mac_system(&self, pid: Pid, op: &SystemOp) -> SysResult<()> {
         if self.unconfined(pid) {
             return Ok(());

@@ -220,6 +220,12 @@ pub trait MacPolicy: Send + Sync {
     fn vnode_check(&self, _ctx: MacCtx, _node: NodeId, _op: &VnodeOp<'_>) -> SysResult<()> {
         Ok(())
     }
+    /// `ctx.pid` creates a pipe pair: the right a pipe factory grants
+    /// (§3.1.1). A lifecycle check on no object yet, so it is never cached.
+    fn pipe_check_create(&self, _ctx: MacCtx) -> SysResult<()> {
+        Ok(())
+    }
+
     fn pipe_check(&self, _ctx: MacCtx, _pipe: ObjId, _op: PipeOp) -> SysResult<()> {
         Ok(())
     }
@@ -252,9 +258,9 @@ pub trait MacPolicy: Send + Sync {
 
     /// A batched submission ([`crate::batch`]) completed for `ctx.pid`.
     /// `outcomes` has one slot per entry, `None` for success and the errno
-    /// otherwise; `waves` is the dependency-DAG layering the submission
-    /// executed in (slot indices per wave — a single wave for a flat
-    /// batch, one wave per link for an `&&` chain). Policies with an audit
+    /// otherwise; `dag` holds the layering the submission executed in
+    /// ([`crate::BatchDag::waves`]: slot indices per wave — a single wave
+    /// for a flat batch, one wave per link for an `&&` chain). Policies with an audit
     /// log record one span per batch instead of one event per call, split
     /// per wave. `wave_ns` carries one execution duration per wave in
     /// nanoseconds when the tracing plane measured them (zeros otherwise —
@@ -263,7 +269,7 @@ pub trait MacPolicy: Send + Sync {
         &self,
         _ctx: MacCtx,
         _outcomes: &[Option<Errno>],
-        _waves: &[Vec<usize>],
+        _dag: &crate::BatchDag,
         _wave_ns: &[u64],
     ) {
     }

@@ -72,18 +72,47 @@ use crate::stats::KernelStats;
 use crate::types::Pid;
 
 /// A batch's validated dependency DAG: per-entry data and ordering edges,
-/// layered into ready waves.
+/// layered into ready waves. Its tables are flat, each one allocation per
+/// batch whatever its size: the edges of every entry in one list, and the
+/// entries in execution order in another.
 #[derive(Debug, Clone)]
 pub struct BatchDag {
-    /// `data_deps[i]`: producers entry `i` slot-references. A failed or
-    /// cancelled producer always poisons `i`.
-    data_deps: Vec<Vec<usize>>,
-    /// `order_deps[i]`: declared dependencies of entry `i`. Poison follows
-    /// these edges only under [`FailMode::Abort`].
-    order_deps: Vec<Vec<usize>>,
-    /// `waves[w]`: slots whose longest dependency chain has length `w`,
-    /// in ascending slot order.
-    waves: Vec<Vec<usize>>,
+    /// Per entry: where its edges lie in `edges`, and its wave.
+    slots: Vec<SlotDeps>,
+    /// Each entry's producers (the entries it slot-references: a failed or
+    /// cancelled producer always poisons it), then its declared
+    /// dependencies (poison follows these only under [`FailMode::Abort`]),
+    /// each run sorted and without duplicates.
+    edges: Vec<usize>,
+    /// The entries in execution order: wave by wave, ascending within a
+    /// wave.
+    order: Vec<usize>,
+    /// `order[wave_ends[w - 1]..wave_ends[w]]` is wave `w`: the slots
+    /// whose longest dependency chain has length `w`.
+    wave_ends: Vec<usize>,
+}
+
+/// One entry's runs in [`BatchDag::edges`] and its wave.
+#[derive(Debug, Clone, Copy, Default)]
+struct SlotDeps {
+    data: (usize, usize),
+    order: (usize, usize),
+    wave: usize,
+}
+
+/// Sort and deduplicate `edges[run.0..run.1]` in place; returns the run
+/// that remains.
+fn sort_run(edges: &mut [usize], run: (usize, usize)) -> (usize, usize) {
+    let seg = &mut edges[run.0..run.1];
+    seg.sort_unstable();
+    let mut kept = 0;
+    for i in 0..seg.len() {
+        if kept == 0 || seg[i] != seg[kept - 1] {
+            seg[kept] = seg[i];
+            kept += 1;
+        }
+    }
+    (run.0, run.0 + kept)
 }
 
 impl BatchDag {
@@ -95,7 +124,9 @@ impl BatchDag {
     /// so no cycle check is needed.
     pub fn build(batch: &SyscallBatch) -> SysResult<BatchDag> {
         let n = batch.entries.len();
-        let mut data_deps: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut slots = vec![SlotDeps::default(); n];
+        // Count each entry's edges, validating them.
+        let mut data_edges = 0;
         for (i, entry) in batch.entries.iter().enumerate() {
             for (producer, wants_fd) in entry.slot_refs().into_iter().flatten() {
                 if producer >= i {
@@ -110,61 +141,98 @@ impl BatchDag {
                 if !compatible {
                     return Err(Errno::EINVAL);
                 }
-                data_deps[i].push(producer);
+                slots[i].data.1 += 1;
+                data_edges += 1;
             }
-            data_deps[i].sort_unstable();
-            data_deps[i].dedup();
         }
-        let mut order_deps: Vec<Vec<usize>> = vec![Vec::new(); n];
         for &(entry, on) in &batch.deps {
             if entry >= n || on >= entry {
                 return Err(Errno::EINVAL);
             }
-            order_deps[entry].push(on);
+            slots[entry].order.1 += 1;
         }
         // Legacy `&&`-chain: an Abort batch that declares no structure at
         // all is one linear dependency chain, exactly as the pre-scheduler
         // abort semantics cancelled every entry after the first failure.
-        if batch.fail_mode == FailMode::Abort
-            && batch.deps.is_empty()
-            && data_deps.iter().all(|d| d.is_empty())
-        {
-            for (i, deps) in order_deps.iter_mut().enumerate().skip(1) {
-                deps.push(i - 1);
+        let chain = batch.fail_mode == FailMode::Abort && batch.deps.is_empty() && data_edges == 0;
+        if chain {
+            for slot in slots.iter_mut().skip(1) {
+                slot.order.1 = 1;
             }
         }
-        for deps in &mut order_deps {
-            deps.sort_unstable();
-            deps.dedup();
+        // Lay the runs out; each run's end is its fill cursor until filled.
+        let mut at = 0;
+        for slot in &mut slots {
+            let (data, order) = (slot.data.1, slot.order.1);
+            slot.data = (at, at);
+            slot.order = (at + data, at + data);
+            at += data + order;
+        }
+        let mut edges = vec![0; at];
+        for (i, entry) in batch.entries.iter().enumerate() {
+            for (producer, _) in entry.slot_refs().into_iter().flatten() {
+                edges[slots[i].data.1] = producer;
+                slots[i].data.1 += 1;
+            }
+        }
+        for &(entry, on) in &batch.deps {
+            edges[slots[entry].order.1] = on;
+            slots[entry].order.1 += 1;
+        }
+        if chain {
+            for (i, slot) in slots.iter_mut().enumerate().skip(1) {
+                edges[slot.order.0] = i - 1;
+                slot.order.1 += 1;
+            }
         }
         // Longest-path layering: an entry's wave is one past its deepest
         // dependency's.
-        let mut wave_of = vec![0usize; n];
-        let mut height = 0usize;
+        let mut height = 0;
         for i in 0..n {
-            let w = data_deps[i]
-                .iter()
-                .chain(&order_deps[i])
-                .map(|&j| wave_of[j] + 1)
-                .max()
-                .unwrap_or(0);
-            wave_of[i] = w;
-            height = height.max(w);
+            let data = sort_run(&mut edges, slots[i].data);
+            let order = sort_run(&mut edges, slots[i].order);
+            let deps = edges[data.0..data.1].iter().chain(&edges[order.0..order.1]);
+            let wave = deps.map(|&j| slots[j].wave + 1).max().unwrap_or(0);
+            slots[i] = SlotDeps { data, order, wave };
+            height = height.max(wave);
         }
-        let mut waves: Vec<Vec<usize>> = vec![Vec::new(); if n == 0 { 0 } else { height + 1 }];
-        for (i, &w) in wave_of.iter().enumerate() {
-            waves[w].push(i);
+        // Group by wave, keeping slot order within each.
+        let mut wave_ends = vec![0; if n == 0 { 0 } else { height + 1 }];
+        for slot in &slots {
+            wave_ends[slot.wave] += 1;
+        }
+        let mut end = 0;
+        for e in &mut wave_ends {
+            end += *e;
+            *e = end - *e; // each wave's start, its fill cursor
+        }
+        let mut order = vec![0; n];
+        for (i, slot) in slots.iter().enumerate() {
+            order[wave_ends[slot.wave]] = i;
+            wave_ends[slot.wave] += 1;
         }
         Ok(BatchDag {
-            data_deps,
-            order_deps,
-            waves,
+            slots,
+            edges,
+            order,
+            wave_ends,
         })
     }
 
+    /// The number of waves.
+    pub fn wave_count(&self) -> usize {
+        self.wave_ends.len()
+    }
+
+    /// Wave `w`'s slot indices, ascending.
+    pub fn wave(&self, w: usize) -> &[usize] {
+        let start = if w == 0 { 0 } else { self.wave_ends[w - 1] };
+        &self.order[start..self.wave_ends[w]]
+    }
+
     /// The wave layering (slot indices per wave, ascending).
-    pub fn waves(&self) -> &[Vec<usize>] {
-        &self.waves
+    pub fn waves(&self) -> impl ExactSizeIterator<Item = &[usize]> {
+        (0..self.wave_count()).map(|w| self.wave(w))
     }
 
     /// Whether `slot` must be cancelled instead of executed, given the
@@ -180,22 +248,20 @@ impl BatchDag {
         fail_mode: FailMode,
         results: &[Option<SysResult<BatchOut>>],
     ) -> bool {
-        let failed = |j: usize| matches!(results[j], Some(Err(_)));
-        self.data_deps[slot].iter().any(|&j| failed(j))
-            || (fail_mode == FailMode::Abort && self.order_deps[slot].iter().any(|&j| failed(j)))
+        let failed = |j: &usize| matches!(results[*j], Some(Err(_)));
+        let SlotDeps { data, order, .. } = self.slots[slot];
+        self.edges[data.0..data.1].iter().any(failed)
+            || (fail_mode == FailMode::Abort && self.edges[order.0..order.1].iter().any(failed))
     }
 }
 
 /// The execution state both scheduled forms share: the validated DAG, the
-/// per-slot result table, the execution order and per-wave timing. Waves
-/// run in index order, so the next wave is the count of waves timed.
+/// per-slot result table and per-wave timing. Waves run in index order, so
+/// the next wave is the count of waves timed, and the slots completed so
+/// far, in execution order, are the DAG's order up to it.
 pub(crate) struct WaveTable {
     dag: BatchDag,
     results: Vec<Option<SysResult<BatchOut>>>,
-    /// Slots in execution order: a cheap index recorded while the kernel
-    /// (lock) is held, read by [`ScheduledRun::completed_slots`] and the
-    /// `sched_reorders` accounting.
-    order: Vec<usize>,
     /// Per-wave execution durations in nanoseconds, one slot per executed
     /// wave. Measured only while the tracing plane's wave site is armed
     /// (zeros otherwise) and handed to the audit span.
@@ -209,18 +275,26 @@ impl WaveTable {
         let n = batch.entries.len();
         let mut results = Vec::new();
         results.resize_with(n, || None);
-        let wave_ns = Vec::with_capacity(dag.waves.len());
+        let wave_ns = Vec::with_capacity(dag.wave_count());
         Ok(WaveTable {
             dag,
             results,
-            order: Vec::with_capacity(n),
             wave_ns,
         })
     }
 
     /// Whether every wave has executed.
     pub(crate) fn finished(&self) -> bool {
-        self.wave_ns.len() >= self.dag.waves.len()
+        self.wave_ns.len() >= self.dag.wave_count()
+    }
+
+    /// Slots completed so far, in execution order.
+    fn completed(&self) -> &[usize] {
+        let done = match self.wave_ns.len() {
+            0 => 0,
+            w => self.dag.wave_ends[w - 1],
+        };
+        &self.dag.order[..done]
     }
 
     /// Move the result table into slot order ([`into_slots`]).
@@ -273,7 +347,7 @@ impl ScheduledRun {
     /// caller (streaming reads, `select`) can see which slots have
     /// delivered while later waves are still pending.
     pub fn completed_slots(&self) -> &[usize] {
-        &self.table.order
+        self.table.completed()
     }
 
     /// Borrow a completed slot's result (`None` until it executes or is
@@ -367,7 +441,7 @@ impl Kernel {
             })
             .collect();
         for p in self.policies() {
-            p.batch_complete(ctx, &outcomes, table.dag.waves(), &table.wave_ns);
+            p.batch_complete(ctx, &outcomes, &table.dag, &table.wave_ns);
         }
     }
 
@@ -379,13 +453,12 @@ impl Kernel {
     /// wave site is armed, 0 otherwise — the off path never reads the
     /// clock.
     pub(crate) fn exec_next_wave(&mut self, pid: Pid, batch: &SyscallBatch, table: &mut WaveTable) {
+        let wave = table.wave_ns.len();
         let WaveTable {
             dag,
             results,
-            order,
             wave_ns,
         } = table;
-        let wave = wave_ns.len();
         KernelStats::bump(&self.stats.sched_waves);
         let _wave_span = self.trace_span(crate::trace::TraceSite::Wave, pid.0 as u64, wave as u64);
         let wave_t0 = self
@@ -395,12 +468,10 @@ impl Kernel {
         // *larger* index than an executing slot is one submission-order
         // inversion. Slots executed earlier in *this* wave always have
         // smaller indices (within-wave order is ascending), so only prior
-        // waves' completions can invert — count them against a sorted
-        // snapshot instead of rescanning the order list per slot.
-        let mut prior = order.clone();
-        prior.sort_unstable();
+        // waves' completions can invert — count them in each prior wave,
+        // which is sorted.
         let mut syscall_span = None;
-        for &slot in &dag.waves[wave] {
+        for &slot in dag.wave(wave) {
             let r = if dag.should_cancel(slot, batch.fail_mode, results) {
                 KernelStats::bump(&self.stats.sched_cancelled_cone);
                 Err(Errno::ECANCELED)
@@ -418,10 +489,12 @@ impl Kernel {
                 self.chain_syscall_span(&mut syscall_span, pid, slot);
                 self.exec_entry(pid, &batch.entries[slot], results)
             };
-            let inversions = (prior.len() - prior.partition_point(|&s| s < slot)) as u64;
-            KernelStats::add(&self.stats.sched_reorders, inversions);
+            let inversions: usize = (0..wave)
+                .map(|w| dag.wave(w))
+                .map(|prior| prior.len() - prior.partition_point(|&s| s < slot))
+                .sum();
+            KernelStats::add(&self.stats.sched_reorders, inversions as u64);
             results[slot] = Some(r);
-            order.push(slot);
         }
         drop(syscall_span);
         wave_ns.push(wave_t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0));
@@ -481,7 +554,7 @@ mod tests {
         ])
         .after(3, 2);
         let dag = BatchDag::build(&batch).unwrap();
-        assert_eq!(dag.waves(), &[vec![0, 1], vec![2], vec![3]]);
+        assert_eq!(dag.waves().collect::<Vec<_>>(), [&[0, 1][..], &[2], &[3]]);
     }
 
     #[test]
@@ -492,10 +565,11 @@ mod tests {
             stat_entry("/w/sub/f2"),
         ]);
         let dag = BatchDag::build(&batch).unwrap();
-        assert_eq!(dag.waves(), &[vec![0], vec![1], vec![2]]);
+        assert_eq!(dag.waves().collect::<Vec<_>>(), [&[0][..], &[1], &[2]]);
         // A flat Continue batch stays one wave (fully independent).
         let flat = SyscallBatch::new(vec![stat_entry("/w/sub/f0"), stat_entry("/w/sub/f1")]);
-        assert_eq!(BatchDag::build(&flat).unwrap().waves(), &[vec![0, 1]]);
+        let dag = BatchDag::build(&flat).unwrap();
+        assert_eq!(dag.waves().collect::<Vec<_>>(), [&[0, 1][..]]);
     }
 
     #[test]

@@ -378,11 +378,22 @@ impl Kernel {
 
     /// List a directory open at `fd` (`getdirentries`).
     pub fn readdirfd(&mut self, pid: Pid, fd: Fd) -> SysResult<Vec<String>> {
+        self.readdirfd_map(pid, fd, str::to_owned)
+    }
+
+    /// [`Kernel::readdirfd`], mapping each name by `each` as it is read:
+    /// one allocation for the list, and whatever `each` makes per name.
+    pub fn readdirfd_map<T>(
+        &mut self,
+        pid: Pid,
+        fd: Fd,
+        each: impl FnMut(&str) -> T,
+    ) -> SysResult<Vec<T>> {
         self.charge(pid)?;
         let node = self.process(pid)?.fd_node(fd)?;
         self.dac_node(pid, node, Access::Read)?;
         self.mac_vnode(pid, node, &VnodeOp::ReadDir)?;
-        self.fs.readdir(node)
+        Ok(self.fs.entry_names(node)?.map(each).collect())
     }
 
     /// `readlinkat(2)`.
@@ -745,6 +756,7 @@ impl Kernel {
     /// `pipe(2)`: returns `(read_end, write_end)`.
     pub fn pipe(&mut self, pid: Pid) -> SysResult<(Fd, Fd)> {
         self.charge(pid)?;
+        self.mac_pipe_create(pid)?;
         let id = self.pipes.create();
         self.mac_notify(pid, |p, ctx| p.pipe_post_create(ctx, ObjId::Pipe(id)));
         let p = self.process_mut(pid)?;
@@ -953,10 +965,8 @@ impl Kernel {
         KernelStats::bump(&self.stats.execs);
         self.dac_node(pid, node, Access::Exec)?;
         self.mac_vnode(pid, node, &VnodeOp::Exec)?;
-        let content = self.fs.node(node)?.file_data()?.clone();
-        let text = String::from_utf8_lossy(&content);
-        let program = parse_simbin(&text).ok_or(Errno::ENOEXEC)?;
-        let handler: ExecHandler = self.exec_handler(&program).ok_or(Errno::ENOEXEC)?;
+        let program = parse_simbin(self.fs.node(node)?.file_data()?).ok_or(Errno::ENOEXEC)?;
+        let handler: ExecHandler = self.exec_handler(program).ok_or(Errno::ENOEXEC)?;
         Ok(handler(self, pid, argv))
     }
 
@@ -978,10 +988,10 @@ impl Kernel {
     /// behaviour of invoking `ldd` on the binary (§3.1.4).
     pub fn ldd(&self, node: NodeId) -> SysResult<Vec<String>> {
         let content = self.fs.node(node)?.file_data()?;
-        let text = String::from_utf8_lossy(content);
-        if parse_simbin(&text).is_none() {
+        if parse_simbin(content).is_none() {
             return Err(Errno::ENOEXEC);
         }
+        let text = String::from_utf8_lossy(content);
         Ok(text
             .lines()
             .filter_map(|l| l.strip_prefix("NEEDS "))
@@ -990,16 +1000,12 @@ impl Kernel {
     }
 }
 
-/// Parse the `#!SIMBIN <program>` header.
-fn parse_simbin(text: &str) -> Option<String> {
-    let first = text.lines().next()?;
-    let rest = first.strip_prefix("#!SIMBIN ")?;
-    let name = rest.trim();
-    if name.is_empty() {
-        None
-    } else {
-        Some(name.to_string())
-    }
+/// Parse the `#!SIMBIN <program>` header, in place.
+fn parse_simbin(content: &[u8]) -> Option<&str> {
+    let first = content.split(|&b| b == b'\n').next()?;
+    let rest = first.strip_prefix(b"#!SIMBIN ")?;
+    let name = std::str::from_utf8(rest).ok()?.trim();
+    (!name.is_empty()).then_some(name)
 }
 
 #[cfg(test)]

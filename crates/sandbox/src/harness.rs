@@ -10,7 +10,7 @@
 //! policy labels on kernel objects, not descriptors, so a launch costs
 //! O(its grants) however much the runtime has opened before it.
 
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use shill_cap::{CapPrivs, Priv, PrivSet};
 use shill_kernel::{Fd, Kernel, ObjId, Pid, Ulimits};
@@ -48,6 +48,12 @@ pub struct SandboxSpec {
     pub stdin: Option<Fd>,
     pub stdout: Option<Fd>,
     pub stderr: Option<Fd>,
+    /// What each stdio wiring (stdin, stdout, stderr) may grant on the
+    /// object behind it: the session gets these within the slot's own
+    /// privileges, `{+read, +stat}` for stdin and `{+write, +append,
+    /// +stat}` for stdout and stderr. `None` grants the slot's privileges
+    /// whole. `exec` passes each stdio capability's grant here.
+    pub stdio_privs: [Option<Arc<CapPrivs>>; 3],
     /// Resource limits for the child (paper Figure 7 footnote).
     pub ulimits: Option<Ulimits>,
     /// Create the session in debug mode (§3.2.2).
@@ -63,6 +69,7 @@ impl Default for SandboxSpec {
             stdin: None,
             stdout: None,
             stderr: None,
+            stdio_privs: [None, None, None],
             ulimits: None,
             debug: false,
         }
@@ -86,11 +93,15 @@ pub fn setup_sandbox(
     parent: Pid,
     spec: &SandboxSpec,
 ) -> SysResult<Sandbox> {
-    let stdio: Vec<(Fd, Fd)> = spec
-        .stdio()
-        .filter_map(|(src, dst, _)| Some((src?, dst)))
-        .collect();
-    let child = k.spawn(parent, &stdio)?;
+    let mut stdio = [(Fd::STDIN, Fd::STDIN); 3];
+    let mut wired = 0;
+    for (src, dst) in spec.stdio() {
+        if let Some(src) = src {
+            stdio[wired] = (src, dst);
+            wired += 1;
+        }
+    }
+    let child = k.spawn(parent, &stdio[..wired])?;
     match setup_sandbox_child(k, policy, parent, child, spec) {
         Ok(session) => Ok(Sandbox { child, session }),
         Err(e) => {
@@ -101,18 +112,41 @@ pub fn setup_sandbox(
     }
 }
 
+/// What wiring stdin grants at most.
+static STDIN_PRIVS: LazyLock<Arc<CapPrivs>> =
+    LazyLock::new(|| Arc::new(CapPrivs::of(PrivSet::of(&[Priv::Read, Priv::Stat]))));
+
+/// What wiring stdout or stderr grants at most.
+static STDOUT_PRIVS: LazyLock<Arc<CapPrivs>> = LazyLock::new(|| {
+    Arc::new(CapPrivs::of(PrivSet::of(&[
+        Priv::Write,
+        Priv::Append,
+        Priv::Stat,
+    ])))
+});
+
 impl SandboxSpec {
-    /// Each stdio slot: the parent descriptor wired into it (if any), the
-    /// child descriptor number, and the privileges the wiring grants.
-    fn stdio(&self) -> impl Iterator<Item = (Option<Fd>, Fd, PrivSet)> {
-        let read = PrivSet::of(&[Priv::Read, Priv::Stat]);
-        let write = PrivSet::of(&[Priv::Write, Priv::Append, Priv::Stat]);
+    /// Each stdio slot: the parent descriptor wired into it (if any) and
+    /// the child descriptor number.
+    fn stdio(&self) -> [(Option<Fd>, Fd); 3] {
         [
-            (self.stdin, Fd::STDIN, read),
-            (self.stdout, Fd::STDOUT, write),
-            (self.stderr, Fd::STDERR, write),
+            (self.stdin, Fd::STDIN),
+            (self.stdout, Fd::STDOUT),
+            (self.stderr, Fd::STDERR),
         ]
-        .into_iter()
+    }
+
+    /// What wiring stdio slot `slot` grants.
+    fn stdio_grant(&self, slot: usize) -> Arc<CapPrivs> {
+        let most = if slot == 0 {
+            &*STDIN_PRIVS
+        } else {
+            &*STDOUT_PRIVS
+        };
+        match &self.stdio_privs[slot] {
+            Some(given) => Arc::clone(given).within(most.privs),
+            None => Arc::clone(most),
+        }
     }
 }
 
@@ -128,6 +162,10 @@ fn setup_sandbox_child(
     if spec.debug {
         policy.set_debug(session, true)?;
     }
+    // The session's labels: one per grant and per wired stdio slot, and
+    // room for as many again that the child's lookups propagate from them.
+    let stdio = spec.stdio().iter().filter(|(src, _)| src.is_some()).count();
+    policy.reserve_labels(session, 2 * (spec.grants.len() + stdio))?;
     for g in &spec.grants {
         policy.shill_grant(k, parent, session, g.obj, Arc::clone(&g.privs))?;
     }
@@ -140,14 +178,14 @@ fn setup_sandbox_child(
     // stdio descriptors are capabilities passed to the sandbox (`exec(...,
     // stdout = out)` in the paper): the spawn wired them into fds 0-2; grant
     // the backing kernel object to the session with the matching privileges.
-    for (src, _, privs) in spec.stdio() {
+    for (slot, (src, _)) in spec.stdio().into_iter().enumerate() {
         let Some(fd) = src else { continue };
         let obj = match k.fd_object(parent, fd)? {
             shill_kernel::FdObject::Vnode(n) => ObjId::Vnode(n),
             shill_kernel::FdObject::Pipe(id, _) => ObjId::Pipe(id),
             shill_kernel::FdObject::Socket(s) => ObjId::Socket(s),
         };
-        policy.shill_grant(k, parent, session, obj, Arc::new(CapPrivs::of(privs)))?;
+        policy.shill_grant(k, parent, session, obj, spec.stdio_grant(slot))?;
     }
     if let Some(l) = spec.ulimits {
         k.set_ulimits(child, l)?;

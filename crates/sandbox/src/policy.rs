@@ -423,6 +423,15 @@ impl ShillPolicy {
         Ok(sid)
     }
 
+    /// Make room in `session`'s label map for `additional` more labels, so
+    /// populating it does not grow the map step by step.
+    pub fn reserve_labels(&self, session: SessionId, additional: usize) -> SysResult<()> {
+        let mut st = self.stripe_write(session);
+        let s = st.sessions.get_mut(&session).ok_or(Errno::EINVAL)?;
+        s.labels.reserve(additional);
+        Ok(())
+    }
+
     /// `shill_grant`: give `session` privileges on a kernel object.
     /// Only possible before `shill_enter`; a granter inside an entered
     /// session (its label in `k`) can only attenuate (grant a subset of
@@ -847,7 +856,7 @@ impl MacPolicy for ShillPolicy {
         &self,
         ctx: MacCtx,
         outcomes: &[Option<Errno>],
-        waves: &[Vec<usize>],
+        dag: &shill_kernel::BatchDag,
         wave_ns: &[u64],
     ) {
         // Span events are verbose-gated; skip everything (including the
@@ -881,8 +890,8 @@ impl MacPolicy for ShillPolicy {
             }
             wave
         };
-        let waves: Vec<crate::log::BatchWaveAudit> = waves
-            .iter()
+        let waves: Vec<crate::log::BatchWaveAudit> = dag
+            .waves()
             .enumerate()
             .map(|(i, w)| {
                 let mut audit = split(w);
@@ -937,6 +946,24 @@ impl MacPolicy for ShillPolicy {
         if !privs.is_empty() {
             merge_label(&mut s.labels, sock, Arc::new(CapPrivs::of(privs)));
         }
+    }
+
+    fn pipe_check_create(&self, ctx: MacCtx) -> SysResult<()> {
+        let Some(sid) = session(ctx.label) else {
+            return Ok(());
+        };
+        // §3.1.1: creating pipes is the right a pipe factory grants.
+        let denied = {
+            let st = self.stripe_read(sid);
+            st.sessions
+                .get(&sid)
+                .is_some_and(|s| s.meta.entered && !s.meta.pipe_factory)
+        };
+        if !denied {
+            return Ok(());
+        }
+        self.counters.denials.fetch_add(1, Ordering::Relaxed);
+        Err(Errno::EACCES)
     }
 
     fn pipe_check(&self, ctx: MacCtx, pipe: ObjId, op: PipeOp) -> SysResult<()> {

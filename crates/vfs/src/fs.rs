@@ -479,7 +479,14 @@ impl Filesystem {
 
     /// List names in a directory (sorted; `BTreeMap` order).
     pub fn readdir(&self, dir: NodeId) -> SysResult<Vec<String>> {
-        Ok(self.node(dir)?.dir_entries()?.keys().cloned().collect())
+        Ok(self.entry_names(dir)?.map(str::to_owned).collect())
+    }
+
+    /// A directory's entry names, borrowed, in [`Filesystem::readdir`]'s
+    /// order: a caller that keeps a name copies it once, into its own
+    /// representation.
+    pub fn entry_names(&self, dir: NodeId) -> SysResult<impl ExactSizeIterator<Item = &str>> {
+        Ok(self.node(dir)?.dir_entries()?.keys().map(String::as_str))
     }
 
     /// Read a symlink's target.
@@ -512,24 +519,41 @@ impl Filesystem {
     /// Reconstruct an absolute path for `node` from the name cache, the
     /// mechanism behind the paper's new `path` system call. Returns `None`
     /// when any ancestor link has been purged from the cache.
+    /// The path is written into one buffer: a first walk up the cache
+    /// measures it, a second fills it from the end.
     pub fn path_of(&self, node: NodeId) -> Option<String> {
         if node == self.root {
             return Some("/".to_string());
         }
-        let mut parts: Vec<&str> = Vec::new();
-        let mut cur = node;
-        let mut hops = 0;
-        while cur != self.root {
-            let (parent, name) = self.name_cache.get(&cur)?;
-            parts.push(name);
-            cur = *parent;
+        let ancestry = |mut cur: NodeId| {
+            std::iter::from_fn(move || {
+                if cur == self.root {
+                    return None;
+                }
+                let (parent, name) = self.name_cache.get(&cur)?;
+                cur = *parent;
+                Some((cur, name.as_str()))
+            })
+        };
+        let (mut len, mut hops, mut top) = (0, 0, node);
+        for (parent, name) in ancestry(node) {
+            len += 1 + name.len();
             hops += 1;
+            top = parent;
             if hops > 4096 {
                 return None; // defensive: corrupted cache
             }
         }
-        parts.reverse();
-        Some(format!("/{}", parts.join("/")))
+        if top != self.root {
+            return None; // an ancestor's link was purged
+        }
+        let mut path = vec![b'/'; len];
+        let mut end = len;
+        for (_, name) in ancestry(node) {
+            path[end - name.len()..end].copy_from_slice(name.as_bytes());
+            end -= name.len() + 1;
+        }
+        Some(String::from_utf8(path).expect("names are UTF-8"))
     }
 
     /// Drop `node`'s name-cache entry. A node a descriptor still holds

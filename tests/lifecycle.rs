@@ -266,3 +266,83 @@ find_fine(open_dir("/usr/src"), open_file("/tmp/matches.txt"), wallet)
     );
     assert_eq!(k.avc().entries_for(pid), 0);
 }
+
+/// `keep` restricts a file under a contract and hands it back; `slurp`
+/// reads one.
+const KEEP_CAP: &str = r#"#lang shill/cap
+provide keep : {f : file(+read, +path)} -> any;
+provide slurp : {f : file(+read)} -> is_string;
+keep = fun(f) { f };
+slurp = fun(f) { read(f) };
+"#;
+
+fn fd_of(v: &Value) -> Fd {
+    match v {
+        Value::Cap(c) => c.raw.fd().expect("a descriptor"),
+        other => panic!("not a capability: {other:?}"),
+    }
+}
+
+#[test]
+fn a_restricted_copy_shares_its_originals_descriptor_which_closes_with_the_last_copy() {
+    let mut rt = runtime(kernel_with_files(1));
+    rt.add_script("keep.cap", KEEP_CAP);
+    let start = runtime_fds(&mut rt);
+    let original = rt.run_ok("#lang shill/ambient\nopen_file(\"/data/f0000\")");
+    let keep = rt.run_ok("#lang shill/ambient\nrequire \"keep.cap\";\nkeep");
+    let slurp = rt.run_ok("#lang shill/ambient\nrequire \"keep.cap\";\nslurp");
+    let copy = rt
+        .interp
+        .apply(keep, vec![original.clone()], vec![])
+        .unwrap();
+    assert_eq!(fd_of(&copy), fd_of(&original), "one descriptor");
+    assert_eq!(runtime_fds(&mut rt), start + 1);
+
+    drop(copy);
+    rt.kernel().drain_closes();
+    assert_eq!(
+        runtime_fds(&mut rt),
+        start + 1,
+        "the original holds it open"
+    );
+    let read = rt
+        .interp
+        .apply(slurp, vec![original.clone()], vec![])
+        .unwrap();
+    assert!(matches!(&read, Value::Str(s) if &**s == "x"), "{read:?}");
+
+    drop(original);
+    rt.kernel().drain_closes();
+    assert_eq!(runtime_fds(&mut rt), start, "closed with the last copy");
+}
+
+#[test]
+fn a_derived_capability_keeps_its_name_after_its_directory_listing_is_gone() {
+    let mut k = Kernel::new();
+    k.fs.put_file("/src/main.c", b"int x;", Mode(0o644), Uid::ROOT, Gid::WHEEL)
+        .unwrap();
+    let mut rt = runtime(k);
+    rt.add_script(
+        "pick.cap",
+        r#"#lang shill/cap
+provide pick : {d : dir(+contents, +lookup, +path)} -> any;
+provide is_c : {f : file(+path)} -> is_bool;
+provide peek : {f : file(+path)} -> any;
+pick = fun(d) { lookup(d, nth(contents(d), 0)) };
+is_c = fun(f) { has_ext(f, "c") };
+peek = fun(f) { read(f) };
+"#,
+    );
+    // `pick`'s listing, and the name string it read, die with its frame.
+    let picked = rt.run_ok("#lang shill/ambient\nrequire \"pick.cap\";\npick(open_dir(\"/src\"))");
+    let is_c = rt.run_ok("#lang shill/ambient\nrequire \"pick.cap\";\nis_c");
+    let peek = rt.run_ok("#lang shill/ambient\nrequire \"pick.cap\";\npeek");
+    let ext = rt.interp.apply(is_c, vec![picked.clone()], vec![]).unwrap();
+    assert!(matches!(ext, Value::Bool(true)), "{ext:?}");
+    match rt.interp.apply(peek, vec![picked], vec![]).unwrap_err() {
+        ShillError::Violation(v) => {
+            assert!(v.message.contains("capability `main.c`"), "{}", v.message)
+        }
+        other => panic!("{other}"),
+    }
+}

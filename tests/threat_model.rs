@@ -275,3 +275,155 @@ fn sandbox_cannot_escape_via_dotdot() {
         shill::vfs::Errno::EACCES
     );
 }
+
+/// A runtime whose kernel has two registered binaries and an empty
+/// `/tmp/out.txt`: `/bin/writer` writes `written\n` to its stdout, and
+/// `/bin/piper` creates a pipe. Each exits 0 when the kernel lets it, 1
+/// when it refuses.
+fn launcher_runtime(module: &str, source: &str) -> ShillRuntime {
+    use std::sync::Arc;
+    let mut k = shill::setup::standard_kernel();
+    k.register_exec(
+        "writer",
+        Arc::new(|k: &mut Kernel, pid: Pid, _argv: &[String]| {
+            i32::from(k.write(pid, Fd::STDOUT, b"written\n").is_err())
+        }),
+    );
+    k.register_exec(
+        "piper",
+        Arc::new(|k: &mut Kernel, pid: Pid, _argv: &[String]| i32::from(k.pipe(pid).is_err())),
+    );
+    for bin in ["writer", "piper"] {
+        let text = format!("#!SIMBIN {bin}\n");
+        k.fs.put_file(
+            &format!("/bin/{bin}"),
+            text.as_bytes(),
+            Mode(0o755),
+            Uid::ROOT,
+            Gid::WHEEL,
+        )
+        .unwrap();
+    }
+    k.fs.put_file("/tmp/out.txt", b"", Mode(0o666), Uid::ROOT, Gid::WHEEL)
+        .unwrap();
+    let mut rt = ShillRuntime::new(k, RuntimeConfig::WithPolicy, Cred::ROOT);
+    rt.add_script(module, source);
+    rt
+}
+
+fn out_text(rt: &mut ShillRuntime) -> String {
+    let node = rt.kernel().fs.resolve_abs("/tmp/out.txt").unwrap();
+    String::from_utf8(rt.kernel().fs.read(node, 0, 1 << 10).unwrap()).unwrap()
+}
+
+/// `f(open_file("/tmp/out.txt"), open_file("/bin/<prog>"))` from `m.cap`.
+fn run_launcher(rt: &mut ShillRuntime, prog: &str) -> Result<Value, ShillError> {
+    rt.run(
+        "main",
+        &format!(
+            "#lang shill/ambient\nrequire \"m.cap\";\n\
+             f(open_file(\"/tmp/out.txt\"), open_file(\"/bin/{prog}\"))"
+        ),
+    )
+}
+
+const STDIO_PROG: &str = "prog : file(+exec, +read, +stat, +path)";
+
+#[test]
+fn a_stdout_capability_without_append_cannot_be_written_through_exec() {
+    // §2.3: "the MAC policy further limits access to the resource
+    // according to the capability's contract". A stdout whose contract
+    // does not allow +append is refused at the exec, with the blame the
+    // `append` builtin would carry, and nothing is written.
+    let refusal = |body: &str| {
+        let source = format!(
+            "#lang shill/cap\nprovide f : {{out : file(+read, +stat, +path), {STDIO_PROG}}} -> any;\n\
+             f = fun(out, prog) {{ {body} }};\n"
+        );
+        let mut rt = launcher_runtime("m.cap", &source);
+        let err = run_launcher(&mut rt, "writer").unwrap_err();
+        (err, out_text(&mut rt))
+    };
+    let (by_exec, written) = refusal("exec(prog, [\"writer\"], stdout = out)");
+    let (by_append, _) = refusal("append(out, \"written\\n\")");
+    match (&by_exec, &by_append) {
+        (ShillError::Violation(e), ShillError::Violation(a)) => {
+            assert!(e.message.contains("+append"), "{e}");
+            assert_eq!(e.to_string(), a.to_string());
+        }
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(written, "", "the sandbox wrote nothing");
+}
+
+#[test]
+fn an_append_only_stdout_gives_the_sandbox_no_write() {
+    // Under file(+append, +stat, +path) the language lets the exec
+    // through, and the session gets the contract's {+append, +stat}: by
+    // §3.2.3's coarser rule a sandboxed write needs +write, so the child's
+    // write is refused.
+    let source = format!(
+        "#lang shill/cap\nprovide f : {{out : file(+append, +stat, +path), {STDIO_PROG}}} -> any;\n\
+         f = fun(out, prog) {{ exec(prog, [\"writer\"], stdout = out) }};\n"
+    );
+    let mut rt = launcher_runtime("m.cap", &source);
+    let status = run_launcher(&mut rt, "writer").expect("the exec runs");
+    assert!(matches!(status, Value::Num(1)), "write refused: {status:?}");
+    assert_eq!(out_text(&mut rt), "");
+}
+
+#[test]
+fn a_sealed_pipe_factory_in_extras_grants_only_its_bound() {
+    // §2.4.2: a sealed value may be used only within its bound. A pipe
+    // factory sealed under `forall X with {+path}` passed in `extras`
+    // gives the sandbox no right to create pipes; the same factory
+    // unsealed does.
+    let launch = |contract: &str| {
+        let source = format!(
+            "#lang shill/cap\nprovide f : {contract};\n\
+             f = fun(pf, prog) {{ exec(prog, [\"piper\"], extras = [pf]) }};\n"
+        );
+        let mut rt = launcher_runtime("m.cap", &source);
+        rt.run(
+            "main",
+            "#lang shill/ambient\nrequire \"m.cap\";\nf(pipe_factory, open_file(\"/bin/piper\"))",
+        )
+        .expect("the exec runs")
+    };
+    let sealed = launch(&format!(
+        "forall X with {{+path}} . {{pf : X, {STDIO_PROG}}} -> any"
+    ));
+    assert!(matches!(sealed, Value::Num(1)), "pipe refused: {sealed:?}");
+    let unsealed = launch(&format!("{{pf : pipe_factory, {STDIO_PROG}}} -> any"));
+    assert!(
+        matches!(unsealed, Value::Num(0)),
+        "pipe created: {unsealed:?}"
+    );
+}
+
+#[test]
+fn a_launch_that_stops_early_leaves_no_grant_for_the_next() {
+    // `exec` reuses its grant buffers from one launch to the next: what a
+    // launch added before it failed must not reach the next sandbox.
+    let source = format!(
+        "#lang shill/cap\nprovide f : {{pf : pipe_factory, {STDIO_PROG}}} -> any;\n\
+         provide g : {{{STDIO_PROG}}} -> any;\n\
+         f = fun(pf, prog) {{ exec(prog, [\"piper\"], extras = [pf], bogus = 1) }};\n\
+         g = fun(prog) {{ exec(prog, [\"piper\"]) }};\n"
+    );
+    let mut rt = launcher_runtime("m.cap", &source);
+    let err = rt
+        .run(
+            "main",
+            "#lang shill/ambient\nrequire \"m.cap\";\nf(pipe_factory, open_file(\"/bin/piper\"))",
+        )
+        .unwrap_err();
+    assert!(err.to_string().contains("unknown keyword"), "{err}");
+    let status = rt
+        .run(
+            "next",
+            "#lang shill/ambient\nrequire \"m.cap\";\ng(open_file(\"/bin/piper\"))",
+        )
+        .expect("the exec runs");
+    assert!(matches!(status, Value::Num(1)), "pipe refused: {status:?}");
+}
