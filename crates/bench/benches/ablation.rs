@@ -21,8 +21,6 @@
 //!   sessions run one after another on one thread.
 //! * **policy** — concurrent session churn against the striped policy
 //!   plane at 1, 2 and 4 shards.
-//! * **lang** — a SHILL script's async pipeline (one `await_all`) vs its
-//!   sequential twin: time and batch submissions per round.
 //! * **server** — storms of concurrent authenticated TCP sessions
 //!   (`SHILL_BENCH_SERVER_SESSIONS`, default 1000) against one
 //!   multi-tenant server, one storm per round: open rate, throughput, and
@@ -774,98 +772,6 @@ fn bench_policy() {
     g.write();
 }
 
-/// The lang group's script pair: the async pipeline and its sequential
-/// twin, identical work — copy src→dst (slot-linked), two reads, one stat
-/// sweep — differing only in when the kernel sees it.
-const LANG_PIPELINE: &str = r#"#lang shill/cap
-require shill/filesys;
-provide fused :
-  {src : file(+read), a : file(+read), b : file(+read),
-   d : dir(+contents, +lookup, +stat), dst : file(+write)} -> is_list;
-provide sequential :
-  {src : file(+read), a : file(+read), b : file(+read),
-   d : dir(+contents, +lookup, +stat), dst : file(+write)} -> is_list;
-fused = fun(src, a, b, d, dst) {
-  f0 = async copy_file(src, dst);
-  f1 = async read(a);
-  f2 = async read(b);
-  f3 = async dir_stats(d);
-  await_all([f0, f1, f2, f3])
-};
-sequential = fun(src, a, b, d, dst) {
-  [copy_file(src, dst), read(a), read(b), dir_stats(d)]
-};
-"#;
-
-/// One lang-group round: drive `rounds` pipeline invocations through a
-/// fresh runtime, returning (ns/round, batch submissions/round).
-fn lang_mode_run(mode: &str, rounds: usize) -> (f64, f64) {
-    let mut rt = shill::setup::standard_runtime();
-    for (path, data) in [
-        ("/home/user/lang/src.bin", vec![b'p'; 16_384]),
-        ("/home/user/lang/a.txt", b"alpha".to_vec()),
-        ("/home/user/lang/b.txt", b"bravo".to_vec()),
-        ("/home/user/lang/dst.bin", Vec::new()),
-    ] {
-        rt.kernel()
-            .fs
-            .put_file(path, &data, Mode(0o644), Uid(100), Gid(100))
-            .unwrap();
-    }
-    for i in 0..6 {
-        rt.kernel()
-            .fs
-            .put_file(
-                &format!("/home/user/lang/sweep/s{i}.txt"),
-                &vec![b's'; 100 * (i + 1)],
-                Mode(0o644),
-                Uid(100),
-                Gid(100),
-            )
-            .unwrap();
-    }
-    rt.add_script("pipeline.cap", LANG_PIPELINE);
-    let driver = format!(
-        r#"#lang shill/ambient
-require "pipeline.cap";
-{mode}(open_file("/home/user/lang/src.bin"), open_file("/home/user/lang/a.txt"),
-   open_file("/home/user/lang/b.txt"), open_dir("/home/user/lang/sweep"),
-   open_file("/home/user/lang/dst.bin"))
-"#
-    );
-    // Warm the module cache and the AVC before timing.
-    rt.run("warmup", &driver).expect("warmup");
-    let before = rt.kernel().stats_snapshot();
-    let t0 = Instant::now();
-    for i in 0..rounds {
-        rt.run(&format!("round{i}"), &driver).expect("round");
-    }
-    let elapsed = t0.elapsed().as_nanos() as f64;
-    let after = rt.kernel().stats_snapshot();
-    (
-        elapsed / rounds as f64,
-        (after.batches - before.batches) as f64 / rounds as f64,
-    )
-}
-
-/// Language-surface fusion: the async script vs its sequential twin. The
-/// submission count is the structural claim (ONE accumulated
-/// `submit_batch` per round vs one private batch per operation) and is
-/// machine-independent; time per round is box-dependent.
-fn bench_lang() {
-    const ARMS: [&str; 2] = ["fused", "sequential"];
-    let r = interleave(runs(), 2, |arm| lang_mode_run(ARMS[arm], 60));
-    let mut g = Group::new("lang");
-    g.per_arm("time", "ns/round", &ARMS, &r, |m| m.0);
-    g.ratio("time_ratio", &ARMS, &r, 1, 0, |m| m.0);
-    g.per_arm("submissions", "count/round", &ARMS, &r, |m| m.1);
-    g.write();
-    assert!(
-        r.stats(0, |m| m.1).median < r.stats(1, |m| m.1).median,
-        "the fused script must submit fewer batches than its twin"
-    );
-}
-
 /// Server front-end load generation. Open `sessions` concurrent
 /// authenticated TCP connections (thread-per-connection on the server
 /// side, `DRIVERS` client threads each owning a slice), then push `ROUNDS`
@@ -1025,13 +931,12 @@ fn bench_server() {
     assert_eq!(open_sessions(), 0, "sessions must all close");
 }
 
-const GROUPS: [(&str, fn()); 7] = [
+const GROUPS: [(&str, fn()); 6] = [
     ("cache", bench_cache),
     ("batch", bench_batch),
     ("sched", bench_sched),
     ("shard", bench_shard),
     ("policy", bench_policy),
-    ("lang", bench_lang),
     ("server", bench_server),
 ];
 
@@ -1040,7 +945,7 @@ fn main() {
         "Ablation benches — design-choice costs ({} interleaved rounds; median [IQR])",
         runs()
     );
-    // `SHILL_BENCH_ONLY=policy,lang` (comma-separated group names) runs a
+    // `SHILL_BENCH_ONLY=policy,server` (comma-separated group names) runs a
     // subset.
     let only = std::env::var("SHILL_BENCH_ONLY").ok();
     let wanted: Vec<&str> = only

@@ -97,20 +97,6 @@ impl Drop for CapFd {
     }
 }
 
-/// A capability's descriptor number and a copy of the capability, which
-/// keeps the descriptor open.
-#[derive(Debug, Clone)]
-pub struct FdHandle {
-    fd: Fd,
-    _cap: RawCap,
-}
-
-impl FdHandle {
-    pub fn fd(&self) -> Fd {
-        self.fd
-    }
-}
-
 /// What a capability designates, read through [`RawCap`].
 #[derive(Debug)]
 pub struct CapObj {
@@ -191,15 +177,6 @@ impl RawCap {
     /// The descriptor in the runtime process, if the capability has one.
     pub fn fd(&self) -> Option<Fd> {
         self.0.fd.as_ref().map(|h| h.fd)
-    }
-
-    /// The descriptor, held open by a copy of the capability: deferred
-    /// I/O that resolves after the capability itself is gone holds one.
-    pub fn fd_handle(&self) -> Option<FdHandle> {
-        Some(FdHandle {
-            fd: self.fd()?,
-            _cap: self.clone(),
-        })
     }
 
     /// Whether `self` and `other` are copies of one capability (one

@@ -209,6 +209,17 @@ impl GuardedCap {
         derive(&self.guards, op)
     }
 
+    /// Check privilege `op` on the guards a capability derived from this
+    /// one through `via` would carry, without deriving one: what a
+    /// child that `lookup` returns could do, say.
+    pub fn check_derived(&self, via: Priv, op: Priv) -> Result<(), Violation> {
+        GuardedCap {
+            raw: self.raw.clone(),
+            guards: self.derive_guards(via),
+        }
+        .check(op)
+    }
+
     // --- checked operations -------------------------------------------------
 
     /// `path` builtin (requires `+path`).

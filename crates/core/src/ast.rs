@@ -177,13 +177,6 @@ pub enum Expr {
     /// A contract written in expression position (contracts are values and
     /// can be bound to names, enabling user-defined contract abbreviations).
     Contract(Box<ContractExpr>, Pos),
-    /// `async e` — evaluate `e` with I/O builtins deferring into the
-    /// interpreter's accumulated batch; yields a future.
-    Async(Box<Expr>, Pos),
-    /// `await e` — force a future: flush the accumulated batch in one
-    /// scheduled submission and return the resolved value. Non-future
-    /// operands pass through unchanged.
-    Await(Box<Expr>, Pos),
 }
 
 impl Expr {
@@ -201,9 +194,7 @@ impl Expr {
             | Expr::For { pos: p, .. }
             | Expr::Unary { pos: p, .. }
             | Expr::Binary { pos: p, .. }
-            | Expr::Contract(_, p)
-            | Expr::Async(_, p)
-            | Expr::Await(_, p) => *p,
+            | Expr::Contract(_, p) => *p,
         }
     }
 }

@@ -8,7 +8,7 @@ use std::time::Instant;
 
 use shill_cap::{CapKind, CapPrivs, Priv, PrivSet, RawCap};
 use shill_contracts::{CapError, GuardedCap};
-use shill_kernel::{BatchEntry, BatchOut, FdObject, ObjId, ScheduledRun, SyscallBatch, Ulimits};
+use shill_kernel::{FdObject, ObjId, Ulimits};
 use shill_sandbox::{Grant, SandboxSpec};
 use shill_vfs::{Errno, Mode};
 
@@ -60,9 +60,6 @@ builtins! {
     Read = "read",
     Write = "write",
     Append = "append",
-    AwaitAll = "await_all",
-    Select = "select",
-    StreamRead = "stream_read",
     Contents = "contents",
     Lookup = "lookup",
     CreateFile = "create_file",
@@ -306,63 +303,27 @@ pub fn call_builtin(
         }
 
         // --- file operations ------------------------------------------------
-        // `read`/`write` run their batch fragment (`crate::batchio`): same
-        // guard checks and per-chunk MAC interposition, one kernel crossing
-        // per window instead of one per chunk, deferred inside `async`.
-        // Pipes, sockets and devices decline the fragment and go through
-        // the checked raw path.
+        // `read`/`write` submit batches (`crate::batchio`): same guard
+        // checks and per-chunk MAC interposition, one kernel crossing per
+        // window instead of one per chunk. Pipes, sockets and devices go
+        // through the checked raw path.
         Read => {
             arity(args, 1, name)?;
             let cap = interp.unseal_for(&args[0], Priv::Read)?;
-            cap_result(match interp.batchable(|acc, _, _| acc.defer_read(cap)) {
-                Ok(Some(v)) => Ok(v),
-                Ok(None) => cap
-                    .read_all(&mut interp.kernel, interp.pid)
+            cap_result(
+                crate::batchio::cap_read_all(&mut interp.kernel, interp.pid, cap)
                     .map(|d| Value::str(String::from_utf8_lossy(&d).into_owned())),
-                Err(e) => Err(e),
-            })
+            )
         }
         Write => {
             arity(args, 2, name)?;
-            let mut data = want_str(&args[1], "data")?.as_bytes().to_vec();
+            let data = want_str(&args[1], "data")?.as_bytes().to_vec();
             let cap = interp.unseal_for(&args[0], Priv::Write)?;
             cap_result(
-                match interp.batchable(|acc, _, _| acc.defer_write(cap, &mut data)) {
-                    Ok(Some(v)) => Ok(v),
-                    Ok(None) => cap
-                        .write_all(&mut interp.kernel, interp.pid, &data)
-                        .map(|()| Value::Void),
-                    Err(e) => Err(e),
-                },
+                crate::batchio::cap_write(&mut interp.kernel, interp.pid, cap, data)
+                    .map(|()| Value::Void),
             )
         }
-        // --- completion-model surface (deferred execution) -------------------
-        AwaitAll => {
-            arity(args, 1, name)?;
-            let items: Vec<Value> = match &args[0] {
-                Value::List(l) => l.iter().cloned().collect(),
-                other => vec![other.clone()],
-            };
-            // One flush resolves every listed future (and any other
-            // accumulated fragment) in a single scheduled submission.
-            if items
-                .iter()
-                .any(|v| matches!(v, Value::Future(f) if f.is_pending()))
-            {
-                interp.flush_deferred();
-            }
-            Ok(Value::list(
-                items
-                    .into_iter()
-                    .map(|v| match v {
-                        Value::Future(f) => f.ready_value().unwrap_or(Value::Void),
-                        other => other,
-                    })
-                    .collect(),
-            ))
-        }
-        Select => builtin_select(interp, args),
-        StreamRead => builtin_stream_read(interp, args),
         Append => {
             arity(args, 2, name)?;
             let data = want_str(&args[1], "data")?;
@@ -795,194 +756,6 @@ fn obj_of(interp: &Interp, cap: &GuardedCap) -> Option<ObjId> {
         FdObject::Vnode(n) => Some(ObjId::Vnode(n)),
         FdObject::Pipe(id, _) => Some(ObjId::Pipe(id)),
         FdObject::Socket(s) => Some(ObjId::Socket(s)),
-    }
-}
-
-/// The `select` builtin: wait until the *first* of the listed futures
-/// completes and return its index. The accumulated batch still runs to
-/// completion (every deferred fragment executes and resolves — select
-/// never abandons work), but the winner is decided by scheduler wave
-/// order: the first list element whose slots have all completed when a
-/// wave drains wins.
-fn builtin_select(interp: &mut Interp, args: &[Value]) -> EvalResult {
-    arity(args, 1, "select")?;
-    let items: Vec<Value> = match &args[0] {
-        Value::List(l) => l.iter().cloned().collect(),
-        other => vec![other.clone()],
-    };
-    if items.is_empty() {
-        return Err(ShillError::Runtime(
-            "select expects a non-empty list".into(),
-        ));
-    }
-    // Any already-resolved element wins immediately, earliest index first.
-    for (i, v) in items.iter().enumerate() {
-        if !matches!(v, Value::Future(f) if f.is_pending()) {
-            return Ok(Value::Num(i as i64));
-        }
-    }
-    let Some(acc) = interp.deferred.take() else {
-        return Err(ShillError::Runtime(
-            "select: pending futures with no accumulated batch".into(),
-        ));
-    };
-    let slot_sets: Vec<Vec<usize>> = items
-        .iter()
-        .map(|v| match v {
-            Value::Future(f) => f.pending_slots().unwrap_or_default(),
-            _ => Vec::new(),
-        })
-        .collect();
-    let (batch, futures) = acc.into_parts();
-    let pid = interp.pid;
-    let mut run = match ScheduledRun::prepare(pid, batch) {
-        Ok(r) => r,
-        Err(e) => {
-            // Submission-level failure: every future sees the same errno,
-            // exactly as a failed flush would report it.
-            for f in &futures {
-                f.set_ready(Value::SysErr(e));
-            }
-            return Ok(Value::SysErr(e));
-        }
-    };
-    let mut winner: Option<usize> = None;
-    loop {
-        let more = match interp.kernel.sched_run_wave(&mut run) {
-            Ok(m) => m,
-            Err(e) => {
-                for f in &futures {
-                    f.set_ready(Value::SysErr(e));
-                }
-                return Ok(Value::SysErr(e));
-            }
-        };
-        if winner.is_none() {
-            let done = run.completed_slots();
-            winner = slot_sets
-                .iter()
-                .position(|set| !set.is_empty() && set.iter().all(|s| done.contains(s)));
-        }
-        if !more {
-            break;
-        }
-    }
-    if let Err(e) = interp.kernel.sched_audit(&run) {
-        for f in &futures {
-            f.set_ready(Value::SysErr(e));
-        }
-        return Ok(Value::SysErr(e));
-    }
-    let mut slots = run.into_results();
-    crate::batchio::resolve_futures(&mut interp.kernel, pid, &mut slots, &futures);
-    Ok(Value::Num(winner.unwrap_or(0) as i64))
-}
-
-/// The `stream_read` builtin: read a file in fixed-size chunks, invoking
-/// `handler(chunk)` as each scheduler wave completes instead of buffering
-/// the whole file. Each round submits a chain of dependent reads so the
-/// kernel streams one completion per wave (`sched_run_wave`).
-fn builtin_stream_read(interp: &mut Interp, args: &[Value]) -> EvalResult {
-    arity(args, 2, "stream_read")?;
-    let cap = interp.unseal_for(&args[0], Priv::Read)?;
-    let handler = args[1].clone();
-    if let Err(e) = cap.check(Priv::Read) {
-        return cap_result(Err(CapError::Violation(e)));
-    }
-    let pid = interp.pid;
-    const CHUNK: usize = 65536;
-    const ROUND: usize = 8;
-    let fd = match cap.raw.fd().filter(|_| cap.kind() == CapKind::File) {
-        Some(fd) => fd,
-        None => {
-            // Pipes/sockets: no pread offsets — fall back to one eager read.
-            let data = match crate::batchio::cap_read_all(&mut interp.kernel, pid, cap) {
-                Ok(d) => d,
-                Err(e) => return cap_result(Err(e)),
-            };
-            let n = data.len() as i64;
-            if !data.is_empty() {
-                let chunk = Value::str(String::from_utf8_lossy(&data).into_owned());
-                interp.apply(handler, vec![chunk], vec![])?;
-            }
-            return Ok(Value::Num(n));
-        }
-    };
-    let mut off: u64 = 0;
-    let mut total: i64 = 0;
-    loop {
-        // A chain of dependent single-chunk reads: the declared edges force
-        // one read per wave, so completions stream back wave by wave.
-        let mut batch = SyscallBatch::aborting(Vec::new());
-        for i in 0..ROUND {
-            let slot = batch.push(BatchEntry::Preadv {
-                fd: fd.into(),
-                offset: off + (i * CHUNK) as u64,
-                lens: vec![CHUNK],
-            });
-            if slot > 0 {
-                batch.deps.push((slot, slot - 1));
-            }
-        }
-        let mut run = match ScheduledRun::prepare(pid, batch) {
-            Ok(r) => r,
-            Err(e) => return Ok(Value::SysErr(e)),
-        };
-        let mut next_slot = 0usize;
-        let mut eof = false;
-        let mut err: Option<Errno> = None;
-        loop {
-            let more = match interp.kernel.sched_run_wave(&mut run) {
-                Ok(m) => m,
-                Err(e) => return Ok(Value::SysErr(e)),
-            };
-            // Drain completions in slot order; the dependency chain
-            // guarantees slot k lands no later than wave k.
-            while err.is_none() && !eof {
-                let Some(res) = run.result_of(next_slot) else {
-                    break;
-                };
-                match res {
-                    Ok(BatchOut::Data(d)) => {
-                        let chunk = d.clone();
-                        next_slot += 1;
-                        if chunk.is_empty() {
-                            eof = true;
-                        } else {
-                            total += chunk.len() as i64;
-                            let short = chunk.len() < CHUNK;
-                            let s = Value::str(String::from_utf8_lossy(&chunk).into_owned());
-                            interp.apply(handler.clone(), vec![s], vec![])?;
-                            if short {
-                                eof = true;
-                            }
-                        }
-                    }
-                    Ok(_) => {
-                        err = Some(Errno::EINVAL);
-                    }
-                    Err(e) => {
-                        if *e != Errno::ECANCELED {
-                            err = Some(*e);
-                        }
-                        next_slot += 1;
-                    }
-                }
-            }
-            if !more {
-                break;
-            }
-        }
-        if let Err(e) = interp.kernel.sched_audit(&run) {
-            return Ok(Value::SysErr(e));
-        }
-        if let Some(e) = err {
-            return Ok(Value::SysErr(e));
-        }
-        if eof {
-            return Ok(Value::Num(total));
-        }
-        off += (ROUND * CHUNK) as u64;
     }
 }
 

@@ -19,18 +19,17 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use shill_cap::{CapPrivs, PrivSet};
-use shill_contracts::{Blame, CapResult, GuardedCap, SealBrand, Violation};
+use shill_contracts::{Blame, GuardedCap, SealBrand, Violation};
 use shill_kernel::{Kernel, Pid};
 use shill_sandbox::ShillPolicy;
 
 use crate::ast::{contract_to_string, BinOp, ContractExpr, Dialect, Expr, Script, Stmt, UnOp};
-use crate::batchio::DeferredAcc;
 use crate::builtins::{self, Builtin};
 use crate::env::{Env, Root};
 use crate::parse::parse_script;
 use crate::profile::Profile;
 use crate::resolve::resolve;
-use crate::value::{ContractedFn, EvalResult, FutureCell, Kwarg, Lambda, ShillError, Value};
+use crate::value::{ContractedFn, EvalResult, Kwarg, Lambda, ShillError, Value};
 
 /// Maximum evaluation depth (recursion guard).
 /// Applications may nest this deep. The bound is set so that the native
@@ -84,16 +83,6 @@ pub struct Interp {
     /// Output of the `display` builtin.
     pub out: Vec<u8>,
     depth: usize,
-    /// The pending accumulated batch: `async` expressions enqueue deferred
-    /// I/O fragments here; the first `await` flushes it in one scheduled
-    /// submission. At most one accumulator exists at a time, so any
-    /// pending future always belongs to it.
-    pub deferred: Option<DeferredAcc>,
-    /// Non-zero while evaluating inside an `async` operand —
-    /// [`Interp::batchable`] consults this to defer instead of flushing
-    /// at once. A plain counter (not a flag): `async` forms nest,
-    /// including through closure calls made inside the operand.
-    pub async_depth: usize,
     /// Argument vectors for reuse by `Expr::Call`. Every vector here is
     /// empty: no argument outlives its call through the pool.
     arg_pool: Vec<Vec<Value>>,
@@ -117,39 +106,10 @@ impl Interp {
             profile: Profile::default(),
             out: Vec::new(),
             depth: 0,
-            deferred: None,
-            async_depth: 0,
             arg_pool: Vec::new(),
             kwarg_pool: Vec::new(),
             exec_buffers: Default::default(),
         }
-    }
-
-    /// Force the accumulated batch: one submission resolving every
-    /// pending future. No-op when nothing is deferred.
-    pub fn flush_deferred(&mut self) {
-        if let Some(acc) = self.deferred.take() {
-            crate::batchio::flush_deferred(&mut self.kernel, self.pid, acc);
-        }
-    }
-
-    /// Run one batchable operation through its fragment (`enqueue`, one
-    /// of the [`DeferredAcc`] `defer_*` methods). Inside `async` the
-    /// fragment joins the accumulated batch and the result is its pending
-    /// future; otherwise it is flushed at once
-    /// ([`crate::batchio::run_now`]) and the result is its value.
-    /// `Ok(None)` when the fragment declined: the caller runs its
-    /// byte-level fallback eagerly.
-    pub fn batchable(
-        &mut self,
-        enqueue: impl FnOnce(&mut DeferredAcc, &mut Kernel, Pid) -> CapResult<Option<Rc<FutureCell>>>,
-    ) -> CapResult<Option<Value>> {
-        if self.async_depth > 0 {
-            if let Some(acc) = self.deferred.as_mut() {
-                return Ok(enqueue(acc, &mut self.kernel, self.pid)?.map(Value::Future));
-            }
-        }
-        crate::batchio::run_now(&mut self.kernel, self.pid, enqueue)
     }
 
     /// Register a script under a module name for `require`.
@@ -410,40 +370,6 @@ impl Interp {
                 Ok(Value::Closure(Rc::new(lambda), env.clone()))
             }
             Expr::Contract(c, _) => Ok(Value::Contract(Rc::new((**c).clone()))),
-            Expr::Async(inner, _) => {
-                // Evaluate the operand with deferral armed: I/O builtins
-                // enqueue fragments into the accumulator and hand back
-                // pending futures. Anything else the operand produces is
-                // wrapped as an already-ready future, so
-                // `await (async e) == e` uniformly.
-                if self.deferred.is_none() {
-                    self.deferred = Some(DeferredAcc::new());
-                }
-                self.async_depth += 1;
-                let r = self.eval_expr(env, inner);
-                self.async_depth -= 1;
-                Ok(match r? {
-                    f @ Value::Future(_) => f,
-                    other => Value::Future(FutureCell::ready(other)),
-                })
-            }
-            Expr::Await(inner, _) => {
-                let v = self.eval_expr(env, inner)?;
-                match v {
-                    Value::Future(f) => {
-                        // A pending future always belongs to the single
-                        // live accumulator; forcing it flushes everything
-                        // accumulated so far in one submission.
-                        if f.is_pending() {
-                            self.flush_deferred();
-                        }
-                        Ok(f.ready_value().unwrap_or(Value::Void))
-                    }
-                    // Awaiting a non-future is the identity, so scripts
-                    // can sprinkle `await` over values of either shape.
-                    other => Ok(other),
-                }
-            }
             Expr::Unary { op, expr, .. } => {
                 let v = self.eval_expr(env, expr)?;
                 match op {

@@ -29,8 +29,6 @@ pub enum Tok {
     False,   // false
     Forall,  // forall
     With,    // with
-    Async,   // async
-    Await,   // await
     // punctuation
     LParen,
     RParen,
@@ -378,8 +376,6 @@ impl<'a> Lexer<'a> {
                     "false" => Tok::False,
                     "forall" => Tok::Forall,
                     "with" => Tok::With,
-                    "async" => Tok::Async,
-                    "await" => Tok::Await,
                     _ => Tok::Ident(word),
                 };
                 mk(tok)

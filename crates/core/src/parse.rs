@@ -489,19 +489,6 @@ impl Parser {
                     pos,
                 })
             }
-            Tok::Async => {
-                // Prefix form binding like unary operators, so
-                // `async read(f)` defers the call, and `async x ++ y`
-                // parses as `(async x) ++ y`.
-                self.bump();
-                let e = self.unary_expr()?;
-                Ok(Expr::Async(Box::new(e), pos))
-            }
-            Tok::Await => {
-                self.bump();
-                let e = self.unary_expr()?;
-                Ok(Expr::Await(Box::new(e), pos))
-            }
             Tok::For => {
                 self.bump();
                 let var = self.ident("loop variable")?;

@@ -128,9 +128,7 @@ impl Resolver {
                 self.expr(iter);
                 *frame_size = self.frame(std::slice::from_ref(var), body).1;
             }
-            Expr::Unary { expr, .. } | Expr::Async(expr, _) | Expr::Await(expr, _) => {
-                self.expr(expr)
-            }
+            Expr::Unary { expr, .. } => self.expr(expr),
             Expr::Binary { lhs, rhs, .. } => {
                 self.expr(lhs);
                 self.expr(rhs);

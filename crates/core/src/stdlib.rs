@@ -101,11 +101,10 @@ fn filesys_module() -> HashMap<String, Value> {
     // copy_file(src, dst) -> bytes copied (or syserror). cp in one
     // expression, fused onto the scheduler's pipeline path: each window is
     // ONE submission (read → truncate → write) with the bytes flowing to
-    // the write through a slot reference instead of surfacing here; under
-    // `async` the first window joins the accumulated batch. Self-copies
-    // and copies involving a pipe, socket or device decline the pipeline
-    // and copy byte-wise. Requires +read on src and +write (with
-    // +truncate/+append per the sandbox's write conservatism) on dst.
+    // the write through a slot reference instead of surfacing here.
+    // Self-copies and copies involving a pipe, socket or device decline
+    // the pipeline and copy byte-wise. Requires +read on src and +write
+    // (with +truncate/+append per the sandbox's write conservatism) on dst.
     m.insert(
         "copy_file".into(),
         native_fn("copy_file", |interp, args, _kw| {
@@ -115,38 +114,42 @@ fn filesys_module() -> HashMap<String, Value> {
             let src = interp.unseal_for(&args[0], Priv::Read)?;
             let dst = interp.unseal_for(&args[1], Priv::Write)?;
             cap_result(
-                match interp.batchable(|acc, _, _| acc.defer_copy(src, dst)) {
-                    Ok(Some(v)) => Ok(v),
-                    Ok(None) => crate::batchio::cap_copy(&mut interp.kernel, interp.pid, src, dst)
-                        .map(|n| Value::Num(n as i64)),
-                    Err(e) => Err(e),
-                },
+                crate::batchio::cap_copy(&mut interp.kernel, interp.pid, src, dst)
+                    .map(|n| Value::Num(n as i64)),
             )
         }),
     );
     // dir_stats(dir) -> list of [name, size] pairs. The `contents` +
-    // per-name `stat` loop as one readdir plus one batched fstatat sweep;
-    // names whose stat fails (vanished, denied) are skipped, like `find`.
-    // Under `async` the readdir still runs at once (the sweep needs the
-    // names) and the fstatat fan joins the accumulated batch.
+    // `lookup` + `stat` loop as one readdir plus one batched fstatat
+    // sweep; names whose stat fails (vanished, denied) are skipped, like
+    // `find`. A child of a sealed directory is sealed alike, so every
+    // seal's bound must allow all three operations.
     m.insert(
         "dir_stats".into(),
         native_fn("dir_stats", |interp, args, _kw| {
             if args.len() != 1 {
                 return Err(ShillError::Runtime("dir_stats expects (dir)".into()));
             }
-            let dir = interp.unseal_for(&args[0], Priv::Contents)?;
+            interp.unseal_for(&args[0], Priv::Contents)?;
+            interp.unseal_for(&args[0], Priv::Lookup)?;
+            let dir = interp.unseal_for(&args[0], Priv::Stat)?;
             cap_result(
-                interp
-                    .batchable(|acc, k, pid| acc.defer_dir_stats(k, pid, dir).map(Some))
-                    .map(|v| v.unwrap_or(Value::Void)),
+                crate::batchio::dir_stats(&mut interp.kernel, interp.pid, dir).map(|pairs| {
+                    Value::list(
+                        pairs
+                            .into_iter()
+                            .map(|(name, size)| {
+                                Value::list(vec![Value::str(name), Value::Num(size as i64)])
+                            })
+                            .collect(),
+                    )
+                }),
             )
         }),
     );
     // slurp_many(caps) -> list of file contents (per-element syserrors for
     // the files that fail). The whole sweep is ONE submission — a Preadv
-    // window per file — instead of a read syscall per element. Under
-    // `async` it joins the accumulated batch and returns a future.
+    // window per file — instead of a read syscall per element.
     m.insert(
         "slurp_many".into(),
         native_fn("slurp_many", |interp, args, _kw| {
@@ -161,23 +164,19 @@ fn filesys_module() -> HashMap<String, Value> {
             for v in &items {
                 caps.push(interp.unseal_for(v, Priv::Read)?.clone());
             }
-            match interp.batchable(|acc, _, _| acc.defer_slurp(&caps)) {
-                Ok(Some(v)) => return Ok(v),
-                Ok(None) => {}
-                Err(e) => return cap_result(Err(e)),
-            }
-            // Some capability was not batchable (pipe/socket): read each
-            // eagerly, keeping the per-element string/syserror shape.
-            let pid = interp.pid;
-            let mut out = Vec::with_capacity(caps.len());
-            for cap in &caps {
-                match crate::batchio::cap_read_all(&mut interp.kernel, pid, cap) {
-                    Ok(d) => out.push(Value::str(String::from_utf8_lossy(&d).into_owned())),
-                    Err(CapError::Sys(e)) => out.push(Value::SysErr(e)),
-                    Err(CapError::Violation(v)) => return Err(v.into()),
-                }
-            }
-            Ok(Value::list(out))
+            cap_result(
+                crate::batchio::slurp_many(&mut interp.kernel, interp.pid, &caps).map(|reads| {
+                    Value::list(
+                        reads
+                            .into_iter()
+                            .map(|r| match r {
+                                Ok(d) => Value::str(String::from_utf8_lossy(&d).into_owned()),
+                                Err(e) => Value::SysErr(e),
+                            })
+                            .collect(),
+                    )
+                }),
+            )
         }),
     );
     m

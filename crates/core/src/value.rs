@@ -12,136 +12,12 @@ use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use shill_cap::FdHandle;
 use shill_contracts::{Blame, ContractText, GuardedCap, SealBrand, Violation};
 use shill_vfs::Errno;
 
 use crate::ast::{contract_to_string, Fun, FuncContract};
 use crate::builtins::Builtin;
 use crate::env::Env;
-
-/// What a pending future's slots in the accumulated batch resolve into.
-/// Slot indices refer to the interpreter's single pending
-/// [`crate::batchio::DeferredAcc`]; the descriptors let resolution continue
-/// an operation whose first 1 MiB window came back full. Each fragment
-/// holds an [`FdHandle`] on each descriptor its batch entries name, so a capability
-/// passed as a temporary (`async read(open_file(..))`) keeps its
-/// descriptor open until the fragment resolves. Guard checks already
-/// happened at enqueue time — resolution only maps slot results to values,
-/// so errnos surface as catchable [`Value::SysErr`]s, never violations.
-#[derive(Debug, Clone)]
-pub enum FragKind {
-    /// One `Preadv` window at `slot`; resolves to the file's contents as a
-    /// string (continuing past a full window via `fd`).
-    Read { slot: usize, fd: FdHandle },
-    /// `Ftruncate` + `Pwrite` at `slots` on `fd`; resolves to void, like
-    /// the sequential `write` builtin.
-    Write { slots: [usize; 2], fd: FdHandle },
-    /// A fused copy window at `first_slot..first_slot + 3`
-    /// (read → truncate → write, data flowing by slot reference); resolves
-    /// to the total bytes copied (continuing past a full window).
-    Copy {
-        first_slot: usize,
-        sfd: FdHandle,
-        dfd: FdHandle,
-    },
-    /// A `Stat` sweep relative to `dir` at
-    /// `first_slot..first_slot + names.len()`; resolves to
-    /// `[[name, size], …]` over the entries whose stat succeeded, in
-    /// directory order — the `dir_stats` shape.
-    DirStats {
-        names: Vec<String>,
-        first_slot: usize,
-        dir: FdHandle,
-    },
-    /// One `Preadv` window per file; resolves to a list of contents
-    /// strings, each element independently a string or a syserror.
-    Slurp { reads: Vec<(usize, FdHandle)> },
-}
-
-impl FragKind {
-    /// The accumulated-batch slots this fragment resolves from (`select`
-    /// uses these to decide which future completed first).
-    pub fn slots(&self) -> Vec<usize> {
-        match self {
-            FragKind::Read { slot, .. } => vec![*slot],
-            FragKind::Write { slots, .. } => slots.to_vec(),
-            FragKind::Copy { first_slot, .. } => (*first_slot..first_slot + 3).collect(),
-            FragKind::DirStats {
-                names, first_slot, ..
-            } => (*first_slot..first_slot + names.len()).collect(),
-            FragKind::Slurp { reads } => reads.iter().map(|(s, _)| *s).collect(),
-        }
-    }
-}
-
-/// A future's lifetime: pending (slots enqueued in the interpreter's
-/// accumulated batch, not yet submitted) until an `await` flushes the
-/// batch, then ready forever. A future that is never awaited never
-/// executes — dropping the accumulator drops the deferred I/O.
-pub enum FutureState {
-    Pending(FragKind),
-    Ready(Value),
-}
-
-/// The cell behind a [`Value::Future`]. Interior-mutable so every clone of
-/// the future observes the resolution.
-pub struct FutureCell {
-    pub state: RefCell<FutureState>,
-}
-
-impl FutureCell {
-    pub fn pending(kind: FragKind) -> Rc<FutureCell> {
-        Rc::new(FutureCell {
-            state: RefCell::new(FutureState::Pending(kind)),
-        })
-    }
-
-    pub fn ready(v: Value) -> Rc<FutureCell> {
-        Rc::new(FutureCell {
-            state: RefCell::new(FutureState::Ready(v)),
-        })
-    }
-
-    pub fn is_pending(&self) -> bool {
-        matches!(*self.state.borrow(), FutureState::Pending(_))
-    }
-
-    pub fn set_ready(&self, v: Value) {
-        *self.state.borrow_mut() = FutureState::Ready(v);
-    }
-
-    /// The resolved value, if ready (clones — futures are shared).
-    pub fn ready_value(&self) -> Option<Value> {
-        match &*self.state.borrow() {
-            FutureState::Ready(v) => Some(v.clone()),
-            FutureState::Pending(_) => None,
-        }
-    }
-
-    /// The accumulated-batch slots a still-pending future waits on.
-    pub fn pending_slots(&self) -> Option<Vec<usize>> {
-        match &*self.state.borrow() {
-            FutureState::Pending(kind) => Some(kind.slots()),
-            FutureState::Ready(_) => None,
-        }
-    }
-
-    /// Take the pending fragment for resolution, leaving the cell ready
-    /// with a placeholder (the resolver overwrites it via `set_ready`).
-    pub fn take_frag(&self) -> Option<FragKind> {
-        let mut st = self.state.borrow_mut();
-        match &*st {
-            FutureState::Pending(_) => {
-                match std::mem::replace(&mut *st, FutureState::Ready(Value::Void)) {
-                    FutureState::Pending(kind) => Some(kind),
-                    FutureState::Ready(_) => unreachable!(),
-                }
-            }
-            FutureState::Ready(_) => None,
-        }
-    }
-}
 
 /// One evaluation of a `fun` literal: its code, and the name the first
 /// definition that binds it gives it, for diagnostics. A closure value is
@@ -276,11 +152,6 @@ pub enum Value {
     /// A system error produced by a capability operation; scripts observe
     /// these with `is_syserror` (paper Figure 3 line 11).
     SysErr(Errno),
-    /// A deferred I/O result: produced by `async`, forced by `await`.
-    /// Holds slot references into the interpreter's accumulated batch
-    /// while pending. Like capabilities, futures render opaquely and have
-    /// no serialized form.
-    Future(Rc<FutureCell>),
 }
 
 /// Top-level script errors. Errors are the cold path, so every payload
@@ -348,7 +219,6 @@ impl Value {
             Value::Contract(_) => "contract",
             Value::Wallet(_) => "wallet",
             Value::SysErr(_) => "syserror",
-            Value::Future(_) => "future",
         }
     }
 
@@ -385,9 +255,6 @@ impl Value {
                 (Some(x), Some(y)) => x == y,
                 _ => a.same(b),
             },
-            // Futures compare by identity: two deferred ops are never "the
-            // same" even if they resolve to equal values.
-            (Value::Future(a), Value::Future(b)) => Rc::ptr_eq(a, b),
             _ => false,
         }
     }
@@ -413,13 +280,6 @@ impl Value {
             Value::Contract(c) => format!("<contract {}>", crate::ast::contract_to_string(c)),
             Value::Wallet(w) => format!("<{} wallet>", w.kind),
             Value::SysErr(e) => format!("<syserror {}>", e.name()),
-            Value::Future(f) => {
-                if f.is_pending() {
-                    "<future pending>".into()
-                } else {
-                    "<future ready>".into()
-                }
-            }
         }
     }
 }

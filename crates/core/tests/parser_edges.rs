@@ -278,3 +278,25 @@ f = fun() { 1 };
         other => panic!("{other}"),
     }
 }
+
+#[test]
+fn removed_deferral_syntax_fails_cleanly() {
+    // `async` and `await` are ordinary names, so a script written for the
+    // deferred-I/O surface is a positioned parse error, and its builtins
+    // are unbound. Its first error is the name after `(await`.
+    let src = include_str!("../../../tests/corpus/async-select.shill");
+    let err = parse_script(src).unwrap_err();
+    assert_eq!((err.pos.line, err.pos.col), (5, 31), "{err}");
+    assert_eq!(
+        eval_cap("async = 1; await = 2; async + await")
+            .unwrap()
+            .display(),
+        "3"
+    );
+    for call in ["await_all([1])", "select([1])", "stream_read(1, 2)"] {
+        match eval_cap(call) {
+            Err(ShillError::Runtime(m)) => assert!(m.contains("unbound variable"), "{call}: {m}"),
+            other => panic!("{call}: {other:?}"),
+        }
+    }
+}

@@ -55,14 +55,12 @@
 //! [`crate::Kernel::sched_run_wave`] + [`crate::Kernel::sched_audit`] +
 //! [`ScheduledRun::into_results`] — installs batch state **per wave**, so
 //! [`crate::KernelShards::run_job`] can drop the shard lock between waves
-//! and interleave waves of different sessions' submissions, and
-//! `select`/`stream_read` can look at each wave's completions before the
-//! next one runs. Per-wave installation re-reads
-//! the tick budget each wave (write-back keeps the cumulative count, so
-//! `EAGAIN` trip points are unchanged) and builds one MAC context per
-//! wave. Lock order is inherited from the executor: the kernel lock is
-//! acquired first and no interior cache/policy lock is ever held across a
-//! wave boundary.
+//! and interleave waves of different sessions' submissions. Per-wave
+//! installation re-reads the tick budget each wave (write-back keeps the
+//! cumulative count, so `EAGAIN` trip points are unchanged) and builds one
+//! MAC context per wave. Lock order is inherited from the executor: the
+//! kernel lock is acquired first and no interior cache/policy lock is ever
+//! held across a wave boundary.
 
 use shill_vfs::{Errno, SysResult};
 
@@ -342,20 +340,11 @@ impl ScheduledRun {
         self.table.finished()
     }
 
-    /// Slots completed so far, in execution order — the steppable
-    /// consumer's per-wave peek: after each [`Kernel::sched_run_wave`] a
-    /// caller (streaming reads, `select`) can see which slots have
-    /// delivered while later waves are still pending.
+    /// Slots completed so far, in execution order: after each
+    /// [`Kernel::sched_run_wave`], which slots have delivered while later
+    /// waves are still pending.
     pub fn completed_slots(&self) -> &[usize] {
         self.table.completed()
-    }
-
-    /// Borrow a completed slot's result (`None` until it executes or is
-    /// cancelled). Payloads stay in place — the streaming consumer clones
-    /// the wave it is about to hand out and leaves the rest unmoved for
-    /// [`ScheduledRun::into_results`].
-    pub fn result_of(&self, slot: usize) -> Option<&SysResult<BatchOut>> {
-        self.table.results.get(slot)?.as_ref()
     }
 
     /// Consume the run into its slot-ordered results (the

@@ -196,3 +196,38 @@ display(path(f), " ", is_syserror(lookup(d, "doomed.txt")));
     .unwrap();
     assert_eq!(rt.output(), "/home/user/doomed.txt true\n");
 }
+
+#[test]
+fn dir_stats_needs_stat_on_the_capabilities_lookup_derives() {
+    // `dir_stats(d)` stands for `stat_size(lookup(d, n))` over the names
+    // of `d`. A `with` modifier on +lookup decides what a child may do, so
+    // a child without +stat refuses the sweep as it refuses the loop.
+    let mut rt = user_runtime(&[("/home/user/a.txt", "aaaa"), ("/home/user/b.txt", "b")]);
+    rt.add_script(
+        "sizes.cap",
+        r#"#lang shill/cap
+require shill/filesys;
+provide sweep : {d : dir(+contents, +stat, +lookup with {+path})} -> any;
+provide walk : {d : dir(+contents, +stat, +lookup with {+path})} -> any;
+sweep = fun(d) { dir_stats(d) };
+walk = fun(d) { for n in contents(d) { stat_size(lookup(d, n)); } };
+"#,
+    );
+    for f in ["walk", "sweep"] {
+        let err = rt
+            .run(
+                "main",
+                &format!(
+                    "#lang shill/ambient\nrequire \"sizes.cap\";\n{f}(open_dir(\"/home/user\"))\n"
+                ),
+            )
+            .unwrap_err();
+        match err {
+            ShillError::Violation(v) => {
+                assert!(v.message.contains("+stat"), "{f}: {v}");
+                assert!(v.blamed_name.contains("sizes.cap"), "{f}: {v}");
+            }
+            other => panic!("{f}: {other}"),
+        }
+    }
+}

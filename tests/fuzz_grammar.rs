@@ -7,10 +7,7 @@
 //!    panic the lexer/parser.
 //! 2. **Eval determinism** — a generated script produces the identical
 //!    value, output, and errno stream on a twin runtime, with caches on
-//!    or off. Generated expressions include `await (async e)` round-trips.
-//!    A 2b layer generates async pipelines (deferred read/write/copy over
-//!    distinct targets) and checks them against their sequential twins
-//!    under standing mode-invariant fault schedules, caches on and off.
+//!    or off.
 //! 3. **The standing differential twin** — grammar-generated syscall
 //!    workloads (dependency DAGs over a partially-granted sandbox) run
 //!    through all three execution modes — `run_sequential` (the oracle),
@@ -88,7 +85,7 @@ fn gen_expr(rng: &mut Rng, depth: usize, cap_dialect: bool) -> String {
             _ => format!("v{}", rng.below(3)),
         };
     }
-    match rng.below(11) {
+    match rng.below(10) {
         0 => format!(
             "({} + {})",
             gen_expr(rng, depth - 1, cap_dialect),
@@ -122,9 +119,6 @@ fn gen_expr(rng: &mut Rng, depth: usize, cap_dialect: bool) -> String {
         ),
         7 => format!("-({})", gen_expr(rng, depth - 1, cap_dialect)),
         8 => format!("!({} == {})", rng.below(4), rng.below(4)),
-        // `await (async e) == e` for every e — pure expressions round-trip
-        // through the future machinery without touching the scheduler.
-        9 => format!("(await (async {}))", gen_expr(rng, depth - 1, cap_dialect)),
         _ => format!("to_string({})", gen_expr(rng, depth - 1, cap_dialect)),
     }
 }
@@ -281,218 +275,6 @@ fn fuzzed_scripts_evaluate_deterministically_in_both_cache_modes() {
         let c = eval_fingerprint(false, &src);
         assert_eq!(a, c, "case {case}: cache mode changed evaluation\n{src}");
     }
-}
-
-// =======================================================================
-// Layer 2b: async/await twin equivalence under standing fault schedules.
-// =======================================================================
-
-/// A kernel for the async twin layer: distinct read sources (t*) and
-/// write/copy targets (o*), all owned by the script's user so the only
-/// divergences possible are the deferred-execution machinery's own.
-fn async_twin_kernel(cached: bool) -> Kernel {
-    let mut k = Kernel::new();
-    k.set_avc_enabled(cached);
-    for (i, data) in [&b"tango"[..], b"uniform-uniform", b"victor", b""]
-        .iter()
-        .enumerate()
-    {
-        k.fs.put_file(
-            &format!("/home/u/t{i}.txt"),
-            data,
-            Mode(0o644),
-            Uid(100),
-            Gid(100),
-        )
-        .unwrap();
-    }
-    for i in 0..3 {
-        k.fs.put_file(
-            &format!("/home/u/o{i}.txt"),
-            b"old",
-            Mode(0o644),
-            Uid(100),
-            Gid(100),
-        )
-        .unwrap();
-    }
-    k
-}
-
-/// One deferred-able operation. Write/copy targets are distinct within a
-/// generated script so program order cannot matter — the one reordering
-/// the async form performs.
-#[derive(Clone, Copy)]
-enum AsyncOp {
-    Read(usize),
-    Write(usize, usize),
-    Copy(usize, usize),
-}
-
-impl AsyncOp {
-    fn render(self) -> String {
-        match self {
-            AsyncOp::Read(s) => format!("read(open_file(\"/home/u/t{s}.txt\"))"),
-            AsyncOp::Write(t, seed) => {
-                format!("write(open_file(\"/home/u/o{t}.txt\"), \"w{seed}\")")
-            }
-            AsyncOp::Copy(s, t) => format!(
-                "copy_file(open_file(\"/home/u/t{s}.txt\"), open_file(\"/home/u/o{t}.txt\"))"
-            ),
-        }
-    }
-}
-
-/// Generate 1–3 ops with pairwise-distinct write targets, and render the
-/// async script plus its sequential twin. Await styles rotate between
-/// one-await-per-future and a single `await_all`. (`select` is exercised
-/// by the corpus and unit tests: its index is wave-order-dependent by
-/// design, so it has no sequential twin to compare against.)
-fn gen_async_twins(rng: &mut Rng) -> (String, String) {
-    let mut targets: Vec<usize> = vec![0, 1, 2];
-    let n = 1 + rng.below(3);
-    let ops: Vec<AsyncOp> = (0..n)
-        .map(|_| match rng.below(4) {
-            0 | 1 => AsyncOp::Read(rng.below(4)),
-            2 if !targets.is_empty() => {
-                AsyncOp::Write(targets.swap_remove(rng.below(targets.len())), rng.below(50))
-            }
-            _ if !targets.is_empty() => {
-                AsyncOp::Copy(rng.below(4), targets.swap_remove(rng.below(targets.len())))
-            }
-            _ => AsyncOp::Read(rng.below(4)),
-        })
-        .collect();
-
-    let mut fused = String::from("#lang shill/ambient\nrequire shill/filesys;\n");
-    let mut seq = fused.clone();
-    for (i, op) in ops.iter().enumerate() {
-        fused.push_str(&format!("f{i} = async {};\n", op.render()));
-        seq.push_str(&format!("r{i} = {};\n", op.render()));
-    }
-    let names = |pfx: &str| {
-        (0..ops.len())
-            .map(|i| format!("{pfx}{i}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    if rng.flag() {
-        fused.push_str(&format!("rs = await_all([{}]);\n", names("f")));
-    } else {
-        let awaits = (0..ops.len())
-            .map(|i| format!("await f{i}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        fused.push_str(&format!("rs = [{awaits}];\n"));
-    }
-    seq.push_str(&format!("rs = [{}];\n", names("r")));
-    for s in [&mut fused, &mut seq] {
-        s.push_str("to_string(is_syserror(nth(rs, 0))) ++ \"|\" ++ to_string(length(rs))\n");
-    }
-    (fused, seq)
-}
-
-/// Strip `L:C` source positions from error text: the `async ` prefix
-/// shifts columns between the twins, and positions are presentation, not
-/// semantics.
-fn scrub_positions(s: &str) -> String {
-    let mut out = String::new();
-    let mut rest = s;
-    while let Some(i) = rest.find(" at ") {
-        let tail = &rest[i + 4..];
-        let digits = tail
-            .find(|c: char| !(c.is_ascii_digit() || c == ':'))
-            .unwrap_or(tail.len());
-        if digits > 0 && tail[..digits].contains(':') {
-            out.push_str(&rest[..i]);
-            out.push_str(" at _:_");
-            rest = &tail[digits..];
-        } else {
-            out.push_str(&rest[..i + 4]);
-            rest = tail;
-        }
-    }
-    out.push_str(rest);
-    out
-}
-
-/// Everything the async twin layer compares: evaluation outcome, script
-/// output, every target file's resulting bytes, and the fault-injection
-/// count (the schedule must fire identically in both modes).
-fn async_twin_fingerprint(cached: bool, schedule: Option<&str>, src: &str) -> String {
-    let mut rt = ShillRuntime::new(
-        async_twin_kernel(cached),
-        RuntimeConfig::WithPolicy,
-        Cred::user(100),
-    );
-    // Armed only after construction: the schedule governs the script's own
-    // I/O, not the prelude.
-    rt.kernel()
-        .set_fault_plane(schedule.map(|s| FaultPlane::parse(s).expect("schedule")));
-    let r = rt.run("fuzz", src);
-    // On a hard abort (violation / runtime error, NOT a catchable
-    // syserror) the async form may legitimately leave FEWER side effects
-    // than the eager twin: deferred fragments that were never awaited
-    // never execute. So side effects and fault counts are compared only
-    // for scripts that run to completion; aborts compare by error alone.
-    let v = match r {
-        Ok(v) => format!("ok:{}", v.display()),
-        Err(e) => return format!("err:{}", scrub_positions(&e.to_string())),
-    };
-    let mut files = String::new();
-    for i in 0..3 {
-        let node = rt
-            .kernel()
-            .fs
-            .resolve_abs(&format!("/home/u/o{i}.txt"))
-            .unwrap();
-        files.push_str(&format!(
-            "|o{i}:{:?}",
-            rt.kernel().fs.read(node, 0, 1 << 20).unwrap_or_default()
-        ));
-    }
-    let snap = rt.kernel().stats_snapshot();
-    format!(
-        "{v}|out:{}{files}|faults:{}",
-        rt.output(),
-        snap.faults_injected
-    )
-}
-
-/// Mode-invariant schedules for the async twin: namei and fs.read/fs.write
-/// keys hash the same (node, offset, len) whether the I/O runs eagerly or
-/// accumulated. The slot-keyed `batch` site is excluded — slot numbering
-/// necessarily differs between one fused batch and N private ones.
-const ASYNC_SCHEDULES: &[Option<&str>] = &[
-    None,
-    Some("seed=11;rate=6;sites=namei"),
-    Some("seed=23;rate=5;sites=fs.read+fs.write"),
-];
-
-#[test]
-fn async_scripts_match_their_sequential_twins() {
-    let mut rng = Rng::new(0xA51C_7713);
-    let mut fired = 0u64;
-    for case in 0..iters() {
-        let (fused, seq) = gen_async_twins(&mut rng);
-        // Rotate schedule × cache per case: every combination recurs
-        // throughout the run without a 6× cost multiplier.
-        let schedule = ASYNC_SCHEDULES[case % ASYNC_SCHEDULES.len()];
-        let cached = case % 2 == 0;
-        let a = async_twin_fingerprint(cached, schedule, &fused);
-        let b = async_twin_fingerprint(cached, schedule, &seq);
-        assert_eq!(
-            a, b,
-            "case {case}: async diverged from sequential twin \
-             (schedule {schedule:?}, cached={cached})\n--- async ---\n{fused}\n--- twin ---\n{seq}"
-        );
-        if schedule.is_some() {
-            if let Some((_, n)) = a.rsplit_once("faults:") {
-                fired += n.parse::<u64>().unwrap_or(0);
-            }
-        }
-    }
-    assert!(fired > 0, "no fault schedule ever fired — dead oracle");
 }
 
 // =======================================================================
@@ -1438,7 +1220,7 @@ fn fuzzed_server_sessions_survive_fault_storms_without_stale_allows() {
 // Layer 5: recorded evaluator fingerprints.
 // =======================================================================
 //
-// Layers 2 and 2b and the corpus replay compare two runs of one build, so
+// Layer 2 and the corpus replay compare two runs of one build, so
 // they cannot see a change in what the evaluator returns. This layer
 // compares against outcomes recorded once, in
 // `tests/corpus/eval_fingerprints.txt`, for cap-dialect scripts that stress

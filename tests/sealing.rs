@@ -228,3 +228,38 @@ poly = fun(cur) { to_string(cur) };
     assert!(s.contains("sealed"), "{s}");
     assert!(!s.contains("/home"), "sealed values leak nothing: {s}");
 }
+
+#[test]
+fn dir_stats_stays_within_the_seal_bound() {
+    // `dir_stats` stands for `contents`, then `lookup`, then `stat_size`
+    // on each child, and a child of a sealed directory carries the same
+    // seal. A bound without +stat refuses the sweep as it refuses the
+    // loop, and blames the body.
+    let mut rt = runtime();
+    rt.add_script(
+        "sweep.cap",
+        r#"#lang shill/cap
+require shill/filesys;
+provide find :
+  forall X with {+lookup, +contents} .
+  {cur : X, filter : X -> is_bool, cmd : X -> void} -> any;
+find = fun(cur, filter, cmd) { dir_stats(cur) }
+"#,
+    );
+    let err = rt
+        .run(
+            "main",
+            r#"#lang shill/ambient
+require "sweep.cap";
+find(open_dir("/home/u/a"), is_file, is_file)
+"#,
+        )
+        .unwrap_err();
+    match err {
+        ShillError::Violation(v) => {
+            assert!(v.message.contains("+stat"), "{v}");
+            assert!(v.blamed_name.contains("find"), "body is blamed: {v}");
+        }
+        other => panic!("{other}"),
+    }
+}
